@@ -3,15 +3,24 @@
 Subcommands: synth, ingest-check, train-dae, train-classifier,
 evaluate, predict, cam, trust, validate-cam, gradcheck.
 
-Exit codes: 0 success, 2 usage error (bad flags, unknown config keys,
-missing inputs, conflicting settings), 1 runtime failure.  On any
-failure the last line of output is a single-line diagnostic of the form
-``error: usage: <message>`` or ``error: runtime: <message>``.
+Exit codes:
 
-Settings resolve as flags > config file > defaults, with the
-SKILLSEQ_SEED environment variable as the weakest seed source.  Run
-directories are self-contained: the persisted snapshot plus manifest
-reproduce every report byte for byte.
+- 0: success.
+- 2: usage error.  Bad flags; unknown, duplicate or malformed config or
+  run.cfg keys, or a run.cfg missing a key; invalid settings; a missing
+  input file or directory (manifest, bundle, records, run); a dataset
+  whose fingerprint differs from the config snapshot it is replayed from.
+- 1: runtime failure, e.g. a malformed input file, a failed training or
+  gradient check, or a masking study whose dataset no longer matches.
+
+On any failure the last line of output is a single-line diagnostic of
+the form ``error: usage: <message>`` or ``error: runtime: <message>``.
+
+Run-key flags, config files and run.cfg share one key table
+(``config.RUN_KEYS``).  Settings resolve as flags > config file >
+defaults, with the SKILLSEQ_SEED environment variable as the weakest
+seed source.  Run directories are self-contained: the persisted snapshot
+plus manifest reproduce every report byte for byte.
 """
 
 from __future__ import annotations
@@ -19,31 +28,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from .bundle import BundleFormatError, load_bundle, save_bundle
 from .config import (
     RUN_KEYS,
     SYNTH_KEYS,
     ConfigError,
+    RunSettings,
+    add_key_flags,
+    flag_values,
     read_config_file,
     resolve_run_config,
     resolve_synth_spec,
 )
 from .crossval import run_cv, validate_cams
-from .data import (
-    RAW,
-    Dataset,
-    apply_minmax,
-    dataset_fingerprint,
-    fit_minmax,
-    load_manifest,
-    prepare_stage2,
-)
+from .data import apply_minmax, dataset_fingerprint, fit_minmax, load_manifest
 from .explain import compute_cam, write_cams_csv
 from .gradcheck import run_gradcheck
-from .model import normalize_for_model
+from .model import normalize_for_model, prepare_dataset
 from .model import predict as model_predict
 from .overlay import render_cam_overlay
 from .records import read_records_csv, records_csv_classes, write_records_csv
@@ -57,6 +60,9 @@ __all__ = ["main", "dispatch"]
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# the run keys that predict and cam take as flags
+_SCORING_KEYS = {"target_hz": RUN_KEYS["target_hz"]}
 
 
 class UsageError(Exception):
@@ -75,61 +81,58 @@ def _fail(kind, message):
     return EXIT_USAGE if kind == "usage" else EXIT_RUNTIME
 
 
-def _add_key_flags(parser, keys, skip=()):
-    for key in keys:
-        if key in skip:
-            continue
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"key_{key}",
-                            metavar="V", default=None)
+def _require_file(path, what):
+    if not os.path.exists(path):
+        raise UsageError(f"{what} not found: {path}")
 
 
-def _flag_values(args, keys):
-    """Typed values for the --key flags that were actually given."""
-    out = {}
-    for key, conv in keys.items():
-        raw = getattr(args, f"key_{key}", None)
-        if raw is None:
-            continue
-        try:
-            out[key] = conv(raw)
-        except ValueError as exc:
-            raise UsageError(f"flag --{key.replace('_', '-')}: {exc}") from None
-    return out
-
-
-def _run_settings(args, need_manifest=True):
-    file_pairs = read_config_file(args.config) if args.config else None
-    settings, manifest, out = resolve_run_config(
-        file_pairs, _flag_values(args, RUN_KEYS), origin=args.config or "")
-    manifest = args.manifest or manifest
-    out = args.out or out
-    if need_manifest and manifest is None:
+def _run_config(args):
+    from_file = read_config_file(args.config, RUN_KEYS) if args.config else None
+    run = resolve_run_config(from_file, flag_values(args, RUN_KEYS))
+    if run.manifest is None:
         raise UsageError("no dataset manifest; pass --manifest or set it in the config")
-    if manifest is not None and not os.path.exists(manifest):
-        raise UsageError(f"manifest not found: {manifest}")
-    recorded_sha = None
-    if file_pairs and "dataset_sha256" in file_pairs:
-        recorded_sha = file_pairs["dataset_sha256"][0]
-    return settings, manifest, out, recorded_sha
+    _require_file(run.manifest, "manifest")
+    return run
 
 
-def _load_verified(manifest, recorded_sha):
-    dataset = load_manifest(manifest)
-    if recorded_sha is not None:
+def _load_verified(run):
+    dataset = load_manifest(run.manifest)
+    if run.dataset_sha256 is not None:
         actual = dataset_fingerprint(dataset)
-        if actual != recorded_sha:
+        if actual != run.dataset_sha256:
             raise UsageError(
                 f"dataset fingerprint {actual[:12]}... does not match the config "
-                f"snapshot ({recorded_sha[:12]}...)"
+                f"snapshot ({run.dataset_sha256[:12]}...)"
             )
     return dataset
 
 
-def _normalized_training_set(dataset, target_hz):
-    stage2 = [prepare_stage2(t, target_hz) if t.stage == RAW else t
-              for t in dataset.trials]
-    minmax = fit_minmax(stage2)
-    return [apply_minmax(t, minmax) for t in stage2], minmax, Dataset(stage2)
+def _training_set(args):
+    """Run config plus the normalized trials and their min-max statistics."""
+    run = _run_config(args)
+    if run.out is None:
+        raise UsageError("no output directory; pass --out")
+    trials = prepare_dataset(_load_verified(run), run.settings.target_hz).trials
+    minmax = fit_minmax(trials)
+    return run, [apply_minmax(t, minmax) for t in trials], minmax
+
+
+def _model_inputs(args, bundle):
+    """Bundle-normalized trials of --manifest at --target-hz, plus the
+    dataset they came from."""
+    _require_file(args.manifest, "manifest")
+    target_hz = flag_values(args, _SCORING_KEYS).get("target_hz", RunSettings.target_hz)
+    dataset = load_manifest(args.manifest)
+    return dataset, [normalize_for_model(bundle, t)
+                     for t in prepare_dataset(dataset, target_hz).trials]
+
+
+def _load_skill_bundle(args, what):
+    _require_file(args.bundle, "bundle")
+    bundle = load_bundle(args.bundle)
+    if bundle.mode == "autoencoder":
+        raise UsageError(f"{what} needs a classification or regression bundle")
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +141,8 @@ def _normalized_training_set(dataset, target_hz):
 
 
 def _cmd_synth(args):
-    file_pairs = read_config_file(args.spec) if args.spec else None
-    spec = resolve_synth_spec(file_pairs, _flag_values(args, SYNTH_KEYS),
-                              origin=args.spec or "")
+    from_file = read_config_file(args.spec, SYNTH_KEYS) if args.spec else None
+    spec = resolve_synth_spec(from_file, flag_values(args, SYNTH_KEYS))
     manifest = write_synth_dataset(spec, args.out)
     print(kv_line("trials", spec.n_subjects * spec.trials_per_subject))
     print(kv_line("manifest", manifest))
@@ -148,8 +150,7 @@ def _cmd_synth(args):
 
 
 def _cmd_ingest_check(args):
-    if not os.path.exists(args.manifest):
-        raise UsageError(f"manifest not found: {args.manifest}")
+    _require_file(args.manifest, "manifest")
     ds = load_manifest(args.manifest)
     trials = ds.trials
     print(kv_line("trials", len(trials)))
@@ -164,16 +165,12 @@ def _cmd_ingest_check(args):
 
 
 def _cmd_train_dae(args):
-    settings, manifest, out, recorded = _run_settings(args)
-    if out is None:
-        raise UsageError("no output directory; pass --out")
-    dataset = _load_verified(manifest, recorded)
-    norm, minmax, _ = _normalized_training_set(dataset, settings.target_hz)
-    from dataclasses import replace
+    run, norm, minmax = _training_set(args)
+    settings = run.settings
     bundle, history = train_dae(norm, minmax, replace(settings.dae, seed=settings.seed),
                                 settings.arch)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "dae.skq")
+    os.makedirs(run.out, exist_ok=True)
+    path = os.path.join(run.out, "dae.skq")
     save_bundle(bundle, path)
     print(kv_line("bundle", path))
     print(kv_line("epochs", len(history.train_loss)))
@@ -183,13 +180,10 @@ def _cmd_train_dae(args):
 
 
 def _cmd_train_classifier(args):
-    settings, manifest, out, recorded = _run_settings(args)
-    if out is None:
-        raise UsageError("no output directory; pass --out")
-    dataset = _load_verified(manifest, recorded)
-    norm, minmax, _ = _normalized_training_set(dataset, settings.target_hz)
-    from dataclasses import replace
+    run, norm, minmax = _training_set(args)
+    settings = run.settings
     if args.dae:
+        _require_file(args.dae, "bundle")
         dae_bundle = load_bundle(args.dae)
         if dae_bundle.mode != "autoencoder":
             raise UsageError(f"--dae bundle has mode '{dae_bundle.mode}', expected autoencoder")
@@ -199,8 +193,8 @@ def _cmd_train_classifier(args):
     clf_cfg = replace(settings.clf, seed=settings.seed)
     bundle, history = train_classifier(dae_bundle, norm, clf_cfg, settings.arch,
                                        settings.mode)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "skill.skq")
+    os.makedirs(run.out, exist_ok=True)
+    path = os.path.join(run.out, "skill.skq")
     save_bundle(bundle, path)
     print(kv_line("bundle", path))
     print(kv_line("mode", settings.mode))
@@ -211,12 +205,12 @@ def _cmd_train_classifier(args):
 
 
 def _cmd_evaluate(args):
-    settings, manifest, out, recorded = _run_settings(args)
-    dataset = _load_verified(manifest, recorded)
-    result = run_cv(dataset, settings, out_dir=out, manifest_path=manifest,
-                    jobs=args.jobs, progress=print if args.verbose else None)
-    if out is not None:
-        print(kv_line("run", out))
+    run = _run_config(args)
+    result = run_cv(_load_verified(run), run.settings, out_dir=run.out,
+                    manifest_path=run.manifest, jobs=args.jobs,
+                    progress=print if args.verbose else None)
+    if run.out is not None:
+        print(kv_line("run", run.out))
         for line in result.metrics_text.splitlines():
             if line.startswith(("aggregate ", "pooled ")):
                 print(line)
@@ -225,21 +219,10 @@ def _cmd_evaluate(args):
     return EXIT_OK
 
 
-def _prepared_trials(args, dataset):
-    target_hz = 1.0
-    if getattr(args, "key_target_hz", None) is not None:
-        target_hz = RUN_KEYS["target_hz"](args.key_target_hz)
-    return [prepare_stage2(t, target_hz) if t.stage == RAW else t
-            for t in dataset.trials]
-
-
 def _cmd_predict(args):
-    bundle = load_bundle(args.bundle)
-    if bundle.mode == "autoencoder":
-        raise UsageError("predict needs a classification or regression bundle")
-    dataset = load_manifest(args.manifest)
-    records = [model_predict(bundle, normalize_for_model(bundle, t))
-               for t in _prepared_trials(args, dataset)]
+    bundle = _load_skill_bundle(args, "predict")
+    _, trials = _model_inputs(args, bundle)
+    records = [model_predict(bundle, t) for t in trials]
     write_records_csv(records, args.out,
                       classes=bundle.class_names or ("score",))
     print(kv_line("records", args.out))
@@ -265,19 +248,15 @@ def _resolve_target_class(raw, bundle):
 
 
 def _cmd_cam(args):
-    bundle = load_bundle(args.bundle)
-    if bundle.mode == "autoencoder":
-        raise UsageError("activation maps need a classification or regression bundle")
-    dataset = load_manifest(args.manifest)
+    bundle = _load_skill_bundle(args, "cam")
+    dataset, trials = _model_inputs(args, bundle)
     override = _resolve_target_class(args.target_class, bundle)
-    prepared = _prepared_trials(args, dataset)
     cams = []
-    for raw_trial, trial in zip(dataset.trials, prepared):
+    for trial in trials:
         target = override
         if target is None and trial.class_label is not None and bundle.class_names:
             target = bundle.class_names.index(trial.class_label)
-        cams.append(compute_cam(bundle, normalize_for_model(bundle, trial),
-                                target_class=target))
+        cams.append(compute_cam(bundle, trial, target_class=target))
     write_cams_csv(cams, args.out)
     print(kv_line("cams", args.out))
     if args.overlay_dir:
@@ -291,8 +270,7 @@ def _cmd_cam(args):
 
 
 def _cmd_trust(args):
-    if not os.path.exists(args.records):
-        raise UsageError(f"records file not found: {args.records}")
+    _require_file(args.records, "records file")
     records = read_records_csv(args.records)
     usable = [r for r in records if r.confidences is not None]
     if not usable:
@@ -379,7 +357,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", help="generator config file")
     p.add_argument("--out", required=True, help="output directory")
-    _add_key_flags(p, SYNTH_KEYS)
+    add_key_flags(p, SYNTH_KEYS)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest-check", help="validate a dataset manifest")
@@ -391,9 +369,7 @@ def build_parser():
                           ("evaluate", _cmd_evaluate)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} over a manifest")
         p.add_argument("--config", help="run config file")
-        p.add_argument("--manifest")
-        p.add_argument("--out")
-        _add_key_flags(p, RUN_KEYS, skip=("manifest", "out"))
+        add_key_flags(p, RUN_KEYS)
         if name == "train-classifier":
             p.add_argument("--dae", help="reuse a trained autoencoder bundle")
         if name == "evaluate":
@@ -405,7 +381,7 @@ def build_parser():
     p.add_argument("--bundle", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output records CSV")
-    p.add_argument("--target-hz", dest="key_target_hz", metavar="V")
+    add_key_flags(p, _SCORING_KEYS)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("cam", help="per-timestep activation maps")
@@ -414,7 +390,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--target-class", help="class name or output index")
     p.add_argument("--overlay-dir", help="also render one trajectory figure per trial")
-    p.add_argument("--target-hz", dest="key_target_hz", metavar="V")
+    add_key_flags(p, _SCORING_KEYS)
     p.set_defaults(func=_cmd_cam)
 
     p = sub.add_parser("trust", help="trust report from prediction records")

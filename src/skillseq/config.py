@@ -1,29 +1,48 @@
-"""Line-oriented run configuration: files, flags, and defaults.
+"""Run and generator settings: one key table for flags, files and run.cfg.
+
+``RUN_KEYS`` is the single declaration of every run key: its name, how
+its text parses, and which part of ``RunSettings`` it fills.  From that
+table come the ``--key`` flags of the run commands, the typed reading of
+config files, and the writing and strict reading of a run directory's
+``run.cfg`` snapshot.  ``SYNTH_KEYS`` plays the same part for the
+synthetic generator's ``SynthSpec``.
 
 Config files are UTF-8 text, one ``key = value`` per line; blank lines
 and lines starting with ``#`` are ignored.  Values resolve with flag >
 file > default precedence; the seed additionally falls back to the
 SKILLSEQ_SEED environment variable before its built-in default, so a
-shell can pin reproducibility without touching files or flags.  Every
-diagnostic names the offending key and, for file input, its line.
+shell can pin reproducibility without touching files or flags.  The
+table only parses text; the dataclasses the values fill (``RunSettings``,
+``TrainConfig``, ``ArchConfig``, ``SynthSpec``) validate them.  Every
+diagnostic names the offending key and, for file input, the file and
+line.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import fields
+from dataclasses import dataclass, field
 
-from .crossval import RunSettings, parse_scheme
 from .model import ArchConfig
 from .synth import SynthSpec
 from .training import TrainConfig
 
 __all__ = [
     "ConfigError",
-    "parse_config_text",
+    "Key",
+    "RUN_KEYS",
+    "SYNTH_KEYS",
+    "RunSettings",
+    "RunConfig",
+    "parse_scheme",
+    "add_key_flags",
+    "flag_values",
     "read_config_file",
     "resolve_run_config",
     "resolve_synth_spec",
+    "write_run_cfg",
+    "read_run_cfg",
     "SEED_ENV_VAR",
 ]
 
@@ -34,222 +53,302 @@ class ConfigError(ValueError):
     """Bad configuration input; the message names key and location."""
 
 
-def parse_config_text(text, origin="<config>"):
-    """key -> (raw value, line number); duplicates and junk lines rejected."""
-    pairs = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{origin} line {ln}: expected 'key = value', got {line.strip()!r}")
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"{origin} line {ln}: empty key")
-        if key in pairs:
-            raise ConfigError(
-                f"{origin} line {ln}: duplicate key '{key}' (first set on line {pairs[key][1]})"
-            )
-        pairs[key] = (value, ln)
-    return pairs
+def parse_scheme(token):
+    """'stratified<k>' | 'loso' | 'louo' -> (kind, k or None)."""
+    if token in ("loso", "louo"):
+        return token, None
+    if token.startswith("stratified"):
+        tail = token[len("stratified"):]
+        if tail.isdigit() and int(tail) >= 2:
+            return "stratified", int(tail)
+    raise ValueError(
+        f"unrecognized scheme '{token}' (expected stratified<k>, loso, or louo)"
+    )
 
 
-def read_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    return parse_config_text(text, origin=str(path))
+@dataclass(frozen=True)
+class RunSettings:
+    """Everything that determines a run besides the dataset itself."""
+
+    mode: str = "classification"
+    scheme: str = "stratified10"
+    seed: int = 0
+    dae: TrainConfig = field(default_factory=TrainConfig.dae_default)
+    clf: TrainConfig = field(default_factory=TrainConfig.classifier_default)
+    target_hz: float = 1.0
+    arch: ArchConfig = field(default_factory=ArchConfig)
+
+    def __post_init__(self):
+        if self.mode not in ("classification", "regression"):
+            raise ValueError(f"mode must be classification or regression, got '{self.mode}'")
+        parse_scheme(self.scheme)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.target_hz <= 0:
+            raise ValueError("target_hz must be > 0")
+        if self.mode == "classification" and self.clf.loss != "cosine":
+            raise ValueError("classification head trains on cosine loss, "
+                             f"not {self.clf.loss}")
+        if self.mode == "regression" and self.clf.loss != "mse":
+            raise ValueError("regression head trains on mse loss")
+        # fields a run never reads have no key, so they keep their defaults:
+        # fold seeds derive from the run seed, train_dae weights no classes
+        # and the head has no noise layer
+        for part, names in (("dae", ("seed", "class_weighting")),
+                            ("clf", ("seed", "noise_sigma"))):
+            for name in names:
+                if getattr(getattr(self, part), name) != getattr(TrainConfig, name):
+                    raise ValueError(f"a run does not use {part} {name}; "
+                                     "leave it at its default")
 
 
-def _conv_int(raw):
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved run settings plus where the run reads and writes."""
+
+    settings: RunSettings
+    manifest: str | None = None
+    out: str | None = None
+    dataset_sha256: str | None = None
+
+
+def _parse_int(raw):
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"expected an integer, got '{raw}'") from None
 
 
-def _conv_float(raw):
+def _parse_float(raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ValueError(f"expected a number, got '{raw}'") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{raw}'")
+    return value
 
 
-def _conv_str(raw):
-    return raw
+def _parse_mode(raw):
+    return {"classify": "classification", "regress": "regression"}.get(raw, raw)
 
 
-def _conv_mode(raw):
-    norm = {"classify": "classification", "classification": "classification",
-            "regress": "regression", "regression": "regression"}
-    if raw not in norm:
-        raise ValueError(f"expected classify or regress, got '{raw}'")
-    return norm[raw]
-
-
-def _conv_scheme(raw):
-    parse_scheme(raw)
-    return raw
-
-
-def _conv_loss(raw):
-    if raw not in ("bce", "mse", "cosine"):
-        raise ValueError(f"expected bce, mse, or cosine, got '{raw}'")
-    return raw
-
-
-def _conv_weighting(raw):
-    if raw not in ("balanced", "none"):
-        raise ValueError(f"expected balanced or none, got '{raw}'")
-    return raw
-
-
-def _conv_pair(raw):
+def _parse_pair(raw):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'low,high', got '{raw}'")
-    return (_conv_float(parts[0]), _conv_float(parts[1]))
+    return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
-def _train_keys(prefix):
-    return {
-        f"{prefix}_learning_rate": _conv_float,
-        f"{prefix}_max_epochs": _conv_int,
-        f"{prefix}_patience": _conv_int,
-        f"{prefix}_loss": _conv_loss,
-        f"{prefix}_l2": _conv_float,
-        f"{prefix}_noise_sigma": _conv_float,
-        f"{prefix}_val_fraction": _conv_float,
-        f"{prefix}_class_weighting": _conv_weighting,
-    }
+@dataclass(frozen=True)
+class Key:
+    """One settings key.
 
-
-RUN_KEYS = {
-    "mode": _conv_mode,
-    "scheme": _conv_scheme,
-    "seed": _conv_int,
-    "target_hz": _conv_float,
-    "manifest": _conv_str,
-    "out": _conv_str,
-    **_train_keys("dae"),
-    **_train_keys("clf"),
-    **{f"arch_{f.name}": _conv_int for f in fields(ArchConfig)},
-}
-
-# snapshot files may carry these; they are verified, not configured
-SNAPSHOT_ONLY_KEYS = ("dataset_sha256",)
-
-SYNTH_KEYS = {
-    "n_subjects": _conv_int,
-    "trials_per_subject": _conv_int,
-    "pass_fraction": _conv_float,
-    "seed": _conv_int,
-    "sample_rate_hz": _conv_float,
-    "missing_fraction": _conv_float,
-    "distractor_prob": _conv_float,
-    "subject_bias": _conv_float,
-    "pass_duration": _conv_pair,
-    "fail_duration": _conv_pair,
-    "pass_jitter": _conv_float,
-    "fail_jitter": _conv_float,
-}
-
-
-def _convert_all(pairs, keys, extra_ok=(), origin=""):
-    """Raw (value, line) pairs -> typed values with key-precise errors."""
-    out = {}
-    lead = f"{origin} " if origin else ""
-    for key, (raw, ln) in pairs.items():
-        where = f"{lead}line {ln}: " if ln else lead
-        if key in extra_ok:
-            out[key] = raw
-            continue
-        if key not in keys:
-            raise ConfigError(f"{where}unknown key '{key}'")
-        try:
-            out[key] = keys[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{where}key '{key}': {exc}") from None
-    return out
-
-
-def resolve_run_config(file_pairs=None, flag_pairs=None, env=None, origin=""):
-    """Resolve an evaluation run's settings from all sources.
-
-    ``file_pairs`` comes from read_config_file, ``flag_pairs`` is a
-    plain dict of already-typed flag values (None entries skipped).
-    Returns (RunSettings, manifest or None, out_dir or None).
+    ``parse`` turns the key's text into a value (ValueError on bad text).
+    ``part`` says which field the key fills: "" the RunSettings field of
+    the same name, "dae"/"clf"/"arch" the field of that sub-config named
+    by the rest of the key, None the RunConfig field of the same name.
+    ``flag`` keys get a ``--key-name`` flag.  ``snapshot`` says how
+    run.cfg holds the key: "required", "optional" or "never".
     """
+
+    name: str
+    parse: object = str
+    part: str | None = ""
+    flag: bool = True
+    snapshot: str = "required"
+
+    @property
+    def attr(self):
+        return self.name[len(self.part) + 1:] if self.part else self.name
+
+    @property
+    def option(self):
+        return "--" + self.name.replace("_", "-")
+
+    def text(self, value):
+        """Canonical text of a value; floats keep every digit."""
+        return repr(float(value)) if self.parse is _parse_float else str(value)
+
+    def value(self, raw, where):
+        try:
+            return self.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+
+
+def _table(*keys):
+    return {k.name: k for k in keys}
+
+
+RUN_KEYS = _table(
+    Key("manifest", part=None, snapshot="optional"),
+    Key("out", part=None, snapshot="never"),
+    Key("dataset_sha256", part=None, flag=False),
+    Key("mode", _parse_mode),
+    Key("scheme"),
+    Key("seed", _parse_int),
+    Key("target_hz", _parse_float),
+    Key("dae_learning_rate", _parse_float, "dae"),
+    Key("dae_max_epochs", _parse_int, "dae"),
+    Key("dae_patience", _parse_int, "dae"),
+    Key("dae_loss", str, "dae"),
+    Key("dae_l2", _parse_float, "dae"),
+    Key("dae_noise_sigma", _parse_float, "dae"),
+    Key("dae_val_fraction", _parse_float, "dae"),
+    Key("clf_learning_rate", _parse_float, "clf"),
+    Key("clf_max_epochs", _parse_int, "clf"),
+    Key("clf_patience", _parse_int, "clf"),
+    Key("clf_loss", str, "clf"),
+    Key("clf_l2", _parse_float, "clf"),
+    Key("clf_val_fraction", _parse_float, "clf"),
+    Key("clf_class_weighting", str, "clf"),
+    Key("arch_enc_width", _parse_int, "arch"),
+    Key("arch_emb_channels", _parse_int, "arch"),
+    Key("arch_kernel_size", _parse_int, "arch"),
+    Key("arch_reduction", _parse_int, "arch"),
+    Key("arch_clf_width", _parse_int, "arch"),
+    Key("arch_clf_dilation", _parse_int, "arch"),
+)
+
+SYNTH_KEYS = _table(
+    Key("n_subjects", _parse_int),
+    Key("trials_per_subject", _parse_int),
+    Key("pass_fraction", _parse_float),
+    Key("seed", _parse_int),
+    Key("sample_rate_hz", _parse_float),
+    Key("missing_fraction", _parse_float),
+    Key("distractor_prob", _parse_float),
+    Key("subject_bias", _parse_float),
+    Key("pass_duration", _parse_pair),
+    Key("fail_duration", _parse_pair),
+    Key("pass_jitter", _parse_float),
+    Key("fail_jitter", _parse_float),
+)
+
+
+def add_key_flags(parser, keys):
+    """One ``--key-name V`` flag per flag key; unset flags stay None."""
+    for key in keys.values():
+        if key.flag:
+            parser.add_argument(key.option, dest=key.name, metavar="V")
+
+
+def flag_values(args, keys):
+    """Typed values of the key flags that were given."""
+    return {key.name: key.value(getattr(args, key.name), f"flag {key.option}")
+            for key in keys.values()
+            if key.flag and getattr(args, key.name, None) is not None}
+
+
+def _read_pairs(path, keys):
+    """key -> (typed value, line); duplicates, unknown keys, junk rejected."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    pairs = {}
+    for ln, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        where = f"{path} line {ln}"
+        name, sep, raw = stripped.partition("=")
+        name = name.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected 'key = value', got {stripped!r}")
+        if not name:
+            raise ConfigError(f"{where}: empty key")
+        if name in pairs:
+            raise ConfigError(
+                f"{where}: duplicate key '{name}' (first set on line {pairs[name][1]})"
+            )
+        if name not in keys:
+            raise ConfigError(f"{where}: unknown key '{name}'")
+        pairs[name] = (keys[name].value(raw.strip(), f"{where}: key '{name}'"), ln)
+    return pairs
+
+
+def read_config_file(path, keys):
+    """Typed ``{key: value}`` of a config file over the given key table."""
+    return {name: value for name, (value, _) in _read_pairs(path, keys).items()}
+
+
+def _layered(keys, from_file, from_flags, env):
     env = os.environ if env is None else env
     values = {}
-
     if env.get(SEED_ENV_VAR) is not None:
-        raw = env[SEED_ENV_VAR]
+        values["seed"] = keys["seed"].value(env[SEED_ENV_VAR], f"environment {SEED_ENV_VAR}")
+    values.update(from_file or {})
+    values.update(from_flags or {})
+    return values
+
+
+def _run_config(values):
+    parts = {None: {}, "": {}, "dae": {}, "clf": {}, "arch": {}}
+    for name, value in values.items():
+        key = RUN_KEYS[name]
+        parts[key.part][key.attr] = value
+    if parts[""].get("mode") == "regression":
+        parts["clf"].setdefault("loss", "mse")
+    built = {}
+    for part, make in (("dae", TrainConfig.dae_default),
+                       ("clf", TrainConfig.classifier_default),
+                       ("arch", ArchConfig)):
         try:
-            values["seed"] = _conv_int(raw)
+            built[part] = make(**parts[part])
         except ValueError as exc:
-            raise ConfigError(f"environment {SEED_ENV_VAR}: {exc}") from None
-
-    if file_pairs:
-        converted = _convert_all(file_pairs, RUN_KEYS, extra_ok=SNAPSHOT_ONLY_KEYS,
-                                 origin=origin)
-        for k in SNAPSHOT_ONLY_KEYS:
-            converted.pop(k, None)
-        values.update(converted)
-
-    if flag_pairs:
-        values.update({k: v for k, v in flag_pairs.items() if v is not None})
-
-    mode = values.get("mode", "classification")
-    seed = values.get("seed", 0)
-    target_hz = values.get("target_hz", 1.0)
-    scheme = values.get("scheme", "stratified10")
-
-    def train_cfg(prefix, base):
-        overrides = {}
-        for f in ("learning_rate", "max_epochs", "patience", "loss", "l2",
-                  "noise_sigma", "val_fraction", "class_weighting"):
-            key = f"{prefix}_{f}"
-            if key in values:
-                overrides[f] = values[key]
-        try:
-            return base(**overrides)
-        except ValueError as exc:
-            raise ConfigError(f"{prefix} training settings: {exc}") from None
-
-    dae = train_cfg("dae", TrainConfig.dae_default)
-    if mode == "regression" and "clf_loss" not in values:
-        values["clf_loss"] = "mse"
-    clf = train_cfg("clf", TrainConfig.classifier_default)
-
-    arch_over = {f.name: values[f"arch_{f.name}"] for f in fields(ArchConfig)
-                 if f"arch_{f.name}" in values}
+            raise ConfigError(f"{part} settings: {exc}") from None
     try:
-        arch = ArchConfig(**arch_over)
-        settings = RunSettings(mode=mode, scheme=scheme, seed=seed,
-                               dae=dae, clf=clf, target_hz=target_hz, arch=arch)
+        settings = RunSettings(**parts[""], **built)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return settings, values.get("manifest"), values.get("out")
+    return RunConfig(settings, **parts[None])
 
 
-def resolve_synth_spec(file_pairs=None, flag_pairs=None, env=None, origin=""):
+def resolve_run_config(from_file=None, from_flags=None, env=None):
+    """Resolve an evaluation run from typed file and flag values.
+
+    Keys left unset take the defaults of the dataclasses they fill; a
+    regression run defaults its head loss to mse.
+    """
+    return _run_config(_layered(RUN_KEYS, from_file, from_flags, env))
+
+
+def resolve_synth_spec(from_file=None, from_flags=None, env=None):
     """Resolve a generator spec with the same precedence rules."""
-    env = os.environ if env is None else env
-    values = {}
-    if env.get(SEED_ENV_VAR) is not None:
-        try:
-            values["seed"] = _conv_int(env[SEED_ENV_VAR])
-        except ValueError as exc:
-            raise ConfigError(f"environment {SEED_ENV_VAR}: {exc}") from None
-    if file_pairs:
-        values.update(_convert_all(file_pairs, SYNTH_KEYS, origin=origin))
-    if flag_pairs:
-        values.update({k: v for k, v in flag_pairs.items() if v is not None})
     try:
-        return SynthSpec(**values)
+        return SynthSpec(**_layered(SYNTH_KEYS, from_file, from_flags, env))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"generator settings: {exc}") from None
+
+
+def write_run_cfg(path, run):
+    """Write the run.cfg snapshot of a RunConfig: one sorted line per key
+    with a value.  Fold-level seeds are derived, so only the run seed is
+    recorded."""
+    lines = []
+    for key in RUN_KEYS.values():
+        if key.part is None:
+            owner = run
+        else:
+            owner = getattr(run.settings, key.part) if key.part else run.settings
+        value = getattr(owner, key.attr)
+        if key.snapshot != "never" and value is not None:
+            lines.append(f"{key.name} = {key.text(value)}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(sorted(lines)) + "\n")
+
+
+def read_run_cfg(path):
+    """Strictly read a run.cfg snapshot back into a RunConfig.
+
+    Every required snapshot key must be present; keys run.cfg never
+    holds are rejected like unknown ones.
+    """
+    pairs = _read_pairs(path, {n: k for n, k in RUN_KEYS.items() if k.snapshot != "never"})
+    for key in RUN_KEYS.values():
+        if key.snapshot == "required" and key.name not in pairs:
+            raise ConfigError(f"{path}: run settings missing key '{key.name}'")
+    return _run_config({name: value for name, (value, _) in pairs.items()})

@@ -19,42 +19,29 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bundle import save_bundle
-from .data import (
-    DOWNSAMPLED,
-    RAW,
-    PASS_FAIL,
-    Dataset,
-    dataset_fingerprint,
-    apply_minmax,
-    fit_minmax,
-    load_manifest,
-    prepare_stage2,
-)
+from .config import RunConfig, RunSettings, parse_scheme, read_run_cfg, write_run_cfg
+from .data import dataset_fingerprint, apply_minmax, fit_minmax, load_manifest
 from .explain import compute_cam, mask_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
 from .metrics import binary_metrics, roc_auc, spearman, wilcoxon_one_sided
-from .model import ArchConfig, normalize_for_model, predict
+from .model import normalize_for_model, predict, prepare_dataset
 from .records import read_records_csv, write_records_csv
-from .reports import fmt_value, kv_line
-from .training import TrainConfig, train_classifier, train_dae
+from .reports import kv_line
+from .training import train_classifier, train_dae
 
 __all__ = [
-    "RunSettings",
     "FoldOutcome",
     "RunResult",
     "MaskingStudy",
-    "parse_scheme",
     "run_cv",
     "validate_cams",
-    "load_run_settings",
     "derive_fold_seed",
     "encoder_fingerprint",
-    "settings_text",
     "metrics_report_text",
 ]
 
@@ -65,140 +52,6 @@ SETTINGS_FILE = "run.cfg"
 FOLDS_FILE = "folds.txt"
 METRICS_FILE = "metrics.txt"
 MASKING_FILE = "cam_validation.txt"
-
-
-def parse_scheme(token):
-    """'stratified<k>' | 'loso' | 'louo' -> (kind, k or None)."""
-    if token in ("loso", "louo"):
-        return token, None
-    if token.startswith("stratified"):
-        tail = token[len("stratified"):]
-        if tail.isdigit() and int(tail) >= 2:
-            return "stratified", int(tail)
-    raise ValueError(
-        f"unrecognized scheme '{token}' (expected stratified<k>, loso, or louo)"
-    )
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Everything that determines a run besides the dataset itself."""
-
-    mode: str
-    scheme: str
-    seed: int
-    dae: TrainConfig
-    clf: TrainConfig
-    target_hz: float = 1.0
-    arch: ArchConfig = field(default_factory=ArchConfig)
-
-    def __post_init__(self):
-        if self.mode not in ("classification", "regression"):
-            raise ValueError(f"mode must be classification or regression, got '{self.mode}'")
-        parse_scheme(self.scheme)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.target_hz <= 0:
-            raise ValueError("target_hz must be > 0")
-        if self.mode == "classification" and self.clf.loss != "cosine":
-            raise ValueError("classification head trains on cosine loss, "
-                             f"not {self.clf.loss}")
-        if self.mode == "regression" and self.clf.loss != "mse":
-            raise ValueError("regression head trains on mse loss")
-
-    def to_lines(self):
-        """Canonical key = value lines; the fold-level seeds are derived,
-        so only the run seed is recorded."""
-        lines = [
-            kv_line("mode", self.mode),
-            kv_line("scheme", self.scheme),
-            kv_line("seed", self.seed),
-            ("target_hz", repr(float(self.target_hz))),
-        ]
-        for prefix, cfg in (("dae", self.dae), ("clf", self.clf)):
-            lines.extend([
-                (f"{prefix}_learning_rate", repr(float(cfg.learning_rate))),
-                (f"{prefix}_max_epochs", str(cfg.max_epochs)),
-                (f"{prefix}_patience", str(cfg.patience)),
-                (f"{prefix}_loss", cfg.loss),
-                (f"{prefix}_l2", repr(float(cfg.l2))),
-                (f"{prefix}_noise_sigma", repr(float(cfg.noise_sigma))),
-                (f"{prefix}_val_fraction", repr(float(cfg.val_fraction))),
-                (f"{prefix}_class_weighting", cfg.class_weighting),
-            ])
-        for f in fields(ArchConfig):
-            lines.append((f"arch_{f.name}", str(getattr(self.arch, f.name))))
-        out = []
-        for item in lines:
-            out.append(item if isinstance(item, str) else f"{item[0]} = {item[1]}")
-        return out
-
-
-def settings_text(settings, extras=()):
-    """Snapshot body: settings lines plus (key, value) extras, sorted."""
-    lines = settings.to_lines() + [f"{k} = {v}" for k, v in extras]
-    return "\n".join(sorted(lines)) + "\n"
-
-
-def _parse_kv_text(text):
-    pairs = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"line {ln}: expected 'key = value', got {line!r}")
-        if key in pairs:
-            raise ValueError(f"line {ln}: duplicate key '{key}'")
-        pairs[key] = value
-    return pairs
-
-
-def settings_from_pairs(pairs):
-    """Rebuild RunSettings from snapshot pairs; unknown keys are returned
-    untouched so callers can handle manifest paths and hashes."""
-    take = dict(pairs)
-
-    def pop(key, conv=str):
-        if key not in take:
-            raise ValueError(f"run settings missing key '{key}'")
-        raw = take.pop(key)
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ValueError(f"key '{key}': {exc}") from None
-
-    def train_cfg(prefix):
-        return TrainConfig(
-            learning_rate=pop(f"{prefix}_learning_rate", float),
-            max_epochs=pop(f"{prefix}_max_epochs", int),
-            patience=pop(f"{prefix}_patience", int),
-            loss=pop(f"{prefix}_loss"),
-            l2=pop(f"{prefix}_l2", float),
-            noise_sigma=pop(f"{prefix}_noise_sigma", float),
-            val_fraction=pop(f"{prefix}_val_fraction", float),
-            class_weighting=pop(f"{prefix}_class_weighting"),
-        )
-
-    mode = pop("mode")
-    scheme = pop("scheme")
-    seed = pop("seed", int)
-    target_hz = pop("target_hz", float)
-    dae = train_cfg("dae")
-    clf = train_cfg("clf")
-    arch = ArchConfig(**{f.name: pop(f"arch_{f.name}", int) for f in fields(ArchConfig)})
-    settings = RunSettings(mode=mode, scheme=scheme, seed=seed, dae=dae, clf=clf,
-                           target_hz=target_hz, arch=arch)
-    return settings, take
-
-
-def load_run_settings(run_dir):
-    """(RunSettings, extras dict) from a run directory's snapshot."""
-    path = os.path.join(run_dir, SETTINGS_FILE)
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs = _parse_kv_text(fh.read())
-    return settings_from_pairs(pairs)
 
 
 def derive_fold_seed(run_seed, fold_index, stage):
@@ -241,15 +94,6 @@ class RunResult:
     outcomes: tuple
     metrics_text: str
     out_dir: str
-
-
-def _prepare(dataset, target_hz):
-    stages = {t.stage for t in dataset.trials}
-    if stages == {RAW}:
-        return Dataset([prepare_stage2(t, target_hz) for t in dataset.trials])
-    if stages == {DOWNSAMPLED}:
-        return dataset
-    raise ValueError("run needs a dataset of raw trials or downsampled trials, not a mix")
 
 
 def _build_assignment(stage2, settings):
@@ -423,7 +267,7 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
     seed.  ``jobs`` > 1 trains folds in separate processes; outputs are
     identical to the serial path.
     """
-    stage2 = _prepare(dataset, settings.target_hz)
+    stage2 = prepare_dataset(dataset, settings.target_hz)
     by_id = {t.trial_id: t for t in stage2.trials}
     dataset_sha = dataset_fingerprint(dataset)
     assignment = fold_assignment or _build_assignment(stage2, settings)
@@ -461,11 +305,9 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
     text = metrics_report_text(settings, dataset_sha, assignment, outcomes)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        extras = [("dataset_sha256", dataset_sha)]
-        if manifest_path is not None:
-            extras.append(("manifest", os.path.abspath(manifest_path)))
-        with open(os.path.join(out_dir, SETTINGS_FILE), "w", encoding="utf-8") as fh:
-            fh.write(settings_text(settings, extras))
+        manifest = os.path.abspath(manifest_path) if manifest_path is not None else None
+        write_run_cfg(os.path.join(out_dir, SETTINGS_FILE),
+                      RunConfig(settings, manifest=manifest, dataset_sha256=dataset_sha))
         with open(os.path.join(out_dir, FOLDS_FILE), "w", encoding="utf-8") as fh:
             fh.write(assignment.canonical_text())
         with open(os.path.join(out_dir, METRICS_FILE), "w", encoding="utf-8") as fh:
@@ -517,20 +359,19 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     is reloaded from the recorded manifest unless passed in; either way
     its fingerprint must match the snapshot before anything trains.
     """
-    settings, extras = load_run_settings(run_dir)
+    run = read_run_cfg(os.path.join(run_dir, SETTINGS_FILE))
+    settings = run.settings
     if settings.mode != "classification":
         raise ValueError("the masking study applies to classification runs")
     if dataset is None:
-        manifest = extras.get("manifest")
-        if manifest is None:
+        if run.manifest is None:
             raise ValueError("run snapshot records no manifest; pass the dataset explicitly")
-        dataset = load_manifest(manifest)
-    recorded_sha = extras.get("dataset_sha256")
+        dataset = load_manifest(run.manifest)
     actual_sha = dataset_fingerprint(dataset)
-    if recorded_sha != actual_sha:
+    if run.dataset_sha256 != actual_sha:
         raise ValueError(
             f"dataset fingerprint {actual_sha[:12]}... does not match the "
-            f"run snapshot ({str(recorded_sha)[:12]}...); refusing to pair folds"
+            f"run snapshot ({run.dataset_sha256[:12]}...); refusing to pair folds"
         )
 
     with open(os.path.join(run_dir, FOLDS_FILE), "r", encoding="utf-8") as fh:
@@ -552,7 +393,7 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
             raise ValueError(f"fold {fold.name}: activation maps do not cover its test set")
         cams.update(fold_cams)
 
-    stage2 = _prepare(dataset, settings.target_hz)
+    stage2 = prepare_dataset(dataset, settings.target_hz)
     masked = mask_with_cams(stage2, cams)
     masked_out = os.path.join(out_dir, "masked") if out_dir else None
     masked_result = run_cv(masked, settings, out_dir=masked_out,

@@ -496,21 +496,6 @@ class Dataset:
     def labels(self):
         return [t.class_label for t in self.trials]
 
-    def imbalance_ratio(self):
-        """Majority / minority class count; None unless every trial is labeled."""
-        labels = self.labels()
-        if any(lb is None for lb in labels):
-            return None
-        counts = {}
-        for lb in labels:
-            counts[lb] = counts.get(lb, 0) + 1
-        if len(counts) < 2:
-            return None
-        return max(counts.values()) / min(counts.values())
-
-    def map_trials(self, fn):
-        return Dataset([fn(t) for t in self.trials])
-
 
 def load_manifest(path):
     """Read a ``path,subject,trial`` manifest and parse every trial file.

@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DOWNSAMPLED, Dataset
-from .model import embed, head_forward, normalize_for_model
+from .model import embed, head_forward
 
 __all__ = [
     "CamMap",
     "compute_cam",
     "mask_trial",
-    "mask_dataset",
     "mask_with_cams",
     "write_cams_csv",
     "read_cams_csv",
@@ -111,22 +110,6 @@ def mask_with_cams(dataset, cams):
     if missing:
         raise ValueError(f"no activation map for {len(missing)} trials, e.g. {missing[0]}")
     return Dataset([mask_trial(t, cams[t.trial_id]) for t in dataset.trials])
-
-
-def mask_dataset(dataset, bundle):
-    """Attenuate every trial by its own true-class activation map.
-
-    Labeled trials use their label's output unit; unlabeled ones fall
-    back to the predicted class.
-    """
-    cams = {}
-    for t in dataset.trials:
-        target = None
-        if t.class_label is not None and bundle.class_names:
-            target = bundle.class_names.index(t.class_label)
-        cams[t.trial_id] = compute_cam(bundle, normalize_for_model(bundle, t),
-                                       target_class=target)
-    return mask_with_cams(dataset, cams)
 
 
 def write_cams_csv(cams, path):

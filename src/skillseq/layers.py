@@ -21,7 +21,6 @@ __all__ = [
     "init_stack_params",
     "forward_stack",
     "ForwardContext",
-    "stack_param_shapes",
     "is_kernel_param",
     "wrap_params",
 ]
@@ -126,14 +125,6 @@ def _spec_param_shapes(spec):
                 shapes[f"{tag}{name}"] = shp
         return shapes
     return {}
-
-
-def stack_param_shapes(specs):
-    shapes = {}
-    for i, spec in enumerate(specs):
-        for name, shp in _spec_param_shapes(spec).items():
-            shapes[f"{i}.{name}"] = shp
-    return shapes
 
 
 def _lecun_normal(rng, shape, fan_in):

@@ -14,8 +14,10 @@ layer specs per group, named weights, per-group trainable flags, the
 preprocessing statistics the weights were fitted against, and the mode.
 
 The model functions (``embed``, ``reconstruct``, ``predict``) take
-NORMALIZED trials only.  ``normalize_for_model`` is the one place where
-a bundle's min-max statistics turn a downsampled trial into model input.
+NORMALIZED trials only.  ``prepare_dataset`` is the one place where raw
+trials become downsampled ones, and ``normalize_for_model`` the one
+place where a bundle's min-max statistics turn a downsampled trial into
+model input.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tz
-from .data import (DOWNSAMPLED, NORMALIZED, PASS_FAIL, MinMaxStats, ScoreStats,
-                   apply_minmax, invert_znorm)
+from .data import (DOWNSAMPLED, NORMALIZED, PASS_FAIL, RAW, Dataset, MinMaxStats,
+                   ScoreStats, apply_minmax, invert_znorm, prepare_stage2)
 from .layers import ForwardContext, LayerSpec, forward_stack, init_stack_params, wrap_params
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
@@ -38,6 +40,7 @@ __all__ = [
     "decoder_specs",
     "head_specs",
     "build_classifier",
+    "prepare_dataset",
     "normalize_for_model",
     "embed",
     "reconstruct",
@@ -169,6 +172,17 @@ def _spec_fields(spec):
 
 def _group_tensor_params(bundle, group):
     return wrap_params(bundle.group_params(group), requires_grad=False)
+
+
+def prepare_dataset(dataset, target_hz):
+    """Downsampled trials for the model: raw trials are gap-filled and
+    downsampled to ``target_hz``; an all-downsampled dataset passes as is."""
+    stages = {t.stage for t in dataset.trials}
+    if stages == {RAW}:
+        return Dataset([prepare_stage2(t, target_hz) for t in dataset.trials])
+    if stages == {DOWNSAMPLED}:
+        return dataset
+    raise ValueError("dataset must hold only raw or only downsampled trials, not a mix")
 
 
 def normalize_for_model(bundle, trial):

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import is_kernel_param
-
-__all__ = ["AdamState", "adam_step", "adam_step_masked"]
+__all__ = ["AdamState", "adam_step_masked"]
 
 
 @dataclass
@@ -50,36 +48,8 @@ class AdamState:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
 
 
-def adam_step(state, params, grads):
-    """Apply one Adam update in place.
-
-    ``params`` maps names to ndarrays (mutated), ``grads`` maps the same
-    names to gradient arrays.  Parameters without a gradient entry are
-    skipped.  Moment buffers are keyed by name and created on first use.
-    """
-    state.step_count += 1
-    t = state.step_count
-    alpha = state.learning_rate * np.sqrt(1.0 - state.beta2 ** t) / (1.0 - state.beta1 ** t)
-    for name, theta in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if state.l2 > 0.0 and is_kernel_param(name):
-            g = g + (2.0 * state.l2) * theta
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        theta -= alpha * m / (np.sqrt(v) + state.eps)
-
-
 def adam_step_masked(state, theta, grad, decay_mask=None):
-    """Flat-vector variant of adam_step; identical arithmetic.
+    """Apply one Adam update in place to a flat parameter vector.
 
     ``decay_mask`` marks the kernel elements (1.0) that receive the L2
     gradient term; bias elements carry 0.0.  Used by the training loops,

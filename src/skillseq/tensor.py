@@ -46,10 +46,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def assert_finite(self, where=""):
-        if not np.isfinite(self.data).all():
-            raise FloatingPointError(f"non-finite values in tensor {where or 'node'}")
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -171,21 +167,6 @@ def dense(x, w, b):
     return _node(out, (x, w, b), bwd)
 
 
-def time_affine(x, w, b):
-    """Per-timestep scalar projection: (T, C) @ (C,) + () -> (T,)."""
-    out = x.data @ w.data + b.data
-
-    def bwd(g):
-        if w.requires_grad:
-            w.accumulate(x.data.T @ g)
-        if b.requires_grad:
-            b.accumulate(np.array(g.sum()))
-        if x.requires_grad:
-            x.accumulate(np.outer(g, w.data))
-
-    return _node(out, (x, w, b), bwd)
-
-
 # canonical scaled-exponential constants
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -200,17 +181,6 @@ def selu(x):
     def bwd(g):
         if x.requires_grad:
             x.accumulate(g * np.where(neg, SELU_LAMBDA * SELU_ALPHA * ex, SELU_LAMBDA))
-
-    return _node(out, (x,), bwd)
-
-
-def relu(x):
-    mask = x.data > 0.0
-    out = np.where(mask, x.data, 0.0)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * mask)
 
     return _node(out, (x,), bwd)
 
@@ -284,32 +254,6 @@ def add_n(tensors):
                 t.accumulate(g)
 
     return _node(out, tensors, bwd)
-
-
-def scale_channels(x, s):
-    """(T, C) scaled per channel by (C,)."""
-    out = x.data * s.data
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * s.data)
-        if s.requires_grad:
-            s.accumulate((g * x.data).sum(axis=0))
-
-    return _node(out, (x, s), bwd)
-
-
-def scale_time(x, q):
-    """(T, C) scaled per timestep by (T,)."""
-    out = x.data * q.data[:, None]
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * q.data[:, None])
-        if q.requires_grad:
-            q.accumulate((g * x.data).sum(axis=1))
-
-    return _node(out, (x, q), bwd)
 
 
 def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):

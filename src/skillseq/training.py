@@ -26,23 +26,10 @@ from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
 from .optim import AdamState, adam_step_masked
 from .seeding import make_rng, PURPOSE
 
-__all__ = ["TrainConfig", "TrainHistory", "add_gaussian_noise", "train_dae",
-           "train_supervised", "train_classifier"]
+__all__ = ["TrainConfig", "TrainHistory", "train_dae", "train_supervised",
+           "train_classifier"]
 
 _LOSSES = ("bce", "mse", "cosine")
-
-
-def add_gaussian_noise(values, sigma, seed):
-    """Corrupt a sequence with independent N(0, sigma^2) draws.
-
-    Deterministic per seed; the caller keeps the clean array as the
-    reconstruction target.  sigma = 0 returns an identical copy.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    values = np.asarray(values, dtype=np.float64)
-    rng = make_rng(seed, PURPOSE["noise"])
-    return values + rng.normal(0.0, sigma, size=values.shape)
 
 
 @dataclass(frozen=True)

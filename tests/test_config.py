@@ -1,0 +1,350 @@
+"""Run settings: the run.cfg snapshot, source precedence, config-file
+errors, and replay of a finished run, mostly driven through the CLI."""
+
+import os
+import shutil
+import tempfile
+
+import pytest
+from dataclasses import replace
+from hypothesis import given, settings as hyp_settings, strategies as st
+
+from skillseq.cli import dispatch
+from skillseq.config import RunConfig, RunSettings, read_run_cfg, write_run_cfg
+from skillseq.data import parse_trial_csv, write_trial_csv
+from skillseq.model import ArchConfig
+from skillseq.training import TrainConfig
+
+DEFAULT_SETTINGS = RunSettings(mode="classification", scheme="stratified10", seed=0,
+                               dae=TrainConfig.dae_default(),
+                               clf=TrainConfig.classifier_default())
+
+CUSTOM_SETTINGS = RunSettings(
+    mode="regression", scheme="louo", seed=7, target_hz=2.5,
+    dae=TrainConfig.dae_default(learning_rate=0.003, max_epochs=9, patience=2,
+                                loss="mse", l2=0.0, noise_sigma=0.05,
+                                val_fraction=0.2),
+    clf=TrainConfig.classifier_default(learning_rate=1e-4, max_epochs=40, patience=5,
+                                       loss="mse", l2=3e-6, val_fraction=0.25,
+                                       class_weighting="none"),
+    arch=ArchConfig(enc_width=12, emb_channels=4, kernel_size=3, reduction=4,
+                    clf_width=8, clf_dilation=1),
+)
+
+DEFAULT_RUN_CFG = """\
+arch_clf_dilation = 2
+arch_clf_width = 16
+arch_emb_channels = 8
+arch_enc_width = 16
+arch_kernel_size = 5
+arch_reduction = 2
+clf_class_weighting = balanced
+clf_l2 = 1e-05
+clf_learning_rate = 0.0002
+clf_loss = cosine
+clf_max_epochs = 300
+clf_patience = 20
+clf_val_fraction = 0.1
+dae_l2 = 1e-05
+dae_learning_rate = 0.001
+dae_loss = bce
+dae_max_epochs = 100
+dae_noise_sigma = 0.001
+dae_patience = 4
+dae_val_fraction = 0.1
+dataset_sha256 = abababababababababababababababababababababababababababababababab
+mode = classification
+scheme = stratified10
+seed = 0
+target_hz = 1.0
+"""
+
+CUSTOM_RUN_CFG = """\
+arch_clf_dilation = 1
+arch_clf_width = 8
+arch_emb_channels = 4
+arch_enc_width = 12
+arch_kernel_size = 3
+arch_reduction = 4
+clf_class_weighting = none
+clf_l2 = 3e-06
+clf_learning_rate = 0.0001
+clf_loss = mse
+clf_max_epochs = 40
+clf_patience = 5
+clf_val_fraction = 0.25
+dae_l2 = 0.0
+dae_learning_rate = 0.003
+dae_loss = mse
+dae_max_epochs = 9
+dae_noise_sigma = 0.05
+dae_patience = 2
+dae_val_fraction = 0.2
+dataset_sha256 = 0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f
+manifest = /data/study/manifest.csv
+mode = regression
+scheme = louo
+seed = 7
+target_hz = 2.5
+"""
+
+# capped recipe for the tiny end-to-end runs below
+TINY_RUN = ("--scheme", "stratified3", "--dae-max-epochs", "2", "--clf-max-epochs", "3",
+            "--arch-enc-width", "8", "--arch-clf-width", "8")
+# even smaller, for the runs that only check which seed was resolved
+FAST_RUN = ("--scheme", "stratified3", "--dae-max-epochs", "1", "--clf-max-epochs", "1",
+            "--arch-enc-width", "2", "--arch-emb-channels", "2", "--arch-clf-width", "2")
+
+
+def snapshot_text(settings, dataset_sha256, manifest=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        write_run_cfg(path, RunConfig(settings, manifest=manifest,
+                                      dataset_sha256=dataset_sha256))
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+
+
+def run_cli(*argv):
+    return dispatch([str(a) for a in argv])
+
+
+def tree_bytes(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_env(monkeypatch):
+    monkeypatch.delenv("SKILLSEQ_SEED", raising=False)
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_data")
+    assert dispatch(["synth", "--out", str(out), "--seed", "11", "--n-subjects", "3",
+                     "--trials-per-subject", "8", "--pass-fraction", "0.5"]) == 0
+    return str(out / "manifest.csv")
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tiny_manifest, tmp_path_factory):
+    run_dir = str(tmp_path_factory.mktemp("tiny_run") / "run")
+    assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", run_dir,
+                   "--seed", 3, *TINY_RUN) == 0
+    return run_dir
+
+
+# --- the run.cfg snapshot ---
+
+
+def test_default_settings_snapshot_is_golden():
+    assert snapshot_text(DEFAULT_SETTINGS, "ab" * 32) == DEFAULT_RUN_CFG
+
+
+def test_custom_settings_snapshot_is_golden():
+    text = snapshot_text(CUSTOM_SETTINGS, "0f" * 32, "/data/study/manifest.csv")
+    assert text == CUSTOM_RUN_CFG
+
+
+def positive(hi):
+    return st.floats(min_value=1e-12, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+def non_negative(hi):
+    return st.floats(min_value=0.0, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    mode = draw(st.sampled_from(["classification", "regression"]))
+    common = dict(
+        learning_rate=draw(positive(10.0)),
+        max_epochs=draw(st.integers(1, 10_000)),
+        patience=draw(st.integers(1, 1_000)),
+        l2=draw(non_negative(1.0)),
+        val_fraction=draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True,
+                                    exclude_max=True)),
+    )
+    dae = TrainConfig(**common, loss=draw(st.sampled_from(["bce", "mse", "cosine"])),
+                      noise_sigma=draw(non_negative(1.0)))
+    common["learning_rate"] = draw(positive(10.0))
+    clf = TrainConfig(**common, loss="cosine" if mode == "classification" else "mse",
+                      class_weighting=draw(st.sampled_from(["balanced", "none"])))
+    reduction = draw(st.integers(1, 4))
+    arch = ArchConfig(enc_width=reduction * draw(st.integers(1, 8)),
+                      emb_channels=draw(st.integers(1, 32)),
+                      kernel_size=2 * draw(st.integers(0, 5)) + 1,
+                      reduction=reduction,
+                      clf_width=reduction * draw(st.integers(1, 8)),
+                      clf_dilation=draw(st.integers(1, 8)))
+    scheme = draw(st.sampled_from(["loso", "louo"])
+                  | st.integers(2, 99).map(lambda k: f"stratified{k}"))
+    settings = RunSettings(mode=mode, scheme=scheme, seed=draw(st.integers(0, 2 ** 63)),
+                           dae=dae, clf=clf, target_hz=draw(positive(1e4)), arch=arch)
+    manifest = draw(st.none() | st.from_regex(r"/[A-Za-z0-9_./ -]*[A-Za-z0-9_]",
+                                              fullmatch=True))
+    sha = draw(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64))
+    return RunConfig(settings, manifest=manifest, dataset_sha256=sha)
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(run=run_configs())
+def test_run_cfg_round_trips(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.cfg"), os.path.join(tmp, "b.cfg")
+        write_run_cfg(first, run)
+        back = read_run_cfg(first)
+        assert back == run
+        write_run_cfg(second, back)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("part, name, value", [
+    ("dae", "seed", 4), ("clf", "seed", 4),
+    ("dae", "class_weighting", "none"), ("clf", "noise_sigma", 0.5),
+])
+def test_run_settings_reject_fields_a_run_does_not_use(part, name, value):
+    overrides = {part: replace(getattr(DEFAULT_SETTINGS, part), **{name: value})}
+    with pytest.raises(ValueError, match=f"{part} {name}"):
+        replace(DEFAULT_SETTINGS, **overrides)
+
+
+@pytest.mark.parametrize("flag", ["--dae-class-weighting", "--clf-noise-sigma"])
+def test_removed_training_flags_are_unknown(tiny_manifest, tmp_path, capsys, flag):
+    rc = run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / "run",
+                 flag, "none" if "weighting" in flag else "0.5")
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# --- precedence: flag > file > SKILLSEQ_SEED > default ---
+
+
+def resolved_seed(manifest, run_dir, *extra):
+    assert run_cli("evaluate", "--manifest", manifest, "--out", run_dir,
+                   *FAST_RUN, *extra) == 0
+    with open(os.path.join(run_dir, "run.cfg"), encoding="utf-8") as fh:
+        seeds = [line for line in fh.read().splitlines() if line.startswith("seed = ")]
+    assert len(seeds) == 1
+    return int(seeds[0].split(" = ")[1])
+
+
+def test_seed_precedence(tiny_manifest, tmp_path, monkeypatch):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("# file layer\nseed = 6\n", encoding="utf-8")
+    assert resolved_seed(tiny_manifest, tmp_path / "default") == 0
+    monkeypatch.setenv("SKILLSEQ_SEED", "5")
+    assert resolved_seed(tiny_manifest, tmp_path / "env") == 5
+    assert resolved_seed(tiny_manifest, tmp_path / "file", "--config", cfg) == 6
+    assert resolved_seed(tiny_manifest, tmp_path / "flag", "--config", cfg,
+                         "--seed", 8) == 8
+
+
+def test_file_value_overrides_default_and_flag_overrides_file(tiny_manifest, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = louo\ndae_max_epochs = 1\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("evaluate", "--config", cfg, "--manifest", tiny_manifest, "--out", out,
+                   *FAST_RUN) == 0
+    text = (out / "run.cfg").read_text(encoding="utf-8")
+    assert "scheme = stratified3\n" in text      # flag beats file
+    assert "dae_max_epochs = 1\n" in text
+
+
+# --- config-file errors: file, line and key named; exit code 2 ---
+
+
+@pytest.mark.parametrize("body, line, key", [
+    ("seed = 1\nbogus_key = 2\n", 2, "bogus_key"),
+    ("seed = 1\nmode = classify\nseed = 2\n", 3, "seed"),
+    ("# header\n\nscheme = louo\ndae_max_epochs = many\n", 4, "dae_max_epochs"),
+    ("dae_learning_rate = nan\n", 1, "dae_learning_rate"),
+    ("seed = 2\ntarget_hz = inf\n", 2, "target_hz"),
+])
+def test_bad_config_file_is_a_usage_error(tiny_manifest, tmp_path, capsys, body, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    rc = run_cli("evaluate", "--config", cfg, "--manifest", tiny_manifest,
+                 "--out", tmp_path / "run")
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert rc == 2
+    assert err.startswith("error: usage: ")
+    assert str(cfg) in err
+    assert f"line {line}" in err
+    assert f"'{key}'" in err
+    assert not (tmp_path / "run").exists()
+
+
+# --- replay of a finished run ---
+
+
+def test_replay_from_run_cfg_is_byte_identical(tiny_run, tmp_path):
+    replay = str(tmp_path / "replay")
+    assert run_cli("evaluate", "--config", os.path.join(tiny_run, "run.cfg"),
+                   "--out", replay) == 0
+    first, second = tree_bytes(tiny_run), tree_bytes(replay)
+    assert sorted(first) == sorted(second)
+    assert {"run.cfg", "folds.txt", "metrics.txt", "fold_0/bundle.skq",
+            "fold_0/predictions.csv", "fold_0/cams.csv"} <= set(first)
+    for name in first:
+        assert first[name] == second[name], name
+
+
+@pytest.mark.parametrize("edit, line, key", [
+    ("drop", None, "dae_patience"),
+    ("append", 27, "clf_noise_sigma"),
+    ("append", 27, "out"),
+])
+def test_validate_cam_reads_run_cfg_strictly(tiny_run, tmp_path, capsys, edit, line, key):
+    run_dir = tmp_path / "run"
+    shutil.copytree(tiny_run, run_dir)
+    cfg = run_dir / "run.cfg"
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 26
+    if edit == "drop":
+        lines = [ln for ln in lines if not ln.startswith(f"{key} = ")]
+    else:
+        lines.append(f"{key} = 1")
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert rc == 2
+    assert str(cfg) in err
+    assert f"'{key}'" in err
+    if line is not None:
+        assert f"line {line}" in err
+    assert not (tmp_path / "study").exists()
+
+
+def test_changed_dataset_is_refused(tiny_manifest, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(tiny_manifest), data)
+    manifest = str(data / "manifest.csv")
+    run_dir = str(tmp_path / "run")
+    assert run_cli("evaluate", "--manifest", manifest, "--out", run_dir, *FAST_RUN) == 0
+
+    trial_path = str(data / "trials" / "S01_000.csv")
+    trial = parse_trial_csv(trial_path)
+    write_trial_csv(replace(trial, values=trial.values + 0.5), trial_path)
+    capsys.readouterr()
+
+    rc = run_cli("evaluate", "--config", os.path.join(run_dir, "run.cfg"),
+                 "--out", tmp_path / "replay")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "fingerprint" in err
+    assert not (tmp_path / "replay").exists()
+
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "fingerprint" in err
+    assert not (tmp_path / "study").exists()

@@ -16,7 +16,9 @@ from skillseq.model import (
     predict,
     reconstruct,
 )
-from skillseq.training import TrainConfig, add_gaussian_noise, train_dae, train_supervised
+from skillseq import tensor as tz
+from skillseq.layers import ForwardContext, LayerSpec, forward_stack
+from skillseq.training import TrainConfig, train_dae, train_supervised
 
 
 def test_arch_validation():
@@ -138,13 +140,20 @@ def test_bundle_detects_corruption(small_dae, tmp_path):
 
 def test_gaussian_noise_properties():
     x = np.zeros((1000, 4))
-    noisy = add_gaussian_noise(x, sigma=0.01, seed=5)
-    assert abs(noisy.mean()) < 0.001
-    assert noisy.std() == pytest.approx(0.01, rel=0.1)
-    np.testing.assert_array_equal(add_gaussian_noise(x, 0.01, 5), noisy)
-    np.testing.assert_array_equal(add_gaussian_noise(x, 0.0, 5), x)
+
+    def noisy(sigma, seed=5, train=True):
+        specs = (LayerSpec("gaussian-noise", sigma=sigma),)
+        ctx = ForwardContext(train=train, rng=np.random.default_rng(seed))
+        return forward_stack(specs, {}, tz.constant(x), ctx).data
+
+    out = noisy(0.01)
+    assert abs(out.mean()) < 0.001
+    assert out.std() == pytest.approx(0.01, rel=0.1)
+    np.testing.assert_array_equal(noisy(0.01), out)
+    np.testing.assert_array_equal(noisy(0.0), x)
+    np.testing.assert_array_equal(noisy(0.01, train=False), x)
     with pytest.raises(ValueError):
-        add_gaussian_noise(x, -0.1, 5)
+        LayerSpec("gaussian-noise", sigma=-0.1)
 
 
 def test_prediction_is_deterministic_at_inference(small_classifier,

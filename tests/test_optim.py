@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skillseq.layers import is_kernel_param
-from skillseq.optim import AdamState, adam_step, adam_step_masked
+from skillseq.optim import AdamState, adam_step_masked
 
 
 def closed_form_first_step(lr, b1, b2, eps, g):
@@ -19,7 +19,7 @@ def test_first_step_matches_closed_form():
     g = np.array([0.3, -1.7, 0.001])
     theta = np.zeros(3)
     state = AdamState(learning_rate=0.01)
-    adam_step(state, {"x.b": theta}, {"x.b": g})
+    adam_step_masked(state, theta, g)
     want = -closed_form_first_step(0.01, 0.9, 0.999, 1e-8, g)
     np.testing.assert_allclose(theta, want, rtol=1e-14)
 
@@ -31,7 +31,7 @@ def test_two_steps_match_manual_recurrence():
     m = v = 0.0
     ref = 1.0
     for t, g in enumerate([0.5, -0.25], start=1):
-        adam_step(state, {"p.b": theta}, {"p.b": np.array([g])})
+        adam_step_masked(state, theta, np.array([g]))
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         alpha = lr * np.sqrt(1 - b2 ** t) / (1 - b1 ** t)
@@ -43,57 +43,26 @@ def test_large_gradient_step_is_learning_rate_bounded():
     # with eps tiny the first-step magnitude approaches lr regardless of g
     theta = np.zeros(1)
     state = AdamState(learning_rate=0.005)
-    adam_step(state, {"x.b": theta}, {"x.b": np.array([1e6])})
+    adam_step_masked(state, theta, np.array([1e6]))
     assert abs(theta[0]) == pytest.approx(0.005, rel=1e-4)
 
 
 def test_l2_decays_kernels_only():
     lr, l2 = 0.01, 0.1
-    kernel = np.array([2.0])
-    bias = np.array([2.0])
-    state = AdamState(learning_rate=lr, l2=l2)
     assert is_kernel_param("head/0.w")
     assert not is_kernel_param("head/0.b")
-    adam_step(state, {"head/0.w": kernel, "head/0.b": bias},
-              {"head/0.w": np.array([0.0]), "head/0.b": np.array([0.0])})
+    # element 0 is a kernel, element 1 a bias, as the training loops mark them
+    theta = np.array([2.0, 2.0])
+    decay_mask = np.array([1.0, 0.0])
+    state = AdamState(learning_rate=lr, l2=l2)
+    adam_step_masked(state, theta, np.zeros(2), decay_mask=decay_mask)
+    kernel, bias = theta
     # bias sees zero gradient and must not move; kernel decays toward zero
-    assert bias[0] == 2.0
-    assert kernel[0] < 2.0
+    assert bias == 2.0
+    assert kernel < 2.0
     g_eff = 2 * l2 * 2.0
     want = 2.0 - closed_form_first_step(lr, 0.9, 0.999, 1e-8, g_eff)
-    assert kernel[0] == pytest.approx(want, rel=1e-12)
-
-
-def test_flat_variant_matches_dict_variant():
-    rng = np.random.default_rng(4)
-    names = ["enc/0.w", "enc/0.b", "enc/1.w"]
-    shapes = [(3, 2), (2,), (4,)]
-    params = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
-    grads = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
-
-    flat_theta = np.concatenate([params[n].ravel() for n in names]).copy()
-    flat_grad = np.concatenate([grads[n].ravel() for n in names])
-    mask = np.concatenate([
-        np.full(np.prod(s, dtype=int), 1.0 if is_kernel_param(n) else 0.0)
-        for n, s in zip(names, shapes)
-    ])
-
-    s1 = AdamState(learning_rate=0.003, l2=1e-4)
-    s2 = AdamState(learning_rate=0.003, l2=1e-4)
-    for _ in range(3):
-        adam_step(s1, params, grads)
-        adam_step_masked(s2, flat_theta, flat_grad, decay_mask=mask)
-
-    rebuilt = np.concatenate([params[n].ravel() for n in names])
-    np.testing.assert_allclose(flat_theta, rebuilt, rtol=1e-13)
-
-
-def test_missing_gradient_entry_skips_parameter():
-    theta = np.array([1.0])
-    state = AdamState()
-    adam_step(state, {"a.w": theta}, {})
-    assert theta[0] == 1.0
-    assert state.step_count == 1
+    assert kernel == pytest.approx(want, rel=1e-12)
 
 
 def test_state_validation():

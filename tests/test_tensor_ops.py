@@ -120,19 +120,6 @@ def test_add_and_add_n():
 # --- channel and time gating ---
 
 
-def test_scale_channels_broadcasts():
-    x = np.arange(6.0).reshape(3, 2)
-    s = np.array([2.0, 0.5])
-    np.testing.assert_array_equal(tz.scale_channels(const(x), const(s)).data, x * s)
-
-
-def test_scale_time_broadcasts():
-    x = np.arange(6.0).reshape(3, 2)
-    q = np.array([1.0, 0.0, 2.0])
-    np.testing.assert_array_equal(tz.scale_time(const(x), const(q)).data,
-                                  x * q[:, None])
-
-
 def naive_scse(x, cw1, cb1, cw2, cb2, sw, sb):
     """Channel gate from the GAP summary, spatial gate per timestep,
     output is the sum of the two gated copies."""
