@@ -9,9 +9,10 @@ Exit codes:
 - 2: usage error.  Bad flags; unknown, duplicate or malformed config or
   run.cfg keys, or a run.cfg missing a key; invalid settings; a missing
   input file or directory (manifest, bundle, records, run); a dataset
-  whose fingerprint differs from the config snapshot it is replayed from.
+  whose fingerprint differs from the run snapshot it is replayed from
+  (``evaluate --config``) or studied against (``validate-cam``).
 - 1: runtime failure, e.g. a malformed input file, a failed training or
-  gradient check, or a masking study whose dataset no longer matches.
+  gradient check.
 
 On any failure the last line of output is a single-line diagnostic of
 the form ``error: usage: <message>`` or ``error: runtime: <message>``.

@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import save_bundle
-from .config import RunConfig, RunSettings, parse_scheme, read_run_cfg, write_run_cfg
+from .config import (ConfigError, RunConfig, RunSettings, parse_scheme, read_run_cfg,
+                     write_run_cfg)
 from .data import dataset_fingerprint, apply_minmax, fit_minmax, load_manifest
-from .explain import compute_cam, mask_with_cams, read_cams_csv, write_cams_csv
+from .explain import CamMap, compute_cam, mask_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
 from .metrics import binary_metrics, roc_auc, spearman, wilcoxon_one_sided
 from .model import normalize_for_model, predict, prepare_dataset
@@ -173,11 +174,14 @@ def _run_fold(args):
     norm_train = [apply_minmax(t, minmax) for t in train_trials]
     dae_cfg = replace(settings.dae, seed=derive_fold_seed(settings.seed, fold_index, 0))
     clf_cfg = replace(settings.clf, seed=derive_fold_seed(settings.seed, fold_index, 1))
-    dae_bundle, dae_hist = train_dae(norm_train, minmax, dae_cfg, settings.arch)
-    sha_before = encoder_fingerprint(dae_bundle)
-    skill, clf_hist = train_classifier(
-        dae_bundle, norm_train, clf_cfg, settings.arch, settings.mode
-    )
+    try:
+        dae_bundle, dae_hist = train_dae(norm_train, minmax, dae_cfg, settings.arch)
+        sha_before = encoder_fingerprint(dae_bundle)
+        skill, clf_hist = train_classifier(
+            dae_bundle, norm_train, clf_cfg, settings.arch, settings.mode
+        )
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"fold {fold.name}: {exc}") from exc
     records = tuple(predict(skill, normalize_for_model(skill, t)) for t in test_trials)
     return FoldOutcome(
         name=fold.name,
@@ -357,7 +361,10 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     derived seeds, and each metric's per-fold before/after values enter
     a one-sided signed-rank test (masking should not hurt).  The dataset
     is reloaded from the recorded manifest unless passed in; either way
-    its fingerprint must match the snapshot before anything trains.
+    its fingerprint must match the snapshot before anything trains
+    (ConfigError otherwise).  A fold without baseline predictions (it
+    failed its guard) has no maps: its test trials keep a neutral
+    all-ones mask, and the report marks the fold as skipped.
     """
     run = read_run_cfg(os.path.join(run_dir, SETTINGS_FILE))
     settings = run.settings
@@ -369,7 +376,7 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         dataset = load_manifest(run.manifest)
     actual_sha = dataset_fingerprint(dataset)
     if run.dataset_sha256 != actual_sha:
-        raise ValueError(
+        raise ConfigError(
             f"dataset fingerprint {actual_sha[:12]}... does not match the "
             f"run snapshot ({run.dataset_sha256[:12]}...); refusing to pair folds"
         )
@@ -377,6 +384,8 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     with open(os.path.join(run_dir, FOLDS_FILE), "r", encoding="utf-8") as fh:
         assignment = FoldAssignment.from_canonical_text(fh.read())
 
+    stage2 = prepare_dataset(dataset, settings.target_hz)
+    frames = {t.trial_id: t.values.shape[0] for t in stage2.trials}
     before = {}
     cams = {}
     fold_names = tuple(f.name for f in assignment.folds)
@@ -385,6 +394,9 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         pred_path = os.path.join(fold_dir, "predictions.csv")
         if not os.path.exists(pred_path):
             before[fold.name] = None
+            # a constant map has no contrast: intensity 1 everywhere
+            cams.update((tid, CamMap.from_raw(tid, 0, np.zeros(frames[tid])))
+                        for tid in fold.test_ids if tid in frames)
             continue
         records = read_records_csv(pred_path)
         before[fold.name] = fold_metrics("classification", tuple(records))
@@ -393,7 +405,6 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
             raise ValueError(f"fold {fold.name}: activation maps do not cover its test set")
         cams.update(fold_cams)
 
-    stage2 = prepare_dataset(dataset, settings.target_hz)
     masked = mask_with_cams(stage2, cams)
     masked_out = os.path.join(out_dir, "masked") if out_dir else None
     masked_result = run_cv(masked, settings, out_dir=masked_out,
@@ -428,6 +439,8 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         kv_line("n_folds", len(fold_names)),
     ]
     for name in fold_names:
+        if before[name] is None:
+            lines.append(kv_line(f"fold {name} status", "skipped: no baseline predictions"))
         for metric in ("accuracy", "sensitivity", "specificity", "auc"):
             b = before[name].get(metric) if before[name] else None
             a = after[name].get(metric) if after[name] else None

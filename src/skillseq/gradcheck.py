@@ -44,6 +44,7 @@ OPERATIONS = (
     "mse",
     "cosine",
     "activity-penalty",
+    "conv1d-selu",
 )
 
 
@@ -143,8 +144,9 @@ def check_operation(op, seed):
         return GradCheckResult(op, seed, raw.size, _compare(analytic, numeric))
 
     # layer path: build a one-layer stack, reduce with a fixed projection
-    # so the scalar loss exercises every output element
-    if op == "conv1d":
+    # so the scalar loss exercises every output element; conv1d-selu is
+    # the fused pair, with its activity penalty added to the loss
+    if op in ("conv1d", "conv1d-selu"):
         cout = int(rng.integers(1, 5))
         spec = LayerSpec("conv1d", in_channels=C, out_channels=cout,
                          kernel_size=int(rng.integers(0, 3)) * 2 + 1,
@@ -162,7 +164,8 @@ def check_operation(op, seed):
     else:
         spec = LayerSpec(op)
 
-    specs = (spec,)
+    specs = (spec, LayerSpec("selu")) if op == "conv1d-selu" else (spec,)
+    activity_l2 = float(rng.uniform(0.5, 2.0)) if op == "conv1d-selu" else 0.0
     if op == "dense":
         x_raw = _avoid_kinks(rng.normal(0.0, 1.0, size=C))
     elif op == "softmax":
@@ -183,16 +186,16 @@ def check_operation(op, seed):
 
     def run(x_tensor, param_tensors):
         ctx = ForwardContext(train=True, rng=_FixedNoise(noise)) if op == "gaussian-noise" \
-            else ForwardContext()
-        return forward_stack(specs, param_tensors, x_tensor, ctx)
+            else ForwardContext(activity_l2=activity_l2)
+        return forward_stack(specs, param_tensors, x_tensor, ctx), ctx.activity
 
     # scalarize via a fixed random projection so every output element
     # contributes to the loss
     x = tz.parameter(x_raw)
     params = wrap_params(arrays)
-    out = run(x, params)
+    out, activity = run(x, params)
     proj = make_rng(seed, 994).normal(0.0, 1.0, size=out.data.shape)
-    loss = _dot_with(out, proj)
+    loss = tz.add_n([_dot_with(out, proj)] + activity)
     tz.backward(loss)
     analytic = [x.grad if x.grad is not None else np.zeros_like(x_raw)]
     analytic += [params[n].grad if params[n].grad is not None else np.zeros_like(arrays[n])
@@ -201,8 +204,8 @@ def check_operation(op, seed):
     def evaluate():
         xt = tz.constant(x_raw)
         pt = wrap_params(arrays, requires_grad=False)
-        o = run(xt, pt)
-        return float(np.sum(o.data * proj))
+        o, activity = run(xt, pt)
+        return float(np.sum(o.data * proj)) + sum(float(a.data) for a in activity)
 
     numeric = _numeric_grad(evaluate, [x_raw] + [arrays[n] for n in names])
     err = _compare(analytic, numeric)

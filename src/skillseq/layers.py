@@ -158,9 +158,9 @@ def init_stack_params(specs, rng):
 class ForwardContext:
     """Side outputs of a forward pass.
 
-    ``activity`` collects per-conv-output penalty terms when
-    ``activity_l2 > 0``; ``captures`` records named intermediate tensors
-    (the input of each ``gap`` layer is stored under ``"pre_gap"``).
+    ``activity`` collects per-conv-output penalty terms, in conv order,
+    when ``activity_l2 > 0``; ``captures`` records named intermediate
+    tensors (the input of each ``gap`` layer is stored under ``"pre_gap"``).
     """
 
     train: bool = False
@@ -172,6 +172,12 @@ class ForwardContext:
     def _note_conv_out(self, t):
         if self.activity_l2 > 0.0:
             self.activity.append(tz.activity_penalty(t, self.activity_l2))
+
+    def _conv_selu(self, x, w, b, dilation):
+        out, penalty = tz.conv1d_selu(x, w, b, dilation, self.activity_l2)
+        if penalty is not None:
+            self.activity.append(penalty)
+        return out
 
 
 def _scse_forward(x, p, pfx, ctx):
@@ -185,11 +191,17 @@ def forward_stack(specs, params, x, ctx=None):
 
     ``params`` maps ``"<i>.<field>"`` to Tensor objects.  ``ctx`` carries
     train/eval mode, the noise generator, and side-output collection.
+    A conv1d layer followed by a selu layer runs as one fused node
+    (``tz.conv1d_selu``).
     """
     if ctx is None:
         ctx = ForwardContext()
     out = x
+    fused = False
     for i, spec in enumerate(specs):
+        if fused:  # this selu ran inside the conv before it
+            fused = False
+            continue
         pfx = f"{i}."
         kind = spec.kind
         if kind == "conv1d":
@@ -198,8 +210,13 @@ def forward_stack(specs, params, x, ctx=None):
                     f"layer {i} (conv1d) expects (T, {spec.in_channels}), "
                     f"got {out.data.shape}"
                 )
-            out = tz.conv1d(out, params[pfx + "w"], params[pfx + "b"], spec.dilation)
-            ctx._note_conv_out(out)
+            w, b = params[pfx + "w"], params[pfx + "b"]
+            fused = i + 1 < len(specs) and specs[i + 1].kind == "selu"
+            if fused:
+                out = ctx._conv_selu(out, w, b, spec.dilation)
+            else:
+                out = tz.conv1d(out, w, b, spec.dilation)
+                ctx._note_conv_out(out)
         elif kind == "dense":
             out = tz.dense(out, params[pfx + "w"], params[pfx + "b"])
         elif kind == "selu":
@@ -214,12 +231,9 @@ def forward_stack(specs, params, x, ctx=None):
         elif kind == "scse":
             out = _scse_forward(out, params, pfx, ctx)
         elif kind == "residual-scse-block":
-            h = tz.conv1d(out, params[pfx + "c1w"], params[pfx + "c1b"], spec.dilation)
-            ctx._note_conv_out(h)
-            h = _scse_forward(tz.selu(h), params, pfx + "s1", ctx)
-            h = tz.conv1d(h, params[pfx + "c2w"], params[pfx + "c2b"], spec.dilation)
-            ctx._note_conv_out(h)
-            h = tz.selu(h)
+            h = ctx._conv_selu(out, params[pfx + "c1w"], params[pfx + "c1b"], spec.dilation)
+            h = _scse_forward(h, params, pfx + "s1", ctx)
+            h = ctx._conv_selu(h, params[pfx + "c2w"], params[pfx + "c2b"], spec.dilation)
             out = _scse_forward(tz.add(h, out), params, pfx + "s2", ctx)
         elif kind == "gaussian-noise":
             if ctx.train and spec.sigma > 0.0:

@@ -17,10 +17,16 @@ and l2 = 0 the update magnitude is
 The l2 term implements an L2 kernel regularizer through its gradient
 (d/dtheta of l2 * theta^2), matching regularization folded into the loss.
 Bias parameters are never decayed.
+
+A step allocates nothing: the moments and two work buffers live on the
+state, and every array operation writes into one of them.  Scalar
+products and two-term sums are commutative in floating point, so the
+result has the bits of the expressions above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +42,9 @@ class AdamState:
     eps: float = 1e-8
     l2: float = 0.0
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
+    work: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -57,17 +64,27 @@ def adam_step_masked(state, theta, grad, decay_mask=None):
     """
     state.step_count += 1
     t = state.step_count
-    alpha = state.learning_rate * np.sqrt(1.0 - state.beta2 ** t) / (1.0 - state.beta1 ** t)
+    alpha = state.learning_rate * math.sqrt(1.0 - state.beta2 ** t) / (1.0 - state.beta1 ** t)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+        state.work = (np.empty_like(theta), np.empty_like(theta))
+    m, v = state.m, state.v
+    a, b = state.work
     g = grad
     if state.l2 > 0.0 and decay_mask is not None:
-        g = g + (2.0 * state.l2) * (theta * decay_mask)
-    m = state.m.get("flat")
-    if m is None:
-        m = state.m["flat"] = np.zeros_like(theta)
-        state.v["flat"] = np.zeros_like(theta)
-    v = state.v["flat"]
+        np.multiply(theta, decay_mask, out=a)
+        a *= 2.0 * state.l2
+        a += grad
+        g = a
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    np.multiply(g, 1.0 - state.beta1, out=b)
+    m += b
     v *= state.beta2
-    v += (1.0 - state.beta2) * np.square(g)
-    theta -= alpha * m / (np.sqrt(v) + state.eps)
+    np.square(g, out=b)
+    b *= 1.0 - state.beta2
+    v += b
+    np.sqrt(v, out=b)
+    b += state.eps
+    np.multiply(m, alpha, out=a)
+    a /= b
+    theta -= a

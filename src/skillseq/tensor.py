@@ -4,9 +4,26 @@ Every operation records its parents and a backward closure on a tape
 implied by the graph structure.  Gradients are accumulated additively,
 so calling ``backward`` twice doubles every gradient; callers that want
 fresh gradients must zero them first (see ``zero_grads``).
+
+``backward`` walks only the nodes that have a backward closure: leaves
+(parameters, constants) and every node computed from them alone are left
+out of ``topo_order``.  Leaves only receive gradients, so leaving them out
+changes neither the order of the other nodes nor any gradient.
+
+``conv1d_selu`` is ``selu(conv1d(x, w, b))`` recorded as one node that
+keeps the pre-activation, with the activity penalty of the
+pre-activation as a second, scalar node.  The penalty node's backward adds
+its gradient to the SELU gradient and runs the convolution's backward
+once on the sum, so the arithmetic is that of the three separate ops.
+The training hot path runs one sample per step, so its cost is the
+number of numpy calls; the ops below use ``np.add.reduce`` and
+``np.minimum``/``np.maximum`` where ``mean``, ``sum`` and ``clip`` would
+compute the same bits through more Python.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,12 +78,15 @@ def constant(data):
 
 
 def _node(data, parents, bwd):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=parents, bwd=bwd if req else None)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, parents, bwd)
+    return Tensor(data, False, parents, None)
 
 
 def topo_order(root):
-    """Parents-before-children ordering of the graph reachable from root."""
+    """Parents-before-children ordering of root and the nodes with a
+    backward closure that it reaches; leaves are left out."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -80,7 +100,7 @@ def topo_order(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.bwd is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -126,23 +146,29 @@ def conv1d(x, w, b, dilation=1):
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     pad = (K // 2) * dilation
-    xp = np.zeros((T + 2 * pad, cin))
-    xp[pad:pad + T] = xd
-    # taps2[t, c*K + k] = xp[t + k*dilation, c]; flattened this way the
-    # whole contraction is a single BLAS matmul
-    taps2 = np.empty((T, cin * K))
-    for k in range(K):
-        taps2[:, k::K] = xp[k * dilation:k * dilation + T]
-    w2 = wd.transpose(1, 0, 2).reshape(cin * K, -1)
-    out = taps2 @ w2 + bd
+    if K == 1:
+        taps2, w2 = xd, wd[0]
+    else:
+        xp = np.zeros((T + 2 * pad, cin))
+        xp[pad:pad + T] = xd
+        # taps2[t, c*K + k] = xp[t + k*dilation, c]; flattened this way the
+        # whole contraction is a single BLAS matmul
+        taps2 = np.empty((T, cin * K))
+        for k in range(K):
+            taps2[:, k::K] = xp[k * dilation:k * dilation + T]
+        w2 = wd.transpose(1, 0, 2).reshape(cin * K, -1)
+    out = taps2 @ w2
+    out += bd
 
     def bwd(g):
         if w.requires_grad:
             dw2 = taps2.T @ g
             w.accumulate(dw2.reshape(cin, K, -1).transpose(1, 0, 2))
         if b.requires_grad:
-            b.accumulate(g.sum(axis=0))
-        if x.requires_grad:
+            b.accumulate(np.add.reduce(g, 0))
+        if x.requires_grad and K == 1:
+            x.accumulate(g @ w2.T)
+        elif x.requires_grad:
             dtaps = (g @ w2.T).reshape(T, cin, K)
             gxp = np.zeros_like(xp)
             for k in range(K):
@@ -158,7 +184,7 @@ def dense(x, w, b):
 
     def bwd(g):
         if w.requires_grad:
-            w.accumulate(np.outer(x.data, g))
+            w.accumulate(x.data[:, None] * g)
         if b.requires_grad:
             b.accumulate(g)
         if x.requires_grad:
@@ -172,22 +198,76 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 
-def selu(x):
-    xd = x.data
+def _selu_raw(xd):
+    """SELU of an array, plus what its derivative needs: (out, neg, ex)."""
     neg = xd <= 0.0
     ex = np.exp(np.minimum(xd, 0.0))
-    out = np.where(neg, SELU_LAMBDA * SELU_ALPHA * (ex - 1.0), SELU_LAMBDA * xd)
+    return np.where(neg, SELU_LAMBDA * SELU_ALPHA * (ex - 1.0), SELU_LAMBDA * xd), neg, ex
+
+
+def _selu_grad(g, neg, ex):
+    return g * np.where(neg, SELU_LAMBDA * SELU_ALPHA * ex, SELU_LAMBDA)
+
+
+def selu(x):
+    out, neg, ex = _selu_raw(x.data)
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate(g * np.where(neg, SELU_LAMBDA * SELU_ALPHA * ex, SELU_LAMBDA))
+            x.accumulate(_selu_grad(g, neg, ex))
 
     return _node(out, (x,), bwd)
 
 
+def _penalty_raw(xd, coeff):
+    return np.array(coeff * float(np.add.reduce(np.square(xd), None) / xd.size))
+
+
+def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0):
+    """``selu(conv1d(x, w, b, dilation))`` as one tape node that keeps the
+    pre-activation ``pre`` off the tape.
+
+    Returns ``(out, penalty)``.  With ``activity_l2 > 0``, ``penalty`` is
+    the scalar node ``activity_penalty(pre, activity_l2)``; otherwise it
+    is None and ``out``'s backward runs the convolution's backward on the
+    SELU gradient.  With a penalty, ``out``'s only parent is ``penalty``,
+    so ``backward`` visits ``out`` first: it stores the SELU gradient, and
+    ``penalty``'s backward adds its own gradient and runs the
+    convolution's backward once on the sum.  For two addends
+    ``a + b == b + a`` exactly, so every gradient has the bits of
+    ``conv1d``, ``selu`` and ``activity_penalty`` run separately.
+    """
+    pre = conv1d(x, w, b, dilation)
+    c = pre.data
+    out, neg, ex = _selu_raw(c)
+    if activity_l2 <= 0.0:
+        def bwd(g):
+            pre.bwd(_selu_grad(g, neg, ex))
+
+        return _node(out, pre.parents, bwd), None
+
+    n = c.size
+    gsel = []
+
+    def penalty_bwd(g):
+        gpre = (2.0 * activity_l2 / n) * c * g
+        if gsel:
+            gpre = gsel.pop() + gpre
+        pre.bwd(gpre)
+
+    penalty = _node(_penalty_raw(c, activity_l2), pre.parents, penalty_bwd)
+
+    def bwd(g):
+        gsel.append(_selu_grad(g, neg, ex))
+        if penalty.grad is None:  # none reached it (yet): its backward must still run
+            penalty.accumulate(np.zeros(()))
+
+    return _node(out, (penalty,), bwd), penalty
+
+
 def _sigmoid_raw(xd):
-    # clip keeps exp finite; exact for |x| < 500
-    return 1.0 / (1.0 + np.exp(-np.clip(xd, -500.0, 500.0)))
+    # bounding keeps exp finite; exact for |x| < 500
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(xd, -500.0), 500.0)))
 
 
 def sigmoid(x):
@@ -202,9 +282,9 @@ def sigmoid(x):
 
 def softmax(x):
     """Softmax over a 1-D vector."""
-    z = x.data - x.data.max()
+    z = x.data - np.maximum.reduce(x.data)
     e = np.exp(z)
-    out = e / e.sum()
+    out = e / np.add.reduce(e)
 
     def bwd(g):
         if x.requires_grad:
@@ -216,7 +296,7 @@ def softmax(x):
 def gap(x):
     """Global average over time: (T, C) -> (C,)."""
     T = x.data.shape[0]
-    out = x.data.mean(axis=0)
+    out = np.add.reduce(x.data, 0) / T
 
     def bwd(g):
         if x.requires_grad:
@@ -267,9 +347,10 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):
     """
     xd = x.data
     T, C = xd.shape
-    z = xd.mean(axis=0)
+    z = np.add.reduce(xd, 0) / T
     u1 = z @ cw1.data + cb1.data
-    h = np.where(u1 > 0.0, u1, 0.0)
+    pos = u1 > 0.0
+    h = np.where(pos, u1, 0.0)
     u2 = h @ cw2.data + cb2.data
     s = _sigmoid_raw(u2)
     v = xd @ sw.data + sb.data
@@ -278,23 +359,23 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):
 
     def bwd(g):
         gx = g * s + g * q[:, None]
-        gxd_sum_t = (g * xd).sum(axis=0)
-        du2 = gxd_sum_t * s * (1.0 - s)
+        gxd = g * xd
+        du2 = np.add.reduce(gxd, 0) * s * (1.0 - s)
         dh = cw2.data @ du2
-        du1 = np.where(u1 > 0.0, dh, 0.0)
-        dv = (g * xd).sum(axis=1) * q * (1.0 - q)
+        du1 = np.where(pos, dh, 0.0)
+        dv = np.add.reduce(gxd, 1) * q * (1.0 - q)
         if cw2.requires_grad:
-            cw2.accumulate(np.outer(h, du2))
+            cw2.accumulate(h[:, None] * du2)
             cb2.accumulate(du2)
         if cw1.requires_grad:
-            cw1.accumulate(np.outer(z, du1))
+            cw1.accumulate(z[:, None] * du1)
             cb1.accumulate(du1)
         if sw.requires_grad:
             sw.accumulate(xd.T @ dv)
-            sb.accumulate(np.array(dv.sum()))
+            sb.accumulate(np.array(np.add.reduce(dv, None)))
         if x.requires_grad:
-            gx += (cw1.data @ du1)[None, :] / T
-            gx += np.outer(dv, sw.data)
+            gx += (cw1.data @ du1) / T
+            gx += dv[:, None] * sw.data
             x.accumulate(gx)
 
     return _node(out, (x, cw1, cb1, cw2, cb2, sw, sb), bwd)
@@ -314,7 +395,7 @@ def add_noise(x, noise):
 def activity_penalty(x, coeff):
     """Scalar penalty coeff * mean(x ** 2)."""
     n = x.data.size
-    out = np.array(coeff * float(np.mean(np.square(x.data))))
+    out = _penalty_raw(x.data, coeff)
 
     def bwd(g):
         if x.requires_grad:
@@ -341,10 +422,11 @@ def bce_loss(pred, target, weight=1.0):
         raise ValueError(f"target shape {t.shape} != prediction shape {pred.data.shape}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("binary cross-entropy targets must lie in [0, 1]")
-    p = np.clip(pred.data, _BCE_EPS, 1.0 - _BCE_EPS)
+    p = np.minimum(np.maximum(pred.data, _BCE_EPS), 1.0 - _BCE_EPS)
     inside = (pred.data > _BCE_EPS) & (pred.data < 1.0 - _BCE_EPS)
     n = p.size
-    out = np.array(-weight * float(np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
+    ll = t * np.log(p) + (1.0 - t) * np.log1p(-p)
+    out = np.array(-weight * float(np.add.reduce(ll, None) / n))
 
     def bwd(g):
         if pred.requires_grad:
@@ -360,7 +442,7 @@ def mse_loss(pred, target, weight=1.0):
         raise ValueError(f"target shape {t.shape} != prediction shape {pred.data.shape}")
     diff = pred.data - t
     n = max(diff.size, 1)
-    out = np.array(weight * float(np.mean(np.square(diff))))
+    out = np.array(weight * float(np.add.reduce(np.square(diff), None) / diff.size))
 
     def bwd(g):
         if pred.requires_grad:
@@ -374,8 +456,8 @@ def cosine_loss(pred, target, weight=1.0):
     t = np.asarray(target, dtype=np.float64)
     if t.shape != pred.data.shape:
         raise ValueError(f"target shape {t.shape} != prediction shape {pred.data.shape}")
-    np_ = float(np.linalg.norm(pred.data))
-    nt = float(np.linalg.norm(t))
+    np_ = _norm(pred.data)
+    nt = _norm(t)
     if nt == 0.0:
         raise ValueError("cosine loss target has zero norm")
     if np_ == 0.0:
@@ -389,6 +471,11 @@ def cosine_loss(pred, target, weight=1.0):
             pred.accumulate(g * weight * d)
 
     return _node(out, (pred,), bwd)
+
+
+def _norm(v):
+    """Euclidean norm of a 1-D vector, computed as np.linalg.norm does."""
+    return math.sqrt(float(v.dot(v)))
 
 
 _LOSS_FNS = {"bce": bce_loss, "mse": mse_loss, "cosine": cosine_loss}

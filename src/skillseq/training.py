@@ -88,7 +88,8 @@ class _FlatParams:
 
     ``tensors[group]`` wraps views into the buffer; gradients accumulate
     into views of a parallel buffer, so zeroing and stepping are single
-    vector operations.
+    vector operations.  ``frozen[group]`` wraps the same views without
+    gradients, for forwards that record no tape (validation).
     """
 
     def __init__(self, group_arrays, trainable):
@@ -101,6 +102,7 @@ class _FlatParams:
         self.grad = np.zeros(total)
         self.decay_mask = np.zeros(total)
         self.tensors = {g: {} for g in group_arrays}
+        self.frozen = {g: {} for g in group_arrays}
         off = 0
         for g, k, arr in entries:
             if trainable.get(g, True):
@@ -111,8 +113,9 @@ class _FlatParams:
                 if is_kernel_param(k):
                     self.decay_mask[off:off + arr.size] = 1.0
                 off += arr.size
+                self.frozen[g][k] = tz.Tensor(view, requires_grad=False)
             else:
-                t = tz.Tensor(arr, requires_grad=False)
+                t = self.frozen[g][k] = tz.Tensor(arr, requires_grad=False)
             self.tensors[g][k] = t
 
     def zero_grads(self):
@@ -162,8 +165,12 @@ def _loss_node(kind, pred, target, weight):
 
 
 def _run_training(forward_train, forward_val, val_indices, train_indices,
-                  flat, config):
-    """Generic loop: per-sample Adam steps, early stopping, best restore."""
+                  flat, config, stage, trial_ids):
+    """Generic loop: per-sample Adam steps, early stopping, best restore.
+
+    A non-finite loss raises FloatingPointError naming ``stage``, the
+    epoch and the trial (``trial_ids[i]``).
+    """
     opt = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     history = TrainHistory()
     best = np.inf
@@ -177,14 +184,19 @@ def _run_training(forward_train, forward_val, val_indices, train_indices,
             flat.zero_grads()
             loss = forward_train(i, epoch)
             if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
+                raise FloatingPointError(f"{stage}: non-finite training loss at epoch "
+                                         f"{epoch} on trial {trial_ids[i]}")
             tz.backward(loss)
             adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
             total += float(loss.data)
         history.train_loss.append(total / max(len(train_indices), 1))
-        vloss = float(np.mean([forward_val(i) for i in val_indices]))
+        vlosses = [forward_val(i) for i in val_indices]
+        vloss = float(np.mean(vlosses))
         if not np.isfinite(vloss):
-            raise FloatingPointError(f"non-finite validation loss at epoch {epoch}")
+            bad = [trial_ids[i] for i, v in zip(val_indices, vlosses) if not np.isfinite(v)]
+            where = f" on trial {bad[0]}" if bad else ""
+            raise FloatingPointError(f"{stage}: non-finite validation loss at epoch "
+                                     f"{epoch}{where}")
         history.val_loss.append(vloss)
         if vloss < best:
             best = vloss
@@ -237,9 +249,10 @@ def train_dae(trials, minmax, config, arch=None):
     def fwd(i, train):
         ctx = ForwardContext(train=train, rng=noise_rng,
                              activity_l2=config.l2 if train else 0.0)
+        params = flat.tensors if train else flat.frozen
         x = tz.constant(values[i])
-        z = forward_stack(specs["encoder"], flat.tensors["encoder"], x, ctx)
-        out = forward_stack(specs["decoder"], flat.tensors["decoder"], z, ctx)
+        z = forward_stack(specs["encoder"], params["encoder"], x, ctx)
+        out = forward_stack(specs["decoder"], params["decoder"], z, ctx)
         loss = _loss_node(config.loss, out, values[i], 1.0)
         if ctx.activity:
             loss = tz.add_n([loss] + ctx.activity)
@@ -249,7 +262,7 @@ def train_dae(trials, minmax, config, arch=None):
         forward_train=lambda i, e: fwd(i, True),
         forward_val=lambda i: float(fwd(i, False).data),
         val_indices=val_idx, train_indices=train_idx,
-        flat=flat, config=config,
+        flat=flat, config=config, stage="DAE", trial_ids=[t.trial_id for t in trials],
     )
     bundle = ModelBundle(
         mode="autoencoder",
@@ -328,7 +341,8 @@ def train_supervised(bundle, trials, config, labels=None):
 
     def fwd(i, train):
         ctx = ForwardContext(train=train, activity_l2=config.l2 if train else 0.0)
-        out = forward_stack(head, flat.tensors["head"], tz.constant(feats[i]), ctx)
+        params = flat.tensors if train else flat.frozen
+        out = forward_stack(head, params["head"], tz.constant(feats[i]), ctx)
         loss = _loss_node(config.loss, out, targets[i], sample_w[i])
         if ctx.activity:
             loss = tz.add_n([loss] + ctx.activity)
@@ -338,7 +352,7 @@ def train_supervised(bundle, trials, config, labels=None):
         forward_train=lambda i, e: fwd(i, True),
         forward_val=lambda i: float(fwd(i, False).data),
         val_indices=val_idx, train_indices=train_idx,
-        flat=flat, config=config,
+        flat=flat, config=config, stage="head", trial_ids=[t.trial_id for t in trials],
     )
     new_weights = dict(bundle.weights)
     new_weights.update({k: v for k, v in flat.export().items() if k.startswith("head/")})

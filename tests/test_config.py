@@ -345,6 +345,6 @@ def test_changed_dataset_is_refused(tiny_manifest, tmp_path, capsys):
 
     rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rc == 2
     assert "fingerprint" in err
     assert not (tmp_path / "study").exists()

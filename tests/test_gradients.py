@@ -16,7 +16,7 @@ def test_every_operation_kind_is_covered():
     kinds = set(OPERATIONS)
     for expected in ("conv1d", "dense", "selu", "sigmoid", "softmax", "gap",
                      "scse", "residual-scse-block", "gaussian-noise",
-                     "bce", "mse", "cosine", "activity-penalty"):
+                     "bce", "mse", "cosine", "activity-penalty", "conv1d-selu"):
         assert expected in kinds
 
 
