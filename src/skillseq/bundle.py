@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .data import MinMaxStats, ScoreStats
-from .layers import LayerSpec
+from .layers import LayerSpec, _spec_param_shapes
 from .model import ModelBundle
 
 __all__ = [
@@ -149,6 +149,14 @@ def load_bundle(path):
 
     groups = {g: tuple(LayerSpec.from_dict(d) for d in specs)
               for g, specs in meta["groups"].items()}
+    # save_bundle writes a 0-d array (the sCSE spatial bias) with shape (1,),
+    # as np.ascontiguousarray returns at least 1-d; the spec restores its shape
+    for g, specs in groups.items():
+        for i, spec in enumerate(specs):
+            for field, shape in _spec_param_shapes(spec).items():
+                key = f"{g}/{i}.{field}"
+                if shape == () and key in weights and weights[key].shape == (1,):
+                    weights[key] = weights[key].reshape(())
     return ModelBundle(
         mode=meta["mode"],
         groups=groups,

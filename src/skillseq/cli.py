@@ -45,10 +45,9 @@ from .config import (
 )
 from .crossval import run_cv, validate_cams
 from .data import apply_minmax, dataset_fingerprint, fit_minmax, load_manifest
-from .explain import compute_cam, write_cams_csv
+from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
-from .model import normalize_for_model, prepare_dataset
-from .model import predict as model_predict
+from .model import normalize_for_model, predict_many, prepare_dataset
 from .overlay import render_cam_overlay
 from .records import read_records_csv, records_csv_classes, write_records_csv
 from .reports import fmt9, kv_line
@@ -223,7 +222,7 @@ def _cmd_evaluate(args):
 def _cmd_predict(args):
     bundle = _load_skill_bundle(args, "predict")
     _, trials = _model_inputs(args, bundle)
-    records = [model_predict(bundle, t) for t in trials]
+    records = predict_many(bundle, trials)
     write_records_csv(records, args.out,
                       classes=bundle.class_names or ("score",))
     print(kv_line("records", args.out))
@@ -252,12 +251,13 @@ def _cmd_cam(args):
     bundle = _load_skill_bundle(args, "cam")
     dataset, trials = _model_inputs(args, bundle)
     override = _resolve_target_class(args.target_class, bundle)
-    cams = []
+    targets = []
     for trial in trials:
         target = override
         if target is None and trial.class_label is not None and bundle.class_names:
             target = bundle.class_names.index(trial.class_label)
-        cams.append(compute_cam(bundle, trial, target_class=target))
+        targets.append(target)
+    _, cams = predict_with_cams(bundle, trials, targets)
     write_cams_csv(cams, args.out)
     print(kv_line("cams", args.out))
     if args.overlay_dir:

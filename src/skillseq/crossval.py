@@ -27,10 +27,10 @@ from .bundle import save_bundle
 from .config import (ConfigError, RunConfig, RunSettings, parse_scheme, read_run_cfg,
                      write_run_cfg)
 from .data import dataset_fingerprint, apply_minmax, fit_minmax, load_manifest
-from .explain import CamMap, compute_cam, mask_with_cams, read_cams_csv, write_cams_csv
+from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
 from .metrics import binary_metrics, roc_auc, spearman, wilcoxon_one_sided
-from .model import normalize_for_model, predict, prepare_dataset
+from .model import actual_class, normalize_for_model, predict_many, prepare_dataset
 from .records import read_records_csv, write_records_csv
 from .reports import kv_line
 from .training import train_classifier, train_dae
@@ -71,6 +71,7 @@ class FoldOutcome:
     clf_epochs: int = 0
     encoder_sha_before: str = ""
     encoder_sha_after: str = ""
+    cams: tuple = ()
 
     @property
     def ok(self):
@@ -182,11 +183,21 @@ def _run_fold(args):
         )
     except FloatingPointError as exc:
         raise FloatingPointError(f"fold {fold.name}: {exc}") from exc
-    records = tuple(predict(skill, normalize_for_model(skill, t)) for t in test_trials)
+    # one packed forward gives the records and, for classification, each
+    # trial's map for its actual class (the predicted one when unknown)
+    inputs = [normalize_for_model(skill, t) for t in test_trials]
+    cams = ()
+    if settings.mode == "classification":
+        records, cams = predict_with_cams(skill, inputs,
+                                          [actual_class(skill, t) for t in inputs])
+    else:
+        records = predict_many(skill, inputs)
+    records = tuple(records)
     return FoldOutcome(
         name=fold.name,
         status="ok",
         records=records,
+        cams=tuple(cams),
         metrics=fold_metrics(settings.mode, records),
         bundle=skill,
         dae_epochs=len(dae_hist.train_loss),
@@ -246,7 +257,7 @@ def metrics_report_text(settings, dataset_sha, assignment, outcomes):
     return "\n".join(lines) + "\n"
 
 
-def _persist_fold(out_dir, settings, stage2_by_id, fold, outcome):
+def _persist_fold(out_dir, settings, fold, outcome):
     fold_dir = os.path.join(out_dir, f"fold_{fold.name}")
     os.makedirs(fold_dir, exist_ok=True)
     if not outcome.ok:
@@ -254,12 +265,7 @@ def _persist_fold(out_dir, settings, stage2_by_id, fold, outcome):
     save_bundle(outcome.bundle, os.path.join(fold_dir, "bundle.skq"))
     write_records_csv(outcome.records, os.path.join(fold_dir, "predictions.csv"))
     if settings.mode == "classification":
-        cams = []
-        for rec in outcome.records:
-            trial = normalize_for_model(outcome.bundle, stage2_by_id[rec.trial_id])
-            target = rec.actual if rec.actual is not None else rec.predicted
-            cams.append(compute_cam(outcome.bundle, trial, target_class=target))
-        write_cams_csv(cams, os.path.join(fold_dir, "cams.csv"))
+        write_cams_csv(outcome.cams, os.path.join(fold_dir, "cams.csv"))
 
 
 def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
@@ -317,7 +323,7 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
         with open(os.path.join(out_dir, METRICS_FILE), "w", encoding="utf-8") as fh:
             fh.write(text)
         for fold, outcome in zip(assignment.folds, outcomes):
-            _persist_fold(out_dir, settings, by_id, fold, outcome)
+            _persist_fold(out_dir, settings, fold, outcome)
     return RunResult(
         settings=settings,
         dataset_sha256=dataset_sha,

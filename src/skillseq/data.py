@@ -381,6 +381,7 @@ def parse_trial_text(text, origin="<string>"):
     if len(set(channels)) != len(channels):
         raise TrialFormatError(f"{origin}: duplicate channel names in {channels}")
 
+    # every cell of every row, in order: one array is built at the end
     data = []
     last_t = None
     for r, row in enumerate(rows[1:]):
@@ -400,19 +401,10 @@ def parse_trial_text(text, origin="<string>"):
                 f"{origin} line {lineno}, column 't': timestamp {t_val} not increasing (previous {last_t})"
             )
         last_t = t_val
-        vals = np.empty(len(channels))
-        for c, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                vals[c] = np.nan
-            else:
-                try:
-                    vals[c] = float(cell)
-                except ValueError:
-                    raise TrialFormatError(
-                        f"{origin} line {lineno}, column '{channels[c]}': non-numeric value '{cell}'"
-                    )
-        data.append(vals)
+        try:  # float() strips the whitespace that str.strip() would
+            data.extend(list(map(float, row[1:])))
+        except ValueError:
+            data.extend(_cells(row[1:], channels, origin, lineno))
     if not data:
         raise TrialFormatError(f"{origin}: no data rows")
 
@@ -422,13 +414,30 @@ def parse_trial_text(text, origin="<string>"):
             trial_index=trial_index,
             sample_rate_hz=rate,
             channels=channels,
-            values=np.vstack(data),
+            values=np.array(data).reshape(-1, len(channels)),
             score=score,
             class_label=label,
             stage=RAW,
         )
     except ValueError as e:
         raise TrialFormatError(f"{origin}: {e}")
+
+
+def _cells(cells, channels, origin, lineno):
+    """Floats of one row's cells; an empty cell is NaN (a missing detection)."""
+    vals = []
+    for c, cell in enumerate(cells):
+        cell = cell.strip()
+        if cell == "":
+            vals.append(np.nan)
+            continue
+        try:
+            vals.append(float(cell))
+        except ValueError:
+            raise TrialFormatError(
+                f"{origin} line {lineno}, column '{channels[c]}': non-numeric value '{cell}'"
+            )
+    return vals
 
 
 def write_trial_csv(trial, path):

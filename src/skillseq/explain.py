@@ -8,6 +8,12 @@ score profile carries no contrast and gets a neutral all-ones mask.
 Masking multiplies a downsampled trial's channel values by the
 intensities, timestep by timestep, so low-relevance segments are
 attenuated before normalization ever sees them.
+
+``compute_cam`` explains one trial; ``predict_with_cams`` predicts and
+explains many trials from one packed forward (``model.predict_many``).
+The maps are byte-identical either way: a packed forward runs every BLAS
+call and reduction per trial on the operands of the one-trial forward,
+and each map's ``pre_gap @ w[:, c]`` runs per trial.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DOWNSAMPLED, Dataset
-from .model import embed, head_forward
+from .model import embed, head_forward, predict_many
 
 __all__ = [
     "CamMap",
     "compute_cam",
+    "predict_with_cams",
     "mask_trial",
     "mask_with_cams",
     "write_cams_csv",
@@ -77,18 +84,44 @@ def compute_cam(bundle, trial, target_class=None):
     ``target_class`` defaults to the predicted class (regression models
     have a single unit, index 0).
     """
-    if bundle.mode == "autoencoder":
-        raise ValueError("activation maps need a skill model, not an autoencoder")
+    _check_skill(bundle)
     feats = embed(bundle, trial)
     out, pre_gap = head_forward(bundle, feats, capture=True)
-    dense_idx = next(i for i, s in enumerate(bundle.groups["head"]) if s.kind == "dense")
-    w = bundle.weights[f"head/{dense_idx}.w"]
     if target_class is None:
         target_class = int(np.argmax(out)) if bundle.mode == "classification" else 0
+    return _cam(bundle, trial.trial_id, pre_gap, target_class)
+
+
+def predict_with_cams(bundle, trials, target_classes=None):
+    """Prediction records and activation maps of many normalized trials,
+    from one packed forward: ``(records, cams)``.
+
+    ``target_classes[i]`` is trial i's output unit; None (or no list)
+    takes the predicted class, as in ``compute_cam``.
+    """
+    _check_skill(bundle)
+    records, pre_gaps = predict_many(bundle, trials, capture=True)
+    if target_classes is None:
+        target_classes = [None] * len(trials)
+    cams = []
+    for rec, pre_gap, target in zip(records, pre_gaps, target_classes):
+        if target is None:
+            target = rec.predicted if bundle.mode == "classification" else 0
+        cams.append(_cam(bundle, rec.trial_id, pre_gap, target))
+    return records, cams
+
+
+def _check_skill(bundle):
+    if bundle.mode == "autoencoder":
+        raise ValueError("activation maps need a skill model, not an autoencoder")
+
+
+def _cam(bundle, trial_id, pre_gap, target_class):
+    dense_idx = next(i for i, s in enumerate(bundle.groups["head"]) if s.kind == "dense")
+    w = bundle.weights[f"head/{dense_idx}.w"]
     if not 0 <= target_class < w.shape[1]:
         raise ValueError(f"class index {target_class} out of range for {w.shape[1]} outputs")
-    raw = pre_gap @ w[:, target_class]
-    return CamMap.from_raw(trial.trial_id, target_class, raw)
+    return CamMap.from_raw(trial_id, target_class, pre_gap @ w[:, target_class])
 
 
 def mask_trial(trial, cam):

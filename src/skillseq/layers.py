@@ -4,6 +4,10 @@ A network is an ordered tuple of ``LayerSpec`` values plus a flat
 ``{name: ndarray}`` parameter mapping.  Parameter names are
 ``"<layer_index>.<field>"`` within a stack; bundles prefix them with the
 group name (``"encoder/0.w"``).
+
+``forward_packed`` runs stacks over many trials at once: it packs them
+along time in chunks of at most ``PACK_ROWS`` rows and passes the layout
+to the tensor ops on ``ForwardContext.segments`` (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "init_stack_params",
     "forward_stack",
     "ForwardContext",
+    "forward_packed",
     "is_kernel_param",
     "wrap_params",
 ]
@@ -161,6 +166,8 @@ class ForwardContext:
     ``activity`` collects per-conv-output penalty terms, in conv order,
     when ``activity_l2 > 0``; ``captures`` records named intermediate
     tensors (the input of each ``gap`` layer is stored under ``"pre_gap"``).
+    ``segments`` is the row layout of a packed forward (``tz.Segments``),
+    which runs in eval mode without penalties.
     """
 
     train: bool = False
@@ -168,13 +175,14 @@ class ForwardContext:
     activity_l2: float = 0.0
     activity: list = field(default_factory=list)
     captures: dict = field(default_factory=dict)
+    segments: object = None
 
     def _note_conv_out(self, t):
         if self.activity_l2 > 0.0:
             self.activity.append(tz.activity_penalty(t, self.activity_l2))
 
     def _conv_selu(self, x, w, b, dilation):
-        out, penalty = tz.conv1d_selu(x, w, b, dilation, self.activity_l2)
+        out, penalty = tz.conv1d_selu(x, w, b, dilation, self.activity_l2, self.segments)
         if penalty is not None:
             self.activity.append(penalty)
         return out
@@ -183,7 +191,7 @@ class ForwardContext:
 def _scse_forward(x, p, pfx, ctx):
     return tz.scse_op(x, p[pfx + "cw1"], p[pfx + "cb1"],
                       p[pfx + "cw2"], p[pfx + "cb2"],
-                      p[pfx + "sw"], p[pfx + "sb"])
+                      p[pfx + "sw"], p[pfx + "sb"], ctx.segments)
 
 
 def forward_stack(specs, params, x, ctx=None):
@@ -196,6 +204,8 @@ def forward_stack(specs, params, x, ctx=None):
     """
     if ctx is None:
         ctx = ForwardContext()
+    if ctx.segments is not None and (ctx.train or ctx.activity_l2 > 0.0):
+        raise ValueError("a packed forward runs in eval mode without activity penalties")
     out = x
     fused = False
     for i, spec in enumerate(specs):
@@ -215,7 +225,7 @@ def forward_stack(specs, params, x, ctx=None):
             if fused:
                 out = ctx._conv_selu(out, w, b, spec.dilation)
             else:
-                out = tz.conv1d(out, w, b, spec.dilation)
+                out = tz.conv1d(out, w, b, spec.dilation, ctx.segments)
                 ctx._note_conv_out(out)
         elif kind == "dense":
             out = tz.dense(out, params[pfx + "w"], params[pfx + "b"])
@@ -227,7 +237,7 @@ def forward_stack(specs, params, x, ctx=None):
             out = tz.softmax(out)
         elif kind == "gap":
             ctx.captures["pre_gap"] = out
-            out = tz.gap(out)
+            out = tz.gap(out, ctx.segments)
         elif kind == "scse":
             out = _scse_forward(out, params, pfx, ctx)
         elif kind == "residual-scse-block":
@@ -243,6 +253,56 @@ def forward_stack(specs, params, x, ctx=None):
         else:  # pragma: no cover - guarded by LayerSpec validation
             raise ValueError(f"unknown layer kind '{kind}'")
     return out
+
+
+# Rows per packed forward.  Packing saves per-call overhead, which stops
+# mattering long before this; the bound keeps the work arrays small.
+PACK_ROWS = 2048
+
+
+def _reach(specs):
+    """Widest zero padding any convolution in ``specs`` reads."""
+    return max((s.kernel_size // 2 * s.dilation for s in specs
+                if s.kind in ("conv1d", "residual-scse-block")), default=0)
+
+
+def forward_packed(stacks, values, capture=False):
+    """Eval-mode forward of ``stacks``, a sequence of ``(specs, params)``
+    run in order, over each (T_i, C) array in ``values``.
+
+    Trials are packed along time in chunks of at most ``PACK_ROWS`` rows
+    (a longer trial runs alone), with zero halos as wide as the widest
+    convolution reach; a chunk of one trial runs unpacked.  Returns the
+    per-trial outputs, equal byte for byte to one ``forward_stack`` pass
+    per trial; with ``capture``, also the per-trial ``"pre_gap"``
+    activations (``(outputs, pre_gaps)``).  Outputs may be views into a
+    chunk's arrays.
+    """
+    halo = max(_reach(specs) for specs, _ in stacks)
+    outs, pre_gaps = [], []
+    i = 0
+    while i < len(values):
+        j, rows = i + 1, values[i].shape[0]
+        while j < len(values) and rows + halo + values[j].shape[0] <= PACK_ROWS:
+            rows += halo + values[j].shape[0]
+            j += 1
+        chunk = values[i:j]
+        segments = tz.Segments([v.shape[0] for v in chunk], halo) if j - i > 1 else None
+        ctx = ForwardContext(segments=segments)
+        x = tz.constant(segments.pack(chunk) if segments else chunk[0])
+        for specs, params in stacks:
+            x = forward_stack(specs, params, x, ctx)
+        pre_gap = ctx.captures["pre_gap"].data if capture else None
+        if segments is None:
+            outs.append(x.data)
+            pre_gaps.append(pre_gap)
+        else:
+            gapped = "pre_gap" in ctx.captures
+            outs.extend(list(x.data) if gapped else segments.unpack(x.data))
+            if capture:
+                pre_gaps.extend(segments.unpack(pre_gap))
+        i = j
+    return (outs, pre_gaps) if capture else outs
 
 
 def wrap_params(arrays, requires_grad=True):

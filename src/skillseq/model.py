@@ -13,11 +13,18 @@ A ModelBundle carries everything needed to reproduce predictions:
 layer specs per group, named weights, per-group trainable flags, the
 preprocessing statistics the weights were fitted against, and the mode.
 
-The model functions (``embed``, ``reconstruct``, ``predict``) take
-NORMALIZED trials only.  ``prepare_dataset`` is the one place where raw
-trials become downsampled ones, and ``normalize_for_model`` the one
-place where a bundle's min-max statistics turn a downsampled trial into
-model input.
+The model functions (``embed``, ``reconstruct``, ``predict``,
+``predict_many``) take NORMALIZED trials only.  ``prepare_dataset`` is
+the one place where raw trials become downsampled ones, and
+``normalize_for_model`` the one place where a bundle's min-max
+statistics turn a downsampled trial into model input.
+
+Batch API: ``predict_many`` and ``encode_many`` score many trials in
+packed forwards (``layers.forward_packed``); ``embed``, ``encode_values``,
+``head_forward`` and ``predict`` are the one-trial case.  The results are
+byte-identical either way, because a packed forward runs every BLAS call
+and every reduction once per trial, on the operands the one-trial
+forward uses.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import numpy as np
 from . import tensor as tz
 from .data import (DOWNSAMPLED, NORMALIZED, PASS_FAIL, RAW, Dataset, MinMaxStats,
                    ScoreStats, apply_minmax, invert_znorm, prepare_stage2)
-from .layers import ForwardContext, LayerSpec, forward_stack, init_stack_params, wrap_params
+from .layers import (ForwardContext, LayerSpec, forward_packed, forward_stack,
+                     init_stack_params, wrap_params)
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
 
@@ -45,7 +53,10 @@ __all__ = [
     "embed",
     "reconstruct",
     "predict",
+    "predict_many",
+    "encode_many",
     "head_forward",
+    "actual_class",
 ]
 
 MODES = ("autoencoder", "classification", "regression")
@@ -224,6 +235,15 @@ def encode_values(bundle, values):
     return x.data
 
 
+def encode_many(bundle, values):
+    """``encode_values`` of each (T_i, C) array, in packed forwards."""
+    return forward_packed([_stack(bundle, "encoder")], values)
+
+
+def _stack(bundle, group):
+    return bundle.groups[group], _group_tensor_params(bundle, group)
+
+
 def _forward_group(bundle, group, values, ctx=None):
     params = _group_tensor_params(bundle, group)
     return forward_stack(bundle.groups[group], params, tz.constant(values), ctx)
@@ -290,14 +310,41 @@ def predict(bundle, trial):
     Classification: per-class confidences and the argmax class (lowest
     index wins ties).  Regression: score mapped back to original units.
     """
+    _check_skill(bundle)
+    feats = encode_values(bundle, _model_input(bundle, trial))
+    return _record(bundle, trial, head_forward(bundle, feats))
+
+
+def predict_many(bundle, trials, capture=False):
+    """``predict`` of each normalized trial, in packed forwards.
+
+    With ``capture``, also returns each trial's pre-GAP activations
+    (``(records, pre_gaps)``), from the same forward.
+    """
+    _check_skill(bundle)
+    values = [_model_input(bundle, t) for t in trials]
+    outs, pre_gaps = forward_packed([_stack(bundle, "encoder"), _stack(bundle, "head")],
+                                    values, capture=True)
+    records = [_record(bundle, t, out) for t, out in zip(trials, outs)]
+    return (records, pre_gaps) if capture else records
+
+
+def _check_skill(bundle):
     if bundle.mode == "autoencoder":
         raise ValueError("cannot predict with an autoencoder bundle; build a skill model")
-    feats = encode_values(bundle, _model_input(bundle, trial))
-    out = head_forward(bundle, feats)
-    actual = None
+
+
+def actual_class(bundle, trial):
+    """Index of the trial's class among the bundle's, or None."""
     if trial.class_label is not None and bundle.class_names \
             and trial.class_label in bundle.class_names:
-        actual = bundle.class_names.index(trial.class_label)
+        return bundle.class_names.index(trial.class_label)
+    return None
+
+
+def _record(bundle, trial, out):
+    """PredictionRecord from a trial's head output."""
+    actual = actual_class(bundle, trial)
     if bundle.mode == "classification":
         conf = tuple(float(c) for c in out)
         pred = int(np.argmax(out))  # np.argmax returns the first (lowest) maximum

@@ -19,6 +19,18 @@ The training hot path runs one sample per step, so its cost is the
 number of numpy calls; the ops below use ``np.add.reduce`` and
 ``np.minimum``/``np.maximum`` where ``mean``, ``sum`` and ``clip`` would
 compute the same bits through more Python.
+
+Packed forwards.  ``conv1d``, ``conv1d_selu``, ``scse_op`` and ``gap``
+take an optional ``Segments`` layout: many trials concatenated along time
+with zero halo rows between them, so one op call serves every trial.
+Such a forward records no gradients.  The result of every trial equals,
+byte for byte, the result of the one-trial call, because every BLAS call
+and every reduction still runs once per segment on exactly the operands
+the one-trial call uses (BLAS and reduction bits depend on the operand
+shapes); only tap building and elementwise arithmetic span the packed
+array, and the halo rows are zeroed again after every convolution.
+``dense`` and ``softmax`` take a matrix of per-trial rows (``gap``'s
+packed output) and run once per row.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Segments",
     "parameter",
     "constant",
     "backward",
@@ -125,18 +138,62 @@ def zero_grads(tensors):
         t.grad = None
 
 
+class Segments:
+    """Row layout of trials packed along time.
+
+    Trial ``i`` occupies rows ``bounds[i] = (start, end)``; ``halo`` zero
+    rows separate consecutive trials, so a convolution whose reach
+    ``(K // 2) * dilation`` is at most ``halo`` sees each trial padded
+    with zeros exactly as a one-trial call does.
+    """
+
+    def __init__(self, lengths, halo):
+        self.bounds = []
+        start = 0
+        for n in lengths:
+            self.bounds.append((start, start + n))
+            start += n + halo
+        self.rows = start - halo
+        self.lengths = np.array(lengths, dtype=np.float64)[:, None]
+        self.halo_rows = np.array([r for _, e in self.bounds[:-1] for r in range(e, e + halo)],
+                                  dtype=np.intp)
+        # row -> its trial; a halo row belongs to the trial before it
+        self.owner = np.repeat(np.arange(len(lengths)), [n + halo for n in lengths])[:self.rows]
+
+    def pack(self, arrays):
+        """One (rows, C) array holding each (T_i, C) array at its bounds."""
+        out = np.zeros((self.rows, arrays[0].shape[1]))
+        for (s, e), a in zip(self.bounds, arrays):
+            out[s:e] = a
+        return out
+
+    def unpack(self, packed):
+        """Each trial's rows of a packed array (views)."""
+        return [packed[s:e] for s, e in self.bounds]
+
+    def means(self, xd):
+        """Per-trial means over time of a packed (rows, C) array: (n, C)."""
+        out = np.empty((len(self.bounds), xd.shape[1]))
+        for i, (s, e) in enumerate(self.bounds):
+            np.add.reduce(xd[s:e], 0, out=out[i])
+        out /= self.lengths
+        return out
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def conv1d(x, w, b, dilation=1):
+def conv1d(x, w, b, dilation=1, segments=None):
     """Temporal convolution with zero 'same' padding and centered odd kernel.
 
     x: (T, C_in), w: (K, C_in, C_out), b: (C_out,).  Output (T, C_out):
 
         out[t, o] = b[o] + sum_{k, c} x[t + (k - K//2) * dilation, c] * w[k, c, o]
 
-    with out-of-range input treated as zero.
+    with out-of-range input treated as zero.  With ``segments``, x is a
+    packed array whose halos cover the kernel's reach; the output's halo
+    rows are zero.
     """
     xd, wd, bd = x.data, w.data, b.data
     T, cin = xd.shape
@@ -157,6 +214,13 @@ def conv1d(x, w, b, dilation=1):
         for k in range(K):
             taps2[:, k::K] = xp[k * dilation:k * dilation + T]
         w2 = wd.transpose(1, 0, 2).reshape(cin * K, -1)
+    if segments is not None:
+        out = np.zeros((T, w2.shape[1]))
+        for s, e in segments.bounds:
+            np.matmul(taps2[s:e], w2, out=out[s:e])
+        out += bd
+        out[segments.halo_rows] = 0.0
+        return _packed_node(out, (x, w, b))
     out = taps2 @ w2
     out += bd
 
@@ -178,8 +242,32 @@ def conv1d(x, w, b, dilation=1):
     return _node(out, (x, w, b), bwd)
 
 
+def _row_products(rows, w):
+    """``rows[i] @ w`` for each row, one vector-matrix product per row."""
+    out = np.empty((rows.shape[0], w.shape[1]))
+    for i, row in enumerate(rows):
+        np.matmul(row, w, out=out[i])
+    return out
+
+
+def _packed_node(out, parents):
+    """Node of a packed forward, which records no gradients."""
+    for p in parents:
+        if p.requires_grad:
+            raise ValueError("a packed forward records no gradients")
+    return Tensor(out)
+
+
 def dense(x, w, b):
-    """Affine map of a vector: (C_in,) @ (C_in, C_out) + (C_out,)."""
+    """Affine map of a vector: (C_in,) @ (C_in, C_out) + (C_out,).
+
+    A matrix input holds one vector per row (a packed forward) and is
+    mapped row by row.
+    """
+    if x.data.ndim == 2:
+        out = _row_products(x.data, w.data)
+        out += b.data
+        return _packed_node(out, (x, w, b))
     out = x.data @ w.data + b.data
 
     def bwd(g):
@@ -223,7 +311,7 @@ def _penalty_raw(xd, coeff):
     return np.array(coeff * float(np.add.reduce(np.square(xd), None) / xd.size))
 
 
-def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0):
+def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0, segments=None):
     """``selu(conv1d(x, w, b, dilation))`` as one tape node that keeps the
     pre-activation ``pre`` off the tape.
 
@@ -236,10 +324,14 @@ def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0):
     convolution's backward once on the sum.  For two addends
     ``a + b == b + a`` exactly, so every gradient has the bits of
     ``conv1d``, ``selu`` and ``activity_penalty`` run separately.
+
+    With ``segments`` (a packed forward) the penalty is not computed.
     """
-    pre = conv1d(x, w, b, dilation)
+    pre = conv1d(x, w, b, dilation, segments)
     c = pre.data
     out, neg, ex = _selu_raw(c)
+    if segments is not None:
+        return Tensor(out), None
     if activity_l2 <= 0.0:
         def bwd(g):
             pre.bwd(_selu_grad(g, neg, ex))
@@ -280,11 +372,17 @@ def sigmoid(x):
     return _node(out, (x,), bwd)
 
 
+def _softmax_raw(v):
+    e = np.exp(v - np.maximum.reduce(v))
+    return e / np.add.reduce(e)
+
+
 def softmax(x):
-    """Softmax over a 1-D vector."""
-    z = x.data - np.maximum.reduce(x.data)
-    e = np.exp(z)
-    out = e / np.add.reduce(e)
+    """Softmax over a 1-D vector, or over each row of a matrix (a packed
+    forward)."""
+    if x.data.ndim == 2:
+        return _packed_node(np.array([_softmax_raw(row) for row in x.data]), (x,))
+    out = _softmax_raw(x.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -293,8 +391,11 @@ def softmax(x):
     return _node(out, (x,), bwd)
 
 
-def gap(x):
-    """Global average over time: (T, C) -> (C,)."""
+def gap(x, segments=None):
+    """Global average over time: (T, C) -> (C,); with ``segments``, one
+    row per trial: (rows, C) -> (n, C)."""
+    if segments is not None:
+        return _packed_node(segments.means(x.data), (x,))
     T = x.data.shape[0]
     out = np.add.reduce(x.data, 0) / T
 
@@ -336,7 +437,7 @@ def add_n(tensors):
     return _node(out, tensors, bwd)
 
 
-def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):
+def scse_op(x, cw1, cb1, cw2, cb2, sw, sb, segments=None):
     """Concurrent channel and spatial squeeze-excitation, summed.
 
     Channel branch: gate = sigmoid(W2 @ relu(W1 @ mean_t(x) + b1) + b2),
@@ -344,7 +445,12 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):
     scales each timestep.  Output is the elementwise sum of both scaled
     copies; with all-zero parameters both gates are 0.5 and the block is
     the identity.  Fused into one node with a hand-derived backward.
+    With ``segments``, each trial gets its own channel gate.
     """
+    if segments is not None:
+        return _packed_node(_scse_packed(x.data, cw1.data, cb1.data, cw2.data, cb2.data,
+                                         sw.data, sb.data, segments),
+                            (x, cw1, cb1, cw2, cb2, sw, sb))
     xd = x.data
     T, C = xd.shape
     z = np.add.reduce(xd, 0) / T
@@ -379,6 +485,21 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):
             x.accumulate(gx)
 
     return _node(out, (x, cw1, cb1, cw2, cb2, sw, sb), bwd)
+
+
+def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
+    u1 = _row_products(segments.means(xd), cw1)
+    u1 += cb1
+    h = np.where(u1 > 0.0, u1, 0.0)
+    u2 = _row_products(h, cw2)
+    u2 += cb2
+    s = _sigmoid_raw(u2)
+    v = np.zeros(xd.shape[0])
+    for a, e in segments.bounds:
+        np.matmul(xd[a:e], sw, out=v[a:e])
+    v += sb
+    q = _sigmoid_raw(v)
+    return xd * s[segments.owner] + xd * q[:, None]
 
 
 def add_noise(x, noise):

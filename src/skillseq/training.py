@@ -4,7 +4,9 @@ Both loops share the same recipe: one sample per optimizer step, Adam
 with kernel L2 decay, an activity penalty on every convolution output,
 per-epoch reshuffling, a stratified validation split, and early stopping
 on validation loss with best-weight restoration.  Training stops after
-``patience`` consecutive epochs without strict improvement.
+``patience`` consecutive epochs without strict improvement.  Each
+epoch's validation forwards run as one packed forward
+(``layers.forward_packed``), with the bytes of one forward per trial.
 
 All trainable parameters live in one flat buffer; tensor leaves hold
 views into it and their gradients accumulate into a parallel flat
@@ -20,9 +22,10 @@ import numpy as np
 
 from . import tensor as tz
 from .data import NORMALIZED, PASS_FAIL, fit_znorm, apply_znorm, one_hot, class_weights
-from .layers import ForwardContext, init_stack_params, is_kernel_param, forward_stack
+from .layers import (ForwardContext, init_stack_params, is_kernel_param, forward_packed,
+                     forward_stack)
 from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
-                    decoder_specs, encode_values)
+                    decoder_specs, encode_many)
 from .optim import AdamState, adam_step_masked
 from .seeding import make_rng, PURPOSE
 
@@ -164,12 +167,13 @@ def _loss_node(kind, pred, target, weight):
     return tz.loss_eval(kind, pred, target, weight)
 
 
-def _run_training(forward_train, forward_val, val_indices, train_indices,
+def _run_training(forward_train, val_losses, val_indices, train_indices,
                   flat, config, stage, trial_ids):
     """Generic loop: per-sample Adam steps, early stopping, best restore.
 
-    A non-finite loss raises FloatingPointError naming ``stage``, the
-    epoch and the trial (``trial_ids[i]``).
+    ``val_losses()`` returns the validation loss of each of
+    ``val_indices``.  A non-finite loss raises FloatingPointError naming
+    ``stage``, the epoch and the trial (``trial_ids[i]``).
     """
     opt = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     history = TrainHistory()
@@ -182,7 +186,7 @@ def _run_training(forward_train, forward_val, val_indices, train_indices,
         for oi in order:
             i = train_indices[oi]
             flat.zero_grads()
-            loss = forward_train(i, epoch)
+            loss = forward_train(i)
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"{stage}: non-finite training loss at epoch "
                                          f"{epoch} on trial {trial_ids[i]}")
@@ -190,7 +194,7 @@ def _run_training(forward_train, forward_val, val_indices, train_indices,
             adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
             total += float(loss.data)
         history.train_loss.append(total / max(len(train_indices), 1))
-        vlosses = [forward_val(i) for i in val_indices]
+        vlosses = val_losses()
         vloss = float(np.mean(vlosses))
         if not np.isfinite(vloss):
             bad = [trial_ids[i] for i, v in zip(val_indices, vlosses) if not np.isfinite(v)]
@@ -214,13 +218,30 @@ def _run_training(forward_train, forward_val, val_indices, train_indices,
     return history
 
 
+def _reject_unused(config, name, stage):
+    """A TrainConfig field this stage never reads must keep its default."""
+    default = TrainConfig.__dataclass_fields__[name].default
+    if getattr(config, name) != default:
+        raise ValueError(f"{stage} does not use {name}; leave it at {default!r}, "
+                         f"got {getattr(config, name)!r}")
+
+
+def _val_losses(stacks, inputs, targets, kind, weights):
+    """Loss of each validation trial, from one packed forward."""
+    outs = forward_packed(stacks, inputs)
+    return [float(_loss_node(kind, tz.constant(out), target, weight).data)
+            for out, target, weight in zip(outs, targets, weights)]
+
+
 def train_dae(trials, minmax, config, arch=None):
     """Train the denoising autoencoder on normalized trials.
 
     Inputs are corrupted by the network's own noise layer (train mode
     only); targets are the clean sequences.  Returns a frozen
-    autoencoder bundle and the loss history.
+    autoencoder bundle and the loss history.  ``config.class_weighting``
+    must keep its default: no classes are weighted here.
     """
+    _reject_unused(config, "class_weighting", "train_dae")
     arch = arch or ArchConfig()
     if len(trials) < 2:
         raise ValueError("training needs at least two trials")
@@ -246,21 +267,22 @@ def train_dae(trials, minmax, config, arch=None):
                                     config.seed)
     noise_rng = make_rng(config.seed, PURPOSE["noise"])
 
-    def fwd(i, train):
-        ctx = ForwardContext(train=train, rng=noise_rng,
-                             activity_l2=config.l2 if train else 0.0)
-        params = flat.tensors if train else flat.frozen
+    def fwd(i):
+        ctx = ForwardContext(train=True, rng=noise_rng, activity_l2=config.l2)
         x = tz.constant(values[i])
-        z = forward_stack(specs["encoder"], params["encoder"], x, ctx)
-        out = forward_stack(specs["decoder"], params["decoder"], z, ctx)
+        z = forward_stack(specs["encoder"], flat.tensors["encoder"], x, ctx)
+        out = forward_stack(specs["decoder"], flat.tensors["decoder"], z, ctx)
         loss = _loss_node(config.loss, out, values[i], 1.0)
         if ctx.activity:
             loss = tz.add_n([loss] + ctx.activity)
         return loss
 
+    val_stacks = [(specs[g], flat.frozen[g]) for g in ("encoder", "decoder")]
+    val_values = [values[i] for i in val_idx]
     history = _run_training(
-        forward_train=lambda i, e: fwd(i, True),
-        forward_val=lambda i: float(fwd(i, False).data),
+        forward_train=fwd,
+        val_losses=lambda: _val_losses(val_stacks, val_values, val_values, config.loss,
+                                       [1.0] * len(val_values)),
         val_indices=val_idx, train_indices=train_idx,
         flat=flat, config=config, stage="DAE", trial_ids=[t.trial_id for t in trials],
     )
@@ -283,12 +305,15 @@ def train_supervised(bundle, trials, config, labels=None):
     class weights.  Regression: scores z-normalized with statistics
     fitted on these trials, squared-error loss.  ``labels`` overrides
     the targets stored on the trials (class names for classification,
-    scores for regression).  Encoder features are precomputed once per
-    trial since the encoder never updates.
+    scores for regression).  Encoder features are precomputed once, in
+    packed forwards, since the encoder never updates.
+    ``config.noise_sigma`` must keep its default: the frozen encoder adds
+    no noise.
     """
     mode = bundle.mode
     if mode not in ("classification", "regression"):
         raise ValueError(f"train_supervised needs a skill bundle, got mode '{mode}'")
+    _reject_unused(config, "noise_sigma", "train_supervised")
     class_names = bundle.class_names
     if len(trials) < 2:
         raise ValueError("training needs at least two trials")
@@ -302,7 +327,7 @@ def train_supervised(bundle, trials, config, labels=None):
         raise ValueError(f"{len(labels)} labels for {len(trials)} trials")
 
     # frozen encoder: features computed once
-    feats = [encode_values(bundle, t.values) for t in trials]
+    feats = encode_many(bundle, [t.values for t in trials])
 
     score_stats = None
     if mode == "classification":
@@ -339,18 +364,20 @@ def train_supervised(bundle, trials, config, labels=None):
     train_idx, val_idx = _val_split(range(len(trials)), strata, config.val_fraction,
                                     config.seed)
 
-    def fwd(i, train):
-        ctx = ForwardContext(train=train, activity_l2=config.l2 if train else 0.0)
-        params = flat.tensors if train else flat.frozen
-        out = forward_stack(head, params["head"], tz.constant(feats[i]), ctx)
+    def fwd(i):
+        ctx = ForwardContext(train=True, activity_l2=config.l2)
+        out = forward_stack(head, flat.tensors["head"], tz.constant(feats[i]), ctx)
         loss = _loss_node(config.loss, out, targets[i], sample_w[i])
         if ctx.activity:
             loss = tz.add_n([loss] + ctx.activity)
         return loss
 
+    val_stacks = [(head, flat.frozen["head"])]
     history = _run_training(
-        forward_train=lambda i, e: fwd(i, True),
-        forward_val=lambda i: float(fwd(i, False).data),
+        forward_train=fwd,
+        val_losses=lambda: _val_losses(val_stacks, [feats[i] for i in val_idx],
+                                       [targets[i] for i in val_idx], config.loss,
+                                       [sample_w[i] for i in val_idx]),
         val_indices=val_idx, train_indices=train_idx,
         flat=flat, config=config, stage="head", trial_ids=[t.trial_id for t in trials],
     )

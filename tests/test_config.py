@@ -298,6 +298,18 @@ def test_replay_from_run_cfg_is_byte_identical(tiny_run, tmp_path):
         assert first[name] == second[name], name
 
 
+def test_jobs_2_matches_jobs_1(tiny_manifest, tiny_run, tmp_path):
+    parallel = str(tmp_path / "jobs2")
+    assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", parallel,
+                   "--seed", 3, "--jobs", 2, *TINY_RUN) == 0
+    first, second = tree_bytes(tiny_run), tree_bytes(parallel)
+    assert sorted(first) == sorted(second)
+    assert {"metrics.txt", "fold_2/bundle.skq", "fold_2/predictions.csv",
+            "fold_2/cams.csv"} <= set(first)
+    for name in first:
+        assert first[name] == second[name], name
+
+
 @pytest.mark.parametrize("edit, line, key", [
     ("drop", None, "dae_patience"),
     ("append", 27, "clf_noise_sigma"),

@@ -70,10 +70,28 @@ def test_trial_text_optional_fields_absent():
     ("# subject=A\n# subject=B\n# trial=0\n# rate_hz=1\nt,x\n0,1\n", "duplicate header"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nx,y\n0,1\n", "first column must be 't'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,x\n0,1,2\n", "duplicate channel"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,3,abc\n",
+     "line 6, column 'y': non-numeric value 'abc'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1, ,z \n",
+     "line 6, column 'y': non-numeric value 'z'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1.5,2\n",
+     "line 6, column 't': non-integer value '1.5'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n3,1\n3,2\n",
+     "line 6, column 't': timestamp 3 not increasing"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n\n2,3\n",
+     "line 7: expected 3 fields, got 2"),
 ])
 def test_trial_text_diagnostics(text, fragment):
     with pytest.raises(TrialFormatError, match=fragment):
         parse_trial_text(text)
+
+
+def test_trial_text_cells_keep_csv_quoting_and_blank_cells():
+    text = ('# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n'
+            '0, 1.5 ,"2.5"\n1,,\n\n2,"-0.0", 7\n')
+    values = parse_trial_text(text).values
+    np.testing.assert_array_equal(values, [[1.5, 2.5], [np.nan, np.nan], [-0.0, 7.0]])
+    assert np.signbit(values[2, 0])
 
 
 def test_trial_text_origin_in_message():

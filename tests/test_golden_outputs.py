@@ -2,9 +2,12 @@
 
 The tiny run of ``test_config.py`` (3 subjects x 8 trials, ``stratified3``,
 2 DAE and 3 head epochs, widths 8, seed 3) runs in a fresh interpreter
-with BLAS pinned to one thread, as the benchmark runs it.  The sha256 of
-its ``metrics.txt`` and of every fold's ``predictions.csv``, ``cams.csv``
-and ``bundle.skq`` must equal the digests recorded for this platform.
+with BLAS pinned to one thread, as the benchmark runs it, and then the
+CLI ``predict`` and ``cam`` commands score the whole tiny manifest with
+fold 0's bundle.  The sha256 of the run's ``metrics.txt``, of every fold's
+``predictions.csv``, ``cams.csv`` and ``bundle.skq`` and of the CLI's
+``records.csv`` and ``cams.csv`` must equal the digests recorded for this
+platform.
 Floating-point bytes depend on the numpy/scipy versions, the OpenBLAS
 kernel and the SIMD targets (``perfbench/envinfo.platform_key``), so an
 unrecorded platform skips the check.
@@ -28,6 +31,7 @@ EVALUATE = ("evaluate", "--seed", "3", "--scheme", "stratified3", "--dae-max-epo
 OUTPUTS = ("metrics.txt",) + tuple(
     f"fold_{k}/{name}" for k in range(3)
     for name in ("bundle.skq", "cams.csv", "predictions.csv"))
+CLI_OUTPUTS = ("cli/records.csv", "cli/cams.csv")
 
 GOLDEN = {
     "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
@@ -44,6 +48,8 @@ GOLDEN = {
         "fold_2/cams.csv": "fa3075c851d4baacd16ce13a09c2a77abad507a6f0097f5f3ca8eed17454b820",
         "fold_2/predictions.csv":
             "16dfda3da11faf0e57f777bee28dc02a83c62df96eda0e73834882a04044e6e8",
+        "cli/records.csv": "280043efc3e837922a9d0f3def2f3fca4fb3024771d8d478afa2854808681590",
+        "cli/cams.csv": "92bc427970f39ca71792d91c5c5f5f82137055458710192aeaab2fbc167badcf",
     },
 }
 
@@ -74,8 +80,15 @@ def tiny_run_digests(src, work):
     _skillseq(SYNTH + ("--out", data), env)
     _skillseq(EVALUATE + ("--manifest", os.path.join(data, "manifest.csv"), "--out", run),
               env)
+    bundle = os.path.join(run, "fold_0", "bundle.skq")
+    scored = os.path.join(run, "cli")
+    os.makedirs(scored)
+    for command, out in (("predict", "records.csv"), ("cam", "cams.csv")):
+        _skillseq((command, "--bundle", bundle, "--manifest",
+                   os.path.join(data, "manifest.csv"), "--out", os.path.join(scored, out)),
+                  env)
     digests = {}
-    for rel in OUTPUTS:
+    for rel in OUTPUTS + CLI_OUTPUTS:
         with open(os.path.join(run, rel), "rb") as fh:
             digests[rel] = hashlib.sha256(fh.read()).hexdigest()
     return digests

@@ -227,3 +227,21 @@ def test_encoder_head_spec_shapes():
     head = head_specs(arch, n_out=2)
     assert enc[0].kind == "gaussian-noise"
     assert head[-2].kind == "gap" or head[-1].kind in ("dense", "softmax")
+
+
+@pytest.mark.parametrize("stage, field, value", [
+    ("dae", "class_weighting", "none"),
+    ("head", "noise_sigma", 0.05),
+])
+def test_training_stage_rejects_fields_it_does_not_use(small_dae, small_normalized,
+                                                       stage, field, value):
+    dae, _ = small_dae
+    trials, minmax = small_normalized
+    loss = "bce" if stage == "dae" else "cosine"
+    cfg = TrainConfig(learning_rate=0.001, max_epochs=1, patience=1, loss=loss, seed=0,
+                      **{field: value})
+    with pytest.raises(ValueError, match=field):
+        if stage == "dae":
+            train_dae(trials, minmax, cfg, SMALL_ARCH)
+        else:
+            train_supervised(build_classifier(dae, "classification", SMALL_ARCH), trials, cfg)

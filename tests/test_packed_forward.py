@@ -1,0 +1,163 @@
+"""Packed forwards against one forward per trial, byte for byte.
+
+``layers.forward_packed`` concatenates trials along time with zero halos
+and runs each BLAS call and reduction once per trial.  Every batch path
+built on it must give the bytes (``tobytes``) of the one-trial path:
+encoder features, head outputs, pre-GAP activations, prediction records,
+activation maps and the training loop's validation losses.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import skillseq.layers as layers
+import skillseq.tensor as tz
+from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial
+from skillseq.explain import compute_cam, predict_with_cams
+from skillseq.layers import ForwardContext, forward_packed, forward_stack, wrap_params
+from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, encode_many,
+                            encode_values, encoder_specs, head_forward, head_specs, predict,
+                            predict_many)
+from skillseq.training import _val_losses
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _weights(rng, specs, group):
+    params = layers.init_stack_params(specs, rng)
+    # non-zero biases and attention weights, so every term reaches the output
+    return {f"{group}/{k}": v + rng.normal(0.0, 0.3, size=v.shape) for k, v in params.items()}
+
+
+def _bundle(rng, arch, n_channels, classification):
+    channels = tuple(f"c{i}" for i in range(n_channels))
+    enc = encoder_specs(arch, n_channels)
+    head = head_specs(arch, 2 if classification else 1, classification)
+    weights = {**_weights(rng, enc, "encoder"), **_weights(rng, head, "head")}
+    return ModelBundle(
+        mode="classification" if classification else "regression",
+        groups={"encoder": enc, "head": head}, weights=weights,
+        trainable={"encoder": False, "head": True},
+        minmax=MinMaxStats(channels, np.zeros(n_channels), np.ones(n_channels), ()),
+        score_stats=None if classification else ScoreStats(50.0, 10.0, ()),
+        class_names=("pass", "fail") if classification else None)
+
+
+def _trials(rng, lengths, n_channels):
+    return [Trial(subject_id="S1", trial_index=i, sample_rate_hz=1.0,
+                  channels=tuple(f"c{c}" for c in range(n_channels)),
+                  values=rng.random((T, n_channels)), score=float(i),
+                  class_label=("pass", "fail", None)[i % 3], stage=NORMALIZED)
+            for i, T in enumerate(lengths)]
+
+
+arch_strategy = st.builds(
+    lambda width, emb, clf_width, K, dilation: ArchConfig(
+        enc_width=width, emb_channels=emb, kernel_size=K, reduction=2,
+        clf_width=clf_width, clf_dilation=dilation),
+    width=st.sampled_from([2, 4, 6]), emb=st.integers(1, 5),
+    clf_width=st.sampled_from([2, 4, 8]), K=st.sampled_from([1, 3, 5]),
+    dilation=st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), arch=arch_strategy,
+       lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       n_channels=st.integers(1, 4), classification=st.booleans(),
+       pack_rows=st.sampled_from([40, 90, 2048]))
+def test_packed_model_paths_match_one_trial_paths(seed, arch, lengths, n_channels,
+                                                  classification, pack_rows):
+    rng = np.random.default_rng(seed)
+    bundle = _bundle(rng, arch, n_channels, classification)
+    trials = _trials(rng, lengths, n_channels)
+    values = [t.values for t in trials]
+    # small row budgets split the batch into several chunks, some of one trial
+    with mock.patch.object(layers, "PACK_ROWS", pack_rows):
+        feats = encode_many(bundle, values)
+        records, cams = predict_with_cams(bundle, trials)
+        assert predict_many(bundle, trials) == records
+        stacks = [(bundle.groups[g], wrap_params(bundle.group_params(g), False))
+                  for g in ("encoder", "head")]
+        outs, pre_gaps = forward_packed(stacks, values, capture=True)
+    for i, trial in enumerate(trials):
+        feat = encode_values(bundle, trial.values)
+        assert _bits(feats[i]) == _bits(feat)
+        out, pre_gap = head_forward(bundle, feat, capture=True)
+        assert _bits(outs[i]) == _bits(out)
+        assert _bits(pre_gaps[i]) == _bits(pre_gap)
+        rec = predict(bundle, trial)
+        assert records[i] == rec
+        assert (_bits(records[i].confidences or ()) == _bits(rec.confidences or ()))
+        cam = compute_cam(bundle, trial)
+        assert cams[i].class_index == cam.class_index
+        assert _bits(cams[i].raw) == _bits(cam.raw)
+        assert _bits(cams[i].intensity) == _bits(cam.intensity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), arch=arch_strategy,
+       lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       n_channels=st.integers(1, 4), classification=st.booleans())
+def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_channels,
+                                                         classification):
+    rng = np.random.default_rng(seed)
+    enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
+    head = head_specs(arch, 2 if classification else 1, classification)
+    params = {name: wrap_params({k.split("/", 1)[1]: v for k, v in
+                                 _weights(rng, specs, name).items()}, False)
+              for name, specs in (("encoder", enc), ("decoder", dec), ("head", head))}
+    values = [rng.random((T, n_channels)) for T in lengths]
+    feats = [rng.normal(size=(T, arch.emb_channels)) for T in lengths]
+    if classification:
+        targets = [np.array([1.0, 0.0]) if i % 2 else np.array([0.0, 1.0])
+                   for i in range(len(lengths))]
+    else:
+        targets = [rng.normal(size=1) for _ in lengths]
+    weights = list(rng.uniform(0.5, 2.0, size=len(lengths)))
+    kind = "cosine" if classification else "mse"
+
+    def one_trial(stacks, x, target, loss, weight):
+        ctx = ForwardContext()
+        out = tz.constant(x)
+        for specs, p in stacks:
+            out = forward_stack(specs, p, out, ctx)
+        return float(tz.loss_eval(loss, out, target, weight).data)
+
+    dae = [(enc, params["encoder"]), (dec, params["decoder"])]
+    packed = _val_losses(dae, values, values, "bce", [1.0] * len(values))
+    expected = [one_trial(dae, v, v, "bce", 1.0) for v in values]
+    assert _bits(packed) == _bits(expected)
+    heads = [(head, params["head"])]
+    packed = _val_losses(heads, feats, targets, kind, weights)
+    expected = [one_trial(heads, f, t, kind, w) for f, t, w in zip(feats, targets, weights)]
+    assert _bits(packed) == _bits(expected)
+
+
+def test_packed_forward_keeps_halo_rows_zero():
+    rng = np.random.default_rng(0)
+    segments = tz.Segments([3, 1, 4], 2)
+    assert segments.bounds == [(0, 3), (5, 6), (8, 12)]
+    assert list(segments.halo_rows) == [3, 4, 6, 7]
+    w = tz.constant(rng.normal(size=(5, 2, 3)))
+    b = tz.constant(rng.normal(size=3))
+    x = tz.constant(segments.pack([rng.normal(size=(n, 2)) for n in (3, 1, 4)]))
+    out = tz.conv1d(x, w, b, 1, segments)
+    assert not out.data[segments.halo_rows].any()
+
+
+def test_packed_forward_records_no_gradients():
+    segments = tz.Segments([2, 2], 1)
+    x = tz.constant(np.ones((5, 1)))
+    with pytest.raises(ValueError, match="records no gradients"):
+        tz.conv1d(x, tz.parameter(np.ones((1, 1, 1))), tz.constant(np.zeros(1)), 1, segments)
+    specs = (layers.LayerSpec("conv1d", in_channels=1, out_channels=1),)
+    params = wrap_params({"0.w": np.ones((1, 1, 1)), "0.b": np.zeros(1)}, False)
+    for ctx in (ForwardContext(train=True, segments=segments),
+                ForwardContext(activity_l2=1e-3, segments=segments)):
+        with pytest.raises(ValueError, match="eval mode"):
+            forward_stack(specs, params, x, ctx)
