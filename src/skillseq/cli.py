@@ -17,6 +17,12 @@ Exit codes:
 On any failure the last line of output is a single-line diagnostic of
 the form ``error: usage: <message>`` or ``error: runtime: <message>``.
 
+Every subcommand's help text, handler and options sit in one table
+(``_COMMANDS``).  ``dispatch`` builds the parser for the one subcommand
+it runs: all subcommands are listed, so top-level help and error text
+are complete, but only that subcommand gets its options.  Help, usage
+and error output are byte-for-byte those of a parser built whole.
+
 Run-key flags, config files and run.cfg share one key table
 (``config.RUN_KEYS``).  Settings resolve as flags > config file >
 defaults, with the SKILLSEQ_SEED environment variable as the weakest
@@ -27,6 +33,7 @@ plus manifest reproduce every report byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -350,75 +357,87 @@ def _cmd_gradcheck(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
+def _exponent(raw):
+    """A trust exponent (--alpha, --beta): a finite number > 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got '{raw}'")
+    return value
+
+
+def _opt(*names, **kwargs):
+    return names, kwargs
+
+
+_RUN_OPTS = (_opt("--config", help="run config file"), RUN_KEYS)
+_JOBS_OPTS = (_opt("--jobs", type=int, default=1), _opt("--verbose", action="store_true"))
+_SCORING_INPUTS = (_opt("--bundle", required=True), _opt("--manifest", required=True))
+
+# name -> (help, handler, options); an option is an ``_opt`` or a key table
+_COMMANDS = {
+    "synth": ("generate a synthetic dataset", _cmd_synth, (
+        _opt("--spec", help="generator config file"),
+        _opt("--out", required=True, help="output directory"),
+        SYNTH_KEYS)),
+    "ingest-check": ("validate a dataset manifest", _cmd_ingest_check, (
+        _opt("--manifest", required=True),)),
+    "train-dae": ("train dae over a manifest", _cmd_train_dae, _RUN_OPTS),
+    "train-classifier": ("train classifier over a manifest", _cmd_train_classifier,
+                         _RUN_OPTS + (_opt("--dae", help="reuse a trained autoencoder bundle"),)),
+    "evaluate": ("evaluate over a manifest", _cmd_evaluate, _RUN_OPTS + _JOBS_OPTS),
+    "predict": ("score trials with a trained bundle", _cmd_predict, _SCORING_INPUTS + (
+        _opt("--out", required=True, help="output records CSV"),
+        _SCORING_KEYS)),
+    "cam": ("per-timestep activation maps", _cmd_cam, _SCORING_INPUTS + (
+        _opt("--out", required=True, help="output CSV"),
+        _opt("--target-class", help="class name or output index"),
+        _opt("--overlay-dir", help="also render one trajectory figure per trial"),
+        _SCORING_KEYS)),
+    "trust": ("trust report from prediction records", _cmd_trust, (
+        _opt("--records", required=True, help="prediction records CSV"),
+        _opt("--alpha", type=_exponent, default=1.0),
+        _opt("--beta", type=_exponent, default=1.0),
+        _opt("--out", required=True))),
+    "validate-cam": ("masked retraining study over a run", _cmd_validate_cam, (
+        _opt("--run", required=True, help="baseline run directory"),
+        _opt("--out")) + _JOBS_OPTS),
+    "gradcheck": ("finite-difference gradient audit", _cmd_gradcheck, (
+        _opt("--configs", type=int, default=20),
+        _opt("--seed", type=int, default=0))),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with options on ``command``'s subparser only.
+
+    Every subcommand is listed, so top-level help and ``invalid choice``
+    messages are complete; the options of the others, which one
+    invocation never reads, are not built.
+    """
     parser = _Parser(prog="skillseq",
                      description="Tool-motion skill scoring pipeline")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--spec", help="generator config file")
-    p.add_argument("--out", required=True, help="output directory")
-    add_key_flags(p, SYNTH_KEYS)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("ingest-check", help="validate a dataset manifest")
-    p.add_argument("--manifest", required=True)
-    p.set_defaults(func=_cmd_ingest_check)
-
-    for name, handler in (("train-dae", _cmd_train_dae),
-                          ("train-classifier", _cmd_train_classifier),
-                          ("evaluate", _cmd_evaluate)):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} over a manifest")
-        p.add_argument("--config", help="run config file")
-        add_key_flags(p, RUN_KEYS)
-        if name == "train-classifier":
-            p.add_argument("--dae", help="reuse a trained autoencoder bundle")
-        if name == "evaluate":
-            p.add_argument("--jobs", type=int, default=1)
-            p.add_argument("--verbose", action="store_true")
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
-
-    p = sub.add_parser("predict", help="score trials with a trained bundle")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="output records CSV")
-    add_key_flags(p, _SCORING_KEYS)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("cam", help="per-timestep activation maps")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--target-class", help="class name or output index")
-    p.add_argument("--overlay-dir", help="also render one trajectory figure per trial")
-    add_key_flags(p, _SCORING_KEYS)
-    p.set_defaults(func=_cmd_cam)
-
-    p = sub.add_parser("trust", help="trust report from prediction records")
-    p.add_argument("--records", required=True, help="prediction records CSV")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_trust)
-
-    p = sub.add_parser("validate-cam", help="masked retraining study over a run")
-    p.add_argument("--run", required=True, help="baseline run directory")
-    p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=_cmd_validate_cam)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--configs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gradcheck)
-
+        if name != command:
+            continue
+        for option in options:
+            if isinstance(option, dict):
+                add_key_flags(p, option)
+            else:
+                p.add_argument(*option[0], **option[1])
     return parser
 
 
 def dispatch(argv):
     """Run one invocation; returns the process exit status."""
-    parser = build_parser()
+    # the top-level parser takes no option values, so its first positional
+    # argument, the subcommand, is the first argument without a leading "-"
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -101,7 +101,8 @@ def fill_gaps(trial):
 
     An interior gap becomes the mean of its two nearest observed
     neighbors; leading and trailing gaps copy the nearest observed value.
-    A channel with no observed value at all is rejected.
+    A channel with no observed value at all is rejected.  Work per channel
+    is one pass over its observed indices plus one step per gap.
     """
     _require_stage(trial, RAW, "fill_gaps")
     vals = trial.values.copy()
@@ -115,9 +116,9 @@ def fill_gaps(trial):
         first, last = valid[0], valid[-1]
         col[:first] = col[first]
         col[last + 1:] = col[last]
-        for i, j in zip(valid[:-1], valid[1:]):
-            if j > i + 1:
-                col[i + 1:j] = 0.5 * (col[i] + col[j])
+        for g in np.flatnonzero(np.diff(valid) > 1).tolist():
+            i, j = valid[g], valid[g + 1]
+            col[i + 1:j] = 0.5 * (col[i] + col[j])
     return replace(trial, values=vals, stage=FILLED)
 
 
@@ -322,9 +323,22 @@ def parse_trial_csv(path):
     header row, then one row per frame.  Empty cells mark missing
     detections.  Errors carry the line number and column name.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    return parse_trial_text(text, origin=str(path))
+    return parse_trial_text(_read_text(path), origin=str(path))
+
+
+def _read_text(path):
+    """A file's UTF-8 text, newlines untranslated; undecodable bytes raise a
+    TrialFormatError that names the file, line and byte offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise TrialFormatError(
+            f"{path} line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+            f"at offset {exc.start}: {exc.reason})"
+        ) from None
 
 
 def parse_trial_text(text, origin="<string>"):
@@ -386,7 +400,7 @@ def parse_trial_text(text, origin="<string>"):
     last_t = None
     for r, row in enumerate(rows[1:]):
         lineno = i + 2 + r
-        if len(row) == 0 or (len(row) == 1 and row[0].strip() == ""):
+        if _blank(row):
             continue
         if len(row) != len(header):
             raise TrialFormatError(
@@ -407,6 +421,14 @@ def parse_trial_text(text, origin="<string>"):
             data.extend(_cells(row[1:], channels, origin, lineno))
     if not data:
         raise TrialFormatError(f"{origin}: no data rows")
+    values = np.array(data).reshape(-1, len(channels))
+    if np.isinf(values).any():   # float() reads "inf"; one test per trial
+        k, c = np.argwhere(np.isinf(values))[0]
+        r = [r for r, row in enumerate(rows[1:]) if not _blank(row)][k]
+        raise TrialFormatError(
+            f"{origin} line {i + 2 + r}, column '{channels[c]}': "
+            f"non-finite value '{rows[1 + r][1 + c].strip()}'"
+        )
 
     try:
         return Trial(
@@ -414,13 +436,17 @@ def parse_trial_text(text, origin="<string>"):
             trial_index=trial_index,
             sample_rate_hz=rate,
             channels=channels,
-            values=np.array(data).reshape(-1, len(channels)),
+            values=values,
             score=score,
             class_label=label,
             stage=RAW,
         )
     except ValueError as e:
         raise TrialFormatError(f"{origin}: {e}")
+
+
+def _blank(row):
+    return len(row) == 0 or (len(row) == 1 and row[0].strip() == "")
 
 
 def _cells(cells, channels, origin, lineno):
@@ -514,12 +540,11 @@ def load_manifest(path):
     """
     base = os.path.dirname(os.path.abspath(path))
     trials = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     if not rows or [h.strip() for h in rows[0]] != ["path", "subject", "trial"]:
         raise TrialFormatError(f"{path}: manifest header must be 'path,subject,trial'")
     for r, row in enumerate(rows[1:]):
-        if len(row) == 0 or (len(row) == 1 and row[0].strip() == ""):
+        if _blank(row):
             continue
         if len(row) != 3:
             raise TrialFormatError(f"{path} line {r + 2}: expected 3 fields, got {len(row)}")

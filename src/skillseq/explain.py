@@ -19,6 +19,7 @@ and each map's ``pre_gap @ w[:, c]`` runs per trial.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,15 +147,21 @@ def mask_with_cams(dataset, cams):
 
 
 def write_cams_csv(cams, path):
-    """Persist maps one row per timestep, sorted by trial then time."""
+    """Persist maps one row per timestep, sorted by trial then time.
+
+    The file is ``csv.writer`` output (``\\r\\n`` rows, the trial id quoted
+    where it needs it); each map goes out in one write, its
+    ``trial_id,class_index`` prefix formatted once.
+    """
     by_id = sorted(cams, key=lambda c: c.trial_id)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial_id", "class_index", "t", "raw", "intensity"])
+        csv.writer(fh).writerow(["trial_id", "class_index", "t", "raw", "intensity"])
         for cam in by_id:
-            for t in range(len(cam)):
-                w.writerow([cam.trial_id, cam.class_index, t,
-                            repr(float(cam.raw[t])), repr(float(cam.intensity[t]))])
+            buf = io.StringIO()
+            csv.writer(buf).writerow([cam.trial_id, cam.class_index])
+            head = buf.getvalue()[:-2]   # without the row terminator
+            fh.write("".join([f"{head},{t},{raw!r},{inten!r}\r\n" for t, (raw, inten)
+                              in enumerate(zip(cam.raw.tolist(), cam.intensity.tolist()))]))
 
 
 def read_cams_csv(path):
@@ -166,8 +173,12 @@ def read_cams_csv(path):
         if header != ["trial_id", "class_index", "t", "raw", "intensity"]:
             raise ValueError(f"{path}: unrecognized activation-map header {header}")
         for row in r:
-            tid, ci, t, raw, inten = row
-            rows.setdefault(tid, []).append((int(t), int(ci), float(raw), float(inten)))
+            try:
+                tid, ci, t, raw, inten = row
+                entry = (int(t), int(ci), float(raw), float(inten))
+            except ValueError:
+                raise ValueError(f"{path} line {r.line_num}{_bad_cam_row(row)}") from None
+            rows.setdefault(tid, []).append(entry)
     cams = {}
     for tid, entries in rows.items():
         entries.sort()
@@ -177,10 +188,28 @@ def read_cams_csv(path):
         classes = {e[1] for e in entries}
         if len(classes) != 1:
             raise ValueError(f"{path}: {tid} mixes class indices")
-        cams[tid] = CamMap(
-            trial_id=tid,
-            class_index=entries[0][1],
-            raw=np.array([e[2] for e in entries]),
-            intensity=np.array([e[3] for e in entries]),
-        )
+        try:
+            cams[tid] = CamMap(
+                trial_id=tid,
+                class_index=entries[0][1],
+                raw=np.array([e[2] for e in entries]),
+                intensity=np.array([e[3] for e in entries]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return cams
+
+
+def _bad_cam_row(row):
+    """What is wrong with a cams.csv row that failed to parse, as the tail
+    of a ``<path> line <n>`` message."""
+    if len(row) != 5:
+        return f": expected 5 fields, got {len(row)}"
+    for name, parse, cell in (("class_index", int, row[1]), ("t", int, row[2]),
+                              ("raw", float, row[3]), ("intensity", float, row[4])):
+        try:
+            parse(cell)
+        except ValueError:
+            break
+    kind = "an integer" if parse is int else "a number"
+    return f", column '{name}': expected {kind}, got '{cell}'"

@@ -6,6 +6,14 @@ consumed as consecutive (x, y) pairs, one pair per tool.  Each tool has
 its own 256-step color ramp; a vertex at intensity v gets ramp color
 ``round(v * 255)``, interpolated linearly per RGB component between the
 ramp's two documented endpoints.
+
+Rendering is table-driven and takes one pass per column: every ramp's
+256 colors and the strip's 256 greys are built once, at import, from
+the integer step with ``ramp_color``'s arithmetic; per-vertex steps,
+frame-to-map indices and strip cells are computed as whole arrays
+(``np.rint`` rounds half to even, as ``round`` does); and each
+coordinate is formatted once and shared by the polyline and the
+vertex's circle.  The SVG bytes are those of the per-vertex formulas.
 """
 
 from __future__ import annotations
@@ -33,12 +41,26 @@ RAMPS = (
 )
 
 
+def _step_color(lo, hi, q):
+    rgb = [int(round(a + (b - a) * q / 255.0)) for a, b in zip(lo, hi)]
+    return "#%02x%02x%02x" % tuple(rgb)
+
+
 def ramp_color(tool_index, intensity):
     """Hex color for one vertex: 256 linear steps between ramp endpoints."""
     lo, hi = RAMPS[tool_index % len(RAMPS)]
-    q = int(round(float(np.clip(intensity, 0.0, 1.0)) * 255.0))
-    rgb = [int(round(a + (b - a) * q / 255.0)) for a, b in zip(lo, hi)]
-    return "#%02x%02x%02x" % tuple(rgb)
+    return _step_color(lo, hi, int(round(float(np.clip(intensity, 0.0, 1.0)) * 255.0)))
+
+
+# color of step q on ramp k, and the strip's grey of level g
+_RAMP_TABLES = tuple(np.array([_step_color(lo, hi, q) for q in range(256)], dtype=object)
+                     for lo, hi in RAMPS)
+_GREY_TABLE = np.array(["#%02x%02x%02x" % (g, g, g) for g in range(256)], dtype=object)
+
+
+def _steps(v):
+    """``round(v * 255)`` of every entry of ``v``, as table indices."""
+    return np.rint(v * 255.0).astype(np.intp)
 
 
 def _tool_name(x_name, y_name, index):
@@ -62,8 +84,11 @@ def tool_pairs(channels):
     return tuple(pairs)
 
 
-def _cam_index(frame, n_frames, cam_len):
-    return min(int(frame * cam_len / n_frames), cam_len - 1)
+def _cam_indices(n_frames, cam_len):
+    """Map index of every raw frame: ``min(floor(i * cam_len / n_frames),
+    cam_len - 1)``."""
+    return np.minimum((np.arange(n_frames) * cam_len / n_frames).astype(np.intp),
+                      cam_len - 1)
 
 
 def _fmt(v):
@@ -113,30 +138,25 @@ def render_cam_overlay(trial_raw, cam, output_path):
         'fill="white" stroke="#404040" stroke-width="1"/>',
     ]
 
+    steps = _steps(np.clip(intensity, 0.0, 1.0))[_cam_indices(n, len(intensity))]
     for tool, (cx, cy, name) in enumerate(pairs):
-        xs = np.clip(values[:, cx], 0.0, CANVAS_W)
-        ys = np.clip(values[:, cy], 0.0, CANVAS_H)
-        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        xs = [_fmt(x) for x in np.clip(values[:, cx], 0.0, CANVAS_W).tolist()]
+        ys = [_fmt(y) for y in np.clip(values[:, cy], 0.0, CANVAS_H).tolist()]
+        points = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#b0b0b0" '
             f'stroke-width="0.8"><title>{name}</title></polyline>'
         )
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            v = intensity[_cam_index(i, n, len(intensity))]
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.2" '
-                f'fill="{ramp_color(tool, v)}"/>'
-            )
+        colors = _RAMP_TABLES[tool % len(RAMPS)][steps].tolist()
+        parts.extend([f'<circle cx="{x}" cy="{y}" r="2.2" fill="{c}"/>'
+                      for x, y, c in zip(xs, ys, colors)])
 
     strip_y = CANVAS_H + STRIP_GAP
     seg_w = CANVAS_W / len(intensity)
-    for i, v in enumerate(intensity):
-        grey = int(round((1.0 - float(np.clip(v, 0.0, 1.0))) * 255.0))
-        parts.append(
-            f'<rect x="{_fmt(i * seg_w)}" y="{_fmt(strip_y)}" '
-            f'width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}" '
-            f'fill="#%02x%02x%02x"/>' % (grey, grey, grey)
-        )
+    cell = f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"'
+    greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))].tolist()
+    xs = (np.arange(len(intensity)) * seg_w).tolist()
+    parts.extend([f'<rect x="{_fmt(x)}" {cell} fill="{g}"/>' for x, g in zip(xs, greys)])
     parts.append(
         f'<rect x="0" y="{_fmt(strip_y)}" width="{int(CANVAS_W)}" '
         f'height="{_fmt(STRIP_H)}" fill="none" stroke="#404040" stroke-width="1"/>'

@@ -1,0 +1,71 @@
+"""cams.csv: the joined writer's bytes and the reader's diagnostics."""
+
+import csv
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skillseq.explain import CamMap, read_cams_csv, write_cams_csv
+
+
+def per_row_csv(cams, path):
+    """Oracle: one ``csv.writer.writerow`` per timestep."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["trial_id", "class_index", "t", "raw", "intensity"])
+        for cam in sorted(cams, key=lambda c: c.trial_id):
+            for t in range(len(cam)):
+                w.writerow([cam.trial_id, cam.class_index, t,
+                            repr(float(cam.raw[t])), repr(float(cam.intensity[t]))])
+
+
+trial_ids = st.text(st.sampled_from('S01:9 ,"x\r\n'), min_size=1, max_size=8)
+# |raw| <= 1e300 keeps from_raw's max - min finite
+finite = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@st.composite
+def cam_lists(draw):
+    ids = draw(st.lists(trial_ids, min_size=1, max_size=5, unique=True))
+    cams = []
+    for tid in ids:
+        raw = draw(st.lists(finite, min_size=1, max_size=30))
+        cams.append(CamMap.from_raw(tid, draw(st.integers(0, 3)), raw))
+    return cams
+
+
+@settings(max_examples=150, deadline=None)
+@given(cams=cam_lists())
+def test_joined_writer_matches_one_writerow_per_timestep(cams, tmp_path_factory):
+    root = tmp_path_factory.mktemp("cams")
+    write_cams_csv(cams, root / "joined.csv")
+    per_row_csv(cams, root / "rows.csv")
+    assert (root / "joined.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+
+def test_quoted_trial_ids_read_back(tmp_path):
+    cams = [CamMap.from_raw(tid, 1, [0.5, -1.0, 2.0]) for tid in ('a,b', 'say "hi"', ' s ')]
+    write_cams_csv(cams, tmp_path / "cams.csv")
+    back = read_cams_csv(tmp_path / "cams.csv")
+    assert sorted(back) == sorted(c.trial_id for c in cams)
+    for cam in cams:
+        assert back[cam.trial_id].raw.tobytes() == cam.raw.tobytes()
+
+
+HEADER = "trial_id,class_index,t,raw,intensity\r\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("S1:0,0,1,abc,0.5", " line 3, column 'raw': expected a number, got 'abc'"),
+    ("S1:0,0,1,0.5", " line 3: expected 5 fields, got 4"),
+    ("S1:0,0,1.0,0.5,0.5", " line 3, column 't': expected an integer, got '1.0'"),
+    ("S1:0,x,1,0.5,0.5", " line 3, column 'class_index': expected an integer, got 'x'"),
+    ("S1:0,0,1,0.5,nope", " line 3, column 'intensity': expected a number, got 'nope'"),
+    ("S1:0,0,1,inf,0.5", ": S1:0: non-finite activation map"),
+])
+def test_bad_cams_csv_names_path_and_line(tmp_path, row, message):
+    path = tmp_path / "cams.csv"
+    path.write_text(HEADER + "S1:0,0,0,0.0,0.0\r\n" + row + "\r\n", newline="")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        read_cams_csv(path)

@@ -1,9 +1,12 @@
-"""CLI input checks: a missing input file is a usage error (exit 2)."""
+"""CLI input checks: a missing input file or a bad flag value is a usage
+error (exit 2); a malformed input file is a runtime error (exit 1) whose
+message names the file and line."""
 
 import pytest
 
 from skillseq.bundle import save_bundle
 from skillseq.cli import dispatch
+from skillseq.records import PredictionRecord, write_records_csv
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +39,61 @@ def test_missing_scoring_input_is_a_usage_error(scoring_inputs, tmp_path, capsys
     assert rc == 2
     assert err == f"error: usage: {missing} not found: {paths[missing]}"
     assert not (tmp_path / "out.csv").exists()
+
+
+def last_error(capsys):
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def records_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records_csv([PredictionRecord(f"S1:{i}", "S1", i, actual=i % 2, predicted=i // 2 % 2,
+                                        confidences=(0.25 + 0.125 * i, 0.75 - 0.125 * i))
+                       for i in range(4)], path)
+    return str(path)
+
+
+def trust_argv(records_file, out, *flags):
+    return ["trust", "--records", records_file, "--out", str(out), *flags]
+
+
+def test_trust_takes_positive_exponents(records_file, tmp_path):
+    out = tmp_path / "trust"
+    assert dispatch(trust_argv(records_file, out, "--alpha", "0.5", "--beta", "2")) == 0
+    assert "alpha = 0.5\nbeta = 2\n" in (out / "trust.txt").read_text()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value, joined", [
+    ("nan", False), ("inf", False), ("-inf", True), ("0", False), ("-0.0", True),
+    ("-1", False), ("abc", False)])
+def test_trust_exponent_must_be_finite_and_positive(records_file, tmp_path, capsys,
+                                                    flag, value, joined):
+    out = tmp_path / "trust"
+    flags = [f"{flag}={value}"] if joined else [flag, value]
+    rc = dispatch(trust_argv(records_file, out, *flags))
+    assert rc == 2
+    assert last_error(capsys) == (f"error: usage: argument {flag}: "
+                                  f"expected a finite number > 0, got '{value}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("last_row, message", [
+    (b"1,3,inf\n", "line 6, column 'y': non-finite value 'inf'"),
+    (b"1,\xff,2\n", "line 6: not UTF-8 text (byte 0xff at offset 49: invalid start byte)"),
+])
+@pytest.mark.parametrize("command", ["ingest-check", "predict"])
+def test_bad_trial_file_is_a_runtime_error_naming_it(scoring_inputs, tmp_path, capsys,
+                                                     last_row, message, command):
+    trial = tmp_path / "trial.csv"
+    trial.write_bytes(b"# subject=S1\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n" + last_row)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,subject,trial\ntrial.csv,S1,0\n")
+    if command == "ingest-check":
+        argv = [command, "--manifest", str(manifest)]
+    else:
+        argv = scoring_argv(command, dict(scoring_inputs, manifest=str(manifest)),
+                            tmp_path / "out.csv")
+    assert dispatch(argv) == 1
+    assert last_error(capsys) == f"error: runtime: {trial} {message}"

@@ -336,6 +336,24 @@ def test_validate_cam_reads_run_cfg_strictly(tiny_run, tmp_path, capsys, edit, l
     assert not (tmp_path / "study").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("{tid},0,0,not-a-float,0.5", ", column 'raw': expected a number, got 'not-a-float'"),
+    ("{tid},0,0", ": expected 5 fields, got 3"),
+    ("{tid},0,zero,0.5,0.5", ", column 't': expected an integer, got 'zero'"),
+])
+def test_validate_cam_names_a_bad_cams_csv_line(tiny_run, tmp_path, capsys, row, message):
+    run_dir = tmp_path / "run"
+    shutil.copytree(tiny_run, run_dir)
+    cams = run_dir / "fold_0" / "cams.csv"
+    lines = cams.read_bytes().decode("utf-8").split("\r\n")
+    lines[4] = row.format(tid=lines[4].split(",")[0])
+    cams.write_bytes("\r\n".join(lines).encode("utf-8"))
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: runtime: {cams} line 5{message}")
+
+
 def test_changed_dataset_is_refused(tiny_manifest, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(os.path.dirname(tiny_manifest), data)

@@ -1,7 +1,10 @@
 """Data pipeline: trial files, gap filling, resampling, normalization."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_trial
 from skillseq.data import (
@@ -80,6 +83,10 @@ def test_trial_text_optional_fields_absent():
      "line 6, column 't': timestamp 3 not increasing"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n\n2,3\n",
      "line 7: expected 3 fields, got 2"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n\n1,3, -inf \n",
+     "line 7, column 'y': non-finite value '-inf'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1,Infinity,\n",
+     "line 6, column 'x': non-finite value 'Infinity'"),
 ])
 def test_trial_text_diagnostics(text, fragment):
     with pytest.raises(TrialFormatError, match=fragment):
@@ -92,6 +99,14 @@ def test_trial_text_cells_keep_csv_quoting_and_blank_cells():
     values = parse_trial_text(text).values
     np.testing.assert_array_equal(values, [[1.5, 2.5], [np.nan, np.nan], [-0.0, 7.0]])
     assert np.signbit(values[2, 0])
+
+
+def test_non_utf8_trial_file_names_file_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1,\xff\n")
+    with pytest.raises(TrialFormatError, match=re.escape(
+            f"{path} line 6: not UTF-8 text (byte 0xff at offset 44: invalid start byte)")):
+        parse_trial_csv(path)
 
 
 def test_trial_text_origin_in_message():
@@ -130,6 +145,36 @@ def test_fill_gaps_rejects_already_filled():
     t = make_trial([1.0, 2.0], stage=FILLED)
     with pytest.raises(ValueError, match="fill_gaps"):
         fill_gaps(t)
+
+
+def per_pair_fill(values):
+    """Oracle: gap filling by a walk over every pair of observed indices."""
+    vals = values.copy()
+    for c in range(vals.shape[1]):
+        col = vals[:, c]
+        valid = np.flatnonzero(~np.isnan(col))
+        first, last = valid[0], valid[-1]
+        col[:first] = col[first]
+        col[last + 1:] = col[last]
+        for i, j in zip(valid[:-1], valid[1:]):
+            if j > i + 1:
+                col[i + 1:j] = 0.5 * (col[i] + col[j])
+    return vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_frames=st.integers(1, 300),
+       n_channels=st.integers(1, 4), n_runs=st.integers(0, 12))
+def test_fill_gaps_matches_the_per_pair_walk(seed, n_frames, n_channels, n_runs):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(scale=100.0, size=(n_frames, n_channels))
+    for _ in range(n_runs):
+        start = rng.integers(n_frames)
+        vals[start:start + rng.integers(1, 25), rng.integers(n_channels)] = np.nan
+    for c in range(n_channels):
+        if np.isnan(vals[:, c]).all():
+            vals[rng.integers(n_frames), c] = 1.5
+    assert fill_gaps(make_trial(vals)).values.tobytes() == per_pair_fill(vals).tobytes()
 
 
 # --- downsampling ---

@@ -14,10 +14,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_trial
 from skillseq.explain import CamMap
-from skillseq.overlay import render_cam_overlay
+from skillseq.overlay import (
+    _GREY_TABLE,
+    _RAMP_TABLES,
+    RAMPS,
+    _cam_indices,
+    _steps,
+    ramp_color,
+    render_cam_overlay,
+)
 
 # k where (k + 0.5) / 255 * 255 == k + 0.5 exactly: vertex colour ties
 COLOUR_TIES = [(k + 0.5) / 255.0 for k in range(255)
@@ -115,3 +124,55 @@ def test_overlay_out_of_frame_warns_and_is_byte_identical(tmp_path):
 def test_overlay_three_tools_short_map_is_byte_identical(tmp_path):
     digest = _render(tmp_path, "three_tools", _trial_three_tools(), 11, 2)
     assert digest == GOLDEN_SVG["three_tools"]
+
+
+# --- tables and indices against the per-vertex formulas ---
+
+
+def vertex_colour(tool_index, intensity):
+    """Oracle: one vertex's ramp colour, computed from its intensity."""
+    lo, hi = RAMPS[tool_index % len(RAMPS)]
+    q = int(round(float(np.clip(intensity, 0.0, 1.0)) * 255.0))
+    rgb = [int(round(a + (b - a) * q / 255.0)) for a, b in zip(lo, hi)]
+    return "#%02x%02x%02x" % tuple(rgb)
+
+
+def strip_grey(intensity):
+    """Oracle: one strip cell's grey."""
+    grey = int(round((1.0 - float(np.clip(intensity, 0.0, 1.0))) * 255.0))
+    return "#%02x%02x%02x" % (grey, grey, grey)
+
+
+def cam_index(frame, n_frames, cam_len):
+    """Oracle: the map entry that shades one raw frame."""
+    return min(int(frame * cam_len / n_frames), cam_len - 1)
+
+
+def test_tables_match_the_formulas_at_every_step():
+    for k in range(len(RAMPS) + 1):
+        for q in range(256):
+            v = q / 255.0
+            assert _RAMP_TABLES[k % len(RAMPS)][q] == vertex_colour(k, v) == ramp_color(k, v)
+    for g in range(256):
+        assert _GREY_TABLE[g] == "#%02x%02x%02x" % (g, g, g)
+
+
+intensities = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(COLOUR_TIES + GREY_TIES)),
+                       min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=intensities, tool=st.integers(0, 7))
+def test_tables_match_the_formulas_at_random_intensities(v, tool):
+    v = np.array(v)
+    clipped = np.clip(v, 0.0, 1.0)
+    assert (_RAMP_TABLES[tool % len(RAMPS)][_steps(clipped)].tolist()
+            == [vertex_colour(tool, x) for x in v])
+    assert _GREY_TABLE[_steps(1.0 - clipped)].tolist() == [strip_grey(x) for x in v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_frames=st.integers(1, 3000), cam_len=st.integers(1, 3000))
+def test_cam_indices_match_the_per_frame_formula(n_frames, cam_len):
+    assert (_cam_indices(n_frames, cam_len).tolist()
+            == [cam_index(i, n_frames, cam_len) for i in range(n_frames)])
