@@ -371,14 +371,20 @@ def parse_trial_text(text, origin="<string>"):
     try:
         rate = float(meta["rate_hz"])
     except ValueError:
-        raise TrialFormatError(f"{origin}: rate_hz must be numeric, got '{meta['rate_hz']}'")
+        rate = math.nan
+    if not math.isfinite(rate):
+        raise TrialFormatError(
+            f"{origin}: rate_hz must be numeric and finite, got '{meta['rate_hz']}'")
 
     score = None
     if meta.get("score", "NA") != "NA":
         try:
             score = float(meta["score"])
         except ValueError:
-            raise TrialFormatError(f"{origin}: score must be numeric or NA, got '{meta['score']}'")
+            score = math.nan
+        if not math.isfinite(score):
+            raise TrialFormatError(
+                f"{origin}: score must be numeric and finite, or NA, got '{meta['score']}'")
     label = None
     if meta.get("class", "NA") != "NA":
         label = meta["class"]

@@ -69,6 +69,10 @@ def test_trial_text_optional_fields_absent():
     ("# subject=A\n# rate_hz=1\nt,x\n0,1\n", "missing required header"),
     ("# subject=A\n# trial=zero\n# rate_hz=1\nt,x\n0,1\n", "trial must be an integer"),
     ("# subject=A\n# trial=0\n# rate_hz=fast\nt,x\n0,1\n", "rate_hz must be numeric"),
+    ("# subject=A\n# trial=0\n# rate_hz=inf\nt,x\n0,1\n",
+     "rate_hz must be numeric and finite, got 'inf'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\n# score=nan\nt,x\n0,1\n",
+     "score must be numeric and finite, or NA, got 'nan'"),
     ("# bogus=1\nt,x\n0,1\n", "unknown header key"),
     ("# subject=A\n# subject=B\n# trial=0\n# rate_hz=1\nt,x\n0,1\n", "duplicate header"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nx,y\n0,1\n", "first column must be 't'"),
