@@ -54,7 +54,7 @@ from .crossval import run_cv, validate_cams
 from .data import apply_minmax, dataset_fingerprint, fit_minmax, load_manifest
 from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
-from .model import normalize_for_model, predict_many, prepare_dataset
+from .model import actual_class, normalize_for_model, predict_many, prepare_dataset
 from .overlay import render_cam_overlay
 from .records import read_records_csv, records_csv_classes, write_records_csv
 from .reports import fmt9, kv_line
@@ -258,12 +258,7 @@ def _cmd_cam(args):
     bundle = _load_skill_bundle(args, "cam")
     dataset, trials = _model_inputs(args, bundle)
     override = _resolve_target_class(args.target_class, bundle)
-    targets = []
-    for trial in trials:
-        target = override
-        if target is None and trial.class_label is not None and bundle.class_names:
-            target = bundle.class_names.index(trial.class_label)
-        targets.append(target)
+    targets = [actual_class(bundle, t) if override is None else override for t in trials]
     _, cams = predict_with_cams(bundle, trials, targets)
     write_cams_csv(cams, args.out)
     print(kv_line("cams", args.out))
@@ -283,8 +278,11 @@ def _cmd_trust(args):
     usable = [r for r in records if r.confidences is not None]
     if not usable:
         raise UsageError(f"{args.records}: no classification records with confidences")
-    report = build_trust_report(usable, alpha=args.alpha, beta=args.beta,
-                                class_names=records_csv_classes(args.records))
+    try:
+        report = build_trust_report(usable, alpha=args.alpha, beta=args.beta,
+                                    class_names=records_csv_classes(args.records))
+    except ValueError as exc:
+        raise ValueError(f"{args.records}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     lines = [
         "report = trust",
@@ -357,15 +355,23 @@ def _cmd_gradcheck(args):
 # ---------------------------------------------------------------------------
 
 
-def _exponent(raw):
-    """A trust exponent (--alpha, --beta): a finite number > 0."""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got '{raw}'")
-    return value
+def _checked(parse, ok, expected):
+    """An argparse ``type=``: ``parse`` the value, which must satisfy ``ok``;
+    anything else is a usage error saying what was ``expected``."""
+    def check(raw):
+        try:
+            value = parse(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got '{raw}'")
+        return value
+    return check
+
+
+_EXPONENT = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _opt(*names, **kwargs):
@@ -373,7 +379,7 @@ def _opt(*names, **kwargs):
 
 
 _RUN_OPTS = (_opt("--config", help="run config file"), RUN_KEYS)
-_JOBS_OPTS = (_opt("--jobs", type=int, default=1), _opt("--verbose", action="store_true"))
+_JOBS_OPTS = (_opt("--jobs", type=_COUNT, default=1), _opt("--verbose", action="store_true"))
 _SCORING_INPUTS = (_opt("--bundle", required=True), _opt("--manifest", required=True))
 
 # name -> (help, handler, options); an option is an ``_opt`` or a key table
@@ -398,15 +404,15 @@ _COMMANDS = {
         _SCORING_KEYS)),
     "trust": ("trust report from prediction records", _cmd_trust, (
         _opt("--records", required=True, help="prediction records CSV"),
-        _opt("--alpha", type=_exponent, default=1.0),
-        _opt("--beta", type=_exponent, default=1.0),
+        _opt("--alpha", type=_EXPONENT, default=1.0),
+        _opt("--beta", type=_EXPONENT, default=1.0),
         _opt("--out", required=True))),
     "validate-cam": ("masked retraining study over a run", _cmd_validate_cam, (
         _opt("--run", required=True, help="baseline run directory"),
         _opt("--out")) + _JOBS_OPTS),
     "gradcheck": ("finite-difference gradient audit", _cmd_gradcheck, (
-        _opt("--configs", type=int, default=20),
-        _opt("--seed", type=int, default=0))),
+        _opt("--configs", type=_COUNT, default=20),
+        _opt("--seed", type=_SEED, default=0))),
 }
 
 
@@ -442,8 +448,6 @@ def dispatch(argv):
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (see --help)")
-        if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be >= 1")
         return args.func(args)
     except SystemExit as exc:          # argparse --help
         return int(exc.code or 0)

@@ -298,7 +298,8 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
         tasks.append((settings, i, fold, train_trials, test_trials))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_fold, tasks))
         if progress:
             for o in outcomes:

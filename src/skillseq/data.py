@@ -403,6 +403,7 @@ def parse_trial_text(text, origin="<string>"):
 
     # every cell of every row, in order: one array is built at the end
     data = []
+    missing = 0   # empty cells
     last_t = None
     for r, row in enumerate(rows[1:]):
         lineno = i + 2 + r
@@ -425,16 +426,18 @@ def parse_trial_text(text, origin="<string>"):
             data.extend(list(map(float, row[1:])))
         except ValueError:
             data.extend(_cells(row[1:], channels, origin, lineno))
+            missing += sum(1 for cell in row[1:] if not cell.strip())
     if not data:
         raise TrialFormatError(f"{origin}: no data rows")
     values = np.array(data).reshape(-1, len(channels))
-    if np.isinf(values).any():   # float() reads "inf"; one test per trial
-        k, c = np.argwhere(np.isinf(values))[0]
-        r = [r for r, row in enumerate(rows[1:]) if not _blank(row)][k]
+    # float() also reads "nan" and "inf", but only an empty cell is missing;
+    # one test per trial, and the rows are walked only to name the bad cell
+    if values.size - np.count_nonzero(np.isfinite(values)) != missing:
+        lineno, col, cell = next(
+            (i + 2 + r, c, cell.strip()) for r, row in enumerate(rows[1:])
+            for c, cell in enumerate(row[1:]) if cell.strip() and not math.isfinite(float(cell)))
         raise TrialFormatError(
-            f"{origin} line {i + 2 + r}, column '{channels[c]}': "
-            f"non-finite value '{rows[1 + r][1 + c].strip()}'"
-        )
+            f"{origin} line {lineno}, column '{channels[col]}': non-finite value '{cell}'")
 
     try:
         return Trial(
@@ -560,7 +563,7 @@ def load_manifest(path):
         if trial.subject_id != subject or str(trial.trial_index) != tindex:
             raise TrialFormatError(
                 f"{path} line {r + 2}: manifest says {subject}:{tindex}, "
-                f"file says {trial.trial_id}"
+                f"{full} says {trial.trial_id}"
             )
         trials.append(trial)
     return Dataset(trials)

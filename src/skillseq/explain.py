@@ -9,11 +9,11 @@ Masking multiplies a downsampled trial's channel values by the
 intensities, timestep by timestep, so low-relevance segments are
 attenuated before normalization ever sees them.
 
-``compute_cam`` explains one trial; ``predict_with_cams`` predicts and
-explains many trials from one packed forward (``model.predict_many``).
-The maps are byte-identical either way: a packed forward runs every BLAS
-call and reduction per trial on the operands of the one-trial forward,
-and each map's ``pre_gap @ w[:, c]`` runs per trial.
+``predict_with_cams`` predicts and explains many trials from one packed
+forward (``model.predict_many``); ``compute_cam`` is that batch path on
+one trial.  A trial's map does not depend on its batch: a packed forward
+runs every BLAS call and reduction per trial on the operands of an
+unpacked forward, and each map's ``pre_gap @ w[:, c]`` runs per trial.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DOWNSAMPLED, Dataset
-from .model import embed, head_forward, predict_many
+from .model import predict_many
 
 __all__ = [
     "CamMap",
@@ -85,12 +85,7 @@ def compute_cam(bundle, trial, target_class=None):
     ``target_class`` defaults to the predicted class (regression models
     have a single unit, index 0).
     """
-    _check_skill(bundle)
-    feats = embed(bundle, trial)
-    out, pre_gap = head_forward(bundle, feats, capture=True)
-    if target_class is None:
-        target_class = int(np.argmax(out)) if bundle.mode == "classification" else 0
-    return _cam(bundle, trial.trial_id, pre_gap, target_class)
+    return predict_with_cams(bundle, [trial], [target_class])[1][0]
 
 
 def predict_with_cams(bundle, trials, target_classes=None):
@@ -100,7 +95,6 @@ def predict_with_cams(bundle, trials, target_classes=None):
     ``target_classes[i]`` is trial i's output unit; None (or no list)
     takes the predicted class, as in ``compute_cam``.
     """
-    _check_skill(bundle)
     records, pre_gaps = predict_many(bundle, trials, capture=True)
     if target_classes is None:
         target_classes = [None] * len(trials)
@@ -110,11 +104,6 @@ def predict_with_cams(bundle, trials, target_classes=None):
             target = rec.predicted if bundle.mode == "classification" else 0
         cams.append(_cam(bundle, rec.trial_id, pre_gap, target))
     return records, cams
-
-
-def _check_skill(bundle):
-    if bundle.mode == "autoencoder":
-        raise ValueError("activation maps need a skill model, not an autoencoder")
 
 
 def _cam(bundle, trial_id, pre_gap, target_class):

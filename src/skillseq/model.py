@@ -19,12 +19,13 @@ the one place where raw trials become downsampled ones, and
 ``normalize_for_model`` the one place where a bundle's min-max
 statistics turn a downsampled trial into model input.
 
-Batch API: ``predict_many`` and ``encode_many`` score many trials in
-packed forwards (``layers.forward_packed``); ``embed``, ``encode_values``,
-``head_forward`` and ``predict`` are the one-trial case.  The results are
-byte-identical either way, because a packed forward runs every BLAS call
-and every reduction once per trial, on the operands the one-trial
-forward uses.
+Every eval-mode forward runs through ``layers.forward_packed``:
+``predict_many`` and ``encode_many`` score many trials in packed
+forwards, and ``embed``, ``encode_values``, ``head_forward``,
+``reconstruct`` and ``predict`` are that batch path on one trial.  A
+packed forward runs every BLAS call and every reduction once per trial,
+on the operands of an unpacked forward, so a trial's bytes do not depend
+on the batch it is scored in.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tensor as tz
 from .data import (DOWNSAMPLED, NORMALIZED, PASS_FAIL, RAW, Dataset, MinMaxStats,
                    ScoreStats, apply_minmax, invert_znorm, prepare_stage2)
-from .layers import (ForwardContext, LayerSpec, forward_packed, forward_stack,
-                     init_stack_params, wrap_params)
+from .layers import (LayerSpec, _spec_param_shapes, forward_packed, init_stack_params,
+                     wrap_params)
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
 
@@ -166,7 +166,7 @@ class ModelBundle:
                     raise ValueError("regression head must be a single linear unit")
         for g, specs in self.groups.items():
             for i, s in enumerate(specs):
-                for fname in _spec_fields(s):
+                for fname in _spec_param_shapes(s):
                     key = f"{g}/{i}.{fname}"
                     if key not in self.weights:
                         raise ValueError(f"missing weight array '{key}'")
@@ -174,15 +174,6 @@ class ModelBundle:
     def group_params(self, group):
         pfx = f"{group}/"
         return {k[len(pfx):]: v for k, v in self.weights.items() if k.startswith(pfx)}
-
-
-def _spec_fields(spec):
-    from .layers import _spec_param_shapes
-    return _spec_param_shapes(spec).keys()
-
-
-def _group_tensor_params(bundle, group):
-    return wrap_params(bundle.group_params(group), requires_grad=False)
 
 
 def prepare_dataset(dataset, target_hz):
@@ -226,37 +217,26 @@ def embed(bundle, trial):
 
     Normalize a downsampled trial with ``normalize_for_model`` first.
     """
-    return encode_values(bundle, _model_input(bundle, trial))
+    return encode_many(bundle, [_model_input(bundle, trial)])[0]
 
 
 def encode_values(bundle, values):
     """Encoder forward over already-normalized (T, C) values."""
-    x = _forward_group(bundle, "encoder", values)
-    return x.data
+    return encode_many(bundle, [values])[0]
 
 
 def encode_many(bundle, values):
-    """``encode_values`` of each (T_i, C) array, in packed forwards."""
+    """Encoder forward over each normalized (T_i, C) array, in packed forwards."""
     return forward_packed([_stack(bundle, "encoder")], values)
 
 
 def _stack(bundle, group):
-    return bundle.groups[group], _group_tensor_params(bundle, group)
+    return bundle.groups[group], wrap_params(bundle.group_params(group), requires_grad=False)
 
 
-def _forward_group(bundle, group, values, ctx=None):
-    params = _group_tensor_params(bundle, group)
-    return forward_stack(bundle.groups[group], params, tz.constant(values), ctx)
-
-
-def head_forward(bundle, features, capture=False):
-    """Head forward over encoder features; optionally returns pre-GAP
-    activations (for attribution maps)."""
-    ctx = ForwardContext()
-    out = _forward_group(bundle, "head", features, ctx)
-    if capture:
-        return out.data, ctx.captures["pre_gap"].data
-    return out.data
+def head_forward(bundle, features):
+    """Head forward over encoder features."""
+    return forward_packed([_stack(bundle, "head")], [features])[0]
 
 
 def reconstruct(bundle, trial):
@@ -266,8 +246,8 @@ def reconstruct(bundle, trial):
     """
     if bundle.mode != "autoencoder":
         raise ValueError(f"reconstruct needs an autoencoder bundle, got {bundle.mode}")
-    z = encode_values(bundle, _model_input(bundle, trial))
-    return _forward_group(bundle, "decoder", z).data
+    return forward_packed([_stack(bundle, "encoder"), _stack(bundle, "decoder")],
+                          [_model_input(bundle, trial)])[0]
 
 
 def build_classifier(dae_bundle, mode, arch=None, seed=0, class_names=PASS_FAIL):
@@ -310,18 +290,17 @@ def predict(bundle, trial):
     Classification: per-class confidences and the argmax class (lowest
     index wins ties).  Regression: score mapped back to original units.
     """
-    _check_skill(bundle)
-    feats = encode_values(bundle, _model_input(bundle, trial))
-    return _record(bundle, trial, head_forward(bundle, feats))
+    return predict_many(bundle, [trial])[0]
 
 
 def predict_many(bundle, trials, capture=False):
-    """``predict`` of each normalized trial, in packed forwards.
+    """PredictionRecord of each normalized trial, in packed forwards.
 
     With ``capture``, also returns each trial's pre-GAP activations
     (``(records, pre_gaps)``), from the same forward.
     """
-    _check_skill(bundle)
+    if bundle.mode == "autoencoder":
+        raise ValueError("cannot predict with an autoencoder bundle; build a skill model")
     values = [_model_input(bundle, t) for t in trials]
     outs, pre_gaps = forward_packed([_stack(bundle, "encoder"), _stack(bundle, "head")],
                                     values, capture=True)
@@ -329,15 +308,9 @@ def predict_many(bundle, trials, capture=False):
     return (records, pre_gaps) if capture else records
 
 
-def _check_skill(bundle):
-    if bundle.mode == "autoencoder":
-        raise ValueError("cannot predict with an autoencoder bundle; build a skill model")
-
-
 def actual_class(bundle, trial):
     """Index of the trial's class among the bundle's, or None."""
-    if trial.class_label is not None and bundle.class_names \
-            and trial.class_label in bundle.class_names:
+    if bundle.class_names and trial.class_label in bundle.class_names:
         return bundle.class_names.index(trial.class_label)
     return None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .data import PASS_FAIL
@@ -84,33 +85,57 @@ def records_csv_classes(path):
 
 
 def read_records_csv(path, classes=None):
-    """Parse records back; ``classes=None`` takes names from the header."""
+    """Parse records back; ``classes=None`` takes names from the header.
+
+    A malformed row raises ValueError naming the file, line and column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty records file")
-    header = rows[0]
-    found = _header_classes(header, path)
-    if classes is None:
-        classes = found
-    elif found != tuple(classes):
-        raise ValueError(
-            f"{path}: header classes {found} do not match expected {tuple(classes)}"
-        )
-    out = []
-    nc = len(classes)
-    for row in rows[1:]:
-        if not row:
-            continue
-        confs = row[5:5 + nc]
-        out.append(PredictionRecord(
-            trial_id=row[0],
-            subject_id=row[1],
-            trial_index=int(row[2]),
-            actual=int(row[3]) if row[3] != "" else None,
-            predicted=int(row[4]) if row[4] != "" else None,
-            confidences=tuple(float(c) for c in confs) if confs[0] != "" else None,
-            true_score=float(row[5 + nc]) if row[5 + nc] != "" else None,
-            pred_score=float(row[6 + nc]) if row[6 + nc] != "" else None,
-        ))
-    return out
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty records file")
+        found = _header_classes(header, path)
+        if classes is None:
+            classes = found
+        elif found != tuple(classes):
+            raise ValueError(
+                f"{path}: header classes {found} do not match expected {tuple(classes)}"
+            )
+        return [_row_record(row, header, f"{path} line {reader.line_num}")
+                for row in reader if row]
+
+
+def _row_record(row, header, where):
+    """PredictionRecord of one records row; errors start with ``where``."""
+    if len(row) != len(header):
+        raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+    nc = len(header) - 7
+
+    def cell(k, parse, ok, expected):
+        try:
+            value = parse(row[k])
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"{where}, column '{header[k]}': expected {expected}, "
+                             f"got '{row[k]}'")
+        return value
+
+    def optional(k, *check):
+        return None if row[k] == "" else cell(k, *check)
+
+    number = (float, math.isfinite, "a finite number")
+    index = (int, lambda v: 0 <= v < nc, f"a class index from 0 to {nc - 1}")
+    fields = dict(
+        trial_index=cell(2, int, lambda v: True, "an integer"),
+        actual=optional(3, *index),
+        predicted=optional(4, *index),
+        confidences=tuple(cell(5 + c, *number) for c in range(nc))
+        if any(row[5:5 + nc]) else None,
+        true_score=optional(5 + nc, *number),
+        pred_score=optional(6 + nc, *number),
+    )
+    try:
+        return PredictionRecord(trial_id=row[0], subject_id=row[1], **fields)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

@@ -163,10 +163,6 @@ def _val_split(indices, strata, frac, seed):
     return train, sorted(val_set)
 
 
-def _loss_node(kind, pred, target, weight):
-    return tz.loss_eval(kind, pred, target, weight)
-
-
 def _run_training(forward_train, val_losses, val_indices, train_indices,
                   flat, config, stage, trial_ids):
     """Generic loop: per-sample Adam steps, early stopping, best restore.
@@ -229,7 +225,7 @@ def _reject_unused(config, name, stage):
 def _val_losses(stacks, inputs, targets, kind, weights):
     """Loss of each validation trial, from one packed forward."""
     outs = forward_packed(stacks, inputs)
-    return [float(_loss_node(kind, tz.constant(out), target, weight).data)
+    return [float(tz.loss_eval(kind, tz.constant(out), target, weight).data)
             for out, target, weight in zip(outs, targets, weights)]
 
 
@@ -272,7 +268,7 @@ def train_dae(trials, minmax, config, arch=None):
         x = tz.constant(values[i])
         z = forward_stack(specs["encoder"], flat.tensors["encoder"], x, ctx)
         out = forward_stack(specs["decoder"], flat.tensors["decoder"], z, ctx)
-        loss = _loss_node(config.loss, out, values[i], 1.0)
+        loss = tz.loss_eval(config.loss, out, values[i], 1.0)
         if ctx.activity:
             loss = tz.add_n([loss] + ctx.activity)
         return loss
@@ -367,7 +363,7 @@ def train_supervised(bundle, trials, config, labels=None):
     def fwd(i):
         ctx = ForwardContext(train=True, activity_l2=config.l2)
         out = forward_stack(head, flat.tensors["head"], tz.constant(feats[i]), ctx)
-        loss = _loss_node(config.loss, out, targets[i], sample_w[i])
+        loss = tz.loss_eval(config.loss, out, targets[i], sample_w[i])
         if ctx.activity:
             loss = tz.add_n([loss] + ctx.activity)
         return loss

@@ -2,11 +2,15 @@
 error (exit 2); a malformed input file is a runtime error (exit 1) whose
 message names the file and line."""
 
+from dataclasses import replace
+
 import pytest
 
 from skillseq.bundle import save_bundle
 from skillseq.cli import dispatch
-from skillseq.records import PredictionRecord, write_records_csv
+from skillseq.data import Dataset, load_manifest, write_manifest, write_trial_csv
+from skillseq.explain import read_cams_csv
+from skillseq.records import PredictionRecord, read_records_csv, write_records_csv
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,23 @@ def test_missing_scoring_input_is_a_usage_error(scoring_inputs, tmp_path, capsys
     assert rc == 2
     assert err == f"error: usage: {missing} not found: {paths[missing]}"
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cam_maps_the_predicted_class_of_a_label_the_bundle_lacks(scoring_inputs, tmp_path):
+    trials = load_manifest(scoring_inputs["manifest"]).trials
+    trials[0] = replace(trials[0], class_label="expert")
+    paths = [tmp_path / f"trial{i}.csv" for i in range(len(trials))]
+    for trial, path in zip(trials, paths):
+        write_trial_csv(trial, path)
+    write_manifest(Dataset(trials), paths, tmp_path / "manifest.csv")
+    inputs = dict(scoring_inputs, manifest=str(tmp_path / "manifest.csv"))
+    assert dispatch(scoring_argv("predict", inputs, tmp_path / "records.csv")) == 0
+    assert dispatch(scoring_argv("cam", inputs, tmp_path / "cams.csv")) == 0
+    records = read_records_csv(tmp_path / "records.csv")
+    cams = read_cams_csv(tmp_path / "cams.csv")
+    assert records[0].actual is None
+    assert cams[records[0].trial_id].class_index == records[0].predicted
+    assert cams[records[1].trial_id].class_index == records[1].actual
 
 
 def last_error(capsys):
@@ -77,6 +98,34 @@ def test_trust_exponent_must_be_finite_and_positive(records_file, tmp_path, caps
     assert last_error(capsys) == (f"error: usage: argument {flag}: "
                                   f"expected a finite number > 0, got '{value}'")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("S:0,S,0,0,0,0.9", "line 6: expected 9 fields, got 6"),
+    ("S:0,S,0,0,0,abc,0.5,,", "line 6, column 'conf_pass': expected a finite number, got 'abc'"),
+    ("S:0,S,0,7,0,0.5,0.5,,",
+     "line 6, column 'actual': expected a class index from 0 to 1, got '7'"),
+])
+def test_bad_records_row_is_a_runtime_error_naming_file_and_line(records_file, tmp_path,
+                                                                 capsys, row, message):
+    records = tmp_path / "records.csv"
+    with open(records_file) as fh:
+        records.write_text(fh.read() + row + "\n")
+    assert dispatch(trust_argv(str(records), tmp_path / "trust")) == 1
+    assert last_error(capsys) == f"error: runtime: {records} {message}"
+
+
+@pytest.mark.parametrize("argv, flag, value, expected", [
+    (["gradcheck", "--configs", "0"], "--configs", "0", "an integer >= 1"),
+    (["gradcheck", "--configs", "2.5"], "--configs", "2.5", "an integer >= 1"),
+    (["gradcheck", "--seed", "-1"], "--seed", "-1", "an integer >= 0"),
+    (["gradcheck", "--seed", "x"], "--seed", "x", "an integer >= 0"),
+    (["evaluate", "--jobs", "0"], "--jobs", "0", "an integer >= 1"),
+    (["validate-cam", "--run", "r", "--jobs=-3"], "--jobs", "-3", "an integer >= 1"),
+])
+def test_numeric_flags_are_usage_errors_naming_the_flag(capsys, argv, flag, value, expected):
+    assert dispatch(argv) == 2
+    assert last_error(capsys) == f"error: usage: argument {flag}: expected {expected}, got '{value}'"
 
 
 @pytest.mark.parametrize("last_row, message", [

@@ -1,0 +1,92 @@
+"""Mutated input files through ``dispatch``.
+
+Each example takes a valid records CSV or trial CSV, drops or duplicates
+a cell or a row, truncates the file, or replaces a cell with a bad
+value, then runs the subcommand that reads it.  Whatever the mutation,
+the exit code is 0, 1 or 2, no exception escapes ``dispatch``, and every
+failure's last line of output names the mutated file.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skillseq.cli import dispatch
+
+BAD_CELLS = ("", "nan", "inf", "abc", "-1")
+
+RECORDS = ("trial_id,subject,trial,actual,predicted,conf_pass,conf_fail,true_score,pred_score\n"
+           "S1:0,S1,0,0,0,0.25,0.75,,\nS1:1,S1,1,1,0,0.375,0.625,,\n"
+           "S1:2,S1,2,0,1,0.5,0.5,,\nS1:3,S1,3,1,1,0.625,0.375,,\n"
+           "S1:4,S1,4,0,0,0.75,0.25,,\nS1:5,S1,5,1,0,0.875,0.125,,\n")
+
+TRIAL = ("# subject=S1\n# trial=0\n# rate_hz=2\n# score=NA\n# class=pass\n"
+         "t,x,y\n0,0.1,0.2\n1,,0.3\n2,0.4,0.5\n3,0.6,\n4,0.7,0.8\n")
+
+
+@st.composite
+def mutations(draw, text):
+    lines = text.split("\n")
+    kind = draw(st.sampled_from(["drop-row", "dup-row", "drop-cell", "dup-cell",
+                                 "replace-cell", "truncate"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    r = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop-row":
+        del lines[r]
+    elif kind == "dup-row":
+        lines.insert(r, lines[r])
+    else:
+        cells = lines[r].split(",")
+        c = draw(st.integers(0, len(cells) - 1))
+        if kind == "drop-cell":
+            del cells[c]
+        elif kind == "dup-cell":
+            cells.insert(c, cells[c])
+        else:
+            cells[c] = draw(st.sampled_from(BAD_CELLS))
+        lines[r] = ",".join(cells)
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run(argv, mutated):
+    """``dispatch(argv)``, checking the exit code and the failure message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = dispatch([str(a) for a in argv])
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert str(mutated) in err.getvalue().strip().splitlines()[-1], err.getvalue()
+
+
+def test_mutated_records_csv_fails_cleanly_under_trust(workdir):
+    records = workdir / "records.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutations(RECORDS))
+    def check(text):
+        records.write_text(text)
+        run(["trust", "--records", records, "--out", workdir / "trust"], records)
+
+    check()
+
+
+def test_mutated_trial_csv_fails_cleanly_under_ingest_check(workdir):
+    trial = workdir / "trial.csv"
+    manifest = workdir / "manifest.csv"
+    manifest.write_text("path,subject,trial\ntrial.csv,S1,0\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutations(TRIAL))
+    def check(text):
+        trial.write_text(text)
+        run(["ingest-check", "--manifest", manifest], trial)
+
+    check()

@@ -9,6 +9,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from skillseq import crossval
 from skillseq.cli import dispatch
 from skillseq.config import RunConfig, RunSettings, read_run_cfg, write_run_cfg
 from skillseq.data import parse_trial_csv, write_trial_csv
@@ -308,6 +309,30 @@ def test_jobs_2_matches_jobs_1(tiny_manifest, tiny_run, tmp_path):
             "fold_2/cams.csv"} <= set(first)
     for name in first:
         assert first[name] == second[name], name
+
+
+def test_pool_starts_no_more_workers_than_folds(tiny_manifest, tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for and runs the folds in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(crossval, "ProcessPoolExecutor", SerialPool)
+    assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / "run",
+                   "--jobs", 8, *FAST_RUN) == 0
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("edit, line, key", [

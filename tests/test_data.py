@@ -89,6 +89,12 @@ def test_trial_text_optional_fields_absent():
      "line 7: expected 3 fields, got 2"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n\n1,3, -inf \n",
      "line 7, column 'y': non-finite value '-inf'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1,nan\n",
+     "line 6, column 'x': non-finite value 'nan'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1,3, NaN \n",
+     "line 6, column 'y': non-finite value 'NaN'"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,,-nan\n",
+     "line 6, column 'y': non-finite value '-nan'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1,Infinity,\n",
      "line 6, column 'x': non-finite value 'Infinity'"),
 ])

@@ -1,10 +1,12 @@
-"""Packed forwards against one forward per trial, byte for byte.
+"""Packed forwards against one unpacked forward per trial, byte for byte.
 
 ``layers.forward_packed`` concatenates trials along time with zero halos
 and runs each BLAS call and reduction once per trial.  Every batch path
-built on it must give the bytes (``tobytes``) of the one-trial path:
-encoder features, head outputs, pre-GAP activations, prediction records,
-activation maps and the training loop's validation losses.
+built on it, and every one-trial function that calls a batch path on one
+trial, must give the bytes (``tobytes``) of an explicit ``forward_stack``
+per trial: encoder features, head outputs, pre-GAP activations,
+reconstructions, prediction records, activation maps (``pre_gap @ w[:, c]``)
+and the training loop's validation losses.
 """
 
 from unittest import mock
@@ -15,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import skillseq.layers as layers
 import skillseq.tensor as tz
-from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial
-from skillseq.explain import compute_cam, predict_with_cams
+from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial, invert_znorm
+from skillseq.explain import CamMap, compute_cam, predict_with_cams
 from skillseq.layers import ForwardContext, forward_packed, forward_stack, wrap_params
-from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, encode_many,
+from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, embed, encode_many,
                             encode_values, encoder_specs, head_forward, head_specs, predict,
-                            predict_many)
+                            predict_many, reconstruct)
 from skillseq.training import _val_losses
 
 
@@ -34,18 +36,40 @@ def _weights(rng, specs, group):
     return {f"{group}/{k}": v + rng.normal(0.0, 0.3, size=v.shape) for k, v in params.items()}
 
 
-def _bundle(rng, arch, n_channels, classification):
+def _bundles(rng, arch, n_channels, classification):
+    """A skill bundle and an autoencoder bundle sharing one encoder."""
     channels = tuple(f"c{i}" for i in range(n_channels))
-    enc = encoder_specs(arch, n_channels)
+    minmax = MinMaxStats(channels, np.zeros(n_channels), np.ones(n_channels), ())
+    enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
     head = head_specs(arch, 2 if classification else 1, classification)
-    weights = {**_weights(rng, enc, "encoder"), **_weights(rng, head, "head")}
-    return ModelBundle(
+    enc_weights = _weights(rng, enc, "encoder")
+    skill = ModelBundle(
         mode="classification" if classification else "regression",
-        groups={"encoder": enc, "head": head}, weights=weights,
-        trainable={"encoder": False, "head": True},
-        minmax=MinMaxStats(channels, np.zeros(n_channels), np.ones(n_channels), ()),
+        groups={"encoder": enc, "head": head},
+        weights={**enc_weights, **_weights(rng, head, "head")},
+        trainable={"encoder": False, "head": True}, minmax=minmax,
         score_stats=None if classification else ScoreStats(50.0, 10.0, ()),
         class_names=("pass", "fail") if classification else None)
+    dae = ModelBundle(
+        mode="autoencoder", groups={"encoder": enc, "decoder": dec},
+        weights={**enc_weights, **_weights(rng, dec, "decoder")},
+        trainable={"encoder": True, "decoder": True}, minmax=minmax)
+    return skill, dae
+
+
+def _stacks(bundle, *groups):
+    return [(bundle.groups[g], wrap_params(bundle.group_params(g), False)) for g in groups]
+
+
+def _unpacked(stacks, x):
+    """The oracle: one ``forward_stack`` pass per stack over one trial.
+    Returns the output and the pre-GAP activations (None without a GAP)."""
+    ctx = ForwardContext()
+    out = tz.constant(x)
+    for specs, params in stacks:
+        out = forward_stack(specs, params, out, ctx)
+    pre_gap = ctx.captures.get("pre_gap")
+    return out.data, None if pre_gap is None else pre_gap.data
 
 
 def _trials(rng, lengths, n_channels):
@@ -73,30 +97,50 @@ arch_strategy = st.builds(
 def test_packed_model_paths_match_one_trial_paths(seed, arch, lengths, n_channels,
                                                   classification, pack_rows):
     rng = np.random.default_rng(seed)
-    bundle = _bundle(rng, arch, n_channels, classification)
+    bundle, dae = _bundles(rng, arch, n_channels, classification)
     trials = _trials(rng, lengths, n_channels)
     values = [t.values for t in trials]
+    dense = next(i for i, s in enumerate(bundle.groups["head"]) if s.kind == "dense")
+    w = bundle.weights[f"head/{dense}.w"]
     # small row budgets split the batch into several chunks, some of one trial
     with mock.patch.object(layers, "PACK_ROWS", pack_rows):
         feats = encode_many(bundle, values)
         records, cams = predict_with_cams(bundle, trials)
         assert predict_many(bundle, trials) == records
-        stacks = [(bundle.groups[g], wrap_params(bundle.group_params(g), False))
-                  for g in ("encoder", "head")]
-        outs, pre_gaps = forward_packed(stacks, values, capture=True)
+        outs, pre_gaps = forward_packed(_stacks(bundle, "encoder", "head"), values,
+                                        capture=True)
+        recons = forward_packed(_stacks(dae, "encoder", "decoder"), values)
     for i, trial in enumerate(trials):
-        feat = encode_values(bundle, trial.values)
-        assert _bits(feats[i]) == _bits(feat)
-        out, pre_gap = head_forward(bundle, feat, capture=True)
+        feat, _ = _unpacked(_stacks(bundle, "encoder"), trial.values)
+        for got in (feats[i], encode_values(bundle, trial.values), embed(bundle, trial)):
+            assert _bits(got) == _bits(feat)
+        out, pre_gap = _unpacked(_stacks(bundle, "encoder", "head"), trial.values)
         assert _bits(outs[i]) == _bits(out)
         assert _bits(pre_gaps[i]) == _bits(pre_gap)
-        rec = predict(bundle, trial)
-        assert records[i] == rec
-        assert (_bits(records[i].confidences or ()) == _bits(rec.confidences or ()))
-        cam = compute_cam(bundle, trial)
-        assert cams[i].class_index == cam.class_index
-        assert _bits(cams[i].raw) == _bits(cam.raw)
-        assert _bits(cams[i].intensity) == _bits(cam.intensity)
+        head_out, _ = _unpacked(_stacks(bundle, "head"), feat)
+        assert _bits(head_forward(bundle, feat)) == _bits(head_out) == _bits(out)
+        recon, _ = _unpacked(_stacks(dae, "encoder", "decoder"), trial.values)
+        assert _bits(recons[i]) == _bits(recon)
+        assert _bits(reconstruct(dae, trial)) == _bits(recon)
+        rec = records[i]
+        if classification:
+            assert _bits(rec.confidences) == _bits(out)
+            assert rec.predicted == int(np.argmax(out))
+            target = rec.predicted
+        else:
+            assert rec.pred_score == invert_znorm(float(out[0]), bundle.score_stats)
+            target = 0
+        assert predict(bundle, trial) == rec
+        raw = pre_gap @ w[:, target]
+        expected = CamMap.from_raw(trial.trial_id, target, raw)
+        for cam in (cams[i], compute_cam(bundle, trial)):
+            assert cam.class_index == target
+            assert _bits(cam.raw) == _bits(raw)
+            assert _bits(cam.intensity) == _bits(expected.intensity)
+        for c in range(w.shape[1]):
+            cam = compute_cam(bundle, trial, c)
+            assert cam.class_index == c
+            assert _bits(cam.raw) == _bits(pre_gap @ w[:, c])
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,11 +166,8 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
     kind = "cosine" if classification else "mse"
 
     def one_trial(stacks, x, target, loss, weight):
-        ctx = ForwardContext()
-        out = tz.constant(x)
-        for specs, p in stacks:
-            out = forward_stack(specs, p, out, ctx)
-        return float(tz.loss_eval(loss, out, target, weight).data)
+        out, _ = _unpacked(stacks, x)
+        return float(tz.loss_eval(loss, tz.constant(out), target, weight).data)
 
     dae = [(enc, params["encoder"]), (dec, params["decoder"])]
     packed = _val_losses(dae, values, values, "bce", [1.0] * len(values))
