@@ -545,28 +545,45 @@ def load_manifest(path):
     """Read a ``path,subject,trial`` manifest and parse every trial file.
 
     Relative paths resolve against the manifest's directory.  The
-    subject/trial columns must agree with each file's own header.
+    subject/trial columns must agree with each file's own header.  A
+    trial file that cannot be read fails naming the manifest line, and a
+    trial listed twice fails naming both manifest lines.
     """
     base = os.path.dirname(os.path.abspath(path))
     trials = []
     rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     if not rows or [h.strip() for h in rows[0]] != ["path", "subject", "trial"]:
         raise TrialFormatError(f"{path}: manifest header must be 'path,subject,trial'")
-    for r, row in enumerate(rows[1:]):
+    first_line = {}
+    for line, row in enumerate(rows[1:], start=2):
         if _blank(row):
             continue
         if len(row) != 3:
-            raise TrialFormatError(f"{path} line {r + 2}: expected 3 fields, got {len(row)}")
+            raise TrialFormatError(f"{path} line {line}: expected 3 fields, got {len(row)}")
         tpath, subject, tindex = row[0].strip(), row[1].strip(), row[2].strip()
         full = tpath if os.path.isabs(tpath) else os.path.join(base, tpath)
-        trial = parse_trial_csv(full)
+        try:
+            trial = parse_trial_csv(full)
+        except OSError as exc:
+            raise TrialFormatError(
+                f"{path} line {line}: cannot read trial file {full}: {exc.strerror or exc}"
+            ) from None
         if trial.subject_id != subject or str(trial.trial_index) != tindex:
             raise TrialFormatError(
-                f"{path} line {r + 2}: manifest says {subject}:{tindex}, "
+                f"{path} line {line}: manifest says {subject}:{tindex}, "
                 f"{full} says {trial.trial_id}"
             )
+        if trial.trial_id in first_line:
+            raise TrialFormatError(
+                f"{path} line {line}: duplicate trial {trial.trial_id} "
+                f"(first on line {first_line[trial.trial_id]})"
+            )
+        first_line[trial.trial_id] = line
         trials.append(trial)
-    return Dataset(trials)
+    try:
+        return Dataset(trials)
+    except ValueError as exc:        # no trials, or channels that differ
+        raise TrialFormatError(f"{path}: {exc}") from None
 
 
 def write_manifest(dataset, paths, out_path):

@@ -1,4 +1,10 @@
-"""Rank and classification metrics with exact small-sample statistics."""
+"""Rank and classification metrics with exact small-sample statistics.
+
+scipy is imported only inside the two large-sample p-value tails:
+``spearman`` for n > 8 and ``wilcoxon_one_sided`` for more than
+``exact_max_n`` non-zero pairs.  Every other path, and so every
+subcommand that reaches neither tail, runs without loading it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 __all__ = [
     "average_ranks",
@@ -74,8 +79,10 @@ def spearman(x, y):
         if t2 >= 1.0:
             p = 0.0
         else:
+            from scipy.special import stdtr     # what scipy.stats.t.sf evaluates
+
             t = rho * math.sqrt((n - 2) / (1.0 - t2))
-            p = 2.0 * float(sstats.t.sf(abs(t), df=n - 2))
+            p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, p
 
 
@@ -179,6 +186,8 @@ def wilcoxon_one_sided(before, after, exact_max_n=20):
     else:
         mu = m * (m + 1) / 4.0
         sigma2 = float(np.sum(np.square(ranks))) / 4.0
+        from scipy.special import ndtr      # what scipy.stats.norm.sf evaluates
+
         z = (w - mu - 0.5) / math.sqrt(sigma2)
-        p = float(sstats.norm.sf(z))
+        p = float(ndtr(-z))
     return w, p

@@ -87,7 +87,8 @@ def records_csv_classes(path):
 def read_records_csv(path, classes=None):
     """Parse records back; ``classes=None`` takes names from the header.
 
-    A malformed row raises ValueError naming the file, line and column.
+    A malformed row raises ValueError naming the file, line and column;
+    a repeated ``trial_id`` names the file and both lines.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -101,8 +102,19 @@ def read_records_csv(path, classes=None):
             raise ValueError(
                 f"{path}: header classes {found} do not match expected {tuple(classes)}"
             )
-        return [_row_record(row, header, f"{path} line {reader.line_num}")
-                for row in reader if row]
+        records, first_line = [], {}
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            record = _row_record(row, header, f"{path} line {line}")
+            if record.trial_id in first_line:
+                raise ValueError(f"{path} line {line}: duplicate trial_id "
+                                 f"'{record.trial_id}' (first on line "
+                                 f"{first_line[record.trial_id]})")
+            first_line[record.trial_id] = line
+            records.append(record)
+        return records
 
 
 def _row_record(row, header, where):

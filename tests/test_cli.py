@@ -2,6 +2,7 @@
 error (exit 2); a malformed input file is a runtime error (exit 1) whose
 message names the file and line."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -113,6 +114,32 @@ def test_bad_records_row_is_a_runtime_error_naming_file_and_line(records_file, t
         records.write_text(fh.read() + row + "\n")
     assert dispatch(trust_argv(str(records), tmp_path / "trust")) == 1
     assert last_error(capsys) == f"error: runtime: {records} {message}"
+
+
+def test_repeated_records_trial_is_a_runtime_error_naming_both_lines(records_file, tmp_path,
+                                                                    capsys):
+    records = tmp_path / "records.csv"
+    with open(records_file) as fh:
+        lines = fh.read().splitlines()
+    records.write_text("\n".join(lines + [lines[1]]) + "\n")
+    assert dispatch(trust_argv(str(records), tmp_path / "trust")) == 1
+    assert last_error(capsys) == (f"error: runtime: {records} line 6: duplicate trial_id "
+                                  f"'S1:0' (first on line 2)")
+    assert not (tmp_path / "trust").exists()
+
+
+def test_repeated_manifest_trial_is_a_runtime_error_naming_both_lines(scoring_inputs,
+                                                                     tmp_path, capsys):
+    base = os.path.dirname(scoring_inputs["manifest"])
+    with open(scoring_inputs["manifest"]) as fh:
+        header, first, *rest = fh.read().splitlines()
+    rows = [os.path.join(base, row) for row in [first, *rest, first]]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join([header, *rows]) + "\n")
+    trial_id = load_manifest(scoring_inputs["manifest"]).trials[0].trial_id
+    assert dispatch(["ingest-check", "--manifest", str(manifest)]) == 1
+    assert last_error(capsys) == (f"error: runtime: {manifest} line {len(rows) + 1}: "
+                                  f"duplicate trial {trial_id} (first on line 2)")
 
 
 @pytest.mark.parametrize("argv, flag, value, expected", [

@@ -1,8 +1,9 @@
 """Mutated input files through ``dispatch``.
 
-Each example takes a valid records CSV or trial CSV, drops or duplicates
-a cell or a row, truncates the file, or replaces a cell with a bad
-value, then runs the subcommand that reads it.  Whatever the mutation,
+Each example takes a valid records CSV, trial CSV or manifest, drops or
+duplicates a cell or a row, truncates the file, replaces a cell with a
+bad value or (in a manifest) a trial path with one to a missing file,
+then runs the subcommand that reads it.  Whatever the mutation,
 the exit code is 0, 1 or 2, no exception escapes ``dispatch``, and every
 failure's last line of output names the mutated file.
 """
@@ -25,16 +26,24 @@ RECORDS = ("trial_id,subject,trial,actual,predicted,conf_pass,conf_fail,true_sco
 TRIAL = ("# subject=S1\n# trial=0\n# rate_hz=2\n# score=NA\n# class=pass\n"
          "t,x,y\n0,0.1,0.2\n1,,0.3\n2,0.4,0.5\n3,0.6,\n4,0.7,0.8\n")
 
+MANIFEST = "path,subject,trial\ntrial0.csv,S1,0\ntrial1.csv,S1,1\ntrial2.csv,S1,2\n"
+
 
 @st.composite
-def mutations(draw, text):
+def mutations(draw, text, missing_path=None):
+    """``text`` with one mutation; ``missing_path`` also allows pointing a
+    row's first cell at that (absent) file."""
     lines = text.split("\n")
-    kind = draw(st.sampled_from(["drop-row", "dup-row", "drop-cell", "dup-cell",
-                                 "replace-cell", "truncate"]))
+    kinds = ["drop-row", "dup-row", "drop-cell", "dup-cell", "replace-cell", "truncate"]
+    if missing_path is not None:
+        kinds.append("missing-file")
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
     r = draw(st.integers(0, len(lines) - 1))
-    if kind == "drop-row":
+    if kind == "missing-file":
+        lines[r] = ",".join([missing_path] + lines[r].split(",")[1:])
+    elif kind == "drop-row":
         del lines[r]
     elif kind == "dup-row":
         lines.insert(r, lines[r])
@@ -88,5 +97,21 @@ def test_mutated_trial_csv_fails_cleanly_under_ingest_check(workdir):
     def check(text):
         trial.write_text(text)
         run(["ingest-check", "--manifest", manifest], trial)
+
+    check()
+
+
+def test_mutated_manifest_fails_cleanly_under_ingest_check(workdir):
+    root = workdir / "manifest"
+    root.mkdir()
+    for i in range(3):
+        (root / f"trial{i}.csv").write_text(TRIAL.replace("# trial=0", f"# trial={i}"))
+    manifest = root / "manifest.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutations(MANIFEST, missing_path="no_such_trial.csv"))
+    def check(text):
+        manifest.write_text(text)
+        run(["ingest-check", "--manifest", manifest], manifest)
 
     check()

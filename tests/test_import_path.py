@@ -1,0 +1,53 @@
+"""What a ``skillseq`` process loads: scipy's statistics stay out of it.
+
+``metrics`` imports scipy only inside its two large-sample p-value tails,
+so a process that scores, explains, checks or evaluates a small study
+never pays for ``scipy.stats`` (about 1.2 s and 65 MB at start-up).  The
+check runs in a fresh interpreter so that this test session's own imports
+do not count.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+SCRIPT = r"""
+import os, sys
+from skillseq.cli import dispatch
+
+work = sys.argv[1]
+data, run = os.path.join(work, "data"), os.path.join(work, "run")
+manifest = os.path.join(data, "manifest.csv")
+bundle = os.path.join(run, "fold_0", "bundle.skq")
+records = os.path.join(work, "records.csv")
+commands = [
+    ["synth", "--seed", "11", "--n-subjects", "3", "--trials-per-subject", "8",
+     "--pass-fraction", "0.5", "--out", data],
+    ["evaluate", "--seed", "3", "--scheme", "stratified3", "--dae-max-epochs", "2",
+     "--clf-max-epochs", "3", "--arch-enc-width", "8", "--arch-clf-width", "8",
+     "--manifest", manifest, "--out", run],
+    ["validate-cam", "--run", run, "--out", os.path.join(work, "study")],
+    ["predict", "--bundle", bundle, "--manifest", manifest, "--out", records],
+    ["cam", "--bundle", bundle, "--manifest", manifest, "--out",
+     os.path.join(work, "cams.csv"), "--overlay-dir", os.path.join(work, "overlays")],
+    ["trust", "--records", records, "--out", os.path.join(work, "trust")],
+    ["ingest-check", "--manifest", manifest],
+]
+for argv in commands:
+    rc = dispatch(argv)
+    if rc != 0:
+        sys.exit(f"{argv[0]} exited {rc}")
+print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+"""
+
+
+def test_subcommands_run_without_loading_scipy_statistics(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("SKILLSEQ_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout

@@ -261,3 +261,50 @@ def test_wilcoxon_large_n_uses_normal_tail():
     after = before + rng.normal(0.8, 0.5, size=n)
     w, p = wilcoxon_one_sided(before, after)
     assert 0.0 < p < 0.01
+
+
+# --- large-sample tails, pinned bit for bit to scipy.stats ---
+
+
+def _tail_draws(n, seed):
+    """Paired samples from independent to strongly related, some with ties."""
+    rng = np.random.default_rng(seed)
+    for strength in (0.0, 0.3, 1.0, 3.0):
+        x = rng.normal(size=n)
+        y = strength * x + rng.normal(size=n)
+        yield x, y
+        yield np.round(x, 1), np.round(y, 1)
+
+
+@pytest.mark.parametrize("n", range(9, 41))
+def test_spearman_t_tail_equals_scipy_stats_bitwise(n):
+    from scipy import stats
+
+    for x, y in _tail_draws(n, 900 + n):
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        rho, p = spearman(x, y)
+        if rho * rho >= 1.0:
+            assert p == 0.0
+            continue
+        t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+        ref = 2.0 * float(stats.t.sf(abs(t), df=n - 2))
+        assert float.hex(p) == float.hex(ref), (n, rho)
+
+
+@pytest.mark.parametrize("n", range(21, 61))
+def test_wilcoxon_normal_tail_equals_scipy_stats_bitwise(n):
+    from scipy import stats
+
+    for k, (before, delta) in enumerate(_tail_draws(n, 1900 + n)):
+        after = before + 0.2 * delta + 0.25 * k
+        d = after - before
+        d = d[d != 0.0]
+        if len(d) <= 20:
+            continue
+        w, p = wilcoxon_one_sided(before, after)
+        ranks = average_ranks(np.abs(d))
+        m = len(d)
+        z = (w - m * (m + 1) / 4.0 - 0.5) / np.sqrt(float(np.sum(np.square(ranks))) / 4.0)
+        ref = float(stats.norm.sf(z))
+        assert float.hex(p) == float.hex(ref), (n, w)
