@@ -18,10 +18,11 @@ On any failure the last line of output is a single-line diagnostic of
 the form ``error: usage: <message>`` or ``error: runtime: <message>``.
 
 Every subcommand's help text, handler and options sit in one table
-(``_COMMANDS``).  ``dispatch`` builds the parser for the one subcommand
-it runs: all subcommands are listed, so top-level help and error text
-are complete, but only that subcommand gets its options.  Help, usage
-and error output are byte-for-byte those of a parser built whole.
+(``_COMMANDS``).  When the first argument names a subcommand, ``dispatch``
+builds that subcommand's parser alone; anything else (help, an unknown
+command, an option first) gets the whole tree, so top-level help and
+error text are complete.  Help, usage and error output are byte-for-byte
+those of a parser built whole.
 
 Run-key flags, config files and run.cfg share one key table
 (``config.RUN_KEYS``).  Settings resolve as flags > config file >
@@ -417,20 +418,20 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """The argument parser, with options on ``command``'s subparser only.
+    """The argument parser: only ``command``'s subparser when it names one,
+    else every subcommand.
 
-    Every subcommand is listed, so top-level help and ``invalid choice``
-    messages are complete; the options of the others, which one
-    invocation never reads, are not built.
+    The top-level usage shows ``COMMAND``, not the list of choices, so a
+    parser holding one subcommand prints that subcommand's help, usage
+    and errors exactly as the whole tree would.
     """
     parser = _Parser(prog="skillseq",
                      description="Tool-motion skill scoring pipeline")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (help_text, handler, options) in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, handler, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
-        if name != command:
-            continue
         for option in options:
             if isinstance(option, dict):
                 add_key_flags(p, option)
@@ -441,9 +442,7 @@ def build_parser(command=None):
 
 def dispatch(argv):
     """Run one invocation; returns the process exit status."""
-    # the top-level parser takes no option values, so its first positional
-    # argument, the subcommand, is the first argument without a leading "-"
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

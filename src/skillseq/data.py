@@ -8,6 +8,14 @@ Gap filling replaces missing detections, downsampling reduces the frame
 rate, min-max normalization maps each channel into [0, 1] using
 statistics fitted on training trials only.  Every stage transition is
 enforced so statistics can never leak across the fit/apply boundary.
+
+Trial files are read and written a whole data block at a time.  The
+reader splits a block without quotes into cells in one pass, checks that
+every row has the header's width, and converts all cells at once.  Any
+other block, and every malformed one, goes to a row-by-row ``csv.reader``
+walk.  The walk is the reference reading and the only place that
+reports a malformed block, so both readings give the same values or the
+same error.
 """
 
 from __future__ import annotations
@@ -16,8 +24,10 @@ import csv
 import hashlib
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -322,6 +332,11 @@ def parse_trial_csv(path):
     optional score/class with NA for absent), then a ``t,<ch>,...``
     header row, then one row per frame.  Empty cells mark missing
     detections.  Errors carry the line number and column name.
+
+    A data block without quotes is read in whole-block passes
+    (``_parse_block``); anything that path does not accept as plain,
+    including every malformed block, is read by the ``csv.reader`` row
+    walk (``_walk_rows``), which raises the error.
     """
     return parse_trial_text(_read_text(path), origin=str(path))
 
@@ -389,7 +404,34 @@ def parse_trial_text(text, origin="<string>"):
     if meta.get("class", "NA") != "NA":
         label = meta["class"]
 
-    rows = list(csv.reader(io.StringIO("\n".join(lines[i:]))))
+    block = None if '"' in text else _parse_block(lines[i:])
+    channels, values = block or _walk_rows(lines, i, origin)
+
+    try:
+        return Trial(
+            subject_id=meta["subject"],
+            trial_index=trial_index,
+            sample_rate_hz=rate,
+            channels=channels,
+            values=values,
+            score=score,
+            class_label=label,
+            stage=RAW,
+        )
+    except ValueError as e:
+        raise TrialFormatError(f"{origin}: {e}")
+
+
+def _walk_rows(lines, i, origin):
+    """``(channels, values)`` of the column header row ``lines[i]`` and the
+    data rows after it, read row by row through ``csv.reader``.  This is
+    the reference reading and the one place that reports a malformed
+    block, by line and column."""
+    reader = csv.reader(io.StringIO("\n".join(lines[i:])))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:        # a field longer than csv.field_size_limit()
+        raise TrialFormatError(f"{origin} line {i + reader.line_num}: {exc}") from None
     if not rows:
         raise TrialFormatError(f"{origin}: missing column header row")
     header = [h.strip() for h in rows[0]]
@@ -438,20 +480,58 @@ def parse_trial_text(text, origin="<string>"):
             for c, cell in enumerate(row[1:]) if cell.strip() and not math.isfinite(float(cell)))
         raise TrialFormatError(
             f"{origin} line {lineno}, column '{channels[col]}': non-finite value '{cell}'")
+    return channels, values
 
+
+def _parse_block(lines):
+    """``(channels, values)`` of a column header row and its data rows,
+    read in whole-block passes, or None to leave the block to ``_walk_rows``.
+
+    The caller has ruled out quotes, so each row that ``csv.reader`` would
+    give is ``line.split(",")``.  The result is exactly the row walk's.
+    Anything else defers: an over-long line, a header the walk would
+    reject, a blank or ragged row, a ``t`` that is not an increasing
+    integer, a cell that is neither empty nor a number ``float()`` reads,
+    or a non-finite number.
+    """
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    ncol, body = len(header), lines[1:]
+    channels = tuple(header[1:])
+    # each row on its own line: a total cell count alone would accept a
+    # blank line followed by a line with one cell too many
+    if (header[0] != "t" or ncol < 2 or len(set(channels)) != ncol - 1 or not body
+            or set(map(str.count, body, repeat(","))) != {ncol - 1}):
+        return None
+    cells = ",".join(body).split(",")
     try:
-        return Trial(
-            subject_id=meta["subject"],
-            trial_index=trial_index,
-            sample_rate_hz=rate,
-            channels=channels,
-            values=values,
-            score=score,
-            class_label=label,
-            stage=RAW,
-        )
-    except ValueError as e:
-        raise TrialFormatError(f"{origin}: {e}")
+        ts = list(map(int, cells[::ncol]))
+    except ValueError:
+        return None
+    if not all(map(operator.lt, ts, ts[1:])):
+        return None
+    del cells[::ncol]
+    missing = cells.count("")
+    if missing:
+        cells = [cell or "nan" for cell in cells]
+    try:  # parses each str as float() does, bit for bit
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        return None
+    if values.size - np.count_nonzero(np.isfinite(values)) != missing:
+        return None
+    return channels, values.reshape(-1, ncol - 1)
+
+
+def csv_rows(reader, where, error=ValueError):
+    """The rows of ``reader``.  A csv.Error, such as a field longer than
+    ``csv.field_size_limit()``, raises ``error`` naming ``where`` and the
+    line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{where} line {reader.line_num}: {exc}") from None
 
 
 def _blank(row):
@@ -476,7 +556,17 @@ def _cells(cells, channels, origin, lineno):
 
 
 def write_trial_csv(trial, path):
-    """Serialize a trial; exact inverse of parse_trial_csv for RAW trials."""
+    """Serialize a trial; exact inverse of parse_trial_csv for RAW trials.
+
+    An infinite cell, which the parser rejects, raises ValueError naming
+    the trial and frame, and nothing is written.
+    """
+    values = trial.values
+    infinite = np.isinf(values)
+    if infinite.any():
+        t, c = np.argwhere(infinite)[0].tolist()
+        raise ValueError(f"{trial.trial_id} frame {t}, channel '{trial.channels[c]}': "
+                         f"cannot write non-finite value {float(values[t, c])!r}")
     buf = [
         f"# subject={trial.subject_id}",
         f"# trial={trial.trial_index}",
@@ -485,11 +575,12 @@ def write_trial_csv(trial, path):
         f"# class={'NA' if trial.class_label is None else trial.class_label}",
         "t," + ",".join(trial.channels),
     ]
-    for t in range(trial.n_frames):
-        cells = [str(t)]
-        for v in trial.values[t]:
-            cells.append("" if np.isnan(v) else repr(float(v)))
-        buf.append(",".join(cells))
+    gaps = np.isnan(values).any(axis=1).tolist()
+    for t, (row, gap) in enumerate(zip(values.tolist(), gaps)):
+        if gap:
+            buf.append(",".join([str(t)] + ["" if math.isnan(v) else repr(v) for v in row]))
+        else:
+            buf.append(f"{t}," + ",".join(map(repr, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(buf) + "\n")
 
@@ -551,7 +642,8 @@ def load_manifest(path):
     """
     base = os.path.dirname(os.path.abspath(path))
     trials = []
-    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    rows = list(csv_rows(reader, path, TrialFormatError))
     if not rows or [h.strip() for h in rows[0]] != ["path", "subject", "trial"]:
         raise TrialFormatError(f"{path}: manifest header must be 'path,subject,trial'")
     first_line = {}

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DOWNSAMPLED, Dataset
+from .data import DOWNSAMPLED, Dataset, csv_rows
 from .model import predict_many
 
 __all__ = [
@@ -158,10 +158,11 @@ def read_cams_csv(path):
     rows = {}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
+        lines = csv_rows(r, path)
+        header = next(lines, None)
         if header != ["trial_id", "class_index", "t", "raw", "intensity"]:
             raise ValueError(f"{path}: unrecognized activation-map header {header}")
-        for row in r:
+        for row in lines:
             try:
                 tid, ci, t, raw, inten = row
                 entry = (int(t), int(ci), float(raw), float(inten))

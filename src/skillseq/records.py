@@ -6,7 +6,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .data import PASS_FAIL
+from .data import PASS_FAIL, csv_rows
 
 __all__ = ["PredictionRecord", "write_records_csv", "read_records_csv",
            "records_csv_classes"]
@@ -78,7 +78,7 @@ def _header_classes(header, path):
 def records_csv_classes(path):
     """Class names a records file was written with, read from its header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(csv_rows(csv.reader(fh), path), None)
     if header is None:
         raise ValueError(f"{path}: empty records file")
     return _header_classes(header, path)
@@ -92,7 +92,8 @@ def read_records_csv(path, classes=None):
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = csv_rows(reader, path)
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty records file")
         found = _header_classes(header, path)
@@ -103,7 +104,7 @@ def read_records_csv(path, classes=None):
                 f"{path}: header classes {found} do not match expected {tuple(classes)}"
             )
         records, first_line = [], {}
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             line = reader.line_num

@@ -63,6 +63,9 @@ HEADER = "trial_id,class_index,t,raw,intensity\r\n"
     ("S1:0,x,1,0.5,0.5", " line 3, column 'class_index': expected an integer, got 'x'"),
     ("S1:0,0,1,0.5,nope", " line 3, column 'intensity': expected a number, got 'nope'"),
     ("S1:0,0,1,inf,0.5", ": S1:0: non-finite activation map"),
+    pytest.param("S1:0,0,1," + "1" * (csv.field_size_limit() + 1) + ",0.5",
+                 f" line 3: field larger than field limit ({csv.field_size_limit()})",
+                 id="oversized-field"),
 ])
 def test_bad_cams_csv_names_path_and_line(tmp_path, row, message):
     path = tmp_path / "cams.csv"

@@ -2,13 +2,15 @@
 
 Each example takes a valid records CSV, trial CSV or manifest, drops or
 duplicates a cell or a row, truncates the file, replaces a cell with a
-bad value or (in a manifest) a trial path with one to a missing file,
-then runs the subcommand that reads it.  Whatever the mutation,
-the exit code is 0, 1 or 2, no exception escapes ``dispatch``, and every
-failure's last line of output names the mutated file.
+bad value or with one longer than ``csv.field_size_limit()``, or (in a
+manifest) a trial path with one to a missing file, then runs the
+subcommand that reads it.  Whatever the mutation, the exit code is 0, 1
+or 2, no exception escapes ``dispatch``, and every failure's last line
+of output names the mutated file.
 """
 
 import contextlib
+import csv
 import io
 
 import pytest
@@ -34,7 +36,8 @@ def mutations(draw, text, missing_path=None):
     """``text`` with one mutation; ``missing_path`` also allows pointing a
     row's first cell at that (absent) file."""
     lines = text.split("\n")
-    kinds = ["drop-row", "dup-row", "drop-cell", "dup-cell", "replace-cell", "truncate"]
+    kinds = ["drop-row", "dup-row", "drop-cell", "dup-cell", "replace-cell", "oversized-cell",
+             "truncate"]
     if missing_path is not None:
         kinds.append("missing-file")
     kind = draw(st.sampled_from(kinds))
@@ -54,6 +57,8 @@ def mutations(draw, text, missing_path=None):
             del cells[c]
         elif kind == "dup-cell":
             cells.insert(c, cells[c])
+        elif kind == "oversized-cell":
+            cells[c] = "1" * (csv.field_size_limit() + 1)
         else:
             cells[c] = draw(st.sampled_from(BAD_CELLS))
         lines[r] = ",".join(cells)

@@ -24,12 +24,26 @@ CASES = {
                                  "--out", "r.csv", "--bogus"],
     "nope": ["nope"],
     "evaluate --arch-kernel-size 4": ["evaluate", "--arch-kernel-size", "4"],
+    "-h predict": ["-h", "predict"],
+    "--help predict": ["--help", "predict"],
+    "-- predict": ["--", "predict"],
+    "predict": ["predict"],
+    "predict -h": ["predict", "-h"],
+    "cam --bogus": ["cam", "--bogus"],
 }
 
 GOLDEN = {
     (3, 11): {
+        "-- predict":
+            "fa1c85c42c1cc6ebc645d5a611a9a74cf25e2995cf0aec52611d14b5e4a65c5f",
         "--help":
             "bc3584e68f981d4c3008d935adeedfa6b85fec164bcbd5bd30a2f0d837c99004",
+        "--help predict":
+            "bc3584e68f981d4c3008d935adeedfa6b85fec164bcbd5bd30a2f0d837c99004",
+        "-h predict":
+            "bc3584e68f981d4c3008d935adeedfa6b85fec164bcbd5bd30a2f0d837c99004",
+        "cam --bogus":
+            "8af72a776c80498101e2e66ce374d8098d20b57b0341bcb56d2fae9036cf2761",
         "cam --help":
             "252626804de85c5eccbc57804c0ee51d5961b3e247bb646ede9334048dd606c1",
         "evaluate --arch-kernel-size 4":
@@ -42,9 +56,13 @@ GOLDEN = {
             "df4283f09ba1881d07819341692f2f8597c60f368d6895a8befe120e4b569c36",
         "nope":
             "160c5ae376bf56a1c012fb0417e2d810804b1c0d817d02a18f3ab3cbaa33ca23",
+        "predict":
+            "b7e430147ea7ba4a6a76143946f98134e2b5ca74a6cde90dc71f7dd95eee5e77",
         "predict --bogus":
             "b7e430147ea7ba4a6a76143946f98134e2b5ca74a6cde90dc71f7dd95eee5e77",
         "predict --help":
+            "bfe84dff577953aeae18eb25ff73b4e016293f5813c2af33a8ec8f0d71f8b1e1",
+        "predict -h":
             "bfe84dff577953aeae18eb25ff73b4e016293f5813c2af33a8ec8f0d71f8b1e1",
         "predict <inputs> --bogus":
             "6f2a8c3f8ad71a39ea60dcc3f510bbe05b311d838bc2c86674197ae33fcc4248",

@@ -57,6 +57,17 @@ def test_trial_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, values)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_write_trial_csv_rejects_an_infinite_cell(tmp_path, bad):
+    values = np.array([[1.0, 2.0], [np.nan, 4.0], [5.0, bad]])
+    trial = make_trial(values, subject="S9", index=3, channels=("ax", "ay"))
+    path = tmp_path / "trial.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            f"S9:3 frame 2, channel 'ay': cannot write non-finite value {bad!r}")):
+        write_trial_csv(trial, path)
+    assert not path.exists()
+
+
 def test_trial_text_optional_fields_absent():
     text = ("# subject=A\n# trial=0\n# rate_hz=2.0\n"
             "t,x\n0,1.0\n1,2.0\n")
@@ -97,6 +108,9 @@ def test_trial_text_optional_fields_absent():
      "line 6, column 'y': non-finite value '-nan'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1,Infinity,\n",
      "line 6, column 'x': non-finite value 'Infinity'"),
+    pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1," + "0" * 131073 + "\n",
+                 re.escape("line 6: field larger than field limit (131072)"),
+                 id="oversized-field"),
 ])
 def test_trial_text_diagnostics(text, fragment):
     with pytest.raises(TrialFormatError, match=fragment):

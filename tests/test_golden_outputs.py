@@ -7,7 +7,9 @@ CLI ``predict`` and ``cam`` commands score the whole tiny manifest with
 fold 0's bundle.  The sha256 of the run's ``metrics.txt``, of every fold's
 ``predictions.csv``, ``cams.csv`` and ``bundle.skq`` and of the CLI's
 ``records.csv`` and ``cams.csv`` must equal the digests recorded for this
-platform.
+platform.  So must the sha256 of each trial file and of the manifest
+that the run's ``synth`` writes.  The trial writer's output for cells
+that stress float formatting is pinned as literal bytes.
 Floating-point bytes depend on the numpy/scipy versions, the OpenBLAS
 kernel and the SIMD targets (``perfbench/envinfo.platform_key``), so an
 unrecorded platform skips the check.
@@ -18,7 +20,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from skillseq.cli import dispatch
+from skillseq.data import Trial, parse_trial_csv, write_trial_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -50,6 +56,37 @@ GOLDEN = {
             "16dfda3da11faf0e57f777bee28dc02a83c62df96eda0e73834882a04044e6e8",
         "cli/records.csv": "280043efc3e837922a9d0f3def2f3fca4fb3024771d8d478afa2854808681590",
         "cli/cams.csv": "92bc427970f39ca71792d91c5c5f5f82137055458710192aeaab2fbc167badcf",
+    },
+}
+
+# sha256 of each file that ``SYNTH`` writes
+SYNTH_GOLDEN = {
+    "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
+        "manifest.csv": "8c1e0be241c402fc972e8a0e1d3fb4843841f4d679616fb300d49c3b4c6b4883",
+        "trials/S01_000.csv": "434973f18d2a8b36b6c2d1f2253f91e81bcba2b435c1f14b9e1acf2dca5969ea",
+        "trials/S01_001.csv": "8ff81bb0dae06765418d217124242e2a64cb4cf80d4ebb0acd8de9319f6c21df",
+        "trials/S01_002.csv": "120f425b03659b7608422938528ddee0b0fb330440e0c14552dce9813e5543bb",
+        "trials/S01_003.csv": "482447035d55406669f3b695494ba95611f84973d7578a9167e3fffa2a608b8b",
+        "trials/S01_004.csv": "fe88bb5480c6cc85fc6bfc560d6a74406f96e242a314ba15f52c5bfe24937186",
+        "trials/S01_005.csv": "933c140b5eac2e5185e868623de526a64a17bf9bc0a4f31a96c0176f5ed5aadc",
+        "trials/S01_006.csv": "8dd5f88b4c1d1b378ae3c14dd6ace8bb902c7ee867a884cc9ed743bdde9e0828",
+        "trials/S01_007.csv": "cf55d568711efee9c424156aeda2752f0c5bdc8e2ea14391aaf749c94b967448",
+        "trials/S02_000.csv": "20b91d8444a5f924a4cd2ff535705c3f01a47876c10ecf20739f3e5488672a13",
+        "trials/S02_001.csv": "a3816ef41e6d4141225baffac8f6ea837e313664383611eb18eba52d4fe8ba49",
+        "trials/S02_002.csv": "ead2d3f7f0a824d95dd65f406d5f364f208b664bca4ed046f8d245bd5e261ef5",
+        "trials/S02_003.csv": "6aaafe9ec2620d57c4e50edb46688da3bb5a807e768683d8dbc48c02043a9b03",
+        "trials/S02_004.csv": "2f03b27d707423b8d74669d4c00e1a505b1bb8a1c2cf53167e469e393f8218e4",
+        "trials/S02_005.csv": "e72e3ea01bb874c7734b94b85702d4a1a0f7006a951a35fd29c3c798a7a250e4",
+        "trials/S02_006.csv": "3a58c91f050d3a6ee2a9b8469e3c134cbe9c6acce6d839a0b5cbd1ecbf7d65fc",
+        "trials/S02_007.csv": "4ab4911b89e8a274df05e85b352e9cf03a72c87811f53e30f6728fbc12aac276",
+        "trials/S03_000.csv": "9b90b873c6134e6c805dc20c28d22fe5782fa9e5aa2a165d25439a3b6d5f2d3c",
+        "trials/S03_001.csv": "cf4ffef2235126627a1d6ab0363c47bca6d80a69f1700b7607ac21d4e2ae9c4f",
+        "trials/S03_002.csv": "4495b285b7042323206da31ed25d20c0cfae6af8cbb59ad0d551c47e9b728155",
+        "trials/S03_003.csv": "fe96c01ddc3e7a4c5704b434e8111333dfc72dffe797d51a5033ec4f57672944",
+        "trials/S03_004.csv": "72e94312e1ac73a0fd8705d7e45ac13878af245ba64d38103efe69bb4c01dcaf",
+        "trials/S03_005.csv": "df75aff8376291f1bb0fae9733720eb8fc9b9423f5723329c45e24ccbc196749",
+        "trials/S03_006.csv": "a6f643c99aa9a696febe65d5878a95e239bd4a2629fa26a20e4109eeb027bd96",
+        "trials/S03_007.csv": "34511b63279a23dba1b4ed8f93961eda63afe664672f2d77a2f745a80da31fe7",
     },
 }
 
@@ -99,3 +136,55 @@ def test_tiny_run_output_bytes_are_unchanged(tmp_path, monkeypatch):
     if golden is None:
         pytest.skip("no reference digests recorded for this platform")
     assert tiny_run_digests(SRC, str(tmp_path)) == golden
+
+
+def _file_digests(root):
+    """sha256 of every file under ``root``, keyed by its relative path."""
+    digests = {}
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, root).replace(os.sep, "/")] = \
+                    hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_synth_trial_files_and_manifest_are_unchanged(tmp_path, monkeypatch, capsys):
+    """The tiny run's dataset: every trial file and the manifest that
+    ``synth`` writes, byte for byte."""
+    golden = SYNTH_GOLDEN.get(_platform_key(monkeypatch))
+    if golden is None:
+        pytest.skip("no reference digests recorded for this platform")
+    assert dispatch([*SYNTH, "--out", str(tmp_path)]) == 0
+    assert _file_digests(tmp_path) == golden
+
+
+def test_trial_writer_output_bytes_are_unchanged(tmp_path):
+    """NaN runs, signed zeros, subnormals and extremes, written and read back."""
+    nan = np.nan
+    values = np.array([
+        [nan, -0.0, 1e300],
+        [nan, nan, 5e-324],
+        [nan, 0.1, -2.2250738585072014e-308],
+        [1.0 / 3.0, nan, 123456789.125],
+        [-1e-7, nan, 2.5e-310],
+        [nan, nan, nan],
+        [0.0, -1e300, 42.0],
+    ])
+    trial = Trial(subject_id="S7", trial_index=12, sample_rate_hz=10.0,
+                  channels=("sx", "sy", "gx"), values=values, score=-0.0,
+                  class_label="fail")
+    path = tmp_path / "trial.csv"
+    write_trial_csv(trial, path)
+    assert path.read_bytes() == (
+        b"# subject=S7\n# trial=12\n# rate_hz=10.0\n# score=-0.0\n# class=fail\n"
+        b"t,sx,sy,gx\n"
+        b"0,,-0.0,1e+300\n"
+        b"1,,,5e-324\n"
+        b"2,,0.1,-2.2250738585072014e-308\n"
+        b"3,0.3333333333333333,,123456789.125\n"
+        b"4,-1e-07,,2.5e-310\n"
+        b"5,,,\n"
+        b"6,0.0,-1e+300,42.0\n")
+    assert parse_trial_csv(path).values.tobytes() == values.tobytes()
