@@ -39,7 +39,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bundle import BundleFormatError, load_bundle, save_bundle
+from .bundle import load_bundle, save_bundle
 from .config import (
     RUN_KEYS,
     SYNTH_KEYS,
@@ -57,7 +57,7 @@ from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
 from .model import actual_class, normalize_for_model, predict_many, prepare_dataset
 from .overlay import render_cam_overlay
-from .records import read_records_csv, records_csv_classes, write_records_csv
+from .records import read_records_csv, write_records_csv
 from .reports import fmt9, kv_line
 from .synth import write_synth_dataset
 from .training import train_classifier, train_dae
@@ -275,13 +275,13 @@ def _cmd_cam(args):
 
 def _cmd_trust(args):
     _require_file(args.records, "records file")
-    records = read_records_csv(args.records)
+    class_names, records = read_records_csv(args.records)
     usable = [r for r in records if r.confidences is not None]
     if not usable:
         raise UsageError(f"{args.records}: no classification records with confidences")
     try:
         report = build_trust_report(usable, alpha=args.alpha, beta=args.beta,
-                                    class_names=records_csv_classes(args.records))
+                                    class_names=class_names)
     except ValueError as exc:
         raise ValueError(f"{args.records}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
@@ -454,8 +454,7 @@ def dispatch(argv):
         return _fail("usage", exc)
     except KeyboardInterrupt:
         raise
-    except (ValueError, OSError, RuntimeError, BundleFormatError,
-            FloatingPointError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError, KeyError) as exc:
         return _fail("runtime", exc)
 
 

@@ -91,6 +91,9 @@ class RunSettings:
                              f"not {self.clf.loss}")
         if self.mode == "regression" and self.clf.loss != "mse":
             raise ValueError("regression head trains on mse loss")
+        if self.dae.loss == "cosine":
+            raise ValueError("dae_loss must be bce or mse, not cosine, which compares "
+                             "vectors, not sequences")
         # fields a run never reads have no key, so they keep their defaults:
         # fold seeds derive from the run seed, train_dae weights no classes
         # and the head has no noise layer

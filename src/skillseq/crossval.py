@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,17 +298,11 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
         test_trials = [by_id[t] for t in fold.test_ids]
         tasks.append((settings, i, fold, train_trials, test_trials))
 
-    if jobs > 1:
-        # a fork pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_fold, tasks))
-        if progress:
-            for o in outcomes:
-                progress(f"fold {o.name}: {o.status}")
-    else:
-        outcomes = []
-        for task in tasks:
-            outcome = _run_fold(task)
+    # a pool's map submits every fold at once and yields outcomes in fold
+    # order as they finish, so progress streams under --jobs N as well
+    outcomes = []
+    with ProcessPoolExecutor(min(jobs, len(tasks))) if jobs > 1 else nullcontext() as pool:
+        for outcome in (pool.map if pool else map)(_run_fold, tasks):
             outcomes.append(outcome)
             if progress:
                 progress(f"fold {outcome.name}: {outcome.status}")
@@ -405,7 +400,7 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
             cams.update((tid, CamMap.from_raw(tid, 0, np.zeros(frames[tid])))
                         for tid in fold.test_ids if tid in frames)
             continue
-        records = read_records_csv(pred_path)
+        _, records = read_records_csv(pred_path)
         before[fold.name] = fold_metrics("classification", tuple(records))
         fold_cams = read_cams_csv(os.path.join(fold_dir, "cams.csv"))
         if set(fold_cams) != set(fold.test_ids):

@@ -14,8 +14,9 @@ reader splits a block without quotes into cells in one pass, checks that
 every row has the header's width, and converts all cells at once.  Any
 other block, and every malformed one, goes to a row-by-row ``csv.reader``
 walk.  The walk is the reference reading and the only place that
-reports a malformed block, so both readings give the same values or the
-same error.
+reports a malformed block: it converts each cell as it reaches it, so it
+reports the first fault in file order, and both readings give the same
+values or the same error.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ import numpy as np
 
 __all__ = [
     "RAW", "FILLED", "DOWNSAMPLED", "NORMALIZED",
-    "PASS_FAIL", "GRS_LEVELS",
+    "PASS_FAIL",
     "Trial", "Dataset", "MinMaxStats", "ScoreStats",
     "TrialFormatError",
     "fill_gaps", "downsample",
-    "fit_minmax", "apply_minmax", "invert_minmax",
+    "fit_minmax", "apply_minmax",
     "fit_znorm", "apply_znorm", "invert_znorm",
     "one_hot", "class_weights",
     "parse_trial_csv", "parse_trial_text", "write_trial_csv",
@@ -49,7 +50,6 @@ RAW, FILLED, DOWNSAMPLED, NORMALIZED = 0, 1, 2, 3
 _STAGE_NAMES = {0: "raw", 1: "filled", 2: "downsampled", 3: "normalized"}
 
 PASS_FAIL = ("pass", "fail")
-GRS_LEVELS = ("novice", "intermediate", "expert")
 
 
 class TrialFormatError(ValueError):
@@ -92,10 +92,6 @@ class Trial:
     @property
     def trial_id(self):
         return f"{self.subject_id}:{self.trial_index}"
-
-    @property
-    def n_frames(self):
-        return self.values.shape[0]
 
 
 def _require_stage(trial, stage, op):
@@ -226,11 +222,6 @@ def apply_minmax(trial, stats):
     return replace(trial, values=vals, stage=NORMALIZED)
 
 
-def invert_minmax(values, stats):
-    """Map normalized values back to original units."""
-    return np.asarray(values) * (stats.maxs - stats.mins) + stats.mins
-
-
 @dataclass(frozen=True)
 class ScoreStats:
     """Mean and population standard deviation of training scores."""
@@ -248,30 +239,15 @@ class ScoreStats:
                           source_ids=tuple(d["source_ids"]))
 
 
-def fit_znorm(scores, ids=None):
-    """Fit score statistics from plain scores or from scored trials."""
-    items = list(scores)
-    vals = []
-    for t in items:
-        if hasattr(t, "score"):
-            if t.score is None:
-                raise ValueError(f"{t.trial_id} has no score; cannot fit score statistics")
-            vals.append(float(t.score))
-        else:
-            vals.append(float(t))
-    if ids is not None:
-        out_ids = list(ids)
-    else:
-        out_ids = [t.trial_id for t in items if hasattr(t, "trial_id")]
-        if len(out_ids) != len(items):
-            out_ids = []
-    if len(vals) < 2:
+def fit_znorm(scores, ids=()):
+    """Fit score statistics; ``ids`` names the trials the scores came from."""
+    arr = np.array(scores, dtype=np.float64)
+    if len(arr) < 2:
         raise ValueError("need at least two scores to fit score statistics")
-    arr = np.array(vals, dtype=np.float64)
     std = float(arr.std(ddof=0))
     if std == 0.0:
         raise ValueError("scores are constant over the fit set (zero spread)")
-    return ScoreStats(mean=float(arr.mean()), std=std, source_ids=tuple(out_ids))
+    return ScoreStats(mean=float(arr.mean()), std=std, source_ids=tuple(ids))
 
 
 def apply_znorm(score, stats):
@@ -283,27 +259,11 @@ def invert_znorm(z, stats):
 
 
 def one_hot(label, classes=PASS_FAIL):
-    """Unit vector for a class label under a fixed class order.
-
-    ``classes`` may also be a class count: 2 selects the pass/fail
-    order, 3 the novice/intermediate/expert order.  Integer labels are
-    taken as indices directly.
-    """
-    if isinstance(classes, (int, np.integer)):
-        orders = {2: PASS_FAIL, 3: GRS_LEVELS}
-        if classes not in orders:
-            raise ValueError(f"no fixed class order for {classes} classes")
-        classes = orders[classes]
-    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
-        idx = int(label)
-        if not 0 <= idx < len(classes):
-            raise ValueError(f"label index {idx} outside [0, {len(classes)})")
-    else:
-        if label not in classes:
-            raise ValueError(f"unknown class '{label}'; expected one of {classes}")
-        idx = classes.index(label)
+    """Unit vector for a class name under the class order ``classes``."""
+    if label not in classes:
+        raise ValueError(f"unknown class '{label}'; expected one of {classes}")
     v = np.zeros(len(classes))
-    v[idx] = 1.0
+    v[classes.index(label)] = 1.0
     return v
 
 
@@ -445,7 +405,6 @@ def _walk_rows(lines, i, origin):
 
     # every cell of every row, in order: one array is built at the end
     data = []
-    missing = 0   # empty cells
     last_t = None
     for r, row in enumerate(rows[1:]):
         lineno = i + 2 + r
@@ -464,23 +423,24 @@ def _walk_rows(lines, i, origin):
                 f"{origin} line {lineno}, column 't': timestamp {t_val} not increasing (previous {last_t})"
             )
         last_t = t_val
-        try:  # float() strips the whitespace that str.strip() would
-            data.extend(list(map(float, row[1:])))
-        except ValueError:
-            data.extend(_cells(row[1:], channels, origin, lineno))
-            missing += sum(1 for cell in row[1:] if not cell.strip())
+        for channel, cell in zip(channels, row[1:]):
+            # only an empty cell is missing; float() also reads "nan" and "inf"
+            cell = cell.strip()
+            if not cell:
+                data.append(math.nan)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise TrialFormatError(f"{origin} line {lineno}, column '{channel}': "
+                                       f"non-numeric value '{cell}'") from None
+            if not math.isfinite(value):
+                raise TrialFormatError(f"{origin} line {lineno}, column '{channel}': "
+                                       f"non-finite value '{cell}'")
+            data.append(value)
     if not data:
         raise TrialFormatError(f"{origin}: no data rows")
-    values = np.array(data).reshape(-1, len(channels))
-    # float() also reads "nan" and "inf", but only an empty cell is missing;
-    # one test per trial, and the rows are walked only to name the bad cell
-    if values.size - np.count_nonzero(np.isfinite(values)) != missing:
-        lineno, col, cell = next(
-            (i + 2 + r, c, cell.strip()) for r, row in enumerate(rows[1:])
-            for c, cell in enumerate(row[1:]) if cell.strip() and not math.isfinite(float(cell)))
-        raise TrialFormatError(
-            f"{origin} line {lineno}, column '{channels[col]}': non-finite value '{cell}'")
-    return channels, values
+    return channels, np.array(data).reshape(-1, len(channels))
 
 
 def _parse_block(lines):
@@ -538,29 +498,37 @@ def _blank(row):
     return len(row) == 0 or (len(row) == 1 and row[0].strip() == "")
 
 
-def _cells(cells, channels, origin, lineno):
-    """Floats of one row's cells; an empty cell is NaN (a missing detection)."""
-    vals = []
-    for c, cell in enumerate(cells):
-        cell = cell.strip()
-        if cell == "":
-            vals.append(np.nan)
-            continue
-        try:
-            vals.append(float(cell))
-        except ValueError:
-            raise TrialFormatError(
-                f"{origin} line {lineno}, column '{channels[c]}': non-numeric value '{cell}'"
-            )
-    return vals
+def _unwritable(name):
+    """Why the parser would not read ``name`` back as written, or None."""
+    if name != name.strip():
+        return "leading or trailing whitespace"
+    if "," in name or '"' in name:
+        return "a ',' or '\"'"
+    if len(f"{name}.".splitlines()) > 1:
+        return "a line break"
+    return None
 
 
 def write_trial_csv(trial, path):
     """Serialize a trial; exact inverse of parse_trial_csv for RAW trials.
 
-    An infinite cell, which the parser rejects, raises ValueError naming
-    the trial and frame, and nothing is written.
+    What the parser would not read back as written raises ValueError
+    naming the trial, and nothing is written: an infinite cell (naming
+    the frame), and a subject, class label or channel name that holds a
+    ',', a '"' or a line break, starts or ends with whitespace, or, for a
+    class label, is ``NA``, which marks a missing label.
     """
+    names = [("subject", trial.subject_id)] + [("channel", ch) for ch in trial.channels]
+    if trial.class_label is not None:
+        if trial.class_label == "NA":
+            raise ValueError(f"{trial.trial_id}: cannot write class 'NA', which "
+                             f"reads back as no label")
+        names.append(("class", trial.class_label))
+    for field, name in names:
+        reason = _unwritable(name)
+        if reason:
+            raise ValueError(f"{trial.trial_id}: cannot write {field} {name!r}, "
+                             f"which holds {reason}")
     values = trial.values
     infinite = np.isinf(values)
     if infinite.any():
@@ -608,28 +576,6 @@ class Dataset:
             seen.add(t.trial_id)
         self.trials = trials
         self.channels = channels
-        self._by_id = {t.trial_id: t for t in trials}
-
-    def __len__(self):
-        return len(self.trials)
-
-    def __iter__(self):
-        return iter(self.trials)
-
-    def by_id(self, trial_id):
-        if trial_id not in self._by_id:
-            raise KeyError(f"no trial with id {trial_id}")
-        return self._by_id[trial_id]
-
-    @property
-    def ids(self):
-        return [t.trial_id for t in self.trials]
-
-    def subjects(self):
-        return sorted({t.subject_id for t in self.trials})
-
-    def labels(self):
-        return [t.class_label for t in self.trials]
 
 
 def load_manifest(path):

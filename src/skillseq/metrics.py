@@ -2,7 +2,7 @@
 
 scipy is imported only inside the two large-sample p-value tails:
 ``spearman`` for n > 8 and ``wilcoxon_one_sided`` for more than
-``exact_max_n`` non-zero pairs.  Every other path, and so every
+``EXACT_MAX_N`` non-zero pairs.  Every other path, and so every
 subcommand that reaches neither tail, runs without loading it.
 """
 
@@ -140,6 +140,10 @@ def roc_auc(scores, positive_mask):
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+# most non-zero pairs whose signed-rank p-value is counted exactly
+EXACT_MAX_N = 20
+
+
 def _signed_rank_tail_exact(ranks2, w2):
     """P(W >= w) for the signed-rank null via subset-sum counting.
 
@@ -158,12 +162,12 @@ def _signed_rank_tail_exact(ranks2, w2):
     return tail / float(2 ** len(ranks2))
 
 
-def wilcoxon_one_sided(before, after, exact_max_n=20):
+def wilcoxon_one_sided(before, after):
     """Paired one-sided Wilcoxon signed-rank test of after > before.
 
     Zero differences are dropped; tied absolute differences share
     average ranks.  W is the rank sum over positive differences.  For at
-    most ``exact_max_n`` remaining pairs the p-value is exact (equal to
+    most ``EXACT_MAX_N`` remaining pairs the p-value is exact (equal to
     full enumeration of sign assignments); beyond that a normal
     approximation with continuity correction is used.
     """
@@ -180,7 +184,7 @@ def wilcoxon_one_sided(before, after, exact_max_n=20):
         raise ValueError("all paired differences are zero; no evidence either way")
     ranks = average_ranks(np.abs(d))
     w = float(ranks[d > 0.0].sum())
-    if m <= exact_max_n:
+    if m <= EXACT_MAX_N:
         ranks2 = np.rint(2.0 * ranks).astype(np.int64)
         p = _signed_rank_tail_exact(ranks2, np.rint(2.0 * w))
     else:

@@ -13,16 +13,16 @@ A ModelBundle carries everything needed to reproduce predictions:
 layer specs per group, named weights, per-group trainable flags, the
 preprocessing statistics the weights were fitted against, and the mode.
 
-The model functions (``embed``, ``reconstruct``, ``predict``,
-``predict_many``) take NORMALIZED trials only.  ``prepare_dataset`` is
+The model functions (``embed``, ``predict``, ``predict_many``) take
+NORMALIZED trials only.  ``prepare_dataset`` is
 the one place where raw trials become downsampled ones, and
 ``normalize_for_model`` the one place where a bundle's min-max
 statistics turn a downsampled trial into model input.
 
 Every eval-mode forward runs through ``layers.forward_packed``:
 ``predict_many`` and ``encode_many`` score many trials in packed
-forwards, and ``embed``, ``encode_values``, ``head_forward``,
-``reconstruct`` and ``predict`` are that batch path on one trial.  A
+forwards, and ``embed``, ``encode_values``, ``head_forward`` and
+``predict`` are that batch path on one trial.  A
 packed forward runs every BLAS call and every reduction once per trial,
 on the operands of an unpacked forward, so a trial's bytes do not depend
 on the batch it is scored in.
@@ -51,7 +51,6 @@ __all__ = [
     "prepare_dataset",
     "normalize_for_model",
     "embed",
-    "reconstruct",
     "predict",
     "predict_many",
     "encode_many",
@@ -237,17 +236,6 @@ def _stack(bundle, group):
 def head_forward(bundle, features):
     """Head forward over encoder features."""
     return forward_packed([_stack(bundle, "head")], [features])[0]
-
-
-def reconstruct(bundle, trial):
-    """Autoencoder reconstruction of a normalized trial, in normalized units.
-
-    Normalize a downsampled trial with ``normalize_for_model`` first.
-    """
-    if bundle.mode != "autoencoder":
-        raise ValueError(f"reconstruct needs an autoencoder bundle, got {bundle.mode}")
-    return forward_packed([_stack(bundle, "encoder"), _stack(bundle, "decoder")],
-                          [_model_input(bundle, trial)])[0]
 
 
 def build_classifier(dae_bundle, mode, arch=None, seed=0, class_names=PASS_FAIL):

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 from .data import PASS_FAIL, csv_rows
 
-__all__ = ["PredictionRecord", "write_records_csv", "read_records_csv",
-           "records_csv_classes"]
+__all__ = ["PredictionRecord", "write_records_csv", "read_records_csv"]
 
 
 @dataclass(frozen=True)
@@ -75,17 +74,9 @@ def _header_classes(header, path):
     return tuple(col[len("conf_"):] for col in middle)
 
 
-def records_csv_classes(path):
-    """Class names a records file was written with, read from its header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv_rows(csv.reader(fh), path), None)
-    if header is None:
-        raise ValueError(f"{path}: empty records file")
-    return _header_classes(header, path)
-
-
-def read_records_csv(path, classes=None):
-    """Parse records back; ``classes=None`` takes names from the header.
+def read_records_csv(path):
+    """``(class_names, records)`` of a records file; the class names come
+    from its header.
 
     A malformed row raises ValueError naming the file, line and column;
     a repeated ``trial_id`` names the file and both lines.
@@ -96,13 +87,7 @@ def read_records_csv(path, classes=None):
         header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty records file")
-        found = _header_classes(header, path)
-        if classes is None:
-            classes = found
-        elif found != tuple(classes):
-            raise ValueError(
-                f"{path}: header classes {found} do not match expected {tuple(classes)}"
-            )
+        classes = _header_classes(header, path)
         records, first_line = [], {}
         for row in rows:
             if not row:
@@ -115,7 +100,7 @@ def read_records_csv(path, classes=None):
                                  f"{first_line[record.trial_id]})")
             first_line[record.trial_id] = line
             records.append(record)
-        return records
+        return classes, records
 
 
 def _row_record(row, header, where):

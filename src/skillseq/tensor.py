@@ -3,7 +3,7 @@
 Every operation records its parents and a backward closure on a tape
 implied by the graph structure.  Gradients are accumulated additively,
 so calling ``backward`` twice doubles every gradient; callers that want
-fresh gradients must zero them first (see ``zero_grads``).
+fresh gradients must reset them first.
 
 ``backward`` walks only the nodes that have a backward closure: leaves
 (parameters, constants) and every node computed from them alone are left
@@ -45,7 +45,6 @@ __all__ = [
     "parameter",
     "constant",
     "backward",
-    "zero_grads",
 ]
 
 
@@ -131,11 +130,6 @@ def backward(root):
     for node in reversed(order):
         if node.bwd is not None and node.grad is not None:
             node.bwd(node.grad)
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
 
 
 class Segments:

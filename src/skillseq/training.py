@@ -238,6 +238,9 @@ def train_dae(trials, minmax, config, arch=None):
     must keep its default: no classes are weighted here.
     """
     _reject_unused(config, "class_weighting", "train_dae")
+    if config.loss == "cosine":
+        raise ValueError("train_dae cannot use cosine loss, which compares vectors, "
+                         "not sequences")
     arch = arch or ArchConfig()
     if len(trials) < 2:
         raise ValueError("training needs at least two trials")

@@ -84,8 +84,9 @@ def silverman_bandwidth(values):
     return a * n ** (-0.2)
 
 
-def trust_density(values, bandwidth=None, grid_size=GRID_SIZE):
-    """KDE over [0, 1] with reflection at both boundaries.
+def trust_density(values, bandwidth=None):
+    """KDE over [0, 1] with reflection at both boundaries, on ``GRID_SIZE``
+    points; the bandwidth defaults to Silverman's rule.
 
     Returns (grid, density); the trapezoid integral of the density over
     the grid is 1 to within truncation error (< 1e-3 for any bandwidth
@@ -101,7 +102,7 @@ def trust_density(values, bandwidth=None, grid_size=GRID_SIZE):
     if h <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {h}")
     h = min(h, 0.5)
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
     # kernels at v, plus mirror images across 0 and across 1
     centers = np.concatenate([v, -v, 2.0 - v])
     z = (grid[:, None] - centers[None, :]) / h
@@ -109,8 +110,21 @@ def trust_density(values, bandwidth=None, grid_size=GRID_SIZE):
     return grid, dens
 
 
-def conditional_trust_density(records, z, alpha=1.0, beta=1.0, bandwidth=None,
-                              grid_size=GRID_SIZE):
+def _correctness_densities(records, alpha, beta):
+    """(grid, correct_density, incorrect_density) of the records' trust,
+    split by prediction correctness; a side with no members is None."""
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    dens_c = dens_w = None
+    correct = [r for r in records if r.predicted == r.actual]
+    wrong = [r for r in records if r.predicted != r.actual]
+    if correct:
+        grid, dens_c = trust_density(trust_values(correct, alpha, beta))
+    if wrong:
+        grid, dens_w = trust_density(trust_values(wrong, alpha, beta))
+    return grid, dens_c, dens_w
+
+
+def conditional_trust_density(records, z, alpha=1.0, beta=1.0):
     """Class z's trust densities, split by prediction correctness.
 
     Returns (grid, correct_density, incorrect_density); a side with no
@@ -121,15 +135,7 @@ def conditional_trust_density(records, z, alpha=1.0, beta=1.0, bandwidth=None,
     sub = [r for r in records if r.actual == z]
     if not sub:
         raise ValueError(f"no records with actual class {z!r}")
-    correct = [r for r in sub if r.predicted == r.actual]
-    wrong = [r for r in sub if r.predicted != r.actual]
-    grid = np.linspace(0.0, 1.0, grid_size)
-    dens_c = dens_w = None
-    if correct:
-        grid, dens_c = trust_density(trust_values(correct, alpha, beta), bandwidth, grid_size)
-    if wrong:
-        grid, dens_w = trust_density(trust_values(wrong, alpha, beta), bandwidth, grid_size)
-    return grid, dens_c, dens_w
+    return _correctness_densities(sub, alpha, beta)
 
 
 def trust_spectrum_and_nts(records, alpha=1.0, beta=1.0):
@@ -179,24 +185,19 @@ class TrustReport:
     per_class_densities: dict  # class index -> (correct|None, incorrect|None)
 
 
-def build_trust_report(records, alpha=1.0, beta=1.0, bandwidth=None, class_names=None):
+def build_trust_report(records, alpha=1.0, beta=1.0, class_names=None):
     recs = [r for r in records if r.predicted is not None]
     if not recs:
         raise ValueError("no classification records to build a trust report from")
     t_m, nts = trust_spectrum_and_nts(recs, alpha, beta)
     correct = [r for r in recs if r.predicted == r.actual]
     wrong = [r for r in recs if r.predicted != r.actual]
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
-    dens_c = dens_w = None
-    if correct:
-        grid, dens_c = trust_density(trust_values(correct, alpha, beta), bandwidth)
-    if wrong:
-        grid, dens_w = trust_density(trust_values(wrong, alpha, beta), bandwidth)
+    grid, dens_c, dens_w = _correctness_densities(recs, alpha, beta)
     per_class = {}
     counts = {}
     for z in sorted(t_m):
         counts[z] = sum(1 for r in recs if r.actual == z)
-        _, dc, dw = conditional_trust_density(recs, z, alpha, beta, bandwidth)
+        _, dc, dw = conditional_trust_density(recs, z, alpha, beta)
         per_class[z] = (dc, dw)
     if class_names is None:
         class_names = tuple(str(z) for z in sorted(t_m))

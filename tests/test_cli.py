@@ -56,7 +56,7 @@ def test_cam_maps_the_predicted_class_of_a_label_the_bundle_lacks(scoring_inputs
     inputs = dict(scoring_inputs, manifest=str(tmp_path / "manifest.csv"))
     assert dispatch(scoring_argv("predict", inputs, tmp_path / "records.csv")) == 0
     assert dispatch(scoring_argv("cam", inputs, tmp_path / "cams.csv")) == 0
-    records = read_records_csv(tmp_path / "records.csv")
+    _, records = read_records_csv(tmp_path / "records.csv")
     cams = read_cams_csv(tmp_path / "cams.csv")
     assert records[0].actual is None
     assert cams[records[0].trial_id].class_index == records[0].predicted

@@ -172,7 +172,7 @@ def run_configs(draw):
         val_fraction=draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True,
                                     exclude_max=True)),
     )
-    dae = TrainConfig(**common, loss=draw(st.sampled_from(["bce", "mse", "cosine"])),
+    dae = TrainConfig(**common, loss=draw(st.sampled_from(["bce", "mse"])),
                       noise_sigma=draw(non_negative(1.0)))
     common["learning_rate"] = draw(positive(10.0))
     clf = TrainConfig(**common, loss="cosine" if mode == "classification" else "mse",
@@ -223,6 +223,17 @@ def test_removed_training_flags_are_unknown(tiny_manifest, tmp_path, capsys, fla
                  flag, "none" if "weighting" in flag else "0.5")
     assert rc == 2
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train-dae", "evaluate"])
+def test_dae_cosine_loss_is_a_usage_error(tiny_manifest, tmp_path, capsys, command):
+    rc = run_cli(command, "--manifest", tiny_manifest, "--out", tmp_path / "run",
+                 "--dae-loss", "cosine")
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: usage: dae_loss must be bce or mse, not cosine, which compares vectors, "
+        "not sequences")
     assert not (tmp_path / "run").exists()
 
 
@@ -309,6 +320,40 @@ def test_jobs_2_matches_jobs_1(tiny_manifest, tiny_run, tmp_path):
             "fold_2/cams.csv"} <= set(first)
     for name in first:
         assert first[name] == second[name], name
+
+
+def test_jobs_progress_prints_each_fold_as_it_finishes(tiny_manifest, tmp_path,
+                                                      monkeypatch, capsys):
+    """``evaluate --jobs 2 --verbose`` prints one ``fold <name>: <status>``
+    line per fold, in fold order, before the next fold's outcome is read."""
+    class LazyPool:
+        """Runs each fold in-process when the map's next outcome is read."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    run_fold = crossval._run_fold
+
+    def announced(task):
+        print(f"train {task[2].name}")
+        return run_fold(task)
+
+    monkeypatch.setattr(crossval, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(crossval, "_run_fold", announced)
+    assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / "run",
+                   "--jobs", 2, "--verbose", *FAST_RUN) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("train ", "fold "))]
+    assert lines == [line for k in range(3) for line in (f"train {k}", f"fold {k}: ok")]
 
 
 def test_pool_starts_no_more_workers_than_folds(tiny_manifest, tmp_path, monkeypatch):

@@ -8,8 +8,9 @@ fold 0's bundle.  The sha256 of the run's ``metrics.txt``, of every fold's
 ``predictions.csv``, ``cams.csv`` and ``bundle.skq`` and of the CLI's
 ``records.csv`` and ``cams.csv`` must equal the digests recorded for this
 platform.  So must the sha256 of each trial file and of the manifest
-that the run's ``synth`` writes.  The trial writer's output for cells
-that stress float formatting is pinned as literal bytes.
+that the run's ``synth`` writes, and of the ``trust`` report and every
+density curve for a fixed records file.  The trial writer's output for
+cells that stress float formatting is pinned as literal bytes.
 Floating-point bytes depend on the numpy/scipy versions, the OpenBLAS
 kernel and the SIMD targets (``perfbench/envinfo.platform_key``), so an
 unrecorded platform skips the check.
@@ -91,6 +92,41 @@ SYNTH_GOLDEN = {
 }
 
 
+# a records file in which each class has both correct and wrong predictions
+TRUST_RECORDS = (
+    "trial_id,subject,trial,actual,predicted,conf_pass,conf_fail,true_score,pred_score\n"
+    "S1:0,S1,0,0,0,0.9,0.09999999999999998,,\n"
+    "S1:1,S1,1,0,0,0.75,0.25,,\n"
+    "S1:2,S1,2,0,1,0.375,0.625,,\n"
+    "S1:3,S1,3,1,1,0.125,0.875,,\n"
+    "S2:0,S2,0,1,0,0.5625,0.4375,,\n"
+    "S2:1,S2,1,1,1,0.3,0.7,,\n"
+    "S2:2,S2,2,0,0,0.6,0.4,,\n"
+    "S2:3,S2,3,1,0,0.95,0.05000000000000004,,\n"
+    "S3:0,S3,0,0,1,0.2,0.8,,\n"
+    "S3:1,S3,1,1,1,0.01,0.99,,\n"
+)
+
+# sha256 of each file that ``trust`` writes for ``TRUST_RECORDS``
+TRUST_GOLDEN = {
+    "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
+        "trust.txt": "73104c022314dc59cd30abc67b056c5ee88faa4f45771e9f31f58410c334fe82",
+        "density_correct.csv":
+            "1b0abd4b81e10865b27e5eeaf3cef385fd4a2ac2a79009bab523f7715d86a90f",
+        "density_incorrect.csv":
+            "4abc4999cf953b9391f89e220f0b227ba8c85ce4f631e68d94eba85bc2c633c8",
+        "density_pass_correct.csv":
+            "a1404417bfab96c0c9b5ea4ed94926912ec8a4f72ac0dade258b479eaa4278cf",
+        "density_pass_incorrect.csv":
+            "215b691787f92a0744db242da81412bda2da35acf02443cdf1c90c07dcdb82a7",
+        "density_fail_correct.csv":
+            "3b693ed35cb316f32dc5b88835f244bb6eb7186ccd04c295620c80a18654badb",
+        "density_fail_incorrect.csv":
+            "262936b6ca6873d4c950844c9800dc30fda05eba576a398983707f71b0439c0c",
+    },
+}
+
+
 def _platform_key(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import envinfo
@@ -158,6 +194,17 @@ def test_synth_trial_files_and_manifest_are_unchanged(tmp_path, monkeypatch, cap
         pytest.skip("no reference digests recorded for this platform")
     assert dispatch([*SYNTH, "--out", str(tmp_path)]) == 0
     assert _file_digests(tmp_path) == golden
+
+
+def test_trust_report_and_densities_are_unchanged(tmp_path, monkeypatch, capsys):
+    golden = TRUST_GOLDEN.get(_platform_key(monkeypatch))
+    if golden is None:
+        pytest.skip("no reference digests recorded for this platform")
+    records = tmp_path / "records.csv"
+    records.write_text(TRUST_RECORDS)
+    out = tmp_path / "trust"
+    assert dispatch(["trust", "--records", str(records), "--out", str(out)]) == 0
+    assert _file_digests(out) == golden
 
 
 def test_trial_writer_output_bytes_are_unchanged(tmp_path):

@@ -14,10 +14,9 @@ from skillseq.model import (
     encoder_specs,
     head_specs,
     predict,
-    reconstruct,
 )
 from skillseq import tensor as tz
-from skillseq.layers import ForwardContext, LayerSpec, forward_stack
+from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack, wrap_params
 from skillseq.training import TrainConfig, train_dae, train_supervised
 
 
@@ -33,16 +32,24 @@ def test_embedding_channels_and_length(small_dae, small_normalized):
     trials, _ = small_normalized
     for t in trials[:5]:
         z = embed(bundle, t)
-        assert z.shape == (t.n_frames, SMALL_ARCH.emb_channels)
+        assert z.shape == (t.values.shape[0], SMALL_ARCH.emb_channels)
 
 
 def test_reconstruction_shape_and_range(small_dae, small_normalized):
     bundle, _ = small_dae
     trials, _ = small_normalized
     t = trials[0]
-    r = reconstruct(bundle, t)
+    stacks = [(bundle.groups[g], wrap_params(bundle.group_params(g), requires_grad=False))
+              for g in ("encoder", "decoder")]
+    r = forward_packed(stacks, [t.values])[0]
     assert r.shape == t.values.shape
     assert np.all(r >= 0.0) and np.all(r <= 1.0)   # sigmoid output layer
+
+
+def test_train_dae_rejects_cosine_loss(small_normalized):
+    trials, minmax = small_normalized
+    with pytest.raises(ValueError, match="train_dae cannot use cosine loss"):
+        train_dae(trials, minmax, TrainConfig.dae_default(loss="cosine"), SMALL_ARCH)
 
 
 def test_training_reduces_reconstruction_loss(small_dae):
@@ -90,7 +97,7 @@ def test_variable_length_inputs_share_one_model(small_classifier,
                                                 small_normalized):
     bundle, _ = small_classifier
     trials, _ = small_normalized
-    lengths = {t.n_frames for t in trials}
+    lengths = {t.values.shape[0] for t in trials}
     assert len(lengths) > 1
     for t in trials[:10]:
         r = predict(bundle, t)

@@ -1,9 +1,12 @@
-"""Every exported name exists, and every benchmark span still has a target.
+"""Every exported name exists, every benchmark span still has a target,
+and every definition in the package is used.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
 """
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -32,3 +35,49 @@ def test_every_benchmark_span_target_is_callable(monkeypatch):
     for target in spans.TARGETS:
         module = importlib.import_module(f"skillseq.{target.module}")
         assert callable(getattr(module, target.attr, None)), target.span
+
+
+# definitions that nothing in src/skillseq names, each kept for a reason
+UNREFERENCED_ALLOWED = {
+    ("cli", "_Parser.error"): "argparse calls it on a parse error",
+    ("overlay", "ramp_color"): "oracle for the colour tables in tests/test_overlay.py",
+}
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, as ``(qualified name, name, is_method)``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name, True
+
+
+def test_every_definition_is_referenced(monkeypatch):
+    """Each function, class and method in src/skillseq is named somewhere
+    in the package: functions and classes by name or attribute, methods
+    by attribute.  Benchmark span targets and the allow-list are exempt."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    exempt = {(t.module, t.attr) for t in spans.TARGETS} | set(UNREFERENCED_ALLOWED)
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(skillseq.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    unused = [f"{module}.{qualname}"
+              for module, tree in trees.items()
+              for qualname, name, is_method in _definitions(tree)
+              if (module, qualname) not in exempt
+              and name not in attrs and (is_method or name not in names)]
+    assert not unused, f"defined but never referenced: {unused}"

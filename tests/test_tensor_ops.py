@@ -227,15 +227,6 @@ def test_backward_accumulates_shared_input():
     assert x.grad[0, 0] == pytest.approx(16.0)
 
 
-def test_zero_grads_resets():
-    x = tz.parameter(np.ones((2, 1)))
-    s = tz.mse_loss(x, np.zeros((2, 1)))
-    tz.backward(s)
-    assert x.grad is not None
-    tz.zero_grads([x])
-    assert x.grad is None
-
-
 def test_constant_receives_no_gradient():
     x = tz.parameter(np.ones((2, 1)))
     c = tz.constant(np.ones((2, 1)))
