@@ -10,7 +10,8 @@ Exit codes:
   run.cfg keys, or a run.cfg missing a key; invalid settings; a missing
   input file or directory (manifest, bundle, records, run); a dataset
   whose fingerprint differs from the run snapshot it is replayed from
-  (``evaluate --config``) or studied against (``validate-cam``).
+  (``evaluate --config``) or studied against (``validate-cam``), or a
+  ``folds.txt`` whose fingerprint differs from the run's ``metrics.txt``.
 - 1: runtime failure, e.g. a malformed input file, a failed training or
   gradient check.
 
@@ -37,7 +38,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .bundle import load_bundle, save_bundle
 from .config import (
@@ -175,8 +175,7 @@ def _cmd_ingest_check(args):
 def _cmd_train_dae(args):
     run, norm, minmax = _training_set(args)
     settings = run.settings
-    bundle, history = train_dae(norm, minmax, replace(settings.dae, seed=settings.seed),
-                                settings.arch)
+    bundle, history = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "dae.skq")
     save_bundle(bundle, path)
@@ -196,11 +195,9 @@ def _cmd_train_classifier(args):
         if dae_bundle.mode != "autoencoder":
             raise UsageError(f"--dae bundle has mode '{dae_bundle.mode}', expected autoencoder")
     else:
-        dae_bundle, _ = train_dae(norm, minmax, replace(settings.dae, seed=settings.seed),
-                                  settings.arch)
-    clf_cfg = replace(settings.clf, seed=settings.seed)
-    bundle, history = train_classifier(dae_bundle, norm, clf_cfg, settings.arch,
-                                       settings.mode)
+        dae_bundle, _ = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)
+    bundle, history = train_classifier(dae_bundle, norm, settings.clf, settings.seed,
+                                       settings.arch, settings.mode)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "skill.skq")
     save_bundle(bundle, path)
@@ -303,14 +300,16 @@ def _cmd_trust(args):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
+    # each row is "<grid point>,%.9g": the grid is formatted once, and a
+    # curve fills the rows with one % and goes out in one write
+    rows = "grid,density\n" + "".join(f"{fmt9(g)},%.9g\n" for g in report.grid.tolist())
+
     def write_curve(name, dens):
         if dens is None:
             return
         cpath = os.path.join(args.out, f"density_{name}.csv")
         with open(cpath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("grid,density\n")
-            for g, d in zip(report.grid, dens):
-                fh.write(f"{fmt9(g)},{fmt9(d)}\n")
+            fh.write(rows % tuple(dens.tolist()))
 
     write_curve("correct", report.density_correct)
     write_curve("incorrect", report.density_incorrect)
@@ -325,7 +324,7 @@ def _cmd_trust(args):
 def _cmd_validate_cam(args):
     if not os.path.isdir(args.run):
         raise UsageError(f"run directory not found: {args.run}")
-    for needed in ("run.cfg", "folds.txt"):
+    for needed in ("run.cfg", "folds.txt", "metrics.txt"):
         if not os.path.exists(os.path.join(args.run, needed)):
             raise UsageError(f"{args.run} is missing baseline artifact {needed}")
     study = validate_cams(args.run, out_dir=args.out, jobs=args.jobs,

@@ -13,9 +13,9 @@ file > default precedence; the seed additionally falls back to the
 SKILLSEQ_SEED environment variable before its built-in default, so a
 shell can pin reproducibility without touching files or flags.  The
 table only parses text; the dataclasses the values fill (``RunSettings``,
-``TrainConfig``, ``ArchConfig``, ``SynthSpec``) validate them.  Every
-diagnostic names the offending key and, for file input, the file and
-line.
+``DaeConfig``, ``HeadConfig``, ``ArchConfig``, ``SynthSpec``) validate
+them.  Every diagnostic names the offending key and, for file input, the
+file and line.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .model import ArchConfig
 from .synth import SynthSpec
-from .training import TrainConfig
+from .training import DaeConfig, HeadConfig
 
 __all__ = [
     "ConfigError",
@@ -73,8 +73,8 @@ class RunSettings:
     mode: str = "classification"
     scheme: str = "stratified10"
     seed: int = 0
-    dae: TrainConfig = field(default_factory=TrainConfig.dae_default)
-    clf: TrainConfig = field(default_factory=TrainConfig.classifier_default)
+    dae: DaeConfig = field(default_factory=DaeConfig)
+    clf: HeadConfig = field(default_factory=HeadConfig)
     target_hz: float = 1.0
     arch: ArchConfig = field(default_factory=ArchConfig)
 
@@ -91,18 +91,6 @@ class RunSettings:
                              f"not {self.clf.loss}")
         if self.mode == "regression" and self.clf.loss != "mse":
             raise ValueError("regression head trains on mse loss")
-        if self.dae.loss == "cosine":
-            raise ValueError("dae_loss must be bce or mse, not cosine, which compares "
-                             "vectors, not sequences")
-        # fields a run never reads have no key, so they keep their defaults:
-        # fold seeds derive from the run seed, train_dae weights no classes
-        # and the head has no noise layer
-        for part, names in (("dae", ("seed", "class_weighting")),
-                            ("clf", ("seed", "noise_sigma"))):
-            for name in names:
-                if getattr(getattr(self, part), name) != getattr(TrainConfig, name):
-                    raise ValueError(f"a run does not use {part} {name}; "
-                                     "leave it at its default")
 
 
 @dataclass(frozen=True)
@@ -296,9 +284,7 @@ def _run_config(values):
     if parts[""].get("mode") == "regression":
         parts["clf"].setdefault("loss", "mse")
     built = {}
-    for part, make in (("dae", TrainConfig.dae_default),
-                       ("clf", TrainConfig.classifier_default),
-                       ("arch", ArchConfig)):
+    for part, make in (("dae", DaeConfig), ("clf", HeadConfig), ("arch", ArchConfig)):
         try:
             built[part] = make(**parts[part])
         except ValueError as exc:

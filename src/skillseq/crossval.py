@@ -20,7 +20,7 @@ import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,13 +174,14 @@ def _run_fold(args):
     minmax = fit_minmax(train_trials)
     assert set(minmax.source_ids) <= set(fold.train_ids)
     norm_train = [apply_minmax(t, minmax) for t in train_trials]
-    dae_cfg = replace(settings.dae, seed=derive_fold_seed(settings.seed, fold_index, 0))
-    clf_cfg = replace(settings.clf, seed=derive_fold_seed(settings.seed, fold_index, 1))
     try:
-        dae_bundle, dae_hist = train_dae(norm_train, minmax, dae_cfg, settings.arch)
+        dae_bundle, dae_hist = train_dae(norm_train, minmax, settings.dae,
+                                         derive_fold_seed(settings.seed, fold_index, 0),
+                                         settings.arch)
         sha_before = encoder_fingerprint(dae_bundle)
         skill, clf_hist = train_classifier(
-            dae_bundle, norm_train, clf_cfg, settings.arch, settings.mode
+            dae_bundle, norm_train, settings.clf,
+            derive_fold_seed(settings.seed, fold_index, 1), settings.arch, settings.mode
         )
     except FloatingPointError as exc:
         raise FloatingPointError(f"fold {fold.name}: {exc}") from exc
@@ -355,6 +356,16 @@ def _paired_values(metric, fold_names, before, after):
     return pairs
 
 
+def _recorded_folds_sha256(metrics_path):
+    """The ``folds_sha256`` that a run's metrics.txt records."""
+    with open(metrics_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = line.rstrip("\n").partition(" = ")
+            if key == "folds_sha256":
+                return value
+    raise ValueError(f"{metrics_path}: no folds_sha256 line")
+
+
 def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     """Masked-retraining study over a persisted classification run.
 
@@ -363,10 +374,11 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     derived seeds, and each metric's per-fold before/after values enter
     a one-sided signed-rank test (masking should not hurt).  The dataset
     is reloaded from the recorded manifest unless passed in; either way
-    its fingerprint must match the snapshot before anything trains
-    (ConfigError otherwise).  A fold without baseline predictions (it
-    failed its guard) has no maps: its test trials keep a neutral
-    all-ones mask, and the report marks the fold as skipped.
+    its fingerprint must match the snapshot before anything trains, and
+    the fingerprint of ``folds.txt`` the ``folds_sha256`` of the baseline
+    ``metrics.txt`` (ConfigError otherwise).  A fold without baseline
+    predictions (it failed its guard) has no maps: its test trials keep a
+    neutral all-ones mask, and the report marks the fold as skipped.
     """
     run = read_run_cfg(os.path.join(run_dir, SETTINGS_FILE))
     settings = run.settings
@@ -383,8 +395,19 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
             f"run snapshot ({run.dataset_sha256[:12]}...); refusing to pair folds"
         )
 
-    with open(os.path.join(run_dir, FOLDS_FILE), "r", encoding="utf-8") as fh:
-        assignment = FoldAssignment.from_canonical_text(fh.read())
+    folds_path = os.path.join(run_dir, FOLDS_FILE)
+    with open(folds_path, "r", encoding="utf-8") as fh:
+        try:
+            assignment = FoldAssignment.from_canonical_text(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{folds_path}: {exc}") from None
+    metrics_path = os.path.join(run_dir, METRICS_FILE)
+    recorded = _recorded_folds_sha256(metrics_path)
+    if assignment.fingerprint() != recorded:
+        raise ConfigError(
+            f"{folds_path} has fingerprint {assignment.fingerprint()}, but {metrics_path} "
+            f"records folds_sha256 {recorded}; refusing to pair folds"
+        )
 
     stage2 = prepare_dataset(dataset, settings.target_hz)
     frames = {t.trial_id: t.values.shape[0] for t in stage2.trials}

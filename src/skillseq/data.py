@@ -62,7 +62,8 @@ class Trial:
 
     NaN cells mark missing detections; they are only legal before the
     FILLED stage.  ``score`` and ``class_label`` are None when the trial
-    is unlabeled.
+    is unlabeled.  The rate and a score are finite, as a trial file
+    must hold them.
     """
 
     subject_id: str
@@ -84,8 +85,10 @@ class Trial:
             )
         if self.values.shape[0] < 1:
             raise ValueError("trial must contain at least one frame")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        if self.score is not None and not math.isfinite(self.score):
+            raise ValueError(f"score must be finite or None, got {self.score}")
         if self.stage >= FILLED and np.isnan(self.values).any():
             raise ValueError(f"NaN values not allowed at stage {_STAGE_NAMES[self.stage]}")
 

@@ -138,12 +138,12 @@ def mask_with_cams(dataset, cams):
 def write_cams_csv(cams, path):
     """Persist maps one row per timestep, sorted by trial then time.
 
-    The file is ``csv.writer`` output (``\\r\\n`` rows, the trial id quoted
-    where it needs it); each map goes out in one write, its
+    The file is UTF-8 ``csv.writer`` output (``\\r\\n`` rows, the trial id
+    quoted where it needs it); each map goes out in one write, its
     ``trial_id,class_index`` prefix formatted once.
     """
     by_id = sorted(cams, key=lambda c: c.trial_id)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["trial_id", "class_index", "t", "raw", "intensity"])
         for cam in by_id:
             buf = io.StringIO()
@@ -156,7 +156,7 @@ def write_cams_csv(cams, path):
 def read_cams_csv(path):
     """Inverse of write_cams_csv: mapping trial_id -> CamMap."""
     rows = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         lines = csv_rows(r, path)
         header = next(lines, None)

@@ -41,6 +41,11 @@ class FoldAssignment:
         if not self.folds:
             raise ValueError("fold assignment must contain at least one fold")
         for f in self.folds:
+            for role, ids in (("test", f.test_ids), ("train", f.train_ids)):
+                if len(set(ids)) != len(ids):
+                    twice = next(i for k, i in enumerate(ids) if i in ids[:k])
+                    raise ValueError(f"fold {f.name}: trial {twice} appears twice in its "
+                                     f"{role} list")
             if set(f.train_ids) & set(f.test_ids):
                 raise ValueError(f"fold {f.name}: train and test overlap")
             if not f.test_ids:

@@ -29,53 +29,65 @@ from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
 from .optim import AdamState, adam_step_masked
 from .seeding import make_rng, PURPOSE
 
-__all__ = ["TrainConfig", "TrainHistory", "train_dae", "train_supervised",
+__all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "train_dae", "train_supervised",
            "train_classifier"]
 
 _LOSSES = ("bce", "mse", "cosine")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """One training run's recipe."""
+def _check_recipe(config):
+    """The checks both stages' recipes share."""
+    if config.learning_rate <= 0:
+        raise ValueError(f"learning_rate must be > 0, got {config.learning_rate}")
+    if config.max_epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
+    if config.patience < 1:
+        raise ValueError(f"patience must be >= 1, got {config.patience}")
+    if config.loss not in _LOSSES:
+        raise ValueError(f"loss must be one of {_LOSSES}, got '{config.loss}'")
+    if not 0.0 < config.val_fraction < 0.5:
+        raise ValueError(f"val_fraction must lie in (0, 0.5), got {config.val_fraction}")
+    if config.l2 < 0:
+        raise ValueError(f"l2 must be >= 0, got {config.l2}")
 
-    learning_rate: float
-    max_epochs: int
-    patience: int
-    loss: str
+
+@dataclass(frozen=True)
+class DaeConfig:
+    """The denoising autoencoder's recipe."""
+
+    learning_rate: float = 0.001
+    max_epochs: int = 100
+    patience: int = 4
+    loss: str = "bce"
     l2: float = 1e-5
     noise_sigma: float = 0.001
     val_fraction: float = 0.1
-    seed: int = 0
+
+    def __post_init__(self):
+        _check_recipe(self)
+        if self.loss == "cosine":
+            raise ValueError("loss must be bce or mse, not cosine, which compares "
+                             "vectors, not sequences")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+
+
+@dataclass(frozen=True)
+class HeadConfig:
+    """The skill head's recipe, over a frozen encoder."""
+
+    learning_rate: float = 0.0002
+    max_epochs: int = 300
+    patience: int = 20
+    loss: str = "cosine"
+    l2: float = 1e-5
+    val_fraction: float = 0.1
     class_weighting: str = "balanced"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"loss must be one of {_LOSSES}, got '{self.loss}'")
-        if not 0.0 < self.val_fraction < 0.5:
-            raise ValueError(f"val_fraction must lie in (0, 0.5), got {self.val_fraction}")
-        if self.l2 < 0 or self.noise_sigma < 0:
-            raise ValueError("l2 and noise_sigma must be >= 0")
+        _check_recipe(self)
         if self.class_weighting not in ("balanced", "none"):
             raise ValueError(f"class_weighting must be balanced or none, got '{self.class_weighting}'")
-
-    @staticmethod
-    def dae_default(**overrides):
-        base = dict(learning_rate=0.001, max_epochs=100, patience=4, loss="bce")
-        base.update(overrides)
-        return TrainConfig(**base)
-
-    @staticmethod
-    def classifier_default(**overrides):
-        base = dict(learning_rate=0.0002, max_epochs=300, patience=20, loss="cosine")
-        base.update(overrides)
-        return TrainConfig(**base)
 
 
 @dataclass
@@ -164,7 +176,7 @@ def _val_split(indices, strata, frac, seed):
 
 
 def _run_training(forward_train, val_losses, val_indices, train_indices,
-                  flat, config, stage, trial_ids):
+                  flat, config, seed, stage, trial_ids):
     """Generic loop: per-sample Adam steps, early stopping, best restore.
 
     ``val_losses()`` returns the validation loss of each of
@@ -177,7 +189,7 @@ def _run_training(forward_train, val_losses, val_indices, train_indices,
     best_snap = flat.snapshot()
     wait = 0
     for epoch in range(1, config.max_epochs + 1):
-        order = make_rng(config.seed, PURPOSE["shuffle"], epoch).permutation(len(train_indices))
+        order = make_rng(seed, PURPOSE["shuffle"], epoch).permutation(len(train_indices))
         total = 0.0
         for oi in order:
             i = train_indices[oi]
@@ -214,14 +226,6 @@ def _run_training(forward_train, val_losses, val_indices, train_indices,
     return history
 
 
-def _reject_unused(config, name, stage):
-    """A TrainConfig field this stage never reads must keep its default."""
-    default = TrainConfig.__dataclass_fields__[name].default
-    if getattr(config, name) != default:
-        raise ValueError(f"{stage} does not use {name}; leave it at {default!r}, "
-                         f"got {getattr(config, name)!r}")
-
-
 def _val_losses(stacks, inputs, targets, kind, weights):
     """Loss of each validation trial, from one packed forward."""
     outs = forward_packed(stacks, inputs)
@@ -229,18 +233,14 @@ def _val_losses(stacks, inputs, targets, kind, weights):
             for out, target, weight in zip(outs, targets, weights)]
 
 
-def train_dae(trials, minmax, config, arch=None):
+def train_dae(trials, minmax, config, seed, arch=None):
     """Train the denoising autoencoder on normalized trials.
 
     Inputs are corrupted by the network's own noise layer (train mode
-    only); targets are the clean sequences.  Returns a frozen
-    autoencoder bundle and the loss history.  ``config.class_weighting``
-    must keep its default: no classes are weighted here.
+    only); targets are the clean sequences.  ``seed`` draws the initial
+    weights, the validation split, the noise and the epoch order.
+    Returns a frozen autoencoder bundle and the loss history.
     """
-    _reject_unused(config, "class_weighting", "train_dae")
-    if config.loss == "cosine":
-        raise ValueError("train_dae cannot use cosine loss, which compares vectors, "
-                         "not sequences")
     arch = arch or ArchConfig()
     if len(trials) < 2:
         raise ValueError("training needs at least two trials")
@@ -252,7 +252,7 @@ def train_dae(trials, minmax, config, arch=None):
     in_ch = len(trials[0].channels)
     enc = encoder_specs(arch, in_ch, config.noise_sigma)
     dec = decoder_specs(in_ch, arch)
-    rng = make_rng(config.seed, PURPOSE["init"], 1)
+    rng = make_rng(seed, PURPOSE["init"], 1)
     groups = {
         "encoder": init_stack_params(enc, rng),
         "decoder": init_stack_params(dec, rng),
@@ -262,9 +262,8 @@ def train_dae(trials, minmax, config, arch=None):
 
     values = [t.values for t in trials]
     labels = {i: (trials[i].class_label or "") for i in range(len(trials))}
-    train_idx, val_idx = _val_split(range(len(trials)), labels, config.val_fraction,
-                                    config.seed)
-    noise_rng = make_rng(config.seed, PURPOSE["noise"])
+    train_idx, val_idx = _val_split(range(len(trials)), labels, config.val_fraction, seed)
+    noise_rng = make_rng(seed, PURPOSE["noise"])
 
     def fwd(i):
         ctx = ForwardContext(train=True, rng=noise_rng, activity_l2=config.l2)
@@ -283,7 +282,8 @@ def train_dae(trials, minmax, config, arch=None):
         val_losses=lambda: _val_losses(val_stacks, val_values, val_values, config.loss,
                                        [1.0] * len(val_values)),
         val_indices=val_idx, train_indices=train_idx,
-        flat=flat, config=config, stage="DAE", trial_ids=[t.trial_id for t in trials],
+        flat=flat, config=config, seed=seed, stage="DAE",
+        trial_ids=[t.trial_id for t in trials],
     )
     bundle = ModelBundle(
         mode="autoencoder",
@@ -297,7 +297,7 @@ def train_dae(trials, minmax, config, arch=None):
     return bundle, history
 
 
-def train_supervised(bundle, trials, config, labels=None):
+def train_supervised(bundle, trials, config, seed, labels=None):
     """Train the non-frozen head of a built skill model.
 
     Classification: one-hot targets, cosine loss, inverse-frequency
@@ -305,14 +305,12 @@ def train_supervised(bundle, trials, config, labels=None):
     fitted on these trials, squared-error loss.  ``labels`` overrides
     the targets stored on the trials (class names for classification,
     scores for regression).  Encoder features are precomputed once, in
-    packed forwards, since the encoder never updates.
-    ``config.noise_sigma`` must keep its default: the frozen encoder adds
-    no noise.
+    packed forwards, since the encoder never updates.  ``seed`` draws
+    the validation split and the epoch order.
     """
     mode = bundle.mode
     if mode not in ("classification", "regression"):
         raise ValueError(f"train_supervised needs a skill bundle, got mode '{mode}'")
-    _reject_unused(config, "noise_sigma", "train_supervised")
     class_names = bundle.class_names
     if len(trials) < 2:
         raise ValueError("training needs at least two trials")
@@ -360,8 +358,7 @@ def train_supervised(bundle, trials, config, labels=None):
         {"encoder": bundle.group_params("encoder"), "head": bundle.group_params("head")},
         {"encoder": False, "head": True},
     )
-    train_idx, val_idx = _val_split(range(len(trials)), strata, config.val_fraction,
-                                    config.seed)
+    train_idx, val_idx = _val_split(range(len(trials)), strata, config.val_fraction, seed)
 
     def fwd(i):
         ctx = ForwardContext(train=True, activity_l2=config.l2)
@@ -378,7 +375,8 @@ def train_supervised(bundle, trials, config, labels=None):
                                        [targets[i] for i in val_idx], config.loss,
                                        [sample_w[i] for i in val_idx]),
         val_indices=val_idx, train_indices=train_idx,
-        flat=flat, config=config, stage="head", trial_ids=[t.trial_id for t in trials],
+        flat=flat, config=config, seed=seed, stage="head",
+        trial_ids=[t.trial_id for t in trials],
     )
     new_weights = dict(bundle.weights)
     new_weights.update({k: v for k, v in flat.export().items() if k.startswith("head/")})
@@ -394,9 +392,10 @@ def train_supervised(bundle, trials, config, labels=None):
     return out, history
 
 
-def train_classifier(dae_bundle, trials, config, arch=None, mode="classification",
+def train_classifier(dae_bundle, trials, config, seed, arch=None, mode="classification",
                      class_names=PASS_FAIL):
-    """Build a skill model over the frozen encoder and train its head."""
-    bundle = build_classifier(dae_bundle, mode, arch=arch, seed=config.seed,
+    """Build a skill model over the frozen encoder and train its head;
+    ``seed`` also draws the head's initial weights."""
+    bundle = build_classifier(dae_bundle, mode, arch=arch, seed=seed,
                               class_names=class_names)
-    return train_supervised(bundle, trials, config)
+    return train_supervised(bundle, trials, config, seed)

@@ -19,7 +19,7 @@ from skillseq.data import (
 )
 from skillseq.model import ArchConfig
 from skillseq.synth import SynthSpec, synth_dataset
-from skillseq.training import TrainConfig, train_classifier, train_dae
+from skillseq.training import DaeConfig, HeadConfig, train_classifier, train_dae
 
 
 def make_trial(values, subject="S1", index=0, rate=1.0, channels=None,
@@ -53,9 +53,8 @@ def small_normalized(small_dataset):
 @pytest.fixture(scope="session")
 def small_dae(small_normalized):
     trials, minmax = small_normalized
-    cfg = TrainConfig(learning_rate=0.001, max_epochs=2, patience=4,
-                      loss="bce", seed=1)
-    bundle, history = train_dae(trials, minmax, cfg, SMALL_ARCH)
+    cfg = DaeConfig(learning_rate=0.001, max_epochs=2, patience=4, loss="bce")
+    bundle, history = train_dae(trials, minmax, cfg, 1, SMALL_ARCH)
     return bundle, history
 
 
@@ -63,9 +62,8 @@ def small_dae(small_normalized):
 def small_classifier(small_dae, small_normalized):
     trials, _ = small_normalized
     dae_bundle, _ = small_dae
-    cfg = TrainConfig(learning_rate=0.0007, max_epochs=3, patience=20,
-                      loss="cosine", seed=1)
-    bundle, history = train_classifier(dae_bundle, trials, cfg, SMALL_ARCH)
+    cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20, loss="cosine")
+    bundle, history = train_classifier(dae_bundle, trials, cfg, 1, SMALL_ARCH)
     return bundle, history
 
 
@@ -73,8 +71,7 @@ def small_classifier(small_dae, small_normalized):
 def small_regressor(small_dae, small_normalized):
     trials, _ = small_normalized
     dae_bundle, _ = small_dae
-    cfg = TrainConfig(learning_rate=0.0007, max_epochs=3, patience=20,
-                      loss="mse", seed=1)
-    bundle, history = train_classifier(dae_bundle, trials, cfg, SMALL_ARCH,
+    cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20, loss="mse")
+    bundle, history = train_classifier(dae_bundle, trials, cfg, 1, SMALL_ARCH,
                                        mode="regression")
     return bundle, history

@@ -1,12 +1,17 @@
 """cams.csv: the joined writer's bytes and the reader's diagnostics."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillseq.explain import CamMap, read_cams_csv, write_cams_csv
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def per_row_csv(cams, path):
@@ -72,3 +77,25 @@ def test_bad_cams_csv_names_path_and_line(tmp_path, row, message):
     path.write_text(HEADER + "S1:0,0,0,0.0,0.0\r\n" + row + "\r\n", newline="")
     with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
         read_cams_csv(path)
+
+
+C_LOCALE_ROUND_TRIP = r"""
+import sys
+from skillseq.explain import CamMap, read_cams_csv, write_cams_csv
+
+path = sys.argv[1]
+write_cams_csv([CamMap.from_raw("S\u00e9:1", 0, [0.5, -1.0, 2.0])], path)
+back = read_cams_csv(path)
+print(ascii(sorted(back)), back["S\u00e9:1"].raw.tolist())
+"""
+
+
+def test_non_ascii_trial_id_round_trips_under_the_c_locale(tmp_path):
+    """cams.csv is UTF-8 whatever the locale's encoding is."""
+    env = dict(os.environ, PYTHONPATH=SRC, LC_ALL="C", PYTHONUTF8="0")
+    path = tmp_path / "cams.csv"
+    proc = subprocess.run([sys.executable, "-c", C_LOCALE_ROUND_TRIP, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['S\\xe9:1'] [0.5, -1.0, 2.0]"
+    assert path.read_bytes().splitlines()[1] == b"S\xc3\xa9:1,0,0,0.5,0.5"

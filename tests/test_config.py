@@ -13,21 +13,19 @@ from skillseq import crossval
 from skillseq.cli import dispatch
 from skillseq.config import RunConfig, RunSettings, read_run_cfg, write_run_cfg
 from skillseq.data import parse_trial_csv, write_trial_csv
+from skillseq.folds import Fold, FoldAssignment
 from skillseq.model import ArchConfig
-from skillseq.training import TrainConfig
+from skillseq.training import DaeConfig, HeadConfig
 
 DEFAULT_SETTINGS = RunSettings(mode="classification", scheme="stratified10", seed=0,
-                               dae=TrainConfig.dae_default(),
-                               clf=TrainConfig.classifier_default())
+                               dae=DaeConfig(), clf=HeadConfig())
 
 CUSTOM_SETTINGS = RunSettings(
     mode="regression", scheme="louo", seed=7, target_hz=2.5,
-    dae=TrainConfig.dae_default(learning_rate=0.003, max_epochs=9, patience=2,
-                                loss="mse", l2=0.0, noise_sigma=0.05,
-                                val_fraction=0.2),
-    clf=TrainConfig.classifier_default(learning_rate=1e-4, max_epochs=40, patience=5,
-                                       loss="mse", l2=3e-6, val_fraction=0.25,
-                                       class_weighting="none"),
+    dae=DaeConfig(learning_rate=0.003, max_epochs=9, patience=2, loss="mse", l2=0.0,
+                  noise_sigma=0.05, val_fraction=0.2),
+    clf=HeadConfig(learning_rate=1e-4, max_epochs=40, patience=5, loss="mse", l2=3e-6,
+                   val_fraction=0.25, class_weighting="none"),
     arch=ArchConfig(enc_width=12, emb_channels=4, kernel_size=3, reduction=4,
                     clf_width=8, clf_dilation=1),
 )
@@ -172,11 +170,11 @@ def run_configs(draw):
         val_fraction=draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True,
                                     exclude_max=True)),
     )
-    dae = TrainConfig(**common, loss=draw(st.sampled_from(["bce", "mse"])),
-                      noise_sigma=draw(non_negative(1.0)))
+    dae = DaeConfig(**common, loss=draw(st.sampled_from(["bce", "mse"])),
+                    noise_sigma=draw(non_negative(1.0)))
     common["learning_rate"] = draw(positive(10.0))
-    clf = TrainConfig(**common, loss="cosine" if mode == "classification" else "mse",
-                      class_weighting=draw(st.sampled_from(["balanced", "none"])))
+    clf = HeadConfig(**common, loss="cosine" if mode == "classification" else "mse",
+                     class_weighting=draw(st.sampled_from(["balanced", "none"])))
     reduction = draw(st.integers(1, 4))
     arch = ArchConfig(enc_width=reduction * draw(st.integers(1, 8)),
                       emb_channels=draw(st.integers(1, 32)),
@@ -212,9 +210,10 @@ def test_run_cfg_round_trips(run):
     ("dae", "class_weighting", "none"), ("clf", "noise_sigma", 0.5),
 ])
 def test_run_settings_reject_fields_a_run_does_not_use(part, name, value):
-    overrides = {part: replace(getattr(DEFAULT_SETTINGS, part), **{name: value})}
-    with pytest.raises(ValueError, match=f"{part} {name}"):
-        replace(DEFAULT_SETTINGS, **overrides)
+    """A stage's config has no field for what its stage never reads, and
+    fold seeds are arguments, not fields."""
+    with pytest.raises(TypeError, match=name):
+        {"dae": DaeConfig, "clf": HeadConfig}[part](**{name: value})
 
 
 @pytest.mark.parametrize("flag", ["--dae-class-weighting", "--clf-noise-sigma"])
@@ -232,8 +231,8 @@ def test_dae_cosine_loss_is_a_usage_error(tiny_manifest, tmp_path, capsys, comma
                  "--dae-loss", "cosine")
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        "error: usage: dae_loss must be bce or mse, not cosine, which compares vectors, "
-        "not sequences")
+        "error: usage: dae settings: loss must be bce or mse, not cosine, which compares "
+        "vectors, not sequences")
     assert not (tmp_path / "run").exists()
 
 
@@ -318,6 +317,33 @@ def test_jobs_2_matches_jobs_1(tiny_manifest, tiny_run, tmp_path):
     assert sorted(first) == sorted(second)
     assert {"metrics.txt", "fold_2/bundle.skq", "fold_2/predictions.csv",
             "fold_2/cams.csv"} <= set(first)
+    for name in first:
+        assert first[name] == second[name], name
+
+
+@pytest.fixture(scope="module")
+def tiny_study(tiny_run, tmp_path_factory):
+    study = str(tmp_path_factory.mktemp("tiny_study") / "study")
+    assert run_cli("validate-cam", "--run", tiny_run, "--out", study) == 0
+    return study
+
+
+def test_validate_cam_jobs_2_matches_jobs_1(tiny_run, tiny_study, tmp_path):
+    parallel = str(tmp_path / "jobs2")
+    assert run_cli("validate-cam", "--run", tiny_run, "--out", parallel, "--jobs", 2) == 0
+    first, second = tree_bytes(tiny_study), tree_bytes(parallel)
+    assert sorted(first) == sorted(second)
+    assert {"cam_validation.txt", "masked/metrics.txt", "masked/fold_2/bundle.skq",
+            "masked/fold_2/cams.csv"} <= set(first)
+    for name in first:
+        assert first[name] == second[name], name
+
+
+def test_validate_cam_rerun_is_byte_identical(tiny_run, tiny_study, tmp_path):
+    rerun = str(tmp_path / "rerun")
+    assert run_cli("validate-cam", "--run", tiny_run, "--out", rerun) == 0
+    first, second = tree_bytes(tiny_study), tree_bytes(rerun)
+    assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], name
 
@@ -447,4 +473,54 @@ def test_changed_dataset_is_refused(tiny_manifest, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "fingerprint" in err
+    assert not (tmp_path / "study").exists()
+
+
+def doctored_run(tiny_run, tmp_path, edit):
+    """A copy of the tiny run whose folds.txt text is ``edit(text)``."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(tiny_run, run_dir)
+    path = run_dir / "folds.txt"
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return run_dir
+
+
+def test_validate_cam_refuses_a_test_id_listed_twice(tiny_run, tmp_path, capsys):
+    def duplicate(text):
+        lines = text.splitlines(keepends=True)
+        assert lines[2].startswith("fold 0 test = ") and "S02:5" in lines[2]
+        lines[2] = lines[2].rstrip("\n") + ",S02:5\n"
+        return "".join(lines)
+
+    run_dir = doctored_run(tiny_run, tmp_path, duplicate)
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: runtime: {run_dir / 'folds.txt'}: fold 0: trial S02:5 appears twice in "
+        "its test list")
+    assert not (tmp_path / "study").exists()
+
+
+def test_validate_cam_refuses_folds_that_differ_from_metrics(tiny_run, tmp_path, capsys):
+    def move_one_test_id(text):
+        """Fold 0's first test trial moves to fold 1's test list."""
+        assignment = FoldAssignment.from_canonical_text(text)
+        first, second = assignment.folds[:2]
+        tid = first.test_ids[0]
+        folds = (Fold(first.name, first.train_ids + (tid,), first.test_ids[1:]),
+                 Fold(second.name, tuple(i for i in second.train_ids if i != tid),
+                      second.test_ids + (tid,))) + assignment.folds[2:]
+        return replace(assignment, folds=folds).canonical_text()
+
+    run_dir = doctored_run(tiny_run, tmp_path, move_one_test_id)
+    changed = FoldAssignment.from_canonical_text(
+        (run_dir / "folds.txt").read_text(encoding="utf-8")).fingerprint()
+    recorded = next(line for line in (run_dir / "metrics.txt").read_text(
+        encoding="utf-8").splitlines() if line.startswith("folds_sha256 = "))[15:]
+    assert changed != recorded
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: usage: {run_dir / 'folds.txt'} has fingerprint {changed}, but "
+        f"{run_dir / 'metrics.txt'} records folds_sha256 {recorded}; refusing to pair folds")
     assert not (tmp_path / "study").exists()

@@ -13,12 +13,11 @@ from skillseq.data import Dataset, dataset_fingerprint
 from skillseq.explain import mask_trial, read_cams_csv
 from skillseq.model import prepare_dataset
 from skillseq.synth import SynthSpec, synth_dataset
-from skillseq.training import TrainConfig
+from skillseq.training import DaeConfig, HeadConfig
 from conftest import SMALL_ARCH
 
 SETTINGS = RunSettings(mode="classification", scheme="louo", seed=2,
-                       dae=TrainConfig.dae_default(max_epochs=1),
-                       clf=TrainConfig.classifier_default(max_epochs=2),
+                       dae=DaeConfig(max_epochs=1), clf=HeadConfig(max_epochs=2),
                        arch=SMALL_ARCH)
 
 

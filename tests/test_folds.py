@@ -128,3 +128,17 @@ def test_assignment_rejects_empty_test():
         FoldAssignment(scheme="stratified2", seed=0, folds=(
             Fold(name="0", train_ids=("a",), test_ids=()),
         ))
+
+
+@pytest.mark.parametrize("role, train, test", [
+    ("test", ("a", "b"), ("c", "d", "c")),
+    ("train", ("a", "b", "a"), ("c",)),
+], ids=["test", "train"])
+def test_assignment_rejects_an_id_listed_twice(role, train, test):
+    from skillseq.folds import Fold
+    with pytest.raises(ValueError, match=f"^fold 1: trial (a|c) appears twice in its {role} "
+                                         "list$"):
+        FoldAssignment(scheme="stratified2", seed=0, folds=(
+            Fold(name="0", train_ids=("c", "d"), test_ids=("a", "b")),
+            Fold(name="1", train_ids=train, test_ids=test),
+        ))

@@ -17,7 +17,7 @@ from skillseq.model import (
 )
 from skillseq import tensor as tz
 from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack, wrap_params
-from skillseq.training import TrainConfig, train_dae, train_supervised
+from skillseq.training import DaeConfig, HeadConfig, train_dae, train_supervised
 
 
 def test_arch_validation():
@@ -46,10 +46,10 @@ def test_reconstruction_shape_and_range(small_dae, small_normalized):
     assert np.all(r >= 0.0) and np.all(r <= 1.0)   # sigmoid output layer
 
 
-def test_train_dae_rejects_cosine_loss(small_normalized):
-    trials, minmax = small_normalized
-    with pytest.raises(ValueError, match="train_dae cannot use cosine loss"):
-        train_dae(trials, minmax, TrainConfig.dae_default(loss="cosine"), SMALL_ARCH)
+def test_train_dae_rejects_cosine_loss():
+    """train_dae takes a DaeConfig, which refuses the head's vector loss."""
+    with pytest.raises(ValueError, match="loss must be bce or mse, not cosine"):
+        DaeConfig(loss="cosine")
 
 
 def test_training_reduces_reconstruction_loss(small_dae):
@@ -174,9 +174,8 @@ def test_prediction_is_deterministic_at_inference(small_classifier,
 
 def test_early_stopping_restores_best_epoch(small_normalized):
     trials, minmax = small_normalized
-    cfg = TrainConfig(learning_rate=0.01, max_epochs=12, patience=2,
-                      loss="bce", seed=2)
-    bundle, history = train_dae(trials[:12], minmax, cfg, SMALL_ARCH)
+    cfg = DaeConfig(learning_rate=0.01, max_epochs=12, patience=2, loss="bce")
+    bundle, history = train_dae(trials[:12], minmax, cfg, 2, SMALL_ARCH)
     best = history.best_epoch
     assert history.val_loss[best - 1] == min(history.val_loss)
     if history.stopped_epoch < 12:
@@ -189,20 +188,18 @@ def test_train_supervised_rejects_autoencoder_bundle(small_dae,
                                                      small_normalized):
     dae, _ = small_dae
     trials, _ = small_normalized
-    cfg = TrainConfig(learning_rate=0.001, max_epochs=1, patience=1,
-                      loss="cosine", seed=0)
+    cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1, loss="cosine")
     with pytest.raises(ValueError):
-        train_supervised(dae, trials, cfg)
+        train_supervised(dae, trials, cfg, 0)
 
 
 def test_classification_requires_mse_free_loss(small_dae, small_normalized):
     dae, _ = small_dae
     trials, _ = small_normalized
-    cfg = TrainConfig(learning_rate=0.001, max_epochs=1, patience=1,
-                      loss="mse", seed=0)
+    cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1, loss="mse")
     from skillseq.training import train_classifier
     with pytest.raises(ValueError):
-        train_classifier(dae, trials, cfg, SMALL_ARCH, mode="classification")
+        train_classifier(dae, trials, cfg, 0, SMALL_ARCH, mode="classification")
 
 
 def test_model_inputs_must_be_normalized(small_classifier):
@@ -240,15 +237,10 @@ def test_encoder_head_spec_shapes():
     ("dae", "class_weighting", "none"),
     ("head", "noise_sigma", 0.05),
 ])
-def test_training_stage_rejects_fields_it_does_not_use(small_dae, small_normalized,
-                                                       stage, field, value):
-    dae, _ = small_dae
-    trials, minmax = small_normalized
-    loss = "bce" if stage == "dae" else "cosine"
-    cfg = TrainConfig(learning_rate=0.001, max_epochs=1, patience=1, loss=loss, seed=0,
-                      **{field: value})
-    with pytest.raises(ValueError, match=field):
-        if stage == "dae":
-            train_dae(trials, minmax, cfg, SMALL_ARCH)
-        else:
-            train_supervised(build_classifier(dae, "classification", SMALL_ARCH), trials, cfg)
+def test_training_stage_rejects_fields_it_does_not_use(stage, field, value):
+    """Each stage's recipe holds only what its training function reads:
+    no field of the other stage, and no seed, which is an argument."""
+    config = {"dae": DaeConfig, "head": HeadConfig}[stage]
+    for name, given in ((field, value), ("seed", 0)):
+        with pytest.raises(TypeError, match=name):
+            config(**{name: given})

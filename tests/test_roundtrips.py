@@ -19,6 +19,7 @@ from skillseq.model import ArchConfig, ModelBundle, decoder_specs, encoder_specs
 names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
                 min_size=1, max_size=6)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 def _bits(a):
@@ -38,7 +39,8 @@ def readable(name):
 
 
 @st.composite
-def raw_trials(draw):
+def raw_trial_fields(draw):
+    """The fields of a raw trial; one in five has a non-finite score or rate."""
     channels = tuple(draw(st.lists(st.one_of(names, field_names).filter(lambda n: n != "t"),
                                    min_size=1, max_size=4, unique=True)))
     n_frames = draw(st.integers(1, 12))
@@ -46,18 +48,31 @@ def raw_trials(draw):
                           min_size=n_frames * len(channels),
                           max_size=n_frames * len(channels)))
     values = np.array([np.nan if c is None else c for c in cells]).reshape(n_frames, -1)
-    return Trial(subject_id=draw(st.one_of(names, field_names)),
-                 trial_index=draw(st.integers(0, 10 ** 6)),
-                 sample_rate_hz=draw(st.floats(1e-3, 1e4)), channels=channels,
-                 values=values, score=draw(st.one_of(st.none(), finite)),
-                 class_label=draw(st.one_of(st.none(), names, field_names)))
+    fields = dict(subject_id=draw(st.one_of(names, field_names)),
+                  trial_index=draw(st.integers(0, 10 ** 6)),
+                  sample_rate_hz=draw(st.floats(1e-3, 1e4)), channels=channels,
+                  values=values, score=draw(st.one_of(st.none(), finite)),
+                  class_label=draw(st.one_of(st.none(), names, field_names)))
+    fault = draw(st.sampled_from([None] * 8 + ["score", "sample_rate_hz"]))
+    if fault:
+        fields[fault] = draw(non_finite)
+    return fields
 
 
 @settings(max_examples=200, deadline=None)
-@given(trial=raw_trials())
-def test_trial_csv_round_trips(trial, tmp_path_factory):
+@given(fields=raw_trial_fields())
+def test_trial_csv_round_trips(fields, tmp_path_factory):
     """A trial is written and read back exactly, or refused before any
-    file exists when one of its names would not read back."""
+    file exists when one of its names would not read back.  A trial with
+    a non-finite score or rate, which its file could not hold, cannot be
+    built at all."""
+    for name, message in (("sample_rate_hz", "sample_rate_hz must be finite and > 0"),
+                          ("score", "score must be finite or None")):
+        if fields[name] is not None and not np.isfinite(fields[name]):
+            with pytest.raises(ValueError, match=f"^{message}, got "):
+                Trial(**fields)
+            return
+    trial = Trial(**fields)
     path = tmp_path_factory.mktemp("trial") / "trial.csv"
     label = () if trial.class_label is None else (trial.class_label,)
     writable = (all(map(readable, (trial.subject_id, *trial.channels, *label)))
