@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .data import read_text
 from .model import ArchConfig
 from .synth import SynthSpec
 from .training import DaeConfig, HeadConfig
@@ -235,8 +236,7 @@ def flag_values(args, keys):
 def _read_pairs(path, keys):
     """key -> (typed value, line); duplicates, unknown keys, junk rejected."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     pairs = {}

@@ -27,7 +27,7 @@ import numpy as np
 from .bundle import save_bundle
 from .config import (ConfigError, RunConfig, RunSettings, parse_scheme, read_run_cfg,
                      write_run_cfg)
-from .data import dataset_fingerprint, apply_minmax, fit_minmax, load_manifest
+from .data import dataset_fingerprint, apply_minmax, fit_minmax, load_manifest, read_text
 from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
 from .metrics import binary_metrics, roc_auc, spearman, wilcoxon_one_sided
@@ -358,11 +358,10 @@ def _paired_values(metric, fold_names, before, after):
 
 def _recorded_folds_sha256(metrics_path):
     """The ``folds_sha256`` that a run's metrics.txt records."""
-    with open(metrics_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition(" = ")
-            if key == "folds_sha256":
-                return value
+    for line in read_text(metrics_path).split("\n"):
+        key, _, value = line.partition(" = ")
+        if key == "folds_sha256":
+            return value
     raise ValueError(f"{metrics_path}: no folds_sha256 line")
 
 
@@ -396,11 +395,11 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         )
 
     folds_path = os.path.join(run_dir, FOLDS_FILE)
-    with open(folds_path, "r", encoding="utf-8") as fh:
-        try:
-            assignment = FoldAssignment.from_canonical_text(fh.read())
-        except ValueError as exc:
-            raise ValueError(f"{folds_path}: {exc}") from None
+    text = read_text(folds_path)
+    try:
+        assignment = FoldAssignment.from_canonical_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{folds_path}: {exc}") from None
     metrics_path = os.path.join(run_dir, METRICS_FILE)
     recorded = _recorded_folds_sha256(metrics_path)
     if assignment.fingerprint() != recorded:

@@ -301,19 +301,19 @@ def parse_trial_csv(path):
     including every malformed block, is read by the ``csv.reader`` row
     walk (``_walk_rows``), which raises the error.
     """
-    return parse_trial_text(_read_text(path), origin=str(path))
+    return parse_trial_text(read_text(path, TrialFormatError), origin=str(path))
 
 
-def _read_text(path):
-    """A file's UTF-8 text, newlines untranslated; undecodable bytes raise a
-    TrialFormatError that names the file, line and byte offset."""
+def read_text(path, error=ValueError):
+    """A file's UTF-8 text, newlines untranslated; undecodable bytes raise
+    ``error`` naming the file, line and byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise TrialFormatError(
+        raise error(
             f"{path} line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
             f"at offset {exc.start}: {exc.reason})"
         ) from None
@@ -591,7 +591,7 @@ def load_manifest(path):
     """
     base = os.path.dirname(os.path.abspath(path))
     trials = []
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, TrialFormatError), newline=""))
     rows = list(csv_rows(reader, path, TrialFormatError))
     if not rows or [h.strip() for h in rows[0]] != ["path", "subject", "trial"]:
         raise TrialFormatError(f"{path}: manifest header must be 'path,subject,trial'")

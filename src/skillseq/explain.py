@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DOWNSAMPLED, Dataset, csv_rows
+from .data import DOWNSAMPLED, Dataset, csv_rows, read_text
 from .model import predict_many
 
 __all__ = [
@@ -156,19 +156,18 @@ def write_cams_csv(cams, path):
 def read_cams_csv(path):
     """Inverse of write_cams_csv: mapping trial_id -> CamMap."""
     rows = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        lines = csv_rows(r, path)
-        header = next(lines, None)
-        if header != ["trial_id", "class_index", "t", "raw", "intensity"]:
-            raise ValueError(f"{path}: unrecognized activation-map header {header}")
-        for row in lines:
-            try:
-                tid, ci, t, raw, inten = row
-                entry = (int(t), int(ci), float(raw), float(inten))
-            except ValueError:
-                raise ValueError(f"{path} line {r.line_num}{_bad_cam_row(row)}") from None
-            rows.setdefault(tid, []).append(entry)
+    r = csv.reader(io.StringIO(read_text(path), newline=""))
+    lines = csv_rows(r, path)
+    header = next(lines, None)
+    if header != ["trial_id", "class_index", "t", "raw", "intensity"]:
+        raise ValueError(f"{path}: unrecognized activation-map header {header}")
+    for row in lines:
+        try:
+            tid, ci, t, raw, inten = row
+            entry = (int(t), int(ci), float(raw), float(inten))
+        except ValueError:
+            raise ValueError(f"{path} line {r.line_num}{_bad_cam_row(row)}") from None
+        rows.setdefault(tid, []).append(entry)
     cams = {}
     for tid, entries in rows.items():
         entries.sort()

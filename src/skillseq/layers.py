@@ -279,6 +279,7 @@ def forward_packed(stacks, values, capture=False):
     chunk's arrays.
     """
     halo = max(_reach(specs) for specs, _ in stacks)
+    taps = tz.TapBuffer()
     outs, pre_gaps = [], []
     i = 0
     while i < len(values):
@@ -287,7 +288,7 @@ def forward_packed(stacks, values, capture=False):
             rows += halo + values[j].shape[0]
             j += 1
         chunk = values[i:j]
-        segments = tz.Segments([v.shape[0] for v in chunk], halo) if j - i > 1 else None
+        segments = tz.Segments([v.shape[0] for v in chunk], halo, taps) if j - i > 1 else None
         ctx = ForwardContext(segments=segments)
         x = tz.constant(segments.pack(chunk) if segments else chunk[0])
         for specs, params in stacks:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
-from .data import PASS_FAIL, csv_rows
+from .data import PASS_FAIL, csv_rows, read_text
 
 __all__ = ["PredictionRecord", "write_records_csv", "read_records_csv"]
 
@@ -81,26 +82,25 @@ def read_records_csv(path):
     A malformed row raises ValueError naming the file, line and column;
     a repeated ``trial_id`` names the file and both lines.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = csv_rows(reader, path)
-        header = next(rows, None)
-        if header is None:
-            raise ValueError(f"{path}: empty records file")
-        classes = _header_classes(header, path)
-        records, first_line = [], {}
-        for row in rows:
-            if not row:
-                continue
-            line = reader.line_num
-            record = _row_record(row, header, f"{path} line {line}")
-            if record.trial_id in first_line:
-                raise ValueError(f"{path} line {line}: duplicate trial_id "
-                                 f"'{record.trial_id}' (first on line "
-                                 f"{first_line[record.trial_id]})")
-            first_line[record.trial_id] = line
-            records.append(record)
-        return classes, records
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    rows = csv_rows(reader, path)
+    header = next(rows, None)
+    if header is None:
+        raise ValueError(f"{path}: empty records file")
+    classes = _header_classes(header, path)
+    records, first_line = [], {}
+    for row in rows:
+        if not row:
+            continue
+        line = reader.line_num
+        record = _row_record(row, header, f"{path} line {line}")
+        if record.trial_id in first_line:
+            raise ValueError(f"{path} line {line}: duplicate trial_id "
+                             f"'{record.trial_id}' (first on line "
+                             f"{first_line[record.trial_id]})")
+        first_line[record.trial_id] = line
+        records.append(record)
+    return classes, records
 
 
 def _row_record(row, header, where):

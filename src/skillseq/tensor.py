@@ -31,6 +31,15 @@ shapes); only tap building and elementwise arithmetic span the packed
 array, and the halo rows are zeroed again after every convolution.
 ``dense`` and ``softmax`` take a matrix of per-trial rows (``gap``'s
 packed output) and run once per row.
+
+Eval forwards make no throwaway large arrays.  At the 890-2,048 rows of
+a long trial or a packed chunk, ``np.where`` and fresh arrays of 100 KB
+or more (each one new memory to fault in) cost more than the arithmetic.
+So a forward that records no gradients computes ``conv1d_selu``'s SELU
+in place, the sCSE combine makes two temporaries instead of four, and
+the packed convolutions of one ``layers.forward_packed`` call build their
+taps in one shared ``TapBuffer``.  The bits are those of the recording
+path, which keeps what its backward needs.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Segments",
+    "TapBuffer",
     "parameter",
     "constant",
     "backward",
@@ -138,10 +148,12 @@ class Segments:
     Trial ``i`` occupies rows ``bounds[i] = (start, end)``; ``halo`` zero
     rows separate consecutive trials, so a convolution whose reach
     ``(K // 2) * dilation`` is at most ``halo`` sees each trial padded
-    with zeros exactly as a one-trial call does.
+    with zeros exactly as a one-trial call does.  The layout's
+    convolutions build their taps in ``taps``, a ``TapBuffer``.
     """
 
-    def __init__(self, lengths, halo):
+    def __init__(self, lengths, halo, taps):
+        self.taps = taps
         self.bounds = []
         start = 0
         for n in lengths:
@@ -174,6 +186,23 @@ class Segments:
         return out
 
 
+class TapBuffer:
+    """Storage that packed convolutions build their taps in, one after
+    another.  It grows to the largest tap array asked of it; each packed
+    forward makes its own, so none outlives the forward."""
+
+    def __init__(self):
+        self.flat = np.empty(0)
+
+    def array(self, rows, cols):
+        """A C-contiguous (rows, cols) array over the storage; the caller
+        overwrites every element."""
+        n = rows * cols
+        if self.flat.size < n:
+            self.flat = np.empty(n)
+        return self.flat[:n].reshape(rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -204,7 +233,7 @@ def conv1d(x, w, b, dilation=1, segments=None):
         xp[pad:pad + T] = xd
         # taps2[t, c*K + k] = xp[t + k*dilation, c]; flattened this way the
         # whole contraction is a single BLAS matmul
-        taps2 = np.empty((T, cin * K))
+        taps2 = np.empty((T, cin * K)) if segments is None else segments.taps.array(T, cin * K)
         for k in range(K):
             taps2[:, k::K] = xp[k * dilation:k * dilation + T]
         w2 = wd.transpose(1, 0, 2).reshape(cin * K, -1)
@@ -287,6 +316,20 @@ def _selu_raw(xd):
     return np.where(neg, SELU_LAMBDA * SELU_ALPHA * (ex - 1.0), SELU_LAMBDA * xd), neg, ex
 
 
+def _selu_inplace(c):
+    """SELU of an array written over it, with the bits of
+    ``_selu_raw(c)[0]``: for x > 0 the sum is ``+0.0 + λx``, and for
+    x <= 0 it is ``λα(e^x - 1) + (±0.0)``, whose left term is never -0.0."""
+    pos = np.maximum(c, 0.0)
+    pos *= SELU_LAMBDA
+    np.minimum(c, 0.0, out=c)
+    np.exp(c, out=c)
+    c -= 1.0
+    c *= SELU_LAMBDA * SELU_ALPHA
+    c += pos
+    return c
+
+
 def _selu_grad(g, neg, ex):
     return g * np.where(neg, SELU_LAMBDA * SELU_ALPHA * ex, SELU_LAMBDA)
 
@@ -319,13 +362,15 @@ def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0, segments=None):
     ``a + b == b + a`` exactly, so every gradient has the bits of
     ``conv1d``, ``selu`` and ``activity_penalty`` run separately.
 
-    With ``segments`` (a packed forward) the penalty is not computed.
+    With ``segments`` (a packed forward) the penalty is not computed.  A
+    packed forward, and a call without a penalty on inputs that need no
+    gradient, computes the SELU in place on the convolution's output.
     """
     pre = conv1d(x, w, b, dilation, segments)
     c = pre.data
+    if segments is not None or (activity_l2 <= 0.0 and pre.bwd is None):
+        return Tensor(_selu_inplace(c)), None
     out, neg, ex = _selu_raw(c)
-    if segments is not None:
-        return Tensor(out), None
     if activity_l2 <= 0.0:
         def bwd(g):
             pre.bwd(_selu_grad(g, neg, ex))
@@ -455,7 +500,8 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb, segments=None):
     s = _sigmoid_raw(u2)
     v = xd @ sw.data + sb.data
     q = _sigmoid_raw(v)
-    out = xd * s + xd * q[:, None]
+    out = xd * s
+    out += np.multiply(xd, q[:, None])
 
     def bwd(g):
         gx = g * s + g * q[:, None]
@@ -493,7 +539,10 @@ def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
         np.matmul(xd[a:e], sw, out=v[a:e])
     v += sb
     q = _sigmoid_raw(v)
-    return xd * s[segments.owner] + xd * q[:, None]
+    out = s[segments.owner]
+    out *= xd
+    out += np.multiply(xd, q[:, None])
+    return out
 
 
 def add_noise(x, noise):

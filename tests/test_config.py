@@ -501,6 +501,21 @@ def test_validate_cam_refuses_a_test_id_listed_twice(tiny_run, tmp_path, capsys)
     assert not (tmp_path / "study").exists()
 
 
+@pytest.mark.parametrize("name", ["run.cfg", "folds.txt", "fold_0/predictions.csv",
+                                  "fold_0/cams.csv"])
+def test_validate_cam_names_a_run_file_that_is_not_utf8(tiny_run, tmp_path, capsys, name):
+    run_dir = tmp_path / "run"
+    shutil.copytree(tiny_run, run_dir)
+    path = run_dir / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: runtime: {path} line 1: not UTF-8 text (byte 0xff at offset 0: "
+        "invalid start byte)")
+    assert not (tmp_path / "study").exists()
+
+
 def test_validate_cam_refuses_folds_that_differ_from_metrics(tiny_run, tmp_path, capsys):
     def move_one_test_id(text):
         """Fold 0's first test trial moves to fold 1's test list."""

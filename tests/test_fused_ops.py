@@ -98,3 +98,44 @@ def test_backward_order_leaves_out_leaves():
     order = tz.topo_order(loss)
     assert order[-1] is loss
     assert all(node.bwd is not None for node in order)
+
+
+# the no-gradient forward computes SELU in place, without ``np.where``
+
+SELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308,
+              -2.2250738585072014e-308, np.inf, -np.inf, -745.0, -746.0, 745.0, 1e300,
+              -1e300, 1e-300, -1e-300, np.nan, 1.0, -1.0]
+
+
+def _selu_bits(x):
+    return tz._selu_raw(x)[0].view(np.uint64)
+
+
+def test_in_place_selu_matches_selu_raw_on_edge_values():
+    x = np.array(SELU_EDGES)
+    got = tz._selu_inplace(x.copy())
+    assert np.array_equal(got.view(np.uint64), _selu_bits(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=64))
+def test_in_place_selu_matches_selu_raw(values):
+    x = np.array(values, dtype=np.float64)
+    c = x.copy()
+    with np.errstate(over="ignore"):   # λx overflows near the largest doubles
+        got = tz._selu_inplace(c)
+        want = _selu_bits(x)
+    assert got is c
+    assert np.array_equal(got.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("K", [1, 5])
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_fused_node_on_constants_matches_the_tape_path(K, dilation):
+    x, w, b, _ = _inputs(11, 23, 3, 4, K)
+    x[0, 0], x[1, 1] = 40.0, -800.0   # saturated and underflowing exponentials
+    out, pen = tz.conv1d_selu(tz.constant(x), tz.constant(w), tz.constant(b), dilation)
+    ref, _ = tz.conv1d_selu(tz.parameter(x), tz.parameter(w), tz.parameter(b), dilation)
+    assert pen is None and out.bwd is None and ref.bwd is not None
+    assert _bits(out.data) == _bits(ref.data)

@@ -178,9 +178,34 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
     assert _bits(packed) == _bits(expected)
 
 
+def test_reused_tap_buffer_never_leaks_into_results():
+    """Packed convolutions build their taps in one buffer per call, reused
+    across chunks: a later chunk or a later call must not change results
+    already returned."""
+    rng = np.random.default_rng(4)
+    arch = ArchConfig(enc_width=6, emb_channels=3, kernel_size=5, reduction=2,
+                      clf_width=4, clf_dilation=2)
+    bundle, _ = _bundles(rng, arch, 3, True)
+    stacks = _stacks(bundle, "encoder", "head")
+    # 75 rows exceed the row budget, so that trial runs unpacked
+    first = [rng.random((T, 3)) for T in (20, 25, 18, 75, 30, 22, 15, 26, 11)]
+    second = [rng.random((T, 3)) + 1.0 for T in (33, 12, 40, 9, 28, 17)]
+    with mock.patch.object(layers, "PACK_ROWS", 60), \
+            mock.patch.object(tz, "Segments", side_effect=tz.Segments) as layouts:
+        outs, pre_gaps = forward_packed(stacks, first, capture=True)
+        assert layouts.call_count >= 3
+        kept = [_bits(a) for a in outs + pre_gaps]
+        forward_packed(stacks, second, capture=True)
+    assert [_bits(a) for a in outs + pre_gaps] == kept
+    for x, out, pre_gap in zip(first, outs, pre_gaps):
+        want_out, want_pre_gap = _unpacked(stacks, x)
+        assert _bits(out) == _bits(want_out)
+        assert _bits(pre_gap) == _bits(want_pre_gap)
+
+
 def test_packed_forward_keeps_halo_rows_zero():
     rng = np.random.default_rng(0)
-    segments = tz.Segments([3, 1, 4], 2)
+    segments = tz.Segments([3, 1, 4], 2, tz.TapBuffer())
     assert segments.bounds == [(0, 3), (5, 6), (8, 12)]
     assert list(segments.halo_rows) == [3, 4, 6, 7]
     w = tz.constant(rng.normal(size=(5, 2, 3)))
@@ -191,7 +216,7 @@ def test_packed_forward_keeps_halo_rows_zero():
 
 
 def test_packed_forward_records_no_gradients():
-    segments = tz.Segments([2, 2], 1)
+    segments = tz.Segments([2, 2], 1, tz.TapBuffer())
     x = tz.constant(np.ones((5, 1)))
     with pytest.raises(ValueError, match="records no gradients"):
         tz.conv1d(x, tz.parameter(np.ones((1, 1, 1))), tz.constant(np.zeros(1)), 1, segments)
