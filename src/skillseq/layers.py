@@ -271,7 +271,7 @@ def forward_packed(stacks, values, capture=False):
     run in order, over each (T_i, C) array in ``values``.
 
     Trials are packed along time in chunks of at most ``PACK_ROWS`` rows
-    (a longer trial runs alone), with zero halos as wide as the widest
+    (a longer trial runs alone) between zero halos as wide as the widest
     convolution reach; a chunk of one trial runs unpacked.  Returns the
     per-trial outputs, equal byte for byte to one ``forward_stack`` pass
     per trial; with ``capture``, also the per-trial ``"pre_gap"``

@@ -22,13 +22,13 @@ compute the same bits through more Python.
 
 Packed forwards.  ``conv1d``, ``conv1d_selu``, ``scse_op`` and ``gap``
 take an optional ``Segments`` layout: many trials concatenated along time
-with zero halo rows between them, so one op call serves every trial.
+with zero halo rows around each, so one op call serves every trial.
 Such a forward records no gradients.  The result of every trial equals,
 byte for byte, the result of the one-trial call, because every BLAS call
 and every reduction still runs once per segment on exactly the operands
 the one-trial call uses (BLAS and reduction bits depend on the operand
-shapes); only tap building and elementwise arithmetic span the packed
-array, and the halo rows are zeroed again after every convolution.
+shapes); only elementwise arithmetic spans the packed array, and the
+halo rows are zeroed again after every convolution.
 ``dense`` and ``softmax`` take a matrix of per-trial rows (``gap``'s
 packed output) and run once per row.
 
@@ -37,9 +37,11 @@ a long trial or a packed chunk, ``np.where`` and fresh arrays of 100 KB
 or more (each one new memory to fault in) cost more than the arithmetic.
 So a forward that records no gradients computes ``conv1d_selu``'s SELU
 in place, the sCSE combine makes two temporaries instead of four, and
-the packed convolutions of one ``layers.forward_packed`` call build their
-taps in one shared ``TapBuffer``.  The bits are those of the recording
-path, which keeps what its backward needs.
+the packed convolutions of one ``layers.forward_packed`` call build each
+trial's taps in one shared ``TapBuffer``, reading the trial's halos as
+its zero padding, so no padded copy of the packed array is made either.
+The bits are those of the recording path, which keeps what its backward
+needs.
 """
 
 from __future__ import annotations
@@ -146,25 +148,29 @@ class Segments:
     """Row layout of trials packed along time.
 
     Trial ``i`` occupies rows ``bounds[i] = (start, end)``; ``halo`` zero
-    rows separate consecutive trials, so a convolution whose reach
-    ``(K // 2) * dilation`` is at most ``halo`` sees each trial padded
-    with zeros exactly as a one-trial call does.  The layout's
-    convolutions build their taps in ``taps``, a ``TapBuffer``.
+    rows come before each trial and after the last, so a convolution
+    whose reach ``(K // 2) * dilation`` is at most ``halo`` sees each
+    trial padded with zeros exactly as a one-trial call does.  The
+    layout's convolutions build their taps in ``taps``, a ``TapBuffer``.
     """
 
     def __init__(self, lengths, halo, taps):
         self.taps = taps
         self.bounds = []
-        start = 0
+        start = halo
         for n in lengths:
             self.bounds.append((start, start + n))
             start += n + halo
-        self.rows = start - halo
+        self.rows = start
+        self.longest = max(lengths)
         self.lengths = np.array(lengths, dtype=np.float64)[:, None]
-        self.halo_rows = np.array([r for _, e in self.bounds[:-1] for r in range(e, e + halo)],
-                                  dtype=np.intp)
-        # row -> its trial; a halo row belongs to the trial before it
-        self.owner = np.repeat(np.arange(len(lengths)), [n + halo for n in lengths])[:self.rows]
+        ends = [0] + [e for _, e in self.bounds]   # each halo starts at one
+        self.halo_rows = np.array([r for e in ends for r in range(e, e + halo)], dtype=np.intp)
+        # row -> its trial; a halo row belongs to the trial before it, and
+        # the leading halo to the first trial
+        counts = [n + halo for n in lengths]
+        counts[0] += halo
+        self.owner = np.repeat(np.arange(len(lengths)), counts)
 
     def pack(self, arrays):
         """One (rows, C) array holding each (T_i, C) array at its bounds."""
@@ -187,9 +193,9 @@ class Segments:
 
 
 class TapBuffer:
-    """Storage that packed convolutions build their taps in, one after
-    another.  It grows to the largest tap array asked of it; each packed
-    forward makes its own, so none outlives the forward."""
+    """Storage that packed convolutions build each trial's taps in, one
+    after another.  It grows to the largest tap array asked of it; each
+    packed forward makes its own, so none outlives the forward."""
 
     def __init__(self):
         self.flat = np.empty(0)
@@ -226,24 +232,19 @@ def conv1d(x, w, b, dilation=1, segments=None):
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     pad = (K // 2) * dilation
+    w2 = wd[0] if K == 1 else wd.transpose(1, 0, 2).reshape(cin * K, -1)
+    if segments is not None:
+        return _packed_node(_conv_packed(xd, w2, bd, K, dilation, segments), (x, w, b))
     if K == 1:
-        taps2, w2 = xd, wd[0]
+        taps2 = xd
     else:
         xp = np.zeros((T + 2 * pad, cin))
         xp[pad:pad + T] = xd
         # taps2[t, c*K + k] = xp[t + k*dilation, c]; flattened this way the
         # whole contraction is a single BLAS matmul
-        taps2 = np.empty((T, cin * K)) if segments is None else segments.taps.array(T, cin * K)
+        taps2 = np.empty((T, cin * K))
         for k in range(K):
             taps2[:, k::K] = xp[k * dilation:k * dilation + T]
-        w2 = wd.transpose(1, 0, 2).reshape(cin * K, -1)
-    if segments is not None:
-        out = np.zeros((T, w2.shape[1]))
-        for s, e in segments.bounds:
-            np.matmul(taps2[s:e], w2, out=out[s:e])
-        out += bd
-        out[segments.halo_rows] = 0.0
-        return _packed_node(out, (x, w, b))
     out = taps2 @ w2
     out += bd
 
@@ -263,6 +264,29 @@ def conv1d(x, w, b, dilation=1, segments=None):
             x.accumulate(gxp[pad:pad + T])
 
     return _node(out, (x, w, b), bwd)
+
+
+def _conv_packed(xd, w2, bd, K, dilation, segments):
+    """A packed convolution, one trial at a time: a trial's taps read its
+    halos as its zero padding, so they and its matmul are those of the
+    one-trial call."""
+    pad = (K // 2) * dilation
+    out = np.zeros((xd.shape[0], w2.shape[1]))
+    if K > 1:
+        buf = segments.taps.array(segments.longest, w2.shape[0])
+    for s, e in segments.bounds:
+        if K == 1:
+            taps = xd[s:e]
+        else:
+            # taps[t, c*K + k] = xd[s - pad + t + k*dilation, c]
+            taps = buf[:e - s]
+            for k in range(K):
+                a = s - pad + k * dilation
+                taps[:, k::K] = xd[a:a + e - s]
+        np.matmul(taps, w2, out=out[s:e])
+    out += bd
+    out[segments.halo_rows] = 0.0
+    return out
 
 
 def _row_products(rows, w):

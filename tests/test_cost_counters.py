@@ -52,12 +52,15 @@ COUNTS = {
     "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
         "training.dae_step": {"nodes": 25, "accumulate": 44, "numpy_c": 125, "py": 216},
         "training.head_step": {"nodes": 18, "accumulate": 35, "numpy_c": 79, "py": 152},
-        # numpy_c 520 -> 524 and py 452 -> 450 when packed forwards took their
-        # taps from one TapBuffer and computed SELU in place: the 21 SELUs
-        # no longer call np.where (-21 py); the 18 packed convolutions with
-        # K > 1 call TapBuffer.array (+18 py, +18 reshape, -18 np.empty), and
-        # the buffer is made once and grown three times (+1 py, +4 np.empty)
-        "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 524, "py": 450},
+        # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
+        # making throwaway large arrays: the 21 SELUs run in place and no
+        # longer call np.where (-21 py); the 21 packed convolutions run in
+        # _conv_packed (+21 py), and the 18 with K > 1 no longer make a
+        # padded copy (-18 np.zeros) but take one view of the call's
+        # TapBuffer (+18 py, +18 reshape, -18 np.empty), which is made once
+        # and grown three times (+1 py, +4 np.empty); each of the 3 layouts
+        # lists its halo rows with one more list comprehension (+3 py)
+        "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 506, "py": 474},
     },
 }
 

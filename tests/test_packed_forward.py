@@ -206,8 +206,9 @@ def test_reused_tap_buffer_never_leaks_into_results():
 def test_packed_forward_keeps_halo_rows_zero():
     rng = np.random.default_rng(0)
     segments = tz.Segments([3, 1, 4], 2, tz.TapBuffer())
-    assert segments.bounds == [(0, 3), (5, 6), (8, 12)]
-    assert list(segments.halo_rows) == [3, 4, 6, 7]
+    assert segments.bounds == [(2, 5), (7, 8), (10, 14)]
+    assert segments.rows == 16
+    assert list(segments.halo_rows) == [0, 1, 5, 6, 8, 9, 14, 15]
     w = tz.constant(rng.normal(size=(5, 2, 3)))
     b = tz.constant(rng.normal(size=3))
     x = tz.constant(segments.pack([rng.normal(size=(n, 2)) for n in (3, 1, 4)]))
@@ -217,7 +218,7 @@ def test_packed_forward_keeps_halo_rows_zero():
 
 def test_packed_forward_records_no_gradients():
     segments = tz.Segments([2, 2], 1, tz.TapBuffer())
-    x = tz.constant(np.ones((5, 1)))
+    x = tz.constant(np.ones((segments.rows, 1)))
     with pytest.raises(ValueError, match="records no gradients"):
         tz.conv1d(x, tz.parameter(np.ones((1, 1, 1))), tz.constant(np.zeros(1)), 1, segments)
     specs = (layers.LayerSpec("conv1d", in_channels=1, out_channels=1),)
