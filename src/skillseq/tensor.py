@@ -32,10 +32,10 @@ halo rows are zeroed again after every convolution.
 ``dense`` and ``softmax`` take a matrix of per-trial rows (``gap``'s
 packed output) and run once per row.
 
-Eval forwards make no throwaway large arrays.  At the 890-2,048 rows of
-a long trial or a packed chunk, ``np.where`` and fresh arrays of 100 KB
-or more (each one new memory to fault in) cost more than the arithmetic.
-So a forward that records no gradients computes ``conv1d_selu``'s SELU
+Eval forwards make as few throwaway large arrays as they can.  At the
+890-2,048 rows of a long trial or a packed chunk, ``np.where`` and fresh
+arrays of 100 KB or more (each one new memory to fault in) cost more
+than the arithmetic.  So a forward that records no gradients computes ``conv1d_selu``'s SELU
 in place, the sCSE combine makes two temporaries instead of four, and
 the packed convolutions of one ``layers.forward_packed`` call build each
 trial's taps in one shared ``TapBuffer``, reading the trial's halos as
@@ -164,7 +164,7 @@ class Segments:
         self.rows = start
         self.longest = max(lengths)
         self.lengths = np.array(lengths, dtype=np.float64)[:, None]
-        ends = [0] + [e for _, e in self.bounds]   # each halo starts at one
+        ends = [0] + [e for _, e in self.bounds]   # where each halo starts
         self.halo_rows = np.array([r for e in ends for r in range(e, e + halo)], dtype=np.intp)
         # row -> its trial; a halo row belongs to the trial before it, and
         # the leading halo to the first trial
