@@ -1,5 +1,6 @@
-"""Deterministic cost counters: what one training step and one packed
-forward cost, counted rather than timed.
+"""Deterministic cost counters: what one training step, one packed
+forward, one trial-file parse and one overlay cost, counted rather than
+timed.
 
 Timing cannot resolve a change of a few percent on a small shared host;
 call counts can, because they repeat exactly.  Each case runs once to
@@ -21,7 +22,10 @@ The cases reuse the benchmark's span names: ``training.dae_step`` and
 T=104 trial with the default architecture and recipe, the steps the
 training loop runs; ``layers.forward_packed`` is one eval forward of the
 skill model over a fixed 40-trial batch (three packed chunks), with the
-pre-GAP activations captured, as ``predict_with_cams`` runs it.
+pre-GAP activations captured, as ``predict_with_cams`` runs it;
+``data.parse_trial_text`` parses a fixed 818-frame 10 Hz trial file with
+two tools and a few missing detections, and ``overlay.render_cam_overlay``
+draws that trial under a fixed 818-entry map into ``os.devnull``.
 
 Counts depend on the numpy version, so they are pinned per
 ``perfbench/envinfo.platform_key`` like the output goldens, and an
@@ -39,11 +43,13 @@ import pytest
 
 import skillseq.tensor as tz
 import skillseq.training as training
-from skillseq.data import NORMALIZED, MinMaxStats, Trial
+from skillseq.data import NORMALIZED, MinMaxStats, Trial, parse_trial_text
+from skillseq.explain import CamMap
 from skillseq.layers import forward_packed, init_stack_params, wrap_params
 from skillseq.model import (ArchConfig, ModelBundle, build_classifier, decoder_specs,
                             encoder_specs)
 from skillseq.optim import AdamState, adam_step_masked
+from skillseq.overlay import render_cam_overlay
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -61,11 +67,14 @@ COUNTS = {
         # and grown three times (+1 py, +4 np.empty); each of the 3 layouts
         # lists its halo rows with one more list comprehension (+3 py)
         "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 506, "py": 474},
+        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8},
+        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 55, "py": 4204},
     },
 }
 
 CHANNELS = ("sx", "sy", "gx", "gy")
 T_STEP = 104
+T_LONG = 818
 BATCH_LENGTHS = tuple(60 + (37 * i) % 91 for i in range(40))
 
 
@@ -126,6 +135,18 @@ def _skill_stacks(dae):
             for g in ("encoder", "head")]
 
 
+def _long_trial_text(rng):
+    """A 10 Hz trial file of two tools in the 640x480 frame; every 37th
+    frame misses its second tool."""
+    xy = rng.random((T_LONG, len(CHANNELS))) * np.array([640.0, 480.0, 640.0, 480.0])
+    rows = [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(xy.tolist())]
+    for t in range(0, T_LONG, 37):
+        rows[t] = rows[t].rsplit(",", 2)[0] + ",,"
+    header = ["# subject=S1", "# trial=3", "# rate_hz=10.0", "# score=NA", "# class=fail",
+              "t," + ",".join(CHANNELS)]
+    return "\n".join(header + rows) + "\n"
+
+
 class _Stop(Exception):
     pass
 
@@ -164,12 +185,19 @@ def _cases():
     dae = _autoencoder(rng)
     batch = [t.values for t in _trials(rng, BATCH_LENGTHS)]
     stacks = _skill_stacks(dae)
+    text = _long_trial_text(rng)
+    long_trial = parse_trial_text(text, "long.csv")
+    intensity = rng.random(T_LONG)
+    cam = CamMap(trial_id=long_trial.trial_id, class_index=1, raw=intensity * 2.0 - 1.0,
+                 intensity=intensity)
     return {
         "training.dae_step": _first_step(training.train_dae, trials, minmax,
                                          training.DaeConfig(), 0),
         "training.head_step": _first_step(training.train_classifier, dae, trials,
                                           training.HeadConfig(), 0),
         "layers.forward_packed": lambda: forward_packed(stacks, batch, capture=True),
+        "data.parse_trial_text": lambda: parse_trial_text(text, "long.csv"),
+        "overlay.render_cam_overlay": lambda: render_cam_overlay(long_trial, cam, os.devnull),
     }
 
 

@@ -6,7 +6,10 @@ SVG bytes are the same on every platform.  Together they cover NaN runs
 (leading, interior, trailing), coordinates outside the 640x480 frame, a
 map shorter than the trial, one to three tools, channel names that do
 and do not name a tool, and intensities on exact rounding ties
-``(k + 0.5) / 255`` for both the vertex colour and the strip grey.
+``(k + 0.5) / 255`` for both the vertex colour and the strip grey.  A
+fourth trial holds ``-0.0`` coordinates and coordinates on or next to a
+hundredths tie (``x.xx5``), where ``"%.2f"`` rounds half to even or the
+binary value lies just below or above the tie.
 """
 
 import hashlib
@@ -90,10 +93,28 @@ def _trial_three_tools():
                       channels=("left_x", "left_y", "rightx", "righty", "p", "q"))
 
 
+# x.xx5 coordinates: exact ties (odd multiples of 1/8) and decimal ones whose
+# binary value lies just below or above the tie
+HUNDREDTHS_TIES = [0.125, 0.375, 0.625, 0.875, 3.375, 100.125, 479.875, 639.875,
+                   1.005, 2.675, 0.145, 10.005, 0.285, 1.115, 0.015, 479.995, 639.995]
+
+
+def _trial_signed_zero_and_ties():
+    """Two tools, 24 frames: -0.0, 5e-324, the frame edges and x.xx5 values."""
+    edges = [-0.0, 0.0, 5e-324, 0.005, 0.01, 0.1, 123.456]
+    x = np.array(HUNDREDTHS_TIES + edges)
+    y = np.minimum(x[::-1], 480.0)
+    values = np.stack([x, y, np.roll(x, 5), np.roll(y, 11)], axis=1)
+    values[7, 1] = values[0, 3] = -0.0
+    return make_trial(values, subject="S4", index=2, rate=10.0,
+                      channels=("tip_x", "tip_y", "hook_x", "hook_y"))
+
+
 GOLDEN_SVG = {
     "gaps": "5e0318ccc0de392d369e37dd3a3aa6dd0db44c8d1db81008abecd705150d8108",
     "out_of_frame": "e980de572a0c8c41f9ce257bfb8a8eebf5fde33848df178556dc40566dd03d66",
     "three_tools": "db8fe0b660b4bbd750a5c59fa11dd1403048f224ba3215ef9ebe614172d56ea3",
+    "signed_zero_and_ties": "cb9d31a93d9ecba91b26ad6afb99aae6ef3bfadd0af71184cb60698140727c4c",
 }
 
 
@@ -124,6 +145,15 @@ def test_overlay_out_of_frame_warns_and_is_byte_identical(tmp_path):
 def test_overlay_three_tools_short_map_is_byte_identical(tmp_path):
     digest = _render(tmp_path, "three_tools", _trial_three_tools(), 11, 2)
     assert digest == GOLDEN_SVG["three_tools"]
+
+
+def test_overlay_signed_zero_and_ties_is_byte_identical(tmp_path):
+    # a 1,024-entry map puts the strip cells at i * 0.625: a tie at every odd i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        digest = _render(tmp_path, "signed_zero_and_ties", _trial_signed_zero_and_ties(),
+                         1024, 3)
+    assert digest == GOLDEN_SVG["signed_zero_and_ties"]
 
 
 # --- tables and indices against the per-vertex formulas ---

@@ -4,13 +4,16 @@ Each writer's output must read back to an equal value; floating-point
 values come back bit for bit.
 """
 
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skillseq.bundle import load_bundle, save_bundle
+from skillseq.bundle import (BUNDLE_VERSION, BundleFormatError, BundleTruncatedError,
+                             BundleVersionError, load_bundle, save_bundle)
 from skillseq.data import MinMaxStats, ScoreStats, Trial, parse_trial_csv, write_trial_csv
 from skillseq.folds import Fold, FoldAssignment
 from skillseq.layers import init_stack_params
@@ -161,3 +164,69 @@ def test_bundle_round_trips_bit_identically(bundle, tmp_path_factory):
     assert _bits(back.minmax.mins) == _bits(bundle.minmax.mins)
     assert _bits(back.minmax.maxs) == _bits(bundle.minmax.maxs)
     assert back.score_stats == bundle.score_stats
+
+
+# --- structural faults behind a valid checksum ---
+#
+# The body below holds two arrays: "a" with shape (2,) and "enc/w" with
+# shape (2, 3).  Its byte offsets: magic 0, version 4, metadata length 8,
+# metadata 16, array count 18; "a": name length 22, name 24, ndim 25,
+# dim 26, data 34; "enc/w": name length 50, name 52, ndim 57, dims 58 and
+# 66, data 74; end 122.
+
+
+def _array_bytes(name, arr):
+    nb = name.encode("utf-8")
+    return (struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
+            + b"".join(struct.pack("<Q", d) for d in arr.shape) + arr.astype("<f8").tobytes())
+
+
+def _crafted_body(version=BUNDLE_VERSION):
+    meta = b"{}"
+    return (b"SKSQ" + struct.pack("<I", version) + struct.pack("<Q", len(meta)) + meta
+            + struct.pack("<I", 2) + _array_bytes("a", np.array([1.5, -2.0]))
+            + _array_bytes("enc/w", np.arange(6.0).reshape(2, 3)))
+
+
+def _load_crafted(tmp_path, body):
+    path = tmp_path / "crafted.skq"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(BundleFormatError) as excinfo:
+        load_bundle(path)
+    return path, excinfo
+
+
+def test_crafted_body_has_the_documented_length():
+    assert len(_crafted_body()) == 122
+
+
+@pytest.mark.parametrize("cut, message", [
+    (12, "needed 8 bytes for metadata length at offset 8, file has 4 left"),
+    (17, "needed 2 bytes for metadata at offset 16, file has 1 left"),
+    (20, "needed 4 bytes for array count at offset 18, file has 2 left"),
+    (51, "needed 2 bytes for array name length at offset 50, file has 1 left"),
+    (55, "needed 5 bytes for array name at offset 52, file has 3 left"),
+    (57, "needed 1 bytes for array ndim at offset 57, file has 0 left"),
+    (62, "needed 8 bytes for array dim at offset 58, file has 4 left"),
+    (70, "needed 8 bytes for array dim at offset 66, file has 4 left"),
+    (114, "needed 48 bytes for array 'enc/w' data at offset 74, file has 40 left"),
+    (33, "needed 8 bytes for array dim at offset 26, file has 7 left"),
+    (40, "needed 16 bytes for array 'a' data at offset 34, file has 6 left"),
+], ids=["metadata-length", "metadata", "array-count", "name-length", "name", "ndim",
+        "first-dim", "second-dim", "data", "first-array-dim", "first-array-data"])
+def test_truncated_body_names_the_field_and_offset(tmp_path, cut, message):
+    _, excinfo = _load_crafted(tmp_path, _crafted_body()[:cut])
+    assert excinfo.type is BundleTruncatedError
+    assert str(excinfo.value) == f"truncated bundle: {message}"
+
+
+def test_unsupported_version_is_refused(tmp_path):
+    path, excinfo = _load_crafted(tmp_path, _crafted_body(version=2))
+    assert excinfo.type is BundleVersionError
+    assert str(excinfo.value) == f"{path}: format version 2 unsupported (expected 1)"
+
+
+def test_trailing_bytes_are_refused(tmp_path):
+    path, excinfo = _load_crafted(tmp_path, _crafted_body() + b"xyz")
+    assert excinfo.type is BundleFormatError
+    assert str(excinfo.value) == f"{path}: 3 unexpected trailing bytes"
