@@ -11,9 +11,23 @@ Rendering is table-driven and takes one pass per column: every ramp's
 256 colors and the strip's 256 greys are built once, at import, from
 the integer step with ``ramp_color``'s arithmetic; per-vertex steps,
 frame-to-map indices and strip cells are computed as whole arrays
-(``np.rint`` rounds half to even, as ``round`` does); and each
-coordinate is formatted once and shared by the polyline and the
-vertex's circle.  The SVG bytes are those of the per-vertex formulas.
+(``np.rint`` rounds half to even, as ``round`` does); each coordinate
+is formatted once and shared by the polyline and the vertex's circle;
+and the polyline points, the circles and the strip cells are each one
+``%`` over a column's values.  The SVG bytes are those of the
+per-vertex formulas.
+
+Coordinates are written as ``"%.2f"`` with trailing zeros and the dot
+stripped, but no float is formatted on the common path: for
+``0 <= v <= 640``, ``p = v * 100.0`` lies within half an ulp of 64,000
+(3.7e-12) of the exact ``100 * v``, so wherever ``|p - rint(p)|`` is
+more than 1e-9 from 0.5, ``rint(p)`` is also the nearest integer to the
+exact ``100 * v``, which is the correctly rounded hundredths that
+``"%.2f"`` prints.  That integer ``h`` is written as the table entries
+of ``h // 100`` (0..640) and ``h % 100`` (the stripped fraction).
+Entries within 1e-9 of a half (exact ties included, which ``"%.2f"``
+rounds to even), entries with the sign bit set (``-0.0`` prints ``-0``),
+and entries above 640 are formatted as floats.
 """
 
 from __future__ import annotations
@@ -95,6 +109,38 @@ def _fmt(v):
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+# _fmt's text of the whole part 0..640 and of the hundredths 0..99
+_INT = np.array([str(i) for i in range(641)], dtype=object)
+_FRAC = np.array([f"{f / 100:.2f}"[1:].rstrip("0").rstrip(".") for f in range(100)],
+                 dtype=object)
+_MAX_HUNDREDTHS = 100 * (len(_INT) - 1)
+
+
+def _fmt_column(v):
+    """``_fmt`` of every entry of the finite float64 array ``v``, as an
+    object array (see the module docstring)."""
+    p = v * 100.0
+    h = np.rint(p)
+    rest = ~((np.abs(p - h) < 0.5 - 1e-9) & (h <= _MAX_HUNDREDTHS) & ~np.signbit(v))
+    h[rest] = 0.0
+    hi = h.astype(np.intp)
+    out = _INT[hi // 100] + _FRAC[hi % 100]
+    out[rest] = [_fmt(x) for x in v[rest].tolist()]
+    return out
+
+
+def _interleave(*columns):
+    """The entries of equal-length columns, row by row, as one tuple."""
+    rows = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        rows[:, j] = column
+    return tuple(rows.ravel().tolist())
+
+
+def _escape(text):
+    return text.replace("%", "%%")
+
+
 def render_cam_overlay(trial_raw, cam, output_path):
     """Write an SVG overlay of ``trial_raw``'s tool paths shaded by ``cam``.
 
@@ -140,23 +186,23 @@ def render_cam_overlay(trial_raw, cam, output_path):
 
     steps = _steps(np.clip(intensity, 0.0, 1.0))[_cam_indices(n, len(intensity))]
     for tool, (cx, cy, name) in enumerate(pairs):
-        xs = [_fmt(x) for x in np.clip(values[:, cx], 0.0, CANVAS_W).tolist()]
-        ys = [_fmt(y) for y in np.clip(values[:, cy], 0.0, CANVAS_H).tolist()]
-        points = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
+        xs = _fmt_column(np.clip(values[:, cx], 0.0, CANVAS_W))
+        ys = _fmt_column(np.clip(values[:, cy], 0.0, CANVAS_H))
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="#b0b0b0" '
-            f'stroke-width="0.8"><title>{name}</title></polyline>'
-        )
-        colors = _RAMP_TABLES[tool % len(RAMPS)][steps].tolist()
-        parts.extend([f'<circle cx="{x}" cy="{y}" r="2.2" fill="{c}"/>'
-                      for x, y, c in zip(xs, ys, colors)])
+            ('<polyline points="' + " ".join(["%s,%s"] * n) + '" fill="none" stroke="#b0b0b0" '
+             f'stroke-width="0.8"><title>{_escape(name)}</title></polyline>')
+            % _interleave(xs, ys))
+        colors = _RAMP_TABLES[tool % len(RAMPS)][steps]
+        parts.append("\n".join(['<circle cx="%s" cy="%s" r="2.2" fill="%s"/>'] * n)
+                     % _interleave(xs, ys, colors))
 
     strip_y = CANVAS_H + STRIP_GAP
-    seg_w = CANVAS_W / len(intensity)
-    cell = f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"'
-    greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))].tolist()
-    xs = (np.arange(len(intensity)) * seg_w).tolist()
-    parts.extend([f'<rect x="{_fmt(x)}" {cell} fill="{g}"/>' for x, g in zip(xs, greys)])
+    m = len(intensity)
+    seg_w = CANVAS_W / m
+    cell = _escape(f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"')
+    greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))]
+    parts.append("\n".join([f'<rect x="%s" {cell} fill="%s"/>'] * m)
+                 % _interleave(_fmt_column(np.arange(m) * seg_w), greys))
     parts.append(
         f'<rect x="0" y="{_fmt(strip_y)}" width="{int(CANVAS_W)}" '
         f'height="{_fmt(STRIP_H)}" fill="none" stroke="#404040" stroke-width="1"/>'

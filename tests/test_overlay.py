@@ -26,6 +26,7 @@ from skillseq.overlay import (
     _RAMP_TABLES,
     RAMPS,
     _cam_indices,
+    _fmt_column,
     _steps,
     ramp_color,
     render_cam_overlay,
@@ -206,3 +207,48 @@ def test_tables_match_the_formulas_at_random_intensities(v, tool):
 def test_cam_indices_match_the_per_frame_formula(n_frames, cam_len):
     assert (_cam_indices(n_frames, cam_len).tolist()
             == [cam_index(i, n_frames, cam_len) for i in range(n_frames)])
+
+
+# --- coordinate text from integer hundredths against "%.2f" ---
+
+
+def coordinate_text(v):
+    """Oracle: one coordinate as the overlay writes it."""
+    return f"{v:.2f}".rstrip("0").rstrip(".")
+
+
+def _assert_column_matches(v):
+    v = np.asarray(v, dtype=np.float64)
+    assert _fmt_column(v).tolist() == [coordinate_text(x) for x in v.tolist()]
+
+
+def test_column_text_at_the_edges():
+    _assert_column_matches([-0.0, 0.0, 640.0, 5e-324, -5e-324, 640.004, 1e300, 0.005, 0.5])
+
+
+def test_column_text_at_every_hundredths_tie_and_its_neighbours():
+    ties = (np.arange(64000) + 0.5) / 100.0
+    _assert_column_matches(np.concatenate([ties, np.nextafter(ties, 0.0),
+                                           np.nextafter(ties, 1000.0)]))
+
+
+def test_column_text_next_to_the_ties_band():
+    # values whose x100 lands within, on or just outside 1e-9 of a half
+    halves = np.arange(0, 64000, 7) + 0.5
+    offsets = np.array([-2e-9, -1e-9, -9e-10, -1e-10, 1e-10, 9e-10, 1e-9, 2e-9])
+    _assert_column_matches(((halves[:, None] + offsets) / 100.0).ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.floats(0.0, 640.0), min_size=1, max_size=60))
+def test_column_text_matches_the_formula_at_random_coordinates(v):
+    _assert_column_matches(v)
+
+
+def test_percent_in_a_tool_name_is_written_as_is(tmp_path):
+    values = np.array([[1.0, 2.0], [3.5, 4.25]])
+    trial = make_trial(values, subject="S5", rate=10.0, channels=("50%s_x", "50%s_y"))
+    path = tmp_path / "percent.svg"
+    render_cam_overlay(trial, _cam(trial.trial_id, 2, 0), str(path))
+    assert '<polyline points="1,2 3.5,4.25" ' in path.read_text(encoding="utf-8")
+    assert "<title>50%s</title>" in path.read_text(encoding="utf-8")
