@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -90,24 +91,45 @@ def save_bundle(bundle, path):
         fh.write(digest)
 
 
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
+_U16, _U32, _U64 = (struct.Struct(f) for f in ("<H", "<I", "<Q"))
 
-    def take(self, n, what):
-        if self.pos + n > len(self.blob):
-            raise BundleTruncatedError(
-                f"truncated bundle: needed {n} bytes for {what} at offset {self.pos}, "
-                f"file has {len(self.blob) - self.pos} left"
-            )
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
 
-    def u(self, fmt, what):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what))[0]
+def _truncated(body, pos, n, what):
+    return BundleTruncatedError(
+        f"truncated bundle: needed {n} bytes for {what} at offset {pos}, "
+        f"file has {len(body) - pos} left"
+    )
+
+
+def _read_arrays(body, pos, n_arrays):
+    """``{name: array}`` of ``n_arrays`` arrays from ``pos``, and the offset
+    after them.  Each field is bounds-checked before it is read, and the
+    first that does not fit raises ``_truncated`` naming it."""
+    end = len(body)
+    weights = {}
+    for _ in range(n_arrays):
+        if pos + 2 > end:
+            raise _truncated(body, pos, 2, "array name length")
+        nlen = _U16.unpack_from(body, pos)[0]
+        pos += 2
+        if pos + nlen > end:
+            raise _truncated(body, pos, nlen, "array name")
+        name = body[pos:pos + nlen].decode("utf-8")
+        pos += nlen
+        if pos + 1 > end:
+            raise _truncated(body, pos, 1, "array ndim")
+        ndim = body[pos]
+        pos += 1
+        if pos + 8 * ndim > end:
+            raise _truncated(body, pos + 8 * ((end - pos) // 8), 8, "array dim")
+        shape = struct.unpack_from(f"<{ndim}Q", body, pos)
+        pos += 8 * ndim
+        count = math.prod(shape)
+        if pos + 8 * count > end:
+            raise _truncated(body, pos, 8 * count, f"array '{name}' data")
+        weights[name] = np.frombuffer(body, "<f8", count, pos).copy().reshape(shape)
+        pos += 8 * count
+    return weights, pos
 
 
 def load_bundle(path):
@@ -120,32 +142,26 @@ def load_bundle(path):
     body, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise BundleChecksumError(f"{path}: checksum mismatch; file is corrupt")
-    r = _Reader(body)
-    r.take(4, "magic")
-    version = r.u("<I", "version")
+    version = _U32.unpack_from(body, 4)[0]  # the body holds at least 8 bytes
     if version != BUNDLE_VERSION:
         raise BundleVersionError(
             f"{path}: format version {version} unsupported (expected {BUNDLE_VERSION})"
         )
-    meta_len = r.u("<Q", "metadata length")
+    if len(body) < 16:
+        raise _truncated(body, 8, 8, "metadata length")
+    meta_len = _U64.unpack_from(body, 8)[0]
+    if 16 + meta_len > len(body):
+        raise _truncated(body, 16, meta_len, "metadata")
     try:
-        meta = json.loads(r.take(meta_len, "metadata").decode("utf-8"))
+        meta = json.loads(body[16:16 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise BundleFormatError(f"{path}: bad metadata block ({e})")
-    n_arrays = r.u("<I", "array count")
-    weights = {}
-    for _ in range(n_arrays):
-        nlen = r.u("<H", "array name length")
-        name = r.take(nlen, "array name").decode("utf-8")
-        ndim = r.u("<B", "array ndim")
-        shape = tuple(r.u("<Q", "array dim") for _ in range(ndim))
-        count = 1
-        for d in shape:
-            count *= d
-        raw = r.take(count * 8, f"array '{name}' data")
-        weights[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if r.pos != len(body):
-        raise BundleFormatError(f"{path}: {len(body) - r.pos} unexpected trailing bytes")
+    pos = 16 + meta_len
+    if pos + 4 > len(body):
+        raise _truncated(body, pos, 4, "array count")
+    weights, pos = _read_arrays(body, pos + 4, _U32.unpack_from(body, pos)[0])
+    if pos != len(body):
+        raise BundleFormatError(f"{path}: {len(body) - pos} unexpected trailing bytes")
 
     groups = {g: tuple(LayerSpec.from_dict(d) for d in specs)
               for g, specs in meta["groups"].items()}

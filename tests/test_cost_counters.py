@@ -25,7 +25,8 @@ skill model over a fixed 40-trial batch (three packed chunks), with the
 pre-GAP activations captured, as ``predict_with_cams`` runs it;
 ``data.parse_trial_text`` parses a fixed 818-frame 10 Hz trial file with
 two tools and a few missing detections, and ``overlay.render_cam_overlay``
-draws that trial under a fixed 818-entry map into ``os.devnull``.
+draws that trial under a fixed 818-entry map into ``os.devnull``;
+``bundle.load_bundle`` loads the skill model's bundle (40 arrays).
 
 Counts depend on the numpy version, so they are pinned per
 ``perfbench/envinfo.platform_key`` like the output goldens, and an
@@ -43,6 +44,7 @@ import pytest
 
 import skillseq.tensor as tz
 import skillseq.training as training
+from skillseq.bundle import load_bundle, save_bundle
 from skillseq.data import NORMALIZED, MinMaxStats, Trial, parse_trial_text
 from skillseq.explain import CamMap
 from skillseq.layers import forward_packed, init_stack_params, wrap_params
@@ -75,6 +77,10 @@ COUNTS = {
         # columns costs one _fmt_column and one _interleave call, whose
         # np.empty, astype, ravel and tolist calls are the +17 numpy_c
         "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 72, "py": 123},
+        # py 570 (measured on the parent code) -> 93 when the array loop
+        # stopped calling a reader's take/u per field (477 calls: about a
+        # dozen per array) and bounds-checks and unpacks each field inline
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 93},
     },
 }
 
@@ -184,7 +190,7 @@ def _first_step(train, *args):
     return step
 
 
-def _cases():
+def _cases(workdir):
     rng = np.random.default_rng(0)
     trials = _trials(rng, [T_STEP] * 6)
     minmax = MinMaxStats(CHANNELS, np.zeros(len(CHANNELS)), np.ones(len(CHANNELS)), ())
@@ -193,6 +199,8 @@ def _cases():
     stacks = _skill_stacks(dae)
     text = _long_trial_text(rng)
     long_trial = parse_trial_text(text, "long.csv")
+    bundle_path = os.path.join(workdir, "skill.skq")
+    save_bundle(build_classifier(dae, "classification", seed=0), bundle_path)
     intensity = rng.random(T_LONG)
     cam = CamMap(trial_id=long_trial.trial_id, class_index=1, raw=intensity * 2.0 - 1.0,
                  intensity=intensity)
@@ -204,14 +212,15 @@ def _cases():
         "layers.forward_packed": lambda: forward_packed(stacks, batch, capture=True),
         "data.parse_trial_text": lambda: parse_trial_text(text, "long.csv"),
         "overlay.render_cam_overlay": lambda: render_cam_overlay(long_trial, cam, os.devnull),
+        "bundle.load_bundle": lambda: load_bundle(bundle_path),
     }
 
 
 @pytest.fixture(scope="module")
-def counted():
+def counted(tmp_path_factory):
     """Each case's counts, twice, after one warm-up call."""
     out = {}
-    for name, fn in _cases().items():
+    for name, fn in _cases(tmp_path_factory.mktemp("counted")).items():
         fn()
         out[name] = (count_calls(fn), count_calls(fn))
     return out
