@@ -236,7 +236,7 @@ def flag_values(args, keys):
 def _read_pairs(path, keys):
     """key -> (typed value, line); duplicates, unknown keys, junk rejected."""
     try:
-        text = read_text(path)
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     pairs = {}

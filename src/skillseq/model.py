@@ -290,8 +290,10 @@ def predict_many(bundle, trials, capture=False):
     if bundle.mode == "autoencoder":
         raise ValueError("cannot predict with an autoencoder bundle; build a skill model")
     values = [_model_input(bundle, t) for t in trials]
-    outs, pre_gaps = forward_packed([_stack(bundle, "encoder"), _stack(bundle, "head")],
-                                    values, capture=True)
+    outs = forward_packed([_stack(bundle, "encoder"), _stack(bundle, "head")], values,
+                          capture=capture)
+    if capture:
+        outs, pre_gaps = outs
     records = [_record(bundle, t, out) for t, out in zip(trials, outs)]
     return (records, pre_gaps) if capture else records
 

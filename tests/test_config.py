@@ -509,11 +509,25 @@ def test_validate_cam_names_a_run_file_that_is_not_utf8(tiny_run, tmp_path, caps
     path = run_dir / name
     path.write_bytes(b"\xff" + path.read_bytes())
     rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
-    assert rc == 1
+    # run.cfg is a config file, and every malformed config file is a usage error
+    kind, code = ("usage", 2) if name == "run.cfg" else ("runtime", 1)
+    assert rc == code
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        f"error: runtime: {path} line 1: not UTF-8 text (byte 0xff at offset 0: "
+        f"error: {kind}: {path} line 1: not UTF-8 text (byte 0xff at offset 0: "
         "invalid start byte)")
     assert not (tmp_path / "study").exists()
+
+
+def test_evaluate_config_that_is_not_utf8_is_a_usage_error(tiny_manifest, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 3\nscheme = stratified3\n# caf\xe9\n")
+    rc = run_cli("evaluate", "--config", cfg, "--manifest", tiny_manifest,
+                 "--out", tmp_path / "run")
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: usage: {cfg} line 3: not UTF-8 text (byte 0xe9 at offset 35: "
+        "invalid continuation byte)")
+    assert not (tmp_path / "run").exists()
 
 
 def test_validate_cam_refuses_folds_that_differ_from_metrics(tiny_run, tmp_path, capsys):

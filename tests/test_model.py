@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from unittest import mock
 
 from conftest import SMALL_ARCH, make_trial
 from skillseq.bundle import load_bundle, save_bundle
@@ -14,7 +15,9 @@ from skillseq.model import (
     encoder_specs,
     head_specs,
     predict,
+    predict_many,
 )
+from skillseq import model as model_module
 from skillseq import tensor as tz
 from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack, wrap_params
 from skillseq.training import DaeConfig, HeadConfig, train_dae, train_supervised
@@ -131,6 +134,24 @@ def test_bundle_round_trip_bit_identical(small_classifier, small_normalized,
         a, b = predict(bundle, t), predict(back, t)
         assert a.confidences == b.confidences
         assert a.predicted == b.predicted
+
+
+@pytest.mark.parametrize("capture", [False, True])
+def test_predict_many_captures_activations_only_when_asked(small_classifier, small_normalized,
+                                                           capture):
+    bundle, _ = small_classifier
+    trials, _ = small_normalized
+    expected = [predict(bundle, t) for t in trials[:5]]
+    with mock.patch.object(model_module, "forward_packed",
+                           side_effect=forward_packed) as forward:
+        # a call without capture leaves the default in place
+        result = (predict_many(bundle, trials[:5], capture=True) if capture
+                  else predict_many(bundle, trials[:5]))
+    assert forward.call_args.kwargs["capture"] is capture
+    records = result[0] if capture else result
+    assert records == expected
+    if capture:
+        assert [p.shape[0] for p in result[1]] == [t.values.shape[0] for t in trials[:5]]
 
 
 def test_bundle_detects_corruption(small_dae, tmp_path):
