@@ -137,10 +137,6 @@ def _interleave(*columns):
     return tuple(rows.ravel().tolist())
 
 
-def _escape(text):
-    return text.replace("%", "%%")
-
-
 def render_cam_overlay(trial_raw, cam, output_path):
     """Write an SVG overlay of ``trial_raw``'s tool paths shaded by ``cam``.
 
@@ -188,10 +184,11 @@ def render_cam_overlay(trial_raw, cam, output_path):
     for tool, (cx, cy, name) in enumerate(pairs):
         xs = _fmt_column(np.clip(values[:, cx], 0.0, CANVAS_W))
         ys = _fmt_column(np.clip(values[:, cy], 0.0, CANVAS_H))
+        points = " ".join(["%s,%s"] * n) % _interleave(xs, ys)
         parts.append(
-            ('<polyline points="' + " ".join(["%s,%s"] * n) + '" fill="none" stroke="#b0b0b0" '
-             f'stroke-width="0.8"><title>{_escape(name)}</title></polyline>')
-            % _interleave(xs, ys))
+            f'<polyline points="{points}" fill="none" stroke="#b0b0b0" '
+            f'stroke-width="0.8"><title>{name}</title></polyline>'
+        )
         colors = _RAMP_TABLES[tool % len(RAMPS)][steps]
         parts.append("\n".join(['<circle cx="%s" cy="%s" r="2.2" fill="%s"/>'] * n)
                      % _interleave(xs, ys, colors))
@@ -199,7 +196,8 @@ def render_cam_overlay(trial_raw, cam, output_path):
     strip_y = CANVAS_H + STRIP_GAP
     m = len(intensity)
     seg_w = CANVAS_W / m
-    cell = _escape(f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"')
+    # numbers only, so the cell holds no '%' for the template below to read
+    cell = f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"'
     greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))]
     parts.append("\n".join([f'<rect x="%s" {cell} fill="%s"/>'] * m)
                  % _interleave(_fmt_column(np.arange(m) * seg_w), greys))
