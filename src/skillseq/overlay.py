@@ -11,10 +11,9 @@ Rendering is table-driven and takes one pass per column: every ramp's
 256 colors and the strip's 256 greys are built once, at import, from
 the integer step with ``ramp_color``'s arithmetic; per-vertex steps,
 frame-to-map indices and strip cells are computed as whole arrays
-(``np.rint`` rounds half to even, as ``round`` does); each coordinate
-is formatted once and shared by the polyline and the vertex's circle;
-and the polyline points, the circles and the strip cells are each one
-``%`` over a column's values.  The SVG bytes are those of the
+(``np.rint`` rounds half to even, as ``round`` does); and each
+coordinate is formatted once, a column at a time, and shared by the
+polyline and the vertex's circle.  The SVG bytes are those of the
 per-vertex formulas.
 
 Coordinates are written as ``"%.2f"`` with trailing zeros and the dot
@@ -129,14 +128,6 @@ def _fmt_column(v):
     return out
 
 
-def _interleave(*columns):
-    """The entries of equal-length columns, row by row, as one tuple."""
-    rows = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, column in enumerate(columns):
-        rows[:, j] = column
-    return tuple(rows.ravel().tolist())
-
-
 def render_cam_overlay(trial_raw, cam, output_path):
     """Write an SVG overlay of ``trial_raw``'s tool paths shaded by ``cam``.
 
@@ -182,25 +173,23 @@ def render_cam_overlay(trial_raw, cam, output_path):
 
     steps = _steps(np.clip(intensity, 0.0, 1.0))[_cam_indices(n, len(intensity))]
     for tool, (cx, cy, name) in enumerate(pairs):
-        xs = _fmt_column(np.clip(values[:, cx], 0.0, CANVAS_W))
-        ys = _fmt_column(np.clip(values[:, cy], 0.0, CANVAS_H))
-        points = " ".join(["%s,%s"] * n) % _interleave(xs, ys)
+        xs = _fmt_column(np.clip(values[:, cx], 0.0, CANVAS_W)).tolist()
+        ys = _fmt_column(np.clip(values[:, cy], 0.0, CANVAS_H)).tolist()
+        points = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#b0b0b0" '
             f'stroke-width="0.8"><title>{name}</title></polyline>'
         )
-        colors = _RAMP_TABLES[tool % len(RAMPS)][steps]
-        parts.append("\n".join(['<circle cx="%s" cy="%s" r="2.2" fill="%s"/>'] * n)
-                     % _interleave(xs, ys, colors))
+        colors = _RAMP_TABLES[tool % len(RAMPS)][steps].tolist()
+        parts.extend([f'<circle cx="{x}" cy="{y}" r="2.2" fill="{c}"/>'
+                      for x, y, c in zip(xs, ys, colors)])
 
     strip_y = CANVAS_H + STRIP_GAP
-    m = len(intensity)
-    seg_w = CANVAS_W / m
-    # numbers only, so the cell holds no '%' for the template below to read
+    seg_w = CANVAS_W / len(intensity)
     cell = f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"'
-    greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))]
-    parts.append("\n".join([f'<rect x="%s" {cell} fill="%s"/>'] * m)
-                 % _interleave(_fmt_column(np.arange(m) * seg_w), greys))
+    greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))].tolist()
+    xs = _fmt_column(np.arange(len(intensity)) * seg_w).tolist()
+    parts.extend([f'<rect x="{x}" {cell} fill="{g}"/>' for x, g in zip(xs, greys)])
     parts.append(
         f'<rect x="0" y="{_fmt(strip_y)}" width="{int(CANVAS_W)}" '
         f'height="{_fmt(STRIP_H)}" fill="none" stroke="#404040" stroke-width="1"/>'

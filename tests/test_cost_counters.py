@@ -70,13 +70,14 @@ COUNTS = {
         # lists its halo rows with one more list comprehension (+3 py)
         "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 506, "py": 474},
         "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8},
-        # numpy_c 55 -> 72 and py 4,204 -> 120 when coordinates were written
+        # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip
         # cell (4,095 calls: 2 x 818 per tool, 818 strip cells and 5
         # constants); now only the 5 constants call it, and each of the 5
-        # columns costs one _fmt_column and one _interleave call, whose
-        # np.empty, astype, ravel and tolist calls are the +17 numpy_c
-        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 72, "py": 120},
+        # columns costs one _fmt_column call and its list comprehension
+        # (+10 py, less the 4 comprehensions that called _fmt per
+        # coordinate) and one astype and one tolist (+10 numpy_c)
+        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 65, "py": 120},
         # py 570 (measured on the parent code) -> 93 when the array loop
         # stopped calling a reader's take/u per field (477 calls: about a
         # dozen per array) and bounds-checks and unpacks each field inline

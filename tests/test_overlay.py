@@ -244,11 +244,3 @@ def test_column_text_next_to_the_ties_band():
 def test_column_text_matches_the_formula_at_random_coordinates(v):
     _assert_column_matches(v)
 
-
-def test_percent_in_a_tool_name_is_written_as_is(tmp_path):
-    values = np.array([[1.0, 2.0], [3.5, 4.25]])
-    trial = make_trial(values, subject="S5", rate=10.0, channels=("50%s_x", "50%s_y"))
-    path = tmp_path / "percent.svg"
-    render_cam_overlay(trial, _cam(trial.trial_id, 2, 0), str(path))
-    assert '<polyline points="1,2 3.5,4.25" ' in path.read_text(encoding="utf-8")
-    assert "<title>50%s</title>" in path.read_text(encoding="utf-8")
