@@ -116,8 +116,8 @@ _MAX_HUNDREDTHS = 100 * (len(_INT) - 1)
 
 
 def _fmt_column(v):
-    """``_fmt`` of every entry of the finite float64 array ``v``, as an
-    object array (see the module docstring)."""
+    """``_fmt`` of every entry of the finite float64 array ``v``, as a list
+    (see the module docstring)."""
     p = v * 100.0
     h = np.rint(p)
     rest = ~((np.abs(p - h) < 0.5 - 1e-9) & (h <= _MAX_HUNDREDTHS) & ~np.signbit(v))
@@ -125,7 +125,7 @@ def _fmt_column(v):
     hi = h.astype(np.intp)
     out = _INT[hi // 100] + _FRAC[hi % 100]
     out[rest] = [_fmt(x) for x in v[rest].tolist()]
-    return out
+    return out.tolist()
 
 
 def render_cam_overlay(trial_raw, cam, output_path):
@@ -173,8 +173,8 @@ def render_cam_overlay(trial_raw, cam, output_path):
 
     steps = _steps(np.clip(intensity, 0.0, 1.0))[_cam_indices(n, len(intensity))]
     for tool, (cx, cy, name) in enumerate(pairs):
-        xs = _fmt_column(np.clip(values[:, cx], 0.0, CANVAS_W)).tolist()
-        ys = _fmt_column(np.clip(values[:, cy], 0.0, CANVAS_H)).tolist()
+        xs = _fmt_column(np.clip(values[:, cx], 0.0, CANVAS_W))
+        ys = _fmt_column(np.clip(values[:, cy], 0.0, CANVAS_H))
         points = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#b0b0b0" '
@@ -188,7 +188,7 @@ def render_cam_overlay(trial_raw, cam, output_path):
     seg_w = CANVAS_W / len(intensity)
     cell = f'y="{_fmt(strip_y)}" width="{_fmt(seg_w + 0.01)}" height="{_fmt(STRIP_H)}"'
     greys = _GREY_TABLE[_steps(1.0 - np.clip(intensity, 0.0, 1.0))].tolist()
-    xs = _fmt_column(np.arange(len(intensity)) * seg_w).tolist()
+    xs = _fmt_column(np.arange(len(intensity)) * seg_w)
     parts.extend([f'<rect x="{x}" {cell} fill="{g}"/>' for x, g in zip(xs, greys)])
     parts.append(
         f'<rect x="0" y="{_fmt(strip_y)}" width="{int(CANVAS_W)}" '

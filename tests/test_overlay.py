@@ -219,7 +219,7 @@ def coordinate_text(v):
 
 def _assert_column_matches(v):
     v = np.asarray(v, dtype=np.float64)
-    assert _fmt_column(v).tolist() == [coordinate_text(x) for x in v.tolist()]
+    assert _fmt_column(v) == [coordinate_text(x) for x in v.tolist()]
 
 
 def test_column_text_at_the_edges():
