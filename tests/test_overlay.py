@@ -243,4 +243,3 @@ def test_column_text_next_to_the_ties_band():
 @given(v=st.lists(st.floats(0.0, 640.0), min_size=1, max_size=60))
 def test_column_text_matches_the_formula_at_random_coordinates(v):
     _assert_column_matches(v)
-
