@@ -163,22 +163,129 @@ def load_bundle(path):
     if pos != len(body):
         raise BundleFormatError(f"{path}: {len(body) - pos} unexpected trailing bytes")
 
-    groups = {g: tuple(LayerSpec.from_dict(d) for d in specs)
-              for g, specs in meta["groups"].items()}
-    # save_bundle writes a 0-d array (the sCSE spatial bias) with shape (1,),
-    # as np.ascontiguousarray returns at least 1-d; the spec restores its shape
+    return _bundle(path, meta, weights)
+
+
+_META_FIELDS = ("class_names", "groups", "minmax", "mode", "score_stats", "trainable")
+_INT = (int, "an integer")
+_NUMBER = ((int, float), "a number")
+_SPEC_FIELDS = {"kind": (str, "a string"), "in_channels": _INT, "out_channels": _INT,
+                "kernel_size": _INT, "dilation": _INT, "reduction": _INT, "sigma": _NUMBER}
+
+
+class _MetaCheck:
+    """Type checks of a bundle's metadata fields, each raising
+    BundleFormatError that names the file and the field."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def fault(self, field, problem):
+        return BundleFormatError(f"{self.path}: bad metadata: '{field}' {problem}")
+
+    def obj(self, field, value, keys=None):
+        """``value`` as an object; with ``keys``, holding exactly those."""
+        if not isinstance(value, dict):
+            raise self.fault(field, f"must be an object, got {value!r}")
+        if keys is not None:
+            for key in keys:
+                if key not in value:
+                    raise self.fault(f"{field}.{key}", "is missing")
+            for key in value:
+                if key not in keys:
+                    raise self.fault(f"{field}.{key}", "is not a known key")
+        return value
+
+    def typed(self, field, value, types_what):
+        types, what = types_what
+        # True and False are ints to isinstance; only a true/false field takes them
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            raise self.fault(field, f"must be {what}, got {value!r}")
+        return value
+
+    def strings(self, field, value):
+        if not isinstance(value, list):
+            raise self.fault(field, f"must be a list of strings, got {value!r}")
+        for i, v in enumerate(value):
+            if not isinstance(v, str):
+                raise self.fault(f"{field}[{i}]", f"must be a string, got {v!r}")
+        return tuple(value)
+
+    def numbers(self, field, value, n):
+        if not isinstance(value, list) or len(value) != n:
+            raise self.fault(field, f"must be a list of {n} numbers, got {value!r}")
+        for i, v in enumerate(value):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise self.fault(f"{field}[{i}]", f"must be a number, got {v!r}")
+        return np.array(value, dtype=np.float64)
+
+    def spec(self, field, d):
+        self.obj(field, d, _SPEC_FIELDS)
+        for key, (types, what) in _SPEC_FIELDS.items():
+            v = d[key]
+            if isinstance(v, bool) or not isinstance(v, types):
+                raise self.fault(f"{field}.{key}", f"must be {what}, got {v!r}")
+        try:
+            return LayerSpec.from_dict(d)
+        except ValueError as exc:
+            raise self.fault(field, f"is not a valid layer: {exc}") from None
+
+
+def _bundle(path, meta, weights):
+    """The bundle that ``meta`` describes over ``weights``.  A metadata
+    field that is missing, unknown or of the wrong type or length, or an
+    array whose shape its layer spec does not give, raises
+    BundleFormatError naming the file and the field or array."""
+    check = _MetaCheck(path)
+    if not isinstance(meta, dict):
+        raise BundleFormatError(f"{path}: bad metadata: not a JSON object")
+    for key in _META_FIELDS:
+        if key not in meta:
+            raise check.fault(key, "is missing")
+    for key in meta:
+        if key not in _META_FIELDS:
+            raise check.fault(key, "is not a known key")
+    mode = check.typed("mode", meta["mode"], (str, "a string"))
+    groups = {}
+    for g, specs in check.obj("groups", meta["groups"]).items():
+        if not isinstance(specs, list):
+            raise check.fault(f"groups.{g}", f"must be a list of layers, got {specs!r}")
+        groups[g] = tuple([check.spec(f"groups.{g}[{i}]", d) for i, d in enumerate(specs)])
+    trainable = check.obj("trainable", meta["trainable"])
+    for g, flag in trainable.items():
+        check.typed(f"trainable.{g}", flag, (bool, "true or false"))
+    minmax = meta["minmax"]
+    if minmax is not None:
+        check.obj("minmax", minmax, ("channels", "mins", "maxs", "source_ids"))
+        channels = check.strings("minmax.channels", minmax["channels"])
+        minmax = MinMaxStats(channels, check.numbers("minmax.mins", minmax["mins"], len(channels)),
+                             check.numbers("minmax.maxs", minmax["maxs"], len(channels)),
+                             check.strings("minmax.source_ids", minmax["source_ids"]))
+    stats = meta["score_stats"]
+    if stats is not None:
+        check.obj("score_stats", stats, ("mean", "std", "source_ids"))
+        stats = ScoreStats(float(check.typed("score_stats.mean", stats["mean"], _NUMBER)),
+                           float(check.typed("score_stats.std", stats["std"], _NUMBER)),
+                           check.strings("score_stats.source_ids", stats["source_ids"]))
+    names = meta["class_names"]
+    if names is not None:
+        names = check.strings("class_names", names)
     for g, specs in groups.items():
         for i, spec in enumerate(specs):
             for field, shape in _spec_param_shapes(spec).items():
                 key = f"{g}/{i}.{field}"
-                if shape == () and key in weights and weights[key].shape == (1,):
+                if key not in weights:
+                    continue  # ModelBundle names the missing array
+                # save_bundle writes a 0-d array (the sCSE spatial bias) with
+                # shape (1,), as np.ascontiguousarray returns at least 1-d; the
+                # spec restores its shape
+                if shape == () and weights[key].shape == (1,):
                     weights[key] = weights[key].reshape(())
-    return ModelBundle(
-        mode=meta["mode"],
-        groups=groups,
-        weights=weights,
-        trainable=dict(meta["trainable"]),
-        minmax=MinMaxStats.from_dict(meta["minmax"]) if meta["minmax"] else None,
-        score_stats=ScoreStats.from_dict(meta["score_stats"]) if meta["score_stats"] else None,
-        class_names=tuple(meta["class_names"]) if meta["class_names"] else None,
-    )
+                if weights[key].shape != shape:
+                    raise BundleFormatError(f"{path}: array '{key}' has shape "
+                                            f"{weights[key].shape}; its layer needs {shape}")
+    try:
+        return ModelBundle(mode=mode, groups=groups, weights=weights, trainable=trainable,
+                           minmax=minmax, score_stats=stats, class_names=names or None)
+    except ValueError as exc:
+        raise BundleFormatError(f"{path}: {exc}") from None

@@ -240,16 +240,24 @@ def _cmd_predict(args):
 
 
 def _resolve_target_class(raw, bundle):
+    """The output unit ``--target-class`` names: a class name or an index
+    of the bundle's outputs (two classes, or one regression unit)."""
     if raw is None:
         return None
-    if bundle.class_names and raw in bundle.class_names:
-        return bundle.class_names.index(raw)
+    names = bundle.class_names or ()
+    if raw in names:
+        return names.index(raw)
     try:
-        return int(raw)
+        index = int(raw)
     except ValueError:
         raise UsageError(
             f"--target-class '{raw}' is neither a class name nor an index"
         ) from None
+    n_out = len(names) or 1
+    if not 0 <= index < n_out:
+        choices = ", ".join([repr(n) for n in names] + [str(i) for i in range(n_out)])
+        raise UsageError(f"--target-class {raw} is out of range; choose one of: {choices}")
+    return index
 
 
 def _cmd_cam(args):

@@ -25,6 +25,7 @@ __all__ = [
     "init_stack_params",
     "forward_stack",
     "ForwardContext",
+    "Recorder",
     "forward_packed",
     "is_kernel_param",
     "wrap_params",
@@ -167,7 +168,10 @@ class ForwardContext:
     when ``activity_l2 > 0``; ``captures`` records named intermediate
     tensors (the input of each ``gap`` layer is stored under ``"pre_gap"``).
     ``segments`` is the row layout of a packed forward (``tz.Segments``),
-    which runs in eval mode without penalties.
+    which runs in eval mode without penalties.  ``recorder`` (a
+    ``Recorder``) makes a train-mode forward run on plain arrays and
+    record its backward there instead of on the tape; the penalties then
+    go to the recorder.
     """
 
     train: bool = False
@@ -176,6 +180,7 @@ class ForwardContext:
     activity: list = field(default_factory=list)
     captures: dict = field(default_factory=dict)
     segments: object = None
+    recorder: object = None
 
     def _note_conv_out(self, t):
         if self.activity_l2 > 0.0:
@@ -201,11 +206,17 @@ def forward_stack(specs, params, x, ctx=None):
     train/eval mode, the noise generator, and side-output collection.
     A conv1d layer followed by a selu layer runs as one fused node
     (``tz.conv1d_selu``).
+
+    With ``ctx.recorder`` (training), ``x`` and the result are plain
+    arrays: the stack runs the tensor module's array functions and
+    records its backward on the recorder (``_forward_recorded``).
     """
     if ctx is None:
         ctx = ForwardContext()
     if ctx.segments is not None and (ctx.train or ctx.activity_l2 > 0.0):
         raise ValueError("a packed forward runs in eval mode without activity penalties")
+    if ctx.recorder is not None:
+        return _forward_recorded(specs, params, x, ctx)
     out = x
     fused = False
     for i, spec in enumerate(specs):
@@ -253,6 +264,195 @@ def forward_stack(specs, params, x, ctx=None):
         else:  # pragma: no cover - guarded by LayerSpec validation
             raise ValueError(f"unknown layer kind '{kind}'")
     return out
+
+
+class Recorder:
+    """The backward of a training forward, recorded op by op.
+
+    Each entry of ``ops`` is ``(backward, args)``: ``backward(g,
+    *args)`` adds the op's parameter gradients into their tensors'
+    ``grad`` arrays with ``+=`` (the ``_FlatParams`` gradient views) and
+    returns the gradient of the op's input.  ``args`` are the arrays the
+    tape's closures would have held.  An op is recorded when its input
+    depends on a trained parameter (some op is recorded already) or its
+    own parameters train; a layer's parameters train or not together, as
+    a ``_FlatParams`` group does.
+
+    ``backward`` runs the entries in reverse.  A value that feeds two
+    places (a residual block's input, a convolution's output and its
+    activity penalty) gets the sum of its two gradient terms, the same in
+    either order, so every gradient has the tape's bits.  The one value
+    with three terms, an unfused convolution's output that is a residual
+    block's input, sums them in the tape's order (see ``_residual``).
+    """
+
+    def __init__(self):
+        self.ops = []
+        self.penalties = []     # activity penalty values, in conv order
+        self.loss = None
+        self._loss_grad = None
+
+    def add(self, backward, *args, trains=False):
+        """Record an op's backward if its input needs a gradient or ``trains``."""
+        if trains or self.ops:
+            self.ops.append((backward, args))
+
+    def set_loss(self, kind, pred, target, weight):
+        """Record the named loss of ``pred`` plus the activity penalties,
+        summed as ``tz.add_n`` sums them; returns the total."""
+        value, grad, args = tz._loss_raw(kind, pred, target, weight)
+        self.loss = tz._sum_raw([value] + self.penalties) if self.penalties else value
+        self._loss_grad = grad, args
+        return self.loss
+
+    def backward(self):
+        """Add d(loss)/d(parameter) into every trained parameter's ``grad``."""
+        grad, args = self._loss_grad
+        g = grad(1.0, *args)
+        for backward, args in reversed(self.ops):
+            g = backward(g, *args)
+
+
+def _conv(rec, xd, w, b, dilation, l2):
+    """A convolution; with ``l2 > 0`` the penalty of its output goes to
+    the recorder's loss, and its gradient is recorded after the conv."""
+    out, taps, w2 = tz._conv_raw(xd, w.data, b.data, dilation)
+    rec.add(_conv_back, taps, w2, w, b, dilation, bool(rec.ops), trains=w.requires_grad)
+    if l2 > 0.0:
+        rec.penalties.append(tz._penalty_raw(out, l2))
+        rec.add(_penalty_back, out, l2)
+    return out
+
+
+def _conv_back(g, taps, w2, w, b, dilation, need_x):
+    dw, db, dx = tz._conv_grads(g, taps, w2, w.data.shape[0], dilation, need_x)
+    if w.requires_grad:
+        w.grad += dw
+    if b.requires_grad:
+        b.grad += db
+    return dx
+
+
+def _penalty_back(g, xd, l2):
+    """The gradient of a convolution's output: its consumer's plus its
+    activity penalty's, a term of the loss."""
+    return g + tz._penalty_grad(xd, l2)
+
+
+def _dense(rec, xd, w, b):
+    rec.add(_dense_back, xd, w, b, bool(rec.ops), trains=w.requires_grad)
+    return tz._dense_raw(xd, w.data, b.data)
+
+
+def _dense_back(g, xd, w, b, need_x):
+    dw, db, dx = tz._dense_grads(g, xd, w.data, need_x)
+    if w.requires_grad:
+        w.grad += dw
+    if b.requires_grad:
+        b.grad += db
+    return dx
+
+
+_SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
+
+
+def _scse(rec, xd, params, pfx):
+    p = [params[pfx + name] for name in _SCSE_FIELDS]
+    out, saved = tz._scse_raw(xd, *[t.data for t in p])
+    rec.add(_scse_back, saved, p, bool(rec.ops), trains=p[0].requires_grad)
+    return out
+
+
+def _scse_back(g, saved, p, need_x):
+    grads, dx = tz._scse_grads(g, saved, p[0].data, p[2].data, p[4].data, need_x)
+    for t, d in zip(p, grads):
+        if t.requires_grad:
+            t.grad += d
+    return dx
+
+
+def _selu(rec, xd):
+    out, neg, ex = tz._selu_raw(xd)
+    rec.add(tz._selu_grad, neg, ex)
+    return out
+
+
+def _residual(rec, xd, params, pfx, dilation, l2):
+    """A residual sCSE block.  Its input gets the gradient of the branch
+    and that of the skip path, which ``_split`` keeps for ``_join``.  When
+    the input is an unfused convolution's output, it has a third term,
+    its penalty's; the tape adds that to the skip path's term before the
+    branch's, so ``_join`` takes the penalty over from the convolution."""
+    skip, pen = [], None
+    need_x = bool(rec.ops)
+    if need_x:
+        last = rec.ops[-1]
+        if last[0] is _penalty_back and last[1][0] is xd:
+            pen = rec.ops.pop()[1]
+        rec.ops.append((_join, (skip, pen)))
+    h = _conv(rec, xd, params[pfx + "c1w"], params[pfx + "c1b"], dilation, l2)
+    h = _scse(rec, _selu(rec, h), params, pfx + "s1")
+    h = _selu(rec, _conv(rec, h, params[pfx + "c2w"], params[pfx + "c2b"], dilation, l2))
+    if need_x:
+        rec.ops.append((_split, (skip,)))
+    return _scse(rec, h + xd, params, pfx + "s2")
+
+
+def _split(g, skip):
+    """The gradient of ``h + x``: kept for the skip path, handed to the branch."""
+    skip.append(g)
+    return g
+
+
+def _join(g, skip, pen):
+    s = skip.pop()
+    if pen is not None:
+        s = _penalty_back(s, *pen)
+    return g + s
+
+
+def _forward_recorded(specs, params, xd, ctx):
+    """``forward_stack`` on plain arrays, recording each op's backward on
+    ``ctx.recorder``.  A conv1d and the selu after it run as two ops,
+    whose recorded gradients give the fused node's bits.  The noise
+    layer's backward hands its gradient on unchanged, so it records
+    nothing."""
+    rec, l2 = ctx.recorder, ctx.activity_l2
+    for i, spec in enumerate(specs):
+        pfx = f"{i}."
+        kind = spec.kind
+        if kind == "conv1d":
+            if xd.ndim != 2 or xd.shape[1] != spec.in_channels:
+                raise ValueError(
+                    f"layer {i} (conv1d) expects (T, {spec.in_channels}), got {xd.shape}"
+                )
+            xd = _conv(rec, xd, params[pfx + "w"], params[pfx + "b"], spec.dilation, l2)
+        elif kind == "dense":
+            xd = _dense(rec, xd, params[pfx + "w"], params[pfx + "b"])
+        elif kind == "selu":
+            xd = _selu(rec, xd)
+        elif kind == "sigmoid":
+            xd = tz._sigmoid_raw(xd)
+            rec.add(tz._sigmoid_grad, xd)
+        elif kind == "softmax":
+            xd = tz._softmax_raw(xd)
+            rec.add(tz._softmax_grad, xd)
+        elif kind == "gap":
+            ctx.captures["pre_gap"] = xd
+            rec.add(tz._gap_grad, xd)
+            xd = tz._gap_raw(xd)
+        elif kind == "scse":
+            xd = _scse(rec, xd, params, pfx)
+        elif kind == "residual-scse-block":
+            xd = _residual(rec, xd, params, pfx, spec.dilation, l2)
+        elif kind == "gaussian-noise":
+            if ctx.train and spec.sigma > 0.0:
+                if ctx.rng is None:
+                    raise ValueError("gaussian-noise layer needs an rng in train mode")
+                xd = xd + ctx.rng.normal(0.0, spec.sigma, size=xd.shape)
+        else:  # pragma: no cover - guarded by LayerSpec validation
+            raise ValueError(f"unknown layer kind '{kind}'")
+    return xd
 
 
 # Rows per packed forward.  Packing saves per-call overhead, which stops

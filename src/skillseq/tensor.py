@@ -5,6 +5,14 @@ implied by the graph structure.  Gradients are accumulated additively,
 so calling ``backward`` twice doubles every gradient; callers that want
 fresh gradients must reset them first.
 
+Each formula lives once, in a module-level function over plain arrays:
+``_<op>_raw`` computes an op's forward (with what its backward reads)
+and ``_<op>_grad``/``_<op>_grads`` its backward.  The Tensor ops call
+them, and so does the training step, which runs each stack's backward
+layer by layer without a tape (``layers.forward_stack`` with a
+``Recorder``).  The tape is the reference that step is tested against
+bit for bit; gradcheck and the tensor-op tests run on it.
+
 ``backward`` walks only the nodes that have a backward closure: leaves
 (parameters, constants) and every node computed from them alone are left
 out of ``topo_order``.  Leaves only receive gradients, so leaving them out
@@ -15,7 +23,7 @@ keeps the pre-activation, with the activity penalty of the
 pre-activation as a second, scalar node.  The penalty node's backward adds
 its gradient to the SELU gradient and runs the convolution's backward
 once on the sum, so the arithmetic is that of the three separate ops.
-The training hot path runs one sample per step, so its cost is the
+The training step runs one sample at a time, so its cost is the
 number of numpy calls; the ops below use ``np.add.reduce`` and
 ``np.minimum``/``np.maximum`` where ``mean``, ``sum`` and ``clip`` would
 compute the same bits through more Python.
@@ -209,6 +217,7 @@ class TapBuffer:
         return self.flat[:n].reshape(rows, cols)
 
 
+
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -225,19 +234,45 @@ def conv1d(x, w, b, dilation=1, segments=None):
     rows are zero.
     """
     xd, wd, bd = x.data, w.data, b.data
-    T, cin = xd.shape
     K = wd.shape[0]
     if K % 2 != 1:
         raise ValueError(f"kernel size must be odd, got {K}")
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
-    pad = (K // 2) * dilation
-    w2 = wd[0] if K == 1 else wd.transpose(1, 0, 2).reshape(cin * K, -1)
     if segments is not None:
-        return _packed_node(_conv_packed(xd, w2, bd, K, dilation, segments), (x, w, b))
+        return _packed_node(_conv_packed(xd, _conv_matrix(wd), bd, K, dilation, segments),
+                            (x, w, b))
+    out, taps2, w2 = _conv_raw(xd, wd, bd, dilation)
+
+    def bwd(g):
+        dw, db, dx = _conv_grads(g, taps2, w2, K, dilation, x.requires_grad)
+        if w.requires_grad:
+            w.accumulate(dw)
+        if b.requires_grad:
+            b.accumulate(db)
+        if x.requires_grad:
+            x.accumulate(dx)
+
+    return _node(out, (x, w, b), bwd)
+
+
+def _conv_matrix(wd):
+    """The (C_in * K, C_out) matrix of a (K, C_in, C_out) kernel that the
+    taps multiply: row ``c*K + k`` holds ``wd[k, c]``."""
+    K, cin = wd.shape[:2]
+    return wd[0] if K == 1 else wd.transpose(1, 0, 2).reshape(cin * K, -1)
+
+
+def _conv_raw(xd, wd, bd, dilation):
+    """``conv1d`` of arrays: ``(out, taps, w2)``; ``_conv_grads`` reads
+    the taps and the kernel matrix ``w2``, the operands of the matmul."""
+    T, cin = xd.shape
+    K = wd.shape[0]
+    w2 = _conv_matrix(wd)
     if K == 1:
         taps2 = xd
     else:
+        pad = (K // 2) * dilation
         xp = np.zeros((T + 2 * pad, cin))
         xp[pad:pad + T] = xd
         # taps2[t, c*K + k] = xp[t + k*dilation, c]; flattened this way the
@@ -247,23 +282,26 @@ def conv1d(x, w, b, dilation=1, segments=None):
             taps2[:, k::K] = xp[k * dilation:k * dilation + T]
     out = taps2 @ w2
     out += bd
+    return out, taps2, w2
 
-    def bwd(g):
-        if w.requires_grad:
-            dw2 = taps2.T @ g
-            w.accumulate(dw2.reshape(cin, K, -1).transpose(1, 0, 2))
-        if b.requires_grad:
-            b.accumulate(np.add.reduce(g, 0))
-        if x.requires_grad and K == 1:
-            x.accumulate(g @ w2.T)
-        elif x.requires_grad:
-            dtaps = (g @ w2.T).reshape(T, cin, K)
-            gxp = np.zeros_like(xp)
-            for k in range(K):
-                gxp[k * dilation:k * dilation + T] += dtaps[:, :, k]
-            x.accumulate(gxp[pad:pad + T])
 
-    return _node(out, (x, w, b), bwd)
+def _conv_grads(g, taps2, w2, K, dilation, need_x):
+    """Gradients of ``_conv_raw`` for the output gradient ``g``:
+    ``(dw, db, dx)``, with ``dx`` None unless ``need_x``."""
+    cin = w2.shape[0] // K
+    dw = (taps2.T @ g).reshape(cin, K, -1).transpose(1, 0, 2)
+    db = np.add.reduce(g, 0)
+    if not need_x:
+        return dw, db, None
+    if K == 1:
+        return dw, db, g @ w2.T
+    T = g.shape[0]
+    pad = (K // 2) * dilation
+    dtaps = (g @ w2.T).reshape(T, cin, K)
+    gxp = np.zeros((T + 2 * pad, cin))
+    for k in range(K):
+        gxp[k * dilation:k * dilation + T] += dtaps[:, :, k]
+    return dw, db, gxp[pad:pad + T]
 
 
 def _conv_packed(xd, w2, bd, K, dilation, segments):
@@ -315,17 +353,27 @@ def dense(x, w, b):
         out = _row_products(x.data, w.data)
         out += b.data
         return _packed_node(out, (x, w, b))
-    out = x.data @ w.data + b.data
+    out = _dense_raw(x.data, w.data, b.data)
 
     def bwd(g):
+        dw, db, dx = _dense_grads(g, x.data, w.data, x.requires_grad)
         if w.requires_grad:
-            w.accumulate(x.data[:, None] * g)
+            w.accumulate(dw)
         if b.requires_grad:
-            b.accumulate(g)
+            b.accumulate(db)
         if x.requires_grad:
-            x.accumulate(w.data @ g)
+            x.accumulate(dx)
 
     return _node(out, (x, w, b), bwd)
+
+
+def _dense_raw(xd, wd, bd):
+    return xd @ wd + bd
+
+
+def _dense_grads(g, xd, wd, need_x):
+    """``(dw, db, dx)`` of ``_dense_raw``; ``dx`` is None unless ``need_x``."""
+    return xd[:, None] * g, g, (wd @ g if need_x else None)
 
 
 # canonical scaled-exponential constants
@@ -372,6 +420,12 @@ def _penalty_raw(xd, coeff):
     return np.array(coeff * float(np.add.reduce(np.square(xd), None) / xd.size))
 
 
+def _penalty_grad(xd, coeff):
+    """Gradient of ``_penalty_raw(xd, coeff)``; the chain rule multiplies
+    it by the penalty's gradient, which is 1 for a term of the loss."""
+    return (2.0 * coeff / xd.size) * xd
+
+
 def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0, segments=None):
     """``selu(conv1d(x, w, b, dilation))`` as one tape node that keeps the
     pre-activation ``pre`` off the tape.
@@ -401,11 +455,10 @@ def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0, segments=None):
 
         return _node(out, pre.parents, bwd), None
 
-    n = c.size
     gsel = []
 
     def penalty_bwd(g):
-        gpre = (2.0 * activity_l2 / n) * c * g
+        gpre = _penalty_grad(c, activity_l2) * g
         if gsel:
             gpre = gsel.pop() + gpre
         pre.bwd(gpre)
@@ -425,12 +478,16 @@ def _sigmoid_raw(xd):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(xd, -500.0), 500.0)))
 
 
+def _sigmoid_grad(g, out):
+    return g * out * (1.0 - out)
+
+
 def sigmoid(x):
     out = _sigmoid_raw(x.data)
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate(g * out * (1.0 - out))
+            x.accumulate(_sigmoid_grad(g, out))
 
     return _node(out, (x,), bwd)
 
@@ -438,6 +495,10 @@ def sigmoid(x):
 def _softmax_raw(v):
     e = np.exp(v - np.maximum.reduce(v))
     return e / np.add.reduce(e)
+
+
+def _softmax_grad(g, out):
+    return out * (g - np.dot(g, out))
 
 
 def softmax(x):
@@ -449,7 +510,7 @@ def softmax(x):
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate(out * (g - np.dot(g, out)))
+            x.accumulate(_softmax_grad(g, out))
 
     return _node(out, (x,), bwd)
 
@@ -459,16 +520,24 @@ def gap(x, segments=None):
     row per trial: (rows, C) -> (n, C)."""
     if segments is not None:
         return _packed_node(segments.means(x.data), (x,))
-    T = x.data.shape[0]
-    out = np.add.reduce(x.data, 0) / T
+    out = _gap_raw(x.data)
 
     def bwd(g):
         if x.requires_grad:
-            gx = np.empty_like(x.data)
-            gx[:] = g / T
-            x.accumulate(gx)
+            x.accumulate(_gap_grad(g, x.data))
 
     return _node(out, (x,), bwd)
+
+
+def _gap_raw(xd):
+    return np.add.reduce(xd, 0) / xd.shape[0]
+
+
+def _gap_grad(g, xd):
+    """Gradient of ``_gap_raw(xd)``: ``g / T`` on every row."""
+    gx = np.empty_like(xd)
+    gx[:] = g / xd.shape[0]
+    return gx
 
 
 def add(x, y):
@@ -485,12 +554,18 @@ def add(x, y):
     return _node(out, (x, y), bwd)
 
 
+def _sum_raw(arrays):
+    """Sum of same-shaped arrays, added left to right."""
+    out = arrays[0].copy()
+    for a in arrays[1:]:
+        out = out + a
+    return out
+
+
 def add_n(tensors):
     """Sum of same-shaped tensors as a single graph node."""
     tensors = tuple(tensors)
-    out = tensors[0].data.copy()
-    for t in tensors[1:]:
-        out = out + t.data
+    out = _sum_raw([t.data for t in tensors])
 
     def bwd(g):
         for t in tensors:
@@ -510,45 +585,58 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb, segments=None):
     the identity.  Fused into one node with a hand-derived backward.
     With ``segments``, each trial gets its own channel gate.
     """
+    params = (cw1, cb1, cw2, cb2, sw, sb)
     if segments is not None:
         return _packed_node(_scse_packed(x.data, cw1.data, cb1.data, cw2.data, cb2.data,
                                          sw.data, sb.data, segments),
-                            (x, cw1, cb1, cw2, cb2, sw, sb))
-    xd = x.data
-    T, C = xd.shape
+                            (x, *params))
+    out, saved = _scse_raw(x.data, cw1.data, cb1.data, cw2.data, cb2.data, sw.data, sb.data)
+
+    def bwd(g):
+        grads, dx = _scse_grads(g, saved, cw1.data, cw2.data, sw.data, x.requires_grad)
+        for p, d in zip(params, grads):
+            if p.requires_grad:
+                p.accumulate(d)
+        if x.requires_grad:
+            x.accumulate(dx)
+
+    return _node(out, (x, *params), bwd)
+
+
+def _scse_raw(xd, cw1, cb1, cw2, cb2, sw, sb):
+    """``scse_op`` of arrays: ``(out, saved)``; ``_scse_grads`` reads ``saved``."""
+    T = xd.shape[0]
     z = np.add.reduce(xd, 0) / T
-    u1 = z @ cw1.data + cb1.data
+    u1 = z @ cw1 + cb1
     pos = u1 > 0.0
     h = np.where(pos, u1, 0.0)
-    u2 = h @ cw2.data + cb2.data
+    u2 = h @ cw2 + cb2
     s = _sigmoid_raw(u2)
-    v = xd @ sw.data + sb.data
+    v = xd @ sw + sb
     q = _sigmoid_raw(v)
     out = xd * s
     out += np.multiply(xd, q[:, None])
+    return out, (xd, z, pos, h, s, q)
 
-    def bwd(g):
-        gx = g * s + g * q[:, None]
-        gxd = g * xd
-        du2 = np.add.reduce(gxd, 0) * s * (1.0 - s)
-        dh = cw2.data @ du2
-        du1 = np.where(pos, dh, 0.0)
-        dv = np.add.reduce(gxd, 1) * q * (1.0 - q)
-        if cw2.requires_grad:
-            cw2.accumulate(h[:, None] * du2)
-            cb2.accumulate(du2)
-        if cw1.requires_grad:
-            cw1.accumulate(z[:, None] * du1)
-            cb1.accumulate(du1)
-        if sw.requires_grad:
-            sw.accumulate(xd.T @ dv)
-            sb.accumulate(np.array(np.add.reduce(dv, None)))
-        if x.requires_grad:
-            gx += (cw1.data @ du1) / T
-            gx += dv[:, None] * sw.data
-            x.accumulate(gx)
 
-    return _node(out, (x, cw1, cb1, cw2, cb2, sw, sb), bwd)
+def _scse_grads(g, saved, cw1, cw2, sw, need_x):
+    """Gradients of ``_scse_raw`` for the output gradient ``g``: the
+    parameters' ``(dcw1, dcb1, dcw2, dcb2, dsw, dsb)`` and ``dx``, which
+    is None unless ``need_x``."""
+    xd, z, pos, h, s, q = saved
+    gxd = g * xd
+    du2 = np.add.reduce(gxd, 0) * s * (1.0 - s)
+    dh = cw2 @ du2
+    du1 = np.where(pos, dh, 0.0)
+    dv = np.add.reduce(gxd, 1) * q * (1.0 - q)
+    grads = (z[:, None] * du1, du1, h[:, None] * du2, du2, xd.T @ dv,
+             np.array(np.add.reduce(dv, None)))
+    if not need_x:
+        return grads, None
+    gx = g * s + g * q[:, None]
+    gx += (cw1 @ du1) / xd.shape[0]
+    gx += dv[:, None] * sw
+    return grads, gx
 
 
 def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
@@ -582,12 +670,11 @@ def add_noise(x, noise):
 
 def activity_penalty(x, coeff):
     """Scalar penalty coeff * mean(x ** 2)."""
-    n = x.data.size
     out = _penalty_raw(x.data, coeff)
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate((2.0 * coeff / n) * x.data * g)
+            x.accumulate(_penalty_grad(x.data, coeff) * g)
 
     return _node(out, (x,), bwd)
 
@@ -599,66 +686,52 @@ def activity_penalty(x, coeff):
 _BCE_EPS = 1e-7
 
 
-def bce_loss(pred, target, weight=1.0):
+def _bce_raw(pd, t, weight):
     """Mean binary cross-entropy; targets must lie in [0, 1].
 
     Predictions are clipped to [1e-7, 1 - 1e-7] before the logs; clipped
     entries receive zero gradient.
     """
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
-        raise ValueError(f"target shape {t.shape} != prediction shape {pred.data.shape}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("binary cross-entropy targets must lie in [0, 1]")
-    p = np.minimum(np.maximum(pred.data, _BCE_EPS), 1.0 - _BCE_EPS)
-    inside = (pred.data > _BCE_EPS) & (pred.data < 1.0 - _BCE_EPS)
+    p = np.minimum(np.maximum(pd, _BCE_EPS), 1.0 - _BCE_EPS)
+    inside = (pd > _BCE_EPS) & (pd < 1.0 - _BCE_EPS)
     n = p.size
     ll = t * np.log(p) + (1.0 - t) * np.log1p(-p)
-    out = np.array(-weight * float(np.add.reduce(ll, None) / n))
-
-    def bwd(g):
-        if pred.requires_grad:
-            d = (weight / n) * (-t / p + (1.0 - t) / (1.0 - p))
-            pred.accumulate(g * d * inside)
-
-    return _node(out, (pred,), bwd)
+    return np.array(-weight * float(np.add.reduce(ll, None) / n)), (t, p, inside, weight / n)
 
 
-def mse_loss(pred, target, weight=1.0):
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
-        raise ValueError(f"target shape {t.shape} != prediction shape {pred.data.shape}")
-    diff = pred.data - t
+def _bce_grad(g, t, p, inside, scale):
+    d = scale * (-t / p + (1.0 - t) / (1.0 - p))
+    return g * d * inside
+
+
+def _mse_raw(pd, t, weight):
+    diff = pd - t
     n = max(diff.size, 1)
-    out = np.array(weight * float(np.add.reduce(np.square(diff), None) / diff.size))
-
-    def bwd(g):
-        if pred.requires_grad:
-            pred.accumulate(g * (2.0 * weight / n) * diff)
-
-    return _node(out, (pred,), bwd)
+    value = np.array(weight * float(np.add.reduce(np.square(diff), None) / diff.size))
+    return value, (2.0 * weight / n, diff)
 
 
-def cosine_loss(pred, target, weight=1.0):
+def _mse_grad(g, scale, diff):
+    return g * scale * diff
+
+
+def _cosine_raw(pd, t, weight):
     """1 - cosine similarity between 1-D vectors; 0 iff parallel."""
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
-        raise ValueError(f"target shape {t.shape} != prediction shape {pred.data.shape}")
-    np_ = _norm(pred.data)
+    np_ = _norm(pd)
     nt = _norm(t)
     if nt == 0.0:
         raise ValueError("cosine loss target has zero norm")
     if np_ == 0.0:
         raise ValueError("cosine loss prediction has zero norm")
-    cos = float(np.dot(pred.data, t)) / (np_ * nt)
-    out = np.array(weight * (1.0 - cos))
+    cos = float(np.dot(pd, t)) / (np_ * nt)
+    return np.array(weight * (1.0 - cos)), (pd, t, np_, nt, cos, weight)
 
-    def bwd(g):
-        if pred.requires_grad:
-            d = -(t / (np_ * nt) - cos * pred.data / (np_ * np_))
-            pred.accumulate(g * weight * d)
 
-    return _node(out, (pred,), bwd)
+def _cosine_grad(g, pd, t, np_, nt, cos, weight):
+    d = -(t / (np_ * nt) - cos * pd / (np_ * np_))
+    return g * weight * d
 
 
 def _norm(v):
@@ -666,11 +739,30 @@ def _norm(v):
     return math.sqrt(float(v.dot(v)))
 
 
-_LOSS_FNS = {"bce": bce_loss, "mse": mse_loss, "cosine": cosine_loss}
+_LOSS_FNS = {"bce": (_bce_raw, _bce_grad), "mse": (_mse_raw, _mse_grad),
+             "cosine": (_cosine_raw, _cosine_grad)}
+
+
+def _loss_raw(kind, pd, target, weight):
+    """A named loss of a prediction array: ``(value, grad, args)``, where
+    ``grad(g, *args)`` is the prediction's gradient for the loss gradient
+    ``g``."""
+    if kind not in _LOSS_FNS:
+        raise ValueError(f"loss kind must be one of {sorted(_LOSS_FNS)}, got '{kind}'")
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != pd.shape:
+        raise ValueError(f"target shape {t.shape} != prediction shape {pd.shape}")
+    raw, grad = _LOSS_FNS[kind]
+    value, args = raw(pd, t, weight)
+    return value, grad, args
 
 
 def loss_eval(kind, pred, target, sample_weight=1.0):
     """Evaluate one of the named losses as a scalar graph node."""
-    if kind not in _LOSS_FNS:
-        raise ValueError(f"loss kind must be one of {sorted(_LOSS_FNS)}, got '{kind}'")
-    return _LOSS_FNS[kind](pred, target, sample_weight)
+    value, grad, args = _loss_raw(kind, pred.data, target, sample_weight)
+
+    def bwd(g):
+        if pred.requires_grad:
+            pred.accumulate(grad(g, *args))
+
+    return _node(value, (pred,), bwd)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tensor as tz
 from .data import NORMALIZED, PASS_FAIL, fit_znorm, apply_znorm, one_hot, class_weights
-from .layers import (ForwardContext, init_stack_params, is_kernel_param, forward_packed,
-                     forward_stack)
+from .layers import (ForwardContext, Recorder, init_stack_params, is_kernel_param,
+                     forward_packed, forward_stack)
 from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
                     decoder_specs, encode_many)
 from .optim import AdamState, adam_step_masked
@@ -179,6 +179,9 @@ def _run_training(forward_train, val_losses, val_indices, train_indices,
                   flat, config, seed, stage, trial_ids):
     """Generic loop: per-sample Adam steps, early stopping, best restore.
 
+    ``forward_train(i)`` runs the training forward of trial ``i`` and
+    returns its ``Recorder``, whose ``loss`` is the step's loss and whose
+    ``backward`` adds the gradients into ``flat.grad``.
     ``val_losses()`` returns the validation loss of each of
     ``val_indices``.  A non-finite loss raises FloatingPointError naming
     ``stage``, the epoch and the trial (``trial_ids[i]``).
@@ -194,13 +197,13 @@ def _run_training(forward_train, val_losses, val_indices, train_indices,
         for oi in order:
             i = train_indices[oi]
             flat.zero_grads()
-            loss = forward_train(i)
-            if not np.isfinite(loss.data):
+            step = forward_train(i)
+            if not np.isfinite(step.loss):
                 raise FloatingPointError(f"{stage}: non-finite training loss at epoch "
                                          f"{epoch} on trial {trial_ids[i]}")
-            tz.backward(loss)
+            step.backward()
             adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
-            total += float(loss.data)
+            total += float(step.loss)
         history.train_loss.append(total / max(len(train_indices), 1))
         vlosses = val_losses()
         vloss = float(np.mean(vlosses))
@@ -266,14 +269,12 @@ def train_dae(trials, minmax, config, seed, arch=None):
     noise_rng = make_rng(seed, PURPOSE["noise"])
 
     def fwd(i):
-        ctx = ForwardContext(train=True, rng=noise_rng, activity_l2=config.l2)
-        x = tz.constant(values[i])
-        z = forward_stack(specs["encoder"], flat.tensors["encoder"], x, ctx)
+        ctx = ForwardContext(train=True, rng=noise_rng, activity_l2=config.l2,
+                             recorder=Recorder())
+        z = forward_stack(specs["encoder"], flat.tensors["encoder"], values[i], ctx)
         out = forward_stack(specs["decoder"], flat.tensors["decoder"], z, ctx)
-        loss = tz.loss_eval(config.loss, out, values[i], 1.0)
-        if ctx.activity:
-            loss = tz.add_n([loss] + ctx.activity)
-        return loss
+        ctx.recorder.set_loss(config.loss, out, values[i], 1.0)
+        return ctx.recorder
 
     val_stacks = [(specs[g], flat.frozen[g]) for g in ("encoder", "decoder")]
     val_values = [values[i] for i in val_idx]
@@ -361,12 +362,10 @@ def train_supervised(bundle, trials, config, seed, labels=None):
     train_idx, val_idx = _val_split(range(len(trials)), strata, config.val_fraction, seed)
 
     def fwd(i):
-        ctx = ForwardContext(train=True, activity_l2=config.l2)
-        out = forward_stack(head, flat.tensors["head"], tz.constant(feats[i]), ctx)
-        loss = tz.loss_eval(config.loss, out, targets[i], sample_w[i])
-        if ctx.activity:
-            loss = tz.add_n([loss] + ctx.activity)
-        return loss
+        ctx = ForwardContext(train=True, activity_l2=config.l2, recorder=Recorder())
+        out = forward_stack(head, flat.tensors["head"], feats[i], ctx)
+        ctx.recorder.set_loss(config.loss, out, targets[i], sample_w[i])
+        return ctx.recorder
 
     val_stacks = [(head, flat.frozen["head"])]
     history = _run_training(

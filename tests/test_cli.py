@@ -173,3 +173,30 @@ def test_bad_trial_file_is_a_runtime_error_naming_it(scoring_inputs, tmp_path, c
                             tmp_path / "out.csv")
     assert dispatch(argv) == 1
     assert last_error(capsys) == f"error: runtime: {trial} {message}"
+
+
+@pytest.mark.parametrize("mode, value, choices", [
+    ("classification", "7", "'pass', 'fail', 0, 1"),
+    ("classification", "2", "'pass', 'fail', 0, 1"),
+    ("classification", "-1", "'pass', 'fail', 0, 1"),
+    ("regression", "1", "0"),
+    ("regression", "-1", "0"),
+])
+def test_out_of_range_target_class_is_a_usage_error(scoring_inputs, small_regressor, tmp_path,
+                                                    capsys, mode, value, choices):
+    paths = dict(scoring_inputs)
+    if mode == "regression":
+        paths["bundle"] = str(tmp_path / "regressor.skq")
+        save_bundle(small_regressor[0], paths["bundle"])
+    argv = scoring_argv("cam", paths, tmp_path / "cams.csv") + ["--target-class", value]
+    assert dispatch(argv) == 2
+    assert last_error(capsys) == (f"error: usage: --target-class {value} is out of range; "
+                                  f"choose one of: {choices}")
+    assert not (tmp_path / "cams.csv").exists()
+
+
+@pytest.mark.parametrize("value, index", [("fail", 1), ("1", 1), ("0", 0)])
+def test_target_class_by_name_or_index(scoring_inputs, tmp_path, value, index):
+    argv = scoring_argv("cam", scoring_inputs, tmp_path / "cams.csv") + ["--target-class", value]
+    assert dispatch(argv) == 0
+    assert {cam.class_index for cam in read_cams_csv(tmp_path / "cams.csv").values()} == {index}

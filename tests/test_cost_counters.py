@@ -9,8 +9,10 @@ interpreter's profiler hook and the garbage collector off, so a
 collection cannot run finalizers inside the count:
 
 - ``nodes``: ``Tensor`` objects created (one per op result, leaves made
-  in the step included);
-- ``accumulate``: ``Tensor.accumulate`` calls (gradient additions);
+  in the step included; a training step, which builds no tape, makes
+  none);
+- ``accumulate``: ``Tensor.accumulate`` calls (gradient additions on the
+  tape);
 - ``numpy_c``: calls of numpy's C functions and methods that the profiler
   sees (``np.zeros``, ``np.add.reduce``, ``ndarray`` methods, generator
   draws).  Ufunc calls such as ``np.exp`` or ``np.matmul`` and array
@@ -58,8 +60,17 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 COUNTS = {
     "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
-        "training.dae_step": {"nodes": 25, "accumulate": 44, "numpy_c": 125, "py": 216},
-        "training.head_step": {"nodes": 18, "accumulate": 35, "numpy_c": 79, "py": 152},
+        # nodes 25 -> 0 and 18 -> 0, accumulate 44 -> 0 and 35 -> 0, numpy_c
+        # 125 -> 80 and 79 -> 45, py 216 -> 141 and 152 -> 102 when a
+        # training step stopped building a tape and runs each stack's
+        # backward over recorded arrays: numpy_c loses each node's
+        # np.asarray (25 and 18, plus the input's tz.constant), each first
+        # gradient's np.array copy in accumulate (18 and 14) and the root's
+        # np.array(1.0); py loses the Tensor inits, _node, the closures,
+        # topo_order and accumulate, and gains one call per recorded op
+        # and its array function
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 141},
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 102},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in
@@ -67,8 +78,11 @@ COUNTS = {
         # padded copy (-18 np.zeros) but take one view of the call's
         # TapBuffer (+18 py, +18 reshape, -18 np.empty), which is made once
         # and grown three times (+1 py, +4 np.empty); each of the 3 layouts
-        # lists its halo rows with one more list comprehension (+3 py)
-        "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 506, "py": 474},
+        # lists its halo rows with one more list comprehension (+3 py).
+        # py 474 -> 495 when each formula moved into one array function
+        # that the tape and the training step share: the 21 packed
+        # convolutions build their kernel matrix in _conv_matrix (+21 py)
+        "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 506, "py": 495},
         "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip
@@ -81,7 +95,12 @@ COUNTS = {
         # py 570 (measured on the parent code) -> 93 when the array loop
         # stopped calling a reader's take/u per field (477 calls: about a
         # dozen per array) and bounds-checks and unpacks each field inline
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 93},
+        # py 93 -> 116 when load_bundle started checking the metadata's
+        # keys and types: one call per checked object (the groups, the
+        # trainable flags, the minmax statistics and the 12 layer specs), per
+        # layer spec, per list and per scalar field, less the 14 generator
+        # steps that built the layer tuples
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 116},
     },
 }
 
@@ -184,8 +203,7 @@ def _first_step(train, *args):
 
     def step():
         flat.zero_grads()
-        loss = fwd(i)
-        tz.backward(loss)
+        fwd(i).backward()
         adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
 
     return step

@@ -35,7 +35,7 @@ def _fused(x, w, b, dilation, coeff, target, use_out=True, use_penalty=True):
 
 
 def _loss(out, penalty, target, use_out, use_penalty):
-    terms = [tz.mse_loss(out, target)] if use_out else []
+    terms = [tz.loss_eval("mse", out, target)] if use_out else []
     if penalty is not None and use_penalty:
         terms.append(_scaled(penalty, 0.7))
     return tz.add_n(terms)

@@ -7,13 +7,16 @@ values come back bit for bit.
 import hashlib
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skillseq.bundle as bundle_format
 from skillseq.bundle import (BUNDLE_VERSION, BundleFormatError, BundleTruncatedError,
                              BundleVersionError, load_bundle, save_bundle)
+from skillseq.cli import dispatch
 from skillseq.data import MinMaxStats, ScoreStats, Trial, parse_trial_csv, write_trial_csv
 from skillseq.folds import Fold, FoldAssignment
 from skillseq.layers import init_stack_params
@@ -230,3 +233,63 @@ def test_trailing_bytes_are_refused(tmp_path):
     path, excinfo = _load_crafted(tmp_path, _crafted_body() + b"xyz")
     assert excinfo.type is BundleFormatError
     assert str(excinfo.value) == f"{path}: 3 unexpected trailing bytes"
+
+
+# --- metadata faults behind a valid checksum ---
+
+
+@pytest.fixture(scope="module")
+def skill_inputs(tmp_path_factory, small_classifier):
+    root = tmp_path_factory.mktemp("meta")
+    assert dispatch(["synth", "--out", str(root / "data"), "--seed", "2",
+                     "--n-subjects", "1", "--trials-per-subject", "2"]) == 0
+    return small_classifier[0], str(root / "data" / "manifest.csv")
+
+
+def _unknown_key(meta):
+    meta["groups"]["encoder"][1]["stride"] = 2
+
+
+def _null_trainable(meta):
+    meta["trainable"] = None
+
+
+def _string_groups(meta):
+    meta["groups"] = "x"
+
+
+def _kernel_size_disagrees(meta):
+    meta["groups"]["encoder"][1]["kernel_size"] = 1
+
+
+def _short_mins(meta):
+    meta["minmax"]["mins"] = meta["minmax"]["mins"][:-1]
+
+
+def _no_mode(meta):
+    del meta["mode"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_unknown_key, "bad metadata: 'groups.encoder[1].stride' is not a known key"),
+    (_null_trainable, "bad metadata: 'trainable' must be an object, got None"),
+    (_string_groups, "bad metadata: 'groups' must be an object, got 'x'"),
+    (_kernel_size_disagrees, "array 'encoder/1.w' has shape (3, 4, 6); its layer needs (1, 4, 6)"),
+    (_short_mins, "bad metadata: 'minmax.mins' must be a list of 4 numbers, got [{mins}]"),
+    (_no_mode, "bad metadata: 'mode' is missing"),
+], ids=["unknown-spec-key", "null-trainable", "string-groups", "kernel-size", "short-mins",
+        "no-mode"])
+def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_path, capsys,
+                                                            edit, message):
+    bundle, manifest = skill_inputs
+    meta = bundle_format._meta_dict(bundle)
+    mins = ", ".join(map(repr, meta["minmax"]["mins"][:-1]))
+    edit(meta)
+    path = tmp_path / "skill.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(bundle, path)
+    rc = dispatch(["predict", "--bundle", str(path), "--manifest", manifest,
+                   "--out", str(tmp_path / "records.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err == f"error: runtime: {path}: {message.format(mins=mins)}"
