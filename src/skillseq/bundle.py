@@ -167,15 +167,18 @@ def load_bundle(path):
 
 
 _META_FIELDS = ("class_names", "groups", "minmax", "mode", "score_stats", "trainable")
-_INT = (int, "an integer")
+# JSON values have exact types, so ``type(v) in types`` also keeps true and
+# false (bools) out of number fields
+_STR = ((str,), "a string")
+_INT = ((int,), "an integer")
 _NUMBER = ((int, float), "a number")
-_SPEC_FIELDS = {"kind": (str, "a string"), "in_channels": _INT, "out_channels": _INT,
-                "kernel_size": _INT, "dilation": _INT, "reduction": _INT, "sigma": _NUMBER}
+_SPEC_FIELDS = {"kind": _STR, "in_channels": _INT, "out_channels": _INT, "kernel_size": _INT,
+                "dilation": _INT, "reduction": _INT, "sigma": _NUMBER}
 
 
 class _MetaCheck:
-    """Type checks of a bundle's metadata fields, each raising
-    BundleFormatError that names the file and the field."""
+    """Checks of a bundle's metadata fields, each raising BundleFormatError
+    that names the file and the field."""
 
     def __init__(self, path):
         self.path = path
@@ -185,46 +188,40 @@ class _MetaCheck:
 
     def obj(self, field, value, keys=None):
         """``value`` as an object; with ``keys``, holding exactly those."""
-        if not isinstance(value, dict):
+        if type(value) is not dict:
             raise self.fault(field, f"must be an object, got {value!r}")
         if keys is not None:
             for key in keys:
                 if key not in value:
-                    raise self.fault(f"{field}.{key}", "is missing")
+                    raise self.fault(f"{field}.{key}" if field else key, "is missing")
             for key in value:
                 if key not in keys:
-                    raise self.fault(f"{field}.{key}", "is not a known key")
+                    raise self.fault(f"{field}.{key}" if field else key, "is not a known key")
         return value
 
-    def typed(self, field, value, types_what):
-        types, what = types_what
-        # True and False are ints to isinstance; only a true/false field takes them
-        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+    def typed(self, field, value, kind):
+        types, what = kind
+        if type(value) not in types:
             raise self.fault(field, f"must be {what}, got {value!r}")
         return value
 
-    def strings(self, field, value):
-        if not isinstance(value, list):
-            raise self.fault(field, f"must be a list of strings, got {value!r}")
+    def items(self, field, value, kind, n=None):
+        """A list of ``kind`` values (``n`` of them, if given)."""
+        types, what = kind
+        if type(value) is not list or n is not None and len(value) != n:
+            count = "" if n is None else f"{n} "
+            raise self.fault(field, f"must be a list of {count}values, each {what}, "
+                                    f"got {value!r}")
         for i, v in enumerate(value):
-            if not isinstance(v, str):
-                raise self.fault(f"{field}[{i}]", f"must be a string, got {v!r}")
-        return tuple(value)
-
-    def numbers(self, field, value, n):
-        if not isinstance(value, list) or len(value) != n:
-            raise self.fault(field, f"must be a list of {n} numbers, got {value!r}")
-        for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise self.fault(f"{field}[{i}]", f"must be a number, got {v!r}")
-        return np.array(value, dtype=np.float64)
+            if type(v) not in types:
+                raise self.fault(f"{field}[{i}]", f"must be {what}, got {v!r}")
+        return value
 
     def spec(self, field, d):
         self.obj(field, d, _SPEC_FIELDS)
         for key, (types, what) in _SPEC_FIELDS.items():
-            v = d[key]
-            if isinstance(v, bool) or not isinstance(v, types):
-                raise self.fault(f"{field}.{key}", f"must be {what}, got {v!r}")
+            if type(d[key]) not in types:
+                raise self.fault(f"{field}.{key}", f"must be {what}, got {d[key]!r}")
         try:
             return LayerSpec.from_dict(d)
         except ValueError as exc:
@@ -237,39 +234,36 @@ def _bundle(path, meta, weights):
     array whose shape its layer spec does not give, raises
     BundleFormatError naming the file and the field or array."""
     check = _MetaCheck(path)
-    if not isinstance(meta, dict):
+    if type(meta) is not dict:
         raise BundleFormatError(f"{path}: bad metadata: not a JSON object")
-    for key in _META_FIELDS:
-        if key not in meta:
-            raise check.fault(key, "is missing")
-    for key in meta:
-        if key not in _META_FIELDS:
-            raise check.fault(key, "is not a known key")
-    mode = check.typed("mode", meta["mode"], (str, "a string"))
+    check.obj("", meta, _META_FIELDS)
+    mode = check.typed("mode", meta["mode"], _STR)
     groups = {}
     for g, specs in check.obj("groups", meta["groups"]).items():
-        if not isinstance(specs, list):
+        if type(specs) is not list:
             raise check.fault(f"groups.{g}", f"must be a list of layers, got {specs!r}")
         groups[g] = tuple([check.spec(f"groups.{g}[{i}]", d) for i, d in enumerate(specs)])
     trainable = check.obj("trainable", meta["trainable"])
     for g, flag in trainable.items():
-        check.typed(f"trainable.{g}", flag, (bool, "true or false"))
+        check.typed(f"trainable.{g}", flag, ((bool,), "true or false"))
     minmax = meta["minmax"]
     if minmax is not None:
         check.obj("minmax", minmax, ("channels", "mins", "maxs", "source_ids"))
-        channels = check.strings("minmax.channels", minmax["channels"])
-        minmax = MinMaxStats(channels, check.numbers("minmax.mins", minmax["mins"], len(channels)),
-                             check.numbers("minmax.maxs", minmax["maxs"], len(channels)),
-                             check.strings("minmax.source_ids", minmax["source_ids"]))
+        n = len(check.items("minmax.channels", minmax["channels"], _STR))
+        check.items("minmax.mins", minmax["mins"], _NUMBER, n)
+        check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
+        check.items("minmax.source_ids", minmax["source_ids"], _STR)
+        minmax = MinMaxStats.from_dict(minmax)
     stats = meta["score_stats"]
     if stats is not None:
         check.obj("score_stats", stats, ("mean", "std", "source_ids"))
-        stats = ScoreStats(float(check.typed("score_stats.mean", stats["mean"], _NUMBER)),
-                           float(check.typed("score_stats.std", stats["std"], _NUMBER)),
-                           check.strings("score_stats.source_ids", stats["source_ids"]))
+        check.typed("score_stats.mean", stats["mean"], _NUMBER)
+        check.typed("score_stats.std", stats["std"], _NUMBER)
+        check.items("score_stats.source_ids", stats["source_ids"], _STR)
+        stats = ScoreStats.from_dict(stats)
     names = meta["class_names"]
     if names is not None:
-        names = check.strings("class_names", names)
+        names = tuple(check.items("class_names", names, _STR))
     for g, specs in groups.items():
         for i, spec in enumerate(specs):
             for field, shape in _spec_param_shapes(spec).items():

@@ -8,6 +8,14 @@ group name (``"encoder/0.w"``).
 ``forward_packed`` runs stacks over many trials at once: it packs them
 along time in chunks of at most ``PACK_ROWS`` rows and passes the layout
 to the tensor ops on ``ForwardContext.segments`` (see ``tensor``).
+
+Training runs each stack without a tape: with a ``Recorder`` on the
+context, ``forward_stack`` calls the tensor module's array functions
+(``tz._<op>_raw``) on plain arrays and records each op's backward
+(``tz._<op>_grad``) with the arrays it reads; ``Recorder.backward`` runs
+them in reverse.  The formulas are the ones the Tensor ops call, so the
+gradients are the tape's bit for bit, and the tape stays as the
+reference that the tests compare them with.
 """
 
 from __future__ import annotations
@@ -298,12 +306,11 @@ class Recorder:
             self.ops.append((backward, args))
 
     def set_loss(self, kind, pred, target, weight):
-        """Record the named loss of ``pred`` plus the activity penalties,
-        summed as ``tz.add_n`` sums them; returns the total."""
+        """Record the named loss of ``pred``; ``loss`` is it plus the
+        activity penalties, summed as ``tz.add_n`` sums them."""
         value, grad, args = tz._loss_raw(kind, pred, target, weight)
         self.loss = tz._sum_raw([value] + self.penalties) if self.penalties else value
         self._loss_grad = grad, args
-        return self.loss
 
     def backward(self):
         """Add d(loss)/d(parameter) into every trained parameter's ``grad``."""
@@ -324,12 +331,15 @@ def _conv(rec, xd, w, b, dilation, l2):
     return out
 
 
+def _add_grads(params, grads):
+    for t, d in zip(params, grads):
+        if t.requires_grad:
+            t.grad += d
+
+
 def _conv_back(g, taps, w2, w, b, dilation, need_x):
     dw, db, dx = tz._conv_grads(g, taps, w2, w.data.shape[0], dilation, need_x)
-    if w.requires_grad:
-        w.grad += dw
-    if b.requires_grad:
-        b.grad += db
+    _add_grads((w, b), (dw, db))
     return dx
 
 
@@ -346,10 +356,7 @@ def _dense(rec, xd, w, b):
 
 def _dense_back(g, xd, w, b, need_x):
     dw, db, dx = tz._dense_grads(g, xd, w.data, need_x)
-    if w.requires_grad:
-        w.grad += dw
-    if b.requires_grad:
-        b.grad += db
+    _add_grads((w, b), (dw, db))
     return dx
 
 
@@ -365,9 +372,7 @@ def _scse(rec, xd, params, pfx):
 
 def _scse_back(g, saved, p, need_x):
     grads, dx = tz._scse_grads(g, saved, p[0].data, p[2].data, p[4].data, need_x)
-    for t, d in zip(p, grads):
-        if t.requires_grad:
-            t.grad += d
+    _add_grads(p, grads)
     return dx
 
 

@@ -217,7 +217,6 @@ class TapBuffer:
         return self.flat[:n].reshape(rows, cols)
 
 
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -245,15 +244,16 @@ def conv1d(x, w, b, dilation=1, segments=None):
     out, taps2, w2 = _conv_raw(xd, wd, bd, dilation)
 
     def bwd(g):
-        dw, db, dx = _conv_grads(g, taps2, w2, K, dilation, x.requires_grad)
-        if w.requires_grad:
-            w.accumulate(dw)
-        if b.requires_grad:
-            b.accumulate(db)
-        if x.requires_grad:
-            x.accumulate(dx)
+        _accumulate((w, b, x), _conv_grads(g, taps2, w2, K, dilation, x.requires_grad))
 
     return _node(out, (x, w, b), bwd)
+
+
+def _accumulate(tensors, grads):
+    """Add each gradient to its tensor, where the tensor wants one."""
+    for t, g in zip(tensors, grads):
+        if t.requires_grad:
+            t.accumulate(g)
 
 
 def _conv_matrix(wd):
@@ -356,13 +356,7 @@ def dense(x, w, b):
     out = _dense_raw(x.data, w.data, b.data)
 
     def bwd(g):
-        dw, db, dx = _dense_grads(g, x.data, w.data, x.requires_grad)
-        if w.requires_grad:
-            w.accumulate(dw)
-        if b.requires_grad:
-            b.accumulate(db)
-        if x.requires_grad:
-            x.accumulate(dx)
+        _accumulate((w, b, x), _dense_grads(g, x.data, w.data, x.requires_grad))
 
     return _node(out, (x, w, b), bwd)
 
@@ -594,11 +588,7 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb, segments=None):
 
     def bwd(g):
         grads, dx = _scse_grads(g, saved, cw1.data, cw2.data, sw.data, x.requires_grad)
-        for p, d in zip(params, grads):
-            if p.requires_grad:
-                p.accumulate(d)
-        if x.requires_grad:
-            x.accumulate(dx)
+        _accumulate((*params, x), (*grads, dx))
 
     return _node(out, (x, *params), bwd)
 

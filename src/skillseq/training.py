@@ -12,6 +12,14 @@ All trainable parameters live in one flat buffer; tensor leaves hold
 views into it and their gradients accumulate into a parallel flat
 gradient buffer, so an optimizer step is a handful of vectorized
 operations regardless of layer count.
+
+A training step builds no tape.  Each stack runs through
+``layers.forward_stack`` with a ``layers.Recorder``, which computes on
+plain arrays and records each op's backward; the step checks the loss,
+runs the recorded backward, which adds every gradient into the flat
+gradient views, and ends in ``adam_step_masked``.  Every formula is the
+tensor module's, so the gradients are the tape's bit for bit; the tape
+(``tensor.backward``) is the reference the tests compare the step with.
 """
 
 from __future__ import annotations

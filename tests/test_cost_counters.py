@@ -61,7 +61,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 COUNTS = {
     "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
         # nodes 25 -> 0 and 18 -> 0, accumulate 44 -> 0 and 35 -> 0, numpy_c
-        # 125 -> 80 and 79 -> 45, py 216 -> 141 and 152 -> 102 when a
+        # 125 -> 80 and 79 -> 45, py 216 -> 149 and 152 -> 108 when a
         # training step stopped building a tape and runs each stack's
         # backward over recorded arrays: numpy_c loses each node's
         # np.asarray (25 and 18, plus the input's tz.constant), each first
@@ -69,8 +69,8 @@ COUNTS = {
         # np.array(1.0); py loses the Tensor inits, _node, the closures,
         # topo_order and accumulate, and gains one call per recorded op
         # and its array function
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 141},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 102},
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 149},
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 108},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in
@@ -95,12 +95,14 @@ COUNTS = {
         # py 570 (measured on the parent code) -> 93 when the array loop
         # stopped calling a reader's take/u per field (477 calls: about a
         # dozen per array) and bounds-checks and unpacks each field inline
-        # py 93 -> 116 when load_bundle started checking the metadata's
-        # keys and types: one call per checked object (the groups, the
-        # trainable flags, the minmax statistics and the 12 layer specs), per
-        # layer spec, per list and per scalar field, less the 14 generator
-        # steps that built the layer tuples
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 116},
+        # py 93 -> 118 when load_bundle started checking the metadata's
+        # keys and types: one call per object checked (the metadata, the
+        # groups, the trainable flags, the minmax statistics and the 12
+        # layer specs: +16), per layer spec (+12), per list (+5) and per
+        # scalar field (+3), the checker and _bundle (+2) and two list
+        # comprehensions (+2), less the dict comprehension and the 14
+        # generator steps that built the layer tuples (-15)
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 118},
     },
 }
 

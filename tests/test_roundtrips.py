@@ -275,7 +275,8 @@ def _no_mode(meta):
     (_null_trainable, "bad metadata: 'trainable' must be an object, got None"),
     (_string_groups, "bad metadata: 'groups' must be an object, got 'x'"),
     (_kernel_size_disagrees, "array 'encoder/1.w' has shape (3, 4, 6); its layer needs (1, 4, 6)"),
-    (_short_mins, "bad metadata: 'minmax.mins' must be a list of 4 numbers, got [{mins}]"),
+    (_short_mins,
+     "bad metadata: 'minmax.mins' must be a list of 4 values, each a number, got [{mins}]"),
     (_no_mode, "bad metadata: 'mode' is missing"),
 ], ids=["unknown-spec-key", "null-trainable", "string-groups", "kernel-size", "short-mins",
         "no-mode"])

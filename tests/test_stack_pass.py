@@ -92,7 +92,7 @@ class _Spy:
 
         def traced_set_loss(rec, kind, pred, target, weight):
             spy.loss = (kind, target, weight)
-            return set_loss(rec, kind, pred, target, weight)
+            set_loss(rec, kind, pred, target, weight)
 
         monkeypatch.setattr(training, "forward_stack", traced_forward_stack)
         monkeypatch.setattr(layers.Recorder, "set_loss", traced_set_loss)
@@ -190,6 +190,15 @@ CUSTOM_HEADS = {
     "penalized-conv-into-block": (
         LayerSpec("conv1d", in_channels=8, out_channels=8, kernel_size=5),
         LayerSpec("residual-scse-block", in_channels=8, kernel_size=3, dilation=3),
+        LayerSpec("gap"),
+        LayerSpec("dense", in_channels=8, out_channels=2),
+        LayerSpec("softmax"),
+    ),
+    # the same through a noise layer that draws nothing
+    "penalized-conv-noise-block": (
+        LayerSpec("conv1d", in_channels=8, out_channels=8, kernel_size=3),
+        LayerSpec("gaussian-noise", sigma=0.0),
+        LayerSpec("residual-scse-block", in_channels=8, kernel_size=5, dilation=2),
         LayerSpec("gap"),
         LayerSpec("dense", in_channels=8, out_channels=2),
         LayerSpec("softmax"),
