@@ -12,8 +12,8 @@ attenuated before normalization ever sees them.
 ``predict_with_cams`` predicts and explains many trials from one packed
 forward (``model.predict_many``); ``compute_cam`` is that batch path on
 one trial.  A trial's map does not depend on its batch: a packed forward
-runs every BLAS call and reduction per trial on the operands of an
-unpacked forward, and each map's ``pre_gap @ w[:, c]`` runs per trial.
+runs every BLAS call and reduction per trial on the operands of a
+one-trial forward, and each map's ``pre_gap @ w[:, c]`` runs per trial.
 """
 
 from __future__ import annotations

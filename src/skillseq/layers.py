@@ -5,9 +5,9 @@ A network is an ordered tuple of ``LayerSpec`` values plus a flat
 ``"<layer_index>.<field>"`` within a stack; bundles prefix them with the
 group name (``"encoder/0.w"``).
 
-``forward_packed`` runs stacks over many trials at once: it packs them
-along time in chunks of at most ``PACK_ROWS`` rows and passes the layout
-to the tensor ops on ``ForwardContext.segments`` (see ``tensor``).
+``forward_packed`` is the eval forward: it packs trials along time in
+chunks of at most ``PACK_ROWS`` rows and runs ``forward_stack`` on plain
+arrays in that layout (``ForwardContext.segments``; see ``tensor``).
 
 Training runs each stack without a tape: with a ``Recorder`` on the
 context, ``forward_stack`` calls the tensor module's array functions
@@ -175,8 +175,8 @@ class ForwardContext:
     ``activity`` collects per-conv-output penalty terms, in conv order,
     when ``activity_l2 > 0``; ``captures`` records named intermediate
     tensors (the input of each ``gap`` layer is stored under ``"pre_gap"``).
-    ``segments`` is the row layout of a packed forward (``tz.Segments``),
-    which runs in eval mode without penalties.  ``recorder`` (a
+    ``segments`` (a ``tz.Segments``, set by ``forward_packed``) makes an
+    eval forward run on plain arrays packed in that layout.  ``recorder`` (a
     ``Recorder``) makes a train-mode forward run on plain arrays and
     record its backward there instead of on the tape; the penalties then
     go to the recorder.
@@ -195,19 +195,25 @@ class ForwardContext:
             self.activity.append(tz.activity_penalty(t, self.activity_l2))
 
     def _conv_selu(self, x, w, b, dilation):
-        out, penalty = tz.conv1d_selu(x, w, b, dilation, self.activity_l2, self.segments)
+        out, penalty = tz.conv1d_selu(x, w, b, dilation, self.activity_l2)
         if penalty is not None:
             self.activity.append(penalty)
         return out
 
 
-def _scse_forward(x, p, pfx, ctx):
-    return tz.scse_op(x, p[pfx + "cw1"], p[pfx + "cb1"],
-                      p[pfx + "cw2"], p[pfx + "cb2"],
-                      p[pfx + "sw"], p[pfx + "sb"], ctx.segments)
+_SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
 
 
-def forward_stack(specs, params, x, ctx=None):
+def _scse_params(p, pfx):
+    return [p[pfx + name] for name in _SCSE_FIELDS]
+
+
+def _check_conv_input(i, spec, shape):
+    if len(shape) != 2 or shape[1] != spec.in_channels:
+        raise ValueError(f"layer {i} (conv1d) expects (T, {spec.in_channels}), got {shape}")
+
+
+def forward_stack(specs, params, x, ctx):
     """Run a stack of layers over input tensor x.
 
     ``params`` maps ``"<i>.<field>"`` to Tensor objects.  ``ctx`` carries
@@ -215,16 +221,14 @@ def forward_stack(specs, params, x, ctx=None):
     A conv1d layer followed by a selu layer runs as one fused node
     (``tz.conv1d_selu``).
 
-    With ``ctx.recorder`` (training), ``x`` and the result are plain
-    arrays: the stack runs the tensor module's array functions and
-    records its backward on the recorder (``_forward_recorded``).
+    With ``ctx.recorder`` (training, ``_forward_recorded``) or
+    ``ctx.segments`` (a packed eval forward over array params,
+    ``_forward_segments``), ``x`` and the result are plain arrays.
     """
-    if ctx is None:
-        ctx = ForwardContext()
-    if ctx.segments is not None and (ctx.train or ctx.activity_l2 > 0.0):
-        raise ValueError("a packed forward runs in eval mode without activity penalties")
     if ctx.recorder is not None:
         return _forward_recorded(specs, params, x, ctx)
+    if ctx.segments is not None:
+        return _forward_segments(specs, params, x, ctx.segments, ctx.captures)
     out = x
     fused = False
     for i, spec in enumerate(specs):
@@ -234,17 +238,13 @@ def forward_stack(specs, params, x, ctx=None):
         pfx = f"{i}."
         kind = spec.kind
         if kind == "conv1d":
-            if out.data.ndim != 2 or out.data.shape[1] != spec.in_channels:
-                raise ValueError(
-                    f"layer {i} (conv1d) expects (T, {spec.in_channels}), "
-                    f"got {out.data.shape}"
-                )
+            _check_conv_input(i, spec, out.data.shape)
             w, b = params[pfx + "w"], params[pfx + "b"]
             fused = i + 1 < len(specs) and specs[i + 1].kind == "selu"
             if fused:
                 out = ctx._conv_selu(out, w, b, spec.dilation)
             else:
-                out = tz.conv1d(out, w, b, spec.dilation, ctx.segments)
+                out = tz.conv1d(out, w, b, spec.dilation)
                 ctx._note_conv_out(out)
         elif kind == "dense":
             out = tz.dense(out, params[pfx + "w"], params[pfx + "b"])
@@ -256,14 +256,14 @@ def forward_stack(specs, params, x, ctx=None):
             out = tz.softmax(out)
         elif kind == "gap":
             ctx.captures["pre_gap"] = out
-            out = tz.gap(out, ctx.segments)
+            out = tz.gap(out)
         elif kind == "scse":
-            out = _scse_forward(out, params, pfx, ctx)
+            out = tz.scse_op(out, *_scse_params(params, pfx))
         elif kind == "residual-scse-block":
             h = ctx._conv_selu(out, params[pfx + "c1w"], params[pfx + "c1b"], spec.dilation)
-            h = _scse_forward(h, params, pfx + "s1", ctx)
+            h = tz.scse_op(h, *_scse_params(params, pfx + "s1"))
             h = ctx._conv_selu(h, params[pfx + "c2w"], params[pfx + "c2b"], spec.dilation)
-            out = _scse_forward(tz.add(h, out), params, pfx + "s2", ctx)
+            out = tz.scse_op(tz.add(h, out), *_scse_params(params, pfx + "s2"))
         elif kind == "gaussian-noise":
             if ctx.train and spec.sigma > 0.0:
                 if ctx.rng is None:
@@ -360,11 +360,8 @@ def _dense_back(g, xd, w, b, need_x):
     return dx
 
 
-_SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
-
-
 def _scse(rec, xd, params, pfx):
-    p = [params[pfx + name] for name in _SCSE_FIELDS]
+    p = _scse_params(params, pfx)
     out, saved = tz._scse_raw(xd, *[t.data for t in p])
     rec.add(_scse_back, saved, p, bool(rec.ops), trains=p[0].requires_grad)
     return out
@@ -427,10 +424,7 @@ def _forward_recorded(specs, params, xd, ctx):
         pfx = f"{i}."
         kind = spec.kind
         if kind == "conv1d":
-            if xd.ndim != 2 or xd.shape[1] != spec.in_channels:
-                raise ValueError(
-                    f"layer {i} (conv1d) expects (T, {spec.in_channels}), got {xd.shape}"
-                )
+            _check_conv_input(i, spec, xd.shape)
             xd = _conv(rec, xd, params[pfx + "w"], params[pfx + "b"], spec.dilation, l2)
         elif kind == "dense":
             xd = _dense(rec, xd, params[pfx + "w"], params[pfx + "b"])
@@ -443,7 +437,6 @@ def _forward_recorded(specs, params, xd, ctx):
             xd = tz._softmax_raw(xd)
             rec.add(tz._softmax_grad, xd)
         elif kind == "gap":
-            ctx.captures["pre_gap"] = xd
             rec.add(tz._gap_grad, xd)
             xd = tz._gap_raw(xd)
         elif kind == "scse":
@@ -460,6 +453,46 @@ def _forward_recorded(specs, params, xd, ctx):
     return xd
 
 
+def _forward_segments(specs, params, xd, segments, captures):
+    """``forward_stack`` in eval mode over a (rows, C) array packed in
+    ``segments``.  Each array passed on is this forward's own, so SELU and
+    the residual add run in place.  ``gap`` leaves one row per trial, which
+    ``dense`` and ``softmax`` map row by row; noise passes its input on."""
+    for i, spec in enumerate(specs):
+        pfx = f"{i}."
+        kind = spec.kind
+        if kind == "conv1d":
+            _check_conv_input(i, spec, xd.shape)
+            xd = tz._conv_packed(xd, params[pfx + "w"], params[pfx + "b"], spec.dilation,
+                                 segments)
+        elif kind == "dense":
+            xd = tz._row_products(xd, params[pfx + "w"])
+            xd += params[pfx + "b"]
+        elif kind == "selu":
+            tz._selu_inplace(xd)
+        elif kind == "sigmoid":
+            xd = tz._sigmoid_raw(xd)
+            if "pre_gap" not in captures:  # sigmoid(0) is 0.5; a conv reads halos as 0
+                xd[segments.halo_rows] = 0.0
+        elif kind == "softmax":
+            xd = np.array([tz._softmax_raw(row) for row in xd])
+        elif kind == "gap":
+            captures["pre_gap"] = xd
+            xd = segments.means(xd)
+        elif kind == "scse":
+            xd = tz._scse_packed(xd, *_scse_params(params, pfx), segments)
+        elif kind == "residual-scse-block":
+            h = tz._conv_packed(xd, params[pfx + "c1w"], params[pfx + "c1b"], spec.dilation,
+                                segments)
+            h = tz._scse_packed(tz._selu_inplace(h), *_scse_params(params, pfx + "s1"), segments)
+            h = tz._conv_packed(h, params[pfx + "c2w"], params[pfx + "c2b"], spec.dilation,
+                                segments)
+            tz._selu_inplace(h)
+            h += xd
+            xd = tz._scse_packed(h, *_scse_params(params, pfx + "s2"), segments)
+    return xd
+
+
 # Rows per packed forward.  Packing saves per-call overhead, which stops
 # mattering long before this; the bound keeps the work arrays small.
 PACK_ROWS = 2048
@@ -473,15 +506,16 @@ def _reach(specs):
 
 def forward_packed(stacks, values, capture=False):
     """Eval-mode forward of ``stacks``, a sequence of ``(specs, params)``
-    run in order, over each (T_i, C) array in ``values``.
+    run in order, over each (T_i, C) array in ``values``; ``params`` maps
+    ``"<i>.<field>"`` to arrays.
 
     Trials are packed along time in chunks of at most ``PACK_ROWS`` rows
     (a longer trial runs alone) between zero halos as wide as the widest
-    convolution reach; a chunk of one trial runs unpacked.  Returns the
-    per-trial outputs, equal byte for byte to one ``forward_stack`` pass
-    per trial; with ``capture``, also the per-trial ``"pre_gap"``
-    activations (``(outputs, pre_gaps)``).  Outputs may be views into a
-    chunk's arrays.
+    convolution reach; a chunk of one trial is laid out the same way.
+    Returns the per-trial outputs, equal byte for byte to one
+    ``forward_stack`` pass per trial on the tape; with ``capture``, also
+    the per-trial ``"pre_gap"`` activations (``(outputs, pre_gaps)``).
+    Outputs may be views into a chunk's arrays.
     """
     halo = max(_reach(specs) for specs, _ in stacks)
     taps = tz.TapBuffer()
@@ -493,28 +527,19 @@ def forward_packed(stacks, values, capture=False):
             rows += halo + values[j].shape[0]
             j += 1
         chunk = values[i:j]
-        segments = tz.Segments([v.shape[0] for v in chunk], halo, taps) if j - i > 1 else None
+        segments = tz.Segments([v.shape[0] for v in chunk], halo, taps)
         ctx = ForwardContext(segments=segments)
-        x = tz.constant(segments.pack(chunk) if segments else chunk[0])
+        x = segments.pack(chunk)
         for specs, params in stacks:
             x = forward_stack(specs, params, x, ctx)
-        pre_gap = ctx.captures["pre_gap"].data if capture else None
-        if segments is None:
-            outs.append(x.data)
-            pre_gaps.append(pre_gap)
-        else:
-            gapped = "pre_gap" in ctx.captures
-            outs.extend(list(x.data) if gapped else segments.unpack(x.data))
-            if capture:
-                pre_gaps.extend(segments.unpack(pre_gap))
+        gapped = "pre_gap" in ctx.captures
+        outs.extend(list(x) if gapped else segments.unpack(x))
+        if capture:
+            pre_gaps.extend(segments.unpack(ctx.captures["pre_gap"]))
         i = j
     return (outs, pre_gaps) if capture else outs
 
 
 def wrap_params(arrays, requires_grad=True):
     """Lift a {name: ndarray} mapping into Tensor leaves (shared storage)."""
-    out = {}
-    for name, arr in arrays.items():
-        t = Tensor(arr, requires_grad=requires_grad)
-        out[name] = t
-    return out
+    return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in arrays.items()}

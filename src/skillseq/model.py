@@ -22,10 +22,10 @@ statistics turn a downsampled trial into model input.
 Every eval-mode forward runs through ``layers.forward_packed``:
 ``predict_many`` and ``encode_many`` score many trials in packed
 forwards, and ``embed``, ``encode_values``, ``head_forward`` and
-``predict`` are that batch path on one trial.  A
-packed forward runs every BLAS call and every reduction once per trial,
-on the operands of an unpacked forward, so a trial's bytes do not depend
-on the batch it is scored in.
+``predict`` are that batch path on one trial.  A packed forward runs on
+plain arrays, every BLAS call and every reduction once per trial on the
+operands of a one-trial forward on the tape, so a trial's bytes do not
+depend on the batch it is scored in.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import numpy as np
 
 from .data import (DOWNSAMPLED, NORMALIZED, PASS_FAIL, RAW, Dataset, MinMaxStats,
                    ScoreStats, apply_minmax, invert_znorm, prepare_stage2)
-from .layers import (LayerSpec, _spec_param_shapes, forward_packed, init_stack_params,
-                     wrap_params)
+from .layers import LayerSpec, _spec_param_shapes, forward_packed, init_stack_params
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
 
@@ -163,7 +162,11 @@ class ModelBundle:
             else:
                 if head[-1].kind == "softmax" or dense[0].out_channels != 1:
                     raise ValueError("regression head must be a single linear unit")
+        encoded = _chain("encoder", self.groups["encoder"],
+                         len(self.minmax.channels) if self.minmax else None)
         for g, specs in self.groups.items():
+            if g != "encoder":
+                _chain(g, specs, encoded)
             for i, s in enumerate(specs):
                 for fname in _spec_param_shapes(s):
                     key = f"{g}/{i}.{fname}"
@@ -173,6 +176,18 @@ class ModelBundle:
     def group_params(self, group):
         pfx = f"{group}/"
         return {k[len(pfx):]: v for k, v in self.weights.items() if k.startswith(pfx)}
+
+
+def _chain(group, specs, channels):
+    """The channel count out of ``specs`` given ``channels`` in (None: any);
+    raises ValueError at a layer whose ``in_channels`` differs."""
+    for i, s in enumerate(specs):
+        if s.kind in ("conv1d", "dense", "scse", "residual-scse-block"):
+            if channels is not None and s.in_channels != channels:
+                raise ValueError(f"group '{group}' layer {i} ({s.kind}): in_channels "
+                                 f"{s.in_channels}, but {channels} channels flow into it")
+            channels = s.out_channels if s.kind in ("conv1d", "dense") else s.in_channels
+    return channels
 
 
 def prepare_dataset(dataset, target_hz):
@@ -230,7 +245,7 @@ def encode_many(bundle, values):
 
 
 def _stack(bundle, group):
-    return bundle.groups[group], wrap_params(bundle.group_params(group), requires_grad=False)
+    return bundle.groups[group], bundle.group_params(group)
 
 
 def head_forward(bundle, features):

@@ -28,28 +28,21 @@ number of numpy calls; the ops below use ``np.add.reduce`` and
 ``np.minimum``/``np.maximum`` where ``mean``, ``sum`` and ``clip`` would
 compute the same bits through more Python.
 
-Packed forwards.  ``conv1d``, ``conv1d_selu``, ``scse_op`` and ``gap``
-take an optional ``Segments`` layout: many trials concatenated along time
-with zero halo rows around each, so one op call serves every trial.
-Such a forward records no gradients.  The result of every trial equals,
-byte for byte, the result of the one-trial call, because every BLAS call
-and every reduction still runs once per segment on exactly the operands
-the one-trial call uses (BLAS and reduction bits depend on the operand
-shapes); only elementwise arithmetic spans the packed array, and the
-halo rows are zeroed again after every convolution.
-``dense`` and ``softmax`` take a matrix of per-trial rows (``gap``'s
-packed output) and run once per row.
-
-Eval forwards make as few throwaway large arrays as they can.  At the
-890-2,048 rows of a long trial or a packed chunk, ``np.where`` and fresh
-arrays of 100 KB or more (each one new memory to fault in) cost more
-than the arithmetic.  So a forward that records no gradients computes ``conv1d_selu``'s SELU
-in place, the sCSE combine makes two temporaries instead of four, and
-the packed convolutions of one ``layers.forward_packed`` call build each
-trial's taps in one shared ``TapBuffer``, reading the trial's halos as
-its zero padding, so no padded copy of the packed array is made either.
-The bits are those of the recording path, which keeps what its backward
-needs.
+Eval forwards run on plain arrays (``layers.forward_packed``), so each
+Tensor op has one mode, the tape.  ``Segments`` lays trials out along
+time with zero halo rows around each, and ``_conv_packed``,
+``_scse_packed``, ``Segments.means`` and ``_row_products`` run an op over
+every trial of such an array.  Each trial's result equals, byte for
+byte, that of the one-trial op: every BLAS call and every reduction runs
+once per trial on exactly the one-trial operands (their bits depend on
+the operand shapes); only elementwise arithmetic spans the packed array,
+and halo rows are zeroed after each convolution (and sigmoid).  At the
+890-2,048 rows of a long trial or a chunk, ``np.where`` and fresh arrays
+of 100 KB or more (new memory to fault in) cost more than the
+arithmetic, so SELU runs in place (``_selu_inplace``, the tape's bits),
+the sCSE combine makes two temporaries instead of four, and each
+``forward_packed`` call builds every trial's taps in one ``TapBuffer``,
+reading the halos as padding.
 """
 
 from __future__ import annotations
@@ -221,16 +214,14 @@ class TapBuffer:
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def conv1d(x, w, b, dilation=1, segments=None):
+def conv1d(x, w, b, dilation=1):
     """Temporal convolution with zero 'same' padding and centered odd kernel.
 
     x: (T, C_in), w: (K, C_in, C_out), b: (C_out,).  Output (T, C_out):
 
         out[t, o] = b[o] + sum_{k, c} x[t + (k - K//2) * dilation, c] * w[k, c, o]
 
-    with out-of-range input treated as zero.  With ``segments``, x is a
-    packed array whose halos cover the kernel's reach; the output's halo
-    rows are zero.
+    with out-of-range input treated as zero.
     """
     xd, wd, bd = x.data, w.data, b.data
     K = wd.shape[0]
@@ -238,9 +229,6 @@ def conv1d(x, w, b, dilation=1, segments=None):
         raise ValueError(f"kernel size must be odd, got {K}")
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
-    if segments is not None:
-        return _packed_node(_conv_packed(xd, _conv_matrix(wd), bd, K, dilation, segments),
-                            (x, w, b))
     out, taps2, w2 = _conv_raw(xd, wd, bd, dilation)
 
     def bwd(g):
@@ -304,10 +292,12 @@ def _conv_grads(g, taps2, w2, K, dilation, need_x):
     return dw, db, gxp[pad:pad + T]
 
 
-def _conv_packed(xd, w2, bd, K, dilation, segments):
-    """A packed convolution, one trial at a time: a trial's taps read its
-    halos as its zero padding, so they and its matmul are those of the
-    one-trial call."""
+def _conv_packed(xd, wd, bd, dilation, segments):
+    """``_conv_raw``'s output over a packed array, one trial at a time: a
+    trial's taps read its halos as its zero padding, so they and its
+    matmul are those of the one-trial call."""
+    K = wd.shape[0]
+    w2 = _conv_matrix(wd)
     pad = (K // 2) * dilation
     out = np.zeros((xd.shape[0], w2.shape[1]))
     if K > 1:
@@ -335,24 +325,8 @@ def _row_products(rows, w):
     return out
 
 
-def _packed_node(out, parents):
-    """Node of a packed forward, which records no gradients."""
-    for p in parents:
-        if p.requires_grad:
-            raise ValueError("a packed forward records no gradients")
-    return Tensor(out)
-
-
 def dense(x, w, b):
-    """Affine map of a vector: (C_in,) @ (C_in, C_out) + (C_out,).
-
-    A matrix input holds one vector per row (a packed forward) and is
-    mapped row by row.
-    """
-    if x.data.ndim == 2:
-        out = _row_products(x.data, w.data)
-        out += b.data
-        return _packed_node(out, (x, w, b))
+    """Affine map of a vector: (C_in,) @ (C_in, C_out) + (C_out,)."""
     out = _dense_raw(x.data, w.data, b.data)
 
     def bwd(g):
@@ -420,7 +394,7 @@ def _penalty_grad(xd, coeff):
     return (2.0 * coeff / xd.size) * xd
 
 
-def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0, segments=None):
+def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0):
     """``selu(conv1d(x, w, b, dilation))`` as one tape node that keeps the
     pre-activation ``pre`` off the tape.
 
@@ -433,15 +407,9 @@ def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0, segments=None):
     convolution's backward once on the sum.  For two addends
     ``a + b == b + a`` exactly, so every gradient has the bits of
     ``conv1d``, ``selu`` and ``activity_penalty`` run separately.
-
-    With ``segments`` (a packed forward) the penalty is not computed.  A
-    packed forward, and a call without a penalty on inputs that need no
-    gradient, computes the SELU in place on the convolution's output.
     """
-    pre = conv1d(x, w, b, dilation, segments)
+    pre = conv1d(x, w, b, dilation)
     c = pre.data
-    if segments is not None or (activity_l2 <= 0.0 and pre.bwd is None):
-        return Tensor(_selu_inplace(c)), None
     out, neg, ex = _selu_raw(c)
     if activity_l2 <= 0.0:
         def bwd(g):
@@ -496,10 +464,7 @@ def _softmax_grad(g, out):
 
 
 def softmax(x):
-    """Softmax over a 1-D vector, or over each row of a matrix (a packed
-    forward)."""
-    if x.data.ndim == 2:
-        return _packed_node(np.array([_softmax_raw(row) for row in x.data]), (x,))
+    """Softmax over a 1-D vector."""
     out = _softmax_raw(x.data)
 
     def bwd(g):
@@ -509,11 +474,8 @@ def softmax(x):
     return _node(out, (x,), bwd)
 
 
-def gap(x, segments=None):
-    """Global average over time: (T, C) -> (C,); with ``segments``, one
-    row per trial: (rows, C) -> (n, C)."""
-    if segments is not None:
-        return _packed_node(segments.means(x.data), (x,))
+def gap(x):
+    """Global average over time: (T, C) -> (C,)."""
     out = _gap_raw(x.data)
 
     def bwd(g):
@@ -569,7 +531,7 @@ def add_n(tensors):
     return _node(out, tensors, bwd)
 
 
-def scse_op(x, cw1, cb1, cw2, cb2, sw, sb, segments=None):
+def scse_op(x, cw1, cb1, cw2, cb2, sw, sb):
     """Concurrent channel and spatial squeeze-excitation, summed.
 
     Channel branch: gate = sigmoid(W2 @ relu(W1 @ mean_t(x) + b1) + b2),
@@ -577,13 +539,8 @@ def scse_op(x, cw1, cb1, cw2, cb2, sw, sb, segments=None):
     scales each timestep.  Output is the elementwise sum of both scaled
     copies; with all-zero parameters both gates are 0.5 and the block is
     the identity.  Fused into one node with a hand-derived backward.
-    With ``segments``, each trial gets its own channel gate.
     """
     params = (cw1, cb1, cw2, cb2, sw, sb)
-    if segments is not None:
-        return _packed_node(_scse_packed(x.data, cw1.data, cb1.data, cw2.data, cb2.data,
-                                         sw.data, sb.data, segments),
-                            (x, *params))
     out, saved = _scse_raw(x.data, cw1.data, cb1.data, cw2.data, cb2.data, sw.data, sb.data)
 
     def bwd(g):
@@ -630,6 +587,8 @@ def _scse_grads(g, saved, cw1, cw2, sw, need_x):
 
 
 def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
+    """``_scse_raw``'s output over a packed array; each trial gets its own
+    channel gate."""
     u1 = _row_products(segments.means(xd), cw1)
     u1 += cb1
     h = np.where(u1 > 0.0, u1, 0.0)

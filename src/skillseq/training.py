@@ -5,8 +5,9 @@ with kernel L2 decay, an activity penalty on every convolution output,
 per-epoch reshuffling, a stratified validation split, and early stopping
 on validation loss with best-weight restoration.  Training stops after
 ``patience`` consecutive epochs without strict improvement.  Each
-epoch's validation forwards run as one packed forward
-(``layers.forward_packed``), with the bytes of one forward per trial.
+epoch's validation runs one packed forward on plain arrays
+(``layers.forward_packed``) and ``tz._loss_raw``, with the bytes of one
+forward per trial and no tape.
 
 All trainable parameters live in one flat buffer; tensor leaves hold
 views into it and their gradients accumulate into a parallel flat
@@ -111,8 +112,7 @@ class _FlatParams:
 
     ``tensors[group]`` wraps views into the buffer; gradients accumulate
     into views of a parallel buffer, so zeroing and stepping are single
-    vector operations.  ``frozen[group]`` wraps the same views without
-    gradients, for forwards that record no tape (validation).
+    vector operations.
     """
 
     def __init__(self, group_arrays, trainable):
@@ -125,7 +125,6 @@ class _FlatParams:
         self.grad = np.zeros(total)
         self.decay_mask = np.zeros(total)
         self.tensors = {g: {} for g in group_arrays}
-        self.frozen = {g: {} for g in group_arrays}
         off = 0
         for g, k, arr in entries:
             if trainable.get(g, True):
@@ -136,9 +135,8 @@ class _FlatParams:
                 if is_kernel_param(k):
                     self.decay_mask[off:off + arr.size] = 1.0
                 off += arr.size
-                self.frozen[g][k] = tz.Tensor(view, requires_grad=False)
             else:
-                t = self.frozen[g][k] = tz.Tensor(arr, requires_grad=False)
+                t = tz.Tensor(arr, requires_grad=False)
             self.tensors[g][k] = t
 
     def zero_grads(self):
@@ -240,7 +238,7 @@ def _run_training(forward_train, val_losses, val_indices, train_indices,
 def _val_losses(stacks, inputs, targets, kind, weights):
     """Loss of each validation trial, from one packed forward."""
     outs = forward_packed(stacks, inputs)
-    return [float(tz.loss_eval(kind, tz.constant(out), target, weight).data)
+    return [float(tz._loss_raw(kind, out, target, weight)[0])
             for out, target, weight in zip(outs, targets, weights)]
 
 
@@ -284,7 +282,8 @@ def train_dae(trials, minmax, config, seed, arch=None):
         ctx.recorder.set_loss(config.loss, out, values[i], 1.0)
         return ctx.recorder
 
-    val_stacks = [(specs[g], flat.frozen[g]) for g in ("encoder", "decoder")]
+    val_stacks = [(specs[g], {k: t.data for k, t in flat.tensors[g].items()})
+                  for g in ("encoder", "decoder")]
     val_values = [values[i] for i in val_idx]
     history = _run_training(
         forward_train=fwd,
@@ -375,7 +374,7 @@ def train_supervised(bundle, trials, config, seed, labels=None):
         ctx.recorder.set_loss(config.loss, out, targets[i], sample_w[i])
         return ctx.recorder
 
-    val_stacks = [(head, flat.frozen["head"])]
+    val_stacks = [(head, {k: t.data for k, t in flat.tensors["head"].items()})]
     history = _run_training(
         forward_train=fwd,
         val_losses=lambda: _val_losses(val_stacks, [feats[i] for i in val_idx],

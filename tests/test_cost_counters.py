@@ -26,8 +26,11 @@ training loop runs; ``layers.forward_packed`` is one eval forward of the
 skill model over a fixed 40-trial batch (three packed chunks), with the
 pre-GAP activations captured, as ``predict_with_cams`` runs it;
 ``data.parse_trial_text`` parses a fixed 818-frame 10 Hz trial file with
-two tools and a few missing detections, and ``overlay.render_cam_overlay``
-draws that trial under a fixed 818-entry map into ``os.devnull``;
+two tools and a few missing detections, ``layers.forward_packed.one_trial``
+is the skill model's forward over that trial as ``predict`` scores it
+(gap-filled, at 10 Hz, one chunk, nothing captured), and
+``overlay.render_cam_overlay`` draws the trial under a fixed 818-entry
+map into ``os.devnull``;
 ``bundle.load_bundle`` loads the skill model's bundle (40 arrays).
 
 Counts depend on the numpy version, so they are pinned per
@@ -47,11 +50,11 @@ import pytest
 import skillseq.tensor as tz
 import skillseq.training as training
 from skillseq.bundle import load_bundle, save_bundle
-from skillseq.data import NORMALIZED, MinMaxStats, Trial, parse_trial_text
+from skillseq.data import NORMALIZED, MinMaxStats, Trial, parse_trial_text, prepare_stage2
 from skillseq.explain import CamMap
-from skillseq.layers import forward_packed, init_stack_params, wrap_params
+from skillseq.layers import forward_packed, init_stack_params
 from skillseq.model import (ArchConfig, ModelBundle, build_classifier, decoder_specs,
-                            encoder_specs)
+                            encoder_specs, normalize_for_model)
 from skillseq.optim import AdamState, adam_step_masked
 from skillseq.overlay import render_cam_overlay
 
@@ -68,9 +71,13 @@ COUNTS = {
         # gradient's np.array copy in accumulate (18 and 14) and the root's
         # np.array(1.0); py loses the Tensor inits, _node, the closures,
         # topo_order and accumulate, and gains one call per recorded op
-        # and its array function
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 149},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 108},
+        # and its array function.
+        # py 149 -> 155 and 108 -> 111 when the tape, recorded and packed
+        # forwards started sharing the conv input check (one call per
+        # convolution: 4 in the DAE, 1 in the head) and _scse_params (one
+        # call per sCSE op: 2 in each)
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 155},
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 111},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in
@@ -81,8 +88,22 @@ COUNTS = {
         # lists its halo rows with one more list comprehension (+3 py).
         # py 474 -> 495 when each formula moved into one array function
         # that the tape and the training step share: the 21 packed
-        # convolutions build their kernel matrix in _conv_matrix (+21 py)
-        "layers.forward_packed": {"nodes": 72, "accumulate": 0, "numpy_c": 506, "py": 495},
+        # convolutions build their kernel matrix in _conv_matrix (+21 py).
+        # nodes 72 -> 0, numpy_c 506 -> 431 and py 495 -> 309 when eval
+        # forwards stopped building Tensor nodes and run over plain arrays:
+        # numpy_c loses each node's np.asarray (72) and each chunk's
+        # tz.constant copy (3); py loses the 72 Tensor inits, the op
+        # functions (conv1d 21, conv1d_selu 21, scse_op 12, add 6, gap 3,
+        # dense 3, softmax 3), _packed_node 42, _node 6, constant 3 and the
+        # context's _conv_selu 21 and _scse_forward 12 (-225), and gains the
+        # array mode (_forward_segments 6), _scse_params with its list
+        # comprehension (12 + 12) and the shared conv input check (9)
+        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 309},
+        # measured on the parent code, where a one-trial chunk ran on the
+        # tape, as nodes 24, numpy_c 57, py 132; it now takes the packed
+        # array path like every chunk (Segments and pack: +2 numpy_c)
+        "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 59,
+                                            "py": 98},
         "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip
@@ -101,8 +122,10 @@ COUNTS = {
         # layer specs: +16), per layer spec (+12), per list (+5) and per
         # scalar field (+3), the checker and _bundle (+2) and two list
         # comprehensions (+2), less the dict comprehension and the 14
-        # generator steps that built the layer tuples (-15)
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 118},
+        # generator steps that built the layer tuples (-15).
+        # py 118 -> 120 when ModelBundle started checking that the layer
+        # specs chain: one _chain call per group
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 120},
     },
 }
 
@@ -163,10 +186,8 @@ def _autoencoder(rng):
                        minmax=MinMaxStats(CHANNELS, np.zeros(n), np.ones(n), ()))
 
 
-def _skill_stacks(dae):
-    bundle = build_classifier(dae, "classification", seed=0)
-    return [(bundle.groups[g], wrap_params(bundle.group_params(g), False))
-            for g in ("encoder", "head")]
+def _skill_stacks(skill):
+    return [(skill.groups[g], skill.group_params(g)) for g in ("encoder", "head")]
 
 
 def _long_trial_text(rng):
@@ -217,11 +238,13 @@ def _cases(workdir):
     minmax = MinMaxStats(CHANNELS, np.zeros(len(CHANNELS)), np.ones(len(CHANNELS)), ())
     dae = _autoencoder(rng)
     batch = [t.values for t in _trials(rng, BATCH_LENGTHS)]
-    stacks = _skill_stacks(dae)
+    skill = build_classifier(dae, "classification", seed=0)
+    stacks = _skill_stacks(skill)
     text = _long_trial_text(rng)
     long_trial = parse_trial_text(text, "long.csv")
+    long_input = normalize_for_model(skill, prepare_stage2(long_trial, 10.0)).values
     bundle_path = os.path.join(workdir, "skill.skq")
-    save_bundle(build_classifier(dae, "classification", seed=0), bundle_path)
+    save_bundle(skill, bundle_path)
     intensity = rng.random(T_LONG)
     cam = CamMap(trial_id=long_trial.trial_id, class_index=1, raw=intensity * 2.0 - 1.0,
                  intensity=intensity)
@@ -232,6 +255,7 @@ def _cases(workdir):
                                           training.HeadConfig(), 0),
         "layers.forward_packed": lambda: forward_packed(stacks, batch, capture=True),
         "data.parse_trial_text": lambda: parse_trial_text(text, "long.csv"),
+        "layers.forward_packed.one_trial": lambda: forward_packed(stacks, [long_input]),
         "overlay.render_cam_overlay": lambda: render_cam_overlay(long_trial, cam, os.devnull),
         "bundle.load_bundle": lambda: load_bundle(bundle_path),
     }
@@ -257,7 +281,8 @@ def test_the_batch_runs_in_three_packed_chunks():
     rng = np.random.default_rng(0)
     batch = [rng.random((T, len(CHANNELS))) for T in BATCH_LENGTHS]
     with mock.patch.object(tz, "Segments", side_effect=tz.Segments) as layouts:
-        forward_packed(_skill_stacks(_autoencoder(rng)), batch, capture=True)
+        skill = build_classifier(_autoencoder(rng), "classification", seed=0)
+        forward_packed(_skill_stacks(skill), batch, capture=True)
     assert layouts.call_count == 3
 
 

@@ -100,7 +100,7 @@ def test_backward_order_leaves_out_leaves():
     assert all(node.bwd is not None for node in order)
 
 
-# the no-gradient forward computes SELU in place, without ``np.where``
+# packed eval forwards compute SELU in place, without ``np.where``
 
 SELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308,
               -2.2250738585072014e-308, np.inf, -np.inf, -745.0, -746.0, 745.0, 1e300,

@@ -19,7 +19,7 @@ from skillseq.model import (
 )
 from skillseq import model as model_module
 from skillseq import tensor as tz
-from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack, wrap_params
+from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack
 from skillseq.training import DaeConfig, HeadConfig, train_dae, train_supervised
 
 
@@ -42,8 +42,7 @@ def test_reconstruction_shape_and_range(small_dae, small_normalized):
     bundle, _ = small_dae
     trials, _ = small_normalized
     t = trials[0]
-    stacks = [(bundle.groups[g], wrap_params(bundle.group_params(g), requires_grad=False))
-              for g in ("encoder", "decoder")]
+    stacks = [(bundle.groups[g], bundle.group_params(g)) for g in ("encoder", "decoder")]
     r = forward_packed(stacks, [t.values])[0]
     assert r.shape == t.values.shape
     assert np.all(r >= 0.0) and np.all(r <= 1.0)   # sigmoid output layer

@@ -1,10 +1,11 @@
-"""Packed forwards against one unpacked forward per trial, byte for byte.
+"""Packed forwards against one tape forward per trial, byte for byte.
 
 ``layers.forward_packed`` concatenates trials along time with zero halos
-and runs each BLAS call and reduction once per trial.  Every batch path
-built on it, and every one-trial function that calls a batch path on one
-trial, must give the bytes (``tobytes``) of an explicit ``forward_stack``
-per trial: encoder features, head outputs, pre-GAP activations,
+and runs each BLAS call and reduction once per trial, on plain arrays;
+a chunk of one trial takes the same path.  Every batch path built on it,
+and every one-trial function that calls a batch path on one trial, must
+give the bytes (``tobytes``) of an explicit ``forward_stack`` per trial
+on the tape: encoder features, head outputs, pre-GAP activations,
 reconstructions, prediction records, activation maps (``pre_gap @ w[:, c]``)
 and the training loop's validation losses.
 """
@@ -12,14 +13,13 @@ and the training loop's validation losses.
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import skillseq.layers as layers
 import skillseq.tensor as tz
 from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial, invert_znorm
 from skillseq.explain import CamMap, compute_cam, predict_with_cams
-from skillseq.layers import ForwardContext, forward_packed, forward_stack, wrap_params
+from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack, wrap_params
 from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, embed, encode_many,
                             encode_values, encoder_specs, head_forward, head_specs, predict,
                             predict_many)
@@ -58,16 +58,17 @@ def _bundles(rng, arch, n_channels, classification):
 
 
 def _stacks(bundle, *groups):
-    return [(bundle.groups[g], wrap_params(bundle.group_params(g), False)) for g in groups]
+    return [(bundle.groups[g], bundle.group_params(g)) for g in groups]
 
 
 def _unpacked(stacks, x):
-    """The oracle: one ``forward_stack`` pass per stack over one trial.
-    Returns the output and the pre-GAP activations (None without a GAP)."""
+    """The oracle: one ``forward_stack`` pass per stack over one trial, on
+    the tape.  Returns the output and the pre-GAP activations (None
+    without a GAP)."""
     ctx = ForwardContext()
     out = tz.constant(x)
     for specs, params in stacks:
-        out = forward_stack(specs, params, out, ctx)
+        out = forward_stack(specs, wrap_params(params, False), out, ctx)
     pre_gap = ctx.captures.get("pre_gap")
     return out.data, None if pre_gap is None else pre_gap.data
 
@@ -151,8 +152,7 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
     rng = np.random.default_rng(seed)
     enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
     head = head_specs(arch, 2 if classification else 1, classification)
-    params = {name: wrap_params({k.split("/", 1)[1]: v for k, v in
-                                 _weights(rng, specs, name).items()}, False)
+    params = {name: {k.split("/", 1)[1]: v for k, v in _weights(rng, specs, name).items()}
               for name, specs in (("encoder", enc), ("decoder", dec), ("head", head))}
     values = [rng.random((T, n_channels)) for T in lengths]
     feats = [rng.normal(size=(T, arch.emb_channels)) for T in lengths]
@@ -187,7 +187,7 @@ def test_reused_tap_buffer_never_leaks_into_results():
                       clf_width=4, clf_dilation=2)
     bundle, _ = _bundles(rng, arch, 3, True)
     stacks = _stacks(bundle, "encoder", "head")
-    # 75 rows exceed the row budget, so that trial runs unpacked
+    # 75 rows exceed the row budget, so that trial runs alone
     first = [rng.random((T, 3)) for T in (20, 25, 18, 75, 30, 22, 15, 26, 11)]
     second = [rng.random((T, 3)) + 1.0 for T in (33, 12, 40, 9, 28, 17)]
     with mock.patch.object(layers, "PACK_ROWS", 60), \
@@ -209,21 +209,22 @@ def test_packed_forward_keeps_halo_rows_zero():
     assert segments.bounds == [(2, 5), (7, 8), (10, 14)]
     assert segments.rows == 16
     assert list(segments.halo_rows) == [0, 1, 5, 6, 8, 9, 14, 15]
-    w = tz.constant(rng.normal(size=(5, 2, 3)))
-    b = tz.constant(rng.normal(size=3))
-    x = tz.constant(segments.pack([rng.normal(size=(n, 2)) for n in (3, 1, 4)]))
-    out = tz.conv1d(x, w, b, 1, segments)
-    assert not out.data[segments.halo_rows].any()
+    w = rng.normal(size=(5, 2, 3))
+    b = rng.normal(size=3)
+    x = segments.pack([rng.normal(size=(n, 2)) for n in (3, 1, 4)])
+    out = tz._conv_packed(x, w, b, 1, segments)
+    assert not out[segments.halo_rows].any()
 
 
-def test_packed_forward_records_no_gradients():
-    segments = tz.Segments([2, 2], 1, tz.TapBuffer())
-    x = tz.constant(np.ones((segments.rows, 1)))
-    with pytest.raises(ValueError, match="records no gradients"):
-        tz.conv1d(x, tz.parameter(np.ones((1, 1, 1))), tz.constant(np.zeros(1)), 1, segments)
-    specs = (layers.LayerSpec("conv1d", in_channels=1, out_channels=1),)
-    params = wrap_params({"0.w": np.ones((1, 1, 1)), "0.b": np.zeros(1)}, False)
-    for ctx in (ForwardContext(train=True, segments=segments),
-                ForwardContext(activity_l2=1e-3, segments=segments)):
-        with pytest.raises(ValueError, match="eval mode"):
-            forward_stack(specs, params, x, ctx)
+def test_packed_forward_restores_zero_halos_after_a_sigmoid():
+    """sigmoid(0) is 0.5, so a convolution after a sigmoid would read
+    non-zero padding from the halo rows unless they are zeroed again."""
+    rng = np.random.default_rng(5)
+    specs = (LayerSpec("conv1d", in_channels=2, out_channels=3, kernel_size=3),
+             LayerSpec("sigmoid"),
+             LayerSpec("conv1d", in_channels=3, out_channels=2, kernel_size=3))
+    stacks = [(specs, layers.init_stack_params(specs, rng))]
+    values = [rng.random((T, 2)) for T in (6, 1, 4)]
+    for batch in (values[:1], values):
+        for x, out in zip(batch, forward_packed(stacks, batch)):
+            assert _bits(out) == _bits(_unpacked(stacks, x)[0])

@@ -294,3 +294,31 @@ def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_pa
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err == f"error: runtime: {path}: {message.format(mins=mins)}"
+
+
+# --- layer specs that do not chain, each matching its own weights ---
+
+
+@pytest.mark.parametrize("group, layer, in_channels, message", [
+    ("head", 4, 3, "group 'head' layer 4 (dense): in_channels 3, but 6 channels flow into it"),
+    ("head", 0, 2, "group 'head' layer 0 (conv1d): in_channels 2, but 4 channels flow into it"),
+    ("encoder", 1, 3,
+     "group 'encoder' layer 1 (conv1d): in_channels 3, but 4 channels flow into it"),
+], ids=["within-group", "across-groups", "minmax-to-encoder"])
+def test_specs_that_do_not_chain_are_a_runtime_error_naming_the_layer(
+        skill_inputs, tmp_path, capsys, group, layer, in_channels, message):
+    bundle, manifest = skill_inputs
+    meta = bundle_format._meta_dict(bundle)
+    meta["groups"][group][layer]["in_channels"] = in_channels
+    key = f"{group}/{layer}.w"
+    w = bundle.weights[key]
+    narrowed = w[:in_channels] if w.ndim == 2 else w[:, :in_channels]
+    crafted = ModelBundle(**{**vars(bundle), "weights": {**bundle.weights, key: narrowed}})
+    path = tmp_path / "skill.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(crafted, path)
+    rc = dispatch(["predict", "--bundle", str(path), "--manifest", manifest,
+                   "--out", str(tmp_path / "records.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err == f"error: runtime: {path}: {message}"
