@@ -230,9 +230,10 @@ class _MetaCheck:
 
 def _bundle(path, meta, weights):
     """The bundle that ``meta`` describes over ``weights``.  A metadata
-    field that is missing, unknown or of the wrong type or length, or an
-    array whose shape its layer spec does not give, raises
-    BundleFormatError naming the file and the field or array."""
+    field that is missing, unknown or of the wrong type or length, a
+    min-max range that is not positive, or an array whose shape its layer
+    spec does not give, raises BundleFormatError naming the file and the
+    field or array."""
     check = _MetaCheck(path)
     if type(meta) is not dict:
         raise BundleFormatError(f"{path}: bad metadata: not a JSON object")
@@ -249,9 +250,14 @@ def _bundle(path, meta, weights):
     minmax = meta["minmax"]
     if minmax is not None:
         check.obj("minmax", minmax, ("channels", "mins", "maxs", "source_ids"))
-        n = len(check.items("minmax.channels", minmax["channels"], _STR))
-        check.items("minmax.mins", minmax["mins"], _NUMBER, n)
-        check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
+        channels = check.items("minmax.channels", minmax["channels"], _STR)
+        n = len(channels)
+        mins = check.items("minmax.mins", minmax["mins"], _NUMBER, n)
+        maxs = check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
+        for i in range(n):  # apply_minmax divides by the range
+            if not maxs[i] > mins[i]:
+                raise check.fault(f"minmax.maxs[{i}]", f"must exceed minmax.mins[{i}] "
+                                  f"({mins[i]!r}) for channel '{channels[i]}', got {maxs[i]!r}")
         check.items("minmax.source_ids", minmax["source_ids"], _STR)
         minmax = MinMaxStats.from_dict(minmax)
     stats = meta["score_stats"]

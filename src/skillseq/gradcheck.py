@@ -1,7 +1,7 @@
 """Finite-difference verification of every layer and loss gradient.
 
-For each randomly configured operation the analytic gradient from the
-tape is compared against central differences
+For each randomly configured operation the analytic gradient is
+compared against central differences
 
     (f(x + h e_i) - f(x - h e_i)) / (2 h),   h = 1e-5
 
@@ -13,6 +13,11 @@ which behaves like a relative error for ordinary gradients and like a
 scaled absolute error when both sides vanish.  Inputs are sampled away
 from activation kinks (|x| >= 0.05 for selu/relu paths) so the two-sided
 difference never straddles a non-differentiable point.
+
+The analytic gradient is the one training uses: a layer's comes from
+the backward that ``layers.forward_stack`` records with a ``Recorder``,
+and a loss's or the activity penalty's from its array function's
+gradient (``tz._loss_raw``, ``tz._penalty_grad``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .layers import LayerSpec, ForwardContext, forward_stack, init_stack_params, wrap_params
+from .layers import LayerSpec, ForwardContext, Recorder, forward_stack, init_stack_params
 from .seeding import make_rng
 
 __all__ = ["GradCheckResult", "check_operation", "run_gradcheck", "OPERATIONS"]
@@ -116,14 +121,11 @@ def check_operation(op, seed):
                 raw = rng.normal(0.0, 1.0, size=n)
         target = _random_target(rng, (n,), op)
         weight = float(rng.uniform(0.5, 2.0))
-        x = tz.parameter(raw)
-
-        loss = tz.loss_eval(op, x, target, weight)
-        tz.backward(loss)
-        analytic = [x.grad.copy()]
+        _, grad, args = tz._loss_raw(op, raw, target, weight)
+        analytic = [grad(1.0, *args)]
 
         def evaluate():
-            return float(tz.loss_eval(op, tz.constant(raw), target, weight).data)
+            return float(tz._loss_raw(op, raw, target, weight)[0])
 
         numeric = _numeric_grad(evaluate, [raw])
         err = _compare(analytic, numeric)
@@ -132,20 +134,17 @@ def check_operation(op, seed):
     if op == "activity-penalty":
         raw = rng.normal(0.0, 1.0, size=(T, C))
         coeff = float(rng.uniform(0.5, 2.0))
-        x = tz.parameter(raw)
-        loss = tz.activity_penalty(x, coeff)
-        tz.backward(loss)
-        analytic = [x.grad.copy()]
+        analytic = [tz._penalty_grad(raw, coeff)]
 
         def evaluate():
-            return float(tz.activity_penalty(tz.constant(raw), coeff).data)
+            return float(tz._penalty_raw(raw, coeff))
 
         numeric = _numeric_grad(evaluate, [raw])
         return GradCheckResult(op, seed, raw.size, _compare(analytic, numeric))
 
     # layer path: build a one-layer stack, reduce with a fixed projection
-    # so the scalar loss exercises every output element; conv1d-selu is
-    # the fused pair, with its activity penalty added to the loss
+    # so the scalar loss exercises every output element; conv1d-selu is a
+    # conv1d and the selu after it, with its activity penalty in the loss
     if op in ("conv1d", "conv1d-selu"):
         cout = int(rng.integers(1, 5))
         spec = LayerSpec("conv1d", in_channels=C, out_channels=cout,
@@ -184,33 +183,34 @@ def check_operation(op, seed):
     if op == "gaussian-noise":
         noise = make_rng(seed, 993).normal(0.0, spec.sigma, size=x_raw.shape)
 
-    def run(x_tensor, param_tensors):
-        ctx = ForwardContext(train=True, rng=_FixedNoise(noise)) if op == "gaussian-noise" \
-            else ForwardContext(activity_l2=activity_l2)
-        return forward_stack(specs, param_tensors, x_tensor, ctx), ctx.activity
+    def run(grads):
+        # the identity entry makes the recorder record the first op, so
+        # the backward returns the gradient of x too
+        rec = Recorder()
+        rec.ops.append((_identity, ()))
+        ctx = ForwardContext(train=True, rng=_FixedNoise(noise), activity_l2=activity_l2,
+                             recorder=rec)
+        return forward_stack(specs, arrays, x_raw, ctx, grads), rec
 
     # scalarize via a fixed random projection so every output element
     # contributes to the loss
-    x = tz.parameter(x_raw)
-    params = wrap_params(arrays)
-    out, activity = run(x, params)
-    proj = make_rng(seed, 994).normal(0.0, 1.0, size=out.data.shape)
-    loss = tz.add_n([_dot_with(out, proj)] + activity)
-    tz.backward(loss)
-    analytic = [x.grad if x.grad is not None else np.zeros_like(x_raw)]
-    analytic += [params[n].grad if params[n].grad is not None else np.zeros_like(arrays[n])
-                 for n in names]
+    grads = {n: np.zeros_like(arrays[n]) for n in names}
+    out, rec = run(grads)
+    proj = make_rng(seed, 994).normal(0.0, 1.0, size=out.shape)
+    analytic = [rec.backward(proj)] + [grads[n] for n in names]
 
     def evaluate():
-        xt = tz.constant(x_raw)
-        pt = wrap_params(arrays, requires_grad=False)
-        o, activity = run(xt, pt)
-        return float(np.sum(o.data * proj)) + sum(float(a.data) for a in activity)
+        o, rec = run(None)
+        return float(np.sum(o * proj)) + sum(float(a) for a in rec.penalties)
 
     numeric = _numeric_grad(evaluate, [x_raw] + [arrays[n] for n in names])
     err = _compare(analytic, numeric)
     n_el = x_raw.size + sum(arrays[n].size for n in names)
     return GradCheckResult(op, seed, n_el, err)
+
+
+def _identity(g):
+    return g
 
 
 class _FixedNoise:
@@ -221,20 +221,6 @@ class _FixedNoise:
 
     def normal(self, loc, scale, size):
         return self.noise
-
-
-def _dot_with(out, proj):
-    """Scalar loss sum(out * proj) as a graph node."""
-    t = out
-
-    def bwd(g):
-        if t.requires_grad:
-            t.accumulate(g * proj)
-
-    data = np.array(float(np.sum(t.data * proj)))
-    node = tz.Tensor(data, requires_grad=t.requires_grad, parents=(t,),
-                     bwd=bwd if t.requires_grad else None)
-    return node
 
 
 def run_gradcheck(configs_per_op=20, base_seed=0):

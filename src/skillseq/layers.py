@@ -9,13 +9,13 @@ group name (``"encoder/0.w"``).
 chunks of at most ``PACK_ROWS`` rows and runs ``forward_stack`` on plain
 arrays in that layout (``ForwardContext.segments``; see ``tensor``).
 
-Training runs each stack without a tape: with a ``Recorder`` on the
-context, ``forward_stack`` calls the tensor module's array functions
+Training runs each stack with a ``Recorder`` on the context:
+``forward_stack`` calls the tensor module's array functions
 (``tz._<op>_raw``) on plain arrays and records each op's backward
 (``tz._<op>_grad``) with the arrays it reads; ``Recorder.backward`` runs
-them in reverse.  The formulas are the ones the Tensor ops call, so the
-gradients are the tape's bit for bit, and the tape stays as the
-reference that the tests compare them with.
+them in reverse, adding each parameter's gradient into the array that
+``grads`` maps its name to.  ``gradcheck`` checks this same recorded
+backward against finite differences.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .tensor import Tensor
 
 __all__ = [
     "LayerSpec",
@@ -36,7 +35,6 @@ __all__ = [
     "Recorder",
     "forward_packed",
     "is_kernel_param",
-    "wrap_params",
 ]
 
 KINDS = (
@@ -170,35 +168,23 @@ def init_stack_params(specs, rng):
 
 @dataclass
 class ForwardContext:
-    """Side outputs of a forward pass.
+    """Mode and side outputs of a forward pass.
 
-    ``activity`` collects per-conv-output penalty terms, in conv order,
-    when ``activity_l2 > 0``; ``captures`` records named intermediate
-    tensors (the input of each ``gap`` layer is stored under ``"pre_gap"``).
-    ``segments`` (a ``tz.Segments``, set by ``forward_packed``) makes an
-    eval forward run on plain arrays packed in that layout.  ``recorder`` (a
-    ``Recorder``) makes a train-mode forward run on plain arrays and
-    record its backward there instead of on the tape; the penalties then
-    go to the recorder.
+    ``recorder`` (a ``Recorder``) makes a forward record its backward;
+    the activity penalty of every convolution output, when
+    ``activity_l2 > 0``, goes to the recorder.  ``segments`` (a
+    ``tz.Segments``, set by ``forward_packed``) makes an eval forward run
+    over trials packed in that layout; ``captures`` records named
+    intermediate arrays (the input of each ``gap`` layer is stored under
+    ``"pre_gap"``).
     """
 
     train: bool = False
     rng: object = None
     activity_l2: float = 0.0
-    activity: list = field(default_factory=list)
     captures: dict = field(default_factory=dict)
     segments: object = None
     recorder: object = None
-
-    def _note_conv_out(self, t):
-        if self.activity_l2 > 0.0:
-            self.activity.append(tz.activity_penalty(t, self.activity_l2))
-
-    def _conv_selu(self, x, w, b, dilation):
-        out, penalty = tz.conv1d_selu(x, w, b, dilation, self.activity_l2)
-        if penalty is not None:
-            self.activity.append(penalty)
-        return out
 
 
 _SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
@@ -213,84 +199,40 @@ def _check_conv_input(i, spec, shape):
         raise ValueError(f"layer {i} (conv1d) expects (T, {spec.in_channels}), got {shape}")
 
 
-def forward_stack(specs, params, x, ctx):
-    """Run a stack of layers over input tensor x.
+def forward_stack(specs, params, x, ctx, grads=None):
+    """Run a stack of layers over the (T, C) array ``x``.
 
-    ``params`` maps ``"<i>.<field>"`` to Tensor objects.  ``ctx`` carries
+    ``params`` maps ``"<i>.<field>"`` to arrays.  ``ctx`` carries
     train/eval mode, the noise generator, and side-output collection.
-    A conv1d layer followed by a selu layer runs as one fused node
-    (``tz.conv1d_selu``).
-
-    With ``ctx.recorder`` (training, ``_forward_recorded``) or
-    ``ctx.segments`` (a packed eval forward over array params,
-    ``_forward_segments``), ``x`` and the result are plain arrays.
+    With ``ctx.recorder`` (training, ``_forward_recorded``) the stack
+    records its backward; ``grads`` maps the same names to the arrays
+    its parameter gradients are added into, or is None for a frozen
+    stack.  With ``ctx.segments`` (an eval forward, ``_forward_segments``)
+    ``x`` is packed in that layout.
     """
     if ctx.recorder is not None:
-        return _forward_recorded(specs, params, x, ctx)
-    if ctx.segments is not None:
-        return _forward_segments(specs, params, x, ctx.segments, ctx.captures)
-    out = x
-    fused = False
-    for i, spec in enumerate(specs):
-        if fused:  # this selu ran inside the conv before it
-            fused = False
-            continue
-        pfx = f"{i}."
-        kind = spec.kind
-        if kind == "conv1d":
-            _check_conv_input(i, spec, out.data.shape)
-            w, b = params[pfx + "w"], params[pfx + "b"]
-            fused = i + 1 < len(specs) and specs[i + 1].kind == "selu"
-            if fused:
-                out = ctx._conv_selu(out, w, b, spec.dilation)
-            else:
-                out = tz.conv1d(out, w, b, spec.dilation)
-                ctx._note_conv_out(out)
-        elif kind == "dense":
-            out = tz.dense(out, params[pfx + "w"], params[pfx + "b"])
-        elif kind == "selu":
-            out = tz.selu(out)
-        elif kind == "sigmoid":
-            out = tz.sigmoid(out)
-        elif kind == "softmax":
-            out = tz.softmax(out)
-        elif kind == "gap":
-            ctx.captures["pre_gap"] = out
-            out = tz.gap(out)
-        elif kind == "scse":
-            out = tz.scse_op(out, *_scse_params(params, pfx))
-        elif kind == "residual-scse-block":
-            h = ctx._conv_selu(out, params[pfx + "c1w"], params[pfx + "c1b"], spec.dilation)
-            h = tz.scse_op(h, *_scse_params(params, pfx + "s1"))
-            h = ctx._conv_selu(h, params[pfx + "c2w"], params[pfx + "c2b"], spec.dilation)
-            out = tz.scse_op(tz.add(h, out), *_scse_params(params, pfx + "s2"))
-        elif kind == "gaussian-noise":
-            if ctx.train and spec.sigma > 0.0:
-                if ctx.rng is None:
-                    raise ValueError("gaussian-noise layer needs an rng in train mode")
-                out = tz.add_noise(out, ctx.rng.normal(0.0, spec.sigma, size=out.data.shape))
-        else:  # pragma: no cover - guarded by LayerSpec validation
-            raise ValueError(f"unknown layer kind '{kind}'")
-    return out
+        return _forward_recorded(specs, params, x, ctx, grads)
+    if ctx.segments is None:
+        raise ValueError("forward_stack needs a recorder or a packed layout")
+    return _forward_segments(specs, params, x, ctx.segments, ctx.captures)
 
 
 class Recorder:
     """The backward of a training forward, recorded op by op.
 
     Each entry of ``ops`` is ``(backward, args)``: ``backward(g,
-    *args)`` adds the op's parameter gradients into their tensors'
-    ``grad`` arrays with ``+=`` (the ``_FlatParams`` gradient views) and
-    returns the gradient of the op's input.  ``args`` are the arrays the
-    tape's closures would have held.  An op is recorded when its input
-    depends on a trained parameter (some op is recorded already) or its
-    own parameters train; a layer's parameters train or not together, as
-    a ``_FlatParams`` group does.
+    *args)`` adds the op's parameter gradients into their gradient arrays
+    with ``+=`` (the ``_FlatParams`` gradient views) and returns the
+    gradient of the op's input.  ``args`` are the arrays that backward
+    reads.  An op is recorded when its input depends on a trained
+    parameter (some op is recorded already) or its own parameters train
+    (its stack has gradient arrays).
 
     ``backward`` runs the entries in reverse.  A value that feeds two
     places (a residual block's input, a convolution's output and its
     activity penalty) gets the sum of its two gradient terms, the same in
     either order, so every gradient has the tape's bits.  The one value
-    with three terms, an unfused convolution's output that is a residual
+    with three terms, a penalized convolution's output that is a residual
     block's input, sums them in the tape's order (see ``_residual``).
     """
 
@@ -307,39 +249,50 @@ class Recorder:
 
     def set_loss(self, kind, pred, target, weight):
         """Record the named loss of ``pred``; ``loss`` is it plus the
-        activity penalties, summed as ``tz.add_n`` sums them."""
+        activity penalties, added left to right."""
         value, grad, args = tz._loss_raw(kind, pred, target, weight)
         self.loss = tz._sum_raw([value] + self.penalties) if self.penalties else value
         self._loss_grad = grad, args
 
-    def backward(self):
-        """Add d(loss)/d(parameter) into every trained parameter's ``grad``."""
-        grad, args = self._loss_grad
-        g = grad(1.0, *args)
+    def backward(self, g=None):
+        """Add d(loss)/d(parameter) into every trained parameter's
+        gradient array.  ``g``, the gradient of the last op's output,
+        defaults to the loss's; a loss that is not ``set_loss``'s passes
+        its own.  Returns what the first recorded op returns: the gradient
+        of its input, or None if that op's input needs none."""
+        if g is None:
+            grad, args = self._loss_grad
+            g = grad(1.0, *args)
         for backward, args in reversed(self.ops):
             g = backward(g, *args)
+        return g
 
 
-def _conv(rec, xd, w, b, dilation, l2):
-    """A convolution; with ``l2 > 0`` the penalty of its output goes to
-    the recorder's loss, and its gradient is recorded after the conv."""
-    out, taps, w2 = tz._conv_raw(xd, w.data, b.data, dilation)
-    rec.add(_conv_back, taps, w2, w, b, dilation, bool(rec.ops), trains=w.requires_grad)
+def _conv(rec, xd, params, grads, wn, bn, dilation, l2):
+    """The convolution by the parameters named ``wn`` and ``bn``; with
+    ``l2 > 0`` the penalty of its output goes to the recorder's loss, and
+    its gradient is recorded after the conv."""
+    w = params[wn]
+    out, taps, w2 = tz._conv_raw(xd, w, params[bn], dilation)
+    views = None if grads is None else (grads[wn], grads[bn])
+    rec.add(_conv_back, taps, w2, w.shape[0], dilation, views, bool(rec.ops),
+            trains=views is not None)
     if l2 > 0.0:
         rec.penalties.append(tz._penalty_raw(out, l2))
         rec.add(_penalty_back, out, l2)
     return out
 
 
-def _add_grads(params, grads):
-    for t, d in zip(params, grads):
-        if t.requires_grad:
-            t.grad += d
+def _add_grads(views, grads):
+    """Add each gradient into its view; a frozen op has no views (None)."""
+    if views is not None:
+        for view, d in zip(views, grads):
+            view += d
 
 
-def _conv_back(g, taps, w2, w, b, dilation, need_x):
-    dw, db, dx = tz._conv_grads(g, taps, w2, w.data.shape[0], dilation, need_x)
-    _add_grads((w, b), (dw, db))
+def _conv_back(g, taps, w2, K, dilation, views, need_x):
+    dw, db, dx = tz._conv_grads(g, taps, w2, K, dilation, need_x)
+    _add_grads(views, (dw, db))
     return dx
 
 
@@ -349,27 +302,30 @@ def _penalty_back(g, xd, l2):
     return g + tz._penalty_grad(xd, l2)
 
 
-def _dense(rec, xd, w, b):
-    rec.add(_dense_back, xd, w, b, bool(rec.ops), trains=w.requires_grad)
-    return tz._dense_raw(xd, w.data, b.data)
+def _dense(rec, xd, params, grads, pfx):
+    w = params[pfx + "w"]
+    views = None if grads is None else (grads[pfx + "w"], grads[pfx + "b"])
+    rec.add(_dense_back, xd, w, views, bool(rec.ops), trains=views is not None)
+    return tz._dense_raw(xd, w, params[pfx + "b"])
 
 
-def _dense_back(g, xd, w, b, need_x):
-    dw, db, dx = tz._dense_grads(g, xd, w.data, need_x)
-    _add_grads((w, b), (dw, db))
+def _dense_back(g, xd, w, views, need_x):
+    dw, db, dx = tz._dense_grads(g, xd, w, need_x)
+    _add_grads(views, (dw, db))
     return dx
 
 
-def _scse(rec, xd, params, pfx):
+def _scse(rec, xd, params, grads, pfx):
     p = _scse_params(params, pfx)
-    out, saved = tz._scse_raw(xd, *[t.data for t in p])
-    rec.add(_scse_back, saved, p, bool(rec.ops), trains=p[0].requires_grad)
+    out, saved = tz._scse_raw(xd, *p)
+    views = None if grads is None else _scse_params(grads, pfx)
+    rec.add(_scse_back, saved, p, views, bool(rec.ops), trains=views is not None)
     return out
 
 
-def _scse_back(g, saved, p, need_x):
-    grads, dx = tz._scse_grads(g, saved, p[0].data, p[2].data, p[4].data, need_x)
-    _add_grads(p, grads)
+def _scse_back(g, saved, p, views, need_x):
+    grads, dx = tz._scse_grads(g, saved, p[0], p[2], p[4], need_x)
+    _add_grads(views, grads)
     return dx
 
 
@@ -379,10 +335,10 @@ def _selu(rec, xd):
     return out
 
 
-def _residual(rec, xd, params, pfx, dilation, l2):
+def _residual(rec, xd, params, grads, pfx, dilation, l2):
     """A residual sCSE block.  Its input gets the gradient of the branch
     and that of the skip path, which ``_split`` keeps for ``_join``.  When
-    the input is an unfused convolution's output, it has a third term,
+    the input is a penalized convolution's output, it has a third term,
     its penalty's; the tape adds that to the skip path's term before the
     branch's, so ``_join`` takes the penalty over from the convolution."""
     skip, pen = [], None
@@ -392,12 +348,12 @@ def _residual(rec, xd, params, pfx, dilation, l2):
         if last[0] is _penalty_back and last[1][0] is xd:
             pen = rec.ops.pop()[1]
         rec.ops.append((_join, (skip, pen)))
-    h = _conv(rec, xd, params[pfx + "c1w"], params[pfx + "c1b"], dilation, l2)
-    h = _scse(rec, _selu(rec, h), params, pfx + "s1")
-    h = _selu(rec, _conv(rec, h, params[pfx + "c2w"], params[pfx + "c2b"], dilation, l2))
+    h = _conv(rec, xd, params, grads, pfx + "c1w", pfx + "c1b", dilation, l2)
+    h = _scse(rec, _selu(rec, h), params, grads, pfx + "s1")
+    h = _selu(rec, _conv(rec, h, params, grads, pfx + "c2w", pfx + "c2b", dilation, l2))
     if need_x:
         rec.ops.append((_split, (skip,)))
-    return _scse(rec, h + xd, params, pfx + "s2")
+    return _scse(rec, h + xd, params, grads, pfx + "s2")
 
 
 def _split(g, skip):
@@ -413,21 +369,19 @@ def _join(g, skip, pen):
     return g + s
 
 
-def _forward_recorded(specs, params, xd, ctx):
+def _forward_recorded(specs, params, xd, ctx, grads):
     """``forward_stack`` on plain arrays, recording each op's backward on
-    ``ctx.recorder``.  A conv1d and the selu after it run as two ops,
-    whose recorded gradients give the fused node's bits.  The noise
-    layer's backward hands its gradient on unchanged, so it records
-    nothing."""
+    ``ctx.recorder``.  The noise layer's backward hands its gradient on
+    unchanged, so it records nothing."""
     rec, l2 = ctx.recorder, ctx.activity_l2
     for i, spec in enumerate(specs):
         pfx = f"{i}."
         kind = spec.kind
         if kind == "conv1d":
             _check_conv_input(i, spec, xd.shape)
-            xd = _conv(rec, xd, params[pfx + "w"], params[pfx + "b"], spec.dilation, l2)
+            xd = _conv(rec, xd, params, grads, pfx + "w", pfx + "b", spec.dilation, l2)
         elif kind == "dense":
-            xd = _dense(rec, xd, params[pfx + "w"], params[pfx + "b"])
+            xd = _dense(rec, xd, params, grads, pfx)
         elif kind == "selu":
             xd = _selu(rec, xd)
         elif kind == "sigmoid":
@@ -440,9 +394,9 @@ def _forward_recorded(specs, params, xd, ctx):
             rec.add(tz._gap_grad, xd)
             xd = tz._gap_raw(xd)
         elif kind == "scse":
-            xd = _scse(rec, xd, params, pfx)
+            xd = _scse(rec, xd, params, grads, pfx)
         elif kind == "residual-scse-block":
-            xd = _residual(rec, xd, params, pfx, spec.dilation, l2)
+            xd = _residual(rec, xd, params, grads, pfx, spec.dilation, l2)
         elif kind == "gaussian-noise":
             if ctx.train and spec.sigma > 0.0:
                 if ctx.rng is None:
@@ -511,13 +465,14 @@ def forward_packed(stacks, values, capture=False):
 
     Trials are packed along time in chunks of at most ``PACK_ROWS`` rows
     (a longer trial runs alone) between zero halos as wide as the widest
-    convolution reach; a chunk of one trial is laid out the same way.
-    Returns the per-trial outputs, equal byte for byte to one
-    ``forward_stack`` pass per trial on the tape; with ``capture``, also
-    the per-trial ``"pre_gap"`` activations (``(outputs, pre_gaps)``).
-    Outputs may be views into a chunk's arrays.
+    convolution reach, but no wider than the longest trial: a tap that
+    reaches further reads only padding (see ``tz._conv_packed``).  A chunk
+    of one trial is laid out the same way.  Returns the per-trial outputs,
+    equal byte for byte to those of each trial run alone; with
+    ``capture``, also the per-trial ``"pre_gap"`` activations
+    (``(outputs, pre_gaps)``).  Outputs may be views into a chunk's arrays.
     """
-    halo = max(_reach(specs) for specs, _ in stacks)
+    halo = min(max(_reach(specs) for specs, _ in stacks), max(map(len, values), default=0))
     taps = tz.TapBuffer()
     outs, pre_gaps = [], []
     i = 0
@@ -539,7 +494,3 @@ def forward_packed(stacks, values, capture=False):
         i = j
     return (outs, pre_gaps) if capture else outs
 
-
-def wrap_params(arrays, requires_grad=True):
-    """Lift a {name: ndarray} mapping into Tensor leaves (shared storage)."""
-    return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in arrays.items()}

@@ -1,48 +1,41 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Array functions for every op, and the reverse-mode tape over them.
 
-Every operation records its parents and a backward closure on a tape
-implied by the graph structure.  Gradients are accumulated additively,
-so calling ``backward`` twice doubles every gradient; callers that want
-fresh gradients must reset them first.
+Each formula lives once, in a module-level function over float64 numpy
+arrays: ``_<op>_raw`` computes an op's forward (with what its backward
+reads) and ``_<op>_grad``/``_<op>_grads`` its backward.  The package
+runs only these: training records each stack's backward over them
+(``layers.forward_stack`` with a ``Recorder``), and ``gradcheck`` checks
+that recorded backward.  The ops below use ``np.add.reduce`` and
+``np.minimum``/``np.maximum`` where ``mean``, ``sum`` and ``clip`` would
+compute the same bits through more Python, since a training step runs
+one sample at a time and its cost is the number of numpy calls.
 
-Each formula lives once, in a module-level function over plain arrays:
-``_<op>_raw`` computes an op's forward (with what its backward reads)
-and ``_<op>_grad``/``_<op>_grads`` its backward.  The Tensor ops call
-them, and so does the training step, which runs each stack's backward
-layer by layer without a tape (``layers.forward_stack`` with a
-``Recorder``).  The tape is the reference that step is tested against
-bit for bit; gradcheck and the tensor-op tests run on it.
-
-``backward`` walks only the nodes that have a backward closure: leaves
-(parameters, constants) and every node computed from them alone are left
-out of ``topo_order``.  Leaves only receive gradients, so leaving them out
+The tape (``Tensor``, ``parameter``, ``backward`` and the op wrappers
+``conv1d``, ``selu``, ``scse_op``, ``loss_eval``, ...) calls the same
+array functions.  Nothing in the package builds it: it is the
+benchmark's op table and the tests' reference, against which the
+recorded backward is compared bit for bit.  Every operation records its
+parents and a backward closure.  Gradients are accumulated additively,
+so calling ``backward`` twice doubles every gradient.  ``backward``
+walks only the nodes that have a backward closure: leaves (parameters,
+constants) and every node computed from them alone are left out of
+``topo_order``.  Leaves only receive gradients, so leaving them out
 changes neither the order of the other nodes nor any gradient.
 
-``conv1d_selu`` is ``selu(conv1d(x, w, b))`` recorded as one node that
-keeps the pre-activation, with the activity penalty of the
-pre-activation as a second, scalar node.  The penalty node's backward adds
-its gradient to the SELU gradient and runs the convolution's backward
-once on the sum, so the arithmetic is that of the three separate ops.
-The training step runs one sample at a time, so its cost is the
-number of numpy calls; the ops below use ``np.add.reduce`` and
-``np.minimum``/``np.maximum`` where ``mean``, ``sum`` and ``clip`` would
-compute the same bits through more Python.
-
-Eval forwards run on plain arrays (``layers.forward_packed``), so each
-Tensor op has one mode, the tape.  ``Segments`` lays trials out along
-time with zero halo rows around each, and ``_conv_packed``,
-``_scse_packed``, ``Segments.means`` and ``_row_products`` run an op over
-every trial of such an array.  Each trial's result equals, byte for
-byte, that of the one-trial op: every BLAS call and every reduction runs
-once per trial on exactly the one-trial operands (their bits depend on
-the operand shapes); only elementwise arithmetic spans the packed array,
-and halo rows are zeroed after each convolution (and sigmoid).  At the
-890-2,048 rows of a long trial or a chunk, ``np.where`` and fresh arrays
-of 100 KB or more (new memory to fault in) cost more than the
-arithmetic, so SELU runs in place (``_selu_inplace``, the tape's bits),
-the sCSE combine makes two temporaries instead of four, and each
-``forward_packed`` call builds every trial's taps in one ``TapBuffer``,
-reading the halos as padding.
+Eval forwards run on plain arrays (``layers.forward_packed``).
+``Segments`` lays trials out along time with zero halo rows around each,
+and ``_conv_packed``, ``_scse_packed``, ``Segments.means`` and
+``_row_products`` run an op over every trial of such an array.  Each
+trial's result equals, byte for byte, that of the one-trial op: every
+BLAS call and every reduction runs once per trial on exactly the
+one-trial operands (their bits depend on the operand shapes); only
+elementwise arithmetic spans the packed array, and halo rows are zeroed
+after each convolution (and sigmoid).  At the 890-2,048 rows of a long
+trial or a chunk, ``np.where`` and fresh arrays of 100 KB or more (new
+memory to fault in) cost more than the arithmetic, so SELU runs in place
+(``_selu_inplace``, the bits of ``_selu_raw``), the sCSE combine makes
+two temporaries instead of four, and each ``forward_packed`` call builds
+every trial's taps in one ``TapBuffer``, reading the halos as padding.
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ __all__ = [
     "Segments",
     "TapBuffer",
     "parameter",
-    "constant",
     "backward",
 ]
 
@@ -95,11 +87,6 @@ class Tensor:
 def parameter(data):
     """Leaf tensor that participates in gradient computation."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def constant(data):
-    """Leaf tensor excluded from gradient computation."""
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=False)
 
 
 def _node(data, parents, bwd):
@@ -253,21 +240,26 @@ def _conv_matrix(wd):
 
 def _conv_raw(xd, wd, bd, dilation):
     """``conv1d`` of arrays: ``(out, taps, w2)``; ``_conv_grads`` reads
-    the taps and the kernel matrix ``w2``, the operands of the matmul."""
+    the taps and the kernel matrix ``w2``, the operands of the matmul.
+
+    A tap whose offset ``(k - K//2) * dilation`` is at least T away reads
+    only zero padding, so its columns are written as zeros and the
+    padding is never wider than the trial."""
     T, cin = xd.shape
     K = wd.shape[0]
     w2 = _conv_matrix(wd)
     if K == 1:
         taps2 = xd
     else:
-        pad = (K // 2) * dilation
+        pad = min((K // 2) * dilation, T)
         xp = np.zeros((T + 2 * pad, cin))
         xp[pad:pad + T] = xd
-        # taps2[t, c*K + k] = xp[t + k*dilation, c]; flattened this way the
+        # taps2[t, c*K + k] = xp[pad + t + o_k, c]; flattened this way the
         # whole contraction is a single BLAS matmul
         taps2 = np.empty((T, cin * K))
         for k in range(K):
-            taps2[:, k::K] = xp[k * dilation:k * dilation + T]
+            o = (k - K // 2) * dilation
+            taps2[:, k::K] = xp[pad + o:pad + o + T] if abs(o) < T else 0.0
     out = taps2 @ w2
     out += bd
     return out, taps2, w2
@@ -284,21 +276,25 @@ def _conv_grads(g, taps2, w2, K, dilation, need_x):
     if K == 1:
         return dw, db, g @ w2.T
     T = g.shape[0]
-    pad = (K // 2) * dilation
+    pad = min((K // 2) * dilation, T)
     dtaps = (g @ w2.T).reshape(T, cin, K)
     gxp = np.zeros((T + 2 * pad, cin))
     for k in range(K):
-        gxp[k * dilation:k * dilation + T] += dtaps[:, :, k]
+        o = (k - K // 2) * dilation
+        if abs(o) < T:  # a tap further out read only padding
+            gxp[pad + o:pad + o + T] += dtaps[:, :, k]
     return dw, db, gxp[pad:pad + T]
 
 
 def _conv_packed(xd, wd, bd, dilation, segments):
     """``_conv_raw``'s output over a packed array, one trial at a time: a
-    trial's taps read its halos as its zero padding, so they and its
-    matmul are those of the one-trial call."""
+    trial's taps read its halos as its zero padding, and a tap that
+    reaches as far as the trial is long is zero, as in the one-trial
+    call, so the taps and the matmul are that call's.  The halos must
+    be at least as wide as the reach or the longest trial, whichever is
+    shorter."""
     K = wd.shape[0]
     w2 = _conv_matrix(wd)
-    pad = (K // 2) * dilation
     out = np.zeros((xd.shape[0], w2.shape[1]))
     if K > 1:
         buf = segments.taps.array(segments.longest, w2.shape[0])
@@ -306,11 +302,11 @@ def _conv_packed(xd, wd, bd, dilation, segments):
         if K == 1:
             taps = xd[s:e]
         else:
-            # taps[t, c*K + k] = xd[s - pad + t + k*dilation, c]
+            # taps[t, c*K + k] = xd[s + t + o_k, c]
             taps = buf[:e - s]
             for k in range(K):
-                a = s - pad + k * dilation
-                taps[:, k::K] = xd[a:a + e - s]
+                o = (k - K // 2) * dilation
+                taps[:, k::K] = xd[s + o:e + o] if abs(o) < e - s else 0.0
         np.matmul(taps, w2, out=out[s:e])
     out += bd
     out[segments.halo_rows] = 0.0
@@ -392,47 +388,6 @@ def _penalty_grad(xd, coeff):
     """Gradient of ``_penalty_raw(xd, coeff)``; the chain rule multiplies
     it by the penalty's gradient, which is 1 for a term of the loss."""
     return (2.0 * coeff / xd.size) * xd
-
-
-def conv1d_selu(x, w, b, dilation=1, activity_l2=0.0):
-    """``selu(conv1d(x, w, b, dilation))`` as one tape node that keeps the
-    pre-activation ``pre`` off the tape.
-
-    Returns ``(out, penalty)``.  With ``activity_l2 > 0``, ``penalty`` is
-    the scalar node ``activity_penalty(pre, activity_l2)``; otherwise it
-    is None and ``out``'s backward runs the convolution's backward on the
-    SELU gradient.  With a penalty, ``out``'s only parent is ``penalty``,
-    so ``backward`` visits ``out`` first: it stores the SELU gradient, and
-    ``penalty``'s backward adds its own gradient and runs the
-    convolution's backward once on the sum.  For two addends
-    ``a + b == b + a`` exactly, so every gradient has the bits of
-    ``conv1d``, ``selu`` and ``activity_penalty`` run separately.
-    """
-    pre = conv1d(x, w, b, dilation)
-    c = pre.data
-    out, neg, ex = _selu_raw(c)
-    if activity_l2 <= 0.0:
-        def bwd(g):
-            pre.bwd(_selu_grad(g, neg, ex))
-
-        return _node(out, pre.parents, bwd), None
-
-    gsel = []
-
-    def penalty_bwd(g):
-        gpre = _penalty_grad(c, activity_l2) * g
-        if gsel:
-            gpre = gsel.pop() + gpre
-        pre.bwd(gpre)
-
-    penalty = _node(_penalty_raw(c, activity_l2), pre.parents, penalty_bwd)
-
-    def bwd(g):
-        gsel.append(_selu_grad(g, neg, ex))
-        if penalty.grad is None:  # none reached it (yet): its backward must still run
-            penalty.accumulate(np.zeros(()))
-
-    return _node(out, (penalty,), bwd), penalty
 
 
 def _sigmoid_raw(xd):

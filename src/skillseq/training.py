@@ -9,18 +9,16 @@ epoch's validation runs one packed forward on plain arrays
 (``layers.forward_packed``) and ``tz._loss_raw``, with the bytes of one
 forward per trial and no tape.
 
-All trainable parameters live in one flat buffer; tensor leaves hold
-views into it and their gradients accumulate into a parallel flat
+All trainable parameters live in one flat buffer, and each parameter
+is a view into it; each gradient is a view into a parallel flat
 gradient buffer, so an optimizer step is a handful of vectorized
 operations regardless of layer count.
 
-A training step builds no tape.  Each stack runs through
-``layers.forward_stack`` with a ``layers.Recorder``, which computes on
-plain arrays and records each op's backward; the step checks the loss,
-runs the recorded backward, which adds every gradient into the flat
-gradient views, and ends in ``adam_step_masked``.  Every formula is the
-tensor module's, so the gradients are the tape's bit for bit; the tape
-(``tensor.backward``) is the reference the tests compare the step with.
+Each stack of a training step runs through ``layers.forward_stack`` with
+a ``layers.Recorder``, which computes on plain arrays and records each
+op's backward; the step checks the loss, runs the recorded backward,
+which adds every gradient into the gradient views, and ends in
+``adam_step_masked``.  ``gradcheck`` checks that recorded backward.
 """
 
 from __future__ import annotations
@@ -110,9 +108,10 @@ class TrainHistory:
 class _FlatParams:
     """Trainable parameter groups flattened into one buffer.
 
-    ``tensors[group]`` wraps views into the buffer; gradients accumulate
-    into views of a parallel buffer, so zeroing and stepping are single
-    vector operations.
+    ``params[group]`` maps each name to its array: a view into the
+    buffer, or the given array for a frozen group.  ``grads[group]`` maps
+    the names to views into a parallel gradient buffer, or is None for a
+    frozen group, so zeroing and stepping are single vector operations.
     """
 
     def __init__(self, group_arrays, trainable):
@@ -124,20 +123,20 @@ class _FlatParams:
         self.theta = np.empty(total)
         self.grad = np.zeros(total)
         self.decay_mask = np.zeros(total)
-        self.tensors = {g: {} for g in group_arrays}
+        self.params = {g: {} for g in group_arrays}
+        self.grads = {g: {} if trainable.get(g, True) else None for g in group_arrays}
         off = 0
         for g, k, arr in entries:
             if trainable.get(g, True):
                 view = self.theta[off:off + arr.size].reshape(arr.shape)
                 view[...] = arr
-                t = tz.Tensor(view, requires_grad=True)
-                t.grad = self.grad[off:off + arr.size].reshape(arr.shape)
+                self.grads[g][k] = self.grad[off:off + arr.size].reshape(arr.shape)
                 if is_kernel_param(k):
                     self.decay_mask[off:off + arr.size] = 1.0
                 off += arr.size
             else:
-                t = tz.Tensor(arr, requires_grad=False)
-            self.tensors[g][k] = t
+                view = arr
+            self.params[g][k] = view
 
     def zero_grads(self):
         self.grad[:] = 0.0
@@ -150,9 +149,9 @@ class _FlatParams:
 
     def export(self):
         out = {}
-        for g, params in self.tensors.items():
-            for k, t in params.items():
-                out[f"{g}/{k}"] = t.data.copy()
+        for g, params in self.params.items():
+            for k, arr in params.items():
+                out[f"{g}/{k}"] = arr.copy()
         return out
 
 
@@ -277,13 +276,14 @@ def train_dae(trials, minmax, config, seed, arch=None):
     def fwd(i):
         ctx = ForwardContext(train=True, rng=noise_rng, activity_l2=config.l2,
                              recorder=Recorder())
-        z = forward_stack(specs["encoder"], flat.tensors["encoder"], values[i], ctx)
-        out = forward_stack(specs["decoder"], flat.tensors["decoder"], z, ctx)
+        z = forward_stack(specs["encoder"], flat.params["encoder"], values[i], ctx,
+                          flat.grads["encoder"])
+        out = forward_stack(specs["decoder"], flat.params["decoder"], z, ctx,
+                            flat.grads["decoder"])
         ctx.recorder.set_loss(config.loss, out, values[i], 1.0)
         return ctx.recorder
 
-    val_stacks = [(specs[g], {k: t.data for k, t in flat.tensors[g].items()})
-                  for g in ("encoder", "decoder")]
+    val_stacks = [(specs[g], flat.params[g]) for g in ("encoder", "decoder")]
     val_values = [values[i] for i in val_idx]
     history = _run_training(
         forward_train=fwd,
@@ -370,11 +370,11 @@ def train_supervised(bundle, trials, config, seed, labels=None):
 
     def fwd(i):
         ctx = ForwardContext(train=True, activity_l2=config.l2, recorder=Recorder())
-        out = forward_stack(head, flat.tensors["head"], feats[i], ctx)
+        out = forward_stack(head, flat.params["head"], feats[i], ctx, flat.grads["head"])
         ctx.recorder.set_loss(config.loss, out, targets[i], sample_w[i])
         return ctx.recorder
 
-    val_stacks = [(head, {k: t.data for k, t in flat.tensors["head"].items()})]
+    val_stacks = [(head, flat.params["head"])]
     history = _run_training(
         forward_train=fwd,
         val_losses=lambda: _val_losses(val_stacks, [feats[i] for i in val_idx],

@@ -1,0 +1,71 @@
+"""The tests' reference forward: a stack of layers on the tape.
+
+The package runs every stack over plain arrays (``layers.forward_stack``
+with a ``Recorder`` in training, packed in ``forward_packed`` for eval).
+``forward`` runs the same stack as tape ops, one per layer op
+(``tz.conv1d``, ``tz.selu``, ``tz.activity_penalty``, ...), so its values
+are the reference outputs and ``tz.backward`` of a loss over them gives
+the reference gradients.  Both are compared with the package's bit for
+bit.
+"""
+
+import skillseq.tensor as tz
+from skillseq.layers import _scse_params
+
+
+def leaves(params, grads=None):
+    """Tensor leaves over the arrays of ``params``; with ``grads``, each
+    leaf takes part in the gradient, which accumulates into the array of
+    the same name."""
+    out = {}
+    for name, arr in params.items():
+        t = tz.Tensor(arr, requires_grad=grads is not None)
+        if grads is not None:
+            t.grad = grads[name]
+        out[name] = t
+    return out
+
+
+def forward(specs, params, x, ctx, penalties):
+    """The stack over the Tensor ``x`` with Tensor ``params`` (see
+    ``leaves``).  ``ctx`` (a ``layers.ForwardContext``) gives the mode,
+    the noise generator and ``activity_l2``, and takes the ``"pre_gap"``
+    capture.  With ``activity_l2 > 0`` the penalty node of every
+    convolution output is appended to ``penalties``, in conv order."""
+    out = x
+    for i, spec in enumerate(specs):
+        pfx = f"{i}."
+        kind = spec.kind
+        if kind == "conv1d":
+            out = _conv(out, params, pfx + "w", pfx + "b", spec.dilation, ctx, penalties)
+        elif kind == "dense":
+            out = tz.dense(out, params[pfx + "w"], params[pfx + "b"])
+        elif kind == "selu":
+            out = tz.selu(out)
+        elif kind == "sigmoid":
+            out = tz.sigmoid(out)
+        elif kind == "softmax":
+            out = tz.softmax(out)
+        elif kind == "gap":
+            ctx.captures["pre_gap"] = out
+            out = tz.gap(out)
+        elif kind == "scse":
+            out = tz.scse_op(out, *_scse_params(params, pfx))
+        elif kind == "residual-scse-block":
+            h = tz.selu(_conv(out, params, pfx + "c1w", pfx + "c1b", spec.dilation, ctx,
+                              penalties))
+            h = tz.scse_op(h, *_scse_params(params, pfx + "s1"))
+            h = tz.selu(_conv(h, params, pfx + "c2w", pfx + "c2b", spec.dilation, ctx,
+                              penalties))
+            out = tz.scse_op(tz.add(h, out), *_scse_params(params, pfx + "s2"))
+        elif kind == "gaussian-noise":
+            if ctx.train and spec.sigma > 0.0:
+                out = tz.add_noise(out, ctx.rng.normal(0.0, spec.sigma, size=out.data.shape))
+    return out
+
+
+def _conv(x, params, wn, bn, dilation, ctx, penalties):
+    out = tz.conv1d(x, params[wn], params[bn], dilation)
+    if ctx.activity_l2 > 0.0:
+        penalties.append(tz.activity_penalty(out, ctx.activity_l2))
+    return out

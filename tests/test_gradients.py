@@ -1,14 +1,17 @@
 """Finite-difference audit of every layer and loss gradient.
 
 The central-difference probe (h = 1e-5) is the independent oracle; the
-graph's analytic gradients must agree to a relative error below 1e-4 on
-randomized configurations of every operation kind.
+analytic gradients, from the backward that training records, must agree
+to a relative error below 1e-4 on randomized configurations of every
+operation kind.
 """
 
 import time
 
 import numpy as np
 
+import skillseq.layers as layers
+import skillseq.tensor as tz
 from skillseq.gradcheck import OPERATIONS, check_operation, run_gradcheck
 
 
@@ -44,3 +47,17 @@ def test_single_check_is_deterministic():
 def test_distinct_seeds_exercise_distinct_configs():
     errs = {check_operation("dense", seed=s).n_elements for s in range(8)}
     assert len(errs) > 1
+
+
+def test_gradcheck_audits_the_backward_that_training_runs(monkeypatch):
+    """A recorded convolution backward that drops its bias gradient is
+    what a training step would run, so gradcheck must catch it."""
+    def conv_back_without_db(g, taps, w2, K, dilation, views, need_x):
+        dw, db, dx = tz._conv_grads(g, taps, w2, K, dilation, need_x)
+        layers._add_grads(views, (dw, np.zeros_like(db)))
+        return dx
+
+    seeds = range(3)
+    assert all(check_operation("conv1d", s).passed for s in seeds)
+    monkeypatch.setattr(layers, "_conv_back", conv_back_without_db)
+    assert not any(check_operation("conv1d", s).passed for s in seeds)

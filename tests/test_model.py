@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 from unittest import mock
 
+import tape
 from conftest import SMALL_ARCH, make_trial
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.data import DOWNSAMPLED, apply_minmax, fit_minmax, prepare_stage2
@@ -19,7 +20,7 @@ from skillseq.model import (
 )
 from skillseq import model as model_module
 from skillseq import tensor as tz
-from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack
+from skillseq.layers import ForwardContext, LayerSpec, Recorder, forward_packed, forward_stack
 from skillseq.training import DaeConfig, HeadConfig, train_dae, train_supervised
 
 
@@ -169,9 +170,14 @@ def test_gaussian_noise_properties():
     x = np.zeros((1000, 4))
 
     def noisy(sigma, seed=5, train=True):
+        """The training forward's noise, checked against the tape's."""
         specs = (LayerSpec("gaussian-noise", sigma=sigma),)
-        ctx = ForwardContext(train=train, rng=np.random.default_rng(seed))
-        return forward_stack(specs, {}, tz.constant(x), ctx).data
+        ctx = ForwardContext(train=train, rng=np.random.default_rng(seed), recorder=Recorder())
+        out = forward_stack(specs, {}, x, ctx)
+        ref_ctx = ForwardContext(train=train, rng=np.random.default_rng(seed))
+        ref = tape.forward(specs, {}, tz.Tensor(x), ref_ctx, []).data
+        assert out.tobytes() == ref.tobytes()
+        return out
 
     out = noisy(0.01)
     assert abs(out.mean()) < 0.001

@@ -4,12 +4,13 @@
 and runs each BLAS call and reduction once per trial, on plain arrays;
 a chunk of one trial takes the same path.  Every batch path built on it,
 and every one-trial function that calls a batch path on one trial, must
-give the bytes (``tobytes``) of an explicit ``forward_stack`` per trial
-on the tape: encoder features, head outputs, pre-GAP activations,
+give the bytes (``tobytes``) of a forward per trial on the tape
+(``tape.forward``): encoder features, head outputs, pre-GAP activations,
 reconstructions, prediction records, activation maps (``pre_gap @ w[:, c]``)
 and the training loop's validation losses.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import skillseq.layers as layers
 import skillseq.tensor as tz
+import tape
 from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial, invert_znorm
 from skillseq.explain import CamMap, compute_cam, predict_with_cams
-from skillseq.layers import ForwardContext, LayerSpec, forward_packed, forward_stack, wrap_params
+from skillseq.layers import ForwardContext, LayerSpec, forward_packed
 from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, embed, encode_many,
                             encode_values, encoder_specs, head_forward, head_specs, predict,
                             predict_many)
@@ -62,13 +64,12 @@ def _stacks(bundle, *groups):
 
 
 def _unpacked(stacks, x):
-    """The oracle: one ``forward_stack`` pass per stack over one trial, on
-    the tape.  Returns the output and the pre-GAP activations (None
-    without a GAP)."""
+    """The oracle: one tape pass per stack over one trial.  Returns the
+    output and the pre-GAP activations (None without a GAP)."""
     ctx = ForwardContext()
-    out = tz.constant(x)
+    out = tz.Tensor(x)
     for specs, params in stacks:
-        out = forward_stack(specs, wrap_params(params, False), out, ctx)
+        out = tape.forward(specs, tape.leaves(params), out, ctx, [])
     pre_gap = ctx.captures.get("pre_gap")
     return out.data, None if pre_gap is None else pre_gap.data
 
@@ -166,7 +167,7 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
 
     def one_trial(stacks, x, target, loss, weight):
         out, _ = _unpacked(stacks, x)
-        return float(tz.loss_eval(loss, tz.constant(out), target, weight).data)
+        return float(tz.loss_eval(loss, tz.Tensor(out), target, weight).data)
 
     dae = [(enc, params["encoder"]), (dec, params["decoder"])]
     packed = _val_losses(dae, values, values, "bce", [1.0] * len(values))
@@ -228,3 +229,47 @@ def test_packed_forward_restores_zero_halos_after_a_sigmoid():
     for batch in (values[:1], values):
         for x, out in zip(batch, forward_packed(stacks, batch)):
             assert _bits(out) == _bits(_unpacked(stacks, x)[0])
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the ``tracemalloc`` peak of its allocations."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _all_bits(arrays):
+    return [_bits(a) for a in arrays if a is not None]
+
+
+def test_a_reach_past_the_trial_costs_neither_bytes_nor_memory():
+    """A tap whose offset is at least the trial's length reads only zero
+    padding: a dilation far beyond the trial gives the bytes of dilation
+    T, and the convolution allocates no padding for it."""
+    rng = np.random.default_rng(3)
+    T, cin, cout, K = 30, 4, 3, 5
+    x = rng.normal(size=(T, cin))
+    w = rng.normal(size=(K, cin, cout))
+    b = rng.normal(size=cout)
+    g = rng.normal(size=(T, cout))
+
+    def one_trial(dilation):
+        out, taps, w2 = tz._conv_raw(x, w, b, dilation)
+        return [out, taps, *tz._conv_grads(g, taps, w2, K, dilation, True)]
+
+    def packed(dilation):
+        specs = (LayerSpec("conv1d", in_channels=cin, out_channels=cout, kernel_size=K,
+                           dilation=dilation),)
+        return forward_packed([(specs, {"0.w": w, "0.b": b})], [x, x[:7], x[:19]])
+
+    # the packed forward's far dilation is smaller: its old halos held the
+    # whole reach, rows that a run of this test on such code would allocate
+    for run, far in ((one_trial, 10 ** 6), (packed, 10 ** 5)):
+        want = run(T)
+        got, peak = _peak_bytes(lambda: run(far))
+        assert _all_bits(got) == _all_bits(want)
+        assert peak < 2 ** 20
+    # only the centre tap reads the trial
+    np.testing.assert_allclose(one_trial(T)[0], x @ w[K // 2] + b, rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 """Every exported name exists, every benchmark span still has a target,
-and every definition in the package is used.
+every definition in the package is used, and only the tensor module
+names the tape.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -41,6 +42,7 @@ def test_every_benchmark_span_target_is_callable(monkeypatch):
 UNREFERENCED_ALLOWED = {
     ("cli", "_Parser.error"): "argparse calls it on a parse error",
     ("overlay", "ramp_color"): "oracle for the colour tables in tests/test_overlay.py",
+    ("tensor", "parameter"): "perfbench/optable.py builds the op table's inputs with it",
 }
 
 
@@ -57,6 +59,15 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, True
 
 
+def _trees():
+    """Each module of src/skillseq, parsed: ``{module name: ast}``."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(skillseq.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+    return trees
+
+
 def test_every_definition_is_referenced(monkeypatch):
     """Each function, class and method in src/skillseq is named somewhere
     in the package: functions and classes by name or attribute, methods
@@ -64,10 +75,7 @@ def test_every_definition_is_referenced(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     spans = importlib.import_module("spans")
     exempt = {(t.module, t.attr) for t in spans.TARGETS} | set(UNREFERENCED_ALLOWED)
-    trees = {}
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(skillseq.__file__), "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+    trees = _trees()
     names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -81,3 +89,36 @@ def test_every_definition_is_referenced(monkeypatch):
               if (module, qualname) not in exempt
               and name not in attrs and (is_method or name not in names)]
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_only_the_tensor_module_names_the_tape():
+    """The package trains and evaluates on plain arrays; the tape
+    (``Tensor`` and the public functions of ``tensor.py``: ``parameter``,
+    ``backward``, the op wrappers) is the benchmark's op table and the
+    tests' reference.  No other module may name ``Tensor`` or
+    ``wrap_params``, reach a tape function through the tensor module, or
+    import one from it."""
+    trees = _trees()
+    tape = {"Tensor"} | {node.name for node in trees["tensor"].body
+                         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    banned = {"Tensor", "wrap_params"}
+    named = set()
+    for module, tree in trees.items():
+        if module == "tensor":
+            continue
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names if a.name == "tensor"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = {node.id} & banned
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found = {node.name} & banned
+            elif isinstance(node, ast.Attribute):
+                on_tensor = isinstance(node.value, ast.Name) and node.value.id in aliases
+                found = {node.attr} & (tape if on_tensor else banned)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tensor"):
+                found = {a.name for a in node.names} & (tape | banned)
+            else:
+                continue
+            named |= {f"{module}: {name}" for name in found}
+    assert not named, f"the tape is named outside tensor.py: {sorted(named)}"

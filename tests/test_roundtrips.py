@@ -270,6 +270,14 @@ def _no_mode(meta):
     del meta["mode"]
 
 
+def _empty_range(meta):
+    meta["minmax"]["maxs"][2] = meta["minmax"]["mins"][2]
+
+
+def _inverted_range(meta):
+    meta["minmax"]["maxs"][1] = -1.0
+
+
 @pytest.mark.parametrize("edit, message", [
     (_unknown_key, "bad metadata: 'groups.encoder[1].stride' is not a known key"),
     (_null_trainable, "bad metadata: 'trainable' must be an object, got None"),
@@ -278,13 +286,19 @@ def _no_mode(meta):
     (_short_mins,
      "bad metadata: 'minmax.mins' must be a list of 4 values, each a number, got [{mins}]"),
     (_no_mode, "bad metadata: 'mode' is missing"),
+    (_empty_range, "bad metadata: 'minmax.maxs[2]' must exceed minmax.mins[2] ({min2}) "
+                   "for channel '{ch2}', got {min2}"),
+    (_inverted_range, "bad metadata: 'minmax.maxs[1]' must exceed minmax.mins[1] ({min1}) "
+                      "for channel '{ch1}', got -1.0"),
 ], ids=["unknown-spec-key", "null-trainable", "string-groups", "kernel-size", "short-mins",
-        "no-mode"])
+        "no-mode", "empty-range", "inverted-range"])
 def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_path, capsys,
                                                             edit, message):
     bundle, manifest = skill_inputs
     meta = bundle_format._meta_dict(bundle)
-    mins = ", ".join(map(repr, meta["minmax"]["mins"][:-1]))
+    mm = meta["minmax"]
+    fields = {"mins": ", ".join(map(repr, mm["mins"][:-1])), "min1": repr(mm["mins"][1]),
+              "min2": repr(mm["mins"][2]), "ch1": mm["channels"][1], "ch2": mm["channels"][2]}
     edit(meta)
     path = tmp_path / "skill.skq"
     with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
@@ -293,7 +307,7 @@ def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_pa
                    "--out", str(tmp_path / "records.csv")])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
-    assert err == f"error: runtime: {path}: {message.format(mins=mins)}"
+    assert err == f"error: runtime: {path}: {message.format(**fields)}"
 
 
 # --- layer specs that do not chain, each matching its own weights ---

@@ -2,7 +2,7 @@
 
 Training runs each stack's backward layer by layer over recorded arrays
 (``layers.forward_stack`` with a ``Recorder``).  The reference is the
-tape: ``forward_stack`` over the same Tensor parameters, then
+tape: ``tape.forward`` over Tensor leaves of the same parameters, then
 ``tz.backward``.  Each case runs the training loop's own forward for
 several consecutive steps, with an Adam update between them, and
 replays every step on the tape from the inputs the stack pass saw: the
@@ -19,6 +19,7 @@ import pytest
 import skillseq.layers as layers
 import skillseq.tensor as tz
 import skillseq.training as training
+import tape
 from skillseq.data import NORMALIZED, MinMaxStats, Trial
 from skillseq.layers import ForwardContext, LayerSpec, forward_stack, init_stack_params
 from skillseq.model import (ArchConfig, ModelBundle, build_classifier, decoder_specs,
@@ -75,18 +76,19 @@ def _loop(train, *args):
 
 
 class _Spy:
-    """What one stack-pass step ran: each stack with its input, the noise
-    generator as it stood before the step, and the loss arguments."""
+    """What one stack-pass step ran: each stack with its parameters,
+    gradient arrays and input, the noise generator as it stood before the
+    step, and the loss arguments."""
 
     def __init__(self, monkeypatch):
         self.stacks, self.rng, self.loss = [], None, None
         spy = self
 
-        def traced_forward_stack(specs, params, x, ctx):
+        def traced_forward_stack(specs, params, x, ctx, grads=None):
             if not spy.stacks:
                 spy.rng = copy.deepcopy(ctx.rng)
-            spy.stacks.append((specs, params, x))
-            return forward_stack(specs, params, x, ctx)
+            spy.stacks.append((specs, params, grads, x))
+            return forward_stack(specs, params, x, ctx, grads)
 
         set_loss = layers.Recorder.set_loss
 
@@ -100,13 +102,13 @@ class _Spy:
     def tape_step(self, l2):
         """The step on the tape; gradients accumulate into the same views."""
         ctx = ForwardContext(train=True, rng=self.rng, activity_l2=l2)
-        out = tz.constant(self.stacks[0][2])
-        for specs, params, _ in self.stacks:
-            out = forward_stack(specs, params, out, ctx)
+        out, penalties = tz.Tensor(self.stacks[0][3]), []
+        for specs, params, grads, _ in self.stacks:
+            out = tape.forward(specs, tape.leaves(params, grads), out, ctx, penalties)
         kind, target, weight = self.loss
         loss = tz.loss_eval(kind, out, target, weight)
-        if ctx.activity:
-            loss = tz.add_n([loss] + ctx.activity)
+        if penalties:
+            loss = tz.add_n([loss] + penalties)
         tz.backward(loss)
         return loss.data
 

@@ -15,7 +15,7 @@ SELU_ALPHA = 1.6732632423543772
 
 
 def const(a):
-    return tz.constant(np.asarray(a, dtype=np.float64))
+    return tz.Tensor(a)
 
 
 # --- convolution ---
@@ -228,7 +228,7 @@ def test_backward_accumulates_shared_input():
 
 def test_constant_receives_no_gradient():
     x = tz.parameter(np.ones((2, 1)))
-    c = tz.constant(np.ones((2, 1)))
+    c = tz.Tensor(np.ones((2, 1)))
     s = tz.loss_eval("mse", tz.add(x, c), np.zeros((2, 1)))
     tz.backward(s)
     assert c.grad is None
