@@ -187,7 +187,7 @@ def check_operation(op, seed):
         # the identity entry makes the recorder record the first op, so
         # the backward returns the gradient of x too
         rec = Recorder()
-        rec.ops.append((_identity, ()))
+        rec.add(_identity, trains=True)
         ctx = ForwardContext(train=True, rng=_FixedNoise(noise), activity_l2=activity_l2,
                              recorder=rec)
         return forward_stack(specs, arrays, x_raw, ctx, grads), rec

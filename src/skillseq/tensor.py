@@ -136,10 +136,13 @@ class Segments:
     """Row layout of trials packed along time.
 
     Trial ``i`` occupies rows ``bounds[i] = (start, end)``; ``halo`` zero
-    rows come before each trial and after the last, so a convolution
-    whose reach ``(K // 2) * dilation`` is at most ``halo`` sees each
-    trial padded with zeros exactly as a one-trial call does.  The
-    layout's convolutions build their taps in ``taps``, a ``TapBuffer``.
+    rows come before each trial and after the last.  ``_conv_packed``
+    sees each trial padded with zeros exactly as a one-trial call does
+    when ``halo`` is at least the smaller of the convolution's reach
+    ``(K // 2) * dilation`` and the longest trial: a tap whose offset is
+    as large as its trial is long reads only padding, so it is written as
+    zeros and reads no halo.  The layout's convolutions build their taps
+    in ``taps``, a ``TapBuffer``.
     """
 
     def __init__(self, lengths, halo, taps):

@@ -8,6 +8,11 @@ warm up (lazy imports, first-call caches) and is then counted with the
 interpreter's profiler hook and the garbage collector off, so a
 collection cannot run finalizers inside the count:
 
+- ``nodes``: ``Tensor`` objects created (one per op result, leaves made
+  in the step included; a training step, which builds no tape, makes
+  none);
+- ``accumulate``: ``Tensor.accumulate`` calls (gradient additions on the
+  tape);
 - ``numpy_c``: calls of numpy's C functions and methods that the profiler
   sees (``np.zeros``, ``np.add.reduce``, ``ndarray`` methods, generator
   draws).  Ufunc calls such as ``np.exp`` or ``np.matmul`` and array
@@ -75,12 +80,8 @@ COUNTS = {
         # place of Tensor leaves: each trained sCSE op (2 in each step)
         # lists its gradient views with _scse_params and its list
         # comprehension (+2) and no longer lists its leaves' data (-1).
-        # The nodes and accumulate columns (0 in every case since the
-        # step and the eval forward stopped building a tape) are gone;
-        # tests/test_public_api.py now checks by ast that no module but
-        # tensor.py names the tape.
-        "training.dae_step": {"numpy_c": 80, "py": 157},
-        "training.head_step": {"numpy_c": 45, "py": 113},
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 157},
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 113},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in
@@ -101,12 +102,13 @@ COUNTS = {
         # context's _conv_selu 21 and _scse_forward 12 (-225), and gains the
         # array mode (_forward_segments 6), _scse_params with its list
         # comprehension (12 + 12) and the shared conv input check (9)
-        "layers.forward_packed": {"numpy_c": 431, "py": 309},
+        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 309},
         # measured on the parent code, where a one-trial chunk ran on the
         # tape, as nodes 24, numpy_c 57, py 132; it now takes the packed
         # array path like every chunk (Segments and pack: +2 numpy_c)
-        "layers.forward_packed.one_trial": {"numpy_c": 59, "py": 98},
-        "data.parse_trial_text": {"numpy_c": 4, "py": 8},
+        "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 59,
+                                            "py": 98},
+        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip
         # cell (4,095 calls: 2 x 818 per tool, 818 strip cells and 5
@@ -114,7 +116,7 @@ COUNTS = {
         # columns costs one _fmt_column call and its list comprehension
         # (+10 py, less the 4 comprehensions that called _fmt per
         # coordinate) and one astype and one tolist (+10 numpy_c)
-        "overlay.render_cam_overlay": {"numpy_c": 65, "py": 120},
+        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 65, "py": 120},
         # py 570 (measured on the parent code) -> 93 when the array loop
         # stopped calling a reader's take/u per field (477 calls: about a
         # dozen per array) and bounds-checks and unpacks each field inline
@@ -127,7 +129,7 @@ COUNTS = {
         # generator steps that built the layer tuples (-15).
         # py 118 -> 120 when ModelBundle started checking that the layer
         # specs chain: one _chain call per group
-        "bundle.load_bundle": {"numpy_c": 126, "py": 120},
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 120},
     },
 }
 
@@ -145,11 +147,16 @@ def _numpy_owned(fn):
 
 def count_calls(fn):
     """The counts of one ``fn()`` call (see the module docstring)."""
-    counts = {"numpy_c": 0, "py": 0}
+    init, accumulate = tz.Tensor.__init__.__code__, tz.Tensor.accumulate.__code__
+    counts = {"nodes": 0, "accumulate": 0, "numpy_c": 0, "py": 0}
 
     def hook(frame, event, arg):
         if event == "call":
             counts["py"] += 1
+            if frame.f_code is init:
+                counts["nodes"] += 1
+            elif frame.f_code is accumulate:
+                counts["accumulate"] += 1
         elif event == "c_call" and _numpy_owned(arg):
             counts["numpy_c"] += 1
 
