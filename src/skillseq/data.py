@@ -140,11 +140,12 @@ def downsample(trial, target_hz=1.0):
     _require_stage(trial, FILLED, "downsample")
     if target_hz <= 0:
         raise ValueError(f"target_hz must be > 0, got {target_hz}")
-    stride = int(math.floor(trial.sample_rate_hz / target_hz + 0.5))
-    if stride < 1:
-        raise ValueError(
-            f"cannot downsample {trial.sample_rate_hz} Hz to {target_hz} Hz (stride < 1)"
-        )
+    ratio = trial.sample_rate_hz / target_hz
+    stride = int(math.floor(ratio + 0.5)) if math.isfinite(ratio) else None
+    if stride is None or stride < 1:
+        why = "not finite" if stride is None else "< 1"
+        raise ValueError(f"cannot downsample {trial.sample_rate_hz} Hz to {target_hz} Hz "
+                         f"(stride {why})")
     vals = trial.values[::stride].copy()
     return replace(
         trial,

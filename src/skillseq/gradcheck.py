@@ -15,9 +15,9 @@ from activation kinks (|x| >= 0.05 for selu/relu paths) so the two-sided
 difference never straddles a non-differentiable point.
 
 The analytic gradient is the one training uses: a layer's comes from
-the backward that ``layers.forward_stack`` records with a ``Recorder``,
-and a loss's or the activity penalty's from its array function's
-gradient (``tz._loss_raw``, ``tz._penalty_grad``).
+the backward that ``layers.forward_stack`` records with a ``Recorder``
+as its mode, and a loss's or the activity penalty's from its array
+function's gradient (``tz._loss_raw``, ``tz._penalty_grad``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .layers import LayerSpec, ForwardContext, Recorder, forward_stack, init_stack_params
+from .layers import LayerSpec, Recorder, forward_stack, init_stack_params
 from .seeding import make_rng
 
 __all__ = ["GradCheckResult", "check_operation", "run_gradcheck", "OPERATIONS"]
@@ -184,13 +184,11 @@ def check_operation(op, seed):
         noise = make_rng(seed, 993).normal(0.0, spec.sigma, size=x_raw.shape)
 
     def run(grads):
-        # the identity entry makes the recorder record the first op, so
-        # the backward returns the gradient of x too
-        rec = Recorder()
-        rec.add(_identity, trains=True)
-        ctx = ForwardContext(train=True, rng=_FixedNoise(noise), activity_l2=activity_l2,
-                             recorder=rec)
-        return forward_stack(specs, arrays, x_raw, ctx, grads), rec
+        # after the identity entry the first layer op is not the first
+        # op, so it computes the gradient of x, which the backward returns
+        rec = Recorder(rng=_FixedNoise(noise), activity_l2=activity_l2)
+        rec.add(_identity)
+        return forward_stack(specs, arrays, x_raw, rec, grads), rec
 
     # scalarize via a fixed random projection so every output element
     # contributes to the loss

@@ -5,22 +5,24 @@ A network is an ordered tuple of ``LayerSpec`` values plus a flat
 ``"<layer_index>.<field>"`` within a stack; bundles prefix them with the
 group name (``"encoder/0.w"``).
 
-``forward_packed`` is the eval forward: it packs trials along time in
-chunks of at most ``PACK_ROWS`` rows and runs ``forward_stack`` on plain
-arrays in that layout (``ForwardContext.segments``; see ``tensor``).
+``forward_stack`` is the one walk over a stack's layers; its ``mode``
+computes each op.  ``forward_packed`` is the eval forward: it packs
+trials along time in chunks of at most ``PACK_ROWS`` rows and runs
+``forward_stack`` with a ``PackedEval`` on plain arrays in that layout
+(see ``tensor``).
 
-Training runs each stack with a ``Recorder`` on the context:
-``forward_stack`` calls the tensor module's array functions
-(``tz._<op>_raw``) on plain arrays and records each op's backward
-(``tz._<op>_grad``) with the arrays it reads; ``Recorder.backward`` runs
-them in reverse, adding each parameter's gradient into the array that
-``grads`` maps its name to.  ``gradcheck`` checks this same recorded
-backward against finite differences.
+Training runs each stack with a ``Recorder`` as its mode: it calls the
+tensor module's array functions (``tz._<op>_raw``) on plain arrays and
+records each op's backward (``tz._<op>_grad``) with the arrays it
+reads; ``Recorder.backward`` runs them in reverse, adding each
+parameter's gradient into the array that ``grads`` maps its name to.
+``gradcheck`` checks this same recorded backward against finite
+differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +33,8 @@ __all__ = [
     "KINDS",
     "init_stack_params",
     "forward_stack",
-    "ForwardContext",
     "Recorder",
+    "PackedEval",
     "forward_packed",
     "is_kernel_param",
 ]
@@ -166,27 +168,6 @@ def init_stack_params(specs, rng):
     return params
 
 
-@dataclass
-class ForwardContext:
-    """Mode and side outputs of a forward pass.
-
-    ``recorder`` (a ``Recorder``) makes a forward record its backward;
-    the activity penalty of every convolution output, when
-    ``activity_l2 > 0``, goes to the recorder.  ``segments`` (a
-    ``tz.Segments``, set by ``forward_packed``) makes an eval forward run
-    over trials packed in that layout; ``captures`` records named
-    intermediate arrays (the input of each ``gap`` layer is stored under
-    ``"pre_gap"``).
-    """
-
-    train: bool = False
-    rng: object = None
-    activity_l2: float = 0.0
-    captures: dict = field(default_factory=dict)
-    segments: object = None
-    recorder: object = None
-
-
 _SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
 
 
@@ -194,58 +175,79 @@ def _scse_params(p, pfx):
     return [p[pfx + name] for name in _SCSE_FIELDS]
 
 
-def _check_conv_input(i, spec, shape):
-    if len(shape) != 2 or shape[1] != spec.in_channels:
-        raise ValueError(f"layer {i} (conv1d) expects (T, {spec.in_channels}), got {shape}")
+def forward_stack(specs, params, x, mode, grads=None):
+    """Run a stack of layers over the array ``x``.
 
-
-def forward_stack(specs, params, x, ctx, grads=None):
-    """Run a stack of layers over the (T, C) array ``x``.
-
-    ``params`` maps ``"<i>.<field>"`` to arrays.  ``ctx`` carries
-    train/eval mode, the noise generator, and side-output collection.
-    With ``ctx.recorder`` (training, ``_forward_recorded``) the stack
-    records its backward; ``grads`` maps the same names to the arrays
-    its parameter gradients are added into, or is None for a frozen
-    stack.  With ``ctx.segments`` (an eval forward, ``_forward_segments``)
-    ``x`` is packed in that layout.
+    ``params`` maps ``"<i>.<field>"`` to arrays.  ``mode`` computes each
+    op: a ``Recorder`` (training: ``x`` is one (T, C) trial, and each op's
+    backward is recorded) or a ``PackedEval`` (eval: ``x`` is packed in its
+    layout).  ``grads`` maps the parameter names to the arrays the
+    recorded backward adds their gradients into, or is None when nothing
+    trains.
     """
-    if ctx.recorder is not None:
-        return _forward_recorded(specs, params, x, ctx, grads)
-    if ctx.segments is None:
-        raise ValueError("forward_stack needs a recorder or a packed layout")
-    return _forward_segments(specs, params, x, ctx.segments, ctx.captures)
+    for i, spec in enumerate(specs):
+        pfx = f"{i}."
+        kind = spec.kind
+        if kind == "conv1d":
+            if x.ndim != 2 or x.shape[1] != spec.in_channels:
+                raise ValueError(f"layer {i} (conv1d) expects (T, {spec.in_channels}), "
+                                 f"got {x.shape}")
+            x = mode.conv(x, params, grads, pfx + "w", pfx + "b", spec.dilation)
+        elif kind == "dense":
+            x = mode.dense(x, params, grads, pfx)
+        elif kind == "selu":
+            x = mode.selu(x)
+        elif kind == "sigmoid":
+            x = mode.sigmoid(x)
+        elif kind == "softmax":
+            x = mode.softmax(x)
+        elif kind == "gap":
+            x = mode.gap(x)
+        elif kind == "scse":
+            x = mode.scse(x, params, grads, pfx)
+        elif kind == "residual-scse-block":
+            skip = mode.fork(x)
+            h = mode.conv(x, params, grads, pfx + "c1w", pfx + "c1b", spec.dilation)
+            h = mode.scse(mode.selu(h), params, grads, pfx + "s1")
+            h = mode.selu(mode.conv(h, params, grads, pfx + "c2w", pfx + "c2b", spec.dilation))
+            x = mode.scse(mode.join(h, x, skip), params, grads, pfx + "s2")
+        elif kind == "gaussian-noise":
+            x = mode.noise(x, spec.sigma)
+    return x
 
 
 class Recorder:
-    """The backward of a training forward, recorded op by op.
+    """The training mode of ``forward_stack``: each op runs on plain
+    arrays, and its backward is recorded.
 
     Each entry of ``ops`` is ``(backward, args)``: ``backward(g,
     *args)`` adds the op's parameter gradients into their gradient arrays
     with ``+=`` (the ``_FlatParams`` gradient views) and returns the
     gradient of the op's input.  ``args`` are the arrays that backward
-    reads.  An op is recorded when its input depends on a trained
-    parameter (some op is recorded already) or its own parameters train
-    (its stack has gradient arrays).
+    reads.  Every op is recorded; the first computes no input gradient.
+    ``rng`` draws the noise layer's noise; with ``activity_l2 > 0`` the
+    activity penalty of every convolution output goes to ``penalties``.
 
     ``backward`` runs the entries in reverse.  A value that feeds two
     places (a residual block's input, a convolution's output and its
     activity penalty) gets the sum of its two gradient terms, the same in
     either order, so every gradient has the tape's bits.  The one value
     with three terms, a penalized convolution's output that is a residual
-    block's input, sums them in the tape's order (see ``_residual``).
+    block's input, sums them in the tape's order (see ``fork``).
     """
 
-    def __init__(self):
+    train = True
+
+    def __init__(self, rng=None, activity_l2=0.0):
+        self.rng = rng
+        self.activity_l2 = activity_l2
         self.ops = []
         self.penalties = []     # activity penalty values, in conv order
         self.loss = None
         self._loss_grad = None
 
-    def add(self, backward, *args, trains=False):
-        """Record an op's backward if its input needs a gradient or ``trains``."""
-        if trains or self.ops:
-            self.ops.append((backward, args))
+    def add(self, backward, *args):
+        self.ops.append((backward, args))
 
     def set_loss(self, kind, pred, target, weight):
         """Record the named loss of ``pred``; ``loss`` is it plus the
@@ -259,7 +261,7 @@ class Recorder:
         gradient array.  ``g``, the gradient of the last op's output,
         defaults to the loss's; a loss that is not ``set_loss``'s passes
         its own.  Returns what the first recorded op returns: the gradient
-        of its input, or None if that op's input needs none."""
+        of its input, or None if that op computes none."""
         if g is None:
             grad, args = self._loss_grad
             g = grad(1.0, *args)
@@ -267,24 +269,88 @@ class Recorder:
             g = backward(g, *args)
         return g
 
+    def conv(self, x, params, grads, wn, bn, dilation):
+        """The convolution by the parameters named ``wn`` and ``bn``; with
+        ``activity_l2 > 0`` the penalty of its output goes to the loss, and
+        its gradient is recorded after the conv."""
+        w = params[wn]
+        out, taps, w2 = tz._conv_raw(x, w, params[bn], dilation)
+        views = None if grads is None else (grads[wn], grads[bn])
+        self.add(_conv_back, taps, w2, w.shape[0], dilation, views, bool(self.ops))
+        l2 = self.activity_l2
+        if l2 > 0.0:
+            self.penalties.append(tz._penalty_raw(out, l2))
+            self.add(_penalty_back, out, l2)
+        return out
 
-def _conv(rec, xd, params, grads, wn, bn, dilation, l2):
-    """The convolution by the parameters named ``wn`` and ``bn``; with
-    ``l2 > 0`` the penalty of its output goes to the recorder's loss, and
-    its gradient is recorded after the conv."""
-    w = params[wn]
-    out, taps, w2 = tz._conv_raw(xd, w, params[bn], dilation)
-    views = None if grads is None else (grads[wn], grads[bn])
-    rec.add(_conv_back, taps, w2, w.shape[0], dilation, views, bool(rec.ops),
-            trains=views is not None)
-    if l2 > 0.0:
-        rec.penalties.append(tz._penalty_raw(out, l2))
-        rec.add(_penalty_back, out, l2)
-    return out
+    def dense(self, x, params, grads, pfx):
+        w = params[pfx + "w"]
+        views = None if grads is None else (grads[pfx + "w"], grads[pfx + "b"])
+        self.add(_dense_back, x, w, views, bool(self.ops))
+        return tz._dense_raw(x, w, params[pfx + "b"])
+
+    def scse(self, x, params, grads, pfx):
+        p = _scse_params(params, pfx)
+        out, saved = tz._scse_raw(x, *p)
+        views = None if grads is None else _scse_params(grads, pfx)
+        self.add(_scse_back, saved, p, views, bool(self.ops))
+        return out
+
+    def selu(self, x):
+        out, neg, ex = tz._selu_raw(x)
+        self.add(tz._selu_grad, neg, ex)
+        return out
+
+    def sigmoid(self, x):
+        out = tz._sigmoid_raw(x)
+        self.add(tz._sigmoid_grad, out)
+        return out
+
+    def softmax(self, x):
+        out = tz._softmax_raw(x)
+        self.add(tz._softmax_grad, out)
+        return out
+
+    def gap(self, x):
+        self.add(tz._gap_grad, x)
+        return tz._gap_raw(x)
+
+    def noise(self, x, sigma):
+        """Gaussian noise; its backward hands the gradient on unchanged,
+        so nothing is recorded."""
+        if sigma > 0.0:
+            if self.rng is None:
+                raise ValueError("gaussian-noise layer needs an rng in train mode")
+            x = x + self.rng.normal(0.0, sigma, size=x.shape)
+        return x
+
+    def fork(self, x):
+        """A residual block's input, ``x``, gets the gradient of the branch
+        and that of the skip path, which ``_split`` keeps for ``_join``.
+        When ``x`` is a penalized convolution's output, it has a third
+        term, its penalty's; the tape adds that to the skip path's term
+        before the branch's, so ``_join`` takes the penalty over from the
+        convolution.  Returns the skip path's store, or None when the
+        block is the first op, whose input needs no gradient."""
+        if not self.ops:
+            return None
+        skip, pen = [], None
+        last = self.ops[-1]
+        if last[0] is _penalty_back and last[1][0] is x:
+            pen = self.ops.pop()[1]
+        self.add(_join, skip, pen)
+        return skip
+
+    def join(self, h, x, skip):
+        """The block's branch ``h`` plus its input ``x``."""
+        if skip is not None:
+            self.add(_split, skip)
+        return h + x
 
 
 def _add_grads(views, grads):
-    """Add each gradient into its view; a frozen op has no views (None)."""
+    """Add each gradient into its view; an op of a stack without gradient
+    arrays has no views (None)."""
     if views is not None:
         for view, d in zip(views, grads):
             view += d
@@ -302,58 +368,16 @@ def _penalty_back(g, xd, l2):
     return g + tz._penalty_grad(xd, l2)
 
 
-def _dense(rec, xd, params, grads, pfx):
-    w = params[pfx + "w"]
-    views = None if grads is None else (grads[pfx + "w"], grads[pfx + "b"])
-    rec.add(_dense_back, xd, w, views, bool(rec.ops), trains=views is not None)
-    return tz._dense_raw(xd, w, params[pfx + "b"])
-
-
 def _dense_back(g, xd, w, views, need_x):
     dw, db, dx = tz._dense_grads(g, xd, w, need_x)
     _add_grads(views, (dw, db))
     return dx
 
 
-def _scse(rec, xd, params, grads, pfx):
-    p = _scse_params(params, pfx)
-    out, saved = tz._scse_raw(xd, *p)
-    views = None if grads is None else _scse_params(grads, pfx)
-    rec.add(_scse_back, saved, p, views, bool(rec.ops), trains=views is not None)
-    return out
-
-
 def _scse_back(g, saved, p, views, need_x):
     grads, dx = tz._scse_grads(g, saved, p[0], p[2], p[4], need_x)
     _add_grads(views, grads)
     return dx
-
-
-def _selu(rec, xd):
-    out, neg, ex = tz._selu_raw(xd)
-    rec.add(tz._selu_grad, neg, ex)
-    return out
-
-
-def _residual(rec, xd, params, grads, pfx, dilation, l2):
-    """A residual sCSE block.  Its input gets the gradient of the branch
-    and that of the skip path, which ``_split`` keeps for ``_join``.  When
-    the input is a penalized convolution's output, it has a third term,
-    its penalty's; the tape adds that to the skip path's term before the
-    branch's, so ``_join`` takes the penalty over from the convolution."""
-    skip, pen = [], None
-    need_x = bool(rec.ops)
-    if need_x:
-        last = rec.ops[-1]
-        if last[0] is _penalty_back and last[1][0] is xd:
-            pen = rec.ops.pop()[1]
-        rec.ops.append((_join, (skip, pen)))
-    h = _conv(rec, xd, params, grads, pfx + "c1w", pfx + "c1b", dilation, l2)
-    h = _scse(rec, _selu(rec, h), params, grads, pfx + "s1")
-    h = _selu(rec, _conv(rec, h, params, grads, pfx + "c2w", pfx + "c2b", dilation, l2))
-    if need_x:
-        rec.ops.append((_split, (skip,)))
-    return _scse(rec, h + xd, params, grads, pfx + "s2")
 
 
 def _split(g, skip):
@@ -369,82 +393,56 @@ def _join(g, skip, pen):
     return g + s
 
 
-def _forward_recorded(specs, params, xd, ctx, grads):
-    """``forward_stack`` on plain arrays, recording each op's backward on
-    ``ctx.recorder``.  The noise layer's backward hands its gradient on
-    unchanged, so it records nothing."""
-    rec, l2 = ctx.recorder, ctx.activity_l2
-    for i, spec in enumerate(specs):
-        pfx = f"{i}."
-        kind = spec.kind
-        if kind == "conv1d":
-            _check_conv_input(i, spec, xd.shape)
-            xd = _conv(rec, xd, params, grads, pfx + "w", pfx + "b", spec.dilation, l2)
-        elif kind == "dense":
-            xd = _dense(rec, xd, params, grads, pfx)
-        elif kind == "selu":
-            xd = _selu(rec, xd)
-        elif kind == "sigmoid":
-            xd = tz._sigmoid_raw(xd)
-            rec.add(tz._sigmoid_grad, xd)
-        elif kind == "softmax":
-            xd = tz._softmax_raw(xd)
-            rec.add(tz._softmax_grad, xd)
-        elif kind == "gap":
-            rec.add(tz._gap_grad, xd)
-            xd = tz._gap_raw(xd)
-        elif kind == "scse":
-            xd = _scse(rec, xd, params, grads, pfx)
-        elif kind == "residual-scse-block":
-            xd = _residual(rec, xd, params, grads, pfx, spec.dilation, l2)
-        elif kind == "gaussian-noise":
-            if ctx.train and spec.sigma > 0.0:
-                if ctx.rng is None:
-                    raise ValueError("gaussian-noise layer needs an rng in train mode")
-                xd = xd + ctx.rng.normal(0.0, spec.sigma, size=xd.shape)
-        else:  # pragma: no cover - guarded by LayerSpec validation
-            raise ValueError(f"unknown layer kind '{kind}'")
-    return xd
+class PackedEval:
+    """The eval mode of ``forward_stack``, over a (rows, C) array packed
+    in ``segments`` (a ``tz.Segments``).  Each array passed on is this
+    forward's own, so SELU and the residual add run in place.  ``gap``
+    leaves one row per trial, which ``dense`` and ``softmax`` map row by
+    row, and stores its input in ``captures["pre_gap"]``; noise passes
+    its input on."""
 
+    train = False
 
-def _forward_segments(specs, params, xd, segments, captures):
-    """``forward_stack`` in eval mode over a (rows, C) array packed in
-    ``segments``.  Each array passed on is this forward's own, so SELU and
-    the residual add run in place.  ``gap`` leaves one row per trial, which
-    ``dense`` and ``softmax`` map row by row; noise passes its input on."""
-    for i, spec in enumerate(specs):
-        pfx = f"{i}."
-        kind = spec.kind
-        if kind == "conv1d":
-            _check_conv_input(i, spec, xd.shape)
-            xd = tz._conv_packed(xd, params[pfx + "w"], params[pfx + "b"], spec.dilation,
-                                 segments)
-        elif kind == "dense":
-            xd = tz._row_products(xd, params[pfx + "w"])
-            xd += params[pfx + "b"]
-        elif kind == "selu":
-            tz._selu_inplace(xd)
-        elif kind == "sigmoid":
-            xd = tz._sigmoid_raw(xd)
-            if "pre_gap" not in captures:  # sigmoid(0) is 0.5; a conv reads halos as 0
-                xd[segments.halo_rows] = 0.0
-        elif kind == "softmax":
-            xd = np.array([tz._softmax_raw(row) for row in xd])
-        elif kind == "gap":
-            captures["pre_gap"] = xd
-            xd = segments.means(xd)
-        elif kind == "scse":
-            xd = tz._scse_packed(xd, *_scse_params(params, pfx), segments)
-        elif kind == "residual-scse-block":
-            h = tz._conv_packed(xd, params[pfx + "c1w"], params[pfx + "c1b"], spec.dilation,
-                                segments)
-            h = tz._scse_packed(tz._selu_inplace(h), *_scse_params(params, pfx + "s1"), segments)
-            h = tz._conv_packed(h, params[pfx + "c2w"], params[pfx + "c2b"], spec.dilation,
-                                segments)
-            tz._selu_inplace(h)
-            h += xd
-            xd = tz._scse_packed(h, *_scse_params(params, pfx + "s2"), segments)
-    return xd
+    def __init__(self, segments):
+        self.segments = segments
+        self.captures = {}
+
+    def conv(self, x, params, grads, wn, bn, dilation):
+        return tz._conv_packed(x, params[wn], params[bn], dilation, self.segments)
+
+    def dense(self, x, params, grads, pfx):
+        x = tz._row_products(x, params[pfx + "w"])
+        x += params[pfx + "b"]
+        return x
+
+    def scse(self, x, params, grads, pfx):
+        return tz._scse_packed(x, *_scse_params(params, pfx), self.segments)
+
+    def selu(self, x):
+        return tz._selu_inplace(x)
+
+    def sigmoid(self, x):
+        x = tz._sigmoid_raw(x)
+        if "pre_gap" not in self.captures:  # sigmoid(0) is 0.5; a conv reads halos as 0
+            x[self.segments.halo_rows] = 0.0
+        return x
+
+    def softmax(self, x):
+        return np.array([tz._softmax_raw(row) for row in x])
+
+    def gap(self, x):
+        self.captures["pre_gap"] = x
+        return self.segments.means(x)
+
+    def noise(self, x, sigma):
+        return x
+
+    def fork(self, x):
+        return None
+
+    def join(self, h, x, skip):
+        h += x
+        return h
 
 
 # Rows per packed forward.  Packing saves per-call overhead, which stops
@@ -483,14 +481,14 @@ def forward_packed(stacks, values, capture=False):
             j += 1
         chunk = values[i:j]
         segments = tz.Segments([v.shape[0] for v in chunk], halo, taps)
-        ctx = ForwardContext(segments=segments)
+        mode = PackedEval(segments)
         x = segments.pack(chunk)
         for specs, params in stacks:
-            x = forward_stack(specs, params, x, ctx)
-        gapped = "pre_gap" in ctx.captures
+            x = forward_stack(specs, params, x, mode)
+        gapped = "pre_gap" in mode.captures
         outs.extend(list(x) if gapped else segments.unpack(x))
         if capture:
-            pre_gaps.extend(segments.unpack(ctx.captures["pre_gap"]))
+            pre_gaps.extend(segments.unpack(mode.captures["pre_gap"]))
         i = j
     return (outs, pre_gaps) if capture else outs
 

@@ -22,7 +22,8 @@ constants) and every node computed from them alone are left out of
 ``topo_order``.  Leaves only receive gradients, so leaving them out
 changes neither the order of the other nodes nor any gradient.
 
-Eval forwards run on plain arrays (``layers.forward_packed``).
+Eval forwards run on plain arrays (``layers.forward_packed``, with a
+``layers.PackedEval`` as ``forward_stack``'s mode).
 ``Segments`` lays trials out along time with zero halo rows around each,
 and ``_conv_packed``, ``_scse_packed``, ``Segments.means`` and
 ``_row_products`` run an op over every trial of such an array.  Each

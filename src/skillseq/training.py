@@ -15,9 +15,9 @@ gradient buffer, so an optimizer step is a handful of vectorized
 operations regardless of layer count.
 
 Each stack of a training step runs through ``layers.forward_stack`` with
-a ``layers.Recorder``, which computes on plain arrays and records each
-op's backward; the step checks the loss, runs the recorded backward,
-which adds every gradient into the gradient views, and ends in
+a ``layers.Recorder`` as its mode, which computes on plain arrays and
+records each op's backward; the step checks the loss, runs the recorded
+backward, which adds every gradient into the gradient views, and ends in
 ``adam_step_masked``.  ``gradcheck`` checks that recorded backward.
 """
 
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import tensor as tz
 from .data import NORMALIZED, PASS_FAIL, fit_znorm, apply_znorm, one_hot, class_weights
-from .layers import (ForwardContext, Recorder, init_stack_params, is_kernel_param,
-                     forward_packed, forward_stack)
+from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packed,
+                     forward_stack)
 from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
                     decoder_specs, encode_many)
 from .optim import AdamState, adam_step_masked
@@ -274,14 +274,13 @@ def train_dae(trials, minmax, config, seed, arch=None):
     noise_rng = make_rng(seed, PURPOSE["noise"])
 
     def fwd(i):
-        ctx = ForwardContext(train=True, rng=noise_rng, activity_l2=config.l2,
-                             recorder=Recorder())
-        z = forward_stack(specs["encoder"], flat.params["encoder"], values[i], ctx,
+        rec = Recorder(rng=noise_rng, activity_l2=config.l2)
+        z = forward_stack(specs["encoder"], flat.params["encoder"], values[i], rec,
                           flat.grads["encoder"])
-        out = forward_stack(specs["decoder"], flat.params["decoder"], z, ctx,
+        out = forward_stack(specs["decoder"], flat.params["decoder"], z, rec,
                             flat.grads["decoder"])
-        ctx.recorder.set_loss(config.loss, out, values[i], 1.0)
-        return ctx.recorder
+        rec.set_loss(config.loss, out, values[i], 1.0)
+        return rec
 
     val_stacks = [(specs[g], flat.params[g]) for g in ("encoder", "decoder")]
     val_values = [values[i] for i in val_idx]
@@ -369,10 +368,10 @@ def train_supervised(bundle, trials, config, seed, labels=None):
     train_idx, val_idx = _val_split(range(len(trials)), strata, config.val_fraction, seed)
 
     def fwd(i):
-        ctx = ForwardContext(train=True, activity_l2=config.l2, recorder=Recorder())
-        out = forward_stack(head, flat.params["head"], feats[i], ctx, flat.grads["head"])
-        ctx.recorder.set_loss(config.loss, out, targets[i], sample_w[i])
-        return ctx.recorder
+        rec = Recorder(activity_l2=config.l2)
+        out = forward_stack(head, flat.params["head"], feats[i], rec, flat.grads["head"])
+        rec.set_loss(config.loss, out, targets[i], sample_w[i])
+        return rec
 
     val_stacks = [(head, flat.params["head"])]
     history = _run_training(

@@ -1,7 +1,8 @@
 """The tests' reference forward: a stack of layers on the tape.
 
 The package runs every stack over plain arrays (``layers.forward_stack``
-with a ``Recorder`` in training, packed in ``forward_packed`` for eval).
+with a ``Recorder`` in training, and with a ``PackedEval`` in
+``forward_packed`` for eval).
 ``forward`` runs the same stack as tape ops, one per layer op
 (``tz.conv1d``, ``tz.selu``, ``tz.activity_penalty``, ...), so its values
 are the reference outputs and ``tz.backward`` of a loss over them gives
@@ -26,18 +27,20 @@ def leaves(params, grads=None):
     return out
 
 
-def forward(specs, params, x, ctx, penalties):
+def forward(specs, params, x, penalties=None, rng=None, activity_l2=0.0, captures=None):
     """The stack over the Tensor ``x`` with Tensor ``params`` (see
-    ``leaves``).  ``ctx`` (a ``layers.ForwardContext``) gives the mode,
-    the noise generator and ``activity_l2``, and takes the ``"pre_gap"``
-    capture.  With ``activity_l2 > 0`` the penalty node of every
-    convolution output is appended to ``penalties``, in conv order."""
+    ``leaves``).  With ``rng`` (training) the noise layer draws its noise
+    from it; without, it passes its input on (eval).  With
+    ``activity_l2 > 0`` the penalty node of every convolution output is
+    appended to ``penalties``, in conv order.  ``captures``, a dict, takes
+    the input of the ``gap`` layer as ``"pre_gap"``."""
     out = x
     for i, spec in enumerate(specs):
         pfx = f"{i}."
         kind = spec.kind
         if kind == "conv1d":
-            out = _conv(out, params, pfx + "w", pfx + "b", spec.dilation, ctx, penalties)
+            out = _conv(out, params, pfx + "w", pfx + "b", spec.dilation, penalties,
+                        activity_l2)
         elif kind == "dense":
             out = tz.dense(out, params[pfx + "w"], params[pfx + "b"])
         elif kind == "selu":
@@ -47,25 +50,26 @@ def forward(specs, params, x, ctx, penalties):
         elif kind == "softmax":
             out = tz.softmax(out)
         elif kind == "gap":
-            ctx.captures["pre_gap"] = out
+            if captures is not None:
+                captures["pre_gap"] = out
             out = tz.gap(out)
         elif kind == "scse":
             out = tz.scse_op(out, *_scse_params(params, pfx))
         elif kind == "residual-scse-block":
-            h = tz.selu(_conv(out, params, pfx + "c1w", pfx + "c1b", spec.dilation, ctx,
-                              penalties))
+            h = tz.selu(_conv(out, params, pfx + "c1w", pfx + "c1b", spec.dilation, penalties,
+                              activity_l2))
             h = tz.scse_op(h, *_scse_params(params, pfx + "s1"))
-            h = tz.selu(_conv(h, params, pfx + "c2w", pfx + "c2b", spec.dilation, ctx,
-                              penalties))
+            h = tz.selu(_conv(h, params, pfx + "c2w", pfx + "c2b", spec.dilation, penalties,
+                              activity_l2))
             out = tz.scse_op(tz.add(h, out), *_scse_params(params, pfx + "s2"))
         elif kind == "gaussian-noise":
-            if ctx.train and spec.sigma > 0.0:
-                out = tz.add_noise(out, ctx.rng.normal(0.0, spec.sigma, size=out.data.shape))
+            if rng is not None and spec.sigma > 0.0:
+                out = tz.add_noise(out, rng.normal(0.0, spec.sigma, size=out.data.shape))
     return out
 
 
-def _conv(x, params, wn, bn, dilation, ctx, penalties):
+def _conv(x, params, wn, bn, dilation, penalties, activity_l2):
     out = tz.conv1d(x, params[wn], params[bn], dilation)
-    if ctx.activity_l2 > 0.0:
-        penalties.append(tz.activity_penalty(out, ctx.activity_l2))
+    if activity_l2 > 0.0:
+        penalties.append(tz.activity_penalty(out, activity_l2))
     return out

@@ -175,6 +175,25 @@ def test_bad_trial_file_is_a_runtime_error_naming_it(scoring_inputs, tmp_path, c
     assert last_error(capsys) == f"error: runtime: {trial} {message}"
 
 
+@pytest.mark.parametrize("target_hz, why", [("1e-310", "not finite"), ("1e300", "< 1")])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_a_target_rate_without_a_stride_is_a_runtime_error(scoring_inputs, tmp_path, capsys,
+                                                          command, target_hz, why):
+    """A finite rate > 0 can still leave no usable stride: rate / target_hz
+    overflows to infinity or rounds below 1.  Either is one runtime error
+    line naming both rates, not a traceback."""
+    rate = load_manifest(scoring_inputs["manifest"]).trials[0].sample_rate_hz
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = scoring_argv(command, scoring_inputs, out)
+    else:
+        argv = [command, "--manifest", scoring_inputs["manifest"], "--out", str(out)]
+    assert dispatch(argv + ["--target-hz", target_hz]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: runtime: cannot downsample {rate} Hz to {float(target_hz)} Hz (stride {why})"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, value, choices", [
     ("classification", "7", "'pass', 'fail', 0, 1"),
     ("classification", "2", "'pass', 'fail', 0, 1"),

@@ -12,9 +12,9 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from skillseq import crossval
 from skillseq.cli import dispatch
 from skillseq.config import RunConfig, RunSettings, read_run_cfg, write_run_cfg
-from skillseq.data import parse_trial_csv, write_trial_csv
+from skillseq.data import load_manifest, parse_trial_csv, write_trial_csv
 from skillseq.folds import Fold, FoldAssignment
-from skillseq.model import ArchConfig
+from skillseq.model import ArchConfig, prepare_dataset
 from skillseq.training import DaeConfig, HeadConfig
 
 DEFAULT_SETTINGS = RunSettings(mode="classification", scheme="stratified10", seed=0,
@@ -383,10 +383,13 @@ def test_jobs_progress_prints_each_fold_as_it_finishes(tiny_manifest, tmp_path,
 
 
 def test_pool_starts_no_more_workers_than_folds(tiny_manifest, tmp_path, monkeypatch):
+    """``--jobs N`` asks for at most one worker per fold, however large N
+    is, in ``evaluate`` and in ``validate-cam``."""
     sizes = []
 
     class SerialPool:
-        """Records the pool size asked for and runs the folds in-process."""
+        """Records the pool size asked for and runs the folds in-process,
+        so no process starts."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -401,9 +404,48 @@ def test_pool_starts_no_more_workers_than_folds(tiny_manifest, tmp_path, monkeyp
             return map(fn, tasks)
 
     monkeypatch.setattr(crossval, "ProcessPoolExecutor", SerialPool)
-    assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / "run",
-                   "--jobs", 8, *FAST_RUN) == 0
-    assert sizes == [3]
+    for jobs in (8, 1000000):
+        assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / f"run{jobs}",
+                       "--jobs", jobs, *FAST_RUN) == 0
+    assert run_cli("validate-cam", "--run", tmp_path / "run1000000", "--out", tmp_path / "study",
+                   "--jobs", 1000000) == 0
+    assert sizes == [3, 3, 3]
+
+
+def test_a_test_trial_reaches_nothing_of_its_fold_but_its_own_outputs(tiny_manifest, tiny_run,
+                                                                      tmp_path):
+    """Fold isolation, the baseline half: perturbing one test trial of a
+    fold leaves the fold's bundle and the other test trials' prediction
+    rows and maps byte-identical.  Each fold is retrained alone and its
+    files written as ``run_cv`` writes them."""
+    settings = read_run_cfg(os.path.join(tiny_run, "run.cfg")).settings
+    stage2 = prepare_dataset(load_manifest(tiny_manifest), settings.target_hz)
+    by_id = {t.trial_id: t for t in stage2.trials}
+    assignment = crossval._build_assignment(stage2, settings)
+    with open(os.path.join(tiny_run, "folds.txt"), encoding="utf-8") as fh:
+        assert assignment.canonical_text() == fh.read()
+    for k, fold in enumerate(assignment.folds):
+        victim = fold.test_ids[0]
+        values = by_id[victim].values.copy()
+        values[4:54] += 1000.0   # past every channel's maximum, so leaked stats would show
+        test = [replace(by_id[t], values=values) if t == victim else by_id[t]
+                for t in fold.test_ids]
+        outcome = crossval._run_fold((settings, k, fold, [by_id[t] for t in fold.train_ids],
+                                      test))
+        crossval._persist_fold(str(tmp_path), settings, fold, outcome)
+        was = tree_bytes(os.path.join(tiny_run, f"fold_{fold.name}"))
+        now = tree_bytes(tmp_path / f"fold_{fold.name}")
+        assert sorted(now) == ["bundle.skq", "cams.csv", "predictions.csv"]
+        assert now["bundle.skq"] == was["bundle.skq"], fold.name
+        for name in ("predictions.csv", "cams.csv"):
+            assert _rows_without(was[name], victim) == _rows_without(now[name], victim), \
+                (fold.name, name)
+            assert was[name] != now[name], (fold.name, name)
+
+
+def _rows_without(blob, trial_id):
+    return [line for line in blob.decode("utf-8").splitlines()
+            if not line.startswith(trial_id + ",")]
 
 
 @pytest.mark.parametrize("edit, line, key", [

@@ -3,10 +3,11 @@ forward, one trial-file parse and one overlay cost, counted rather than
 timed.
 
 Timing cannot resolve a change of a few percent on a small shared host;
-call counts can, because they repeat exactly.  Each case runs once to
-warm up (lazy imports, first-call caches) and is then counted with the
-interpreter's profiler hook and the garbage collector off, so a
-collection cannot run finalizers inside the count:
+call counts can, because they repeat exactly.  Each case runs
+``WARM_UP`` times to warm up (lazy imports, first-call caches, bytecode
+specialization) and is then counted with the interpreter's profiler hook
+and the garbage collector off, so a collection cannot run finalizers
+inside the count:
 
 - ``nodes``: ``Tensor`` objects created (one per op result, leaves made
   in the step included; a training step, which builds no tape, makes
@@ -17,7 +18,11 @@ collection cannot run finalizers inside the count:
   sees (``np.zeros``, ``np.add.reduce``, ``ndarray`` methods, generator
   draws).  Ufunc calls such as ``np.exp`` or ``np.matmul`` and array
   operators raise no profiler event, so they are not in any count;
-- ``py``: Python function calls, numpy's own Python wrappers included.
+- ``py``: Python function calls, numpy's own Python wrappers included;
+- ``peak_kb``: the ``tracemalloc`` peak of one call above the memory
+  traced at its start, in whole KB (numpy reports its array buffers to
+  ``tracemalloc``), measured in a call of its own, without the profiler
+  hook.
 
 The cases reuse the benchmark's span names: ``training.dae_step`` and
 ``training.head_step`` are one optimizer step of each stage on a
@@ -42,6 +47,7 @@ states the old and the new value where it updates ``COUNTS``.
 import gc
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -80,8 +86,19 @@ COUNTS = {
         # place of Tensor leaves: each trained sCSE op (2 in each step)
         # lists its gradient views with _scse_params and its list
         # comprehension (+2) and no longer lists its leaves' data (-1).
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 157},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 113},
+        # py 157 -> 155 and 113 -> 115 when one walker composed every layer
+        # kind for training and eval, with the recorder as its mode: each
+        # stack loses the dispatch to _forward_recorded (-2 and -1), each
+        # step its ForwardContext (-1) and each conv1d layer the call of
+        # the inlined input check (-4 and -1); the noise, sigmoid, softmax
+        # and gap layers become method calls (+2 and +2), and the residual
+        # block becomes fork and join (+1) which record _join and _split
+        # through add (+2).  peak_kb (added then) is unchanged: 630 and
+        # 396 at the parent code.
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 155,
+                              "peak_kb": 630},
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 115,
+                               "peak_kb": 396},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in
@@ -101,14 +118,24 @@ COUNTS = {
         # dense 3, softmax 3), _packed_node 42, _node 6, constant 3 and the
         # context's _conv_selu 21 and _scse_forward 12 (-225), and gains the
         # array mode (_forward_segments 6), _scse_params with its list
-        # comprehension (12 + 12) and the shared conv input check (9)
-        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 309},
+        # comprehension (12 + 12) and the shared conv input check (9).
+        # py 309 -> 372 and 98 -> 119 when one walker composed every layer
+        # kind for training and eval, with PackedEval as the eval mode:
+        # +21 a chunk (3 in the batch, 1 for the long trial), since every
+        # op of the two stacks is a method call (13 each, the residual
+        # block's fork and join included: +26), each stack loses the
+        # dispatch to _forward_segments (-2) and each conv1d layer the
+        # call of the inlined input check (-3).
+        # peak_kb (added then) is unchanged: 1,595 and 1,063 at the parent.
+        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 372,
+                                  "peak_kb": 1595},
         # measured on the parent code, where a one-trial chunk ran on the
         # tape, as nodes 24, numpy_c 57, py 132; it now takes the packed
         # array path like every chunk (Segments and pack: +2 numpy_c)
         "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 59,
-                                            "py": 98},
-        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8},
+                                            "py": 119, "peak_kb": 1063},
+        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8,
+                                  "peak_kb": 463},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip
         # cell (4,095 calls: 2 x 818 per tool, 818 strip cells and 5
@@ -116,7 +143,8 @@ COUNTS = {
         # columns costs one _fmt_column call and its list comprehension
         # (+10 py, less the 4 comprehensions that called _fmt per
         # coordinate) and one astype and one tolist (+10 numpy_c)
-        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 65, "py": 120},
+        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 65, "py": 120,
+                                       "peak_kb": 793},
         # py 570 (measured on the parent code) -> 93 when the array loop
         # stopped calling a reader's take/u per field (477 calls: about a
         # dozen per array) and bounds-checks and unpacks each field inline
@@ -129,9 +157,15 @@ COUNTS = {
         # generator steps that built the layer tuples (-15).
         # py 118 -> 120 when ModelBundle started checking that the layer
         # specs chain: one _chain call per group
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 120},
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 120,
+                               "peak_kb": 203},
     },
 }
+
+# CPython specializes a bytecode site after it has run a few dozen times,
+# and a specialized site allocates fewer objects, so peak_kb settles only
+# after up to 62 calls of a case; the call counts settle after one
+WARM_UP = 80
 
 CHANNELS = ("sx", "sy", "gx", "gy")
 T_STEP = 104
@@ -146,7 +180,8 @@ def _numpy_owned(fn):
 
 
 def count_calls(fn):
-    """The counts of one ``fn()`` call (see the module docstring)."""
+    """The counts of one ``fn()`` call, and the ``peak_kb`` of another
+    (see the module docstring)."""
     init, accumulate = tz.Tensor.__init__.__code__, tz.Tensor.accumulate.__code__
     counts = {"nodes": 0, "accumulate": 0, "numpy_c": 0, "py": 0}
 
@@ -170,7 +205,26 @@ def count_calls(fn):
         if enabled:
             gc.enable()
     counts["py"] -= 1  # the call of fn itself
+    counts["peak_kb"] = peak_kb(fn)
     return counts
+
+
+def peak_kb(fn):
+    """The ``tracemalloc`` peak of one ``fn()`` call above the memory
+    traced at its start, in whole KB."""
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return (peak - start) // 1024
 
 
 def _trials(rng, lengths):
@@ -267,10 +321,11 @@ def _cases(workdir):
 
 @pytest.fixture(scope="module")
 def counted(tmp_path_factory):
-    """Each case's counts, twice, after one warm-up call."""
+    """Each case's counts, twice, after ``WARM_UP`` calls."""
     out = {}
     for name, fn in _cases(tmp_path_factory.mktemp("counted")).items():
-        fn()
+        for _ in range(WARM_UP):
+            fn()
         out[name] = (count_calls(fn), count_calls(fn))
     return out
 

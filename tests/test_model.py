@@ -20,7 +20,7 @@ from skillseq.model import (
 )
 from skillseq import model as model_module
 from skillseq import tensor as tz
-from skillseq.layers import ForwardContext, LayerSpec, Recorder, forward_packed, forward_stack
+from skillseq.layers import LayerSpec, Recorder, forward_packed, forward_stack
 from skillseq.training import DaeConfig, HeadConfig, train_dae, train_supervised
 
 
@@ -170,12 +170,15 @@ def test_gaussian_noise_properties():
     x = np.zeros((1000, 4))
 
     def noisy(sigma, seed=5, train=True):
-        """The training forward's noise, checked against the tape's."""
+        """The training forward's noise, or the eval forward's, checked
+        against the tape's."""
         specs = (LayerSpec("gaussian-noise", sigma=sigma),)
-        ctx = ForwardContext(train=train, rng=np.random.default_rng(seed), recorder=Recorder())
-        out = forward_stack(specs, {}, x, ctx)
-        ref_ctx = ForwardContext(train=train, rng=np.random.default_rng(seed))
-        ref = tape.forward(specs, {}, tz.Tensor(x), ref_ctx, []).data
+        if train:
+            out = forward_stack(specs, {}, x, Recorder(rng=np.random.default_rng(seed)))
+        else:
+            out = forward_packed([(specs, {})], [x])[0]
+        ref_rng = np.random.default_rng(seed) if train else None
+        ref = tape.forward(specs, {}, tz.Tensor(x), rng=ref_rng).data
         assert out.tobytes() == ref.tobytes()
         return out
 

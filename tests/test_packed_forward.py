@@ -21,7 +21,7 @@ import skillseq.tensor as tz
 import tape
 from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial, invert_znorm
 from skillseq.explain import CamMap, compute_cam, predict_with_cams
-from skillseq.layers import ForwardContext, LayerSpec, forward_packed
+from skillseq.layers import LayerSpec, forward_packed
 from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, embed, encode_many,
                             encode_values, encoder_specs, head_forward, head_specs, predict,
                             predict_many)
@@ -66,11 +66,11 @@ def _stacks(bundle, *groups):
 def _unpacked(stacks, x):
     """The oracle: one tape pass per stack over one trial.  Returns the
     output and the pre-GAP activations (None without a GAP)."""
-    ctx = ForwardContext()
+    captures = {}
     out = tz.Tensor(x)
     for specs, params in stacks:
-        out = tape.forward(specs, tape.leaves(params), out, ctx, [])
-    pre_gap = ctx.captures.get("pre_gap")
+        out = tape.forward(specs, tape.leaves(params), out, captures=captures)
+    pre_gap = captures.get("pre_gap")
     return out.data, None if pre_gap is None else pre_gap.data
 
 

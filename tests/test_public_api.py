@@ -1,6 +1,6 @@
 """Every exported name exists, every benchmark span still has a target,
-every definition in the package is used, and only the tensor module
-names the tape.
+every definition in the package is used, only the tensor module names
+the tape, and one walker composes every layer kind for both modes.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -9,12 +9,14 @@ deleted or renamed target would only show up there as a missing span.
 import ast
 import glob
 import importlib
+import inspect
 import os
 import pkgutil
 
 import pytest
 
 import skillseq
+from skillseq import layers
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(skillseq.__path__)
                  if m.name != "__main__")
@@ -125,3 +127,25 @@ def test_only_the_tensor_module_names_the_tape():
                 continue
             named |= {f"{module}: {name}" for name in found}
     assert not named, f"the tape is named outside tensor.py: {sorted(named)}"
+
+
+def test_one_walker_composes_every_kind_for_both_modes():
+    """``layers.forward_stack`` has a branch for every kind in ``KINDS``,
+    and ``Recorder`` (training) and ``PackedEval`` (eval) both implement
+    every ``mode.<op>`` it calls.  The benchmark splits the walker's span
+    by the mode's class-level ``train`` flag."""
+    tree = ast.parse(inspect.getsource(layers.forward_stack))
+    kinds, ops = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "kind"):
+            kinds |= {c.value for c in node.comparators if isinstance(c, ast.Constant)}
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "mode"):
+            ops.add(node.func.attr)
+    assert kinds == set(layers.KINDS)
+    assert {"conv", "fork", "join"} <= ops
+    for mode, train in ((layers.Recorder, True), (layers.PackedEval, False)):
+        missing = sorted(op for op in ops if not callable(getattr(mode, op, None)))
+        assert not missing, f"{mode.__name__} lacks {missing}"
+        assert mode.train is train

@@ -21,7 +21,7 @@ import skillseq.tensor as tz
 import skillseq.training as training
 import tape
 from skillseq.data import NORMALIZED, MinMaxStats, Trial
-from skillseq.layers import ForwardContext, LayerSpec, forward_stack, init_stack_params
+from skillseq.layers import LayerSpec, forward_stack, init_stack_params
 from skillseq.model import (ArchConfig, ModelBundle, build_classifier, decoder_specs,
                             encoder_specs)
 from skillseq.optim import AdamState, adam_step_masked
@@ -84,11 +84,11 @@ class _Spy:
         self.stacks, self.rng, self.loss = [], None, None
         spy = self
 
-        def traced_forward_stack(specs, params, x, ctx, grads=None):
+        def traced_forward_stack(specs, params, x, mode, grads=None):
             if not spy.stacks:
-                spy.rng = copy.deepcopy(ctx.rng)
+                spy.rng = copy.deepcopy(mode.rng)
             spy.stacks.append((specs, params, grads, x))
-            return forward_stack(specs, params, x, ctx, grads)
+            return forward_stack(specs, params, x, mode, grads)
 
         set_loss = layers.Recorder.set_loss
 
@@ -101,10 +101,10 @@ class _Spy:
 
     def tape_step(self, l2):
         """The step on the tape; gradients accumulate into the same views."""
-        ctx = ForwardContext(train=True, rng=self.rng, activity_l2=l2)
         out, penalties = tz.Tensor(self.stacks[0][3]), []
         for specs, params, grads, _ in self.stacks:
-            out = tape.forward(specs, tape.leaves(params, grads), out, ctx, penalties)
+            out = tape.forward(specs, tape.leaves(params, grads), out, penalties, rng=self.rng,
+                               activity_l2=l2)
         kind, target, weight = self.loss
         loss = tz.loss_eval(kind, out, target, weight)
         if penalties:
