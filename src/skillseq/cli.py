@@ -116,13 +116,19 @@ def _load_verified(run):
 
 
 def _training_set(args):
-    """Run config plus the normalized trials and their min-max statistics."""
+    """Run config plus the manifest's trials, downsampled for the model."""
     run = _run_config(args)
     if run.out is None:
         raise UsageError("no output directory; pass --out")
-    trials = prepare_dataset(_load_verified(run), run.settings.target_hz).trials
+    return run, prepare_dataset(_load_verified(run), run.settings.target_hz,
+                                run.manifest).trials
+
+
+def _fit_normalized(trials):
+    """The trials normalized by min-max statistics fitted on them, and
+    the statistics."""
     minmax = fit_minmax(trials)
-    return run, [apply_minmax(t, minmax) for t in trials], minmax
+    return [apply_minmax(t, minmax) for t in trials], minmax
 
 
 def _model_inputs(args, bundle):
@@ -132,7 +138,7 @@ def _model_inputs(args, bundle):
     target_hz = flag_values(args, _SCORING_KEYS).get("target_hz", RunSettings.target_hz)
     dataset = load_manifest(args.manifest)
     return dataset, [normalize_for_model(bundle, t)
-                     for t in prepare_dataset(dataset, target_hz).trials]
+                     for t in prepare_dataset(dataset, target_hz, args.manifest).trials]
 
 
 def _load_skill_bundle(args, what):
@@ -173,7 +179,8 @@ def _cmd_ingest_check(args):
 
 
 def _cmd_train_dae(args):
-    run, norm, minmax = _training_set(args)
+    run, trials = _training_set(args)
+    norm, minmax = _fit_normalized(trials)
     settings = run.settings
     bundle, history = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)
     os.makedirs(run.out, exist_ok=True)
@@ -187,14 +194,18 @@ def _cmd_train_dae(args):
 
 
 def _cmd_train_classifier(args):
-    run, norm, minmax = _training_set(args)
+    run, trials = _training_set(args)
     settings = run.settings
     if args.dae:
         _require_file(args.dae, "bundle")
         dae_bundle = load_bundle(args.dae)
         if dae_bundle.mode != "autoencoder":
             raise UsageError(f"--dae bundle has mode '{dae_bundle.mode}', expected autoencoder")
+        # the skill bundle ships the autoencoder's min-max, so the head
+        # trains on inputs scaled by it
+        norm = [normalize_for_model(dae_bundle, t) for t in trials]
     else:
+        norm, minmax = _fit_normalized(trials)
         dae_bundle, _ = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)
     bundle, history = train_classifier(dae_bundle, norm, settings.clf, settings.seed,
                                        settings.arch, settings.mode)

@@ -70,8 +70,7 @@ class FoldOutcome:
     bundle: object
     dae_epochs: int = 0
     clf_epochs: int = 0
-    encoder_sha_before: str = ""
-    encoder_sha_after: str = ""
+    encoder_sha256: str = ""
     cams: tuple = ()
 
     @property
@@ -178,7 +177,6 @@ def _run_fold(args):
         dae_bundle, dae_hist = train_dae(norm_train, minmax, settings.dae,
                                          derive_fold_seed(settings.seed, fold_index, 0),
                                          settings.arch)
-        sha_before = encoder_fingerprint(dae_bundle)
         skill, clf_hist = train_classifier(
             dae_bundle, norm_train, settings.clf,
             derive_fold_seed(settings.seed, fold_index, 1), settings.arch, settings.mode
@@ -204,8 +202,7 @@ def _run_fold(args):
         bundle=skill,
         dae_epochs=len(dae_hist.train_loss),
         clf_epochs=len(clf_hist.train_loss),
-        encoder_sha_before=sha_before,
-        encoder_sha_after=encoder_fingerprint(skill),
+        encoder_sha256=encoder_fingerprint(skill),
     )
 
 
@@ -252,7 +249,7 @@ def metrics_report_text(settings, dataset_sha, assignment, outcomes):
         lines.append(kv_line(f"fold {o.name} n", len(o.records)))
         lines.append(kv_line(f"fold {o.name} dae_epochs", o.dae_epochs))
         lines.append(kv_line(f"fold {o.name} clf_epochs", o.clf_epochs))
-        lines.append(kv_line(f"fold {o.name} encoder_sha256", o.encoder_sha_after))
+        lines.append(kv_line(f"fold {o.name} encoder_sha256", o.encoder_sha256))
         for m in metric_names(settings.mode):
             lines.append(kv_line(f"fold {o.name} {m}", o.metrics[m]))
     lines.extend(_aggregate_lines(settings.mode, outcomes))
@@ -279,7 +276,7 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
     seed.  ``jobs`` > 1 trains folds in separate processes; outputs are
     identical to the serial path.
     """
-    stage2 = prepare_dataset(dataset, settings.target_hz)
+    stage2 = prepare_dataset(dataset, settings.target_hz, manifest_path)
     by_id = {t.trial_id: t for t in stage2.trials}
     dataset_sha = dataset_fingerprint(dataset)
     assignment = fold_assignment or _build_assignment(stage2, settings)
@@ -408,7 +405,7 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
             f"records folds_sha256 {recorded}; refusing to pair folds"
         )
 
-    stage2 = prepare_dataset(dataset, settings.target_hz)
+    stage2 = prepare_dataset(dataset, settings.target_hz, run.manifest)
     frames = {t.trial_id: t.values.shape[0] for t in stage2.trials}
     before = {}
     cams = {}

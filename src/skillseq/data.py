@@ -144,8 +144,8 @@ def downsample(trial, target_hz=1.0):
     stride = int(math.floor(ratio + 0.5)) if math.isfinite(ratio) else None
     if stride is None or stride < 1:
         why = "not finite" if stride is None else "< 1"
-        raise ValueError(f"cannot downsample {trial.sample_rate_hz} Hz to {target_hz} Hz "
-                         f"(stride {why})")
+        raise ValueError(f"{trial.trial_id}: cannot downsample {trial.sample_rate_hz} Hz "
+                         f"to {target_hz} Hz (stride {why})")
     vals = trial.values[::stride].copy()
     return replace(
         trial,

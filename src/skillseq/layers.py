@@ -160,7 +160,7 @@ def init_stack_params(specs, rng):
     for i, spec in enumerate(specs):
         for name, shp in _spec_param_shapes(spec).items():
             key = f"{i}.{name}"
-            if "w" in name:
+            if is_kernel_param(name):
                 fan_in = shp[0] * shp[1] if len(shp) == 3 else shp[0]
                 params[key] = _lecun_normal(rng, shp, fan_in)
             else:

@@ -24,8 +24,8 @@ Every eval-mode forward runs through ``layers.forward_packed``:
 forwards, and ``embed``, ``encode_values``, ``head_forward`` and
 ``predict`` are that batch path on one trial.  A packed forward runs on
 plain arrays, every BLAS call and every reduction once per trial on the
-operands of a one-trial forward on the tape, so a trial's bytes do not
-depend on the batch it is scored in.
+operands a forward over that trial alone would use, so a trial's bytes
+do not depend on the batch it is scored in.
 """
 
 from __future__ import annotations
@@ -190,15 +190,21 @@ def _chain(group, specs, channels):
     return channels
 
 
-def prepare_dataset(dataset, target_hz):
+def prepare_dataset(dataset, target_hz, source=None):
     """Downsampled trials for the model: raw trials are gap-filled and
-    downsampled to ``target_hz``; an all-downsampled dataset passes as is."""
+    downsampled to ``target_hz``; an all-downsampled dataset passes as is.
+    A ValueError names ``source``, the dataset's manifest, when given."""
     stages = {t.stage for t in dataset.trials}
-    if stages == {RAW}:
-        return Dataset([prepare_stage2(t, target_hz) for t in dataset.trials])
-    if stages == {DOWNSAMPLED}:
-        return dataset
-    raise ValueError("dataset must hold only raw or only downsampled trials, not a mix")
+    try:
+        if stages == {RAW}:
+            return Dataset([prepare_stage2(t, target_hz) for t in dataset.trials])
+        if stages == {DOWNSAMPLED}:
+            return dataset
+        raise ValueError("dataset must hold only raw or only downsampled trials, not a mix")
+    except ValueError as exc:
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def normalize_for_model(bundle, trial):
@@ -253,11 +259,12 @@ def head_forward(bundle, features):
     return forward_packed([_stack(bundle, "head")], [features])[0]
 
 
-def build_classifier(dae_bundle, mode, arch=None, seed=0, class_names=PASS_FAIL):
+def build_classifier(dae_bundle, mode, arch=None, seed=0):
     """Attach a fresh skill head to a trained autoencoder's encoder.
 
     The encoder group (specs and weights) is copied verbatim and stays
-    frozen; only the head will train.
+    frozen; only the head will train.  A classifier's classes are
+    ``PASS_FAIL``.
     """
     if dae_bundle.mode != "autoencoder":
         raise ValueError(f"expected an autoencoder bundle, got {dae_bundle.mode}")
@@ -267,7 +274,7 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0, class_names=PASS_FAIL)
     emb = dae_bundle.groups["encoder"][-2].out_channels
     if emb != arch.emb_channels:
         arch = replace(arch, emb_channels=emb)
-    n_out = len(class_names) if mode == "classification" else 1
+    n_out = len(PASS_FAIL) if mode == "classification" else 1
     head = head_specs(arch, n_out, mode == "classification")
     rng = make_rng(seed, PURPOSE["init"], 2)
     weights = {f"head/{k}": v for k, v in init_stack_params(head, rng).items()}
@@ -281,7 +288,7 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0, class_names=PASS_FAIL)
         trainable={"encoder": False, "head": True},
         minmax=dae_bundle.minmax,
         score_stats=None,
-        class_names=tuple(class_names) if mode == "classification" else None,
+        class_names=PASS_FAIL if mode == "classification" else None,
     )
 
 

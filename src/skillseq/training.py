@@ -1,34 +1,40 @@
-"""Training loops: denoising autoencoder and frozen-encoder skill models.
+"""Training: the denoising autoencoder, then the skill head over its
+frozen encoder.
 
-Both loops share the same recipe: one sample per optimizer step, Adam
-with kernel L2 decay, an activity penalty on every convolution output,
-per-epoch reshuffling, a stratified validation split, and early stopping
-on validation loss with best-weight restoration.  Training stops after
-``patience`` consecutive epochs without strict improvement.  Each
-epoch's validation runs one packed forward on plain arrays
-(``layers.forward_packed``) and ``tz._loss_raw``, with the bytes of one
-forward per trial and no tape.
+Both stages run one loop, ``_run_training``, over arrays: the stacks and
+initial parameters of the groups that train, one input, target and loss
+weight per trial, and the strata of the validation split.
+``train_dae`` and ``train_supervised`` only prepare that data; the head
+trains on encoder features computed once, so the frozen encoder never
+enters the loop.  The recipe is shared: one sample per optimizer step,
+Adam with kernel L2 decay, an activity penalty on every convolution
+output, per-epoch reshuffling, a stratified validation split, and early
+stopping on validation loss with best-weight restoration.  Training
+stops after ``patience`` consecutive epochs without strict improvement.
 
-All trainable parameters live in one flat buffer, and each parameter
-is a view into it; each gradient is a view into a parallel flat
-gradient buffer, so an optimizer step is a handful of vectorized
-operations regardless of layer count.
+All trained parameters live in one flat buffer, and each parameter is a
+view into it; each gradient is a view into a parallel flat gradient
+buffer, so an optimizer step is a handful of vectorized operations
+regardless of layer count.
 
-Each stack of a training step runs through ``layers.forward_stack`` with
-a ``layers.Recorder`` as its mode, which computes on plain arrays and
-records each op's backward; the step checks the loss, runs the recorded
-backward, which adds every gradient into the gradient views, and ends in
-``adam_step_masked``.  ``gradcheck`` checks that recorded backward.
+A step's forward (``_step``) runs each stack through
+``layers.forward_stack`` with a ``layers.Recorder`` as its mode, which
+computes on plain arrays and records each op's backward; the loop checks
+the loss, runs the recorded backward, which adds every gradient into
+the gradient views, and ends in ``adam_step_masked``.  ``gradcheck``
+checks that recorded backward.  Each epoch's validation runs one packed
+forward on plain arrays (``layers.forward_packed``) and
+``tz._loss_raw``, with the bytes of one forward per trial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as tz
-from .data import NORMALIZED, PASS_FAIL, fit_znorm, apply_znorm, one_hot, class_weights
+from .data import NORMALIZED, fit_znorm, apply_znorm, one_hot, class_weights
 from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packed,
                      forward_stack)
 from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
@@ -106,53 +112,34 @@ class TrainHistory:
 
 
 class _FlatParams:
-    """Trainable parameter groups flattened into one buffer.
+    """Parameter groups flattened into one buffer.
 
-    ``params[group]`` maps each name to its array: a view into the
-    buffer, or the given array for a frozen group.  ``grads[group]`` maps
-    the names to views into a parallel gradient buffer, or is None for a
-    frozen group, so zeroing and stepping are single vector operations.
+    ``params[group]`` maps each name to a view into ``theta``, and
+    ``grads[group]`` to a view into the parallel ``grad``, so zeroing,
+    stepping, saving and restoring are single vector operations.
     """
 
-    def __init__(self, group_arrays, trainable):
-        entries = []
-        for g in sorted(group_arrays):
-            for k in sorted(group_arrays[g]):
-                entries.append((g, k, group_arrays[g][k]))
-        total = sum(a.size for g, _, a in entries if trainable.get(g, True))
+    def __init__(self, groups):
+        entries = [(g, k, groups[g][k]) for g in sorted(groups) for k in sorted(groups[g])]
+        total = sum(a.size for _, _, a in entries)
         self.theta = np.empty(total)
         self.grad = np.zeros(total)
         self.decay_mask = np.zeros(total)
-        self.params = {g: {} for g in group_arrays}
-        self.grads = {g: {} if trainable.get(g, True) else None for g in group_arrays}
+        self.params = {g: {} for g in groups}
+        self.grads = {g: {} for g in groups}
         off = 0
         for g, k, arr in entries:
-            if trainable.get(g, True):
-                view = self.theta[off:off + arr.size].reshape(arr.shape)
-                view[...] = arr
-                self.grads[g][k] = self.grad[off:off + arr.size].reshape(arr.shape)
-                if is_kernel_param(k):
-                    self.decay_mask[off:off + arr.size] = 1.0
-                off += arr.size
-            else:
-                view = arr
+            view = self.theta[off:off + arr.size].reshape(arr.shape)
+            view[...] = arr
             self.params[g][k] = view
-
-    def zero_grads(self):
-        self.grad[:] = 0.0
-
-    def snapshot(self):
-        return self.theta.copy()
-
-    def restore(self, snap):
-        self.theta[:] = snap
+            self.grads[g][k] = self.grad[off:off + arr.size].reshape(arr.shape)
+            if is_kernel_param(k):
+                self.decay_mask[off:off + arr.size] = 1.0
+            off += arr.size
 
     def export(self):
-        out = {}
-        for g, params in self.params.items():
-            for k, arr in params.items():
-                out[f"{g}/{k}"] = arr.copy()
-        return out
+        return {f"{g}/{k}": arr.copy() for g, params in self.params.items()
+                for k, arr in params.items()}
 
 
 def _val_split(indices, strata, frac, seed):
@@ -180,47 +167,73 @@ def _val_split(indices, strata, frac, seed):
     return train, sorted(val_set)
 
 
-def _run_training(forward_train, val_losses, val_indices, train_indices,
-                  flat, config, seed, stage, trial_ids):
-    """Generic loop: per-sample Adam steps, early stopping, best restore.
+def _step(specs, flat, x, target, weight, config, rng):
+    """The forward of one training step: ``x`` through each stack of
+    ``specs`` (``{group: layer specs}``, in run order) over ``flat``'s
+    parameters, then the loss against ``target``.  Returns the step's
+    ``Recorder``: its ``loss`` is the step's loss, and its ``backward``
+    adds the gradients into ``flat.grad``."""
+    rec = Recorder(rng=rng, activity_l2=config.l2)
+    for g, stack in specs.items():
+        x = forward_stack(stack, flat.params[g], x, rec, flat.grads[g])
+    rec.set_loss(config.loss, x, target, weight)
+    return rec
 
-    ``forward_train(i)`` runs the training forward of trial ``i`` and
-    returns its ``Recorder``, whose ``loss`` is the step's loss and whose
-    ``backward`` adds the gradients into ``flat.grad``.
-    ``val_losses()`` returns the validation loss of each of
-    ``val_indices``.  A non-finite loss raises FloatingPointError naming
-    ``stage``, the epoch and the trial (``trial_ids[i]``).
-    """
+
+def _val_losses(stacks, inputs, targets, kind, weights):
+    """Loss of each validation trial, from one packed forward."""
+    outs = forward_packed(stacks, inputs)
+    return [float(tz._loss_raw(kind, out, target, weight)[0])
+            for out, target, weight in zip(outs, targets, weights)]
+
+
+def _run_training(specs, groups, inputs, targets, weights, strata, config, seed, stage,
+                  trial_ids, noise_rng=None):
+    """Train ``groups`` (``{group: params}``) of the stacks ``specs``
+    (``{group: layer specs}``, in run order) to map each of ``inputs`` to
+    the same entry of ``targets``, under its loss weight in ``weights``,
+    with the validation split stratified by ``strata``.  ``noise_rng``
+    draws the noise layers' noise.  A non-finite loss raises
+    FloatingPointError naming ``stage``, the epoch and the trial
+    (``trial_ids[i]``).  Returns the trained parameters as
+    ``{"<group>/<name>": array}`` and the loss history."""
+    flat = _FlatParams(groups)
+    train_idx, val_idx = _val_split(range(len(inputs)), strata, config.val_fraction, seed)
+    val_stacks = [(specs[g], flat.params[g]) for g in specs]
+    val_inputs = [inputs[i] for i in val_idx]
+    val_targets = [targets[i] for i in val_idx]
+    val_weights = [weights[i] for i in val_idx]
     opt = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     history = TrainHistory()
     best = np.inf
-    best_snap = flat.snapshot()
+    best_snap = flat.theta.copy()
     wait = 0
     for epoch in range(1, config.max_epochs + 1):
-        order = make_rng(seed, PURPOSE["shuffle"], epoch).permutation(len(train_indices))
+        order = make_rng(seed, PURPOSE["shuffle"], epoch).permutation(len(train_idx))
         total = 0.0
         for oi in order:
-            i = train_indices[oi]
-            flat.zero_grads()
-            step = forward_train(i)
+            i = train_idx[oi]
+            flat.grad[:] = 0.0
+            step = _step(specs, flat, inputs[i], targets[i], weights[i], config, noise_rng)
             if not np.isfinite(step.loss):
                 raise FloatingPointError(f"{stage}: non-finite training loss at epoch "
                                          f"{epoch} on trial {trial_ids[i]}")
             step.backward()
             adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
             total += float(step.loss)
-        history.train_loss.append(total / max(len(train_indices), 1))
-        vlosses = val_losses()
+        history.train_loss.append(total / max(len(train_idx), 1))
+        vlosses = _val_losses(val_stacks, val_inputs, val_targets, config.loss,
+                              val_weights)
         vloss = float(np.mean(vlosses))
         if not np.isfinite(vloss):
-            bad = [trial_ids[i] for i, v in zip(val_indices, vlosses) if not np.isfinite(v)]
+            bad = [trial_ids[i] for i, v in zip(val_idx, vlosses) if not np.isfinite(v)]
             where = f" on trial {bad[0]}" if bad else ""
             raise FloatingPointError(f"{stage}: non-finite validation loss at epoch "
                                      f"{epoch}{where}")
         history.val_loss.append(vloss)
         if vloss < best:
             best = vloss
-            best_snap = flat.snapshot()
+            best_snap = flat.theta.copy()
             history.best_epoch = epoch
             wait = 0
         else:
@@ -230,15 +243,17 @@ def _run_training(forward_train, val_losses, val_indices, train_indices,
                 break
     else:
         history.stopped_epoch = config.max_epochs
-    flat.restore(best_snap)
-    return history
+    flat.theta[:] = best_snap
+    return flat.export(), history
 
 
-def _val_losses(stacks, inputs, targets, kind, weights):
-    """Loss of each validation trial, from one packed forward."""
-    outs = forward_packed(stacks, inputs)
-    return [float(tz._loss_raw(kind, out, target, weight)[0])
-            for out, target, weight in zip(outs, targets, weights)]
+def _check_trials(trials, who):
+    """The checks both stages make of their trials."""
+    if len(trials) < 2:
+        raise ValueError("training needs at least two trials")
+    for t in trials:
+        if t.stage != NORMALIZED:
+            raise ValueError(f"{t.trial_id}: {who} expects normalized trials")
 
 
 def train_dae(trials, minmax, config, seed, arch=None):
@@ -250,157 +265,84 @@ def train_dae(trials, minmax, config, seed, arch=None):
     Returns a frozen autoencoder bundle and the loss history.
     """
     arch = arch or ArchConfig()
-    if len(trials) < 2:
-        raise ValueError("training needs at least two trials")
+    _check_trials(trials, "train_dae")
     for t in trials:
-        if t.stage != NORMALIZED:
-            raise ValueError(f"{t.trial_id}: train_dae expects normalized trials")
         if t.values.min() < 0.0 or t.values.max() > 1.0:
             raise ValueError(f"{t.trial_id}: values outside [0, 1]")
     in_ch = len(trials[0].channels)
-    enc = encoder_specs(arch, in_ch, config.noise_sigma)
-    dec = decoder_specs(in_ch, arch)
+    specs = {"encoder": encoder_specs(arch, in_ch, config.noise_sigma),
+             "decoder": decoder_specs(in_ch, arch)}
     rng = make_rng(seed, PURPOSE["init"], 1)
-    groups = {
-        "encoder": init_stack_params(enc, rng),
-        "decoder": init_stack_params(dec, rng),
-    }
-    flat = _FlatParams(groups, {"encoder": True, "decoder": True})
-    specs = {"encoder": enc, "decoder": dec}
-
     values = [t.values for t in trials]
-    labels = {i: (trials[i].class_label or "") for i in range(len(trials))}
-    train_idx, val_idx = _val_split(range(len(trials)), labels, config.val_fraction, seed)
-    noise_rng = make_rng(seed, PURPOSE["noise"])
-
-    def fwd(i):
-        rec = Recorder(rng=noise_rng, activity_l2=config.l2)
-        z = forward_stack(specs["encoder"], flat.params["encoder"], values[i], rec,
-                          flat.grads["encoder"])
-        out = forward_stack(specs["decoder"], flat.params["decoder"], z, rec,
-                            flat.grads["decoder"])
-        rec.set_loss(config.loss, out, values[i], 1.0)
-        return rec
-
-    val_stacks = [(specs[g], flat.params[g]) for g in ("encoder", "decoder")]
-    val_values = [values[i] for i in val_idx]
-    history = _run_training(
-        forward_train=fwd,
-        val_losses=lambda: _val_losses(val_stacks, val_values, val_values, config.loss,
-                                       [1.0] * len(val_values)),
-        val_indices=val_idx, train_indices=train_idx,
-        flat=flat, config=config, seed=seed, stage="DAE",
-        trial_ids=[t.trial_id for t in trials],
+    weights, history = _run_training(
+        specs=specs, groups={g: init_stack_params(s, rng) for g, s in specs.items()},
+        inputs=values, targets=values, weights=[1.0] * len(trials),
+        strata=[t.class_label or "" for t in trials], config=config, seed=seed,
+        stage="DAE", trial_ids=[t.trial_id for t in trials],
+        noise_rng=make_rng(seed, PURPOSE["noise"]),
     )
-    bundle = ModelBundle(
-        mode="autoencoder",
-        groups=specs,
-        weights=flat.export(),
-        trainable={"encoder": False, "decoder": False},
-        minmax=minmax,
-        score_stats=None,
-        class_names=None,
-    )
+    bundle = ModelBundle(mode="autoencoder", groups=specs, weights=weights,
+                         trainable={"encoder": False, "decoder": False}, minmax=minmax)
     return bundle, history
 
 
-def train_supervised(bundle, trials, config, seed, labels=None):
-    """Train the non-frozen head of a built skill model.
+def train_supervised(bundle, trials, config, seed):
+    """Train the head of a built skill model over its frozen encoder.
 
-    Classification: one-hot targets, cosine loss, inverse-frequency
-    class weights.  Regression: scores z-normalized with statistics
-    fitted on these trials, squared-error loss.  ``labels`` overrides
-    the targets stored on the trials (class names for classification,
-    scores for regression).  Encoder features are precomputed once, in
+    Classification: one-hot targets of the trials' class labels, cosine
+    loss, inverse-frequency class weights.  Regression: the trials'
+    scores z-normalized with statistics fitted on these trials,
+    squared-error loss.  Encoder features are precomputed once, in
     packed forwards, since the encoder never updates.  ``seed`` draws
     the validation split and the epoch order.
     """
     mode = bundle.mode
     if mode not in ("classification", "regression"):
         raise ValueError(f"train_supervised needs a skill bundle, got mode '{mode}'")
-    class_names = bundle.class_names
-    if len(trials) < 2:
-        raise ValueError("training needs at least two trials")
-    for t in trials:
-        if t.stage != NORMALIZED:
-            raise ValueError(f"{t.trial_id}: train_supervised expects normalized trials")
+    _check_trials(trials, "train_supervised")
     if mode == "classification" and config.loss != "cosine":
         raise ValueError("classification head trains on cosine loss, "
                          f"not {config.loss}")
-    if labels is not None and len(labels) != len(trials):
-        raise ValueError(f"{len(labels)} labels for {len(trials)} trials")
 
     # frozen encoder: features computed once
     feats = encode_many(bundle, [t.values for t in trials])
 
     score_stats = None
     if mode == "classification":
-        given = labels if labels is not None else [t.class_label for t in trials]
-        labels = []
-        for t, lb in zip(trials, given):
-            if lb is None:
+        class_names = bundle.class_names
+        labels = [t.class_label for t in trials]
+        for t in trials:
+            if t.class_label is None:
                 raise ValueError(f"{t.trial_id}: unlabeled trial in classification training")
-            if lb not in class_names:
-                raise ValueError(f"{t.trial_id}: unknown class '{lb}'")
-            labels.append(lb)
+            if t.class_label not in class_names:
+                raise ValueError(f"{t.trial_id}: unknown class '{t.class_label}'")
         targets = [one_hot(lb, class_names) for lb in labels]
         if config.class_weighting == "balanced":
-            weights = class_weights(labels, class_names)
+            by_class = class_weights(labels, class_names)
+            weights = [by_class[class_names.index(lb)] for lb in labels]
         else:
-            weights = {i: 1.0 for i in range(len(class_names))}
-        sample_w = [weights[class_names.index(lb)] for lb in labels]
-        strata = {i: labels[i] for i in range(len(trials))}
+            weights = [1.0] * len(trials)
+        strata = labels
     else:
-        scores = labels if labels is not None else [t.score for t in trials]
-        for t, s in zip(trials, scores):
-            if s is None:
+        scores = [t.score for t in trials]
+        for t in trials:
+            if t.score is None:
                 raise ValueError(f"{t.trial_id}: unscored trial in regression training")
         score_stats = fit_znorm(scores, ids=[t.trial_id for t in trials])
         targets = [np.array([apply_znorm(s, score_stats)]) for s in scores]
-        sample_w = [1.0 for _ in trials]
-        strata = {i: "" for i in range(len(trials))}
+        weights = [1.0] * len(trials)
+        strata = [""] * len(trials)
 
-    head = bundle.groups["head"]
-    flat = _FlatParams(
-        {"encoder": bundle.group_params("encoder"), "head": bundle.group_params("head")},
-        {"encoder": False, "head": True},
+    head, history = _run_training(
+        specs={"head": bundle.groups["head"]}, groups={"head": bundle.group_params("head")},
+        inputs=feats, targets=targets, weights=weights, strata=strata, config=config,
+        seed=seed, stage="head", trial_ids=[t.trial_id for t in trials],
     )
-    train_idx, val_idx = _val_split(range(len(trials)), strata, config.val_fraction, seed)
-
-    def fwd(i):
-        rec = Recorder(activity_l2=config.l2)
-        out = forward_stack(head, flat.params["head"], feats[i], rec, flat.grads["head"])
-        rec.set_loss(config.loss, out, targets[i], sample_w[i])
-        return rec
-
-    val_stacks = [(head, flat.params["head"])]
-    history = _run_training(
-        forward_train=fwd,
-        val_losses=lambda: _val_losses(val_stacks, [feats[i] for i in val_idx],
-                                       [targets[i] for i in val_idx], config.loss,
-                                       [sample_w[i] for i in val_idx]),
-        val_indices=val_idx, train_indices=train_idx,
-        flat=flat, config=config, seed=seed, stage="head",
-        trial_ids=[t.trial_id for t in trials],
-    )
-    new_weights = dict(bundle.weights)
-    new_weights.update({k: v for k, v in flat.export().items() if k.startswith("head/")})
-    out = ModelBundle(
-        mode=mode,
-        groups=bundle.groups,
-        weights=new_weights,
-        trainable={"encoder": False, "head": True},
-        minmax=bundle.minmax,
-        score_stats=score_stats,
-        class_names=bundle.class_names,
-    )
-    return out, history
+    return replace(bundle, weights={**bundle.weights, **head}, score_stats=score_stats), history
 
 
-def train_classifier(dae_bundle, trials, config, seed, arch=None, mode="classification",
-                     class_names=PASS_FAIL):
+def train_classifier(dae_bundle, trials, config, seed, arch=None, mode="classification"):
     """Build a skill model over the frozen encoder and train its head;
     ``seed`` also draws the head's initial weights."""
-    bundle = build_classifier(dae_bundle, mode, arch=arch, seed=seed,
-                              class_names=class_names)
+    bundle = build_classifier(dae_bundle, mode, arch=arch, seed=seed)
     return train_supervised(bundle, trials, config, seed)

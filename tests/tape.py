@@ -8,9 +8,20 @@ with a ``Recorder`` in training, and with a ``PackedEval`` in
 are the reference outputs and ``tz.backward`` of a loss over them gives
 the reference gradients.  Both are compared with the package's bit for
 bit.
+
+``TrainingLoop`` sets up a stage's training loop the way
+``training._run_training`` does, from the data the stage hands it, and
+stops before the first step, so a test can drive the production step
+function (``training._step``) one step at a time.
 """
 
+import inspect
+from unittest import mock
+
+import pytest
+
 import skillseq.tensor as tz
+import skillseq.training as training
 from skillseq.layers import _scse_params
 
 
@@ -66,6 +77,45 @@ def forward(specs, params, x, penalties=None, rng=None, activity_l2=0.0, capture
             if rng is not None and spec.sigma > 0.0:
                 out = tz.add_noise(out, rng.normal(0.0, spec.sigma, size=out.data.shape))
     return out
+
+
+class _Stop(Exception):
+    pass
+
+
+class TrainingLoop:
+    """The loop ``train(*args)`` would run, stopped before its first step.
+
+    ``data`` holds the arguments the stage passes to
+    ``training._run_training``; ``flat`` (``training._FlatParams``) and
+    ``train_indices`` (``training._val_split``) are built from them as
+    that loop builds them, and ``config`` is the stage's recipe.
+    """
+
+    def __init__(self, train, *args):
+        bound, signature = {}, inspect.signature(training._run_training)
+
+        def capture(*a, **kw):
+            call = signature.bind(*a, **kw)
+            call.apply_defaults()
+            bound.update(call.arguments)
+            raise _Stop
+
+        with mock.patch.object(training, "_run_training", side_effect=capture), \
+                pytest.raises(_Stop):
+            train(*args)
+        self.data = bound
+        self.config = bound["config"]
+        self.flat = training._FlatParams(bound["groups"])
+        self.train_indices, _ = training._val_split(
+            range(len(bound["inputs"])), bound["strata"], self.config.val_fraction,
+            bound["seed"])
+
+    def step_args(self, i):
+        """The arguments of ``training._step`` for a step on trial ``i``."""
+        d = self.data
+        return (d["specs"], self.flat, d["inputs"][i], d["targets"][i], d["weights"][i],
+                self.config, d["noise_rng"])
 
 
 def _conv(x, params, wn, bn, dilation, penalties, activity_l2):

@@ -1,17 +1,22 @@
 """CLI input checks: a missing input file or a bad flag value is a usage
 error (exit 2); a malformed input file is a runtime error (exit 1) whose
-message names the file and line."""
+message names the file and line.  A head trained over a given
+autoencoder sees its inputs as the bundle it ships will scale them."""
 
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from skillseq.bundle import save_bundle
+from skillseq.bundle import load_bundle, save_bundle
 from skillseq.cli import dispatch
-from skillseq.data import Dataset, load_manifest, write_manifest, write_trial_csv
+from skillseq.config import resolve_run_config
+from skillseq.data import Dataset, fit_minmax, load_manifest, write_manifest, write_trial_csv
 from skillseq.explain import read_cams_csv
 from skillseq.records import PredictionRecord, read_records_csv, write_records_csv
+from skillseq.model import normalize_for_model, prepare_dataset
+from skillseq.training import train_classifier
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +186,10 @@ def test_a_target_rate_without_a_stride_is_a_runtime_error(scoring_inputs, tmp_p
                                                           command, target_hz, why):
     """A finite rate > 0 can still leave no usable stride: rate / target_hz
     overflows to infinity or rounds below 1.  Either is one runtime error
-    line naming both rates, not a traceback."""
-    rate = load_manifest(scoring_inputs["manifest"]).trials[0].sample_rate_hz
+    line naming the manifest, the first trial and both rates, not a
+    traceback."""
+    manifest = scoring_inputs["manifest"]
+    first = load_manifest(manifest).trials[0]
     out = tmp_path / "out"
     if command == "predict":
         argv = scoring_argv(command, scoring_inputs, out)
@@ -190,8 +197,40 @@ def test_a_target_rate_without_a_stride_is_a_runtime_error(scoring_inputs, tmp_p
         argv = [command, "--manifest", scoring_inputs["manifest"], "--out", str(out)]
     assert dispatch(argv + ["--target-hz", target_hz]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: runtime: cannot downsample {rate} Hz to {float(target_hz)} Hz (stride {why})"]
+        f"error: runtime: {manifest}: {first.trial_id}: cannot downsample "
+        f"{first.sample_rate_hz} Hz to {float(target_hz)} Hz (stride {why})"]
     assert not out.exists()
+
+
+def test_train_classifier_over_a_given_dae_trains_under_the_bundle_minmax(tmp_path):
+    """With ``--dae`` the skill bundle ships the autoencoder's min-max, so
+    the head trains on inputs scaled by it, not by statistics fitted on
+    this manifest: the bundle is the one ``train_classifier`` makes from
+    the manifest's trials under the DAE's min-max."""
+    data = {"a": ["--seed", "1"], "b": ["--seed", "2", "--subject-bias", "2.0"]}
+    for name, flags in data.items():
+        assert dispatch(["synth", "--out", str(tmp_path / name), "--n-subjects", "3",
+                         "--trials-per-subject", "4", "--pass-fraction", "0.5"] + flags) == 0
+    recipe = {"seed": 5, "dae_max_epochs": 1, "clf_max_epochs": 2, "arch_enc_width": 4,
+              "arch_clf_width": 4}
+    flags = [x for k, v in recipe.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+    manifest = str(tmp_path / "b" / "manifest.csv")
+    assert dispatch(["train-dae", "--manifest", str(tmp_path / "a" / "manifest.csv"),
+                     "--out", str(tmp_path / "dae")] + flags) == 0
+    dae_path = str(tmp_path / "dae" / "dae.skq")
+    assert dispatch(["train-classifier", "--manifest", manifest, "--dae", dae_path,
+                     "--out", str(tmp_path / "skill")] + flags) == 0
+
+    dae, skill = load_bundle(dae_path), load_bundle(str(tmp_path / "skill" / "skill.skq"))
+    settings = resolve_run_config(None, recipe).settings
+    trials = prepare_dataset(load_manifest(manifest), settings.target_hz).trials
+    assert not np.allclose(fit_minmax(trials).mins, dae.minmax.mins)
+    want, _ = train_classifier(dae, [normalize_for_model(dae, t) for t in trials],
+                               settings.clf, settings.seed, settings.arch, settings.mode)
+    assert skill.minmax.to_dict() == dae.minmax.to_dict()
+    assert sorted(skill.weights) == sorted(want.weights)
+    for k, v in want.weights.items():
+        assert skill.weights[k].tobytes() == v.tobytes(), k
 
 
 @pytest.mark.parametrize("mode, value, choices", [

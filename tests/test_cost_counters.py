@@ -55,6 +55,7 @@ import pytest
 
 import skillseq.tensor as tz
 import skillseq.training as training
+import tape
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.data import NORMALIZED, MinMaxStats, Trial, parse_trial_text, prepare_stage2
 from skillseq.explain import CamMap
@@ -95,9 +96,14 @@ COUNTS = {
         # block becomes fork and join (+1) which record _join and _split
         # through add (+2).  peak_kb (added then) is unchanged: 630 and
         # 396 at the parent code.
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 155,
+        # py 155 -> 154 and 115 -> 114 when the training loop took each
+        # stage's data and _FlatParams lost its one-line methods: the step
+        # zeroes the gradient buffer in place of calling zero_grads (-1);
+        # the forward runs in the module-level _step in place of each
+        # stage's closure (0).  numpy_c and peak_kb are unchanged.
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 154,
                               "peak_kb": 630},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 115,
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 114,
                                "peak_kb": 396},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
@@ -260,31 +266,19 @@ def _long_trial_text(rng):
     return "\n".join(header + rows) + "\n"
 
 
-class _Stop(Exception):
-    pass
-
-
 def _first_step(train, *args):
-    """One optimizer step of the loop ``train`` would run, built from the
-    closure and parameters it hands to ``_run_training`` (the loop itself
-    is stopped before its first step).  The step is the body of
-    ``_run_training``'s inner loop."""
-    seen = {}
-
-    def capture(**kwargs):
-        seen.update(kwargs)
-        raise _Stop
-
-    with mock.patch.object(training, "_run_training", side_effect=capture), \
-            pytest.raises(_Stop):
-        train(*args)
-    fwd, flat, config = seen["forward_train"], seen["flat"], seen["config"]
+    """One optimizer step of the loop ``train`` would run, on its first
+    training trial: the production step function (``training._step``)
+    over the loop's data as ``tape.TrainingLoop`` sets it up, its
+    backward, then Adam, as ``_run_training``'s inner loop runs them."""
+    loop = tape.TrainingLoop(train, *args)
+    flat, config = loop.flat, loop.config
     opt = AdamState(learning_rate=config.learning_rate, l2=config.l2)
-    i = seen["train_indices"][0]
+    args = loop.step_args(loop.train_indices[0])
 
     def step():
-        flat.zero_grads()
-        fwd(i).backward()
+        flat.grad[:] = 0.0
+        training._step(*args).backward()
         adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
 
     return step

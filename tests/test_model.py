@@ -8,6 +8,7 @@ from unittest import mock
 import tape
 from conftest import SMALL_ARCH, make_trial
 from skillseq.bundle import load_bundle, save_bundle
+from skillseq.crossval import encoder_fingerprint
 from skillseq.data import DOWNSAMPLED, apply_minmax, fit_minmax, prepare_stage2
 from skillseq.model import (
     ArchConfig,
@@ -229,6 +230,19 @@ def test_classification_requires_mse_free_loss(small_dae, small_normalized):
     from skillseq.training import train_classifier
     with pytest.raises(ValueError):
         train_classifier(dae, trials, cfg, 0, SMALL_ARCH, mode="classification")
+
+
+@pytest.mark.parametrize("fixture", ["small_classifier", "small_regressor"])
+def test_head_training_leaves_the_encoder_bit_identical(request, small_dae, fixture):
+    """``train_classifier`` trains only the head: the skill bundle's
+    encoder arrays, and so its encoder fingerprint, are the DAE's."""
+    dae, _ = small_dae
+    skill, _ = request.getfixturevalue(fixture)
+    encoder = sorted(k for k in dae.weights if k.startswith("encoder/"))
+    assert encoder and encoder == sorted(k for k in skill.weights if k.startswith("encoder/"))
+    for k in encoder:
+        assert skill.weights[k].tobytes() == dae.weights[k].tobytes(), k
+    assert encoder_fingerprint(skill) == encoder_fingerprint(dae)
 
 
 def test_model_inputs_must_be_normalized(small_classifier):

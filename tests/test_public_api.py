@@ -1,6 +1,7 @@
 """Every exported name exists, every benchmark span still has a target,
 every definition in the package is used, only the tensor module names
-the tape, and one walker composes every layer kind for both modes.
+the tape, one walker composes every layer kind for both modes, and one
+training loop takes each stage's data, not callbacks.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -16,7 +17,7 @@ import pkgutil
 import pytest
 
 import skillseq
-from skillseq import layers
+from skillseq import layers, training
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(skillseq.__path__)
                  if m.name != "__main__")
@@ -149,3 +150,22 @@ def test_one_walker_composes_every_kind_for_both_modes():
         missing = sorted(op for op in ops if not callable(getattr(mode, op, None)))
         assert not missing, f"{mode.__name__} lacks {missing}"
         assert mode.train is train
+
+
+def test_one_training_loop_takes_data_not_callbacks():
+    """``_run_training`` and its step function call none of their
+    parameters, the stages hand them data through no nested function or
+    lambda, and ``_FlatParams`` takes only the parameter groups."""
+    for fn in (training._run_training, training._step):
+        tree = ast.parse(inspect.getsource(fn))
+        params = {a.arg for a in tree.body[0].args.args}
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not params & called, f"{fn.__name__} calls {sorted(params & called)}"
+    for fn in (training.train_dae, training.train_supervised):
+        body = ast.parse(inspect.getsource(fn)).body[0]
+        nested = [type(node).__name__ for node in ast.walk(body) if node is not body
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        assert not nested, f"{fn.__name__} defines {nested}"
+    init = inspect.signature(training._FlatParams.__init__)
+    assert list(init.parameters) == ["self", "groups"]

@@ -3,15 +3,15 @@
 Training runs each stack's backward layer by layer over recorded arrays
 (``layers.forward_stack`` with a ``Recorder``).  The reference is the
 tape: ``tape.forward`` over Tensor leaves of the same parameters, then
-``tz.backward``.  Each case runs the training loop's own forward for
-several consecutive steps, with an Adam update between them, and
-replays every step on the tape from the inputs the stack pass saw: the
-loss and every byte of the flat gradient must agree at every step.
+``tz.backward``.  Each case runs the training loop's own step function
+(``training._step``, set up by ``tape.TrainingLoop``) for several
+consecutive steps, with an Adam update between them, and replays every
+step on the tape from the inputs the stack pass saw: the loss and every
+byte of the flat gradient must agree at every step.
 """
 
 import copy
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,25 +56,6 @@ def _autoencoder(arch, seed):
                        trainable={"encoder": False, "decoder": False}, minmax=_minmax())
 
 
-class _Stop(Exception):
-    pass
-
-
-def _loop(train, *args):
-    """The forward, parameters and recipe that ``train`` hands to
-    ``_run_training`` (the loop itself is stopped before its first step)."""
-    seen = {}
-
-    def capture(**kwargs):
-        seen.update(kwargs)
-        raise _Stop
-
-    with mock.patch.object(training, "_run_training", side_effect=capture), \
-            pytest.raises(_Stop):
-        train(*args)
-    return seen["forward_train"], seen["flat"], seen["config"], seen["train_indices"]
-
-
 class _Spy:
     """What one stack-pass step ran: each stack with its parameters,
     gradient arrays and input, the noise generator as it stood before the
@@ -117,17 +98,18 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def _assert_steps_match(monkeypatch, fwd, flat, config, train_indices):
+def _assert_steps_match(monkeypatch, loop):
+    flat, config = loop.flat, loop.config
     opt = AdamState(learning_rate=config.learning_rate, l2=config.l2)
     for step in range(STEPS):
-        i = train_indices[step % len(train_indices)]
+        i = loop.train_indices[step % len(loop.train_indices)]
         spy = _Spy(monkeypatch)
-        flat.zero_grads()
-        rec = fwd(i)
+        flat.grad[:] = 0.0
+        rec = training._step(*loop.step_args(i))
         rec.backward()
         got_loss, got_grad = rec.loss, flat.grad.copy()
         monkeypatch.undo()
-        flat.zero_grads()
+        flat.grad[:] = 0.0
         want_loss = spy.tape_step(config.l2)
         assert _bits(got_loss) == _bits(want_loss), f"loss, step {step}"
         assert _bits(got_grad) == _bits(flat.grad), f"gradient, step {step}"
@@ -148,8 +130,8 @@ DAE_CASES = [
 def test_dae_step_matches_the_tape(monkeypatch, loss, kernel_size, width, l2, sigma):
     arch = ArchConfig(enc_width=width, kernel_size=kernel_size)
     config = training.DaeConfig(loss=loss, l2=l2, noise_sigma=sigma)
-    parts = _loop(training.train_dae, _trials(1), _minmax(), config, 3, arch)
-    _assert_steps_match(monkeypatch, *parts)
+    loop = tape.TrainingLoop(training.train_dae, _trials(1), _minmax(), config, 3, arch)
+    _assert_steps_match(monkeypatch, loop)
 
 
 HEAD_CASES = [
@@ -168,9 +150,9 @@ def test_head_step_matches_the_tape(monkeypatch, mode, weighting, kernel_size, d
     arch = ArchConfig(kernel_size=kernel_size, clf_dilation=dilation, clf_width=width)
     loss = "cosine" if mode == "classification" else "mse"
     config = training.HeadConfig(loss=loss, l2=l2, class_weighting=weighting)
-    parts = _loop(training.train_classifier, _autoencoder(arch, 2), _trials(4), config, 5,
-                  arch, mode)
-    _assert_steps_match(monkeypatch, *parts)
+    loop = tape.TrainingLoop(training.train_classifier, _autoencoder(arch, 2), _trials(4),
+                             config, 5, arch, mode)
+    _assert_steps_match(monkeypatch, loop)
 
 
 CUSTOM_HEADS = {
@@ -220,5 +202,5 @@ def test_any_head_kind_matches_the_tape(monkeypatch, name, l2):
     bundle = replace(bundle, groups={"encoder": bundle.groups["encoder"], "head": head},
                      weights=weights)
     config = training.HeadConfig(l2=l2)
-    parts = _loop(training.train_supervised, bundle, _trials(9), config, 11)
-    _assert_steps_match(monkeypatch, *parts)
+    loop = tape.TrainingLoop(training.train_supervised, bundle, _trials(9), config, 11)
+    _assert_steps_match(monkeypatch, loop)
