@@ -131,14 +131,27 @@ def _fit_normalized(trials):
     return [apply_minmax(t, minmax) for t in trials], minmax
 
 
+def _scaled_by_bundle(bundle, bundle_path, trials, manifest):
+    """Downsampled ``trials`` of ``manifest`` scaled by the bundle's
+    min-max statistics.  A trial whose channels are not the ones the
+    bundle was fit on is a runtime error naming the manifest, the trial
+    and the bundle."""
+    fit_on = bundle.minmax.channels if bundle.minmax is not None else None
+    for t in trials:
+        if fit_on is not None and t.channels != fit_on:
+            raise ValueError(f"{manifest}: channel mismatch: {t.trial_id} has {t.channels}, "
+                             f"bundle {bundle_path} was fit on {fit_on}")
+    return [normalize_for_model(bundle, t) for t in trials]
+
+
 def _model_inputs(args, bundle):
     """Bundle-normalized trials of --manifest at --target-hz, plus the
     dataset they came from."""
     _require_file(args.manifest, "manifest")
     target_hz = flag_values(args, _SCORING_KEYS).get("target_hz", RunSettings.target_hz)
     dataset = load_manifest(args.manifest)
-    return dataset, [normalize_for_model(bundle, t)
-                     for t in prepare_dataset(dataset, target_hz, args.manifest).trials]
+    trials = prepare_dataset(dataset, target_hz, args.manifest).trials
+    return dataset, _scaled_by_bundle(bundle, args.bundle, trials, args.manifest)
 
 
 def _load_skill_bundle(args, what):
@@ -203,7 +216,7 @@ def _cmd_train_classifier(args):
             raise UsageError(f"--dae bundle has mode '{dae_bundle.mode}', expected autoencoder")
         # the skill bundle ships the autoencoder's min-max, so the head
         # trains on inputs scaled by it
-        norm = [normalize_for_model(dae_bundle, t) for t in trials]
+        norm = _scaled_by_bundle(dae_bundle, args.dae, trials, run.manifest)
     else:
         norm, minmax = _fit_normalized(trials)
         dae_bundle, _ = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)

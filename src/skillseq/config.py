@@ -121,6 +121,12 @@ def _parse_float(raw):
     return value
 
 
+def _parse_sha256(raw):
+    if len(raw) != 64 or raw.strip("0123456789abcdef"):
+        raise ValueError(f"expected 64 lowercase hex digits, got '{raw}'")
+    return raw
+
+
 def _parse_mode(raw):
     return {"classify": "classification", "regress": "regression"}.get(raw, raw)
 
@@ -176,7 +182,7 @@ def _table(*keys):
 RUN_KEYS = _table(
     Key("manifest", part=None, snapshot="optional"),
     Key("out", part=None, snapshot="never"),
-    Key("dataset_sha256", part=None, flag=False),
+    Key("dataset_sha256", _parse_sha256, part=None, flag=False),
     Key("mode", _parse_mode),
     Key("scheme"),
     Key("seed", _parse_int),
@@ -340,4 +346,7 @@ def read_run_cfg(path):
     for key in RUN_KEYS.values():
         if key.snapshot == "required" and key.name not in pairs:
             raise ConfigError(f"{path}: run settings missing key '{key.name}'")
-    return _run_config({name: value for name, (value, _) in pairs.items()})
+    try:
+        return _run_config({name: value for name, (value, _) in pairs.items()})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

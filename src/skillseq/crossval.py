@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -267,14 +266,24 @@ def _persist_fold(out_dir, settings, fold, outcome):
         write_cams_csv(outcome.cams, os.path.join(fold_dir, "cams.csv"))
 
 
+def _process_pool(workers):
+    """A process pool of ``workers`` processes.  Imported on first use:
+    ``concurrent.futures.process`` brings in ``multiprocessing``, which
+    only ``--jobs`` > 1 needs."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers)
+
+
 def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
            manifest_path=None, jobs=1, progress=None):
     """Train and evaluate one model per fold; optionally persist the run.
 
     ``fold_assignment`` replays a fixed roster (the masking study depends
     on this); otherwise the roster comes from the settings' scheme and
-    seed.  ``jobs`` > 1 trains folds in separate processes; outputs are
-    identical to the serial path.
+    seed.  ``jobs`` > 1 trains folds in separate processes, at most one
+    per fold, from the pool that ``_process_pool`` makes; outputs are
+    identical to the serial path.  A serial run (``jobs`` 1) trains in
+    this process and never imports the process-pool machinery.
     """
     stage2 = prepare_dataset(dataset, settings.target_hz, manifest_path)
     by_id = {t.trial_id: t for t in stage2.trials}
@@ -299,7 +308,7 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
     # a pool's map submits every fold at once and yields outcomes in fold
     # order as they finish, so progress streams under --jobs N as well
     outcomes = []
-    with ProcessPoolExecutor(min(jobs, len(tasks))) if jobs > 1 else nullcontext() as pool:
+    with _process_pool(min(jobs, len(tasks))) if jobs > 1 else nullcontext() as pool:
         for outcome in (pool.map if pool else map)(_run_fold, tasks):
             outcomes.append(outcome)
             if progress:
@@ -376,19 +385,24 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     predictions (it failed its guard) has no maps: its test trials keep a
     neutral all-ones mask, and the report marks the fold as skipped.
     """
-    run = read_run_cfg(os.path.join(run_dir, SETTINGS_FILE))
+    cfg_path = os.path.join(run_dir, SETTINGS_FILE)
+    run = read_run_cfg(cfg_path)
     settings = run.settings
     if settings.mode != "classification":
-        raise ValueError("the masking study applies to classification runs")
+        raise ValueError(f"{cfg_path}: the masking study applies to classification runs, "
+                         f"not {settings.mode}")
     if dataset is None:
         if run.manifest is None:
-            raise ValueError("run snapshot records no manifest; pass the dataset explicitly")
+            raise ValueError(f"{cfg_path}: run snapshot records no manifest; "
+                             "pass the dataset explicitly")
+        if not os.path.isfile(run.manifest):
+            raise ValueError(f"{cfg_path}: recorded manifest not found: {run.manifest}")
         dataset = load_manifest(run.manifest)
     actual_sha = dataset_fingerprint(dataset)
     if run.dataset_sha256 != actual_sha:
         raise ConfigError(
-            f"dataset fingerprint {actual_sha[:12]}... does not match the "
-            f"run snapshot ({run.dataset_sha256[:12]}...); refusing to pair folds"
+            f"dataset fingerprint {actual_sha} does not match the dataset_sha256 "
+            f"{run.dataset_sha256} of {cfg_path}; refusing to pair folds"
         )
 
     folds_path = os.path.join(run_dir, FOLDS_FILE)

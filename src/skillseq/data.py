@@ -219,7 +219,8 @@ def apply_minmax(trial, stats):
     _require_stage(trial, DOWNSAMPLED, "apply_minmax")
     if trial.channels != stats.channels:
         raise ValueError(
-            f"channel mismatch: trial has {trial.channels}, stats fit on {stats.channels}"
+            f"channel mismatch: {trial.trial_id} has {trial.channels}, "
+            f"stats fit on {stats.channels}"
         )
     rng = stats.maxs - stats.mins
     vals = np.clip((trial.values - stats.mins) / rng, 0.0, 1.0)

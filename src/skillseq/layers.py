@@ -261,11 +261,19 @@ class Recorder:
         gradient array.  ``g``, the gradient of the last op's output,
         defaults to the loss's; a loss that is not ``set_loss``'s passes
         its own.  Returns what the first recorded op returns: the gradient
-        of its input, or None if that op computes none."""
+        of its input, or None if that op computes none.
+
+        Each entry is popped before it runs, so ``ops`` is empty after the
+        call and the step's taps, activations and masks are freed as the
+        backward passes them.  Every caller runs it once per recorded
+        forward: the training loop, ``gradcheck``, and the steps that
+        ``tests/test_stack_pass.py`` replays on ``tests/tape.py``."""
         if g is None:
             grad, args = self._loss_grad
             g = grad(1.0, *args)
-        for backward, args in reversed(self.ops):
+        ops = self.ops
+        while ops:
+            backward, args = ops.pop()
             g = backward(g, *args)
         return g
 

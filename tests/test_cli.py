@@ -68,6 +68,34 @@ def test_cam_maps_the_predicted_class_of_a_label_the_bundle_lacks(scoring_inputs
     assert cams[records[1].trial_id].class_index == records[1].actual
 
 
+@pytest.mark.parametrize("command", ["predict", "cam", "train-classifier"])
+def test_channels_unlike_the_bundles_are_a_runtime_error_naming_both_files(
+        scoring_inputs, small_dae, tmp_path, capsys, command):
+    """A manifest whose channels are not the ones the bundle was fit on
+    exits 1 with one line naming the manifest, the trial and the bundle."""
+    trials = [replace(t, channels=("p", "q", "r", "s"))
+              for t in load_manifest(scoring_inputs["manifest"]).trials]
+    paths = [tmp_path / f"trial{i}.csv" for i in range(len(trials))]
+    for trial, path in zip(trials, paths):
+        write_trial_csv(trial, path)
+    manifest = str(tmp_path / "manifest.csv")
+    write_manifest(Dataset(trials), paths, manifest)
+    if command == "train-classifier":
+        bundle = str(tmp_path / "dae.skq")
+        save_bundle(small_dae[0], bundle)
+        argv = [command, "--manifest", manifest, "--dae", bundle, "--out", str(tmp_path / "out")]
+    else:
+        bundle = scoring_inputs["bundle"]
+        argv = scoring_argv(command, dict(scoring_inputs, manifest=manifest),
+                            tmp_path / "out")
+    fit_on = load_bundle(bundle).minmax.channels
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: runtime: {manifest}: channel mismatch: {trials[0].trial_id} has "
+        f"('p', 'q', 'r', 's'), bundle {bundle} was fit on {fit_on}"]
+    assert not (tmp_path / "out").exists()
+
+
 def last_error(capsys):
     return capsys.readouterr().err.strip().splitlines()[-1]
 

@@ -1,17 +1,19 @@
 """Mutated input files through ``dispatch``.
 
-Each example takes a valid records CSV, trial CSV or manifest, drops or
-duplicates a cell or a row, truncates the file, replaces a cell with a
-bad value or with one longer than ``csv.field_size_limit()``, or (in a
-manifest) a trial path with one to a missing file, then runs the
-subcommand that reads it.  Whatever the mutation, the exit code is 0, 1
-or 2, no exception escapes ``dispatch``, and every failure's last line
-of output names the mutated file.
+Each example takes a valid records CSV, trial CSV, manifest, or a
+finished run's ``run.cfg`` or ``folds.txt``, drops or duplicates a cell
+or a row, truncates the file, replaces a cell with a bad value or with
+one longer than ``csv.field_size_limit()``, or (in a manifest) a trial
+path with one to a missing file, then runs the subcommand that reads it.
+Whatever the mutation, the exit code is 0, 1 or 2, no exception escapes
+``dispatch``, and every failure's last line of output names the mutated
+file.
 """
 
 import contextlib
 import csv
 import io
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,5 +120,35 @@ def test_mutated_manifest_fails_cleanly_under_ingest_check(workdir):
     def check(text):
         manifest.write_text(text)
         run(["ingest-check", "--manifest", manifest], manifest)
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def finished_run(workdir):
+    """A tiny finished classification run: 12 trials, three folds, one
+    epoch per stage and two channels per layer."""
+    data, run_dir = workdir / "run_data", workdir / "run"
+    assert dispatch(["synth", "--out", str(data), "--seed", "11", "--n-subjects", "3",
+                     "--trials-per-subject", "4", "--pass-fraction", "0.5"]) == 0
+    assert dispatch(["evaluate", "--manifest", str(data / "manifest.csv"), "--out", str(run_dir),
+                     "--scheme", "stratified3", "--dae-max-epochs", "1", "--clf-max-epochs", "1",
+                     "--arch-enc-width", "2", "--arch-emb-channels", "2",
+                     "--arch-clf-width", "2"]) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize("name", ["run.cfg", "folds.txt"])
+def test_mutated_run_file_fails_cleanly_under_validate_cam(workdir, finished_run, name):
+    run_dir = workdir / f"run_{name}"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / name
+    text = path.read_text(encoding="utf-8")
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated=mutations(text))
+    def check(mutated):
+        path.write_text(mutated, encoding="utf-8")
+        run(["validate-cam", "--run", run_dir, "--out", workdir / "study"], path)
 
     check()

@@ -373,7 +373,7 @@ def test_jobs_progress_prints_each_fold_as_it_finishes(tiny_manifest, tmp_path,
         print(f"train {task[2].name}")
         return run_fold(task)
 
-    monkeypatch.setattr(crossval, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(crossval, "_process_pool", LazyPool)
     monkeypatch.setattr(crossval, "_run_fold", announced)
     assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / "run",
                    "--jobs", 2, "--verbose", *FAST_RUN) == 0
@@ -403,7 +403,7 @@ def test_pool_starts_no_more_workers_than_folds(tiny_manifest, tmp_path, monkeyp
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(crossval, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(crossval, "_process_pool", SerialPool)
     for jobs in (8, 1000000):
         assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", tmp_path / f"run{jobs}",
                        "--jobs", jobs, *FAST_RUN) == 0
@@ -518,11 +518,11 @@ def test_changed_dataset_is_refused(tiny_manifest, tmp_path, capsys):
     assert not (tmp_path / "study").exists()
 
 
-def doctored_run(tiny_run, tmp_path, edit):
-    """A copy of the tiny run whose folds.txt text is ``edit(text)``."""
+def doctored_run(tiny_run, tmp_path, edit, name="folds.txt"):
+    """A copy of the tiny run whose ``name`` file's text is ``edit(text)``."""
     run_dir = tmp_path / "run"
     shutil.copytree(tiny_run, run_dir)
-    path = run_dir / "folds.txt"
+    path = run_dir / name
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
     return run_dir
 
@@ -594,4 +594,27 @@ def test_validate_cam_refuses_folds_that_differ_from_metrics(tiny_run, tmp_path,
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
         f"error: usage: {run_dir / 'folds.txt'} has fingerprint {changed}, but "
         f"{run_dir / 'metrics.txt'} records folds_sha256 {recorded}; refusing to pair folds")
+    assert not (tmp_path / "study").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    # another fingerprint: both values in full, since they may share a prefix
+    (lambda sha: "f" * 64, "dataset fingerprint {sha} does not match the dataset_sha256 "
+                           "{bad} of {cfg}; refusing to pair folds"),
+    # not a fingerprint at all: the file and line
+    (lambda sha: f"{sha},dataset_sha256 = {sha}",
+     "{cfg} line {line}: key 'dataset_sha256': expected 64 lowercase hex digits, got '{bad}'"),
+])
+def test_validate_cam_names_the_run_cfg_of_a_wrong_dataset_fingerprint(tiny_run, tmp_path,
+                                                                       capsys, edit, message):
+    with open(os.path.join(tiny_run, "run.cfg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if text.startswith("dataset_sha256 = "))
+    sha = lines[line - 1][len("dataset_sha256 = "):]
+    bad = edit(sha)
+    run_dir = doctored_run(tiny_run, tmp_path, lambda text: text.replace(sha, bad), "run.cfg")
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: usage: " + message.format(
+        sha=sha, bad=bad, cfg=run_dir / "run.cfg", line=line)
     assert not (tmp_path / "study").exists()

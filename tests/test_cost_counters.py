@@ -101,10 +101,14 @@ COUNTS = {
         # zeroes the gradient buffer in place of calling zero_grads (-1);
         # the forward runs in the module-level _step in place of each
         # stage's closure (0).  numpy_c and peak_kb are unchanged.
+        # peak_kb 630 -> 593 and 396 -> 348 when Recorder.backward started
+        # popping each recorded op before running it, so the taps,
+        # activations and masks of the ops already passed are freed while
+        # the rest of the backward runs.  numpy_c and py are unchanged.
         "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 154,
-                              "peak_kb": 630},
+                              "peak_kb": 593},
         "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 114,
-                               "peak_kb": 396},
+                               "peak_kb": 348},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in

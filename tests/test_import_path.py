@@ -1,18 +1,27 @@
-"""What a ``skillseq`` process loads: scipy's statistics stay out of it.
+"""What a ``skillseq`` process loads: scipy's statistics and the process
+pool stay out of it.
 
 ``metrics`` imports scipy only inside its two large-sample p-value tails,
 so a process that scores, explains, checks or evaluates a small study
-never pays for ``scipy.stats`` (about 1.2 s and 65 MB at start-up).  The
-check runs in a fresh interpreter so that this test session's own imports
-do not count.
+never pays for ``scipy.stats`` (about 1.2 s and 65 MB at start-up).
+``crossval`` imports ``concurrent.futures.process`` (and with it
+``multiprocessing``, about 1.3 MB) only when ``--jobs`` > 1 asks for a
+pool.  The checks run in a fresh interpreter so that this test session's
+own imports do not count.
 """
 
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+
+# the last line of each script: which process-pool modules it loaded
+POOL_REPORT = ('print(sorted(m for m in ("multiprocessing", "concurrent.futures.process")\n'
+               '             if m in sys.modules))\n')
 
 SCRIPT = r"""
 import os, sys
@@ -41,13 +50,33 @@ for argv in commands:
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}")
 print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
-"""
+""" + POOL_REPORT
 
 
-def test_subcommands_run_without_loading_scipy_statistics(tmp_path):
+def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("SKILLSEQ_SEED", None)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout
+    return proc.stdout.strip().splitlines()
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The last two lines of the subcommand script: the scipy statistics
+    modules and the pool modules loaded after every command ran."""
+    return _run(SCRIPT, str(tmp_path_factory.mktemp("work")))[-2:]
+
+
+def test_subcommands_run_without_loading_scipy_statistics(loaded):
+    assert loaded[0] == "[]", loaded
+
+
+def test_serial_subcommands_run_without_loading_the_process_pool(loaded):
+    """``evaluate`` and ``validate-cam`` at ``--jobs 1`` train in-process."""
+    assert loaded[1] == "[]", loaded
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    assert _run("import sys\nimport skillseq.cli\n" + POOL_REPORT) == ["[]"]

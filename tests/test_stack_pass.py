@@ -11,6 +11,7 @@ byte of the flat gradient must agree at every step.
 """
 
 import copy
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,19 @@ def _assert_steps_match(monkeypatch, loop):
         assert _bits(got_grad) == _bits(flat.grad), f"gradient, step {step}"
         assert np.any(got_grad != 0.0)
         adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
+
+
+def test_backward_frees_each_recorded_op_as_it_runs():
+    """After the backward, the recorder holds no op, and a recorded
+    convolution's taps are freed."""
+    loop = tape.TrainingLoop(training.train_dae, _trials(1), _minmax(), training.DaeConfig(), 3)
+    rec = training._step(*loop.step_args(loop.train_indices[0]))
+    taps = [weakref.ref(args[0]) for backward, args in rec.ops
+            if backward is layers._conv_back]
+    assert taps and all(ref() is not None for ref in taps)
+    rec.backward()
+    assert rec.ops == []
+    assert all(ref() is None for ref in taps)
 
 
 DAE_CASES = [
