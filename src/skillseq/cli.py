@@ -58,7 +58,7 @@ from .gradcheck import run_gradcheck
 from .model import actual_class, normalize_for_model, predict_many, prepare_dataset
 from .overlay import render_cam_overlay
 from .records import read_records_csv, write_records_csv
-from .reports import fmt9, kv_line
+from .reports import fmt9, kv_line, quoted
 from .synth import write_synth_dataset
 from .training import train_classifier, train_dae
 from .trust import build_trust_report
@@ -396,7 +396,7 @@ def _checked(parse, ok, expected):
         except ValueError:
             value = None
         if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got '{raw}'")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {quoted(raw)}")
         return value
     return check
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .data import read_text
 from .model import ArchConfig
+from .reports import quoted
 from .synth import SynthSpec
 from .training import DaeConfig, HeadConfig
 
@@ -63,7 +64,7 @@ def parse_scheme(token):
         if tail.isdigit() and int(tail) >= 2:
             return "stratified", int(tail)
     raise ValueError(
-        f"unrecognized scheme '{token}' (expected stratified<k>, loso, or louo)"
+        f"unrecognized scheme {quoted(token)} (expected stratified<k>, loso, or louo)"
     )
 
 
@@ -81,7 +82,7 @@ class RunSettings:
 
     def __post_init__(self):
         if self.mode not in ("classification", "regression"):
-            raise ValueError(f"mode must be classification or regression, got '{self.mode}'")
+            raise ValueError(f"mode must be classification or regression, got {quoted(self.mode)}")
         parse_scheme(self.scheme)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -108,7 +109,7 @@ def _parse_int(raw):
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"expected an integer, got '{raw}'") from None
+        raise ValueError(f"expected an integer, got {quoted(raw)}") from None
 
 
 def _parse_float(raw):
@@ -117,13 +118,13 @@ def _parse_float(raw):
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got '{raw}'")
+        raise ValueError(f"expected a finite number, got {quoted(raw)}")
     return value
 
 
 def _parse_sha256(raw):
     if len(raw) != 64 or raw.strip("0123456789abcdef"):
-        raise ValueError(f"expected 64 lowercase hex digits, got '{raw}'")
+        raise ValueError(f"expected 64 lowercase hex digits, got {quoted(raw)}")
     return raw
 
 
@@ -134,7 +135,7 @@ def _parse_mode(raw):
 def _parse_pair(raw):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
-        raise ValueError(f"expected 'low,high', got '{raw}'")
+        raise ValueError(f"expected 'low,high', got {quoted(raw)}")
     return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
@@ -254,7 +255,7 @@ def _read_pairs(path, keys):
         name, sep, raw = stripped.partition("=")
         name = name.strip()
         if not sep:
-            raise ConfigError(f"{where}: expected 'key = value', got {stripped!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {quoted(stripped)}")
         if not name:
             raise ConfigError(f"{where}: empty key")
         if name in pairs:
@@ -262,7 +263,7 @@ def _read_pairs(path, keys):
                 f"{where}: duplicate key '{name}' (first set on line {pairs[name][1]})"
             )
         if name not in keys:
-            raise ConfigError(f"{where}: unknown key '{name}'")
+            raise ConfigError(f"{where}: unknown key {quoted(name)}")
         pairs[name] = (keys[name].value(raw.strip(), f"{where}: key '{name}'"), ln)
     return pairs
 

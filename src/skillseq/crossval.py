@@ -434,10 +434,15 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
                         for tid in fold.test_ids if tid in frames)
             continue
         _, records = read_records_csv(pred_path)
+        if {r.trial_id for r in records} != set(fold.test_ids):
+            raise ValueError(f"{pred_path}: predictions do not cover the test set "
+                             f"of fold {fold.name}")
         before[fold.name] = fold_metrics("classification", tuple(records))
-        fold_cams = read_cams_csv(os.path.join(fold_dir, "cams.csv"))
+        cams_path = os.path.join(fold_dir, "cams.csv")
+        fold_cams = read_cams_csv(cams_path)
         if set(fold_cams) != set(fold.test_ids):
-            raise ValueError(f"fold {fold.name}: activation maps do not cover its test set")
+            raise ValueError(f"{cams_path}: activation maps do not cover the test set "
+                             f"of fold {fold.name}")
         cams.update(fold_cams)
 
     masked = mask_with_cams(stage2, cams)

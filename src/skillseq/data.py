@@ -514,6 +514,10 @@ def _unwritable(name):
     return None
 
 
+# frames formatted per write: a long trial's text never sits in memory whole
+_WRITE_FRAMES = 512
+
+
 def write_trial_csv(trial, path):
     """Serialize a trial; exact inverse of parse_trial_csv for RAW trials.
 
@@ -540,7 +544,7 @@ def write_trial_csv(trial, path):
         t, c = np.argwhere(infinite)[0].tolist()
         raise ValueError(f"{trial.trial_id} frame {t}, channel '{trial.channels[c]}': "
                          f"cannot write non-finite value {float(values[t, c])!r}")
-    buf = [
+    head = [
         f"# subject={trial.subject_id}",
         f"# trial={trial.trial_index}",
         f"# rate_hz={trial.sample_rate_hz!r}",
@@ -548,14 +552,18 @@ def write_trial_csv(trial, path):
         f"# class={'NA' if trial.class_label is None else trial.class_label}",
         "t," + ",".join(trial.channels),
     ]
-    gaps = np.isnan(values).any(axis=1).tolist()
-    for t, (row, gap) in enumerate(zip(values.tolist(), gaps)):
-        if gap:
-            buf.append(",".join([str(t)] + ["" if math.isnan(v) else repr(v) for v in row]))
-        else:
-            buf.append(f"{t}," + ",".join(map(repr, row)))
+    width = values.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(buf) + "\n")
+        fh.write("\n".join(head) + "\n")
+        # one repr pass over each block's cells; a missing cell is written empty
+        for first in range(0, values.shape[0], _WRITE_FRAMES):
+            block = values[first:first + _WRITE_FRAMES]
+            flat = block.ravel()
+            cells = list(map(repr, flat.tolist()))
+            for i in np.flatnonzero(np.isnan(flat)).tolist():
+                cells[i] = ""
+            fh.write("".join([f"{first + t}," + ",".join(cells[t * width:(t + 1) * width]) + "\n"
+                              for t in range(block.shape[0])]))
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +637,12 @@ def load_manifest(path):
         raise TrialFormatError(f"{path}: {exc}") from None
 
 
-def write_manifest(dataset, paths, out_path):
-    """Write a manifest for trials stored at the given (parallel) paths."""
+def write_manifest(rows, out_path):
+    """Write a manifest of ``(trial file path, subject, trial index)`` rows."""
     base = os.path.dirname(os.path.abspath(out_path))
     lines = ["path,subject,trial"]
-    for trial, p in zip(dataset.trials, paths):
-        rel = os.path.relpath(p, base)
-        lines.append(f"{rel},{trial.subject_id},{trial.trial_index}")
+    for p, subject, index in rows:
+        lines.append(f"{os.path.relpath(p, base)},{subject},{index}")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

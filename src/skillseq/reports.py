@@ -1,12 +1,15 @@
 """Canonical text formatting: reports must be byte-identical across reruns.
 
 Floats render with ``%.9g``.  Keys appear in a fixed order.  ``None``
-renders as ``NA``.
+renders as ``NA``.  A message quotes a bad input value with ``quoted``.
 """
 
 from __future__ import annotations
 
-__all__ = ["fmt9", "fmt_value", "kv_line"]
+__all__ = ["fmt9", "fmt_value", "kv_line", "quoted"]
+
+_QUOTED_WHOLE = 200
+_QUOTED_KEPT = 40
 
 
 def fmt9(x):
@@ -25,3 +28,13 @@ def fmt_value(v):
 
 def kv_line(key, value):
     return f"{key} = {fmt_value(value)}"
+
+
+def quoted(value):
+    """``value``'s text quoted for an error message.  Text longer than 200
+    characters keeps its first 40 and gives its length, so a huge bad
+    value cannot flood the message."""
+    text = str(value)
+    if len(text) <= _QUOTED_WHOLE:
+        return repr(text)
+    return f"{text[:_QUOTED_KEPT]!r}... ({len(text):,} characters)"

@@ -40,6 +40,7 @@ from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packe
 from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
                     decoder_specs, encode_many)
 from .optim import AdamState, adam_step_masked
+from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
 __all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "train_dae", "train_supervised",
@@ -57,7 +58,7 @@ def _check_recipe(config):
     if config.patience < 1:
         raise ValueError(f"patience must be >= 1, got {config.patience}")
     if config.loss not in _LOSSES:
-        raise ValueError(f"loss must be one of {_LOSSES}, got '{config.loss}'")
+        raise ValueError(f"loss must be one of {_LOSSES}, got {quoted(config.loss)}")
     if not 0.0 < config.val_fraction < 0.5:
         raise ValueError(f"val_fraction must lie in (0, 0.5), got {config.val_fraction}")
     if config.l2 < 0:
@@ -100,7 +101,8 @@ class HeadConfig:
     def __post_init__(self):
         _check_recipe(self)
         if self.class_weighting not in ("balanced", "none"):
-            raise ValueError(f"class_weighting must be balanced or none, got '{self.class_weighting}'")
+            raise ValueError(f"class_weighting must be balanced or none, "
+                             f"got {quoted(self.class_weighting)}")
 
 
 @dataclass

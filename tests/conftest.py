@@ -18,7 +18,7 @@ from skillseq.data import (
     prepare_stage2,
 )
 from skillseq.model import ArchConfig
-from skillseq.synth import SynthSpec, synth_dataset
+from skillseq.synth import SynthSpec, synth_subjects
 from skillseq.training import DaeConfig, HeadConfig, train_classifier, train_dae
 
 
@@ -32,6 +32,11 @@ def make_trial(values, subject="S1", index=0, rate=1.0, channels=None,
     return Trial(subject_id=subject, trial_index=index, sample_rate_hz=rate,
                  channels=tuple(channels), values=values, score=score,
                  class_label=label, stage=stage)
+
+
+def synth_dataset(spec):
+    """The generator's subjects flattened into one in-memory Dataset."""
+    return Dataset([t for trials in synth_subjects(spec) for t in trials])
 
 
 SMALL_ARCH = ArchConfig(enc_width=6, emb_channels=4, kernel_size=3,

@@ -12,7 +12,7 @@ import pytest
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.cli import dispatch
 from skillseq.config import resolve_run_config
-from skillseq.data import Dataset, fit_minmax, load_manifest, write_manifest, write_trial_csv
+from skillseq.data import fit_minmax, load_manifest, write_manifest, write_trial_csv
 from skillseq.explain import read_cams_csv
 from skillseq.records import PredictionRecord, read_records_csv, write_records_csv
 from skillseq.model import normalize_for_model, prepare_dataset
@@ -57,7 +57,8 @@ def test_cam_maps_the_predicted_class_of_a_label_the_bundle_lacks(scoring_inputs
     paths = [tmp_path / f"trial{i}.csv" for i in range(len(trials))]
     for trial, path in zip(trials, paths):
         write_trial_csv(trial, path)
-    write_manifest(Dataset(trials), paths, tmp_path / "manifest.csv")
+    write_manifest([(p, t.subject_id, t.trial_index) for t, p in zip(trials, paths)],
+                   tmp_path / "manifest.csv")
     inputs = dict(scoring_inputs, manifest=str(tmp_path / "manifest.csv"))
     assert dispatch(scoring_argv("predict", inputs, tmp_path / "records.csv")) == 0
     assert dispatch(scoring_argv("cam", inputs, tmp_path / "cams.csv")) == 0
@@ -79,7 +80,7 @@ def test_channels_unlike_the_bundles_are_a_runtime_error_naming_both_files(
     for trial, path in zip(trials, paths):
         write_trial_csv(trial, path)
     manifest = str(tmp_path / "manifest.csv")
-    write_manifest(Dataset(trials), paths, manifest)
+    write_manifest([(p, t.subject_id, t.trial_index) for t, p in zip(trials, paths)], manifest)
     if command == "train-classifier":
         bundle = str(tmp_path / "dae.skq")
         save_bundle(small_dae[0], bundle)

@@ -138,9 +138,10 @@ def finished_run(workdir):
     return run_dir
 
 
-@pytest.mark.parametrize("name", ["run.cfg", "folds.txt"])
+@pytest.mark.parametrize("name", ["run.cfg", "folds.txt", "fold_0/cams.csv",
+                                  "fold_0/predictions.csv"])
 def test_mutated_run_file_fails_cleanly_under_validate_cam(workdir, finished_run, name):
-    run_dir = workdir / f"run_{name}"
+    run_dir = workdir / f"run_{name.replace('/', '_')}"
     shutil.copytree(finished_run, run_dir)
     path = run_dir / name
     text = path.read_text(encoding="utf-8")

@@ -294,6 +294,39 @@ def test_bad_config_file_is_a_usage_error(tiny_manifest, tmp_path, capsys, body,
     assert not (tmp_path / "run").exists()
 
 
+HUGE = 131_073
+
+
+@pytest.mark.parametrize("command, body, named", [
+    # a value parser: the file, the line and the key
+    ("evaluate", "seed = " + "1" * HUGE + "\n", ("line 1: key 'seed': expected an integer",)),
+    # a line that is no 'key = value'
+    ("synth", "x" * HUGE + "\n", ("line 1: expected 'key = value'",)),
+    # a checked flag
+    ("gradcheck", None, ("argument --seed: expected an integer >= 0",)),
+], ids=["value", "line", "flag"])
+def test_a_huge_bad_value_is_shortened_in_the_message(tiny_manifest, tmp_path, capsys,
+                                                      command, body, named):
+    cfg = tmp_path / "huge.cfg"
+    if command == "evaluate":
+        argv = ["--config", cfg, "--manifest", tiny_manifest, "--out", tmp_path / "run"]
+    elif command == "synth":
+        argv = ["--spec", cfg, "--out", tmp_path / "data"]
+    else:
+        argv = ["--seed", "1" * HUGE]
+    if body is not None:
+        cfg.write_text(body, encoding="utf-8")
+        named += (str(cfg),)
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1_000
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error: usage: ")
+    for text in named + (f"... ({HUGE:,} characters)",):
+        assert text in last
+    assert not (tmp_path / "run").exists() and not (tmp_path / "data").exists()
+
+
 # --- replay of a finished run ---
 
 
@@ -490,6 +523,22 @@ def test_validate_cam_names_a_bad_cams_csv_line(tiny_run, tmp_path, capsys, row,
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
         f"error: runtime: {cams} line 5{message}")
+
+
+@pytest.mark.parametrize("name, what", [("predictions.csv", "predictions"),
+                                        ("cams.csv", "activation maps")])
+def test_validate_cam_refuses_a_fold_file_without_a_test_trial(tiny_run, tmp_path, capsys,
+                                                               name, what):
+    with open(os.path.join(tiny_run, "fold_0", name), encoding="utf-8") as fh:
+        tid = fh.read().splitlines()[1].split(",")[0]
+    run_dir = doctored_run(tiny_run, tmp_path, lambda text: "".join(
+        line for line in text.splitlines(True) if not line.startswith(tid + ",")),
+        f"fold_0/{name}")
+    assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: runtime: {run_dir / 'fold_0' / name}: {what} do not cover the test set "
+        f"of fold 0")
+    assert not (tmp_path / "study").exists()
 
 
 def test_changed_dataset_is_refused(tiny_manifest, tmp_path, capsys):

@@ -12,9 +12,9 @@ from skillseq.crossval import run_cv, validate_cams
 from skillseq.data import Dataset, dataset_fingerprint
 from skillseq.explain import mask_trial, read_cams_csv
 from skillseq.model import prepare_dataset
-from skillseq.synth import SynthSpec, synth_dataset
+from skillseq.synth import SynthSpec
 from skillseq.training import DaeConfig, HeadConfig
-from conftest import SMALL_ARCH
+from conftest import SMALL_ARCH, synth_dataset
 
 SETTINGS = RunSettings(mode="classification", scheme="louo", seed=2,
                        dae=DaeConfig(max_epochs=1), clf=HeadConfig(max_epochs=2),

@@ -365,14 +365,13 @@ def test_manifest_round_trip(tmp_path):
         make_trial([1.0, 2.0], subject="A", index=0, score=12.0, label="pass"),
         make_trial([3.0, np.nan], subject="B", index=1, label="fail"),
     ]
-    ds = Dataset(trials)
     paths = []
     for i, t in enumerate(trials):
         p = tmp_path / f"t{i}.csv"
         write_trial_csv(t, p)
         paths.append(str(p))
     manifest = tmp_path / "manifest.csv"
-    write_manifest(ds, paths, manifest)
+    write_manifest([(p, t.subject_id, t.trial_index) for t, p in zip(trials, paths)], manifest)
     back = load_manifest(manifest)
     assert [t.trial_id for t in back.trials] == [t.trial_id for t in trials]
     for orig, loaded in zip(trials, back.trials):

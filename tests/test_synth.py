@@ -6,12 +6,15 @@ separates the classes well, a sequence model has a fair target; the
 oracle shares no code with the model stack.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from skillseq import synth
 from skillseq.data import RAW, dataset_fingerprint, load_manifest
-from skillseq.synth import CLASS_THRESHOLD, SynthSpec, score_trajectory, synth_dataset
-from skillseq.synth import write_synth_dataset
+from skillseq.synth import CLASS_THRESHOLD, SynthSpec, score_trajectory, write_synth_dataset
+from conftest import synth_dataset
 
 
 SPEC = SynthSpec(n_subjects=6, trials_per_subject=20, seed=3)
@@ -125,6 +128,41 @@ def test_write_synth_dataset_round_trips(tmp_path):
     manifest = write_synth_dataset(spec, tmp_path)
     back = load_manifest(manifest)
     assert dataset_fingerprint(back) == dataset_fingerprint(synth_dataset(spec))
+
+
+def _write_peak(spec, out_dir):
+    """``tracemalloc`` peak of writing ``spec``, from an empty ramp cache."""
+    synth._smoothstep.cache_clear()
+    tracemalloc.start()
+    try:
+        write_synth_dataset(spec, out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_holds_one_subject_at_a_time(tmp_path):
+    """Three more subjects of long 10 Hz trials add a small fraction of
+    their values' bytes to the peak: each subject's trials are dropped
+    once written.  Building the whole dataset first adds all of them."""
+    def spec(n):
+        return SynthSpec(n_subjects=n, trials_per_subject=2, pass_fraction=0.0,
+                         sample_rate_hz=10.0, seed=1)
+
+    write_synth_dataset(SynthSpec(n_subjects=1, trials_per_subject=1), tmp_path / "warm")
+    one = _write_peak(spec(1), tmp_path / "one")
+    four = _write_peak(spec(4), tmp_path / "four")
+    added = sum(t.values.nbytes for trials in list(synth.synth_subjects(spec(4)))[1:]
+                for t in trials)
+    assert four - one < 0.25 * added, (one, four, added)
+
+
+def test_ramps_are_shared_and_read_only():
+    ramp = synth._smoothstep(7)
+    assert synth._smoothstep(7) is ramp
+    assert ramp[0] == 0.0 and ramp[-1] == 1.0
+    with pytest.raises(ValueError):
+        ramp[3] = 0.5
 
 
 def test_invalid_spec_rejected():
