@@ -443,6 +443,10 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         if set(fold_cams) != set(fold.test_ids):
             raise ValueError(f"{cams_path}: activation maps do not cover the test set "
                              f"of fold {fold.name}")
+        for tid, cam in fold_cams.items():
+            if len(cam) != frames.get(tid):
+                raise ValueError(f"{cams_path}: {tid} has a map of {len(cam)} steps for "
+                                 f"a trial of {frames.get(tid)} frames")
         cams.update(fold_cams)
 
     masked = mask_with_cams(stage2, cams)

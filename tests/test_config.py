@@ -525,19 +525,29 @@ def test_validate_cam_names_a_bad_cams_csv_line(tiny_run, tmp_path, capsys, row,
         f"error: runtime: {cams} line 5{message}")
 
 
-@pytest.mark.parametrize("name, what", [("predictions.csv", "predictions"),
-                                        ("cams.csv", "activation maps")])
-def test_validate_cam_refuses_a_fold_file_without_a_test_trial(tiny_run, tmp_path, capsys,
-                                                               name, what):
+@pytest.mark.parametrize("name, cut, message", [
+    ("predictions.csv", "trial", "predictions do not cover the test set of fold 0"),
+    ("cams.csv", "trial", "activation maps do not cover the test set of fold 0"),
+    ("cams.csv", "step", "{tid} has a map of {steps} steps for a trial of {frames} frames"),
+], ids=["predictions", "cams", "cams-step"])
+def test_validate_cam_refuses_a_fold_file_unlike_its_test_trials(tiny_run, tmp_path, capsys,
+                                                                 name, cut, message):
+    """A fold file without one of the fold's test trials, or with a map
+    one step short, is refused naming the file."""
     with open(os.path.join(tiny_run, "fold_0", name), encoding="utf-8") as fh:
-        tid = fh.read().splitlines()[1].split(",")[0]
-    run_dir = doctored_run(tiny_run, tmp_path, lambda text: "".join(
-        line for line in text.splitlines(True) if not line.startswith(tid + ",")),
-        f"fold_0/{name}")
+        lines = fh.read().splitlines()
+    if cut == "trial":
+        tid = lines[1].split(",")[0]
+        kept = [line for line in lines if not line.startswith(tid + ",")]
+    else:
+        tid, kept = lines[-1].split(",")[0], lines[:-1]
+    frames = sum(line.startswith(tid + ",") for line in lines)
+    run_dir = doctored_run(tiny_run, tmp_path, lambda text: "\n".join(kept) + "\n",
+                           f"fold_0/{name}")
     assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 1
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        f"error: runtime: {run_dir / 'fold_0' / name}: {what} do not cover the test set "
-        f"of fold 0")
+        f"error: runtime: {run_dir / 'fold_0' / name}: "
+        + message.format(tid=tid, steps=frames - 1, frames=frames))
     assert not (tmp_path / "study").exists()
 
 
