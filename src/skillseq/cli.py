@@ -52,10 +52,10 @@ from .config import (
     resolve_synth_spec,
 )
 from .crossval import run_cv, validate_cams
-from .data import apply_minmax, dataset_fingerprint, fit_minmax, load_manifest
+from .data import dataset_fingerprint, load_manifest
 from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
-from .model import actual_class, normalize_for_model, predict_many, prepare_dataset
+from .model import actual_class, predict_many, prepare_dataset
 from .overlay import render_cam_overlay
 from .records import read_records_csv, write_records_csv
 from .reports import fmt9, kv_line, quoted
@@ -124,34 +124,26 @@ def _training_set(args):
                                 run.manifest).trials
 
 
-def _fit_normalized(trials):
-    """The trials normalized by min-max statistics fitted on them, and
-    the statistics."""
-    minmax = fit_minmax(trials)
-    return [apply_minmax(t, minmax) for t in trials], minmax
-
-
-def _scaled_by_bundle(bundle, bundle_path, trials, manifest):
-    """Downsampled ``trials`` of ``manifest`` scaled by the bundle's
-    min-max statistics.  A trial whose channels are not the ones the
-    bundle was fit on is a runtime error naming the manifest, the trial
-    and the bundle."""
+def _check_channels(bundle, bundle_path, trials, manifest):
+    """A trial of ``manifest`` whose channels are not the ones the bundle
+    was fit on is a runtime error naming the manifest, the trial and the
+    bundle."""
     fit_on = bundle.minmax.channels if bundle.minmax is not None else None
     for t in trials:
         if fit_on is not None and t.channels != fit_on:
             raise ValueError(f"{manifest}: channel mismatch: {t.trial_id} has {t.channels}, "
                              f"bundle {bundle_path} was fit on {fit_on}")
-    return [normalize_for_model(bundle, t) for t in trials]
 
 
 def _model_inputs(args, bundle):
-    """Bundle-normalized trials of --manifest at --target-hz, plus the
-    dataset they came from."""
+    """Downsampled trials of --manifest at --target-hz, checked against the
+    bundle's channels, plus the dataset they came from."""
     _require_file(args.manifest, "manifest")
     target_hz = flag_values(args, _SCORING_KEYS).get("target_hz", RunSettings.target_hz)
     dataset = load_manifest(args.manifest)
     trials = prepare_dataset(dataset, target_hz, args.manifest).trials
-    return dataset, _scaled_by_bundle(bundle, args.bundle, trials, args.manifest)
+    _check_channels(bundle, args.bundle, trials, args.manifest)
+    return dataset, trials
 
 
 def _load_skill_bundle(args, what):
@@ -193,9 +185,8 @@ def _cmd_ingest_check(args):
 
 def _cmd_train_dae(args):
     run, trials = _training_set(args)
-    norm, minmax = _fit_normalized(trials)
     settings = run.settings
-    bundle, history = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)
+    bundle, history = train_dae(trials, settings.dae, settings.seed, settings.arch)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "dae.skq")
     save_bundle(bundle, path)
@@ -214,13 +205,10 @@ def _cmd_train_classifier(args):
         dae_bundle = load_bundle(args.dae)
         if dae_bundle.mode != "autoencoder":
             raise UsageError(f"--dae bundle has mode '{dae_bundle.mode}', expected autoencoder")
-        # the skill bundle ships the autoencoder's min-max, so the head
-        # trains on inputs scaled by it
-        norm = _scaled_by_bundle(dae_bundle, args.dae, trials, run.manifest)
+        _check_channels(dae_bundle, args.dae, trials, run.manifest)
     else:
-        norm, minmax = _fit_normalized(trials)
-        dae_bundle, _ = train_dae(norm, minmax, settings.dae, settings.seed, settings.arch)
-    bundle, history = train_classifier(dae_bundle, norm, settings.clf, settings.seed,
+        dae_bundle, _ = train_dae(trials, settings.dae, settings.seed, settings.arch)
+    bundle, history = train_classifier(dae_bundle, trials, settings.clf, settings.seed,
                                        settings.arch, settings.mode)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "skill.skq")

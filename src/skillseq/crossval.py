@@ -8,6 +8,12 @@ fingerprint, the fold roster, per-fold weights, predictions, and
 activation maps.  Reports are canonical text, so a replay from the same
 artifacts is byte-identical.
 
+A fold passes downsampled trials only: ``train_dae`` fits the min-max
+statistics on the fold's training trials, and the skill model applies
+them to every trial it trains on or scores through
+``model.normalize_for_model``, the one place a bundle's statistics are
+applied.  The fold checks that the statistics name training trials only.
+
 The masking study (validate_cams) reloads a finished run, attenuates
 every trial with the activation map computed when that trial was in the
 test fold, retrains under the identical roster and derived seeds, and
@@ -26,11 +32,11 @@ import numpy as np
 from .bundle import save_bundle
 from .config import (ConfigError, RunConfig, RunSettings, parse_scheme, read_run_cfg,
                      write_run_cfg)
-from .data import dataset_fingerprint, apply_minmax, fit_minmax, load_manifest, read_text
+from .data import dataset_fingerprint, load_manifest, read_text
 from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
 from .metrics import binary_metrics, roc_auc, spearman, wilcoxon_one_sided
-from .model import actual_class, normalize_for_model, predict_many, prepare_dataset
+from .model import actual_class, predict_many, prepare_dataset
 from .records import read_records_csv, write_records_csv
 from .reports import kv_line
 from .training import train_classifier, train_dae
@@ -169,28 +175,25 @@ def _run_fold(args):
     if reason is not None:
         return FoldOutcome(name=fold.name, status=reason, records=(),
                            metrics=None, bundle=None)
-    minmax = fit_minmax(train_trials)
-    assert set(minmax.source_ids) <= set(fold.train_ids)
-    norm_train = [apply_minmax(t, minmax) for t in train_trials]
     try:
-        dae_bundle, dae_hist = train_dae(norm_train, minmax, settings.dae,
+        dae_bundle, dae_hist = train_dae(train_trials, settings.dae,
                                          derive_fold_seed(settings.seed, fold_index, 0),
                                          settings.arch)
         skill, clf_hist = train_classifier(
-            dae_bundle, norm_train, settings.clf,
+            dae_bundle, train_trials, settings.clf,
             derive_fold_seed(settings.seed, fold_index, 1), settings.arch, settings.mode
         )
     except FloatingPointError as exc:
         raise FloatingPointError(f"fold {fold.name}: {exc}") from exc
+    assert set(skill.minmax.source_ids) <= set(fold.train_ids)
     # one packed forward gives the records and, for classification, each
     # trial's map for its actual class (the predicted one when unknown)
-    inputs = [normalize_for_model(skill, t) for t in test_trials]
     cams = ()
     if settings.mode == "classification":
-        records, cams = predict_with_cams(skill, inputs,
-                                          [actual_class(skill, t) for t in inputs])
+        records, cams = predict_with_cams(skill, test_trials,
+                                          [actual_class(skill, t) for t in test_trials])
     else:
-        records = predict_many(skill, inputs)
+        records = predict_many(skill, test_trials)
     records = tuple(records)
     return FoldOutcome(
         name=fold.name,

@@ -32,6 +32,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .reports import quoted
+
 __all__ = [
     "RAW", "FILLED", "DOWNSAMPLED", "NORMALIZED",
     "PASS_FAIL",
@@ -334,7 +336,7 @@ def parse_trial_text(text, origin="<string>"):
         key, _, value = body.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _HEADER_KEYS:
-            raise TrialFormatError(f"{origin} line {i + 1}: unknown header key '{key}'")
+            raise TrialFormatError(f"{origin} line {i + 1}: unknown header key {quoted(key)}")
         if key in meta:
             raise TrialFormatError(f"{origin} line {i + 1}: duplicate header key '{key}'")
         meta[key] = value
@@ -347,14 +349,14 @@ def parse_trial_text(text, origin="<string>"):
     try:
         trial_index = int(meta["trial"])
     except ValueError:
-        raise TrialFormatError(f"{origin}: trial must be an integer, got '{meta['trial']}'")
+        raise TrialFormatError(f"{origin}: trial must be an integer, got {quoted(meta['trial'])}")
     try:
         rate = float(meta["rate_hz"])
     except ValueError:
         rate = math.nan
     if not math.isfinite(rate):
         raise TrialFormatError(
-            f"{origin}: rate_hz must be numeric and finite, got '{meta['rate_hz']}'")
+            f"{origin}: rate_hz must be numeric and finite, got {quoted(meta['rate_hz'])}")
 
     score = None
     if meta.get("score", "NA") != "NA":
@@ -364,7 +366,7 @@ def parse_trial_text(text, origin="<string>"):
             score = math.nan
         if not math.isfinite(score):
             raise TrialFormatError(
-                f"{origin}: score must be numeric and finite, or NA, got '{meta['score']}'")
+                f"{origin}: score must be numeric and finite, or NA, got {quoted(meta['score'])}")
     label = None
     if meta.get("class", "NA") != "NA":
         label = meta["class"]
@@ -401,7 +403,8 @@ def _walk_rows(lines, i, origin):
         raise TrialFormatError(f"{origin}: missing column header row")
     header = [h.strip() for h in rows[0]]
     if not header or header[0] != "t":
-        raise TrialFormatError(f"{origin} line {i + 1}: first column must be 't', got '{header[0] if header else ''}'")
+        raise TrialFormatError(f"{origin} line {i + 1}: first column must be 't', "
+                               f"got {quoted(header[0] if header else '')}")
     channels = tuple(header[1:])
     if len(channels) < 1:
         raise TrialFormatError(f"{origin}: no channel columns")
@@ -422,7 +425,8 @@ def _walk_rows(lines, i, origin):
         try:
             t_val = int(row[0])
         except ValueError:
-            raise TrialFormatError(f"{origin} line {lineno}, column 't': non-integer value '{row[0]}'")
+            raise TrialFormatError(f"{origin} line {lineno}, column 't': "
+                                   f"non-integer value {quoted(row[0])}")
         if last_t is not None and t_val <= last_t:
             raise TrialFormatError(
                 f"{origin} line {lineno}, column 't': timestamp {t_val} not increasing (previous {last_t})"
@@ -438,10 +442,10 @@ def _walk_rows(lines, i, origin):
                 value = float(cell)
             except ValueError:
                 raise TrialFormatError(f"{origin} line {lineno}, column '{channel}': "
-                                       f"non-numeric value '{cell}'") from None
+                                       f"non-numeric value {quoted(cell)}") from None
             if not math.isfinite(value):
                 raise TrialFormatError(f"{origin} line {lineno}, column '{channel}': "
-                                       f"non-finite value '{cell}'")
+                                       f"non-finite value {quoted(cell)}")
             data.append(value)
     if not data:
         raise TrialFormatError(f"{origin}: no data rows")

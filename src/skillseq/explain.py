@@ -5,6 +5,9 @@ pre-pooling feature row dotted with that unit's dense weights.  Scores
 are rescaled per trial to [0, 1] intensities; a trial with a constant
 score profile carries no contrast and gets a neutral all-ones mask.
 
+Maps are computed from downsampled trials, which the model normalizes
+itself (``model.normalize_for_model``, the one place a bundle's min-max
+statistics are applied), so a map has one entry per downsampled frame.
 Masking multiplies a downsampled trial's channel values by the
 intensities, timestep by timestep, so low-relevance segments are
 attenuated before normalization ever sees them.
@@ -26,6 +29,7 @@ import numpy as np
 
 from .data import DOWNSAMPLED, Dataset, csv_rows, read_text
 from .model import predict_many
+from .reports import quoted
 
 __all__ = [
     "CamMap",
@@ -77,11 +81,9 @@ class CamMap:
 
 
 def compute_cam(bundle, trial, target_class=None):
-    """Activation map of a normalized trial for one output unit.
+    """Activation map of a downsampled trial for one output unit.
 
-    The map has one entry per timestep, so it also masks the downsampled
-    trial the normalized one came from (see ``normalize_for_model``).
-
+    The map has one entry per timestep, so it also masks that trial.
     ``target_class`` defaults to the predicted class (regression models
     have a single unit, index 0).
     """
@@ -89,7 +91,7 @@ def compute_cam(bundle, trial, target_class=None):
 
 
 def predict_with_cams(bundle, trials, target_classes=None):
-    """Prediction records and activation maps of many normalized trials,
+    """Prediction records and activation maps of many downsampled trials,
     from one packed forward: ``(records, cams)``.
 
     ``target_classes[i]`` is trial i's output unit; None (or no list)
@@ -201,4 +203,4 @@ def _bad_cam_row(row):
         except ValueError:
             break
     kind = "an integer" if parse is int else "a number"
-    return f", column '{name}': expected {kind}, got '{cell}'"
+    return f", column '{name}': expected {kind}, got {quoted(cell)}"

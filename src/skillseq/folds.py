@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
 __all__ = ["FoldAssignment", "stratified_kfold", "loso_folds", "louo_folds"]
@@ -76,7 +77,11 @@ class FoldAssignment:
             if key == "scheme":
                 scheme = value
             elif key == "seed":
-                seed = int(value)
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise ValueError(f"fold text line {ln}: seed must be an integer, "
+                                     f"got {quoted(value)}") from None
             elif key.startswith("fold ") and key.endswith((" test", " train")):
                 name, role = key[len("fold "):].rsplit(" ", 1)
                 if name not in named:

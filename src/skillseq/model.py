@@ -14,10 +14,11 @@ layer specs per group, named weights, per-group trainable flags, the
 preprocessing statistics the weights were fitted against, and the mode.
 
 The model functions (``embed``, ``predict``, ``predict_many``) take
-NORMALIZED trials only.  ``prepare_dataset`` is
-the one place where raw trials become downsampled ones, and
-``normalize_for_model`` the one place where a bundle's min-max
-statistics turn a downsampled trial into model input.
+DOWNSAMPLED trials and normalize them themselves, so callers never
+handle min-max statistics.  ``prepare_dataset`` is the one place where
+raw trials become downsampled ones, and ``normalize_for_model`` the one
+place where a bundle's min-max statistics turn a downsampled trial into
+model input.
 
 Every eval-mode forward runs through ``layers.forward_packed``:
 ``predict_many`` and ``encode_many`` score many trials in packed
@@ -34,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (DOWNSAMPLED, NORMALIZED, PASS_FAIL, RAW, Dataset, MinMaxStats,
-                   ScoreStats, apply_minmax, invert_znorm, prepare_stage2)
+from .data import (DOWNSAMPLED, PASS_FAIL, RAW, Dataset, MinMaxStats, ScoreStats,
+                   apply_minmax, invert_znorm, prepare_stage2)
 from .layers import LayerSpec, _spec_param_shapes, forward_packed, init_stack_params
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
@@ -209,35 +210,17 @@ def prepare_dataset(dataset, target_hz, source=None):
 
 def normalize_for_model(bundle, trial):
     """Model input for a downsampled trial: the bundle's min-max
-    statistics applied (DOWNSAMPLED -> NORMALIZED)."""
-    if trial.stage != DOWNSAMPLED:
-        raise ValueError(f"{trial.trial_id}: normalize_for_model needs a downsampled trial")
+    statistics applied (DOWNSAMPLED -> NORMALIZED).  ``apply_minmax``
+    refuses raw, filled and already-normalized trials, and channels other
+    than the ones the bundle was fit on."""
     if bundle.minmax is None:
         raise ValueError("bundle carries no normalization statistics")
     return apply_minmax(trial, bundle.minmax)
 
 
-def _model_input(bundle, trial):
-    """Values of a normalized trial whose channels match the bundle's."""
-    if trial.stage != NORMALIZED:
-        raise ValueError(
-            f"{trial.trial_id}: model input must be a normalized trial; "
-            "apply normalize_for_model to a downsampled one"
-        )
-    if bundle.minmax is not None and trial.channels != bundle.minmax.channels:
-        raise ValueError(
-            f"channel mismatch: trial has {trial.channels}, "
-            f"bundle fit on {bundle.minmax.channels}"
-        )
-    return trial.values
-
-
 def embed(bundle, trial):
-    """Frozen-encoder embedding of a normalized trial: (T, emb) array.
-
-    Normalize a downsampled trial with ``normalize_for_model`` first.
-    """
-    return encode_many(bundle, [_model_input(bundle, trial)])[0]
+    """Frozen-encoder embedding of a downsampled trial: (T, emb) array."""
+    return encode_many(bundle, [normalize_for_model(bundle, trial).values])[0]
 
 
 def encode_values(bundle, values):
@@ -293,9 +276,7 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
 
 
 def predict(bundle, trial):
-    """PredictionRecord for one normalized trial.
-
-    Normalize a downsampled trial with ``normalize_for_model`` first.
+    """PredictionRecord for one downsampled trial.
 
     Classification: per-class confidences and the argmax class (lowest
     index wins ties).  Regression: score mapped back to original units.
@@ -304,14 +285,14 @@ def predict(bundle, trial):
 
 
 def predict_many(bundle, trials, capture=False):
-    """PredictionRecord of each normalized trial, in packed forwards.
+    """PredictionRecord of each downsampled trial, in packed forwards.
 
     With ``capture``, also returns each trial's pre-GAP activations
     (``(records, pre_gaps)``), from the same forward.
     """
     if bundle.mode == "autoencoder":
         raise ValueError("cannot predict with an autoencoder bundle; build a skill model")
-    values = [_model_input(bundle, t) for t in trials]
+    values = [normalize_for_model(bundle, t).values for t in trials]
     outs = forward_packed([_stack(bundle, "encoder"), _stack(bundle, "head")], values,
                           capture=capture)
     if capture:

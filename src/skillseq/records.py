@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .data import PASS_FAIL, csv_rows, read_text
+from .reports import quoted
 
 __all__ = ["PredictionRecord", "write_records_csv", "read_records_csv"]
 
@@ -79,8 +80,9 @@ def read_records_csv(path):
     """``(class_names, records)`` of a records file; the class names come
     from its header.
 
-    A malformed row raises ValueError naming the file, line and column;
-    a repeated ``trial_id`` names the file and both lines.
+    A malformed row, or one whose ``trial_id`` is not its ``subject`` and
+    ``trial`` joined by a colon, raises ValueError naming the file, line
+    and column; a repeated ``trial_id`` names the file and both lines.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     rows = csv_rows(reader, path)
@@ -96,7 +98,7 @@ def read_records_csv(path):
         record = _row_record(row, header, f"{path} line {line}")
         if record.trial_id in first_line:
             raise ValueError(f"{path} line {line}: duplicate trial_id "
-                             f"'{record.trial_id}' (first on line "
+                             f"{quoted(record.trial_id)} (first on line "
                              f"{first_line[record.trial_id]})")
         first_line[record.trial_id] = line
         records.append(record)
@@ -116,16 +118,21 @@ def _row_record(row, header, where):
             value = None
         if value is None or not ok(value):
             raise ValueError(f"{where}, column '{header[k]}': expected {expected}, "
-                             f"got '{row[k]}'")
+                             f"got {quoted(row[k])}")
         return value
 
     def optional(k, *check):
         return None if row[k] == "" else cell(k, *check)
 
+    trial_index = cell(2, int, lambda v: True, "an integer")
+    trial_id = f"{row[1]}:{trial_index}"
+    if row[0] != trial_id:
+        raise ValueError(f"{where}, column 'trial_id': expected {quoted(trial_id)} from "
+                         f"columns 'subject' and 'trial', got {quoted(row[0])}")
     number = (float, math.isfinite, "a finite number")
     index = (int, lambda v: 0 <= v < nc, f"a class index from 0 to {nc - 1}")
     fields = dict(
-        trial_index=cell(2, int, lambda v: True, "an integer"),
+        trial_index=trial_index,
         actual=optional(3, *index),
         predicted=optional(4, *index),
         confidences=tuple(cell(5 + c, *number) for c in range(nc))

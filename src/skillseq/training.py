@@ -1,6 +1,12 @@
 """Training: the denoising autoencoder, then the skill head over its
 frozen encoder.
 
+Both stages take downsampled trials.  ``train_dae`` fits min-max
+statistics on its own trials and ships them in the autoencoder bundle;
+the head stage scales its trials by the bundle's statistics through
+``model.normalize_for_model``, the one place a bundle's statistics are
+applied, so a caller never handles them.
+
 Both stages run one loop, ``_run_training``, over arrays: the stacks and
 initial parameters of the groups that train, one input, target and loss
 weight per trial, and the strata of the validation split.
@@ -34,11 +40,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as tz
-from .data import NORMALIZED, fit_znorm, apply_znorm, one_hot, class_weights
+from .data import apply_minmax, fit_minmax, fit_znorm, apply_znorm, one_hot, class_weights
 from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packed,
                      forward_stack)
 from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
-                    decoder_specs, encode_many)
+                    decoder_specs, encode_many, normalize_for_model)
 from .optim import AdamState, adam_step_masked
 from .reports import quoted
 from .seeding import make_rng, PURPOSE
@@ -249,33 +255,28 @@ def _run_training(specs, groups, inputs, targets, weights, strata, config, seed,
     return flat.export(), history
 
 
-def _check_trials(trials, who):
-    """The checks both stages make of their trials."""
+def _check_trials(trials):
     if len(trials) < 2:
         raise ValueError("training needs at least two trials")
-    for t in trials:
-        if t.stage != NORMALIZED:
-            raise ValueError(f"{t.trial_id}: {who} expects normalized trials")
 
 
-def train_dae(trials, minmax, config, seed, arch=None):
-    """Train the denoising autoencoder on normalized trials.
+def train_dae(trials, config, seed, arch=None):
+    """Train the denoising autoencoder on downsampled trials.
 
-    Inputs are corrupted by the network's own noise layer (train mode
-    only); targets are the clean sequences.  ``seed`` draws the initial
-    weights, the validation split, the noise and the epoch order.
-    Returns a frozen autoencoder bundle and the loss history.
+    The min-max statistics are fitted on ``trials`` and travel in the
+    returned bundle.  Inputs are corrupted by the network's own noise
+    layer (train mode only); targets are the clean sequences.  ``seed``
+    draws the initial weights, the validation split, the noise and the
+    epoch order.  Returns a frozen autoencoder bundle and the loss history.
     """
     arch = arch or ArchConfig()
-    _check_trials(trials, "train_dae")
-    for t in trials:
-        if t.values.min() < 0.0 or t.values.max() > 1.0:
-            raise ValueError(f"{t.trial_id}: values outside [0, 1]")
+    _check_trials(trials)
+    minmax = fit_minmax(trials)
     in_ch = len(trials[0].channels)
     specs = {"encoder": encoder_specs(arch, in_ch, config.noise_sigma),
              "decoder": decoder_specs(in_ch, arch)}
     rng = make_rng(seed, PURPOSE["init"], 1)
-    values = [t.values for t in trials]
+    values = [apply_minmax(t, minmax).values for t in trials]
     weights, history = _run_training(
         specs=specs, groups={g: init_stack_params(s, rng) for g, s in specs.items()},
         inputs=values, targets=values, weights=[1.0] * len(trials),
@@ -289,7 +290,8 @@ def train_dae(trials, minmax, config, seed, arch=None):
 
 
 def train_supervised(bundle, trials, config, seed):
-    """Train the head of a built skill model over its frozen encoder.
+    """Train the head of a built skill model over its frozen encoder, on
+    downsampled trials scaled by the bundle's min-max statistics.
 
     Classification: one-hot targets of the trials' class labels, cosine
     loss, inverse-frequency class weights.  Regression: the trials'
@@ -301,13 +303,13 @@ def train_supervised(bundle, trials, config, seed):
     mode = bundle.mode
     if mode not in ("classification", "regression"):
         raise ValueError(f"train_supervised needs a skill bundle, got mode '{mode}'")
-    _check_trials(trials, "train_supervised")
+    _check_trials(trials)
     if mode == "classification" and config.loss != "cosine":
         raise ValueError("classification head trains on cosine loss, "
                          f"not {config.loss}")
 
     # frozen encoder: features computed once
-    feats = encode_many(bundle, [t.values for t in trials])
+    feats = encode_many(bundle, [normalize_for_model(bundle, t).values for t in trials])
 
     score_stats = None
     if mode == "classification":

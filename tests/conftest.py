@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from skillseq.data import (
-    Dataset,
-    Trial,
-    apply_minmax,
-    fit_minmax,
-    prepare_stage2,
-)
+from skillseq.data import Dataset, Trial, prepare_stage2
 from skillseq.model import ArchConfig
 from skillseq.synth import SynthSpec, synth_subjects
 from skillseq.training import DaeConfig, HeadConfig, train_classifier, train_dae
@@ -49,34 +43,30 @@ def small_dataset():
 
 
 @pytest.fixture(scope="session")
-def small_normalized(small_dataset):
-    stage2 = [prepare_stage2(t) for t in small_dataset.trials]
-    minmax = fit_minmax(stage2)
-    return [apply_minmax(t, minmax) for t in stage2], minmax
+def small_downsampled(small_dataset):
+    """The small dataset's trials, downsampled: the model's input."""
+    return [prepare_stage2(t) for t in small_dataset.trials]
 
 
 @pytest.fixture(scope="session")
-def small_dae(small_normalized):
-    trials, minmax = small_normalized
+def small_dae(small_downsampled):
     cfg = DaeConfig(learning_rate=0.001, max_epochs=2, patience=4, loss="bce")
-    bundle, history = train_dae(trials, minmax, cfg, 1, SMALL_ARCH)
+    bundle, history = train_dae(small_downsampled, cfg, 1, SMALL_ARCH)
     return bundle, history
 
 
 @pytest.fixture(scope="session")
-def small_classifier(small_dae, small_normalized):
-    trials, _ = small_normalized
+def small_classifier(small_dae, small_downsampled):
     dae_bundle, _ = small_dae
     cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20, loss="cosine")
-    bundle, history = train_classifier(dae_bundle, trials, cfg, 1, SMALL_ARCH)
+    bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH)
     return bundle, history
 
 
 @pytest.fixture(scope="session")
-def small_regressor(small_dae, small_normalized):
-    trials, _ = small_normalized
+def small_regressor(small_dae, small_downsampled):
     dae_bundle, _ = small_dae
     cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20, loss="mse")
-    bundle, history = train_classifier(dae_bundle, trials, cfg, 1, SMALL_ARCH,
+    bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH,
                                        mode="regression")
     return bundle, history

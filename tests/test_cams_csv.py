@@ -68,6 +68,9 @@ HEADER = "trial_id,class_index,t,raw,intensity\r\n"
     ("S1:0,x,1,0.5,0.5", " line 3, column 'class_index': expected an integer, got 'x'"),
     ("S1:0,0,1,0.5,nope", " line 3, column 'intensity': expected a number, got 'nope'"),
     ("S1:0,0,1,inf,0.5", ": S1:0: non-finite activation map"),
+    pytest.param("S1:0,0,1," + "a" * 100_000 + ",0.5",
+                 f" line 3, column 'raw': expected a number, got {'a' * 40!r}... "
+                 "(100,000 characters)", id="long-cell"),
     pytest.param("S1:0,0,1," + "1" * (csv.field_size_limit() + 1) + ",0.5",
                  f" line 3: field larger than field limit ({csv.field_size_limit()})",
                  id="oversized-field"),
@@ -75,7 +78,7 @@ HEADER = "trial_id,class_index,t,raw,intensity\r\n"
 def test_bad_cams_csv_names_path_and_line(tmp_path, row, message):
     path = tmp_path / "cams.csv"
     path.write_text(HEADER + "S1:0,0,0,0.0,0.0\r\n" + row + "\r\n", newline="")
-    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}") + "$"):
         read_cams_csv(path)
 
 

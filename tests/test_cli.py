@@ -15,7 +15,7 @@ from skillseq.config import resolve_run_config
 from skillseq.data import fit_minmax, load_manifest, write_manifest, write_trial_csv
 from skillseq.explain import read_cams_csv
 from skillseq.records import PredictionRecord, read_records_csv, write_records_csv
-from skillseq.model import normalize_for_model, prepare_dataset
+from skillseq.model import prepare_dataset
 from skillseq.training import train_classifier
 
 
@@ -140,6 +140,13 @@ def test_trust_exponent_must_be_finite_and_positive(records_file, tmp_path, caps
     ("S:0,S,0,0,0,abc,0.5,,", "line 6, column 'conf_pass': expected a finite number, got 'abc'"),
     ("S:0,S,0,7,0,0.5,0.5,,",
      "line 6, column 'actual': expected a class index from 0 to 1, got '7'"),
+    ("S03:0,S03,-1,0,0,0.5,0.5,,", "line 6, column 'trial_id': expected 'S03:-1' from "
+     "columns 'subject' and 'trial', got 'S03:0'"),
+    ("S1:5,S2,5,0,0,0.5,0.5,,", "line 6, column 'trial_id': expected 'S2:5' from "
+     "columns 'subject' and 'trial', got 'S1:5'"),
+    pytest.param("S:0,S,0,0,0," + "a" * 100_000 + ",0.5,,",
+                 f"line 6, column 'conf_pass': expected a finite number, got {'a' * 40!r}... "
+                 "(100,000 characters)", id="long-cell"),
 ])
 def test_bad_records_row_is_a_runtime_error_naming_file_and_line(records_file, tmp_path,
                                                                  capsys, row, message):
@@ -235,7 +242,7 @@ def test_train_classifier_over_a_given_dae_trains_under_the_bundle_minmax(tmp_pa
     """With ``--dae`` the skill bundle ships the autoencoder's min-max, so
     the head trains on inputs scaled by it, not by statistics fitted on
     this manifest: the bundle is the one ``train_classifier`` makes from
-    the manifest's trials under the DAE's min-max."""
+    the manifest's downsampled trials and the DAE."""
     data = {"a": ["--seed", "1"], "b": ["--seed", "2", "--subject-bias", "2.0"]}
     for name, flags in data.items():
         assert dispatch(["synth", "--out", str(tmp_path / name), "--n-subjects", "3",
@@ -254,8 +261,8 @@ def test_train_classifier_over_a_given_dae_trains_under_the_bundle_minmax(tmp_pa
     settings = resolve_run_config(None, recipe).settings
     trials = prepare_dataset(load_manifest(manifest), settings.target_hz).trials
     assert not np.allclose(fit_minmax(trials).mins, dae.minmax.mins)
-    want, _ = train_classifier(dae, [normalize_for_model(dae, t) for t in trials],
-                               settings.clf, settings.seed, settings.arch, settings.mode)
+    want, _ = train_classifier(dae, trials, settings.clf, settings.seed, settings.arch,
+                               settings.mode)
     assert skill.minmax.to_dict() == dae.minmax.to_dict()
     assert sorted(skill.weights) == sorted(want.weights)
     for k, v in want.weights.items():

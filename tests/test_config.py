@@ -602,6 +602,22 @@ def test_validate_cam_refuses_a_test_id_listed_twice(tiny_run, tmp_path, capsys)
     assert not (tmp_path / "study").exists()
 
 
+def test_validate_cam_names_the_line_of_a_bad_fold_seed(tiny_run, tmp_path, capsys):
+    def bad_seed(text):
+        lines = text.splitlines(keepends=True)
+        assert lines[1].startswith("seed = ")
+        lines[1] = "seed = x\n"
+        return "".join(lines)
+
+    run_dir = doctored_run(tiny_run, tmp_path, bad_seed)
+    rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: runtime: {run_dir / 'folds.txt'}: fold text line 2: seed must be an "
+        "integer, got 'x'")
+    assert not (tmp_path / "study").exists()
+
+
 @pytest.mark.parametrize("name", ["run.cfg", "folds.txt", "fold_0/predictions.csv",
                                   "fold_0/cams.csv"])
 def test_validate_cam_names_a_run_file_that_is_not_utf8(tiny_run, tmp_path, capsys, name):

@@ -57,7 +57,7 @@ import skillseq.tensor as tz
 import skillseq.training as training
 import tape
 from skillseq.bundle import load_bundle, save_bundle
-from skillseq.data import NORMALIZED, MinMaxStats, Trial, parse_trial_text, prepare_stage2
+from skillseq.data import DOWNSAMPLED, MinMaxStats, Trial, parse_trial_text, prepare_stage2
 from skillseq.explain import CamMap
 from skillseq.layers import forward_packed, init_stack_params
 from skillseq.model import (ArchConfig, ModelBundle, build_classifier, decoder_specs,
@@ -240,7 +240,7 @@ def peak_kb(fn):
 def _trials(rng, lengths):
     return [Trial(subject_id="S1", trial_index=i, sample_rate_hz=1.0, channels=CHANNELS,
                   values=rng.random((T, len(CHANNELS))), score=None,
-                  class_label=("pass", "fail")[i % 2], stage=NORMALIZED)
+                  class_label=("pass", "fail")[i % 2], stage=DOWNSAMPLED)
             for i, T in enumerate(lengths)]
 
 
@@ -291,7 +291,6 @@ def _first_step(train, *args):
 def _cases(workdir):
     rng = np.random.default_rng(0)
     trials = _trials(rng, [T_STEP] * 6)
-    minmax = MinMaxStats(CHANNELS, np.zeros(len(CHANNELS)), np.ones(len(CHANNELS)), ())
     dae = _autoencoder(rng)
     batch = [t.values for t in _trials(rng, BATCH_LENGTHS)]
     skill = build_classifier(dae, "classification", seed=0)
@@ -305,8 +304,7 @@ def _cases(workdir):
     cam = CamMap(trial_id=long_trial.trial_id, class_index=1, raw=intensity * 2.0 - 1.0,
                  intensity=intensity)
     return {
-        "training.dae_step": _first_step(training.train_dae, trials, minmax,
-                                         training.DaeConfig(), 0),
+        "training.dae_step": _first_step(training.train_dae, trials, training.DaeConfig(), 0),
         "training.head_step": _first_step(training.train_classifier, dae, trials,
                                           training.HeadConfig(), 0),
         "layers.forward_packed": lambda: forward_packed(stacks, batch, capture=True),

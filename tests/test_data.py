@@ -108,6 +108,12 @@ def test_trial_text_optional_fields_absent():
      "line 6, column 'x': non-finite value 'Infinity'"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,3,4\n2,nan,5\n3,6,7\n4,8\n",
                  "line 7, column 'x': non-finite value 'nan'", id="two-faults"),
+    pytest.param("# subject=A\n# trial=0\n# rate_hz=" + "f" * 100_000 + "\nt,x\n0,1\n",
+                 re.escape(f"rate_hz must be numeric and finite, got {'f' * 40!r}... "
+                           "(100,000 characters)") + "$", id="long-header-value"),
+    pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1," + "z" * 100_000 + "\n",
+                 re.escape(f"line 6, column 'x': non-numeric value {'z' * 40!r}... "
+                           "(100,000 characters)") + "$", id="long-cell"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1," + "0" * 131073 + "\n",
                  re.escape("line 6: field larger than field limit (131072)"),
                  id="oversized-field"),

@@ -6,16 +6,17 @@ from dataclasses import replace
 from unittest import mock
 
 import tape
-from conftest import SMALL_ARCH, make_trial
+from conftest import SMALL_ARCH
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.crossval import encoder_fingerprint
-from skillseq.data import DOWNSAMPLED, apply_minmax, fit_minmax, prepare_stage2
+from skillseq.data import FILLED, RAW
 from skillseq.model import (
     ArchConfig,
     build_classifier,
     embed,
     encoder_specs,
     head_specs,
+    normalize_for_model,
     predict,
     predict_many,
 )
@@ -32,21 +33,21 @@ def test_arch_validation():
         ArchConfig(enc_width=5, reduction=2)   # reduction must divide width
 
 
-def test_embedding_channels_and_length(small_dae, small_normalized):
+def test_embedding_channels_and_length(small_dae, small_downsampled):
     bundle, _ = small_dae
-    trials, _ = small_normalized
+    trials = small_downsampled
     for t in trials[:5]:
         z = embed(bundle, t)
         assert z.shape == (t.values.shape[0], SMALL_ARCH.emb_channels)
 
 
-def test_reconstruction_shape_and_range(small_dae, small_normalized):
+def test_reconstruction_shape_and_range(small_dae, small_downsampled):
     bundle, _ = small_dae
-    trials, _ = small_normalized
-    t = trials[0]
+    trials = small_downsampled
+    x = normalize_for_model(bundle, trials[0]).values
     stacks = [(bundle.groups[g], bundle.group_params(g)) for g in ("encoder", "decoder")]
-    r = forward_packed(stacks, [t.values])[0]
-    assert r.shape == t.values.shape
+    r = forward_packed(stacks, [x])[0]
+    assert r.shape == x.shape
     assert np.all(r >= 0.0) and np.all(r <= 1.0)   # sigmoid output layer
 
 
@@ -74,9 +75,9 @@ def test_classifier_keeps_encoder_weights(small_dae, small_classifier):
 
 
 def test_classifier_confidences_form_distribution(small_classifier,
-                                                  small_normalized):
+                                                  small_downsampled):
     bundle, _ = small_classifier
-    trials, _ = small_normalized
+    trials = small_downsampled
     for t in trials[:8]:
         r = predict(bundle, t)
         assert r.predicted in (0, 1)
@@ -85,10 +86,10 @@ def test_classifier_confidences_form_distribution(small_classifier,
         assert r.actual == (0 if t.class_label == "pass" else 1)
 
 
-def test_untrained_head_is_uninformative(small_dae, small_normalized):
+def test_untrained_head_is_uninformative(small_dae, small_downsampled):
     """Zero-init final dense layer emits exactly uniform confidences."""
     dae, _ = small_dae
-    trials, _ = small_normalized
+    trials = small_downsampled
     bundle = build_classifier(dae, "classification", SMALL_ARCH, seed=0)
     dense_w = bundle.weights["head/4.w"]
     bundle.weights["head/4.w"] = np.zeros_like(dense_w)
@@ -98,9 +99,9 @@ def test_untrained_head_is_uninformative(small_dae, small_normalized):
 
 
 def test_variable_length_inputs_share_one_model(small_classifier,
-                                                small_normalized):
+                                                small_downsampled):
     bundle, _ = small_classifier
-    trials, _ = small_normalized
+    trials = small_downsampled
     lengths = {t.values.shape[0] for t in trials}
     assert len(lengths) > 1
     for t in trials[:10]:
@@ -109,9 +110,9 @@ def test_variable_length_inputs_share_one_model(small_classifier,
 
 
 def test_regression_predicts_back_in_score_units(small_regressor,
-                                                 small_normalized):
+                                                 small_downsampled):
     bundle, _ = small_regressor
-    trials, _ = small_normalized
+    trials = small_downsampled
     r = predict(bundle, trials[0])
     assert r.confidences is None and r.predicted is None
     assert r.pred_score is not None
@@ -119,10 +120,10 @@ def test_regression_predicts_back_in_score_units(small_regressor,
     assert r.true_score == trials[0].score
 
 
-def test_bundle_round_trip_bit_identical(small_classifier, small_normalized,
+def test_bundle_round_trip_bit_identical(small_classifier, small_downsampled,
                                          tmp_path):
     bundle, _ = small_classifier
-    trials, _ = small_normalized
+    trials = small_downsampled
     path = tmp_path / "m.skq"
     save_bundle(bundle, path)
     back = load_bundle(path)
@@ -138,10 +139,10 @@ def test_bundle_round_trip_bit_identical(small_classifier, small_normalized,
 
 
 @pytest.mark.parametrize("capture", [False, True])
-def test_predict_many_captures_activations_only_when_asked(small_classifier, small_normalized,
-                                                           capture):
+def test_predict_many_captures_activations_only_when_asked(small_classifier,
+                                                           small_downsampled, capture):
     bundle, _ = small_classifier
-    trials, _ = small_normalized
+    trials = small_downsampled
     expected = [predict(bundle, t) for t in trials[:5]]
     with mock.patch.object(model_module, "forward_packed",
                            side_effect=forward_packed) as forward:
@@ -194,18 +195,17 @@ def test_gaussian_noise_properties():
 
 
 def test_prediction_is_deterministic_at_inference(small_classifier,
-                                                  small_normalized):
+                                                  small_downsampled):
     """Train-time noise must not leak into prediction."""
     bundle, _ = small_classifier
-    trials, _ = small_normalized
+    trials = small_downsampled
     t = trials[1]
     assert predict(bundle, t).confidences == predict(bundle, t).confidences
 
 
-def test_early_stopping_restores_best_epoch(small_normalized):
-    trials, minmax = small_normalized
+def test_early_stopping_restores_best_epoch(small_downsampled):
     cfg = DaeConfig(learning_rate=0.01, max_epochs=12, patience=2, loss="bce")
-    bundle, history = train_dae(trials[:12], minmax, cfg, 2, SMALL_ARCH)
+    bundle, history = train_dae(small_downsampled[:12], cfg, 2, SMALL_ARCH)
     best = history.best_epoch
     assert history.val_loss[best - 1] == min(history.val_loss)
     if history.stopped_epoch < 12:
@@ -215,17 +215,17 @@ def test_early_stopping_restores_best_epoch(small_normalized):
 
 
 def test_train_supervised_rejects_autoencoder_bundle(small_dae,
-                                                     small_normalized):
+                                                     small_downsampled):
     dae, _ = small_dae
-    trials, _ = small_normalized
+    trials = small_downsampled
     cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1, loss="cosine")
     with pytest.raises(ValueError):
         train_supervised(dae, trials, cfg, 0)
 
 
-def test_classification_requires_mse_free_loss(small_dae, small_normalized):
+def test_classification_requires_mse_free_loss(small_dae, small_downsampled):
     dae, _ = small_dae
-    trials, _ = small_normalized
+    trials = small_downsampled
     cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1, loss="mse")
     from skillseq.training import train_classifier
     with pytest.raises(ValueError):
@@ -245,18 +245,22 @@ def test_head_training_leaves_the_encoder_bit_identical(request, small_dae, fixt
     assert encoder_fingerprint(skill) == encoder_fingerprint(dae)
 
 
-def test_model_inputs_must_be_normalized(small_classifier):
+def test_model_inputs_must_be_downsampled(small_classifier, small_downsampled):
+    """The model normalizes its input itself: raw, filled and
+    already-normalized trials are refused."""
     bundle, _ = small_classifier
-    t = make_trial(np.random.default_rng(0).uniform(size=(20, 4)),
-                   channels=("sx", "sy", "gx", "gy"), stage=DOWNSAMPLED)
-    with pytest.raises(ValueError):
-        predict(bundle, t)
+    t = small_downsampled[0]
+    for wrong in (replace(t, stage=RAW), replace(t, stage=FILLED),
+                  normalize_for_model(bundle, t)):
+        for fn in (predict, embed):
+            with pytest.raises(ValueError, match="requires a downsampled trial"):
+                fn(bundle, wrong)
 
 
 def test_model_inputs_must_match_bundle_channels(small_classifier,
-                                                small_normalized):
+                                                small_downsampled):
     bundle, _ = small_classifier
-    trials, _ = small_normalized
+    trials = small_downsampled
     renamed = replace(trials[0], channels=tuple(f"x{c}" for c in trials[0].channels))
     with pytest.raises(ValueError, match="channel mismatch"):
         predict(bundle, renamed)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import skillseq.layers as layers
 import skillseq.tensor as tz
 import tape
-from skillseq.data import NORMALIZED, MinMaxStats, ScoreStats, Trial, invert_znorm
+from skillseq.data import DOWNSAMPLED, MinMaxStats, ScoreStats, Trial, invert_znorm
 from skillseq.explain import CamMap, compute_cam, predict_with_cams
 from skillseq.layers import LayerSpec, forward_packed
 from skillseq.model import (ArchConfig, ModelBundle, decoder_specs, embed, encode_many,
@@ -78,7 +78,7 @@ def _trials(rng, lengths, n_channels):
     return [Trial(subject_id="S1", trial_index=i, sample_rate_hz=1.0,
                   channels=tuple(f"c{c}" for c in range(n_channels)),
                   values=rng.random((T, n_channels)), score=float(i),
-                  class_label=("pass", "fail", None)[i % 3], stage=NORMALIZED)
+                  class_label=("pass", "fail", None)[i % 3], stage=DOWNSAMPLED)
             for i, T in enumerate(lengths)]
 
 

@@ -1,7 +1,8 @@
 """Every exported name exists, every benchmark span still has a target,
 every definition in the package is used, only the tensor module names
-the tape, one walker composes every layer kind for both modes, and one
-training loop takes each stage's data, not callbacks.
+the tape, one walker composes every layer kind for both modes, one
+training loop takes each stage's data, not callbacks, and only the
+model and training modules normalize trials for a model.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -169,3 +170,27 @@ def test_one_training_loop_takes_data_not_callbacks():
         assert not nested, f"{fn.__name__} defines {nested}"
     init = inspect.signature(training._FlatParams.__init__)
     assert list(init.parameters) == ["self", "groups"]
+
+
+def test_only_the_model_and_training_normalize_trials():
+    """Training and scoring take downsampled trials and apply min-max
+    statistics themselves, so no module but ``data`` (which defines them),
+    ``model`` and ``training`` names ``fit_minmax``, ``apply_minmax`` or
+    ``normalize_for_model``, whether by name, by attribute or in an
+    import."""
+    banned = {"fit_minmax", "apply_minmax", "normalize_for_model"}
+    named = set()
+    for module, tree in _trees().items():
+        if module in ("data", "model", "training"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.alias):
+                found = {node.name, node.asname}
+            else:
+                continue
+            named |= {f"{module}: {name}" for name in found & banned}
+    assert not named, f"min-max statistics handled outside the model: {sorted(named)}"

@@ -21,7 +21,7 @@ import skillseq.layers as layers
 import skillseq.tensor as tz
 import skillseq.training as training
 import tape
-from skillseq.data import NORMALIZED, MinMaxStats, Trial
+from skillseq.data import DOWNSAMPLED, MinMaxStats, Trial
 from skillseq.layers import LayerSpec, forward_stack, init_stack_params
 from skillseq.model import (ArchConfig, ModelBundle, build_classifier, decoder_specs,
                             encoder_specs)
@@ -38,13 +38,8 @@ def _trials(seed):
     rng = np.random.default_rng(seed)
     return [Trial(subject_id="S1", trial_index=i, sample_rate_hz=1.0, channels=CHANNELS,
                   values=rng.random((T, len(CHANNELS))), score=float(rng.normal(50.0, 10.0)),
-                  class_label=("pass", "fail")[i % 3 == 0], stage=NORMALIZED)
+                  class_label=("pass", "fail")[i % 3 == 0], stage=DOWNSAMPLED)
             for i, T in enumerate(LENGTHS)]
-
-
-def _minmax():
-    n = len(CHANNELS)
-    return MinMaxStats(CHANNELS, np.zeros(n), np.ones(n), ())
 
 
 def _autoencoder(arch, seed):
@@ -54,7 +49,8 @@ def _autoencoder(arch, seed):
     weights = {f"{g}/{k}": v for g, specs in groups.items()
                for k, v in init_stack_params(specs, rng).items()}
     return ModelBundle(mode="autoencoder", groups=groups, weights=weights,
-                       trainable={"encoder": False, "decoder": False}, minmax=_minmax())
+                       trainable={"encoder": False, "decoder": False},
+                       minmax=MinMaxStats(CHANNELS, np.zeros(n), np.ones(n), ()))
 
 
 class _Spy:
@@ -121,7 +117,7 @@ def _assert_steps_match(monkeypatch, loop):
 def test_backward_frees_each_recorded_op_as_it_runs():
     """After the backward, the recorder holds no op, and a recorded
     convolution's taps are freed."""
-    loop = tape.TrainingLoop(training.train_dae, _trials(1), _minmax(), training.DaeConfig(), 3)
+    loop = tape.TrainingLoop(training.train_dae, _trials(1), training.DaeConfig(), 3)
     rec = training._step(*loop.step_args(loop.train_indices[0]))
     taps = [weakref.ref(args[0]) for backward, args in rec.ops
             if backward is layers._conv_back]
@@ -144,7 +140,7 @@ DAE_CASES = [
 def test_dae_step_matches_the_tape(monkeypatch, loss, kernel_size, width, l2, sigma):
     arch = ArchConfig(enc_width=width, kernel_size=kernel_size)
     config = training.DaeConfig(loss=loss, l2=l2, noise_sigma=sigma)
-    loop = tape.TrainingLoop(training.train_dae, _trials(1), _minmax(), config, 3, arch)
+    loop = tape.TrainingLoop(training.train_dae, _trials(1), config, 3, arch)
     _assert_steps_match(monkeypatch, loop)
 
 
