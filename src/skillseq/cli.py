@@ -424,8 +424,10 @@ _COMMANDS = {
         _SCORING_KEYS)),
     "trust": ("trust report from prediction records", _cmd_trust, (
         _opt("--records", required=True, help="prediction records CSV"),
-        _opt("--alpha", type=_EXPONENT, default=1.0),
-        _opt("--beta", type=_EXPONENT, default=1.0),
+        _opt("--alpha", type=_EXPONENT, default=1.0,
+             help="a correct answer at confidence C earns trust C**alpha"),
+        _opt("--beta", type=_EXPONENT, default=1.0,
+             help="a wrong answer at confidence C earns trust (1 - C)**beta"),
         _opt("--out", required=True))),
     "validate-cam": ("masked retraining study over a run", _cmd_validate_cam, (
         _opt("--run", required=True, help="baseline run directory"),

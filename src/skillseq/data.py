@@ -408,8 +408,11 @@ def _walk_rows(lines, i, origin):
     channels = tuple(header[1:])
     if len(channels) < 1:
         raise TrialFormatError(f"{origin}: no channel columns")
-    if len(set(channels)) != len(channels):
-        raise TrialFormatError(f"{origin}: duplicate channel names in {channels}")
+    seen = set()
+    for name in channels:
+        if name in seen:
+            raise TrialFormatError(f"{origin} line {i + 1}: duplicate channel name {quoted(name)}")
+        seen.add(name)
 
     # every cell of every row, in order: one array is built at the end
     data = []

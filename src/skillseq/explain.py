@@ -162,7 +162,8 @@ def read_cams_csv(path):
     lines = csv_rows(r, path)
     header = next(lines, None)
     if header != ["trial_id", "class_index", "t", "raw", "intensity"]:
-        raise ValueError(f"{path}: unrecognized activation-map header {header}")
+        raise ValueError(f"{path}: unrecognized activation-map header "
+                         f"{quoted(','.join(header or []))}")
     for row in lines:
         try:
             tid, ci, t, raw, inten = row

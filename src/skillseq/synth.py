@@ -98,7 +98,14 @@ def score_trajectory(values, sample_rate_hz):
     mid = vals[skip:T - skip, 0:2]
     if mid.shape[0] >= 3:
         d2 = np.diff(mid, n=2, axis=0)
-        rough = float(np.median(np.minimum(np.linalg.norm(d2, axis=1), _ROUGH_CAP)))
+        r = np.sort(np.minimum(np.linalg.norm(d2, axis=1), _ROUGH_CAP))
+        h = len(r) // 2
+        # np.median written out, since it loads numpy.ma: the middle value
+        # or the mean of the middle two; a NaN sorts last and is the median
+        if np.isnan(r[-1]):
+            rough = float(r[-1])
+        else:
+            rough = float(r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2)
     else:
         rough = 0.0
     return _SCORE_BASE - _TIME_W * dur_s - _ROUGH_W * rough

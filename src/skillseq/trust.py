@@ -3,13 +3,16 @@
 For a prediction with confidence C in the predicted class,
 
     qa = C**alpha          if the prediction is correct
-    qa = 1 - C**beta       if it is wrong
+    qa = (1 - C)**beta     if it is wrong
 
-so confident correct answers earn trust near 1 and confident wrong
-answers forfeit it.  Trust densities are Gaussian KDEs with boundary
-reflection at 0 and 1 (qa lives in [0, 1] and mass concentrates at the
-edges, where an unreflected KDE would leak).  The per-class trust
-T_M(z) is the mean qa over trials whose actual class is z, and
+as in Wong, Wang and Hryniowski 2020 (arXiv:2009.05835), so confident
+correct answers earn trust near 1 and confident wrong answers forfeit
+it.  A larger ``alpha`` lowers the trust of a correct answer, and a
+larger ``beta`` the trust of a wrong one.  Trust densities are Gaussian
+KDEs with boundary reflection at 0 and 1 (qa lives in [0, 1] and mass
+concentrates at the edges, where an unreflected KDE would leak).  The
+per-class trust T_M(z) is the mean qa over trials whose actual class is
+z, and
 
     NTS = sum_z P(z) * T_M(z)
 
@@ -18,6 +21,7 @@ with P(z) the empirical class frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +46,7 @@ def qa_trust(record, z, alpha=1.0, beta=1.0):
     ``z`` is the question's ground-truth class: the record must belong
     to class z's question set (its actual class is z).  A prediction
     matching z earns C**alpha; any other answer forfeits trust as
-    1 - C**beta, where C is the predicted class's confidence.
+    (1 - C)**beta, where C is the predicted class's confidence.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError(f"alpha and beta must be > 0, got {alpha}, {beta}")
@@ -62,11 +66,25 @@ def qa_trust(record, z, alpha=1.0, beta=1.0):
         raise ValueError(f"{record.trial_id}: confidence {c} outside [0, 1]")
     if record.predicted == int(z):
         return c ** alpha
-    return 1.0 - c ** beta
+    return (1.0 - c) ** beta
 
 
 def trust_values(records, alpha=1.0, beta=1.0):
     return np.array([qa_trust(r, r.actual, alpha, beta) for r in records])
+
+
+def _percentile(s, q):
+    """``np.percentile(s, 100 * q)`` of the sorted 1-D array ``s`` by
+    numpy's default ``linear`` method, written out because np.percentile
+    loads numpy.ma.  A NaN sorts last and makes every percentile NaN."""
+    n = len(s)
+    if np.isnan(s[-1]):
+        return s[-1]
+    i = (n - 1) * q
+    lo = math.floor(i)
+    g = i - lo
+    a, b = s[lo], s[min(lo + 1, n - 1)]
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 def silverman_bandwidth(values):
@@ -77,8 +95,8 @@ def silverman_bandwidth(values):
     if n < 1:
         raise ValueError("bandwidth needs at least one value")
     std = float(v.std(ddof=1)) if n > 1 else 0.0
-    q75, q25 = np.percentile(v, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    ordered = np.sort(v)
+    iqr = float(_percentile(ordered, 0.75) - _percentile(ordered, 0.25))
     spread = [s for s in (std, iqr / 1.34) if s > 0.0]
     a = 0.9 * min(spread) if spread else 0.09
     return a * n ** (-0.2)

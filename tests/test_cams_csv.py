@@ -82,6 +82,22 @@ def test_bad_cams_csv_names_path_and_line(tmp_path, row, message):
         read_cams_csv(path)
 
 
+LONG_HEADER = "trial_id,class_index,t,raw," + "a" * 100_000
+
+
+@pytest.mark.parametrize("header, echo", [
+    ("", "''"),
+    ("trial_id,class_index,t,raw", "'trial_id,class_index,t,raw'"),
+    pytest.param(LONG_HEADER, f"{LONG_HEADER[:40]!r}... (100,027 characters)", id="long-header"),
+])
+def test_bad_cams_csv_header_is_echoed_bounded(tmp_path, header, echo):
+    path = tmp_path / "cams.csv"
+    path.write_text(header + "\r\n" if header else "", newline="")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: unrecognized activation-map header {echo}") + "$"):
+        read_cams_csv(path)
+
+
 C_LOCALE_ROUND_TRIP = r"""
 import sys
 from skillseq.explain import CamMap, read_cams_csv, write_cams_csv

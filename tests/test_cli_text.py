@@ -73,7 +73,7 @@ GOLDEN = {
         "train-dae --help":
             "0abf674b49b9c2a0cbd432b830640fa0af956bc6c1f9f04fe765f549272419e4",
         "trust --help":
-            "1ca8951299a0dd461fa48d21e2dd580167acc84172f2467ec2d8b98561bddf33",
+            "dd24c5cea3cc8cf9822eb3fe3cfea0d772f88f2a53b10bc3546fd789d0648ac4",
         "validate-cam --help":
             "b90e440edc2fea3cd31c8fecb1d3ce69770bbc4172558b44bce1c94cd1b06225",
     },

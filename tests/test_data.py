@@ -86,6 +86,11 @@ def test_trial_text_optional_fields_absent():
     ("# subject=A\n# subject=B\n# trial=0\n# rate_hz=1\nt,x\n0,1\n", "duplicate header"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nx,y\n0,1\n", "first column must be 't'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,x\n0,1,2\n", "duplicate channel"),
+    ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y,y,x\n0,1,2,3,4\n",
+     "line 4: duplicate channel name 'y'$"),
+    pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt," + "a" * 100_000 + "," + "a" * 100_000
+                 + "\n0,1,2\n", re.escape(f"line 4: duplicate channel name {'a' * 40!r}... "
+                                           "(100,000 characters)") + "$", id="long-channel-name"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,3,abc\n",
      "line 6, column 'y': non-numeric value 'abc'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1, ,z \n",

@@ -1,9 +1,13 @@
-"""What a ``skillseq`` process loads: scipy's statistics and the process
-pool stay out of it.
+"""What a ``skillseq`` process loads: scipy's statistics, numpy's
+masked arrays and the process pool stay out of it.
 
 ``metrics`` imports scipy only inside its two large-sample p-value tails,
 so a process that scores, explains, checks or evaluates a small study
 never pays for ``scipy.stats`` (about 1.2 s and 65 MB at start-up).
+``numpy.ma`` (about 1.25 MB resident and 7 ms of import) loads with
+``np.median``, ``np.percentile``, ``np.quantile``, ``np.unique`` and
+``np.isin``; ``synth`` and ``trust`` write their median and IQR out
+instead.
 ``crossval`` imports ``concurrent.futures.process`` (and with it
 ``multiprocessing``, about 1.3 MB) only when ``--jobs`` > 1 asks for a
 pool.  The checks run in a fresh interpreter so that this test session's
@@ -44,11 +48,21 @@ commands = [
      os.path.join(work, "cams.csv"), "--overlay-dir", os.path.join(work, "overlays")],
     ["trust", "--records", records, "--out", os.path.join(work, "trust")],
     ["ingest-check", "--manifest", manifest],
+    ["train-dae", "--seed", "3", "--dae-max-epochs", "2", "--arch-enc-width", "8",
+     "--manifest", manifest, "--out", os.path.join(work, "dae")],
+    ["train-classifier", "--seed", "3", "--clf-max-epochs", "2", "--arch-clf-width", "8",
+     "--dae", os.path.join(work, "dae", "dae.skq"), "--manifest", manifest,
+     "--out", os.path.join(work, "clf")],
+    ["gradcheck", "--configs", "1", "--seed", "0"],
 ]
+masked_after = []
 for argv in commands:
     rc = dispatch(argv)
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}")
+    if "numpy.ma" in sys.modules:
+        masked_after.append(argv[0])
+print(masked_after)
 print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
 """ + POOL_REPORT
 
@@ -64,18 +78,23 @@ def _run(script, *args):
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The last two lines of the subcommand script: the scipy statistics
-    modules and the pool modules loaded after every command ran."""
-    return _run(SCRIPT, str(tmp_path_factory.mktemp("work")))[-2:]
+    """The last three lines of the subcommand script: the commands after
+    which ``numpy.ma`` was loaded, then the scipy statistics modules and
+    the pool modules loaded after every command ran."""
+    return _run(SCRIPT, str(tmp_path_factory.mktemp("work")))[-3:]
+
+
+def test_subcommands_run_without_loading_numpy_masked_arrays(loaded):
+    assert loaded[0] == "[]", loaded
 
 
 def test_subcommands_run_without_loading_scipy_statistics(loaded):
-    assert loaded[0] == "[]", loaded
+    assert loaded[1] == "[]", loaded
 
 
 def test_serial_subcommands_run_without_loading_the_process_pool(loaded):
     """``evaluate`` and ``validate-cam`` at ``--jobs 1`` train in-process."""
-    assert loaded[1] == "[]", loaded
+    assert loaded[2] == "[]", loaded
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -6,10 +6,12 @@ separates the classes well, a sequence model has a fair target; the
 oracle shares no code with the model stack.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skillseq import synth
 from skillseq.data import RAW, dataset_fingerprint, load_manifest
@@ -121,6 +123,41 @@ def test_score_trajectory_penalizes_jitter():
                        np.cos(t_axis) * 90 + 320, np.sin(t_axis) * 70 + 200], axis=1)
     jittery = smooth + rng.normal(0, 15.0, smooth.shape)
     assert score_trajectory(jittery, 1.0) < score_trajectory(smooth, 1.0)
+
+
+def median_score(values, rate_hz):
+    """The score as the module docstring defines it, its roughness taken
+    by np.median."""
+    vals = np.asarray(values, dtype=np.float64)
+    n = len(vals)
+    skip = math.floor(synth._TRIM_FRACTION * n)
+    mid = vals[skip:n - skip, 0:2]
+    rough = 0.0
+    if len(mid) >= 3:
+        norms = np.linalg.norm(np.diff(mid, n=2, axis=0), axis=1)
+        rough = float(np.median(np.minimum(norms, synth._ROUGH_CAP)))
+    return synth._SCORE_BASE - synth._TIME_W * n / rate_hz - synth._ROUGH_W * rough
+
+
+# few distinct coordinates, so many second differences tie
+coordinate = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 40.0, 100.0]),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=60))
+@example(frames=[(0.0, 0.0)] * 3)                       # one norm
+@example(frames=[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (2.0, 2.0)])  # two
+@example(frames=[(0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.0)])  # three, tied
+@example(frames=[(0.0, 0.0)] * 4 + [(math.inf, 0.0)] * 2 + [(0.0, 0.0)] * 5)  # NaN norms
+def test_roughness_is_np_median_bit_for_bit(frames):
+    values = np.hstack([np.array(frames), np.zeros((len(frames), 2))])
+    with np.errstate(invalid="ignore"):
+        got, want = score_trajectory(values, 2.0), median_score(values, 2.0)
+    if math.isnan(want):    # which NaN (its sign bit) may differ; both print 'nan'
+        assert math.isnan(got), got
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
 
 def test_write_synth_dataset_round_trips(tmp_path):

@@ -1,14 +1,18 @@
 """Question-answer trust, densities, and the net trust score.
 
 The oracle reimplements the trust definitions directly from their
-closed forms: per-sample trust C^alpha on a correct prediction and
-(1 - C)^beta... inverted through 1 - C^beta on an incorrect one, class
-trust as the plain average over samples whose actual class is z, and
-the net score as the class-frequency-weighted combination.
+closed forms in Wong, Wang and Hryniowski 2020 (arXiv:2009.05835):
+per-sample trust C^alpha on a correct prediction and (1 - C)^beta on an
+incorrect one, class trust as the plain average over samples whose
+actual class is z, and the net score as the class-frequency-weighted
+combination.  The bandwidth oracle takes its IQR from np.percentile.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skillseq.records import PredictionRecord
 from skillseq.trust import (
@@ -35,7 +39,7 @@ def oracle_sample_trust(record, z, alpha, beta):
     c = record.confidences[record.predicted]
     if record.predicted == z:
         return c ** alpha
-    return 1.0 - c ** beta
+    return (1.0 - c) ** beta
 
 
 def oracle_spectrum(records, alpha, beta):
@@ -66,7 +70,16 @@ def test_incorrect_prediction_forfeits_trust():
 
 def test_beta_shapes_incorrect_branch():
     r = rec(actual=1, predicted=0, confidence=0.8)
-    assert qa_trust(r, 1, beta=2.0) == pytest.approx(1.0 - 0.64)
+    assert qa_trust(r, 1, beta=2.0) == pytest.approx((1 - 0.8) ** 2)
+
+
+def test_larger_beta_lowers_the_trust_of_a_wrong_answer():
+    """beta is a penalty: at C = 0.8, (1 - C)**beta falls from 0.2 through
+    0.04 to 0.008 as beta goes 1, 2, 3."""
+    r = rec(actual=1, predicted=0, confidence=0.8)
+    trusts = [qa_trust(r, 1, beta=b) for b in (1.0, 2.0, 3.0)]
+    assert trusts == pytest.approx([0.2, 0.04, 0.008])
+    assert trusts[0] > trusts[1] > trusts[2]
 
 
 def test_alpha_only_touches_correct_branch():
@@ -195,6 +208,35 @@ def test_silverman_bandwidth_formula():
     want = 0.9 * min(np.std(v, ddof=1), iqr / 1.34) * 100 ** (-0.2)
     assert silverman_bandwidth(v) == pytest.approx(want, rel=1e-12)
     assert silverman_bandwidth(np.full(30, 0.4)) > 0.0
+
+
+def percentile_bandwidth(values):
+    """Silverman's rule with its IQR from np.percentile."""
+    v = np.asarray(values, dtype=np.float64)
+    n = len(v)
+    std = float(v.std(ddof=1)) if n > 1 else 0.0
+    q75, q25 = np.percentile(v, [75.0, 25.0])
+    spread = [s for s in (std, float(q75 - q25) / 1.34) if s > 0.0]
+    return (0.9 * min(spread) if spread else 0.09) * n ** (-0.2)
+
+
+# ties from a few repeated values, signed zeros among them
+trust_like = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                       st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(trust_like, min_size=1, max_size=80))
+@example(values=[0.5])
+@example(values=[0.25, 1.0])
+@example(values=[0.0, 0.5, 0.5])
+@example(values=[-0.0, 0.0, 0.0, 1.0])
+@example(values=[0.0, 0.25, 0.5, 0.75, 1.0, math.nan])
+@example(values=[0.0, math.inf, 1.0, 1.0])
+def test_silverman_bandwidth_matches_percentile_bit_for_bit(values):
+    with np.errstate(invalid="ignore"):
+        got, want = silverman_bandwidth(values), percentile_bandwidth(values)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
 
 def test_conditional_density_filters_on_actual_class():
