@@ -323,19 +323,11 @@ def _cmd_trust(args):
     # each row is "<grid point>,%.9g": the grid is formatted once, and a
     # curve fills the rows with one % and goes out in one write
     rows = "grid,density\n" + "".join(f"{fmt9(g)},%.9g\n" for g in report.grid.tolist())
-
-    def write_curve(name, dens):
-        if dens is None:
-            return
-        cpath = os.path.join(args.out, f"density_{name}.csv")
-        with open(cpath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rows % tuple(dens.tolist()))
-
-    write_curve("correct", report.density_correct)
-    write_curve("incorrect", report.density_incorrect)
-    for z, (dc, dw) in report.per_class_densities.items():
-        write_curve(f"{report.class_names[z]}_correct", dc)
-        write_curve(f"{report.class_names[z]}_incorrect", dw)
+    for name, dens in report.curves.items():
+        if dens is not None:
+            cpath = os.path.join(args.out, f"density_{name}.csv")
+            with open(cpath, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(rows % tuple(dens.tolist()))
     print(text, end="")
     print(kv_line("report", path))
     return EXIT_OK
@@ -475,7 +467,8 @@ def dispatch(argv):
         return _fail("usage", exc)
     except KeyboardInterrupt:
         raise
-    except (ValueError, OSError, RuntimeError, FloatingPointError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError, KeyError,
+            MemoryError) as exc:
         return _fail("runtime", exc)
 
 

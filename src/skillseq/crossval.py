@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import save_bundle
-from .config import (ConfigError, RunConfig, RunSettings, parse_scheme, read_run_cfg,
-                     write_run_cfg)
+from .config import ConfigError, RunConfig, parse_scheme, read_run_cfg, write_run_cfg
 from .data import dataset_fingerprint, load_manifest, read_text
 from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
@@ -95,12 +94,9 @@ def encoder_fingerprint(bundle):
 
 @dataclass(frozen=True)
 class RunResult:
-    settings: RunSettings
     dataset_sha256: str
-    assignment: FoldAssignment
     outcomes: tuple
     metrics_text: str
-    out_dir: str
 
 
 def _build_assignment(stage2, settings):
@@ -330,28 +326,16 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
             fh.write(text)
         for fold, outcome in zip(assignment.folds, outcomes):
             _persist_fold(out_dir, settings, fold, outcome)
-    return RunResult(
-        settings=settings,
-        dataset_sha256=dataset_sha,
-        assignment=assignment,
-        outcomes=outcomes,
-        metrics_text=text,
-        out_dir=out_dir,
-    )
+    return RunResult(dataset_sha256=dataset_sha, outcomes=outcomes, metrics_text=text)
 
 
 @dataclass(frozen=True)
 class MaskingStudy:
     """Paired before/after comparison for one finished run."""
 
-    baseline_sha256: str
     masked_sha256: str
-    folds_sha256: str
-    fold_names: tuple
     before: dict
     after: dict
-    tests: dict
-    masked_result: RunResult
     text: str
 
 
@@ -505,14 +489,5 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         with open(os.path.join(out_dir, MASKING_FILE), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    return MaskingStudy(
-        baseline_sha256=actual_sha,
-        masked_sha256=masked_result.dataset_sha256,
-        folds_sha256=assignment.fingerprint(),
-        fold_names=fold_names,
-        before=before,
-        after=after,
-        tests=tests,
-        masked_result=masked_result,
-        text=text,
-    )
+    return MaskingStudy(masked_sha256=masked_result.dataset_sha256, before=before,
+                        after=after, text=text)

@@ -89,7 +89,7 @@ class FoldAssignment:
                     order.append(name)
                 named[name][role] = tuple(v for v in value.split(",") if v)
             else:
-                raise ValueError(f"fold text line {ln}: unrecognized key {key!r}")
+                raise ValueError(f"fold text line {ln}: unrecognized key {quoted(key)}")
         if scheme is None or seed is None:
             raise ValueError("fold text lacks scheme or seed")
         folds = []

@@ -65,15 +65,21 @@ def write_records_csv(records, path, classes=PASS_FAIL):
 
 
 def _header_classes(header, path):
-    """Class names encoded in the conf_* columns of a records header."""
-    prefix = ["trial_id", "subject", "trial", "actual", "predicted"]
-    suffix = ["true_score", "pred_score"]
-    if header[:5] != prefix or header[-2:] != suffix:
-        raise ValueError(f"{path}: unexpected records header {header}")
+    """Class names encoded in the conf_* columns of a records header.  A
+    name is non-empty, unique, printable and free of path separators,
+    since it names report lines and density files."""
     middle = header[5:-2]
-    if not middle or any(not col.startswith("conf_") for col in middle):
-        raise ValueError(f"{path}: unexpected records header {header}")
-    return tuple(col[len("conf_"):] for col in middle)
+    if (header[:5] != ["trial_id", "subject", "trial", "actual", "predicted"]
+            or header[-2:] != ["true_score", "pred_score"] or not middle
+            or any(not col.startswith("conf_") for col in middle)):
+        raise ValueError(f"{path}: unexpected records header {quoted(','.join(header))}")
+    classes = tuple(col[len("conf_"):] for col in middle)
+    for k, name in enumerate(classes):
+        if not name or name in classes[:k] or not name.isprintable() or any(
+                c in name for c in "/\\"):
+            raise ValueError(f"{path}, column {quoted(middle[k])}: expected a unique, "
+                             "non-empty, printable class name without '/' or '\\'")
+    return classes
 
 
 def read_records_csv(path):

@@ -16,7 +16,8 @@ z, and
 
     NTS = sum_z P(z) * T_M(z)
 
-with P(z) the empirical class frequency.
+with P(z) the empirical class frequency.  ``build_trust_report`` scores
+each record once and takes every mean and density from those values.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "trust_values",
     "silverman_bandwidth",
     "trust_density",
-    "conditional_trust_density",
-    "trust_spectrum_and_nts",
     "TrustReport",
     "build_trust_report",
 ]
@@ -113,7 +112,7 @@ def trust_density(values, bandwidth=None):
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("trust_density needs a non-empty 1-D array")
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+    if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):      # NaN fails too
         raise ValueError("trust values must lie in [0, 1]")
     v = np.clip(v, 0.0, 1.0)
     h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
@@ -128,65 +127,15 @@ def trust_density(values, bandwidth=None):
     return grid, dens
 
 
-def _correctness_densities(records, alpha, beta):
-    """(grid, correct_density, incorrect_density) of the records' trust,
-    split by prediction correctness; a side with no members is None."""
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
-    dens_c = dens_w = None
-    correct = [r for r in records if r.predicted == r.actual]
-    wrong = [r for r in records if r.predicted != r.actual]
-    if correct:
-        grid, dens_c = trust_density(trust_values(correct, alpha, beta))
-    if wrong:
-        grid, dens_w = trust_density(trust_values(wrong, alpha, beta))
-    return grid, dens_c, dens_w
-
-
-def conditional_trust_density(records, z, alpha=1.0, beta=1.0):
-    """Class z's trust densities, split by prediction correctness.
-
-    Returns (grid, correct_density, incorrect_density); a side with no
-    members is None.  In the binary case the correct side holds the
-    true positives (or true negatives) of class z and the incorrect
-    side its misses.
-    """
-    sub = [r for r in records if r.actual == z]
-    if not sub:
-        raise ValueError(f"no records with actual class {z!r}")
-    return _correctness_densities(sub, alpha, beta)
-
-
-def trust_spectrum_and_nts(records, alpha=1.0, beta=1.0):
-    """Per-class mean trust T_M(z) and the class-frequency-weighted NTS.
-
-    Every class named by the confidence vectors must appear among the
-    actuals; a class with no samples has no defined mean trust.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("trust spectrum needs at least one record")
-    by_class = {}
-    for r in records:
-        if r.actual is None:
-            raise ValueError(f"{r.trial_id}: no ground-truth class")
-        by_class.setdefault(r.actual, []).append(r)
-    n_classes = len(records[0].confidences)
-    missing = sorted(set(range(n_classes)) - set(by_class))
-    if missing:
-        raise ValueError(f"no samples with actual class(es) {missing}")
-    n = len(records)
-    t_m = {}
-    nts = 0.0
-    for z in sorted(by_class):
-        vals = trust_values(by_class[z], alpha, beta)
-        t_m[z] = float(vals.mean())
-        nts += (len(vals) / n) * t_m[z]
-    return t_m, nts
-
-
 @dataclass(frozen=True)
 class TrustReport:
-    """Trust summary of one evaluation run."""
+    """Trust summary of one evaluation run.
+
+    ``curves`` maps a name to a trust density on ``grid``, or to None when
+    no record falls in its set: ``correct`` and ``incorrect`` over all
+    records, then ``<class>_correct`` and ``<class>_incorrect`` for the
+    records of each actual class, in class order.
+    """
 
     alpha: float
     beta: float
@@ -198,36 +147,50 @@ class TrustReport:
     mean_correct: float | None
     mean_incorrect: float | None
     grid: np.ndarray
-    density_correct: np.ndarray | None
-    density_incorrect: np.ndarray | None
-    per_class_densities: dict  # class index -> (correct|None, incorrect|None)
+    curves: dict              # curve name -> density or None
 
 
 def build_trust_report(records, alpha=1.0, beta=1.0, class_names=None):
+    """Trust report of the records that carry a prediction, in one pass.
+
+    Each record is trust-scored once; every mean and density is taken
+    over a subset of those values, in record order.  Every class named
+    by the confidence vectors must appear among the actuals, since a
+    class with no samples has no defined mean trust.
+    """
     recs = [r for r in records if r.predicted is not None]
     if not recs:
         raise ValueError("no classification records to build a trust report from")
-    t_m, nts = trust_spectrum_and_nts(recs, alpha, beta)
-    correct = [r for r in recs if r.predicted == r.actual]
-    wrong = [r for r in recs if r.predicted != r.actual]
-    grid, dens_c, dens_w = _correctness_densities(recs, alpha, beta)
-    per_class = {}
-    counts = {}
-    for z in sorted(t_m):
-        counts[z] = sum(1 for r in recs if r.actual == z)
-        _, dc, dw = conditional_trust_density(recs, z, alpha, beta)
-        per_class[z] = (dc, dw)
+    qa = trust_values(recs, alpha, beta)
+    actual = np.array([r.actual for r in recs])
+    correct = np.array([r.predicted for r in recs]) == actual
+    classes = sorted(set(actual.tolist()))
+    missing = sorted(set(range(len(recs[0].confidences))) - set(classes))
+    if missing:
+        raise ValueError(f"no samples with actual class(es) {missing}")
     if class_names is None:
-        class_names = tuple(str(z) for z in sorted(t_m))
+        class_names = tuple(str(z) for z in classes)
+
+    def density(mask):
+        return trust_density(qa[mask])[1] if mask.any() else None
+
+    def mean(mask):
+        return float(qa[mask].mean()) if mask.any() else None
+
+    counts, t_m, nts = {}, {}, 0.0
+    curves = {"correct": density(correct), "incorrect": density(~correct)}
+    for z in classes:
+        member = actual == z
+        counts[z] = int(member.sum())
+        t_m[z] = mean(member)
+        nts += (counts[z] / len(recs)) * t_m[z]
+        curves[f"{class_names[z]}_correct"] = density(member & correct)
+        curves[f"{class_names[z]}_incorrect"] = density(member & ~correct)
+    if len(curves) != 2 + 2 * len(classes):
+        raise ValueError("class names must be distinct")
     return TrustReport(
-        alpha=alpha, beta=beta, n=len(recs),
-        class_names=tuple(class_names),
-        class_counts=counts,
-        t_m=t_m, nts=nts,
-        mean_correct=float(trust_values(correct, alpha, beta).mean()) if correct else None,
-        mean_incorrect=float(trust_values(wrong, alpha, beta).mean()) if wrong else None,
-        grid=grid,
-        density_correct=dens_c,
-        density_incorrect=dens_w,
-        per_class_densities=per_class,
+        alpha=alpha, beta=beta, n=len(recs), class_names=tuple(class_names),
+        class_counts=counts, t_m=t_m, nts=nts,
+        mean_correct=mean(correct), mean_incorrect=mean(~correct),
+        grid=np.linspace(0.0, 1.0, GRID_SIZE), curves=curves,
     )

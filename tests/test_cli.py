@@ -169,6 +169,48 @@ def test_repeated_records_trial_is_a_runtime_error_naming_both_lines(records_fil
     assert not (tmp_path / "trust").exists()
 
 
+@pytest.mark.parametrize("cells, column", [
+    ("conf_a,conf_a", "conf_a"),
+    ("conf_,conf_b", "conf_"),
+    ("conf_a/b,conf_c", "conf_a/b"),
+    ("conf_a\\b,conf_c", "conf_a\\b"),
+    ("conf_a\0b,conf_c", "conf_a\0b"),
+    ('"conf_a\nb",conf_c', "conf_a\nb"),
+], ids=["repeated", "empty", "slash", "backslash", "nul", "newline"])
+def test_records_class_name_must_be_unique_printable_and_not_a_path(records_file, tmp_path,
+                                                                   capsys, cells, column):
+    """A class name names report lines and density files, so a bad one
+    is refused before anything is written."""
+    records = tmp_path / "records.csv"
+    with open(records_file) as fh:
+        records.write_text(fh.read().replace("conf_pass,conf_fail", cells, 1))
+    assert dispatch(trust_argv(str(records), tmp_path / "trust")) == 1
+    assert last_error(capsys) == (f"error: runtime: {records}, column {column!r}: expected a "
+                                  "unique, non-empty, printable class name without '/' or "
+                                  "'\\'")
+    assert not (tmp_path / "trust").exists()
+
+
+def test_long_records_header_is_echoed_bounded(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    header = "trial_id,subject,trial,actual,predicted," + "a" * 100_000 + ",true_score,pred_score"
+    records.write_text(header + "\n")
+    assert dispatch(trust_argv(str(records), tmp_path / "trust")) == 1
+    assert last_error(capsys) == (f"error: runtime: {records}: unexpected records header "
+                                  f"{header[:40]!r}... (100,062 characters)")
+
+
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys):
+    """numpy refuses a 582 TiB request at once, so nothing large is
+    allocated."""
+    assert dispatch(["synth", "--out", str(tmp_path / "data"), "--n-subjects", "2",
+                     "--trials-per-subject", "4"]) == 0
+    rc = dispatch(["train-dae", "--manifest", str(tmp_path / "data" / "manifest.csv"),
+                   "--out", str(tmp_path / "dae"), "--arch-emb-channels", "1000000000000"])
+    assert rc == 1
+    assert last_error(capsys).startswith("error: runtime: ")
+
+
 def test_repeated_manifest_trial_is_a_runtime_error_naming_both_lines(scoring_inputs,
                                                                      tmp_path, capsys):
     base = os.path.dirname(scoring_inputs["manifest"])

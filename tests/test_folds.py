@@ -1,5 +1,7 @@
 """Fold construction: coverage, disjointness, stratification, grouping."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,13 @@ def test_canonical_text_round_trip():
     back = FoldAssignment.from_canonical_text(a.canonical_text())
     assert back == a
     assert back.fingerprint() == a.fingerprint()
+
+
+def test_unrecognized_fold_text_key_is_echoed_bounded():
+    key = "k" * 100_000
+    with pytest.raises(ValueError, match=re.escape(
+            f"fold text line 3: unrecognized key {key[:40]!r}... (100,000 characters)") + "$"):
+        FoldAssignment.from_canonical_text(f"scheme = louo\nseed = 0\n{key} = 1\n")
 
 
 def test_fingerprint_changes_with_membership():

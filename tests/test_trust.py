@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import skillseq.trust
 from skillseq.records import PredictionRecord
 from skillseq.trust import (
     build_trust_report,
-    conditional_trust_density,
     qa_trust,
     silverman_bandwidth,
     trust_density,
-    trust_spectrum_and_nts,
     trust_values,
 )
 
@@ -136,47 +135,46 @@ def random_records(n, seed, n_classes=2):
 @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)])
 def test_spectrum_matches_oracle_on_1000_records(alpha, beta):
     records = random_records(1000, seed=42)
-    t_m, nts = trust_spectrum_and_nts(records, alpha, beta)
+    report = build_trust_report(records, alpha, beta)
     t_ref, nts_ref = oracle_spectrum(records, alpha, beta)
     for z in t_ref:
-        assert t_m[z] == pytest.approx(t_ref[z], abs=1e-9)
-    assert nts == pytest.approx(nts_ref, abs=1e-9)
+        assert report.t_m[z] == pytest.approx(t_ref[z], abs=1e-9)
+    assert report.nts == pytest.approx(nts_ref, abs=1e-9)
 
 
 def test_spectrum_three_classes():
     records = random_records(300, seed=7, n_classes=3)
-    t_m, nts = trust_spectrum_and_nts(records)
+    report = build_trust_report(records)
     t_ref, nts_ref = oracle_spectrum(records, 1.0, 1.0)
-    assert set(t_m) == {0, 1, 2}
+    assert set(report.t_m) == {0, 1, 2}
     for z in t_ref:
-        assert t_m[z] == pytest.approx(t_ref[z], abs=1e-12)
-    assert nts == pytest.approx(nts_ref, abs=1e-12)
+        assert report.t_m[z] == pytest.approx(t_ref[z], abs=1e-12)
+    assert report.nts == pytest.approx(nts_ref, abs=1e-12)
 
 
 def test_nts_invariant_to_record_order():
     records = random_records(200, seed=3)
-    _, a = trust_spectrum_and_nts(records)
-    _, b = trust_spectrum_and_nts(list(reversed(records)))
+    a = build_trust_report(records).nts
+    b = build_trust_report(list(reversed(records))).nts
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_all_correct_confident_gives_full_trust():
     records = [rec(z % 2, z % 2, 0.999999) for z in range(10)]
-    t_m, nts = trust_spectrum_and_nts(records)
-    assert nts == pytest.approx(1.0, abs=1e-5)
+    assert build_trust_report(records).nts == pytest.approx(1.0, abs=1e-5)
 
 
 def test_alpha_increase_lowers_trust_on_correct_records():
     records = [rec(0, 0, 0.8), rec(1, 1, 0.7)]
-    _, base = trust_spectrum_and_nts(records, alpha=1.0)
-    _, stricter = trust_spectrum_and_nts(records, alpha=2.0)
+    base = build_trust_report(records, alpha=1.0).nts
+    stricter = build_trust_report(records, alpha=2.0).nts
     assert stricter < base
 
 
 def test_spectrum_requires_every_class_observed():
     records = [rec(0, 0, 0.9), rec(0, 1, 0.6)]
-    with pytest.raises(ValueError):
-        trust_spectrum_and_nts(records)
+    with pytest.raises(ValueError, match=r"no samples with actual class\(es\) \[1\]"):
+        build_trust_report(records)
 
 
 # --- densities ---
@@ -199,6 +197,12 @@ def test_density_reflection_keeps_boundary_mass():
     grid, dens = trust_density(np.full(40, 0.0), bandwidth=0.05)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
     assert dens[0] > dens[-1]
+
+
+@pytest.mark.parametrize("values", [[0.5, math.nan], [math.nan], [-0.5, 0.5], [0.5, 1.5]])
+def test_density_refuses_values_outside_the_unit_interval(values):
+    with pytest.raises(ValueError, match=r"trust values must lie in \[0, 1\]"):
+        trust_density(values)
 
 
 def test_silverman_bandwidth_formula():
@@ -241,20 +245,21 @@ def test_silverman_bandwidth_matches_percentile_bit_for_bit(values):
 
 def test_conditional_density_filters_on_actual_class():
     records = [rec(0, 0, 0.95)] * 5 + [rec(0, 1, 0.9)] * 5 + [rec(1, 1, 0.8)] * 4
-    grid, dc, dw = conditional_trust_density(records, z=0)
+    report = build_trust_report(records)
+    grid, dc, dw = report.grid, report.curves["0_correct"], report.curves["0_incorrect"]
     assert dc is not None and dw is not None
     # correct side peaks high, incorrect side peaks low
     assert grid[np.argmax(dc)] > 0.7
     assert grid[np.argmax(dw)] < 0.3
-    grid, dc1, dw1 = conditional_trust_density(records, z=1)
+    dc1, dw1 = report.curves["1_correct"], report.curves["1_incorrect"]
     assert dw1 is None          # no wrong predictions among actual-1 records
     assert dc1 is not None
 
 
 def test_conditional_density_rejects_empty_class():
     records = [rec(0, 0, 0.9)]
-    with pytest.raises(ValueError):
-        conditional_trust_density(records, z=1)
+    with pytest.raises(ValueError, match=r"no samples with actual class\(es\) \[1\]"):
+        build_trust_report(records)
 
 
 # --- report ---
@@ -273,3 +278,46 @@ def test_report_carries_class_names():
     records = random_records(60, seed=13)
     report = build_trust_report(records, class_names=("pass", "fail"))
     assert report.class_names == ("pass", "fail")
+
+
+def test_report_scores_each_record_once(monkeypatch):
+    calls = []
+
+    def counting_qa_trust(*args):
+        calls.append(args[0].trial_id)
+        return qa_trust(*args)
+
+    monkeypatch.setattr(skillseq.trust, "qa_trust", counting_qa_trust)
+    records = random_records(10, seed=17)
+    build_trust_report(records)
+    assert sorted(calls) == sorted(r.trial_id for r in records)
+
+
+def test_report_curves_are_the_densities_of_each_subset():
+    """Each curve is trust_density of its subset's trust values, in
+    record order, bit for bit; an empty subset has no curve."""
+    records = random_records(40, seed=19, n_classes=3)
+    records = [r for r in records if not (r.actual == 2 and r.predicted != 2)]
+    report = build_trust_report(records, class_names=("a", "b", "c"))
+    names = ["correct", "incorrect"] + [f"{c}_{side}" for c in "abc"
+                                        for side in ("correct", "incorrect")]
+    assert list(report.curves) == names
+    qa = trust_values(records)
+    ok = [r.predicted == r.actual for r in records]
+    subsets = [ok, [not o for o in ok]] + [
+        [r.actual == z and o == side for r, o in zip(records, ok)]
+        for z in range(3) for side in (True, False)]
+    for name, keep in zip(names, subsets):
+        want = trust_density(qa[keep])[1] if any(keep) else None
+        got = report.curves[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), name
+    assert report.curves["c_incorrect"] is None
+    assert report.mean_correct == float(qa[ok].mean())
+
+
+def test_report_refuses_repeated_class_names():
+    """Curves are keyed by class name, so a repeated name would drop one."""
+    with pytest.raises(ValueError, match="class names must be distinct"):
+        build_trust_report(random_records(20, seed=23), class_names=("a", "a"))
