@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class BundleChecksumError(BundleFormatError):
 def _meta_dict(bundle):
     return {
         "mode": bundle.mode,
-        "groups": {g: [s.to_dict() for s in specs] for g, specs in bundle.groups.items()},
+        "groups": {g: [asdict(s) for s in specs] for g, specs in bundle.groups.items()},
         "trainable": dict(bundle.trainable),
         "minmax": bundle.minmax.to_dict() if bundle.minmax else None,
         "score_stats": bundle.score_stats.to_dict() if bundle.score_stats else None,
@@ -223,7 +224,7 @@ class _MetaCheck:
             if type(d[key]) not in types:
                 raise self.fault(f"{field}.{key}", f"must be {what}, got {d[key]!r}")
         try:
-            return LayerSpec.from_dict(d)
+            return LayerSpec(**d)
         except ValueError as exc:
             raise self.fault(field, f"is not a valid layer: {exc}") from None
 
@@ -233,7 +234,8 @@ def _bundle(path, meta, weights):
     field that is missing, unknown or of the wrong type or length, a
     min-max range that is not positive, or an array whose shape its layer
     spec does not give, raises BundleFormatError naming the file and the
-    field or array."""
+    field or array.  Every bundle carries the min-max statistics its
+    input is scaled by, and a regression bundle its score statistics."""
     check = _MetaCheck(path)
     if type(meta) is not dict:
         raise BundleFormatError(f"{path}: bad metadata: not a JSON object")
@@ -247,21 +249,19 @@ def _bundle(path, meta, weights):
     trainable = check.obj("trainable", meta["trainable"])
     for g, flag in trainable.items():
         check.typed(f"trainable.{g}", flag, ((bool,), "true or false"))
-    minmax = meta["minmax"]
-    if minmax is not None:
-        check.obj("minmax", minmax, ("channels", "mins", "maxs", "source_ids"))
-        channels = check.items("minmax.channels", minmax["channels"], _STR)
-        n = len(channels)
-        mins = check.items("minmax.mins", minmax["mins"], _NUMBER, n)
-        maxs = check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
-        for i in range(n):  # apply_minmax divides by the range
-            if not maxs[i] > mins[i]:
-                raise check.fault(f"minmax.maxs[{i}]", f"must exceed minmax.mins[{i}] "
-                                  f"({mins[i]!r}) for channel '{channels[i]}', got {maxs[i]!r}")
-        check.items("minmax.source_ids", minmax["source_ids"], _STR)
-        minmax = MinMaxStats.from_dict(minmax)
+    minmax = check.obj("minmax", meta["minmax"], ("channels", "mins", "maxs", "source_ids"))
+    channels = check.items("minmax.channels", minmax["channels"], _STR)
+    n = len(channels)
+    mins = check.items("minmax.mins", minmax["mins"], _NUMBER, n)
+    maxs = check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
+    for i in range(n):  # apply_minmax divides by the range
+        if not maxs[i] > mins[i]:
+            raise check.fault(f"minmax.maxs[{i}]", f"must exceed minmax.mins[{i}] "
+                              f"({mins[i]!r}) for channel '{channels[i]}', got {maxs[i]!r}")
+    check.items("minmax.source_ids", minmax["source_ids"], _STR)
+    minmax = MinMaxStats.from_dict(minmax)
     stats = meta["score_stats"]
-    if stats is not None:
+    if stats is not None or mode == "regression":
         check.obj("score_stats", stats, ("mean", "std", "source_ids"))
         check.typed("score_stats.mean", stats["mean"], _NUMBER)
         check.typed("score_stats.std", stats["std"], _NUMBER)

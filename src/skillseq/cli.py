@@ -150,7 +150,7 @@ def _load_skill_bundle(args, what):
     _require_file(args.bundle, "bundle")
     bundle = load_bundle(args.bundle)
     if bundle.mode == "autoencoder":
-        raise UsageError(f"{what} needs a classification or regression bundle")
+        raise UsageError(f"{what} needs a classification or regression bundle, not {args.bundle}")
     return bundle
 
 
@@ -204,7 +204,7 @@ def _cmd_train_classifier(args):
         _require_file(args.dae, "bundle")
         dae_bundle = load_bundle(args.dae)
         if dae_bundle.mode != "autoencoder":
-            raise UsageError(f"--dae bundle has mode '{dae_bundle.mode}', expected autoencoder")
+            raise UsageError(f"--dae {args.dae} has mode '{dae_bundle.mode}', not autoencoder")
         _check_channels(dae_bundle, args.dae, trials, run.manifest)
     else:
         dae_bundle, _ = train_dae(trials, settings.dae, settings.seed, settings.arch)

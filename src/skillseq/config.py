@@ -16,6 +16,9 @@ table only parses text; the dataclasses the values fill (``RunSettings``,
 ``DaeConfig``, ``HeadConfig``, ``ArchConfig``, ``SynthSpec``) validate
 them.  Every diagnostic names the offending key and, for file input, the
 file and line.
+
+The head's loss is no key: ``training.HEAD_LOSS`` takes it from the
+mode.  A ``clf_loss`` line of an older file reads only if it names it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .data import read_text
 from .model import ArchConfig
 from .reports import quoted
 from .synth import SynthSpec
-from .training import DaeConfig, HeadConfig
+from .training import HEAD_LOSS, DaeConfig, HeadConfig
 
 __all__ = [
     "ConfigError",
@@ -88,11 +91,6 @@ class RunSettings:
             raise ValueError("seed must be >= 0")
         if self.target_hz <= 0:
             raise ValueError("target_hz must be > 0")
-        if self.mode == "classification" and self.clf.loss != "cosine":
-            raise ValueError("classification head trains on cosine loss, "
-                             f"not {self.clf.loss}")
-        if self.mode == "regression" and self.clf.loss != "mse":
-            raise ValueError("regression head trains on mse loss")
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,8 @@ class Key:
     the same name, "dae"/"clf"/"arch" the field of that sub-config named
     by the rest of the key, None the RunConfig field of the same name.
     ``flag`` keys get a ``--key-name`` flag.  ``snapshot`` says how
-    run.cfg holds the key: "required", "optional" or "never".
+    run.cfg holds the key: "required", "optional", "never", or "dropped"
+    (only older files hold it; ``value`` keeps its text and where it was read).
     """
 
     name: str
@@ -170,6 +169,8 @@ class Key:
         return repr(float(value)) if self.parse is _parse_float else str(value)
 
     def value(self, raw, where):
+        if self.snapshot == "dropped":
+            return raw, where
         try:
             return self.parse(raw)
         except ValueError as exc:
@@ -198,7 +199,6 @@ RUN_KEYS = _table(
     Key("clf_learning_rate", _parse_float, "clf"),
     Key("clf_max_epochs", _parse_int, "clf"),
     Key("clf_patience", _parse_int, "clf"),
-    Key("clf_loss", str, "clf"),
     Key("clf_l2", _parse_float, "clf"),
     Key("clf_val_fraction", _parse_float, "clf"),
     Key("clf_class_weighting", str, "clf"),
@@ -208,6 +208,7 @@ RUN_KEYS = _table(
     Key("arch_reduction", _parse_int, "arch"),
     Key("arch_clf_width", _parse_int, "arch"),
     Key("arch_clf_dilation", _parse_int, "arch"),
+    Key("clf_loss", flag=False, snapshot="dropped"),
 )
 
 SYNTH_KEYS = _table(
@@ -283,31 +284,35 @@ def _layered(keys, from_file, from_flags, env):
     return values
 
 
-def _run_config(values):
+def _run_config(values, prefix=""):
+    """The RunConfig of typed key values (consumed; an older file's
+    ``clf_loss`` must name the mode's loss); a ConfigError starts with ``prefix``."""
+    head_loss = values.pop("clf_loss", None)
     parts = {None: {}, "": {}, "dae": {}, "clf": {}, "arch": {}}
     for name, value in values.items():
         key = RUN_KEYS[name]
         parts[key.part][key.attr] = value
-    if parts[""].get("mode") == "regression":
-        parts["clf"].setdefault("loss", "mse")
     built = {}
     for part, make in (("dae", DaeConfig), ("clf", HeadConfig), ("arch", ArchConfig)):
         try:
             built[part] = make(**parts[part])
         except ValueError as exc:
-            raise ConfigError(f"{part} settings: {exc}") from None
+            raise ConfigError(f"{prefix}{part} settings: {exc}") from None
     try:
         settings = RunSettings(**parts[""], **built)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{prefix}{exc}") from None
+    if head_loss is not None and head_loss[0] != HEAD_LOSS[settings.mode]:
+        raise ConfigError(f"{head_loss[1]}: a {settings.mode} head trains on "
+                          f"{HEAD_LOSS[settings.mode]} loss, not {quoted(head_loss[0])}")
     return RunConfig(settings, **parts[None])
 
 
 def resolve_run_config(from_file=None, from_flags=None, env=None):
     """Resolve an evaluation run from typed file and flag values.
 
-    Keys left unset take the defaults of the dataclasses they fill; a
-    regression run defaults its head loss to mse.
+    Keys left unset take the defaults of the dataclasses they fill; the
+    head's loss is ``training.HEAD_LOSS`` of the mode, no key.
     """
     return _run_config(_layered(RUN_KEYS, from_file, from_flags, env))
 
@@ -325,13 +330,13 @@ def write_run_cfg(path, run):
     with a value.  Fold-level seeds are derived, so only the run seed is
     recorded."""
     lines = []
-    for key in RUN_KEYS.values():
+    for key in [k for k in RUN_KEYS.values() if k.snapshot in ("required", "optional")]:
         if key.part is None:
             owner = run
         else:
             owner = getattr(run.settings, key.part) if key.part else run.settings
         value = getattr(owner, key.attr)
-        if key.snapshot != "never" and value is not None:
+        if value is not None:
             lines.append(f"{key.name} = {key.text(value)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(sorted(lines)) + "\n")
@@ -347,7 +352,4 @@ def read_run_cfg(path):
     for key in RUN_KEYS.values():
         if key.snapshot == "required" and key.name not in pairs:
             raise ConfigError(f"{path}: run settings missing key '{key.name}'")
-    try:
-        return _run_config({name: value for name, (value, _) in pairs.items()})
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _run_config({name: value for name, (value, _) in pairs.items()}, f"{path}: ")

@@ -93,21 +93,6 @@ class LayerSpec:
         if self.kind == "gaussian-noise" and self.sigma < 0.0:
             raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel_size": self.kernel_size,
-            "dilation": self.dilation,
-            "reduction": self.reduction,
-            "sigma": self.sigma,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return LayerSpec(**d)
-
 
 def _scse_shapes(c, r):
     mid = c // r

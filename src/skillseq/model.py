@@ -179,10 +179,24 @@ class ModelBundle:
         return {k[len(pfx):]: v for k, v in self.weights.items() if k.startswith(pfx)}
 
 
+# the kinds that take only a (T, C) sequence, and only one vector per trial
+_SEQUENCE_ONLY = ("conv1d", "scse", "residual-scse-block", "gaussian-noise", "gap")
+_VECTOR_ONLY = ("dense", "softmax")
+
+
 def _chain(group, specs, channels):
-    """The channel count out of ``specs`` given ``channels`` in (None: any);
-    raises ValueError at a layer whose ``in_channels`` differs."""
+    """The channel count out of ``specs`` given ``channels`` in (None: any).
+    Raises ValueError at a layer whose ``in_channels`` differs, or whose
+    kind cannot take what flows into it: sequences up to a ``gap``, which
+    only a head holds, and one vector per trial after it."""
+    pooled = False
     for i, s in enumerate(specs):
+        if s.kind == "gap" and group != "head":
+            raise ValueError(f"group '{group}' layer {i} (gap): only a head pools over time")
+        if s.kind in (_SEQUENCE_ONLY if pooled else _VECTOR_ONLY):
+            flow = "one vector per trial" if pooled else "a sequence"
+            raise ValueError(f"group '{group}' layer {i} ({s.kind}) cannot take {flow}")
+        pooled = pooled or s.kind == "gap"
         if s.kind in ("conv1d", "dense", "scse", "residual-scse-block"):
             if channels is not None and s.in_channels != channels:
                 raise ValueError(f"group '{group}' layer {i} ({s.kind}): in_channels "
@@ -254,7 +268,7 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
     if mode not in ("classification", "regression"):
         raise ValueError(f"mode must be classification or regression, got '{mode}'")
     arch = arch or ArchConfig()
-    emb = dae_bundle.groups["encoder"][-2].out_channels
+    emb = _chain("encoder", dae_bundle.groups["encoder"], len(dae_bundle.minmax.channels))
     if emb != arch.emb_channels:
         arch = replace(arch, emb_channels=emb)
     n_out = len(PASS_FAIL) if mode == "classification" else 1

@@ -9,7 +9,8 @@ applied, so a caller never handles them.
 
 Both stages run one loop, ``_run_training``, over arrays: the stacks and
 initial parameters of the groups that train, one input, target and loss
-weight per trial, and the strata of the validation split.
+weight per trial, the loss kind (the autoencoder recipe's, or ``HEAD_LOSS``
+of the head's mode), and the strata of the validation split.
 ``train_dae`` and ``train_supervised`` only prepare that data; the head
 trains on encoder features computed once, so the frozen encoder never
 enters the loop.  The recipe is shared: one sample per optimizer step,
@@ -49,10 +50,11 @@ from .optim import AdamState, adam_step_masked
 from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
-__all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "train_dae", "train_supervised",
-           "train_classifier"]
+__all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "HEAD_LOSS", "train_dae",
+           "train_supervised", "train_classifier"]
 
-_LOSSES = ("bce", "mse", "cosine")
+# a skill head's mode fixes its loss: cosine to one-hot classes, mse to z-scores
+HEAD_LOSS = {"classification": "cosine", "regression": "mse"}
 
 
 def _check_recipe(config):
@@ -63,8 +65,6 @@ def _check_recipe(config):
         raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
     if config.patience < 1:
         raise ValueError(f"patience must be >= 1, got {config.patience}")
-    if config.loss not in _LOSSES:
-        raise ValueError(f"loss must be one of {_LOSSES}, got {quoted(config.loss)}")
     if not 0.0 < config.val_fraction < 0.5:
         raise ValueError(f"val_fraction must lie in (0, 0.5), got {config.val_fraction}")
     if config.l2 < 0:
@@ -85,21 +85,21 @@ class DaeConfig:
 
     def __post_init__(self):
         _check_recipe(self)
-        if self.loss == "cosine":
-            raise ValueError("loss must be bce or mse, not cosine, which compares "
-                             "vectors, not sequences")
+        if self.loss not in ("bce", "mse"):
+            raise ValueError("loss must be bce or mse, not " + (
+                "cosine, which compares vectors, not sequences" if self.loss == "cosine"
+                else quoted(self.loss)))
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
 class HeadConfig:
-    """The skill head's recipe, over a frozen encoder."""
+    """The skill head's recipe over a frozen encoder; its mode fixes its loss."""
 
     learning_rate: float = 0.0002
     max_epochs: int = 300
     patience: int = 20
-    loss: str = "cosine"
     l2: float = 1e-5
     val_fraction: float = 0.1
     class_weighting: str = "balanced"
@@ -175,16 +175,16 @@ def _val_split(indices, strata, frac, seed):
     return train, sorted(val_set)
 
 
-def _step(specs, flat, x, target, weight, config, rng):
+def _step(specs, flat, x, target, weight, loss, l2, rng):
     """The forward of one training step: ``x`` through each stack of
     ``specs`` (``{group: layer specs}``, in run order) over ``flat``'s
-    parameters, then the loss against ``target``.  Returns the step's
-    ``Recorder``: its ``loss`` is the step's loss, and its ``backward``
-    adds the gradients into ``flat.grad``."""
-    rec = Recorder(rng=rng, activity_l2=config.l2)
+    parameters under activity penalty ``l2``, then the ``loss`` against
+    ``target``.  Returns the step's ``Recorder``: its ``loss`` is the
+    step's loss, and its ``backward`` adds the gradients into ``flat.grad``."""
+    rec = Recorder(rng=rng, activity_l2=l2)
     for g, stack in specs.items():
         x = forward_stack(stack, flat.params[g], x, rec, flat.grads[g])
-    rec.set_loss(config.loss, x, target, weight)
+    rec.set_loss(loss, x, target, weight)
     return rec
 
 
@@ -195,15 +195,15 @@ def _val_losses(stacks, inputs, targets, kind, weights):
             for out, target, weight in zip(outs, targets, weights)]
 
 
-def _run_training(specs, groups, inputs, targets, weights, strata, config, seed, stage,
-                  trial_ids, noise_rng=None):
+def _run_training(specs, groups, inputs, targets, weights, strata, loss, config, seed,
+                  stage, trial_ids, noise_rng=None):
     """Train ``groups`` (``{group: params}``) of the stacks ``specs``
     (``{group: layer specs}``, in run order) to map each of ``inputs`` to
-    the same entry of ``targets``, under its loss weight in ``weights``,
-    with the validation split stratified by ``strata``.  ``noise_rng``
-    draws the noise layers' noise.  A non-finite loss raises
-    FloatingPointError naming ``stage``, the epoch and the trial
-    (``trial_ids[i]``).  Returns the trained parameters as
+    the same entry of ``targets``, under the loss kind ``loss`` and its
+    weight in ``weights``, with the validation split stratified by
+    ``strata``.  ``noise_rng`` draws the noise layers' noise.  A
+    non-finite loss raises FloatingPointError naming ``stage``, the epoch
+    and the trial (``trial_ids[i]``).  Returns the trained parameters as
     ``{"<group>/<name>": array}`` and the loss history."""
     flat = _FlatParams(groups)
     train_idx, val_idx = _val_split(range(len(inputs)), strata, config.val_fraction, seed)
@@ -222,7 +222,8 @@ def _run_training(specs, groups, inputs, targets, weights, strata, config, seed,
         for oi in order:
             i = train_idx[oi]
             flat.grad[:] = 0.0
-            step = _step(specs, flat, inputs[i], targets[i], weights[i], config, noise_rng)
+            step = _step(specs, flat, inputs[i], targets[i], weights[i], loss, config.l2,
+                         noise_rng)
             if not np.isfinite(step.loss):
                 raise FloatingPointError(f"{stage}: non-finite training loss at epoch "
                                          f"{epoch} on trial {trial_ids[i]}")
@@ -230,8 +231,7 @@ def _run_training(specs, groups, inputs, targets, weights, strata, config, seed,
             adam_step_masked(opt, flat.theta, flat.grad, flat.decay_mask)
             total += float(step.loss)
         history.train_loss.append(total / max(len(train_idx), 1))
-        vlosses = _val_losses(val_stacks, val_inputs, val_targets, config.loss,
-                              val_weights)
+        vlosses = _val_losses(val_stacks, val_inputs, val_targets, loss, val_weights)
         vloss = float(np.mean(vlosses))
         if not np.isfinite(vloss):
             bad = [trial_ids[i] for i, v in zip(val_idx, vlosses) if not np.isfinite(v)]
@@ -280,8 +280,8 @@ def train_dae(trials, config, seed, arch=None):
     weights, history = _run_training(
         specs=specs, groups={g: init_stack_params(s, rng) for g, s in specs.items()},
         inputs=values, targets=values, weights=[1.0] * len(trials),
-        strata=[t.class_label or "" for t in trials], config=config, seed=seed,
-        stage="DAE", trial_ids=[t.trial_id for t in trials],
+        strata=[t.class_label or "" for t in trials], loss=config.loss, config=config,
+        seed=seed, stage="DAE", trial_ids=[t.trial_id for t in trials],
         noise_rng=make_rng(seed, PURPOSE["noise"]),
     )
     bundle = ModelBundle(mode="autoencoder", groups=specs, weights=weights,
@@ -304,9 +304,6 @@ def train_supervised(bundle, trials, config, seed):
     if mode not in ("classification", "regression"):
         raise ValueError(f"train_supervised needs a skill bundle, got mode '{mode}'")
     _check_trials(trials)
-    if mode == "classification" and config.loss != "cosine":
-        raise ValueError("classification head trains on cosine loss, "
-                         f"not {config.loss}")
 
     # frozen encoder: features computed once
     feats = encode_many(bundle, [normalize_for_model(bundle, t).values for t in trials])
@@ -339,8 +336,9 @@ def train_supervised(bundle, trials, config, seed):
 
     head, history = _run_training(
         specs={"head": bundle.groups["head"]}, groups={"head": bundle.group_params("head")},
-        inputs=feats, targets=targets, weights=weights, strata=strata, config=config,
-        seed=seed, stage="head", trial_ids=[t.trial_id for t in trials],
+        inputs=feats, targets=targets, weights=weights, strata=strata,
+        loss=HEAD_LOSS[mode], config=config, seed=seed, stage="head",
+        trial_ids=[t.trial_id for t in trials],
     )
     return replace(bundle, weights={**bundle.weights, **head}, score_stats=score_stats), history
 

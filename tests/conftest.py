@@ -58,7 +58,7 @@ def small_dae(small_downsampled):
 @pytest.fixture(scope="session")
 def small_classifier(small_dae, small_downsampled):
     dae_bundle, _ = small_dae
-    cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20, loss="cosine")
+    cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20)
     bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH)
     return bundle, history
 
@@ -66,7 +66,7 @@ def small_classifier(small_dae, small_downsampled):
 @pytest.fixture(scope="session")
 def small_regressor(small_dae, small_downsampled):
     dae_bundle, _ = small_dae
-    cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20, loss="mse")
+    cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20)
     bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH,
                                        mode="regression")
     return bundle, history

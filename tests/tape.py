@@ -115,7 +115,7 @@ class TrainingLoop:
         """The arguments of ``training._step`` for a step on trial ``i``."""
         d = self.data
         return (d["specs"], self.flat, d["inputs"][i], d["targets"][i], d["weights"][i],
-                self.config, d["noise_rng"])
+                d["loss"], self.config.l2, d["noise_rng"])
 
 
 def _conv(x, params, wn, bn, dilation, penalties, activity_l2):

@@ -14,8 +14,9 @@ from skillseq.cli import dispatch
 from skillseq.config import resolve_run_config
 from skillseq.data import fit_minmax, load_manifest, write_manifest, write_trial_csv
 from skillseq.explain import read_cams_csv
+from skillseq.layers import LayerSpec, init_stack_params
 from skillseq.records import PredictionRecord, read_records_csv, write_records_csv
-from skillseq.model import prepare_dataset
+from skillseq.model import ModelBundle, prepare_dataset
 from skillseq.training import train_classifier
 
 
@@ -99,6 +100,20 @@ def test_channels_unlike_the_bundles_are_a_runtime_error_naming_both_files(
 
 def last_error(capsys):
     return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_a_bundle_of_the_wrong_mode_is_a_usage_error_naming_it(scoring_inputs, small_dae,
+                                                               tmp_path, capsys):
+    dae, skill = str(tmp_path / "dae.skq"), scoring_inputs["bundle"]
+    save_bundle(small_dae[0], dae)
+    assert dispatch(scoring_argv("predict", dict(scoring_inputs, bundle=dae),
+                                 tmp_path / "records.csv")) == 2
+    assert last_error(capsys) == (
+        f"error: usage: predict needs a classification or regression bundle, not {dae}")
+    assert dispatch(["train-classifier", "--manifest", scoring_inputs["manifest"], "--dae", skill,
+                     "--out", str(tmp_path / "skill")]) == 2
+    assert last_error(capsys) == (
+        f"error: usage: --dae {skill} has mode 'classification', not autoencoder")
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +324,38 @@ def test_train_classifier_over_a_given_dae_trains_under_the_bundle_minmax(tmp_pa
     assert sorted(skill.weights) == sorted(want.weights)
     for k, v in want.weights.items():
         assert skill.weights[k].tobytes() == v.tobytes(), k
+
+
+@pytest.mark.parametrize("widths", [(8,), (16, 8)], ids=["one-conv", "conv-conv"])
+def test_train_classifier_takes_the_embedding_width_from_the_encoder_walk(
+        small_dae, tmp_path, capsys, widths):
+    """A head over a given autoencoder takes its input width from the
+    channels that flow out of the encoder, whatever the encoder's layers:
+    a one-conv encoder, or two convolutions in a row."""
+    assert dispatch(["synth", "--out", str(tmp_path / "data"), "--n-subjects", "2",
+                     "--trials-per-subject", "4", "--pass-fraction", "0.5"]) == 0
+    minmax = small_dae[0].minmax
+    encoder, channels = [], len(minmax.channels)
+    for width in widths:
+        encoder.append(LayerSpec("conv1d", in_channels=channels, out_channels=width,
+                                 kernel_size=3))
+        channels = width
+    groups = {"encoder": tuple(encoder),
+              "decoder": (LayerSpec("conv1d", in_channels=channels,
+                                    out_channels=len(minmax.channels), kernel_size=3),
+                          LayerSpec("sigmoid"))}
+    rng = np.random.default_rng(0)
+    weights = {f"{g}/{k}": v for g, specs in groups.items()
+               for k, v in init_stack_params(specs, rng).items()}
+    dae = tmp_path / "dae.skq"
+    save_bundle(ModelBundle(mode="autoencoder", groups=groups, weights=weights,
+                            trainable={"encoder": False, "decoder": False},
+                            minmax=minmax), dae)
+    assert dispatch(["train-classifier", "--manifest", str(tmp_path / "data" / "manifest.csv"),
+                     "--dae", str(dae), "--out", str(tmp_path / "skill"),
+                     "--clf-max-epochs", "1"]) == 0, capsys.readouterr().err
+    skill = load_bundle(str(tmp_path / "skill" / "skill.skq"))
+    assert skill.groups["head"][0].in_channels == widths[-1]
 
 
 @pytest.mark.parametrize("mode, value, choices", [

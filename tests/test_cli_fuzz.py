@@ -8,16 +8,29 @@ path with one to a missing file, then runs the subcommand that reads it.
 Whatever the mutation, the exit code is 0, 1 or 2, no exception escapes
 ``dispatch``, and every failure's last line of output names the mutated
 file.
+
+The bundle slice changes one field of a bundle's metadata, or drops,
+repeats or swaps a layer of a group (with its weights), writes the
+bundle with a valid checksum, and runs ``predict`` and ``cam`` over a
+skill bundle or ``train-classifier --dae`` over an autoencoder bundle.
+Besides the two checks above, an exit 0 must come with finite outputs.
 """
 
 import contextlib
 import csv
 import io
+import json
+import math
 import shutil
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skillseq import bundle as bundle_format
+from skillseq.bundle import load_bundle, save_bundle
 from skillseq.cli import dispatch
 
 BAD_CELLS = ("", "nan", "inf", "abc", "-1")
@@ -151,5 +164,172 @@ def test_mutated_run_file_fails_cleanly_under_validate_cam(workdir, finished_run
     def check(mutated):
         path.write_text(mutated, encoding="utf-8")
         run(["validate-cam", "--run", run_dir, "--out", workdir / "study"], path)
+
+    check()
+
+
+# --- bundles ---
+
+BAD_VALUES = (None, True, 0, -1, 1, 2, 7, 0.5, 1e300, -1e300, math.nan, math.inf, "", "x",
+              "conv1d", "selu", "dense", "softmax", "autoencoder", "regression", [], {}, [1])
+
+
+def write_bundle(path, meta, weights):
+    """A bundle file, with a valid checksum, holding ``meta`` (any JSON
+    value) and ``weights`` as they are."""
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(SimpleNamespace(weights=weights), path)
+
+
+def bundle_parts(path):
+    """``(meta, weights)`` of a bundle file."""
+    bundle = load_bundle(str(path))
+    return bundle_format._meta_dict(bundle), bundle.weights
+
+
+def _nodes(value, at=()):
+    """The path of every value inside ``value``, containers included."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield at + (key,)
+            yield from _nodes(value[key], at + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield at + (i,)
+            yield from _nodes(item, at + (i,))
+
+
+@st.composite
+def field_mutations(draw, meta):
+    """``meta`` with one field replaced by a bad or nearby value or
+    deleted, or with an unknown key added to one object."""
+    meta = json.loads(json.dumps(meta))
+    at = draw(st.sampled_from(list(_nodes(meta))))
+    *head, last = at
+    owner = meta
+    for key in head:
+        owner = owner[key]
+    kind = draw(st.sampled_from(["replace", "nearby", "delete", "add-key"]))
+    value = owner[last]
+    if kind == "delete":
+        del owner[last]
+    elif kind == "add-key" and isinstance(value, dict):
+        value["bogus"] = draw(st.sampled_from(BAD_VALUES))
+    elif kind == "nearby" and type(value) in (int, float):
+        owner[last] = value + draw(st.sampled_from([-1, 1, 16]))
+    else:
+        owner[last] = draw(st.sampled_from(BAD_VALUES))
+    return meta
+
+
+@st.composite
+def layer_mutations(draw, meta, weights):
+    """``(meta, weights)`` with one layer of one group dropped, repeated
+    or swapped with the next, its weights moving with it."""
+    meta = json.loads(json.dumps(meta))
+    group = draw(st.sampled_from(sorted(meta["groups"])))
+    layers = meta["groups"][group]
+    i = draw(st.integers(0, len(layers) - 1))
+    order = list(range(len(layers)))
+    kind = draw(st.sampled_from(["drop", "repeat", "swap"]))
+    if kind == "drop":
+        del order[i]
+    elif kind == "repeat":
+        order.insert(i, i)
+    elif i + 1 < len(order):
+        order[i], order[i + 1] = order[i + 1], order[i]
+    meta["groups"][group] = [layers[j] for j in order]
+    moved = {k: v for k, v in weights.items() if not k.startswith(f"{group}/")}
+    for new, old in enumerate(order):
+        prefix = f"{group}/{old}."
+        moved.update({f"{group}/{new}.{k[len(prefix):]}": v for k, v in weights.items()
+                      if k.startswith(prefix)})
+    return meta, moved
+
+
+def bundle_mutations(meta, weights):
+    return (field_mutations(meta).map(lambda m: (m, weights))
+            | layer_mutations(meta, weights))
+
+
+def assert_finite_outputs(paths):
+    """Every number in the text outputs, and every weight of a bundle
+    output, is finite."""
+    for path in paths:
+        if path.suffix == ".skq":
+            for name, arr in load_bundle(str(path)).weights.items():
+                assert np.all(np.isfinite(arr)), (path, name)
+            continue
+        for row in csv.reader(io.StringIO(path.read_text(encoding="utf-8"))):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path, row)
+
+
+@pytest.fixture(scope="module")
+def bundles(workdir, finished_run):
+    """A classification and a regression skill bundle and an autoencoder
+    bundle, all with two channels per layer, plus their manifest."""
+    manifest = workdir / "run_data" / "manifest.csv"
+    tiny = ["--manifest", manifest, "--seed", "2", "--dae-max-epochs", "1",
+            "--clf-max-epochs", "1", "--arch-enc-width", "2", "--arch-emb-channels", "2",
+            "--arch-clf-width", "2"]
+    assert run_quietly(["train-dae", "--out", workdir / "dae"] + tiny) == 0
+    assert run_quietly(["train-classifier", "--mode", "regression", "--dae",
+                        workdir / "dae" / "dae.skq", "--out", workdir / "regressor"] + tiny) == 0
+    return {"classification": finished_run / "fold_0" / "bundle.skq",
+            "regression": workdir / "regressor" / "skill.skq",
+            "autoencoder": workdir / "dae" / "dae.skq", "manifest": manifest}
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return dispatch([str(a) for a in argv])
+
+
+def run_bundle(argv, bundle, outputs):
+    """``run``, plus: an exit 0 leaves finite outputs."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = dispatch([str(a) for a in argv])
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert str(bundle) in err.getvalue().strip().splitlines()[-1], err.getvalue()
+    else:
+        assert_finite_outputs(outputs)
+
+
+@pytest.mark.parametrize("mode", ["classification", "regression"])
+def test_mutated_skill_bundle_fails_cleanly_under_predict_and_cam(workdir, bundles, mode):
+    meta, weights = bundle_parts(bundles[mode])
+    bundle, records, cams = (workdir / f"{mode}.skq", workdir / "records.csv",
+                             workdir / "cams.csv")
+    scoring = ["--bundle", bundle, "--manifest", bundles["manifest"]]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mutated=bundle_mutations(meta, weights))
+    def check(mutated):
+        write_bundle(bundle, *mutated)
+        run_bundle(["predict", *scoring, "--out", records], bundle, [records])
+        run_bundle(["cam", *scoring, "--out", cams], bundle, [cams])
+
+    check()
+
+
+def test_mutated_autoencoder_bundle_fails_cleanly_under_train_classifier(workdir, bundles):
+    meta, weights = bundle_parts(bundles["autoencoder"])
+    bundle, out = workdir / "mutated_dae.skq", workdir / "skill"
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(mutated=bundle_mutations(meta, weights))
+    def check(mutated):
+        write_bundle(bundle, *mutated)
+        run_bundle(["train-classifier", "--manifest", bundles["manifest"], "--dae", bundle,
+                    "--out", out, "--clf-max-epochs", "1"], bundle, [out / "skill.skq"])
 
     check()

@@ -49,7 +49,7 @@ GOLDEN = {
         "evaluate --arch-kernel-size 4":
             "b06e0b19b36ae6bed0e1a540c08bad7107d2dcb7c264923a9776bd960213c64b",
         "evaluate --help":
-            "743cbe3e610a1fba3a8a5dc60235661b899cf6b6e20d23249a2b9be9d669a1a6",
+            "5c19eb37e4f41efa7a9c042e787879d5cb61c205ebe181f8ae66fcc4d635f48d",
         "gradcheck --help":
             "e0fdcaa40bc67ef1eacfc5fdd6ae26ea5a7d56ef83470ace9aa26f573e44a0f1",
         "ingest-check --help":
@@ -69,9 +69,9 @@ GOLDEN = {
         "synth --help":
             "4b56b0bed7723b399b20824fcd23c6c08983bf012e6896ea52e2d861efe20f71",
         "train-classifier --help":
-            "fa46127e4e9080669043cf9e626e4178c8083a41d6d9b7bd7522e56306e55e4a",
+            "08b887d0f0ad8e0ca30f7433352ce610236377cd6c5136b59997412171ef4795",
         "train-dae --help":
-            "0abf674b49b9c2a0cbd432b830640fa0af956bc6c1f9f04fe765f549272419e4",
+            "3524753e442c3c1213245f0d8082754f79092e4f453f88286a74d33e18944437",
         "trust --help":
             "dd24c5cea3cc8cf9822eb3fe3cfea0d772f88f2a53b10bc3546fd789d0648ac4",
         "validate-cam --help":

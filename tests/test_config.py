@@ -24,7 +24,7 @@ CUSTOM_SETTINGS = RunSettings(
     mode="regression", scheme="louo", seed=7, target_hz=2.5,
     dae=DaeConfig(learning_rate=0.003, max_epochs=9, patience=2, loss="mse", l2=0.0,
                   noise_sigma=0.05, val_fraction=0.2),
-    clf=HeadConfig(learning_rate=1e-4, max_epochs=40, patience=5, loss="mse", l2=3e-6,
+    clf=HeadConfig(learning_rate=1e-4, max_epochs=40, patience=5, l2=3e-6,
                    val_fraction=0.25, class_weighting="none"),
     arch=ArchConfig(enc_width=12, emb_channels=4, kernel_size=3, reduction=4,
                     clf_width=8, clf_dilation=1),
@@ -40,7 +40,6 @@ arch_reduction = 2
 clf_class_weighting = balanced
 clf_l2 = 1e-05
 clf_learning_rate = 0.0002
-clf_loss = cosine
 clf_max_epochs = 300
 clf_patience = 20
 clf_val_fraction = 0.1
@@ -68,7 +67,6 @@ arch_reduction = 4
 clf_class_weighting = none
 clf_l2 = 3e-06
 clf_learning_rate = 0.0001
-clf_loss = mse
 clf_max_epochs = 40
 clf_patience = 5
 clf_val_fraction = 0.25
@@ -173,8 +171,7 @@ def run_configs(draw):
     dae = DaeConfig(**common, loss=draw(st.sampled_from(["bce", "mse"])),
                     noise_sigma=draw(non_negative(1.0)))
     common["learning_rate"] = draw(positive(10.0))
-    clf = HeadConfig(**common, loss="cosine" if mode == "classification" else "mse",
-                     class_weighting=draw(st.sampled_from(["balanced", "none"])))
+    clf = HeadConfig(**common, class_weighting=draw(st.sampled_from(["balanced", "none"])))
     reduction = draw(st.integers(1, 4))
     arch = ArchConfig(enc_width=reduction * draw(st.integers(1, 8)),
                       emb_channels=draw(st.integers(1, 32)),
@@ -342,6 +339,99 @@ def test_replay_from_run_cfg_is_byte_identical(tiny_run, tmp_path):
         assert first[name] == second[name], name
 
 
+# the tiny run's run.cfg as written while the head's loss was a run key
+PARENT_FORMAT_RUN_CFG = """\
+arch_clf_dilation = 2
+arch_clf_width = 8
+arch_emb_channels = 8
+arch_enc_width = 8
+arch_kernel_size = 5
+arch_reduction = 2
+clf_class_weighting = balanced
+clf_l2 = 1e-05
+clf_learning_rate = 0.0002
+clf_loss = cosine
+clf_max_epochs = 3
+clf_patience = 20
+clf_val_fraction = 0.1
+dae_l2 = 1e-05
+dae_learning_rate = 0.001
+dae_loss = bce
+dae_max_epochs = 2
+dae_noise_sigma = 0.001
+dae_patience = 4
+dae_val_fraction = 0.1
+dataset_sha256 = {sha}
+manifest = {manifest}
+mode = classification
+scheme = stratified3
+seed = 3
+target_hz = 1.0
+"""
+
+
+def parent_format_run_cfg(tiny_run, loss="cosine"):
+    run = read_run_cfg(os.path.join(tiny_run, "run.cfg"))
+    return PARENT_FORMAT_RUN_CFG.format(sha=run.dataset_sha256, manifest=run.manifest).replace(
+        "clf_loss = cosine", f"clf_loss = {loss}")
+
+
+def test_a_run_cfg_naming_the_modes_head_loss_replays_byte_identically(tiny_run, tiny_study,
+                                                                       tmp_path):
+    """An older run.cfg's ``clf_loss`` line that names the mode's loss
+    reads and changes nothing: ``evaluate --config`` over it writes the
+    run byte for byte, with a run.cfg that drops the line, and
+    ``validate-cam`` over a run holding it writes the study byte for byte."""
+    text = parent_format_run_cfg(tiny_run)
+    with open(os.path.join(tiny_run, "run.cfg"), encoding="utf-8") as fh:
+        assert fh.read() == text.replace("clf_loss = cosine\n", "")
+    old = tmp_path / "old.cfg"
+    old.write_text(text, encoding="utf-8")
+    assert run_cli("evaluate", "--config", old, "--out", tmp_path / "replay") == 0
+    assert tree_bytes(tmp_path / "replay") == tree_bytes(tiny_run)
+    run_dir = doctored_run(tiny_run, tmp_path, lambda _: text, "run.cfg")
+    assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 0
+    assert tree_bytes(tmp_path / "study") == tree_bytes(tiny_study)
+
+
+@pytest.mark.parametrize("body, flags, line, mode", [
+    ("seed = 1\nclf_loss = mse\n", (), 2, "classification"),
+    ("clf_loss = cosine\nmode = regress\n", (), 1, "regression"),
+    ("clf_loss = cosine\n", ("--mode", "regression"), 1, "regression"),
+    ("clf_loss = hinge\n", (), 1, "classification"),
+])
+def test_a_clf_loss_line_naming_another_loss_is_a_usage_error(tiny_manifest, tmp_path, capsys,
+                                                              body, flags, line, mode):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    rc = run_cli("evaluate", "--config", cfg, "--manifest", tiny_manifest,
+                 "--out", tmp_path / "run", *flags)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith(f"error: usage: {cfg} line {line}: key 'clf_loss': a {mode} head ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_validate_cam_refuses_a_run_cfg_naming_another_head_loss(tiny_run, tmp_path, capsys):
+    run_dir = doctored_run(tiny_run, tmp_path, lambda _: parent_format_run_cfg(tiny_run, "mse"),
+                           "run.cfg")
+    assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: usage: {run_dir / 'run.cfg'} line 10: key 'clf_loss': a classification "
+        "head trains on cosine loss, not 'mse'")
+    assert not (tmp_path / "study").exists()
+
+
+@pytest.mark.parametrize("command", ["train-classifier", "evaluate"])
+def test_clf_loss_is_no_flag(tiny_manifest, tmp_path, capsys, command):
+    rc = run_cli(command, "--manifest", tiny_manifest, "--out", tmp_path / "run",
+                 "--clf-loss", "cosine")
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: usage: unrecognized arguments: --clf-loss cosine")
+    assert not (tmp_path / "run").exists()
+
+
 def test_jobs_2_matches_jobs_1(tiny_manifest, tiny_run, tmp_path):
     parallel = str(tmp_path / "jobs2")
     assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", parallel,
@@ -483,15 +573,15 @@ def _rows_without(blob, trial_id):
 
 @pytest.mark.parametrize("edit, line, key", [
     ("drop", None, "dae_patience"),
-    ("append", 27, "clf_noise_sigma"),
-    ("append", 27, "out"),
+    ("append", 26, "clf_noise_sigma"),
+    ("append", 26, "out"),
 ])
 def test_validate_cam_reads_run_cfg_strictly(tiny_run, tmp_path, capsys, edit, line, key):
     run_dir = tmp_path / "run"
     shutil.copytree(tiny_run, run_dir)
     cfg = run_dir / "run.cfg"
     lines = cfg.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 26
+    assert len(lines) == 25
     if edit == "drop":
         lines = [ln for ln in lines if not ln.startswith(f"{key} = ")]
     else:

@@ -218,18 +218,25 @@ def test_train_supervised_rejects_autoencoder_bundle(small_dae,
                                                      small_downsampled):
     dae, _ = small_dae
     trials = small_downsampled
-    cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1, loss="cosine")
+    cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1)
     with pytest.raises(ValueError):
         train_supervised(dae, trials, cfg, 0)
 
 
-def test_classification_requires_mse_free_loss(small_dae, small_downsampled):
-    dae, _ = small_dae
-    trials = small_downsampled
-    cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1, loss="mse")
-    from skillseq.training import train_classifier
-    with pytest.raises(ValueError):
-        train_classifier(dae, trials, cfg, 0, SMALL_ARCH, mode="classification")
+def test_the_mode_fixes_the_head_loss(small_dae, small_downsampled, monkeypatch):
+    """A head recipe has no loss field: a pass/fail head trains on cosine
+    loss and a score head on squared error."""
+    with pytest.raises(TypeError, match="loss"):
+        HeadConfig(loss="mse")
+    from skillseq import training
+    kinds = []
+    run = training._run_training
+    monkeypatch.setattr(training, "_run_training",
+                        lambda **kw: kinds.append(kw["loss"]) or run(**kw))
+    cfg = HeadConfig(learning_rate=0.001, max_epochs=1, patience=1)
+    for mode in ("classification", "regression"):
+        training.train_classifier(small_dae[0], small_downsampled, cfg, 0, SMALL_ARCH, mode)
+    assert kinds == ["cosine", "mse"]
 
 
 @pytest.mark.parametrize("fixture", ["small_classifier", "small_regressor"])

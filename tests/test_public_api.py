@@ -1,8 +1,9 @@
 """Every exported name exists, every benchmark span still has a target,
 every definition in the package is used, only the tensor module names
 the tape, one walker composes every layer kind for both modes, one
-training loop takes each stage's data, not callbacks, and only the
-model and training modules normalize trials for a model.
+training loop takes each stage's data, not callbacks, only the model
+and training modules normalize trials for a model, and only the tensor,
+training and gradcheck modules spell a loss kind.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -194,3 +195,18 @@ def test_only_the_model_and_training_normalize_trials():
                 continue
             named |= {f"{module}: {name}" for name in found & banned}
     assert not named, f"min-max statistics handled outside the model: {sorted(named)}"
+
+
+def test_only_tensor_training_and_gradcheck_spell_a_loss_kind():
+    """The mode fixes the head's loss and the recipe the autoencoder's, so
+    no module but ``tensor`` (which defines the losses), ``training``
+    (which chooses them) and ``gradcheck`` (which checks them) spells a
+    loss kind as a string constant."""
+    kinds = {"bce", "mse", "cosine"}
+    spelled = set()
+    for module, tree in _trees().items():
+        if module in ("tensor", "training", "gradcheck"):
+            continue
+        spelled |= {f"{module}: {node.value}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in kinds}
+    assert not spelled, f"loss kinds spelled outside training: {sorted(spelled)}"

@@ -19,7 +19,7 @@ from skillseq.bundle import (BUNDLE_VERSION, BundleFormatError, BundleTruncatedE
 from skillseq.cli import dispatch
 from skillseq.data import MinMaxStats, ScoreStats, Trial, parse_trial_csv, write_trial_csv
 from skillseq.folds import Fold, FoldAssignment
-from skillseq.layers import init_stack_params
+from skillseq.layers import LayerSpec, init_stack_params
 from skillseq.model import ArchConfig, ModelBundle, decoder_specs, encoder_specs, head_specs
 
 names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
@@ -278,6 +278,10 @@ def _inverted_range(meta):
     meta["minmax"]["maxs"][1] = -1.0
 
 
+def _null_minmax(meta):
+    meta["minmax"] = None
+
+
 @pytest.mark.parametrize("edit, message", [
     (_unknown_key, "bad metadata: 'groups.encoder[1].stride' is not a known key"),
     (_null_trainable, "bad metadata: 'trainable' must be an object, got None"),
@@ -290,8 +294,9 @@ def _inverted_range(meta):
                    "for channel '{ch2}', got {min2}"),
     (_inverted_range, "bad metadata: 'minmax.maxs[1]' must exceed minmax.mins[1] ({min1}) "
                       "for channel '{ch1}', got -1.0"),
+    (_null_minmax, "bad metadata: 'minmax' must be an object, got None"),
 ], ids=["unknown-spec-key", "null-trainable", "string-groups", "kernel-size", "short-mins",
-        "no-mode", "empty-range", "inverted-range"])
+        "no-mode", "empty-range", "inverted-range", "null-minmax"])
 def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_path, capsys,
                                                             edit, message):
     bundle, manifest = skill_inputs
@@ -308,6 +313,18 @@ def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_pa
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err == f"error: runtime: {path}: {message.format(**fields)}"
+
+
+def test_a_regression_bundle_without_score_statistics_is_refused(small_regressor, tmp_path):
+    bundle = small_regressor[0]
+    meta = bundle_format._meta_dict(bundle)
+    meta["score_stats"] = None
+    path = tmp_path / "skill.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(bundle, path)
+    with pytest.raises(BundleFormatError,
+                       match=re.escape(f"{path}: bad metadata: 'score_stats' must be an object")):
+        load_bundle(path)
 
 
 # --- layer specs that do not chain, each matching its own weights ---
@@ -336,3 +353,42 @@ def test_specs_that_do_not_chain_are_a_runtime_error_naming_the_layer(
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err == f"error: runtime: {path}: {message}"
+
+
+def _reordered(bundle, group, order):
+    """``bundle`` with ``group``'s layers in ``order`` (indices into the
+    group, repeats allowed), each with its own weights."""
+    layers, params = bundle.groups[group], bundle.group_params(group)
+    weights = {k: v for k, v in bundle.weights.items() if not k.startswith(f"{group}/")}
+    for new, old in enumerate(order):
+        weights.update({f"{group}/{new}.{k.split('.', 1)[1]}": v for k, v in params.items()
+                        if k.startswith(f"{old}.")})
+    return {**vars(bundle), "groups": {**bundle.groups, group: tuple(layers[i] for i in order)},
+            "weights": weights}
+
+
+@pytest.mark.parametrize("group, order, message", [
+    ("head", (0, 1, 3, 2, 4, 5),
+     "group 'head' layer 3 (residual-scse-block) cannot take one vector per trial"),
+    ("head", (0, 1, 2, 4, 5), "group 'head' layer 3 (dense) cannot take a sequence"),
+    ("head", (0, 1, 2, 3, 3, 4, 5), "group 'head' layer 4 (gap) cannot take one vector per trial"),
+    ("encoder", (0, 1, 2, 3, 4, 5, 5), None),
+], ids=["block-after-gap", "no-gap", "two-gaps", "repeated-selu"])
+def test_a_layer_takes_sequences_before_the_gap_and_vectors_after(small_classifier, group,
+                                                                  order, message):
+    """A skill head pools over time once; the layers before its ``gap``
+    take (T, C) sequences and the ones after it one vector per trial."""
+    fields = _reordered(small_classifier[0], group, order)
+    if message is None:
+        ModelBundle(**fields)
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelBundle(**fields)
+
+
+def test_only_a_head_pools_over_time(small_dae):
+    dae = small_dae[0]
+    fields = {**vars(dae), "groups": {**dae.groups, "encoder": dae.groups["encoder"]
+                                      + (LayerSpec("gap"),)}}
+    with pytest.raises(ValueError, match=r"group 'encoder' layer 6 \(gap\): only a head pools"):
+        ModelBundle(**fields)

@@ -158,8 +158,7 @@ HEAD_CASES = [
 def test_head_step_matches_the_tape(monkeypatch, mode, weighting, kernel_size, dilation,
                                     width, l2):
     arch = ArchConfig(kernel_size=kernel_size, clf_dilation=dilation, clf_width=width)
-    loss = "cosine" if mode == "classification" else "mse"
-    config = training.HeadConfig(loss=loss, l2=l2, class_weighting=weighting)
+    config = training.HeadConfig(l2=l2, class_weighting=weighting)
     loop = tape.TrainingLoop(training.train_classifier, _autoencoder(arch, 2), _trials(4),
                              config, 5, arch, mode)
     _assert_steps_match(monkeypatch, loop)
