@@ -29,6 +29,7 @@ import numpy as np
 from .data import MinMaxStats, ScoreStats
 from .layers import LayerSpec, _spec_param_shapes
 from .model import ModelBundle
+from .reports import quoted
 
 __all__ = [
     "BundleFormatError",
@@ -60,19 +61,30 @@ class BundleChecksumError(BundleFormatError):
     """Content does not match the stored digest."""
 
 
+def _mode_fixed(bundle):
+    """The metadata that a bundle's mode fixes, written for the record:
+    only a ``head`` group trains, and the class names are the bundle's."""
+    names = bundle.class_names
+    return {"trainable": {g: g == "head" for g in bundle.groups},
+            "class_names": list(names) if names else None}
+
+
 def _meta_dict(bundle):
     return {
         "mode": bundle.mode,
         "groups": {g: [asdict(s) for s in specs] for g, specs in bundle.groups.items()},
-        "trainable": dict(bundle.trainable),
-        "minmax": bundle.minmax.to_dict() if bundle.minmax else None,
+        "minmax": bundle.minmax.to_dict(),
         "score_stats": bundle.score_stats.to_dict() if bundle.score_stats else None,
-        "class_names": list(bundle.class_names) if bundle.class_names else None,
+        **_mode_fixed(bundle),
     }
 
 
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def save_bundle(bundle, path):
-    meta = json.dumps(_meta_dict(bundle), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta = _canonical(_meta_dict(bundle)).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", BUNDLE_VERSION), struct.pack("<Q", len(meta)), meta]
     names = sorted(bundle.weights)
     parts.append(struct.pack("<I", len(names)))
@@ -134,6 +146,11 @@ def _read_arrays(body, pos, n_arrays):
 
 
 def load_bundle(path):
+    """The bundle in the file ``path``.  The mode fixes two metadata
+    fields: ``trainable`` is true for a ``head`` group only, and
+    ``class_names`` is ``["pass", "fail"]`` for a classifier, else null.
+    A file holding anything else there (``1`` does not pass for
+    ``true``) is refused, naming the file and the field."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != MAGIC:
@@ -233,8 +250,9 @@ def _bundle(path, meta, weights):
     """The bundle that ``meta`` describes over ``weights``.  A metadata
     field that is missing, unknown or of the wrong type or length, a
     min-max range that is not positive, or an array whose shape its layer
-    spec does not give, raises BundleFormatError naming the file and the
-    field or array.  Every bundle carries the min-max statistics its
+    spec does not give, or a field that the mode fixes (``_mode_fixed``)
+    holding another value, raises BundleFormatError naming the file and
+    the field or array.  Every bundle carries the min-max statistics its
     input is scaled by, and a regression bundle its score statistics."""
     check = _MetaCheck(path)
     if type(meta) is not dict:
@@ -246,9 +264,6 @@ def _bundle(path, meta, weights):
         if type(specs) is not list:
             raise check.fault(f"groups.{g}", f"must be a list of layers, got {specs!r}")
         groups[g] = tuple([check.spec(f"groups.{g}[{i}]", d) for i, d in enumerate(specs)])
-    trainable = check.obj("trainable", meta["trainable"])
-    for g, flag in trainable.items():
-        check.typed(f"trainable.{g}", flag, ((bool,), "true or false"))
     minmax = check.obj("minmax", meta["minmax"], ("channels", "mins", "maxs", "source_ids"))
     channels = check.items("minmax.channels", minmax["channels"], _STR)
     n = len(channels)
@@ -267,9 +282,6 @@ def _bundle(path, meta, weights):
         check.typed("score_stats.std", stats["std"], _NUMBER)
         check.items("score_stats.source_ids", stats["source_ids"], _STR)
         stats = ScoreStats.from_dict(stats)
-    names = meta["class_names"]
-    if names is not None:
-        names = tuple(check.items("class_names", names, _STR))
     for g, specs in groups.items():
         for i, spec in enumerate(specs):
             for field, shape in _spec_param_shapes(spec).items():
@@ -285,7 +297,12 @@ def _bundle(path, meta, weights):
                     raise BundleFormatError(f"{path}: array '{key}' has shape "
                                             f"{weights[key].shape}; its layer needs {shape}")
     try:
-        return ModelBundle(mode=mode, groups=groups, weights=weights, trainable=trainable,
-                           minmax=minmax, score_stats=stats, class_names=names or None)
+        bundle = ModelBundle(mode=mode, groups=groups, weights=weights, minmax=minmax,
+                             score_stats=stats)
     except ValueError as exc:
         raise BundleFormatError(f"{path}: {exc}") from None
+    for field, value in _mode_fixed(bundle).items():
+        want, got = _canonical(value), _canonical(meta[field])
+        if got != want:
+            raise check.fault(field, f"must be {want} for mode '{mode}', got {quoted(got)}")
+    return bundle

@@ -128,9 +128,9 @@ def _check_channels(bundle, bundle_path, trials, manifest):
     """A trial of ``manifest`` whose channels are not the ones the bundle
     was fit on is a runtime error naming the manifest, the trial and the
     bundle."""
-    fit_on = bundle.minmax.channels if bundle.minmax is not None else None
+    fit_on = bundle.minmax.channels
     for t in trials:
-        if fit_on is not None and t.channels != fit_on:
+        if t.channels != fit_on:
             raise ValueError(f"{manifest}: channel mismatch: {t.trial_id} has {t.channels}, "
                              f"bundle {bundle_path} was fit on {fit_on}")
 

@@ -53,6 +53,8 @@ __all__ = [
 
 CLASSIFICATION_METRICS = ("accuracy", "auc", "sensitivity", "specificity")
 REGRESSION_METRICS = ("spearman", "spearman_p")
+# the masking study's metrics, in report order
+MASKING_METRICS = ("accuracy", "sensitivity", "specificity", "auc")
 
 SETTINGS_FILE = "run.cfg"
 FOLDS_FILE = "folds.txt"
@@ -103,10 +105,8 @@ def _build_assignment(stage2, settings):
     kind, k = parse_scheme(settings.scheme)
     trials = stage2.trials
     if kind == "stratified":
-        labels = [t.class_label for t in trials]
-        if any(lb is None for lb in labels):
-            raise ValueError("stratified scheme needs a class label on every trial")
-        return stratified_kfold([t.trial_id for t in trials], labels, k, settings.seed)
+        return stratified_kfold([t.trial_id for t in trials], [t.class_label for t in trials],
+                                k, settings.seed)
     if kind == "loso":
         return loso_folds(trials)
     return louo_folds(trials)
@@ -207,16 +207,10 @@ def _run_fold(args):
 def _aggregate_lines(mode, outcomes):
     lines = []
     for m in metric_names(mode):
-        vals = [o.metrics[m] for o in outcomes
-                if o.ok and o.metrics is not None and o.metrics[m] is not None]
-        if vals:
-            lines.append(kv_line(f"aggregate {m} mean", float(np.mean(vals))))
-            lines.append(kv_line(f"aggregate {m} std", float(np.std(vals))))
-            lines.append(kv_line(f"aggregate {m} n_folds", len(vals)))
-        else:
-            lines.append(kv_line(f"aggregate {m} mean", None))
-            lines.append(kv_line(f"aggregate {m} std", None))
-            lines.append(kv_line(f"aggregate {m} n_folds", 0))
+        vals = [o.metrics[m] for o in outcomes if o.ok and o.metrics[m] is not None]
+        lines.append(kv_line(f"aggregate {m} mean", float(np.mean(vals)) if vals else None))
+        lines.append(kv_line(f"aggregate {m} std", float(np.std(vals)) if vals else None))
+        lines.append(kv_line(f"aggregate {m} n_folds", len(vals)))
     pooled = [r for o in outcomes if o.ok for r in o.records]
     for m, v in fold_metrics(mode, tuple(pooled)).items():
         lines.append(kv_line(f"pooled {m}", v))
@@ -339,16 +333,6 @@ class MaskingStudy:
     text: str
 
 
-def _paired_values(metric, fold_names, before, after):
-    pairs = []
-    for name in fold_names:
-        b = before[name].get(metric) if before[name] else None
-        a = after[name].get(metric) if after[name] else None
-        if b is not None and a is not None:
-            pairs.append((b, a))
-    return pairs
-
-
 def _recorded_folds_sha256(metrics_path):
     """The ``folds_sha256`` that a run's metrics.txt records."""
     for line in read_text(metrics_path).split("\n"):
@@ -443,25 +427,6 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
 
     after = {o.name: (o.metrics if o.ok else None) for o in masked_result.outcomes}
 
-    tests = {}
-    for metric in ("accuracy", "sensitivity", "specificity", "auc"):
-        pairs = _paired_values(metric, fold_names, before, after)
-        entry = {
-            "n_pairs": len(pairs),
-            "before_mean": float(np.mean([p[0] for p in pairs])) if pairs else None,
-            "after_mean": float(np.mean([p[1] for p in pairs])) if pairs else None,
-            "w": None,
-            "p": None,
-            "note": "",
-        }
-        if pairs:
-            try:
-                w, p = wilcoxon_one_sided([p[0] for p in pairs], [p[1] for p in pairs])
-                entry["w"], entry["p"] = w, p
-            except ValueError as exc:
-                entry["note"] = str(exc)
-        tests[metric] = entry
-
     lines = [
         "report = cam-validation",
         kv_line("baseline_dataset_sha256", actual_sha),
@@ -469,19 +434,36 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         kv_line("folds_sha256", assignment.fingerprint()),
         kv_line("n_folds", len(fold_names)),
     ]
+    # each fold's before and after value of each metric, taken once for its
+    # report lines and, where both exist, the signed-rank test's pairs
+    paired = {metric: ([], []) for metric in MASKING_METRICS}
     for name in fold_names:
         if before[name] is None:
             lines.append(kv_line(f"fold {name} status", "skipped: no baseline predictions"))
-        for metric in ("accuracy", "sensitivity", "specificity", "auc"):
-            b = before[name].get(metric) if before[name] else None
-            a = after[name].get(metric) if after[name] else None
+        fold_before, fold_after = before[name] or {}, after[name] or {}
+        for metric in MASKING_METRICS:
+            b, a = fold_before.get(metric), fold_after.get(metric)
             lines.append(kv_line(f"fold {name} {metric} before", b))
             lines.append(kv_line(f"fold {name} {metric} after", a))
-    for metric, entry in tests.items():
-        for k in ("n_pairs", "before_mean", "after_mean", "w", "p"):
-            lines.append(kv_line(f"metric {metric} {k}", entry[k]))
-        if entry["note"]:
-            lines.append(f"metric {metric} note = {entry['note']}")
+            if b is not None and a is not None:
+                paired[metric][0].append(b)
+                paired[metric][1].append(a)
+    for metric, (befores, afters) in paired.items():
+        w = p = None
+        note = ""
+        if befores:
+            try:
+                w, p = wilcoxon_one_sided(befores, afters)
+            except ValueError as exc:
+                note = str(exc)
+        lines.append(kv_line(f"metric {metric} n_pairs", len(befores)))
+        for side, vals in (("before", befores), ("after", afters)):
+            lines.append(kv_line(f"metric {metric} {side}_mean",
+                                 float(np.mean(vals)) if vals else None))
+        lines.append(kv_line(f"metric {metric} w", w))
+        lines.append(kv_line(f"metric {metric} p", p))
+        if note:
+            lines.append(f"metric {metric} note = {note}")
     text = "\n".join(lines) + "\n"
 
     if out_dir is not None:

@@ -122,8 +122,10 @@ def stratified_kfold(ids, labels, k, seed):
         raise ValueError(f"k must be >= 2, got {k}")
     if len(ids) < k:
         raise ValueError(f"cannot make {k} folds from {len(ids)} trials")
-    if any(lb is None for lb in labels):
-        raise ValueError("stratified folds need a class label for every trial")
+    unlabeled = next((i for i, lb in zip(ids, labels) if lb is None), None)
+    if unlabeled is not None:
+        raise ValueError("stratified folds need a class label on every trial; "
+                         f"{unlabeled} has none")
     by_class = {}
     for i, lb in zip(ids, labels):
         by_class.setdefault(lb, []).append(i)
@@ -143,7 +145,8 @@ def stratified_kfold(ids, labels, k, seed):
     folds = []
     for f in range(k):
         test = tuple(test_sets[f])
-        train = tuple(i for i in ids if i not in set(test))
+        in_test = set(test)
+        train = tuple(i for i in ids if i not in in_test)
         if not test:
             raise ValueError(f"fold {f} received no test trials; lower k")
         assert set(train) | set(test) == all_ids

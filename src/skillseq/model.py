@@ -10,8 +10,10 @@ a dense head (2-way softmax for pass/fail, single linear unit for
 scores).
 
 A ModelBundle carries everything needed to reproduce predictions:
-layer specs per group, named weights, per-group trainable flags, the
-preprocessing statistics the weights were fitted against, and the mode.
+layer specs per group, named weights, the preprocessing statistics the
+weights were fitted against, and the mode.  The mode fixes the rest: a
+skill model trains only its head over a frozen encoder, and a
+classifier's classes are ``PASS_FAIL``.
 
 The model functions (``embed``, ``predict``, ``predict_many``) take
 DOWNSAMPLED trials and normalize them themselves, so callers never
@@ -111,7 +113,9 @@ def decoder_specs(out_channels, arch):
     )
 
 
-def head_specs(arch, n_out, classification=True):
+def head_specs(arch, classification=True):
+    """A skill head: a softmax over ``PASS_FAIL``, or one linear unit."""
+    n_out = len(PASS_FAIL) if classification else 1
     specs = [
         LayerSpec("conv1d", in_channels=arch.emb_channels, out_channels=arch.clf_width,
                   kernel_size=1),
@@ -134,10 +138,13 @@ class ModelBundle:
     mode: str
     groups: dict            # group name -> tuple of LayerSpec
     weights: dict           # "group/<i>.<field>" -> ndarray
-    trainable: dict         # group name -> bool
-    minmax: MinMaxStats | None = None
+    minmax: MinMaxStats
     score_stats: ScoreStats | None = None
-    class_names: tuple | None = None
+
+    @property
+    def class_names(self):
+        """``PASS_FAIL`` for a classifier, else None."""
+        return PASS_FAIL if self.mode == "classification" else None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -150,21 +157,16 @@ class ModelBundle:
             head = self.groups.get("head")
             if not head:
                 raise ValueError(f"{self.mode} bundle needs a head group")
-            if self.trainable.get("encoder", True):
-                raise ValueError("encoder must be frozen in a skill-model bundle")
             dense = [s for s in head if s.kind == "dense"]
             if len(dense) != 1:
                 raise ValueError("head must contain exactly one dense layer")
             if self.mode == "classification":
                 if head[-1].kind != "softmax" or dense[0].out_channels != 2:
                     raise ValueError("classification head must end in a 2-way softmax")
-                if self.class_names is None or len(self.class_names) != 2:
-                    raise ValueError("classification bundle needs two class names")
             else:
                 if head[-1].kind == "softmax" or dense[0].out_channels != 1:
                     raise ValueError("regression head must be a single linear unit")
-        encoded = _chain("encoder", self.groups["encoder"],
-                         len(self.minmax.channels) if self.minmax else None)
+        encoded = _chain("encoder", self.groups["encoder"], len(self.minmax.channels))
         for g, specs in self.groups.items():
             if g != "encoder":
                 _chain(g, specs, encoded)
@@ -185,7 +187,7 @@ _VECTOR_ONLY = ("dense", "softmax")
 
 
 def _chain(group, specs, channels):
-    """The channel count out of ``specs`` given ``channels`` in (None: any).
+    """The channel count out of ``specs`` given ``channels`` in.
     Raises ValueError at a layer whose ``in_channels`` differs, or whose
     kind cannot take what flows into it: sequences up to a ``gap``, which
     only a head holds, and one vector per trial after it."""
@@ -198,7 +200,7 @@ def _chain(group, specs, channels):
             raise ValueError(f"group '{group}' layer {i} ({s.kind}) cannot take {flow}")
         pooled = pooled or s.kind == "gap"
         if s.kind in ("conv1d", "dense", "scse", "residual-scse-block"):
-            if channels is not None and s.in_channels != channels:
+            if s.in_channels != channels:
                 raise ValueError(f"group '{group}' layer {i} ({s.kind}): in_channels "
                                  f"{s.in_channels}, but {channels} channels flow into it")
             channels = s.out_channels if s.kind in ("conv1d", "dense") else s.in_channels
@@ -227,8 +229,6 @@ def normalize_for_model(bundle, trial):
     statistics applied (DOWNSAMPLED -> NORMALIZED).  ``apply_minmax``
     refuses raw, filled and already-normalized trials, and channels other
     than the ones the bundle was fit on."""
-    if bundle.minmax is None:
-        raise ValueError("bundle carries no normalization statistics")
     return apply_minmax(trial, bundle.minmax)
 
 
@@ -271,8 +271,7 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
     emb = _chain("encoder", dae_bundle.groups["encoder"], len(dae_bundle.minmax.channels))
     if emb != arch.emb_channels:
         arch = replace(arch, emb_channels=emb)
-    n_out = len(PASS_FAIL) if mode == "classification" else 1
-    head = head_specs(arch, n_out, mode == "classification")
+    head = head_specs(arch, mode == "classification")
     rng = make_rng(seed, PURPOSE["init"], 2)
     weights = {f"head/{k}": v for k, v in init_stack_params(head, rng).items()}
     for k, v in dae_bundle.weights.items():
@@ -282,10 +281,7 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
         mode=mode,
         groups={"encoder": dae_bundle.groups["encoder"], "head": head},
         weights=weights,
-        trainable={"encoder": False, "head": True},
         minmax=dae_bundle.minmax,
-        score_stats=None,
-        class_names=PASS_FAIL if mode == "classification" else None,
     )
 
 

@@ -284,8 +284,7 @@ def train_dae(trials, config, seed, arch=None):
         seed=seed, stage="DAE", trial_ids=[t.trial_id for t in trials],
         noise_rng=make_rng(seed, PURPOSE["noise"]),
     )
-    bundle = ModelBundle(mode="autoencoder", groups=specs, weights=weights,
-                         trainable={"encoder": False, "decoder": False}, minmax=minmax)
+    bundle = ModelBundle(mode="autoencoder", groups=specs, weights=weights, minmax=minmax)
     return bundle, history
 
 

@@ -240,6 +240,22 @@ def test_repeated_manifest_trial_is_a_runtime_error_naming_both_lines(scoring_in
                                   f"duplicate trial {trial_id} (first on line 2)")
 
 
+def test_stratified_folds_name_the_first_unlabeled_trial(tmp_path, capsys):
+    assert dispatch(["synth", "--out", str(tmp_path / "data"), "--seed", "2",
+                     "--n-subjects", "2", "--trials-per-subject", "3"]) == 0
+    manifest = tmp_path / "data" / "manifest.csv"
+    second = load_manifest(str(manifest)).trials[1]
+    path = tmp_path / "data" / "trials" / f"{second.subject_id}_{second.trial_index:03d}.csv"
+    text = path.read_text()
+    path.write_text(text.replace(f"# class={second.class_label}\n", "# class=NA\n", 1))
+    out = tmp_path / "run"
+    assert dispatch(["evaluate", "--manifest", str(manifest), "--scheme", "stratified3",
+                     "--out", str(out)]) == 1
+    assert last_error(capsys) == ("error: runtime: stratified folds need a class label on "
+                                  f"every trial; {second.trial_id} has none")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag, value, expected", [
     (["gradcheck", "--configs", "0"], "--configs", "0", "an integer >= 1"),
     (["gradcheck", "--configs", "2.5"], "--configs", "2.5", "an integer >= 1"),
@@ -349,7 +365,6 @@ def test_train_classifier_takes_the_embedding_width_from_the_encoder_walk(
                for k, v in init_stack_params(specs, rng).items()}
     dae = tmp_path / "dae.skq"
     save_bundle(ModelBundle(mode="autoencoder", groups=groups, weights=weights,
-                            trainable={"encoder": False, "decoder": False},
                             minmax=minmax), dae)
     assert dispatch(["train-classifier", "--manifest", str(tmp_path / "data" / "manifest.csv"),
                      "--dae", str(dae), "--out", str(tmp_path / "skill"),

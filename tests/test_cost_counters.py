@@ -169,8 +169,14 @@ COUNTS = {
         # specs chain: one _chain call per group
         # py 120 -> 108 when the metadata check built each of the 12 layer
         # specs with LayerSpec(**d) rather than through LayerSpec.from_dict
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 108,
-                               "peak_kb": 203},
+        # py 108 -> 127 and peak_kb 203 -> 202 when the mode fixed the
+        # trainable flags and class names: the file's two fields are
+        # compared as canonical JSON with what _mode_fixed derives (+23:
+        # _mode_fixed, the class_names property and a dict comprehension,
+        # and four json.dumps calls of four Python calls each), and are no
+        # longer type-checked (-4: one obj, two typed and one items call)
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 127,
+                               "peak_kb": 202},
     },
 }
 
@@ -252,7 +258,6 @@ def _autoencoder(rng):
     weights = {f"{g}/{k}": v for g, specs in groups.items()
                for k, v in init_stack_params(specs, rng).items()}
     return ModelBundle(mode="autoencoder", groups=groups, weights=weights,
-                       trainable={"encoder": False, "decoder": False},
                        minmax=MinMaxStats(CHANNELS, np.zeros(n), np.ones(n), ()))
 
 

@@ -7,6 +7,7 @@ from unittest import mock
 
 import tape
 from conftest import SMALL_ARCH
+from skillseq import bundle as bundle_format
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.crossval import encoder_fingerprint
 from skillseq.data import FILLED, RAW
@@ -70,8 +71,8 @@ def test_classifier_keeps_encoder_weights(small_dae, small_classifier):
     assert enc_names
     for n in enc_names:
         np.testing.assert_array_equal(clf.weights[n], dae.weights[n])
-    assert clf.trainable["encoder"] is False
-    assert clf.trainable["head"] is True
+    # the mode fixes which group trains, and the file records it
+    assert bundle_format._meta_dict(clf)["trainable"] == {"encoder": False, "head": True}
 
 
 def test_classifier_confidences_form_distribution(small_classifier,
@@ -282,7 +283,7 @@ def test_head_dense_is_named_head_4(small_classifier):
 def test_encoder_head_spec_shapes():
     arch = SMALL_ARCH
     enc = encoder_specs(arch, n_channels=4)
-    head = head_specs(arch, n_out=2)
+    head = head_specs(arch)
     assert enc[0].kind == "gaussian-noise"
     assert head[-2].kind == "gap" or head[-1].kind in ("dense", "softmax")
 

@@ -43,19 +43,16 @@ def _bundles(rng, arch, n_channels, classification):
     channels = tuple(f"c{i}" for i in range(n_channels))
     minmax = MinMaxStats(channels, np.zeros(n_channels), np.ones(n_channels), ())
     enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
-    head = head_specs(arch, 2 if classification else 1, classification)
+    head = head_specs(arch, classification)
     enc_weights = _weights(rng, enc, "encoder")
     skill = ModelBundle(
         mode="classification" if classification else "regression",
         groups={"encoder": enc, "head": head},
         weights={**enc_weights, **_weights(rng, head, "head")},
-        trainable={"encoder": False, "head": True}, minmax=minmax,
-        score_stats=None if classification else ScoreStats(50.0, 10.0, ()),
-        class_names=("pass", "fail") if classification else None)
+        minmax=minmax, score_stats=None if classification else ScoreStats(50.0, 10.0, ()))
     dae = ModelBundle(
         mode="autoencoder", groups={"encoder": enc, "decoder": dec},
-        weights={**enc_weights, **_weights(rng, dec, "decoder")},
-        trainable={"encoder": True, "decoder": True}, minmax=minmax)
+        weights={**enc_weights, **_weights(rng, dec, "decoder")}, minmax=minmax)
     return skill, dae
 
 
@@ -152,7 +149,7 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
                                                          classification):
     rng = np.random.default_rng(seed)
     enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
-    head = head_specs(arch, 2 if classification else 1, classification)
+    head = head_specs(arch, classification)
     params = {name: {k.split("/", 1)[1]: v for k, v in _weights(rng, specs, name).items()}
               for name, specs in (("encoder", enc), ("decoder", dec), ("head", head))}
     values = [rng.random((T, n_channels)) for T in lengths]

@@ -1,15 +1,17 @@
 """Every exported name exists, every benchmark span still has a target,
 every definition in the package is used, only the tensor module names
 the tape, one walker composes every layer kind for both modes, one
-training loop takes each stage's data, not callbacks, only the model
-and training modules normalize trials for a model, and only the tensor,
-training and gradcheck modules spell a loss kind.
+training loop takes each stage's data, not callbacks, a bundle and
+Adam carry no field that the design fixes, only the model and training
+modules normalize trials for a model, and only the tensor, training and
+gradcheck modules spell a loss kind.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
 """
 
 import ast
+import dataclasses
 import glob
 import importlib
 import inspect
@@ -19,7 +21,7 @@ import pkgutil
 import pytest
 
 import skillseq
-from skillseq import layers, training
+from skillseq import layers, model, optim, training
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(skillseq.__path__)
                  if m.name != "__main__")
@@ -171,6 +173,18 @@ def test_one_training_loop_takes_data_not_callbacks():
         assert not nested, f"{fn.__name__} defines {nested}"
     init = inspect.signature(training._FlatParams.__init__)
     assert list(init.parameters) == ["self", "groups"]
+
+
+def test_the_mode_fixes_what_a_bundle_and_adam_do_not_carry():
+    """A bundle's mode fixes which group trains and its class names, so
+    ``ModelBundle`` carries neither, and its min-max statistics have no
+    default; Adam's betas and eps are module constants, not state."""
+    fields = {f.name: f for f in dataclasses.fields(model.ModelBundle)}
+    assert list(fields) == ["mode", "groups", "weights", "minmax", "score_stats"]
+    assert fields["minmax"].default is dataclasses.MISSING
+    knobs = [f.name for f in dataclasses.fields(optim.AdamState)
+             if f.name.startswith(("beta", "eps"))]
+    assert not knobs, f"AdamState carries {knobs}"
 
 
 def test_only_the_model_and_training_normalize_trials():

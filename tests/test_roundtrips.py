@@ -21,6 +21,7 @@ from skillseq.data import MinMaxStats, ScoreStats, Trial, parse_trial_csv, write
 from skillseq.folds import Fold, FoldAssignment
 from skillseq.layers import LayerSpec, init_stack_params
 from skillseq.model import ArchConfig, ModelBundle, decoder_specs, encoder_specs, head_specs
+from skillseq.reports import quoted
 
 names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
                 min_size=1, max_size=6)
@@ -131,8 +132,7 @@ def bundles(draw):
     if mode == "autoencoder":
         groups["decoder"] = decoder_specs(n_channels, arch)
     else:
-        groups["head"] = head_specs(arch, 2 if mode == "classification" else 1,
-                                    mode == "classification")
+        groups["head"] = head_specs(arch, mode == "classification")
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     weights = {}
     for group, specs in groups.items():
@@ -142,12 +142,10 @@ def bundles(draw):
     channels = tuple(f"c{i}" for i in range(n_channels))
     return ModelBundle(
         mode=mode, groups=groups, weights=weights,
-        trainable={g: mode == "autoencoder" or g == "head" for g in groups},
         minmax=MinMaxStats(channels, rng.normal(size=n_channels),
                            rng.normal(size=n_channels) + 5.0, ("S1:0", "S1:1")),
         score_stats=ScoreStats(draw(finite), draw(finite), ("S1:0",))
-        if mode == "regression" else None,
-        class_names=("pass", "fail") if mode == "classification" else None)
+        if mode == "regression" else None)
 
 
 @settings(max_examples=50, deadline=None)
@@ -156,8 +154,8 @@ def test_bundle_round_trips_bit_identically(bundle, tmp_path_factory):
     path = tmp_path_factory.mktemp("bundle") / "b.skq"
     save_bundle(bundle, path)
     back = load_bundle(path)
-    assert (back.mode, back.groups, back.trainable, back.class_names) \
-        == (bundle.mode, bundle.groups, bundle.trainable, bundle.class_names)
+    assert (back.mode, back.groups, back.class_names) \
+        == (bundle.mode, bundle.groups, bundle.class_names)
     assert sorted(back.weights) == sorted(bundle.weights)
     for name, arr in bundle.weights.items():
         assert back.weights[name].shape == arr.shape
@@ -284,7 +282,8 @@ def _null_minmax(meta):
 
 @pytest.mark.parametrize("edit, message", [
     (_unknown_key, "bad metadata: 'groups.encoder[1].stride' is not a known key"),
-    (_null_trainable, "bad metadata: 'trainable' must be an object, got None"),
+    (_null_trainable, "bad metadata: 'trainable' must be {{\"encoder\":false,\"head\":true}} "
+                      "for mode 'classification', got 'null'"),
     (_string_groups, "bad metadata: 'groups' must be an object, got 'x'"),
     (_kernel_size_disagrees, "array 'encoder/1.w' has shape (3, 4, 6); its layer needs (1, 4, 6)"),
     (_short_mins,
@@ -313,6 +312,47 @@ def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_pa
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err == f"error: runtime: {path}: {message.format(**fields)}"
+
+
+@pytest.mark.parametrize("kind, edit, field", [
+    ("classification", lambda meta: meta["trainable"].update(head=False), "trainable"),
+    ("classification", lambda meta: meta["trainable"].update(head=1), "trainable"),
+    ("classification", lambda meta: meta["trainable"].update(encoder=True), "trainable"),
+    ("classification", lambda meta: meta.update(class_names=["good", "bad"]), "class_names"),
+    ("classification", lambda meta: meta.update(class_names=None), "class_names"),
+    ("regression", lambda meta: meta.update(class_names=["pass", "fail"]), "class_names"),
+    ("autoencoder", lambda meta: meta["trainable"].update(encoder=True), "trainable"),
+], ids=["untrainable-head", "numeric-flag", "trainable-encoder", "other-class-names",
+        "null-class-names", "regression-class-names", "trainable-dae-encoder"])
+def test_metadata_the_mode_fixes_holds_nothing_else(small_classifier, small_regressor,
+                                                    small_dae, skill_inputs, tmp_path, capsys,
+                                                    kind, edit, field):
+    """A bundle whose ``trainable`` flags or class names differ from what
+    its mode fixes exits 1, naming the file and the field: a skill bundle
+    under ``predict`` and ``cam``, an autoencoder under
+    ``train-classifier --dae``."""
+    bundle = {"classification": small_classifier, "regression": small_regressor,
+              "autoencoder": small_dae}[kind][0]
+    manifest = skill_inputs[1]
+    meta = bundle_format._meta_dict(bundle)
+    want = bundle_format._canonical(meta[field])
+    edit(meta)
+    path = tmp_path / "b.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(bundle, path)
+    if kind == "autoencoder":
+        runs = [["train-classifier", "--manifest", manifest, "--dae", str(path),
+                 "--out", str(tmp_path / "skill")]]
+    else:
+        scoring = ["--bundle", str(path), "--manifest", manifest]
+        runs = [["predict", *scoring, "--out", str(tmp_path / "records.csv")],
+                ["cam", *scoring, "--out", str(tmp_path / "cams.csv")]]
+    for argv in runs:
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == (f"error: runtime: {path}: bad metadata: '{field}' must be {want} "
+                       f"for mode '{kind}', got {quoted(bundle_format._canonical(meta[field]))}")
+    assert not [out for out in ("skill", "records.csv", "cams.csv") if (tmp_path / out).exists()]
 
 
 def test_a_regression_bundle_without_score_statistics_is_refused(small_regressor, tmp_path):

@@ -49,7 +49,6 @@ def _autoencoder(arch, seed):
     weights = {f"{g}/{k}": v for g, specs in groups.items()
                for k, v in init_stack_params(specs, rng).items()}
     return ModelBundle(mode="autoencoder", groups=groups, weights=weights,
-                       trainable={"encoder": False, "decoder": False},
                        minmax=MinMaxStats(CHANNELS, np.zeros(n), np.ones(n), ()))
 
 
