@@ -140,10 +140,11 @@ def bundles(draw):
             v = v * 2.0 ** rng.integers(-1070, 1000, size=v.shape)   # subnormal to huge
             weights[f"{group}/{k}"] = np.where(rng.random(v.shape) < 0.1, -0.0, v)
     channels = tuple(f"c{i}" for i in range(n_channels))
+    mins = rng.normal(size=n_channels)
     return ModelBundle(
         mode=mode, groups=groups, weights=weights,
-        minmax=MinMaxStats(channels, rng.normal(size=n_channels),
-                           rng.normal(size=n_channels) + 5.0, ("S1:0", "S1:1")),
+        minmax=MinMaxStats(channels, mins, mins + rng.uniform(0.5, 10.0, size=n_channels),
+                           ("S1:0", "S1:1")),   # load_bundle requires max > min
         score_stats=ScoreStats(draw(finite), draw(finite), ("S1:0",))
         if mode == "regression" else None)
 
