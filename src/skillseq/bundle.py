@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .data import MinMaxStats, ScoreStats
-from .layers import LayerSpec, _spec_param_shapes
+from .layers import LayerSpec, param_shapes
 from .model import ModelBundle
 from .reports import quoted
 
@@ -207,7 +207,7 @@ class _MetaCheck:
     def obj(self, field, value, keys=None):
         """``value`` as an object; with ``keys``, holding exactly those."""
         if type(value) is not dict:
-            raise self.fault(field, f"must be an object, got {value!r}")
+            raise self.fault(field, f"must be an object, got {quoted(value)}")
         if keys is not None:
             for key in keys:
                 if key not in value:
@@ -220,7 +220,7 @@ class _MetaCheck:
     def typed(self, field, value, kind):
         types, what = kind
         if type(value) not in types:
-            raise self.fault(field, f"must be {what}, got {value!r}")
+            raise self.fault(field, f"must be {what}, got {quoted(value)}")
         return value
 
     def items(self, field, value, kind, n=None):
@@ -229,17 +229,17 @@ class _MetaCheck:
         if type(value) is not list or n is not None and len(value) != n:
             count = "" if n is None else f"{n} "
             raise self.fault(field, f"must be a list of {count}values, each {what}, "
-                                    f"got {value!r}")
+                                    f"got {quoted(value)}")
         for i, v in enumerate(value):
             if type(v) not in types:
-                raise self.fault(f"{field}[{i}]", f"must be {what}, got {v!r}")
+                raise self.fault(f"{field}[{i}]", f"must be {what}, got {quoted(v)}")
         return value
 
     def spec(self, field, d):
         self.obj(field, d, _SPEC_FIELDS)
         for key, (types, what) in _SPEC_FIELDS.items():
             if type(d[key]) not in types:
-                raise self.fault(f"{field}.{key}", f"must be {what}, got {d[key]!r}")
+                raise self.fault(f"{field}.{key}", f"must be {what}, got {quoted(d[key])}")
         try:
             return LayerSpec(**d)
         except ValueError as exc:
@@ -262,7 +262,7 @@ def _bundle(path, meta, weights):
     groups = {}
     for g, specs in check.obj("groups", meta["groups"]).items():
         if type(specs) is not list:
-            raise check.fault(f"groups.{g}", f"must be a list of layers, got {specs!r}")
+            raise check.fault(f"groups.{g}", f"must be a list of layers, got {quoted(specs)}")
         groups[g] = tuple([check.spec(f"groups.{g}[{i}]", d) for i, d in enumerate(specs)])
     minmax = check.obj("minmax", meta["minmax"], ("channels", "mins", "maxs", "source_ids"))
     channels = check.items("minmax.channels", minmax["channels"], _STR)
@@ -284,7 +284,7 @@ def _bundle(path, meta, weights):
         stats = ScoreStats.from_dict(stats)
     for g, specs in groups.items():
         for i, spec in enumerate(specs):
-            for field, shape in _spec_param_shapes(spec).items():
+            for field, shape in param_shapes(spec).items():
                 key = f"{g}/{i}.{field}"
                 if key not in weights:
                     continue  # ModelBundle names the missing array

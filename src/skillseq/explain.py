@@ -109,8 +109,7 @@ def predict_with_cams(bundle, trials, target_classes=None):
 
 
 def _cam(bundle, trial_id, pre_gap, target_class):
-    dense_idx = next(i for i, s in enumerate(bundle.groups["head"]) if s.kind == "dense")
-    w = bundle.weights[f"head/{dense_idx}.w"]
+    w = bundle.head_kernel
     if not 0 <= target_class < w.shape[1]:
         raise ValueError(f"class index {target_class} out of range for {w.shape[1]} outputs")
     return CamMap.from_raw(trial_id, target_class, pre_gap @ w[:, target_class])

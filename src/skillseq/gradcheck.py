@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .layers import LayerSpec, Recorder, forward_stack, init_stack_params
+from .layers import KINDS, LayerSpec, Recorder, forward_stack, init_stack_params
 from .seeding import make_rng
 
 __all__ = ["GradCheckResult", "check_operation", "run_gradcheck", "OPERATIONS"]
@@ -35,22 +35,7 @@ __all__ = ["GradCheckResult", "check_operation", "run_gradcheck", "OPERATIONS"]
 H = 1e-5
 ERROR_FLOOR = 1e-4
 
-OPERATIONS = (
-    "conv1d",
-    "dense",
-    "selu",
-    "sigmoid",
-    "softmax",
-    "gap",
-    "scse",
-    "residual-scse-block",
-    "gaussian-noise",
-    "bce",
-    "mse",
-    "cosine",
-    "activity-penalty",
-    "conv1d-selu",
-)
+OPERATIONS = (*KINDS, "bce", "mse", "cosine", "activity-penalty", "conv1d-selu")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Layer catalog: declarative specs, initialization, and stack forward.
+"""Layer kinds: their table, declarative specs, initialization, and stack forward.
 
 A network is an ordered tuple of ``LayerSpec`` values plus a flat
 ``{name: ndarray}`` parameter mapping.  Parameter names are
 ``"<layer_index>.<field>"`` within a stack; bundles prefix them with the
 group name (``"encoder/0.w"``).
+
+``KINDS`` is the one catalog of layer kinds (see ``Kind``): whatever
+needs a kind's fields, flow, parameter shapes or forward step reads it.
 
 ``forward_stack`` is the one walk over a stack's layers; its ``mode``
 computes each op.  ``forward_packed`` is the eval forward: it packs
@@ -23,6 +26,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from . import tensor as tz
 __all__ = [
     "LayerSpec",
     "KINDS",
+    "param_shapes",
     "init_stack_params",
     "forward_stack",
     "Recorder",
@@ -39,25 +44,17 @@ __all__ = [
     "is_kernel_param",
 ]
 
-KINDS = (
-    "conv1d",
-    "dense",
-    "selu",
-    "sigmoid",
-    "softmax",
-    "gap",
-    "scse",
-    "residual-scse-block",
-    "gaussian-noise",
-)
+# what flows between layers: each trial's (T, C) sequence, or after a
+# pooling layer one vector per trial
+SEQUENCE, VECTOR = "a sequence", "one vector per trial"
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """Declarative description of one layer.
 
-    Unused fields stay at their defaults for kinds that do not need them
-    (activations carry no dimensions at all).
+    A kind reads only its ``KINDS[kind].fields``; every other field must
+    stay at its default (activations carry no dimensions at all).
     """
 
     kind: str
@@ -69,61 +66,100 @@ class LayerSpec:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown layer kind '{self.kind}'")
-        if self.kind in ("conv1d", "dense"):
-            if self.in_channels < 1 or self.out_channels < 1:
-                raise ValueError(
-                    f"{self.kind} needs in_channels and out_channels >= 1, "
-                    f"got {self.in_channels} and {self.out_channels}"
-                )
-        if self.kind in ("conv1d", "residual-scse-block"):
-            if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-                raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
-            if self.dilation < 1:
-                raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        if self.kind in ("scse", "residual-scse-block"):
-            c = self.in_channels
-            if c < 1:
-                raise ValueError(f"{self.kind} needs in_channels >= 1, got {c}")
-            if self.reduction < 1 or c % self.reduction != 0:
-                raise ValueError(
-                    f"reduction {self.reduction} must divide channel count {c}"
-                )
-        if self.kind == "gaussian-noise" and self.sigma < 0.0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if name not in kind.fields:
+                default = getattr(LayerSpec, name)
+                if value != default:
+                    raise ValueError(f"{self.kind} does not read {name}, which must stay "
+                                     f"{default}, got {value}")
+            elif not value >= least:
+                raise ValueError(f"{self.kind} needs {name} >= {least}, got {value}")
+        if self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+        if "reduction" in kind.fields and self.in_channels % self.reduction != 0:
+            raise ValueError(f"reduction {self.reduction} must divide channel count "
+                             f"{self.in_channels}")
 
 
-def _scse_shapes(c, r):
-    mid = c // r
-    return {
-        "cw1": (c, mid),
-        "cb1": (mid,),
-        "cw2": (mid, c),
-        "cb2": (c,),
-        "sw": (c,),
-        "sb": (),
-    }
+# the least valid value of each field a kind may read
+_LEAST = {"in_channels": 1, "out_channels": 1, "kernel_size": 1, "dilation": 1,
+          "reduction": 1, "sigma": 0.0}
 
 
-def _spec_param_shapes(spec):
-    if spec.kind == "conv1d":
-        return {
-            "w": (spec.kernel_size, spec.in_channels, spec.out_channels),
-            "b": (spec.out_channels,),
-        }
-    if spec.kind == "dense":
-        return {"w": (spec.in_channels, spec.out_channels), "b": (spec.out_channels,)}
-    if spec.kind == "scse":
-        return _scse_shapes(spec.in_channels, spec.reduction)
-    if spec.kind == "residual-scse-block":
-        c, k = spec.in_channels, spec.kernel_size
-        shapes = {"c1w": (k, c, c), "c1b": (c,), "c2w": (k, c, c), "c2b": (c,)}
-        for tag in ("s1", "s2"):
-            for name, shp in _scse_shapes(c, spec.reduction).items():
-                shapes[f"{tag}{name}"] = shp
-        return shapes
-    return {}
+@dataclass(frozen=True)
+class Kind:
+    """One layer kind of ``KINDS``.  ``fields`` are the ``LayerSpec``
+    fields it reads; ``takes`` holds what may flow into it (``SEQUENCE``,
+    ``VECTOR`` or both); ``step(mode, x, spec, params, grads, pfx)`` is
+    its step of ``forward_stack``, computed by ``mode``'s ops;
+    ``shapes(spec)`` gives its parameters' shapes (None: it has none);
+    ``pools`` marks the kind that turns a sequence into one vector."""
+
+    fields: tuple
+    takes: tuple
+    step: Callable
+    shapes: Callable | None = None
+    pools: bool = False
+
+
+def _scse_shapes(spec, tag=""):
+    c, mid = spec.in_channels, spec.in_channels // spec.reduction
+    return {f"{tag}cw1": (c, mid), f"{tag}cb1": (mid,), f"{tag}cw2": (mid, c),
+            f"{tag}cb2": (c,), f"{tag}sw": (c,), f"{tag}sb": ()}
+
+
+def _residual_shapes(spec):
+    c, k = spec.in_channels, spec.kernel_size
+    return {"c1w": (k, c, c), "c1b": (c,), "c2w": (k, c, c), "c2b": (c,),
+            **_scse_shapes(spec, "s1"), **_scse_shapes(spec, "s2")}
+
+
+def _conv_step(mode, x, spec, params, grads, pfx):
+    if x.ndim != 2 or x.shape[1] != spec.in_channels:
+        raise ValueError(f"layer {pfx[:-1]} (conv1d) expects (T, {spec.in_channels}), "
+                         f"got {x.shape}")
+    return mode.conv(x, params, grads, pfx + "w", pfx + "b", spec.dilation)
+
+
+def _residual_scse_step(mode, x, spec, params, grads, pfx):
+    """conv, SELU, sCSE, conv, SELU, then sCSE of the branch plus the
+    block's input (Roy, Navab and Wachinger 2018, arXiv:1803.02579)."""
+    skip = mode.fork(x)
+    h = mode.conv(x, params, grads, pfx + "c1w", pfx + "c1b", spec.dilation)
+    h = mode.scse(mode.selu(h), params, grads, pfx + "s1")
+    h = mode.selu(mode.conv(h, params, grads, pfx + "c2w", pfx + "c2b", spec.dilation))
+    return mode.scse(mode.join(h, x, skip), params, grads, pfx + "s2")
+
+
+# in this order, gradcheck's operations and their seeds
+KINDS = {
+    "conv1d": Kind(("in_channels", "out_channels", "kernel_size", "dilation"), (SEQUENCE,),
+                   _conv_step, lambda s: {"w": (s.kernel_size, s.in_channels, s.out_channels),
+                                          "b": (s.out_channels,)}),
+    "dense": Kind(("in_channels", "out_channels"), (VECTOR,),
+                  lambda mode, x, spec, *a: mode.dense(x, *a),
+                  lambda s: {"w": (s.in_channels, s.out_channels), "b": (s.out_channels,)}),
+    "selu": Kind((), (SEQUENCE, VECTOR), lambda mode, x, *_: mode.selu(x)),
+    "sigmoid": Kind((), (SEQUENCE, VECTOR), lambda mode, x, *_: mode.sigmoid(x)),
+    "softmax": Kind((), (VECTOR,), lambda mode, x, *_: mode.softmax(x)),
+    "gap": Kind((), (SEQUENCE,), lambda mode, x, *_: mode.gap(x), pools=True),
+    "scse": Kind(("in_channels", "reduction"), (SEQUENCE,),
+                 lambda mode, x, spec, *a: mode.scse(x, *a), _scse_shapes),
+    "residual-scse-block": Kind(("in_channels", "kernel_size", "dilation", "reduction"),
+                                (SEQUENCE,), _residual_scse_step, _residual_shapes),
+    "gaussian-noise": Kind(("sigma",), (SEQUENCE,),
+                           lambda mode, x, spec, *_: mode.noise(x, spec.sigma)),
+}
+
+
+def param_shapes(spec):
+    """``{field: shape}`` of the layer ``spec``'s parameters, in draw order."""
+    shapes = KINDS[spec.kind].shapes
+    return shapes(spec) if shapes else {}
 
 
 def _lecun_normal(rng, shape, fan_in):
@@ -143,7 +179,7 @@ def init_stack_params(specs, rng):
     """
     params = {}
     for i, spec in enumerate(specs):
-        for name, shp in _spec_param_shapes(spec).items():
+        for name, shp in param_shapes(spec).items():
             key = f"{i}.{name}"
             if is_kernel_param(name):
                 fan_in = shp[0] * shp[1] if len(shp) == 3 else shp[0]
@@ -161,7 +197,8 @@ def _scse_params(p, pfx):
 
 
 def forward_stack(specs, params, x, mode, grads=None):
-    """Run a stack of layers over the array ``x``.
+    """Run a stack of layers over the array ``x``: each layer's kind's
+    step (``KINDS``).
 
     ``params`` maps ``"<i>.<field>"`` to arrays.  ``mode`` computes each
     op: a ``Recorder`` (training: ``x`` is one (T, C) trial, and each op's
@@ -171,33 +208,7 @@ def forward_stack(specs, params, x, mode, grads=None):
     trains.
     """
     for i, spec in enumerate(specs):
-        pfx = f"{i}."
-        kind = spec.kind
-        if kind == "conv1d":
-            if x.ndim != 2 or x.shape[1] != spec.in_channels:
-                raise ValueError(f"layer {i} (conv1d) expects (T, {spec.in_channels}), "
-                                 f"got {x.shape}")
-            x = mode.conv(x, params, grads, pfx + "w", pfx + "b", spec.dilation)
-        elif kind == "dense":
-            x = mode.dense(x, params, grads, pfx)
-        elif kind == "selu":
-            x = mode.selu(x)
-        elif kind == "sigmoid":
-            x = mode.sigmoid(x)
-        elif kind == "softmax":
-            x = mode.softmax(x)
-        elif kind == "gap":
-            x = mode.gap(x)
-        elif kind == "scse":
-            x = mode.scse(x, params, grads, pfx)
-        elif kind == "residual-scse-block":
-            skip = mode.fork(x)
-            h = mode.conv(x, params, grads, pfx + "c1w", pfx + "c1b", spec.dilation)
-            h = mode.scse(mode.selu(h), params, grads, pfx + "s1")
-            h = mode.selu(mode.conv(h, params, grads, pfx + "c2w", pfx + "c2b", spec.dilation))
-            x = mode.scse(mode.join(h, x, skip), params, grads, pfx + "s2")
-        elif kind == "gaussian-noise":
-            x = mode.noise(x, spec.sigma)
+        x = KINDS[spec.kind].step(mode, x, spec, params, grads, f"{i}.")
     return x
 
 
@@ -444,9 +455,9 @@ PACK_ROWS = 2048
 
 
 def _reach(specs):
-    """Widest zero padding any convolution in ``specs`` reads."""
-    return max((s.kernel_size // 2 * s.dilation for s in specs
-                if s.kind in ("conv1d", "residual-scse-block")), default=0)
+    """Widest zero padding any convolution in ``specs`` reads.  A kind
+    that reads no ``kernel_size`` keeps it at 1, which reaches nothing."""
+    return max([s.kernel_size // 2 * s.dilation for s in specs], default=0)
 
 
 def forward_packed(stacks, values, capture=False):

@@ -39,7 +39,8 @@ import numpy as np
 
 from .data import (DOWNSAMPLED, PASS_FAIL, RAW, Dataset, MinMaxStats, ScoreStats,
                    apply_minmax, invert_znorm, prepare_stage2)
-from .layers import LayerSpec, _spec_param_shapes, forward_packed, init_stack_params
+from .layers import (KINDS, SEQUENCE, VECTOR, LayerSpec, forward_packed, init_stack_params,
+                     param_shapes)
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
 
@@ -146,6 +147,12 @@ class ModelBundle:
         """``PASS_FAIL`` for a classifier, else None."""
         return PASS_FAIL if self.mode == "classification" else None
 
+    @property
+    def head_kernel(self):
+        """The (features, outputs) kernel of the head's one dense layer."""
+        i = [s.kind for s in self.groups["head"]].index("dense")
+        return self.weights[f"head/{i}.w"]
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'; expected one of {MODES}")
@@ -171,7 +178,7 @@ class ModelBundle:
             if g != "encoder":
                 _chain(g, specs, encoded)
             for i, s in enumerate(specs):
-                for fname in _spec_param_shapes(s):
+                for fname in param_shapes(s):
                     key = f"{g}/{i}.{fname}"
                     if key not in self.weights:
                         raise ValueError(f"missing weight array '{key}'")
@@ -181,29 +188,25 @@ class ModelBundle:
         return {k[len(pfx):]: v for k, v in self.weights.items() if k.startswith(pfx)}
 
 
-# the kinds that take only a (T, C) sequence, and only one vector per trial
-_SEQUENCE_ONLY = ("conv1d", "scse", "residual-scse-block", "gaussian-noise", "gap")
-_VECTOR_ONLY = ("dense", "softmax")
-
-
 def _chain(group, specs, channels):
     """The channel count out of ``specs`` given ``channels`` in.
     Raises ValueError at a layer whose ``in_channels`` differs, or whose
-    kind cannot take what flows into it: sequences up to a ``gap``, which
-    only a head holds, and one vector per trial after it."""
-    pooled = False
+    kind cannot take what flows into it: sequences up to a pooling layer,
+    which only a head holds, and one vector per trial after it."""
+    flow = SEQUENCE
     for i, s in enumerate(specs):
-        if s.kind == "gap" and group != "head":
-            raise ValueError(f"group '{group}' layer {i} (gap): only a head pools over time")
-        if s.kind in (_SEQUENCE_ONLY if pooled else _VECTOR_ONLY):
-            flow = "one vector per trial" if pooled else "a sequence"
+        kind = KINDS[s.kind]
+        if kind.pools and group != "head":
+            raise ValueError(f"group '{group}' layer {i} ({s.kind}): only a head pools over time")
+        if flow not in kind.takes:
             raise ValueError(f"group '{group}' layer {i} ({s.kind}) cannot take {flow}")
-        pooled = pooled or s.kind == "gap"
-        if s.kind in ("conv1d", "dense", "scse", "residual-scse-block"):
+        if kind.pools:
+            flow = VECTOR
+        if "in_channels" in kind.fields:
             if s.in_channels != channels:
                 raise ValueError(f"group '{group}' layer {i} ({s.kind}): in_channels "
                                  f"{s.in_channels}, but {channels} channels flow into it")
-            channels = s.out_channels if s.kind in ("conv1d", "dense") else s.in_channels
+            channels = s.out_channels if "out_channels" in kind.fields else s.in_channels
     return channels
 
 

@@ -105,9 +105,13 @@ COUNTS = {
         # popping each recorded op before running it, so the taps,
         # activations and masks of the ops already passed are freed while
         # the rest of the backward runs.  numpy_c and py are unchanged.
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 154,
+        # py 154 -> 164 and 114 -> 120 when forward_stack looked each layer's
+        # step up in layers.KINDS in place of its chain of kinds: one step
+        # call per layer (10 in the DAE, 6 in the head).  numpy_c and
+        # peak_kb are unchanged.
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 80, "py": 164,
                               "peak_kb": 593},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 114,
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 120,
                                "peak_kb": 348},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
@@ -137,13 +141,19 @@ COUNTS = {
         # dispatch to _forward_segments (-2) and each conv1d layer the
         # call of the inlined input check (-3).
         # peak_kb (added then) is unchanged: 1,595 and 1,063 at the parent.
-        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 372,
+        # py 372 -> 403 and 119 -> 126 when forward_stack looked each layer's
+        # step up in layers.KINDS: one step call per layer of a chunk (+36
+        # and +12), and _reach takes each stack's reaches in one list
+        # comprehension in place of a generator that resumed once per
+        # convolution and once to end (7 -> 2 calls: -5).  numpy_c and
+        # peak_kb are unchanged.
+        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 403,
                                   "peak_kb": 1595},
         # measured on the parent code, where a one-trial chunk ran on the
         # tape, as nodes 24, numpy_c 57, py 132; it now takes the packed
         # array path like every chunk (Segments and pack: +2 numpy_c)
         "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 59,
-                                            "py": 119, "peak_kb": 1063},
+                                            "py": 126, "peak_kb": 1063},
         "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8,
                                   "peak_kb": 463},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
@@ -175,7 +185,13 @@ COUNTS = {
         # _mode_fixed, the class_names property and a dict comprehension,
         # and four json.dumps calls of four Python calls each), and are no
         # longer type-checked (-4: one obj, two typed and one items call)
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 127,
+        # py 127 -> 139 when the layer kinds moved into layers.KINDS:
+        # param_shapes calls the kind's shape function of each of the 6
+        # layers with parameters (3 conv1d, 2 residual blocks, 1 dense),
+        # once in load_bundle's shape check and once in ModelBundle's (+12).
+        # LayerSpec's check of the fields a kind does not read calls
+        # nothing.  numpy_c and peak_kb are unchanged.
+        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 126, "py": 139,
                                "peak_kb": 202},
     },
 }

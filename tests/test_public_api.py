@@ -1,6 +1,7 @@
 """Every exported name exists, every benchmark span still has a target,
 every definition in the package is used, only the tensor module names
-the tape, one walker composes every layer kind for both modes, one
+the tape, one walker composes every kind of the one table of layer
+kinds for both modes, only that table and the model compare a kind, one
 training loop takes each stage's data, not callbacks, a bundle and
 Adam carry no field that the design fixes, only the model and training
 modules normalize trials for a model, and only the tensor, training and
@@ -18,6 +19,7 @@ import inspect
 import os
 import pkgutil
 
+import numpy as np
 import pytest
 
 import skillseq
@@ -134,26 +136,59 @@ def test_only_the_tensor_module_names_the_tape():
     assert not named, f"the tape is named outside tensor.py: {sorted(named)}"
 
 
+class _Ops:
+    """A ``forward_stack`` mode that records the name of each op called
+    on it and hands the layer's input on."""
+
+    def __init__(self):
+        self.called = set()
+
+    def __getattr__(self, op):
+        def run(x, *args):
+            self.called.add(op)
+            return x
+        return run
+
+
+# a valid value of each field a kind may read
+_VALID = {"in_channels": 2, "out_channels": 2, "kernel_size": 3, "dilation": 2,
+          "reduction": 2, "sigma": 0.1}
+
+
 def test_one_walker_composes_every_kind_for_both_modes():
-    """``layers.forward_stack`` has a branch for every kind in ``KINDS``,
-    and ``Recorder`` (training) and ``PackedEval`` (eval) both implement
-    every ``mode.<op>`` it calls.  The benchmark splits the walker's span
-    by the mode's class-level ``train`` flag."""
-    tree = ast.parse(inspect.getsource(layers.forward_stack))
-    kinds, ops = set(), set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
-                and node.left.id == "kind"):
-            kinds |= {c.value for c in node.comparators if isinstance(c, ast.Constant)}
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "mode"):
-            ops.add(node.func.attr)
-    assert kinds == set(layers.KINDS)
+    """Every kind of ``layers.KINDS`` has a step, and ``Recorder``
+    (training) and ``PackedEval`` (eval) both implement every ``mode.<op>``
+    the steps call.  The benchmark splits the walker's span by the mode's
+    class-level ``train`` flag."""
+    ops = set()
+    for name, kind in layers.KINDS.items():
+        spec = layers.LayerSpec(name, **{f: _VALID[f] for f in kind.fields})
+        mode = _Ops()
+        x = np.zeros((4, 2))
+        assert kind.step(mode, x, spec, {}, None, "0.") is x, name
+        assert mode.called, f"{name}'s step calls no op"
+        ops |= mode.called
     assert {"conv", "fork", "join"} <= ops
     for mode, train in ((layers.Recorder, True), (layers.PackedEval, False)):
         missing = sorted(op for op in ops if not callable(getattr(mode, op, None)))
         assert not missing, f"{mode.__name__} lacks {missing}"
         assert mode.train is train
+
+
+def test_only_the_layers_and_model_modules_compare_a_layer_kind():
+    """``layers.KINDS`` is the one catalog of layer kinds: no module of
+    src/skillseq but ``layers`` (the table) and ``model`` (the head rule
+    of a bundle) compares a ``.kind`` attribute."""
+    found = []
+    for module, tree in _trees().items():
+        if module in ("layers", "model"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "kind"
+                    for side in (node.left, *node.comparators)):
+                found.append(f"{module}:{node.lineno}")
+    assert not found, f"a layer kind is compared outside layers and model: {found}"
 
 
 def test_one_training_loop_takes_data_not_callbacks():

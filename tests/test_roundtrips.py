@@ -7,6 +7,8 @@ values come back bit for bit.
 import hashlib
 import re
 import struct
+from dataclasses import asdict
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -281,6 +283,10 @@ def _null_minmax(meta):
     meta["minmax"] = None
 
 
+def _channels_on_a_selu(meta):
+    meta["groups"]["encoder"][2]["in_channels"] = 7
+
+
 @pytest.mark.parametrize("edit, message", [
     (_unknown_key, "bad metadata: 'groups.encoder[1].stride' is not a known key"),
     (_null_trainable, "bad metadata: 'trainable' must be {{\"encoder\":false,\"head\":true}} "
@@ -288,15 +294,17 @@ def _null_minmax(meta):
     (_string_groups, "bad metadata: 'groups' must be an object, got 'x'"),
     (_kernel_size_disagrees, "array 'encoder/1.w' has shape (3, 4, 6); its layer needs (1, 4, 6)"),
     (_short_mins,
-     "bad metadata: 'minmax.mins' must be a list of 4 values, each a number, got [{mins}]"),
+     "bad metadata: 'minmax.mins' must be a list of 4 values, each a number, got '[{mins}]'"),
     (_no_mode, "bad metadata: 'mode' is missing"),
     (_empty_range, "bad metadata: 'minmax.maxs[2]' must exceed minmax.mins[2] ({min2}) "
                    "for channel '{ch2}', got {min2}"),
     (_inverted_range, "bad metadata: 'minmax.maxs[1]' must exceed minmax.mins[1] ({min1}) "
                       "for channel '{ch1}', got -1.0"),
-    (_null_minmax, "bad metadata: 'minmax' must be an object, got None"),
+    (_null_minmax, "bad metadata: 'minmax' must be an object, got 'None'"),
+    (_channels_on_a_selu, "bad metadata: 'groups.encoder[2]' is not a valid layer: selu does "
+                          "not read in_channels, which must stay 0, got 7"),
 ], ids=["unknown-spec-key", "null-trainable", "string-groups", "kernel-size", "short-mins",
-        "no-mode", "empty-range", "inverted-range", "null-minmax"])
+        "no-mode", "empty-range", "inverted-range", "null-minmax", "channels-on-a-selu"])
 def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_path, capsys,
                                                             edit, message):
     bundle, manifest = skill_inputs
@@ -354,6 +362,61 @@ def test_metadata_the_mode_fixes_holds_nothing_else(small_classifier, small_regr
         assert err == (f"error: runtime: {path}: bad metadata: '{field}' must be {want} "
                        f"for mode '{kind}', got {quoted(bundle_format._canonical(meta[field]))}")
     assert not [out for out in ("skill", "records.csv", "cams.csv") if (tmp_path / out).exists()]
+
+
+def test_a_huge_bad_value_is_quoted_bounded(small_classifier, tmp_path):
+    """A bad metadata value is quoted shortened, however long it is."""
+    bundle = small_classifier[0]
+    meta = bundle_format._meta_dict(bundle)
+    meta["minmax"]["mins"] = [0.0] * 100_000
+    path = tmp_path / "skill.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(bundle, path)
+    with pytest.raises(BundleFormatError) as excinfo:
+        load_bundle(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: bad metadata: 'minmax.mins' must be a list of")
+    assert len(message) < 300
+
+
+def _drop_group(group):
+    return lambda meta, weights: meta["groups"].pop(group)
+
+
+def _second_dense(meta, weights):
+    meta["groups"]["head"].insert(5, asdict(LayerSpec("dense", in_channels=2, out_channels=2)))
+
+
+def _append_softmax(meta, weights):
+    meta["groups"]["head"].append(asdict(LayerSpec("softmax")))
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("classification", _drop_group("encoder"), "bundle must contain an encoder group"),
+    ("autoencoder", _drop_group("decoder"), "autoencoder bundle needs a decoder group"),
+    ("classification", _drop_group("head"), "classification bundle needs a head group"),
+    ("classification", _second_dense, "head must contain exactly one dense layer"),
+    ("classification", lambda meta, weights: meta["groups"]["head"].pop(),
+     "classification head must end in a 2-way softmax"),
+    ("regression", _append_softmax, "regression head must be a single linear unit"),
+    ("classification", lambda meta, weights: weights.pop("head/4.b"),
+     "missing weight array 'head/4.b'"),
+], ids=["no-encoder", "autoencoder-without-decoder", "no-head", "two-dense-layers",
+        "classifier-without-softmax", "regressor-with-softmax", "missing-array"])
+def test_a_bundle_the_model_refuses_is_a_format_error_naming_the_file(
+        small_classifier, small_regressor, small_dae, tmp_path, kind, edit, message):
+    """Groups, heads and arrays that ``ModelBundle`` refuses, read from a
+    written bundle file."""
+    bundle = {"classification": small_classifier, "regression": small_regressor,
+              "autoencoder": small_dae}[kind][0]
+    meta, weights = bundle_format._meta_dict(bundle), dict(bundle.weights)
+    edit(meta, weights)
+    path = tmp_path / "b.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(SimpleNamespace(weights=weights), path)
+    with pytest.raises(BundleFormatError) as excinfo:
+        load_bundle(path)
+    assert str(excinfo.value) == f"{path}: {message}"
 
 
 def test_a_regression_bundle_without_score_statistics_is_refused(small_regressor, tmp_path):
