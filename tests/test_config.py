@@ -291,6 +291,49 @@ def test_bad_config_file_is_a_usage_error(tiny_manifest, tmp_path, capsys, body,
     assert not (tmp_path / "run").exists()
 
 
+# --- one bad value per bounded setting: exit 2, naming the setting ---
+
+RECIPE_BOUNDS = [("learning_rate", "0"), ("max_epochs", "0"), ("patience", "0"),
+                 ("val_fraction", "0.5"), ("l2", "-1")]
+RUN_BOUNDS = (
+    [(f"{stage}_{name}", value) for stage in ("dae", "clf") for name, value in RECIPE_BOUNDS]
+    + [("dae_loss", "hinge"), ("dae_noise_sigma", "-1"), ("clf_class_weighting", "auto")]
+    + [(f"arch_{name}", "0") for name in ("enc_width", "emb_channels", "kernel_size",
+                                          "reduction", "clf_width", "clf_dilation")]
+    + [("arch_kernel_size", "4"), ("seed", "-1"), ("target_hz", "0"),
+       ("scheme", "stratified1"), ("mode", "pairs")])
+SYNTH_BOUNDS = [("n_subjects", "0"), ("trials_per_subject", "0"), ("pass_fraction", "1.5"),
+                ("sample_rate_hz", "0"), ("missing_fraction", "1"), ("subject_bias", "-1")]
+
+
+def refused(capsys, command, key, value, *argv):
+    """The last stderr line of ``command --key=value``, which must exit 2
+    without a traceback."""
+    rc = run_cli(command, *argv, "--" + key.replace("_", "-") + "=" + value)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error: usage: ")
+    return last
+
+
+@pytest.mark.parametrize("key, value", RUN_BOUNDS, ids=[f"{k}={v}" for k, v in RUN_BOUNDS])
+def test_a_run_setting_out_of_bounds_names_its_key(tiny_manifest, tmp_path, capsys, key, value):
+    last = refused(capsys, "evaluate", key, value, "--manifest", tiny_manifest,
+                   "--out", tmp_path / "run")
+    field = key.split("_", 1)[1] if key.startswith(("dae_", "clf_", "arch_")) else key
+    assert field in last
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", SYNTH_BOUNDS, ids=[f"{k}={v}" for k, v in SYNTH_BOUNDS])
+def test_a_generator_setting_out_of_bounds_names_its_key(tmp_path, capsys, key, value):
+    last = refused(capsys, "synth", key, value, "--out", tmp_path / "data")
+    assert key in last
+    assert not (tmp_path / "data").exists()
+
+
 HUGE = 131_073
 
 
