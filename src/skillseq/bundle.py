@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -172,7 +173,7 @@ def load_bundle(path):
         raise _truncated(body, 16, meta_len, "metadata")
     try:
         meta = json.loads(body[16:16 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8 or JSON, or an integer of too many digits
         raise BundleFormatError(f"{path}: bad metadata block ({e})")
     pos = 16 + meta_len
     if pos + 4 > len(body):
@@ -190,6 +191,7 @@ _META_FIELDS = ("class_names", "groups", "minmax", "mode", "score_stats", "train
 _STR = ((str,), "a string")
 _INT = ((int,), "an integer")
 _NUMBER = ((int, float), "a number")
+_FLOAT_MAX = sys.float_info.max
 _SPEC_FIELDS = {"kind": _STR, "in_channels": _INT, "out_channels": _INT, "kernel_size": _INT,
                 "dilation": _INT, "reduction": _INT, "sigma": _NUMBER}
 
@@ -202,7 +204,7 @@ class _MetaCheck:
         self.path = path
 
     def fault(self, field, problem):
-        return BundleFormatError(f"{self.path}: bad metadata: '{field}' {problem}")
+        return BundleFormatError(f"{self.path}: bad metadata: {quoted(field)} {problem}")
 
     def obj(self, field, value, keys=None):
         """``value`` as an object; with ``keys``, holding exactly those."""
@@ -218,21 +220,22 @@ class _MetaCheck:
         return value
 
     def typed(self, field, value, kind):
-        types, what = kind
-        if type(value) not in types:
-            raise self.fault(field, f"must be {what}, got {quoted(value)}")
+        """``value`` of ``kind``; a number fits a float, as a JSON integer need not."""
+        if type(value) not in kind[0]:
+            raise self.fault(field, f"must be {kind[1]}, got {quoted(value)}")
+        if kind is _NUMBER and type(value) is int and abs(value) > _FLOAT_MAX:
+            raise self.fault(field, f"must fit a float, got {quoted(value)}")
         return value
 
     def items(self, field, value, kind, n=None):
         """A list of ``kind`` values (``n`` of them, if given)."""
-        types, what = kind
         if type(value) is not list or n is not None and len(value) != n:
             count = "" if n is None else f"{n} "
-            raise self.fault(field, f"must be a list of {count}values, each {what}, "
+            raise self.fault(field, f"must be a list of {count}values, each {kind[1]}, "
                                     f"got {quoted(value)}")
         for i, v in enumerate(value):
-            if type(v) not in types:
-                raise self.fault(f"{field}[{i}]", f"must be {what}, got {quoted(v)}")
+            if type(v) not in kind[0] or type(v) is int and abs(v) > _FLOAT_MAX:
+                self.typed(f"{field}[{i}]", v, kind)  # raises
         return value
 
     def spec(self, field, d):
@@ -269,10 +272,11 @@ def _bundle(path, meta, weights):
     n = len(channels)
     mins = check.items("minmax.mins", minmax["mins"], _NUMBER, n)
     maxs = check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
-    for i in range(n):  # apply_minmax divides by the range
-        if not maxs[i] > mins[i]:
+    for i in range(n):  # apply_minmax divides by the range; each end fits a float
+        low, high = float(mins[i]), float(maxs[i])
+        if not high > low:
             raise check.fault(f"minmax.maxs[{i}]", f"must exceed minmax.mins[{i}] "
-                              f"({mins[i]!r}) for channel '{channels[i]}', got {maxs[i]!r}")
+                              f"({low!r}) for channel {quoted(channels[i])}, got {high!r}")
     check.items("minmax.source_ids", minmax["source_ids"], _STR)
     minmax = MinMaxStats.from_dict(minmax)
     stats = meta["score_stats"]

@@ -25,11 +25,14 @@ command, an option first) gets the whole tree, so top-level help and
 error text are complete.  Help, usage and error output are byte-for-byte
 those of a parser built whole.
 
-Run-key flags, config files and run.cfg share one key table
-(``config.RUN_KEYS``).  Settings resolve as flags > config file >
-defaults, with the SKILLSEQ_SEED environment variable as the weakest
-seed source.  Run directories are self-contained: the persisted snapshot
-plus manifest reproduce every report byte for byte.
+Each setting is declared and bounded once, as a field of a settings
+dataclass in ``config``, which gives its flag, its config-file key and
+its run.cfg line.  Settings resolve as flags > config file > defaults,
+with the SKILLSEQ_SEED environment variable as the weakest seed source;
+every settings error names the key and where its value came from (file
+and line, flag, environment variable or default).  The other checked
+flags state their bounds in the same words.  Run directories are
+self-contained: the snapshot plus manifest reproduce every report.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .bundle import load_bundle, save_bundle
 from .config import (
     RUN_KEYS,
     SYNTH_KEYS,
+    Bound,
     ConfigError,
-    RunSettings,
     add_key_flags,
     flag_values,
     read_config_file,
@@ -139,7 +142,8 @@ def _model_inputs(args, bundle):
     """Downsampled trials of --manifest at --target-hz, checked against the
     bundle's channels, plus the dataset they came from."""
     _require_file(args.manifest, "manifest")
-    target_hz = flag_values(args, _SCORING_KEYS).get("target_hz", RunSettings.target_hz)
+    target_hz = resolve_run_config(from_flags=flag_values(args, _SCORING_KEYS),
+                                   env={}).settings.target_hz
     dataset = load_manifest(args.manifest)
     trials = prepare_dataset(dataset, target_hz, args.manifest).trials
     _check_channels(bundle, args.bundle, trials, args.manifest)
@@ -367,23 +371,25 @@ def _cmd_gradcheck(args):
 # ---------------------------------------------------------------------------
 
 
-def _checked(parse, ok, expected):
-    """An argparse ``type=``: ``parse`` the value, which must satisfy ``ok``;
-    anything else is a usage error saying what was ``expected``."""
+def _checked(parse, what, **bound):
+    """An argparse ``type=``: ``parse`` the value, which must be finite and
+    keep the ``config.Bound``; anything else is a usage error."""
+    bound = Bound(**bound)
+
     def check(raw):
         try:
             value = parse(raw)
         except ValueError:
             value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {quoted(raw)}")
+        if value is None or not (math.isfinite(value) and bound.holds(value)):
+            raise argparse.ArgumentTypeError(f"expected {what} {bound.text}, got {quoted(raw)}")
         return value
     return check
 
 
-_EXPONENT = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_EXPONENT = _checked(float, "a finite number", above=0)
+_COUNT = _checked(int, "an integer", at_least=1)
+_SEED = _checked(int, "an integer", at_least=0)
 
 
 def _opt(*names, **kwargs):

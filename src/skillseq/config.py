@@ -1,96 +1,216 @@
-"""Run and generator settings: one key table for flags, files and run.cfg.
+"""Run and generator settings: one schema for flags, files and run.cfg.
 
-``RUN_KEYS`` is the single declaration of every run key: its name, how
-its text parses, and which part of ``RunSettings`` it fills.  From that
-table come the ``--key`` flags of the run commands, the typed reading of
-config files, and the writing and strict reading of a run directory's
-``run.cfg`` snapshot.  ``SYNTH_KEYS`` plays the same part for the
-synthetic generator's ``SynthSpec``.
+Each setting is declared once, as a field of a settings dataclass
+(``RunSettings`` with its parts ``DaeConfig``, ``HeadConfig`` and
+``ArchConfig``; the generator's ``SynthSpec``) that states its default
+and its bound: ``learning_rate: float = setting(0.001, above=0)``.  One
+check enforces every bound when a settings object is built, raising a
+``SettingError`` that names the field; only rules across fields are
+written out.  The key tables ``RUN_KEYS`` and ``SYNTH_KEYS`` come from
+the fields: key ``<part>_<field>`` (``dae_learning_rate``, or ``seed``
+for a field of the settings object itself), parsed as the default's type
+says.  Only ``manifest``, ``out``, ``dataset_sha256``, the
+``classify``/``regress`` spellings of ``mode`` and the dropped
+``clf_loss`` are written out.  The tables give the ``--key`` flags, the
+typed reading of config files, and the writing and strict reading of a
+run's ``run.cfg``.
 
 Config files are UTF-8 text, one ``key = value`` per line; blank lines
-and lines starting with ``#`` are ignored.  Values resolve with flag >
-file > default precedence; the seed additionally falls back to the
-SKILLSEQ_SEED environment variable before its built-in default, so a
-shell can pin reproducibility without touching files or flags.  The
-table only parses text; the dataclasses the values fill (``RunSettings``,
-``DaeConfig``, ``HeadConfig``, ``ArchConfig``, ``SynthSpec``) validate
-them.  Every diagnostic names the offending key and, for file input, the
-file and line.
-
-The head's loss is no key: ``training.HEAD_LOSS`` takes it from the
-mode.  A ``clf_loss`` line of an older file reads only if it names it.
+and lines starting with ``#`` are ignored.  Values resolve as flag >
+file > default; the seed falls back to the SKILLSEQ_SEED environment
+variable before its default.  Each value keeps its origin (``<file>
+line <n>``, ``flag --x``, ``environment SKILLSEQ_SEED`` or ``default``),
+and every settings error names the key and its origin, and the origin
+of each other key that a rule across fields read.  The head's loss is
+no key: ``HEAD_LOSS`` takes it from the mode, and an older file's
+``clf_loss`` line reads only if it names it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import read_text
-from .model import ArchConfig
 from .reports import quoted
-from .synth import SynthSpec
-from .training import HEAD_LOSS, DaeConfig, HeadConfig
 
-__all__ = [
-    "ConfigError",
-    "Key",
-    "RUN_KEYS",
-    "SYNTH_KEYS",
-    "RunSettings",
-    "RunConfig",
-    "parse_scheme",
-    "add_key_flags",
-    "flag_values",
-    "read_config_file",
-    "resolve_run_config",
-    "resolve_synth_spec",
-    "write_run_cfg",
-    "read_run_cfg",
-    "SEED_ENV_VAR",
-]
+__all__ = ["ConfigError", "SettingError", "Bound", "setting", "HEAD_LOSS", "DaeConfig",
+           "HeadConfig", "ArchConfig", "RunSettings", "SynthSpec", "RunConfig", "Key",
+           "RUN_KEYS", "SYNTH_KEYS", "parse_scheme", "add_key_flags", "flag_values",
+           "read_config_file", "resolve_run_config", "resolve_synth_spec", "write_run_cfg",
+           "read_run_cfg", "SEED_ENV_VAR"]
 
 SEED_ENV_VAR = "SKILLSEQ_SEED"
 
+# a skill head's mode fixes its loss: cosine to one-hot classes, mse to z-scores
+HEAD_LOSS = {"classification": "cosine", "regression": "mse"}
+
 
 class ConfigError(ValueError):
-    """Bad configuration input; the message names key and location."""
+    """Bad configuration input; the message names the key and its origin."""
+
+
+class SettingError(ValueError):
+    """A settings value that breaks a rule.  ``names`` are the fields the
+    rule read, the refused one first; ``problem`` says what is wrong."""
+
+    def __init__(self, names, problem):
+        super().__init__(f"{names[0]} {problem}")
+        self.names, self.problem = names, problem
 
 
 def parse_scheme(token):
-    """'stratified<k>' | 'loso' | 'louo' -> (kind, k or None)."""
+    """'stratified<k>' (k >= 2) | 'loso' | 'louo' -> (kind, k or None);
+    None for any other token."""
     if token in ("loso", "louo"):
         return token, None
-    if token.startswith("stratified"):
-        tail = token[len("stratified"):]
-        if tail.isdigit() and int(tail) >= 2:
-            return "stratified", int(tail)
-    raise ValueError(
-        f"unrecognized scheme {quoted(token)} (expected stratified<k>, loso, or louo)"
-    )
+    tail = token[len("stratified"):]
+    if token.startswith("stratified") and tail.isdigit() and int(tail) >= 2:
+        return "stratified", int(tail)
+    return None
+
+
+# a limit's Bound field, its sign, and its test
+_LIMITS = (("above", ">", operator.gt), ("at_least", ">=", operator.ge),
+           ("below", "<", operator.lt), ("at_most", "<=", operator.le))
 
 
 @dataclass(frozen=True)
-class RunSettings:
-    """Everything that determines a run besides the dataset itself."""
+class Bound:
+    """What a setting's value must be: within its limits (``above`` and
+    ``below`` exclusive, ``at_least`` and ``at_most`` inclusive) and odd
+    if ``odd``; one of ``among``; or passing ``rule``, a ``(test, text)``
+    pair.  A tuple value is a low,high pair: low <= high, and each end
+    keeps the bound."""
 
-    mode: str = "classification"
-    scheme: str = "stratified10"
-    seed: int = 0
-    dae: DaeConfig = field(default_factory=DaeConfig)
-    clf: HeadConfig = field(default_factory=HeadConfig)
-    target_hz: float = 1.0
-    arch: ArchConfig = field(default_factory=ArchConfig)
+    above: float | None = None
+    at_least: float | None = None
+    below: float | None = None
+    at_most: float | None = None
+    odd: bool = False
+    among: tuple = ()
+    rule: tuple | None = None
+
+    def holds(self, value):
+        if isinstance(value, tuple):
+            return len(value) == 2 and value[0] <= value[1] and all(map(self.holds, value))
+        if self.among or self.rule:
+            return value in self.among if self.among else self.rule[0](value)
+        return (all(test(value, getattr(self, name)) for name, _, test in _LIMITS
+                    if getattr(self, name) is not None)
+                and (not self.odd or value % 2 == 1))
+
+    @property
+    def text(self):
+        """The bound in words: '> 0', 'odd and >= 1', 'bce or mse', ..."""
+        if self.among or self.rule:
+            return " or ".join(self.among) if self.among else self.rule[1]
+        return " and ".join(["odd"] * self.odd + [f"{sign} {getattr(self, name)}"
+                                                  for name, sign, _ in _LIMITS
+                                                  if getattr(self, name) is not None])
+
+
+def setting(default, parse=None, **bound):
+    """A settings field: its default and its ``Bound``.  Its key's text
+    parses as the type of the default says, unless ``parse`` is given."""
+    return field(default=default, metadata={"bound": Bound(**bound), "parse": parse})
+
+
+class _Checked:
+    """Base of the settings dataclasses: building one checks the bound of
+    every field, raising SettingError for the first field that breaks it.
+    The message shows a refused number or pair as written, text quoted."""
 
     def __post_init__(self):
-        if self.mode not in ("classification", "regression"):
-            raise ValueError(f"mode must be classification or regression, got {quoted(self.mode)}")
-        parse_scheme(self.scheme)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.target_hz <= 0:
-            raise ValueError("target_hz must be > 0")
+        for f in fields(self):
+            bound, value = f.metadata.get("bound"), getattr(self, f.name)
+            if bound is not None and not bound.holds(value):
+                want = f"low <= high, each {bound.text}" if isinstance(value, tuple) else bound.text
+                shown = quoted(value) if isinstance(value, str) or len(str(value)) > 40 else value
+                raise SettingError((f.name,), f"must be {want}, got {shown}")
+
+
+@dataclass(frozen=True)
+class DaeConfig(_Checked):
+    """The denoising autoencoder's recipe."""
+
+    learning_rate: float = setting(0.001, above=0)
+    max_epochs: int = setting(100, at_least=1)
+    patience: int = setting(4, at_least=1)
+    loss: str = setting("bce", among=("bce", "mse"))
+    l2: float = setting(1e-5, at_least=0)
+    noise_sigma: float = setting(0.001, at_least=0)
+    val_fraction: float = setting(0.1, above=0, below=0.5)
+
+
+@dataclass(frozen=True)
+class HeadConfig(_Checked):
+    """The skill head's recipe over a frozen encoder; its mode fixes its loss."""
+
+    learning_rate: float = setting(0.0002, above=0)
+    max_epochs: int = setting(300, at_least=1)
+    patience: int = setting(20, at_least=1)
+    l2: float = setting(1e-5, at_least=0)
+    val_fraction: float = setting(0.1, above=0, below=0.5)
+    class_weighting: str = setting("balanced", among=("balanced", "none"))
+
+
+@dataclass(frozen=True)
+class ArchConfig(_Checked):
+    """Width/shape knobs for the default architecture."""
+
+    enc_width: int = setting(16, at_least=1)
+    emb_channels: int = setting(8, at_least=1)
+    kernel_size: int = setting(5, at_least=1, odd=True)
+    reduction: int = setting(2, at_least=1)
+    clf_width: int = setting(16, at_least=1)
+    clf_dilation: int = setting(2, at_least=1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("enc_width", "clf_width"):
+            width = getattr(self, name)
+            if width % self.reduction != 0:
+                raise SettingError(("reduction", name),
+                                   f"must divide {name} {width}, got {self.reduction}")
+
+
+def _parse_mode(raw):
+    return {"classify": "classification", "regress": "regression"}.get(raw, raw)
+
+
+@dataclass(frozen=True)
+class RunSettings(_Checked):
+    """Everything that determines a run besides the dataset itself."""
+
+    mode: str = setting("classification", _parse_mode, among=("classification", "regression"))
+    scheme: str = setting("stratified10",
+                          rule=(parse_scheme, "stratified<k> (k >= 2), loso or louo"))
+    seed: int = setting(0, at_least=0)
+    target_hz: float = setting(1.0, above=0)
+    dae: DaeConfig = field(default_factory=DaeConfig)
+    clf: HeadConfig = field(default_factory=HeadConfig)
+    arch: ArchConfig = field(default_factory=ArchConfig)
+
+
+@dataclass(frozen=True)
+class SynthSpec(_Checked):
+    """Generator configuration; every field has a stable default."""
+
+    n_subjects: int = setting(20, at_least=1)
+    trials_per_subject: int = setting(100, at_least=1)
+    pass_fraction: float = setting(0.9, at_least=0, at_most=1)
+    seed: int = setting(0, at_least=0)
+    sample_rate_hz: float = setting(1.0, above=0)
+    missing_fraction: float = setting(0.01, at_least=0, below=1)
+    distractor_prob: float = setting(0.40, at_least=0, at_most=1)
+    subject_bias: float = setting(1.0, at_least=0)
+    pass_duration: tuple = setting((40.0, 95.0), above=0)
+    fail_duration: tuple = setting((150.0, 210.0), above=0)
+    pass_jitter: float = setting(2.5, at_least=0)
+    fail_jitter: float = setting(12.0, at_least=0)
 
 
 @dataclass(frozen=True)
@@ -126,10 +246,6 @@ def _parse_sha256(raw):
     return raw
 
 
-def _parse_mode(raw):
-    return {"classify": "classification", "regress": "regression"}.get(raw, raw)
-
-
 def _parse_pair(raw):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
@@ -137,18 +253,16 @@ def _parse_pair(raw):
     return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
+_PARSERS = {int: _parse_int, float: _parse_float, str: str, tuple: _parse_pair}
+
+
 @dataclass(frozen=True)
 class Key:
-    """One settings key.
-
-    ``parse`` turns the key's text into a value (ValueError on bad text).
-    ``part`` says which field the key fills: "" the RunSettings field of
-    the same name, "dae"/"clf"/"arch" the field of that sub-config named
-    by the rest of the key, None the RunConfig field of the same name.
-    ``flag`` keys get a ``--key-name`` flag.  ``snapshot`` says how
-    run.cfg holds the key: "required", "optional", "never", or "dropped"
-    (only older files hold it; ``value`` keeps its text and where it was read).
-    """
+    """One settings key: ``parse`` turns its text into a value (ValueError
+    on bad text); ``part`` names the part whose field it fills ("" the
+    settings object's own, None the RunConfig's); a ``flag`` key gets a
+    ``--key-name`` flag; ``snapshot`` says how run.cfg holds it:
+    "required", "optional", "never", or "dropped" (older files only)."""
 
     name: str
     parse: object = str
@@ -168,63 +282,36 @@ class Key:
         """Canonical text of a value; floats keep every digit."""
         return repr(float(value)) if self.parse is _parse_float else str(value)
 
-    def value(self, raw, where):
-        if self.snapshot == "dropped":
-            return raw, where
+    def value(self, raw, origin):
         try:
             return self.parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ConfigError(f"{origin}: key '{self.name}': {exc}") from None
 
 
-def _table(*keys):
-    return {k.name: k for k in keys}
+def _key_name(part, attr):
+    return f"{part}_{attr}" if part else attr
 
 
-RUN_KEYS = _table(
+def _keys(settings, part=""):
+    """A key per field of a settings class, a part's fields in its place."""
+    for f in fields(settings):
+        if f.default_factory is not MISSING:
+            yield from _keys(f.default_factory, f.name)
+        else:
+            yield Key(_key_name(part, f.name),
+                      f.metadata["parse"] or _PARSERS[type(f.default)], part)
+
+
+RUN_KEYS = {k.name: k for k in (
     Key("manifest", part=None, snapshot="optional"),
     Key("out", part=None, snapshot="never"),
     Key("dataset_sha256", _parse_sha256, part=None, flag=False),
-    Key("mode", _parse_mode),
-    Key("scheme"),
-    Key("seed", _parse_int),
-    Key("target_hz", _parse_float),
-    Key("dae_learning_rate", _parse_float, "dae"),
-    Key("dae_max_epochs", _parse_int, "dae"),
-    Key("dae_patience", _parse_int, "dae"),
-    Key("dae_loss", str, "dae"),
-    Key("dae_l2", _parse_float, "dae"),
-    Key("dae_noise_sigma", _parse_float, "dae"),
-    Key("dae_val_fraction", _parse_float, "dae"),
-    Key("clf_learning_rate", _parse_float, "clf"),
-    Key("clf_max_epochs", _parse_int, "clf"),
-    Key("clf_patience", _parse_int, "clf"),
-    Key("clf_l2", _parse_float, "clf"),
-    Key("clf_val_fraction", _parse_float, "clf"),
-    Key("clf_class_weighting", str, "clf"),
-    Key("arch_enc_width", _parse_int, "arch"),
-    Key("arch_emb_channels", _parse_int, "arch"),
-    Key("arch_kernel_size", _parse_int, "arch"),
-    Key("arch_reduction", _parse_int, "arch"),
-    Key("arch_clf_width", _parse_int, "arch"),
-    Key("arch_clf_dilation", _parse_int, "arch"),
+    *_keys(RunSettings),
     Key("clf_loss", flag=False, snapshot="dropped"),
-)
+)}
 
-SYNTH_KEYS = _table(
-    Key("n_subjects", _parse_int),
-    Key("trials_per_subject", _parse_int),
-    Key("pass_fraction", _parse_float),
-    Key("seed", _parse_int),
-    Key("sample_rate_hz", _parse_float),
-    Key("missing_fraction", _parse_float),
-    Key("distractor_prob", _parse_float),
-    Key("subject_bias", _parse_float),
-    Key("pass_duration", _parse_pair),
-    Key("fail_duration", _parse_pair),
-    Key("pass_jitter", _parse_float),
-    Key("fail_jitter", _parse_float),
-)
+SYNTH_KEYS = {k.name: k for k in _keys(SynthSpec)}
 
 
 def add_key_flags(parser, keys):
@@ -241,13 +328,15 @@ def flag_values(args, keys):
             if key.flag and getattr(args, key.name, None) is not None}
 
 
-def _read_pairs(path, keys):
-    """key -> (typed value, line); duplicates, unknown keys, junk rejected."""
+def read_config_file(path, keys):
+    """``{key: (typed value, origin)}`` of a config file over the given key
+    table, the origin ``<path> line <n>``; duplicates, unknown keys and
+    junk are rejected."""
     try:
         text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    pairs = {}
+    pairs, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -261,68 +350,78 @@ def _read_pairs(path, keys):
             raise ConfigError(f"{where}: empty key")
         if name in pairs:
             raise ConfigError(
-                f"{where}: duplicate key '{name}' (first set on line {pairs[name][1]})"
+                f"{where}: duplicate key '{name}' (first set on line {lines[name]})"
             )
         if name not in keys:
             raise ConfigError(f"{where}: unknown key {quoted(name)}")
-        pairs[name] = (keys[name].value(raw.strip(), f"{where}: key '{name}'"), ln)
+        pairs[name], lines[name] = (keys[name].value(raw.strip(), where), where), ln
     return pairs
 
 
-def read_config_file(path, keys):
-    """Typed ``{key: value}`` of a config file over the given key table."""
-    return {name: value for name, (value, _) in _read_pairs(path, keys).items()}
-
-
 def _layered(keys, from_file, from_flags, env):
+    """``{key: (value, origin)}``: flags over the file over the seed's
+    environment variable."""
     env = os.environ if env is None else env
     values = {}
     if env.get(SEED_ENV_VAR) is not None:
-        values["seed"] = keys["seed"].value(env[SEED_ENV_VAR], f"environment {SEED_ENV_VAR}")
+        origin = f"environment {SEED_ENV_VAR}"
+        values["seed"] = (keys["seed"].value(env[SEED_ENV_VAR], origin), origin)
     values.update(from_file or {})
-    values.update(from_flags or {})
+    values.update({name: (value, f"flag {keys[name].option}")
+                   for name, value in (from_flags or {}).items()})
     return values
 
 
-def _run_config(values, prefix=""):
-    """The RunConfig of typed key values (consumed; an older file's
-    ``clf_loss`` must name the mode's loss); a ConfigError starts with ``prefix``."""
-    head_loss = values.pop("clf_loss", None)
-    parts = {None: {}, "": {}, "dae": {}, "clf": {}, "arch": {}}
-    for name, value in values.items():
-        key = RUN_KEYS[name]
-        parts[key.part][key.attr] = value
-    built = {}
-    for part, make in (("dae", DaeConfig), ("clf", HeadConfig), ("arch", ArchConfig)):
-        try:
-            built[part] = make(**parts[part])
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}{part} settings: {exc}") from None
+def _refused(sourced, names, problem):
+    """ConfigError for ``problem`` of the key ``names[0]``, naming where it
+    and each other key the rule read were set."""
+    first, *rest = [f"{sourced[n][1] if n in sourced else 'default'}: key '{n}'"
+                    for n in names]
+    return ConfigError(f"{first}: {problem}" + (f" ({'; '.join(rest)})" if rest else ""))
+
+
+def _build(settings, sourced, part=""):
+    """A ``settings`` object of the ``{key: (value, origin)}`` values of its
+    fields, the rest at their defaults; a SettingError becomes a
+    ConfigError naming each key it read and where that key was set."""
+    given = {}
+    for f in fields(settings):
+        name = _key_name(part, f.name)
+        if f.default_factory is not MISSING:
+            given[f.name] = _build(f.default_factory, sourced, f.name)
+        elif name in sourced:
+            given[f.name] = sourced[name][0]
     try:
-        settings = RunSettings(**parts[""], **built)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
-    if head_loss is not None and head_loss[0] != HEAD_LOSS[settings.mode]:
-        raise ConfigError(f"{head_loss[1]}: a {settings.mode} head trains on "
-                          f"{HEAD_LOSS[settings.mode]} loss, not {quoted(head_loss[0])}")
-    return RunConfig(settings, **parts[None])
+        return settings(**given)
+    except SettingError as exc:
+        raise _refused(sourced, [_key_name(part, n) for n in exc.names], exc.problem) from None
+
+
+def _run_config(sourced):
+    """The RunConfig of ``{key: (value, origin)}``; an older file's
+    ``clf_loss`` must name the mode's loss."""
+    settings = _build(RunSettings, sourced)
+    head_loss, want = sourced.get("clf_loss", (None,))[0], HEAD_LOSS[settings.mode]
+    if head_loss not in (None, want):
+        raise _refused(sourced, ["clf_loss", "mode"], f"a {settings.mode} head trains on "
+                       f"{want} loss, not {quoted(head_loss)}")
+    return RunConfig(settings, **{name: value for name, (value, _) in sourced.items()
+                                  if RUN_KEYS[name].part is None})
 
 
 def resolve_run_config(from_file=None, from_flags=None, env=None):
-    """Resolve an evaluation run from typed file and flag values.
+    """Resolve an evaluation run from ``read_config_file``'s values and
+    ``flag_values``' typed flag values.
 
     Keys left unset take the defaults of the dataclasses they fill; the
-    head's loss is ``training.HEAD_LOSS`` of the mode, no key.
+    head's loss is ``HEAD_LOSS`` of the mode, no key.
     """
     return _run_config(_layered(RUN_KEYS, from_file, from_flags, env))
 
 
 def resolve_synth_spec(from_file=None, from_flags=None, env=None):
     """Resolve a generator spec with the same precedence rules."""
-    try:
-        return SynthSpec(**_layered(SYNTH_KEYS, from_file, from_flags, env))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"generator settings: {exc}") from None
+    return _build(SynthSpec, _layered(SYNTH_KEYS, from_file, from_flags, env))
 
 
 def write_run_cfg(path, run):
@@ -348,8 +447,8 @@ def read_run_cfg(path):
     Every required snapshot key must be present; keys run.cfg never
     holds are rejected like unknown ones.
     """
-    pairs = _read_pairs(path, {n: k for n, k in RUN_KEYS.items() if k.snapshot != "never"})
+    pairs = read_config_file(path, {n: k for n, k in RUN_KEYS.items() if k.snapshot != "never"})
     for key in RUN_KEYS.values():
         if key.snapshot == "required" and key.name not in pairs:
             raise ConfigError(f"{path}: run settings missing key '{key.name}'")
-    return _run_config({name: value for name, (value, _) in pairs.items()}, f"{path}: ")
+    return _run_config(pairs)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ArchConfig
 from .data import (DOWNSAMPLED, PASS_FAIL, RAW, Dataset, MinMaxStats, ScoreStats,
                    apply_minmax, invert_znorm, prepare_stage2)
 from .layers import (KINDS, SEQUENCE, VECTOR, LayerSpec, forward_packed, init_stack_params,
@@ -62,31 +63,6 @@ __all__ = [
 ]
 
 MODES = ("autoencoder", "classification", "regression")
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    """Width/shape knobs for the default architecture."""
-
-    enc_width: int = 16
-    emb_channels: int = 8
-    kernel_size: int = 5
-    reduction: int = 2
-    clf_width: int = 16
-    clf_dilation: int = 2
-
-    def __post_init__(self):
-        for name in ("enc_width", "emb_channels", "clf_width", "clf_dilation"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
-        if self.reduction < 1:
-            raise ValueError(f"reduction must be >= 1, got {self.reduction}")
-        for name in ("enc_width", "clf_width"):
-            width = getattr(self, name)
-            if width % self.reduction != 0:
-                raise ValueError(f"reduction {self.reduction} must divide {name} {width}")
 
 
 def encoder_specs(arch, n_channels, noise_sigma=0.001):

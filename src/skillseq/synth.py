@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SynthSpec
 from .data import Trial, RAW, write_trial_csv, write_manifest
 from .seeding import make_rng, PURPOSE
 
@@ -47,36 +48,6 @@ _TIME_W = 0.45
 _ROUGH_W = 2.2
 _ROUGH_CAP = 60.0
 _TRIM_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Generator configuration; every field has a stable default."""
-
-    n_subjects: int = 20
-    trials_per_subject: int = 100
-    pass_fraction: float = 0.9
-    seed: int = 0
-    sample_rate_hz: float = 1.0
-    missing_fraction: float = 0.01
-    distractor_prob: float = 0.40
-    subject_bias: float = 1.0
-    pass_duration: tuple = (40.0, 95.0)
-    fail_duration: tuple = (150.0, 210.0)
-    pass_jitter: float = 2.5
-    fail_jitter: float = 12.0
-
-    def __post_init__(self):
-        if self.n_subjects < 1 or self.trials_per_subject < 1:
-            raise ValueError("n_subjects and trials_per_subject must be >= 1")
-        if not 0.0 <= self.pass_fraction <= 1.0:
-            raise ValueError(f"pass_fraction must lie in [0, 1], got {self.pass_fraction}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be > 0")
-        if not 0.0 <= self.missing_fraction < 1.0:
-            raise ValueError("missing_fraction must lie in [0, 1)")
-        if self.subject_bias < 0.0:
-            raise ValueError("subject_bias must be >= 0")
 
 
 def score_trajectory(values, sample_rate_hz):
@@ -206,8 +177,8 @@ def _trial_values(rng, regime, subj, spec):
     n_moves = int(rng.integers(4, 8)) if busy else int(rng.integers(1, 3))
     grasper = np.empty((T, 2))
     pos = np.asarray(subj.corner) + rng.uniform(-20.0, 20.0, size=2)
-    move_starts = np.sort(rng.choice(np.arange(n_app, max(n_app + 1, T - n_ret - 5)),
-                                     size=min(n_moves, T - n_app - 6) or 1, replace=False))
+    starts = np.arange(n_app, max(n_app + 1, T - n_ret - 5))
+    move_starts = np.sort(rng.choice(starts, size=min(n_moves, len(starts)), replace=False))
     t = 0
     for ms in move_starts:
         ms = int(ms)

@@ -41,74 +41,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as tz
+from .config import HEAD_LOSS, ArchConfig, DaeConfig, HeadConfig
 from .data import apply_minmax, fit_minmax, fit_znorm, apply_znorm, one_hot, class_weights
 from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packed,
                      forward_stack)
-from .model import (ArchConfig, ModelBundle, build_classifier, encoder_specs,
-                    decoder_specs, encode_many, normalize_for_model)
+from .model import (ModelBundle, build_classifier, encoder_specs, decoder_specs, encode_many,
+                    normalize_for_model)
 from .optim import AdamState, adam_step_masked
-from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
 __all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "HEAD_LOSS", "train_dae",
            "train_supervised", "train_classifier"]
-
-# a skill head's mode fixes its loss: cosine to one-hot classes, mse to z-scores
-HEAD_LOSS = {"classification": "cosine", "regression": "mse"}
-
-
-def _check_recipe(config):
-    """The checks both stages' recipes share."""
-    if config.learning_rate <= 0:
-        raise ValueError(f"learning_rate must be > 0, got {config.learning_rate}")
-    if config.max_epochs < 1:
-        raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
-    if config.patience < 1:
-        raise ValueError(f"patience must be >= 1, got {config.patience}")
-    if not 0.0 < config.val_fraction < 0.5:
-        raise ValueError(f"val_fraction must lie in (0, 0.5), got {config.val_fraction}")
-    if config.l2 < 0:
-        raise ValueError(f"l2 must be >= 0, got {config.l2}")
-
-
-@dataclass(frozen=True)
-class DaeConfig:
-    """The denoising autoencoder's recipe."""
-
-    learning_rate: float = 0.001
-    max_epochs: int = 100
-    patience: int = 4
-    loss: str = "bce"
-    l2: float = 1e-5
-    noise_sigma: float = 0.001
-    val_fraction: float = 0.1
-
-    def __post_init__(self):
-        _check_recipe(self)
-        if self.loss not in ("bce", "mse"):
-            raise ValueError("loss must be bce or mse, not " + (
-                "cosine, which compares vectors, not sequences" if self.loss == "cosine"
-                else quoted(self.loss)))
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-
-
-@dataclass(frozen=True)
-class HeadConfig:
-    """The skill head's recipe over a frozen encoder; its mode fixes its loss."""
-
-    learning_rate: float = 0.0002
-    max_epochs: int = 300
-    patience: int = 20
-    l2: float = 1e-5
-    val_fraction: float = 0.1
-    class_weighting: str = "balanced"
-
-    def __post_init__(self):
-        _check_recipe(self)
-        if self.class_weighting not in ("balanced", "none"):
-            raise ValueError(f"class_weighting must be balanced or none, "
-                             f"got {quoted(self.class_weighting)}")
 
 
 @dataclass

@@ -47,7 +47,7 @@ GOLDEN = {
         "cam --help":
             "252626804de85c5eccbc57804c0ee51d5961b3e247bb646ede9334048dd606c1",
         "evaluate --arch-kernel-size 4":
-            "b06e0b19b36ae6bed0e1a540c08bad7107d2dcb7c264923a9776bd960213c64b",
+            "9aaf45839e0beb734381fa445070f8cb5dd3cc3df941284f1643abd59f56aedb",
         "evaluate --help":
             "5c19eb37e4f41efa7a9c042e787879d5cb61c205ebe181f8ae66fcc4d635f48d",
         "gradcheck --help":

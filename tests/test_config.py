@@ -1,7 +1,9 @@
 """Run settings: the run.cfg snapshot, source precedence, config-file
 errors, and replay of a finished run, mostly driven through the CLI."""
 
+import dataclasses
 import os
+import re
 import shutil
 import tempfile
 
@@ -11,7 +13,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from skillseq import crossval
 from skillseq.cli import dispatch
-from skillseq.config import RunConfig, RunSettings, read_run_cfg, write_run_cfg
+from skillseq.config import (RUN_KEYS, SYNTH_KEYS, RunConfig, RunSettings, SynthSpec,
+                             read_config_file, read_run_cfg, resolve_run_config, write_run_cfg)
 from skillseq.data import load_manifest, parse_trial_csv, write_trial_csv
 from skillseq.folds import Fold, FoldAssignment
 from skillseq.model import ArchConfig, prepare_dataset
@@ -228,8 +231,7 @@ def test_dae_cosine_loss_is_a_usage_error(tiny_manifest, tmp_path, capsys, comma
                  "--dae-loss", "cosine")
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        "error: usage: dae settings: loss must be bce or mse, not cosine, which compares "
-        "vectors, not sequences")
+        "error: usage: flag --dae-loss: key 'dae_loss': must be bce or mse, got 'cosine'")
     assert not (tmp_path / "run").exists()
 
 
@@ -303,35 +305,152 @@ RUN_BOUNDS = (
     + [("arch_kernel_size", "4"), ("seed", "-1"), ("target_hz", "0"),
        ("scheme", "stratified1"), ("mode", "pairs")])
 SYNTH_BOUNDS = [("n_subjects", "0"), ("trials_per_subject", "0"), ("pass_fraction", "1.5"),
-                ("sample_rate_hz", "0"), ("missing_fraction", "1"), ("subject_bias", "-1")]
+                ("sample_rate_hz", "0"), ("missing_fraction", "1"), ("subject_bias", "-1"),
+                ("seed", "-1"), ("pass_duration", "10,5"), ("fail_duration", "0,5"),
+                ("distractor_prob", "5"), ("pass_jitter", "-3"), ("fail_jitter", "-1")]
 
 
-def refused(capsys, command, key, value, *argv):
-    """The last stderr line of ``command --key=value``, which must exit 2
-    without a traceback."""
-    rc = run_cli(command, *argv, "--" + key.replace("_", "-") + "=" + value)
+def refused(capsys, command, argv, file_flag, source, key, value):
+    """The last stderr line of ``command`` given ``key = value`` from
+    ``source`` ("flag", or "file" through ``file_flag``), which must exit 2
+    without a traceback, naming the key after where its value was set."""
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv = [*argv, f"{flag}={value}"]
+        origin = f"flag {flag}"
+    else:
+        cfg = os.path.join(os.path.dirname(argv[-1]), "bad.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"# one bad value\n{key} = {value}\n")
+        argv = [*argv, file_flag, cfg]
+        origin = f"{cfg} line 2"
+    rc = run_cli(command, *argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
-    assert last.startswith("error: usage: ")
+    assert last.startswith(f"error: usage: {origin}: key '{key}': must be "), last
     return last
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize("key, value", RUN_BOUNDS, ids=[f"{k}={v}" for k, v in RUN_BOUNDS])
-def test_a_run_setting_out_of_bounds_names_its_key(tiny_manifest, tmp_path, capsys, key, value):
-    last = refused(capsys, "evaluate", key, value, "--manifest", tiny_manifest,
-                   "--out", tmp_path / "run")
-    field = key.split("_", 1)[1] if key.startswith(("dae_", "clf_", "arch_")) else key
-    assert field in last
+def test_a_run_setting_out_of_bounds_names_its_key(tiny_manifest, tmp_path, capsys, key, value,
+                                                   source):
+    refused(capsys, "evaluate", ["--manifest", tiny_manifest, "--out", tmp_path / "run"],
+            "--config", source, key, value)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize("key, value", SYNTH_BOUNDS, ids=[f"{k}={v}" for k, v in SYNTH_BOUNDS])
-def test_a_generator_setting_out_of_bounds_names_its_key(tmp_path, capsys, key, value):
-    last = refused(capsys, "synth", key, value, "--out", tmp_path / "data")
-    assert key in last
+def test_a_generator_setting_out_of_bounds_names_its_key(tmp_path, capsys, key, value, source):
+    refused(capsys, "synth", ["--out", tmp_path / "data"], "--spec", source, key, value)
     assert not (tmp_path / "data").exists()
+
+
+def test_a_bad_value_in_a_config_file_names_the_file_and_line(tiny_manifest, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dae_learning_rate = -1\n", encoding="utf-8")
+    assert run_cli("evaluate", "--config", cfg, "--manifest", tiny_manifest,
+                   "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: usage: {cfg} line 1: key 'dae_learning_rate': must be > 0, got -1.0")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synth"])
+def test_a_bad_seed_from_the_environment_names_the_variable(tiny_manifest, tmp_path, capsys,
+                                                            monkeypatch, command):
+    monkeypatch.setenv("SKILLSEQ_SEED", "-1")
+    argv = ["--manifest", tiny_manifest] if command == "evaluate" else []
+    assert run_cli(command, *argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: usage: environment SKILLSEQ_SEED: key 'seed': must be >= 0, got -1")
+    monkeypatch.setenv("SKILLSEQ_SEED", "x")
+    assert run_cli(command, *argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: usage: environment SKILLSEQ_SEED: key 'seed': expected an integer, got 'x'")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body, flags, message", [
+    ("", ("--arch-reduction", "3"),
+     "flag --arch-reduction: key 'arch_reduction': must divide enc_width 16, got 3 "
+     "(default: key 'arch_enc_width')"),
+    ("arch_enc_width = 6\n", ("--arch-reduction", "4"),
+     "flag --arch-reduction: key 'arch_reduction': must divide enc_width 6, got 4 "
+     "({cfg} line 1: key 'arch_enc_width')"),
+    ("arch_reduction = 4\narch_enc_width = 8\n", ("--arch-clf-width", "6"),
+     "{cfg} line 1: key 'arch_reduction': must divide clf_width 6, got 4 "
+     "(flag --arch-clf-width: key 'arch_clf_width')"),
+], ids=["flag-and-default", "flag-and-file", "file-and-flag"])
+def test_a_rule_across_keys_names_where_each_was_set(tiny_manifest, tmp_path, capsys,
+                                                     body, flags, message):
+    cfg = tmp_path / "arch.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    assert run_cli("evaluate", "--config", cfg, "--manifest", tiny_manifest,
+                   "--out", tmp_path / "run", *flags) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: usage: " + message.format(cfg=cfg))
+    assert not (tmp_path / "run").exists()
+
+
+def test_only_the_value_that_wins_is_checked(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dae_learning_rate = -1\nseed = 4\n", encoding="utf-8")
+    run = resolve_run_config(read_config_file(cfg, RUN_KEYS), {"dae_learning_rate": 0.01},
+                             env={"SKILLSEQ_SEED": "-1"})
+    assert (run.settings.dae.learning_rate, run.settings.seed) == (0.01, 4)
+
+
+def test_a_bad_value_in_a_run_cfg_names_its_line(tiny_run, tmp_path, capsys):
+    run_dir = doctored_run(tiny_run, tmp_path,
+                           lambda text: text.replace("dae_patience = 4\n", "dae_patience = 0\n"),
+                           "run.cfg")
+    assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: usage: {run_dir / 'run.cfg'} line 18: key 'dae_patience': must be >= 1, got 0")
+    assert not (tmp_path / "study").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "cam"])
+def test_a_scoring_rate_out_of_bounds_names_its_flag(tiny_run, tiny_manifest, tmp_path, capsys,
+                                                     command):
+    assert run_cli(command, "--bundle", os.path.join(tiny_run, "fold_0", "bundle.skq"),
+                   "--manifest", tiny_manifest, "--out", tmp_path / "out.csv",
+                   "--target-hz", "0") == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: usage: flag --target-hz: key 'target_hz': must be > 0, got 0.0")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _field_keys(settings, part=""):
+    for f in dataclasses.fields(settings):
+        if f.default_factory is not dataclasses.MISSING:
+            yield from _field_keys(f.default_factory, f.name)
+        else:
+            yield f"{part}_{f.name}" if part else f.name
+
+
+def _help_options(command, capsys):
+    assert run_cli(command, "--help") == 0
+    return re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+
+
+def test_the_key_tables_are_the_settings_fields_in_help_order(capsys):
+    """Every settings field has its key, flag and run.cfg line, and the
+    explicit keys are only the run's files and the dropped ``clf_loss``."""
+    run_keys = list(_field_keys(RunSettings))
+    assert list(RUN_KEYS) == ["manifest", "out", "dataset_sha256", *run_keys, "clf_loss"]
+    assert list(SYNTH_KEYS) == list(_field_keys(SynthSpec))
+    for command, keys in (("evaluate", ["manifest", "out", *run_keys]),
+                          ("synth", list(SYNTH_KEYS))):
+        flags = ["--" + k.replace("_", "-") for k in keys]
+        assert [o for o in _help_options(command, capsys) if o in flags] == flags, command
+    snapshot = [line.split(" = ")[0] for line in snapshot_text(RunSettings(), "ab" * 32)
+                .splitlines()]
+    assert snapshot == sorted(run_keys + ["dataset_sha256"])
 
 
 HUGE = 131_073
@@ -461,7 +580,7 @@ def test_validate_cam_refuses_a_run_cfg_naming_another_head_loss(tiny_run, tmp_p
     assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
         f"error: usage: {run_dir / 'run.cfg'} line 10: key 'clf_loss': a classification "
-        "head trains on cosine loss, not 'mse'")
+        f"head trains on cosine loss, not 'mse' ({run_dir / 'run.cfg'} line 23: key 'mode')")
     assert not (tmp_path / "study").exists()
 
 

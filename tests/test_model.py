@@ -54,7 +54,7 @@ def test_reconstruction_shape_and_range(small_dae, small_downsampled):
 
 def test_train_dae_rejects_cosine_loss():
     """train_dae takes a DaeConfig, which refuses the head's vector loss."""
-    with pytest.raises(ValueError, match="loss must be bce or mse, not cosine"):
+    with pytest.raises(ValueError, match="^loss must be bce or mse, got 'cosine'$"):
         DaeConfig(loss="cosine")
 
 

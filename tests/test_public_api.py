@@ -4,7 +4,7 @@ the tape, one walker composes every kind of the one table of layer
 kinds for both modes, only that table and the model compare a kind, one
 training loop takes each stage's data, not callbacks, a bundle and
 Adam carry no field that the design fixes, only the model and training
-modules normalize trials for a model, and only the tensor, training and
+modules normalize trials for a model, and only the tensor, config and
 gradcheck modules spell a loss kind.
 
 The benchmark wraps functions by name from outside the package; a
@@ -246,16 +246,16 @@ def test_only_the_model_and_training_normalize_trials():
     assert not named, f"min-max statistics handled outside the model: {sorted(named)}"
 
 
-def test_only_tensor_training_and_gradcheck_spell_a_loss_kind():
+def test_only_tensor_config_and_gradcheck_spell_a_loss_kind():
     """The mode fixes the head's loss and the recipe the autoencoder's, so
-    no module but ``tensor`` (which defines the losses), ``training``
-    (which chooses them) and ``gradcheck`` (which checks them) spells a
-    loss kind as a string constant."""
+    no module but ``tensor`` (which defines the losses), ``config`` (whose
+    settings schema chooses them) and ``gradcheck`` (which checks them)
+    spells a loss kind as a string constant."""
     kinds = {"bce", "mse", "cosine"}
     spelled = set()
     for module, tree in _trees().items():
-        if module in ("tensor", "training", "gradcheck"):
+        if module in ("tensor", "config", "gradcheck"):
             continue
         spelled |= {f"{module}: {node.value}" for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and node.value in kinds}
-    assert not spelled, f"loss kinds spelled outside training: {sorted(spelled)}"
+    assert not spelled, f"loss kinds spelled outside the schema: {sorted(spelled)}"

@@ -7,6 +7,7 @@ values come back bit for bit.
 import hashlib
 import re
 import struct
+import sys
 from dataclasses import asdict
 from types import SimpleNamespace
 from unittest import mock
@@ -377,6 +378,65 @@ def test_a_huge_bad_value_is_quoted_bounded(small_classifier, tmp_path):
     message = str(excinfo.value)
     assert message.startswith(f"{path}: bad metadata: 'minmax.mins' must be a list of")
     assert len(message) < 300
+
+
+@pytest.mark.parametrize("kind, edit, field", [
+    ("classification", lambda meta: meta["minmax"]["mins"].__setitem__(0, 10 ** 4000),
+     "minmax.mins[0]"),
+    ("classification", lambda meta: meta["minmax"]["maxs"].__setitem__(3, -10 ** 309),
+     "minmax.maxs[3]"),
+    ("regression", lambda meta: meta["score_stats"].update(std=10 ** 400), "score_stats.std"),
+], ids=["huge-min", "huge-negative-max", "huge-std"])
+def test_a_number_beyond_float_range_is_refused_naming_the_field(
+        small_classifier, small_regressor, skill_inputs, tmp_path, capsys, kind, edit, field):
+    """A JSON integer no float holds is refused, naming the file and the
+    field, and quoted shortened; ``predict`` exits 1 without a traceback."""
+    bundle = {"classification": small_classifier, "regression": small_regressor}[kind][0]
+    meta = bundle_format._meta_dict(bundle)
+    edit(meta)
+    path = tmp_path / "skill.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(bundle, path)
+    assert dispatch(["predict", "--bundle", str(path), "--manifest", skill_inputs[1],
+                     "--out", str(tmp_path / "records.csv")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith(f"error: runtime: {path}: bad metadata: '{field}' must fit a float, "
+                          "got '")
+    assert err.endswith(" characters)") and len(err) < 300 + len(str(path))
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_a_huge_unknown_key_is_quoted_bounded(small_classifier, tmp_path):
+    bundle = small_classifier[0]
+    meta = bundle_format._meta_dict(bundle)
+    meta["minmax"]["k" * 100_000] = 0
+    path = tmp_path / "skill.skq"
+    with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+        save_bundle(bundle, path)
+    with pytest.raises(BundleFormatError) as excinfo:
+        load_bundle(path)
+    assert str(excinfo.value) == (f"{path}: bad metadata: 'minmax.{'k' * 33}'... "
+                                  "(100,007 characters) is not a known key")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on the digits of an integer's text")
+def test_an_integer_of_too_many_digits_is_a_bad_metadata_block(small_classifier, tmp_path,
+                                                               monkeypatch):
+    bundle = small_classifier[0]
+    meta = bundle_format._meta_dict(bundle)
+    meta["minmax"]["mins"][0] = 10 ** 5000
+    path = tmp_path / "skill.skq"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
+            save_bundle(bundle, path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(BundleFormatError,
+                       match=f"^{re.escape(str(path))}: bad metadata block \\(Exceeds the limit"):
+        load_bundle(path)
 
 
 def _drop_group(group):

@@ -211,3 +211,16 @@ def test_invalid_spec_rejected():
         except ValueError:
             continue
         raise AssertionError(f"SynthSpec accepted {bad}")
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(n_subjects=2, trials_per_subject=10, sample_rate_hz=0.45),
+    SynthSpec(n_subjects=2, trials_per_subject=10, pass_duration=(1.0, 1.0),
+              fail_duration=(1.0, 2.0)),
+], ids=["slow-rate", "short-durations"])
+def test_the_shortest_trials_generate(spec):
+    """A trial of 20 frames or fewer leaves the grasper fewer start frames
+    than it may move; it moves once per start frame there is."""
+    lengths = [t.values.shape[0] for trials in synth.synth_subjects(spec) for t in trials]
+    assert len(lengths) == 20
+    assert min(lengths) <= 20
