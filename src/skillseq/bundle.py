@@ -220,11 +220,11 @@ class _MetaCheck:
         return value
 
     def typed(self, field, value, kind):
-        """``value`` of ``kind``; a number fits a float, as a JSON integer need not."""
+        """``value`` of ``kind``; a number within float range, as JSON need not be."""
         if type(value) not in kind[0]:
             raise self.fault(field, f"must be {kind[1]}, got {quoted(value)}")
-        if kind is _NUMBER and type(value) is int and abs(value) > _FLOAT_MAX:
-            raise self.fault(field, f"must fit a float, got {quoted(value)}")
+        if kind is _NUMBER and abs(value) > _FLOAT_MAX:
+            raise self.fault(field, f"must lie within float range, got {quoted(value)}")
         return value
 
     def items(self, field, value, kind, n=None):
@@ -234,15 +234,15 @@ class _MetaCheck:
             raise self.fault(field, f"must be a list of {count}values, each {kind[1]}, "
                                     f"got {quoted(value)}")
         for i, v in enumerate(value):
-            if type(v) not in kind[0] or type(v) is int and abs(v) > _FLOAT_MAX:
+            if type(v) not in kind[0] or kind is _NUMBER and abs(v) > _FLOAT_MAX:
                 self.typed(f"{field}[{i}]", v, kind)  # raises
         return value
 
     def spec(self, field, d):
         self.obj(field, d, _SPEC_FIELDS)
-        for key, (types, what) in _SPEC_FIELDS.items():
-            if type(d[key]) not in types:
-                raise self.fault(f"{field}.{key}", f"must be {what}, got {quoted(d[key])}")
+        for key, kind in _SPEC_FIELDS.items():
+            if type(d[key]) not in kind[0] or kind is _NUMBER and abs(d[key]) > _FLOAT_MAX:
+                self.typed(f"{field}.{key}", d[key], kind)  # raises
         try:
             return LayerSpec(**d)
         except ValueError as exc:
@@ -272,7 +272,7 @@ def _bundle(path, meta, weights):
     n = len(channels)
     mins = check.items("minmax.mins", minmax["mins"], _NUMBER, n)
     maxs = check.items("minmax.maxs", minmax["maxs"], _NUMBER, n)
-    for i in range(n):  # apply_minmax divides by the range; each end fits a float
+    for i in range(n):  # apply_minmax divides by the range; each end is within float range
         low, high = float(mins[i]), float(maxs[i])
         if not high > low:
             raise check.fault(f"minmax.maxs[{i}]", f"must exceed minmax.mins[{i}] "

@@ -381,7 +381,7 @@ def _checked(parse, what, **bound):
             value = parse(raw)
         except ValueError:
             value = None
-        if value is None or not (math.isfinite(value) and bound.holds(value)):
+        if value is None or abs(value) == math.inf or not bound.holds(value):
             raise argparse.ArgumentTypeError(f"expected {what} {bound.text}, got {quoted(raw)}")
         return value
     return check

@@ -269,6 +269,13 @@ def test_numeric_flags_are_usage_errors_naming_the_flag(capsys, argv, flag, valu
     assert last_error(capsys) == f"error: usage: argument {flag}: expected {expected}, got '{value}'"
 
 
+def test_a_checked_integer_flag_takes_an_integer_no_float_holds(capsys):
+    """Only a float flag must be finite: a 400-digit seed is still an
+    integer >= 0."""
+    assert dispatch(["gradcheck", "--configs", "1", "--seed", "1" * 400]) == 0
+    assert capsys.readouterr().out.endswith("status = pass\n")
+
+
 @pytest.mark.parametrize("last_row, message", [
     (b"1,3,inf\n", "line 6, column 'y': non-finite value 'inf'"),
     (b"1,\xff,2\n", "line 6: not UTF-8 text (byte 0xff at offset 49: invalid start byte)"),
