@@ -140,6 +140,19 @@ def tiny_run(tiny_manifest, tmp_path_factory):
     return run_dir
 
 
+@pytest.fixture(scope="module")
+def tiny_regression_run(tiny_manifest, tmp_path_factory):
+    """The tiny run in regression mode."""
+    run_dir = str(tmp_path_factory.mktemp("tiny_regression_run") / "run")
+    assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", run_dir,
+                   "--seed", 3, "--mode", "regression", *TINY_RUN) == 0
+    return run_dir
+
+
+# each mode's tiny run fixture
+MODE_RUNS = {"classification": "tiny_run", "regression": "tiny_regression_run"}
+
+
 # --- the run.cfg snapshot ---
 
 
@@ -489,14 +502,17 @@ def test_a_huge_bad_value_is_shortened_in_the_message(tiny_manifest, tmp_path, c
 # --- replay of a finished run ---
 
 
-def test_replay_from_run_cfg_is_byte_identical(tiny_run, tmp_path):
+@pytest.mark.parametrize("mode", list(MODE_RUNS))
+def test_replay_from_run_cfg_is_byte_identical(mode, request, tmp_path):
+    run = request.getfixturevalue(MODE_RUNS[mode])
     replay = str(tmp_path / "replay")
-    assert run_cli("evaluate", "--config", os.path.join(tiny_run, "run.cfg"),
+    assert run_cli("evaluate", "--config", os.path.join(run, "run.cfg"),
                    "--out", replay) == 0
-    first, second = tree_bytes(tiny_run), tree_bytes(replay)
+    first, second = tree_bytes(run), tree_bytes(replay)
     assert sorted(first) == sorted(second)
     assert {"run.cfg", "folds.txt", "metrics.txt", "fold_0/bundle.skq",
-            "fold_0/predictions.csv", "fold_0/cams.csv"} <= set(first)
+            "fold_0/predictions.csv"} <= set(first)
+    assert ("fold_0/cams.csv" in first) == (mode == "classification")
     for name in first:
         assert first[name] == second[name], name
 
@@ -594,14 +610,16 @@ def test_clf_loss_is_no_flag(tiny_manifest, tmp_path, capsys, command):
     assert not (tmp_path / "run").exists()
 
 
-def test_jobs_2_matches_jobs_1(tiny_manifest, tiny_run, tmp_path):
+@pytest.mark.parametrize("mode", list(MODE_RUNS))
+def test_jobs_2_matches_jobs_1(mode, request, tiny_manifest, tmp_path):
+    run = request.getfixturevalue(MODE_RUNS[mode])
     parallel = str(tmp_path / "jobs2")
     assert run_cli("evaluate", "--manifest", tiny_manifest, "--out", parallel,
-                   "--seed", 3, "--jobs", 2, *TINY_RUN) == 0
-    first, second = tree_bytes(tiny_run), tree_bytes(parallel)
+                   "--seed", 3, "--mode", mode, "--jobs", 2, *TINY_RUN) == 0
+    first, second = tree_bytes(run), tree_bytes(parallel)
     assert sorted(first) == sorted(second)
-    assert {"metrics.txt", "fold_2/bundle.skq", "fold_2/predictions.csv",
-            "fold_2/cams.csv"} <= set(first)
+    assert {"metrics.txt", "fold_2/bundle.skq", "fold_2/predictions.csv"} <= set(first)
+    assert ("fold_2/cams.csv" in first) == (mode == "classification")
     for name in first:
         assert first[name] == second[name], name
 

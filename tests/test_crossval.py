@@ -1,5 +1,6 @@
 """Cross-validation failure modes: a fold that fails its guard inside the
-masking study, and a non-finite loss named by fold, stage, epoch and trial."""
+masking study or in a regression run, and a non-finite loss named by
+fold, stage, epoch and trial."""
 
 from dataclasses import replace
 
@@ -67,3 +68,46 @@ def test_non_finite_loss_names_fold_stage_epoch_and_trial(tmp_path, capsys, stag
     assert rc == 1
     assert err.startswith(f"error: runtime: fold 0: {stage}: non-finite training loss "
                           "at epoch 1 on trial S")
+
+
+def _rescored(data, score):
+    """Rewrite each trial file of ``data`` with ``score(subject, trial, line)``
+    as its ``# score=`` line (None drops the line)."""
+    for path in sorted((data / "trials").iterdir()):
+        lines = path.read_text().splitlines(keepends=True)
+        subject, trial = path.stem.split("_")
+        out = []
+        for line in lines:
+            if line.startswith("# score="):
+                line = score(subject, int(trial), line)
+                if line is None:
+                    continue
+            out.append(line)
+        path.write_text("".join(out))
+
+
+@pytest.mark.parametrize("score, failing, status", [
+    # S01's first trial has no score: every fold that trains on it fails
+    (lambda s, i, line: None if (s, i) == ("S01", 0) else line, ("S02", "S03"),
+     "failed: training trial without score"),
+    # S02 and S03 share one score: the fold testing S01 trains on them alone
+    (lambda s, i, line: line if s == "S01" else "# score=50.0\n", ("S01",),
+     "failed: constant training scores"),
+], ids=["unscored", "constant"])
+def test_a_regression_fold_guard_fails_its_fold_and_the_study_finishes(tmp_path, capsys,
+                                                                      score, failing, status):
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--out", str(data), "--seed", "11", "--n-subjects", "3",
+                     "--trials-per-subject", "4"]) == 0
+    _rescored(data, score)
+    run = tmp_path / "run"
+    assert dispatch(["evaluate", "--manifest", str(data / "manifest.csv"), "--out", str(run),
+                     "--mode", "regression", "--scheme", "louo", "--dae-max-epochs", "1",
+                     "--clf-max-epochs", "1", "--arch-enc-width", "2",
+                     "--arch-emb-channels", "2", "--arch-clf-width", "2"]) == 0
+    metrics = (run / "metrics.txt").read_text(encoding="utf-8")
+    for fold in ("S01", "S02", "S03"):
+        want = status if fold in failing else "ok"
+        assert f"fold {fold} status = {want}\n" in metrics
+        assert (run / f"fold_{fold}" / "predictions.csv").exists() == (fold not in failing)
+    assert f"pooled n = {4 * (3 - len(failing))}\n" in metrics

@@ -7,7 +7,10 @@ CLI ``predict`` and ``cam`` commands score the whole tiny manifest with
 fold 0's bundle.  The sha256 of the run's ``metrics.txt``, of every fold's
 ``predictions.csv``, ``cams.csv`` and ``bundle.skq`` and of the CLI's
 ``records.csv`` and ``cams.csv`` must equal the digests recorded for this
-platform.  So must the sha256 of each trial file and of the manifest
+platform.  So must the digests of a tiny regression run (4 subjects x 6
+trials, ``louo``, 2 DAE and 2 head epochs, widths 8, seed 3): its
+``metrics.txt`` and every fold's ``predictions.csv`` and ``bundle.skq``.
+So must the sha256 of each trial file and of the manifest
 that the run's ``synth`` writes, and of the ``trust`` report and every
 density curve for a fixed records file.  The trial writer's output for
 cells that stress float formatting is pinned as literal bytes.
@@ -40,6 +43,14 @@ OUTPUTS = ("metrics.txt",) + tuple(
     for name in ("bundle.skq", "cams.csv", "predictions.csv"))
 CLI_OUTPUTS = ("cli/records.csv", "cli/cams.csv")
 
+# the tiny regression run: 4 subjects x 6 trials, one fold per subject
+REGRESSION_SYNTH = ("synth", "--seed", "11", "--n-subjects", "4", "--trials-per-subject", "6")
+REGRESSION_EVALUATE = ("evaluate", "--mode", "regression", "--scheme", "louo", "--seed", "3",
+                       "--dae-max-epochs", "2", "--clf-max-epochs", "2",
+                       "--arch-enc-width", "8", "--arch-clf-width", "8")
+REGRESSION_OUTPUTS = ("metrics.txt",) + tuple(
+    f"fold_S0{k}/{name}" for k in range(1, 5) for name in ("bundle.skq", "predictions.csv"))
+
 GOLDEN = {
     "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
         "metrics.txt": "080d92ff1a84576b71afae69abfb0ce2e989f1920eb1ffdf29c2d2d798e404fb",
@@ -57,6 +68,24 @@ GOLDEN = {
             "16dfda3da11faf0e57f777bee28dc02a83c62df96eda0e73834882a04044e6e8",
         "cli/records.csv": "280043efc3e837922a9d0f3def2f3fca4fb3024771d8d478afa2854808681590",
         "cli/cams.csv": "92bc427970f39ca71792d91c5c5f5f82137055458710192aeaab2fbc167badcf",
+    },
+}
+
+REGRESSION_GOLDEN = {
+    "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
+        "metrics.txt": "3b12f4a47f01e5ccd6dfca5506c74ddc0395a4b8664a88f85b2dc76de3764ed1",
+        "fold_S01/bundle.skq": "dcecbd725146d4c62ba119b557f3ce4fc59ec1819445f66133f6a25274498fbf",
+        "fold_S01/predictions.csv":
+            "29af667bb6c695f4cf931a00fecc0cc12fd5000229fbf48c813192e899aad64e",
+        "fold_S02/bundle.skq": "2cedfdc0c2734148267d7b9abbf242073bdceab1d24bf12dc3091afeb52da22f",
+        "fold_S02/predictions.csv":
+            "d36ad23b4e20626b38255b5a7e1888b6e25bd87ae428cde29b499ebf3bcf322b",
+        "fold_S03/bundle.skq": "f9e242afcf150d80ea7207a9277c141ef223db889183aca04e4e179eb5ff08b3",
+        "fold_S03/predictions.csv":
+            "7daa5a77a2854eaa4e73f323242ab28919d0a7e6f87a6feb2dc4520b3cc1e374",
+        "fold_S04/bundle.skq": "8d3e056667a43e906a6fb6211500fea0cf9443d82736e6c42357924a1a6df7a9",
+        "fold_S04/predictions.csv":
+            "55fd241cc64621965a528f3fafeeb23a11446c23b3ff88050cae31bd5345ce5d",
     },
 }
 
@@ -139,8 +168,9 @@ def _skillseq(args, env):
     assert proc.returncode == 0, proc.stderr
 
 
-def tiny_run_digests(src, work):
-    """sha256 of each reference output of the tiny run, run from ``src``."""
+def _pinned_env(src):
+    """The environment of a ``skillseq`` run from ``src``: no seed from
+    the environment, and BLAS on one thread."""
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SKILLSEQ_SEED", None)
     sys.path.insert(0, PERFBENCH)
@@ -149,6 +179,12 @@ def tiny_run_digests(src, work):
     finally:
         sys.path.remove(PERFBENCH)
     env.update({var: "1" for var in BLAS_THREAD_VARS})
+    return env
+
+
+def tiny_run_digests(src, work):
+    """sha256 of each reference output of the tiny run, run from ``src``."""
+    env = _pinned_env(src)
     data, run = os.path.join(work, "data"), os.path.join(work, "run")
     _skillseq(SYNTH + ("--out", data), env)
     _skillseq(EVALUATE + ("--manifest", os.path.join(data, "manifest.csv"), "--out", run),
@@ -167,11 +203,33 @@ def tiny_run_digests(src, work):
     return digests
 
 
+def regression_run_digests(src, work):
+    """sha256 of ``metrics.txt`` and of every fold's ``predictions.csv``
+    and ``bundle.skq`` of the tiny regression run, run from ``src``."""
+    env = _pinned_env(src)
+    data, run = os.path.join(work, "data"), os.path.join(work, "run")
+    _skillseq(REGRESSION_SYNTH + ("--out", data), env)
+    _skillseq(REGRESSION_EVALUATE + ("--manifest", os.path.join(data, "manifest.csv"),
+                                     "--out", run), env)
+    digests = {}
+    for rel in REGRESSION_OUTPUTS:
+        with open(os.path.join(run, rel), "rb") as fh:
+            digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def test_tiny_run_output_bytes_are_unchanged(tmp_path, monkeypatch):
     golden = GOLDEN.get(_platform_key(monkeypatch))
     if golden is None:
         pytest.skip("no reference digests recorded for this platform")
     assert tiny_run_digests(SRC, str(tmp_path)) == golden
+
+
+def test_regression_run_output_bytes_are_unchanged(tmp_path, monkeypatch):
+    golden = REGRESSION_GOLDEN.get(_platform_key(monkeypatch))
+    if golden is None:
+        pytest.skip("no reference digests recorded for this platform")
+    assert regression_run_digests(SRC, str(tmp_path)) == golden
 
 
 def _file_digests(root):

@@ -215,6 +215,26 @@ def test_early_stopping_restores_best_epoch(small_downsampled):
         assert all(v >= history.val_loss[best - 1] for v in after)
 
 
+def test_patience_stops_training_and_restores_the_best_epochs_weights(small_downsampled):
+    """At learning rate 0.05 the validation loss of this tiny run stops
+    improving, and training stops ``patience`` epochs after its best
+    epoch.  The weights it returns are those at the end of the best
+    epoch: the same run capped at that epoch count, which retraces the
+    same epochs, ends with the same bits."""
+    trials = small_downsampled[:8]
+    cfg = DaeConfig(learning_rate=0.05, max_epochs=30, patience=2, loss="bce")
+    stopped, history = train_dae(trials, cfg, 1, SMALL_ARCH)
+    assert history.stopped_epoch < cfg.max_epochs
+    assert history.best_epoch == history.stopped_epoch - cfg.patience
+    assert len(history.val_loss) == history.stopped_epoch
+    capped, capped_history = train_dae(trials, replace(cfg, max_epochs=history.best_epoch), 1,
+                                       SMALL_ARCH)
+    assert capped_history.best_epoch == capped_history.stopped_epoch == history.best_epoch
+    assert sorted(stopped.weights) == sorted(capped.weights)
+    for name, w in stopped.weights.items():
+        assert w.tobytes() == capped.weights[name].tobytes(), name
+
+
 def test_train_supervised_rejects_autoencoder_bundle(small_dae,
                                                      small_downsampled):
     dae, _ = small_dae
