@@ -140,8 +140,6 @@ def downsample(trial, target_hz=1.0):
     multiples of the target collapse to the intended integer stride.
     """
     _require_stage(trial, FILLED, "downsample")
-    if target_hz <= 0:
-        raise ValueError(f"target_hz must be > 0, got {target_hz}")
     ratio = trial.sample_rate_hz / target_hz
     stride = int(math.floor(ratio + 0.5)) if math.isfinite(ratio) else None
     if stride is None or stride < 1:
@@ -194,19 +192,13 @@ class MinMaxStats:
 
 
 def fit_minmax(trials):
-    """Per-channel extrema over downsampled trials."""
-    if not trials:
-        raise ValueError("fit_minmax needs at least one trial")
+    """Per-channel extrema over downsampled trials of one channel layout."""
     channels = trials[0].channels
     mins = np.full(len(channels), np.inf)
     maxs = np.full(len(channels), -np.inf)
     ids = []
     for t in trials:
         _require_stage(t, DOWNSAMPLED, "fit_minmax")
-        if t.channels != channels:
-            raise ValueError(
-                f"channel mismatch: {t.trial_id} has {t.channels}, expected {channels}"
-            )
         mins = np.minimum(mins, t.values.min(axis=0))
         maxs = np.maximum(maxs, t.values.max(axis=0))
         ids.append(t.trial_id)
@@ -247,10 +239,8 @@ class ScoreStats:
 
 
 def fit_znorm(scores, ids=()):
-    """Fit score statistics; ``ids`` names the trials the scores came from."""
+    """Fit score statistics to two or more scores; ``ids`` names their trials."""
     arr = np.array(scores, dtype=np.float64)
-    if len(arr) < 2:
-        raise ValueError("need at least two scores to fit score statistics")
     std = float(arr.std(ddof=0))
     if std == 0.0:
         raise ValueError("scores are constant over the fit set (zero spread)")

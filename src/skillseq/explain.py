@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DOWNSAMPLED, Dataset, csv_rows, read_text
+from .data import Dataset, csv_rows, read_text
 from .model import predict_many
 from .reports import quoted
 
@@ -100,31 +100,17 @@ def predict_with_cams(bundle, trials, target_classes=None):
     records, pre_gaps = predict_many(bundle, trials, capture=True)
     if target_classes is None:
         target_classes = [None] * len(trials)
+    w = bundle.head_kernel
     cams = []
     for rec, pre_gap, target in zip(records, pre_gaps, target_classes):
         if target is None:
             target = rec.predicted if bundle.mode == "classification" else 0
-        cams.append(_cam(bundle, rec.trial_id, pre_gap, target))
+        cams.append(CamMap.from_raw(rec.trial_id, target, pre_gap @ w[:, target]))
     return records, cams
 
 
-def _cam(bundle, trial_id, pre_gap, target_class):
-    w = bundle.head_kernel
-    if not 0 <= target_class < w.shape[1]:
-        raise ValueError(f"class index {target_class} out of range for {w.shape[1]} outputs")
-    return CamMap.from_raw(trial_id, target_class, pre_gap @ w[:, target_class])
-
-
 def mask_trial(trial, cam):
-    """Attenuate a downsampled trial by its map's intensities."""
-    if trial.stage != DOWNSAMPLED:
-        raise ValueError(f"{trial.trial_id}: masking applies to downsampled trials")
-    if cam.trial_id != trial.trial_id:
-        raise ValueError(f"map for {cam.trial_id} applied to {trial.trial_id}")
-    if len(cam) != trial.values.shape[0]:
-        raise ValueError(
-            f"{trial.trial_id}: map length {len(cam)} != trial length {trial.values.shape[0]}"
-        )
+    """Attenuate a downsampled trial by its map's intensities, one per frame."""
     return replace(trial, values=trial.values * cam.intensity[:, None])
 
 

@@ -101,13 +101,8 @@ class FoldAssignment:
         return FoldAssignment(scheme=scheme, seed=seed, folds=tuple(folds))
 
 
-def _check_unique(ids):
-    if len(set(ids)) != len(ids):
-        raise ValueError("trial ids must be unique")
-
-
 def stratified_kfold(ids, labels, k, seed):
-    """k folds preserving class proportions within one sample.
+    """k folds of the unique ``ids`` preserving the class proportions of ``labels``.
 
     Within each class, ids are shuffled under the run seed and dealt to
     folds in chunks of n_c // k, with the first n_c %% k folds taking
@@ -115,9 +110,6 @@ def stratified_kfold(ids, labels, k, seed):
     """
     ids = list(ids)
     labels = list(labels)
-    _check_unique(ids)
-    if len(ids) != len(labels):
-        raise ValueError("ids and labels must be parallel")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(ids) < k:
@@ -163,8 +155,6 @@ def loso_folds(trials):
     indices = sorted({t.trial_index for t in trials})
     if len(indices) < 2:
         raise ValueError("leave-one-supertrial-out needs at least two distinct trial indices")
-    all_ids = [t.trial_id for t in trials]
-    _check_unique(all_ids)
     folds = []
     for idx in indices:
         test = tuple(t.trial_id for t in trials if t.trial_index == idx)
@@ -178,8 +168,6 @@ def louo_folds(trials):
     subjects = sorted({t.subject_id for t in trials})
     if len(subjects) < 2:
         raise ValueError("leave-one-user-out needs at least two subjects")
-    all_ids = [t.trial_id for t in trials]
-    _check_unique(all_ids)
     folds = []
     for s in subjects:
         test = tuple(t.trial_id for t in trials if t.subject_id == s)

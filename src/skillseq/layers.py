@@ -119,9 +119,6 @@ def _residual_shapes(spec):
 
 
 def _conv_step(mode, x, spec, params, grads, pfx):
-    if x.ndim != 2 or x.shape[1] != spec.in_channels:
-        raise ValueError(f"layer {pfx[:-1]} (conv1d) expects (T, {spec.in_channels}), "
-                         f"got {x.shape}")
     return mode.conv(x, params, grads, pfx + "w", pfx + "b", spec.dilation)
 
 
@@ -323,8 +320,6 @@ class Recorder:
         """Gaussian noise; its backward hands the gradient on unchanged,
         so nothing is recorded."""
         if sigma > 0.0:
-            if self.rng is None:
-                raise ValueError("gaussian-noise layer needs an rng in train mode")
             x = x + self.rng.normal(0.0, sigma, size=x.shape)
         return x
 
@@ -334,10 +329,8 @@ class Recorder:
         When ``x`` is a penalized convolution's output, it has a third
         term, its penalty's; the tape adds that to the skip path's term
         before the branch's, so ``_join`` takes the penalty over from the
-        convolution.  Returns the skip path's store, or None when the
-        block is the first op, whose input needs no gradient."""
-        if not self.ops:
-            return None
+        convolution.  Returns the skip path's store; a block always follows
+        a recorded op (a convolution, or gradcheck's identity entry)."""
         skip, pen = [], None
         last = self.ops[-1]
         if last[0] is _penalty_back and last[1][0] is x:
@@ -347,8 +340,7 @@ class Recorder:
 
     def join(self, h, x, skip):
         """The block's branch ``h`` plus its input ``x``."""
-        if skip is not None:
-            self.add(_split, skip)
+        self.add(_split, skip)
         return h + x
 
 

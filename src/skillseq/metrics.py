@@ -47,7 +47,7 @@ def _pearson(a, b):
 
 
 def spearman(x, y):
-    """Spearman rho with a two-sided p-value.
+    """Spearman rho of two equal-length sequences, with a two-sided p-value.
 
     rho is the Pearson correlation of average ranks.  For n <= 8 the
     p-value enumerates all permutations of y's ranks exactly; beyond
@@ -56,8 +56,6 @@ def spearman(x, y):
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"spearman needs equal-length 1-D arrays, got {x.shape} and {y.shape}")
     n = len(x)
     if n < 3:
         raise ValueError(f"spearman needs n >= 3, got {n}")
@@ -97,21 +95,20 @@ class BinaryMetrics:
     n: int
 
 
-def binary_metrics(actual, predicted, positive=0):
-    """Counts-based metrics; ``positive`` is the class index treated as positive."""
+def binary_metrics(actual, predicted):
+    """Counts-based metrics of equal-length, non-empty class-index lists;
+    class 0 (``pass``) is the positive class."""
     actual = list(actual)
     predicted = list(predicted)
-    if len(actual) != len(predicted) or not actual:
-        raise ValueError("actual and predicted must be equal-length and non-empty")
     tp = fn = tn = fp = 0
     for a, p in zip(actual, predicted):
-        if a == positive:
-            if p == positive:
+        if a == 0:
+            if p == 0:
                 tp += 1
             else:
                 fn += 1
         else:
-            if p == positive:
+            if p == 0:
                 fp += 1
             else:
                 tn += 1
@@ -129,8 +126,6 @@ def roc_auc(scores, positive_mask):
     """
     s = np.asarray(scores, dtype=np.float64)
     pos = np.asarray(positive_mask, dtype=bool)
-    if s.shape != pos.shape or s.ndim != 1:
-        raise ValueError("scores and positive_mask must be equal-length 1-D arrays")
     n_pos = int(pos.sum())
     n_neg = len(s) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -173,8 +168,6 @@ def wilcoxon_one_sided(before, after):
     """
     b = np.asarray(before, dtype=np.float64)
     a = np.asarray(after, dtype=np.float64)
-    if b.shape != a.shape or b.ndim != 1:
-        raise ValueError("before and after must be equal-length 1-D arrays")
     if len(b) < 5:
         raise ValueError(f"wilcoxon needs n >= 5 pairs, got {len(b)}")
     d = a - b

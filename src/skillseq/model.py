@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ArchConfig
-from .data import (DOWNSAMPLED, PASS_FAIL, RAW, Dataset, MinMaxStats, ScoreStats,
+from .data import (PASS_FAIL, RAW, Dataset, MinMaxStats, ScoreStats,
                    apply_minmax, invert_znorm, prepare_stage2)
 from .layers import (KINDS, SEQUENCE, VECTOR, LayerSpec, forward_packed, init_stack_params,
                      param_shapes)
@@ -187,16 +187,14 @@ def _chain(group, specs, channels):
 
 
 def prepare_dataset(dataset, target_hz, source=None):
-    """Downsampled trials for the model: raw trials are gap-filled and
-    downsampled to ``target_hz``; an all-downsampled dataset passes as is.
-    A ValueError names ``source``, the dataset's manifest, when given."""
-    stages = {t.stage for t in dataset.trials}
+    """Downsampled trials for the model from a dataset of one stage (a
+    manifest's raw trials, or a masked set's downsampled ones): raw trials
+    are gap-filled and downsampled to ``target_hz``, downsampled ones pass
+    as is.  A ValueError names ``source``, the dataset's manifest, when given."""
+    if dataset.trials[0].stage != RAW:
+        return dataset
     try:
-        if stages == {RAW}:
-            return Dataset([prepare_stage2(t, target_hz) for t in dataset.trials])
-        if stages == {DOWNSAMPLED}:
-            return dataset
-        raise ValueError("dataset must hold only raw or only downsampled trials, not a mix")
+        return Dataset([prepare_stage2(t, target_hz) for t in dataset.trials])
     except ValueError as exc:
         if source is None:
             raise
@@ -242,10 +240,6 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
     frozen; only the head will train.  A classifier's classes are
     ``PASS_FAIL``.
     """
-    if dae_bundle.mode != "autoencoder":
-        raise ValueError(f"expected an autoencoder bundle, got {dae_bundle.mode}")
-    if mode not in ("classification", "regression"):
-        raise ValueError(f"mode must be classification or regression, got '{mode}'")
     arch = arch or ArchConfig()
     emb = _chain("encoder", dae_bundle.groups["encoder"], len(dae_bundle.minmax.channels))
     if emb != arch.emb_channels:
@@ -279,8 +273,6 @@ def predict_many(bundle, trials, capture=False):
     With ``capture``, also returns each trial's pre-GAP activations
     (``(records, pre_gaps)``), from the same forward.
     """
-    if bundle.mode == "autoencoder":
-        raise ValueError("cannot predict with an autoencoder bundle; build a skill model")
     values = [normalize_for_model(bundle, t).values for t in trials]
     outs = forward_packed([_stack(bundle, "encoder"), _stack(bundle, "head")], values,
                           capture=capture)
@@ -309,8 +301,6 @@ def _record(bundle, trial, out):
             actual=actual, predicted=pred, confidences=conf,
             true_score=trial.score, pred_score=None,
         )
-    if bundle.score_stats is None:
-        raise ValueError("regression bundle carries no score statistics")
     z = float(out[0])
     return PredictionRecord(
         trial_id=trial.trial_id, subject_id=trial.subject_id,

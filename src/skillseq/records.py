@@ -86,7 +86,8 @@ def read_records_csv(path):
     """``(class_names, records)`` of a records file; the class names come
     from its header.
 
-    A malformed row, or one whose ``trial_id`` is not its ``subject`` and
+    A malformed row, one with a confidence outside [0, 1] in any
+    ``conf_*`` column, or one whose ``trial_id`` is not its ``subject`` and
     ``trial`` joined by a colon, raises ValueError naming the file, line
     and column; a repeated ``trial_id`` names the file and both lines.
     """
@@ -117,31 +118,34 @@ def _row_record(row, header, where):
         raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
     nc = len(header) - 7
 
-    def cell(k, parse, ok, expected):
+    def cell(k, parse, *checks):
+        """``parse`` of cell k, which must pass each ``(ok, expected)`` check."""
         try:
             value = parse(row[k])
         except ValueError:
             value = None
-        if value is None or not ok(value):
-            raise ValueError(f"{where}, column '{header[k]}': expected {expected}, "
-                             f"got {quoted(row[k])}")
+        for ok, expected in checks:
+            if value is None or not ok(value):
+                raise ValueError(f"{where}, column '{header[k]}': expected {expected}, "
+                                 f"got {quoted(row[k])}")
         return value
 
     def optional(k, *check):
         return None if row[k] == "" else cell(k, *check)
 
-    trial_index = cell(2, int, lambda v: True, "an integer")
+    trial_index = cell(2, int, (lambda v: True, "an integer"))
     trial_id = f"{row[1]}:{trial_index}"
     if row[0] != trial_id:
         raise ValueError(f"{where}, column 'trial_id': expected {quoted(trial_id)} from "
                          f"columns 'subject' and 'trial', got {quoted(row[0])}")
-    number = (float, math.isfinite, "a finite number")
-    index = (int, lambda v: 0 <= v < nc, f"a class index from 0 to {nc - 1}")
+    number = (float, (math.isfinite, "a finite number"))
+    confidence = (*number, (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
+    index = (int, (lambda v: 0 <= v < nc, f"a class index from 0 to {nc - 1}"))
     fields = dict(
         trial_index=trial_index,
         actual=optional(3, *index),
         predicted=optional(4, *index),
-        confidences=tuple(cell(5 + c, *number) for c in range(nc))
+        confidences=tuple(cell(5 + c, *confidence) for c in range(nc))
         if any(row[5:5 + nc]) else None,
         true_score=optional(5 + nc, *number),
         pred_score=optional(6 + nc, *number),

@@ -26,7 +26,4 @@ PURPOSE = {
 
 def make_rng(*keys):
     """Generator keyed by a tuple of non-negative integers."""
-    for k in keys:
-        if k < 0:
-            raise ValueError(f"seed keys must be non-negative, got {k}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(keys))))

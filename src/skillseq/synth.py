@@ -61,8 +61,6 @@ def score_trajectory(values, sample_rate_hz):
     does.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if np.isnan(vals).any():
-        raise ValueError("score is defined on the complete trajectory (no missing values)")
     T = vals.shape[0]
     dur_s = T / sample_rate_hz
     skip = int(math.floor(_TRIM_FRACTION * T))

@@ -595,13 +595,11 @@ _BCE_EPS = 1e-7
 
 
 def _bce_raw(pd, t, weight):
-    """Mean binary cross-entropy; targets must lie in [0, 1].
+    """Mean binary cross-entropy; targets lie in [0, 1].
 
     Predictions are clipped to [1e-7, 1 - 1e-7] before the logs; clipped
     entries receive zero gradient.
     """
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("binary cross-entropy targets must lie in [0, 1]")
     p = np.minimum(np.maximum(pd, _BCE_EPS), 1.0 - _BCE_EPS)
     inside = (pd > _BCE_EPS) & (pd < 1.0 - _BCE_EPS)
     n = p.size
@@ -626,13 +624,9 @@ def _mse_grad(g, scale, diff):
 
 
 def _cosine_raw(pd, t, weight):
-    """1 - cosine similarity between 1-D vectors; 0 iff parallel."""
+    """1 - cosine similarity between non-zero 1-D vectors; 0 iff parallel."""
     np_ = _norm(pd)
     nt = _norm(t)
-    if nt == 0.0:
-        raise ValueError("cosine loss target has zero norm")
-    if np_ == 0.0:
-        raise ValueError("cosine loss prediction has zero norm")
     cos = float(np.dot(pd, t)) / (np_ * nt)
     return np.array(weight * (1.0 - cos)), (pd, t, np_, nt, cos, weight)
 
@@ -654,12 +648,10 @@ _LOSS_FNS = {"bce": (_bce_raw, _bce_grad), "mse": (_mse_raw, _mse_grad),
 def _loss_raw(kind, pd, target, weight):
     """A named loss of a prediction array: ``(value, grad, args)``, where
     ``grad(g, *args)`` is the prediction's gradient for the loss gradient
-    ``g``."""
+    ``g``.  The target has the prediction's shape."""
     if kind not in _LOSS_FNS:
         raise ValueError(f"loss kind must be one of {sorted(_LOSS_FNS)}, got '{kind}'")
     t = np.asarray(target, dtype=np.float64)
-    if t.shape != pd.shape:
-        raise ValueError(f"target shape {t.shape} != prediction shape {pd.shape}")
     raw, grad = _LOSS_FNS[kind]
     value, args = raw(pd, t, weight)
     return value, grad, args

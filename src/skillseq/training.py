@@ -112,10 +112,7 @@ def _val_split(indices, strata, frac, seed):
         if len(by[biggest]) > 1:
             val = [by[biggest][0]]
     val_set = set(val)
-    train = [i for i in indices if i not in val_set]
-    if not train:
-        raise ValueError("validation split consumed all training samples")
-    return train, sorted(val_set)
+    return [i for i in indices if i not in val_set], sorted(val_set)
 
 
 def _step(specs, flat, x, target, weight, loss, l2, rng):

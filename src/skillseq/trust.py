@@ -39,37 +39,25 @@ __all__ = [
 GRID_SIZE = 512
 
 
-def qa_trust(record, z, alpha=1.0, beta=1.0):
-    """Trust earned by one answered question (prediction).
-
-    ``z`` is the question's ground-truth class: the record must belong
-    to class z's question set (its actual class is z).  A prediction
-    matching z earns C**alpha; any other answer forfeits trust as
-    (1 - C)**beta, where C is the predicted class's confidence.
+def qa_trust(record, alpha=1.0, beta=1.0):
+    """Trust earned by one answered question: a classification record
+    (its confidences lie in [0, 1], as ``records.read_records_csv``
+    requires) of the question set of its actual class.  A prediction of
+    that class earns C**alpha; any other answer forfeits trust as
+    (1 - C)**beta, where C is the predicted class's confidence and
+    alpha, beta > 0.  A record without an actual class raises ValueError.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError(f"alpha and beta must be > 0, got {alpha}, {beta}")
-    if record.confidences is None or record.predicted is None:
-        raise ValueError(f"{record.trial_id}: no classification output to trust-score")
     if record.actual is None:
         raise ValueError(f"{record.trial_id}: no ground-truth class")
-    if not isinstance(z, (int, np.integer)) or not 0 <= int(z) < len(record.confidences):
-        raise ValueError(f"class index {z!r} invalid for {len(record.confidences)} classes")
-    if record.actual != int(z):
-        raise ValueError(
-            f"{record.trial_id}: record belongs to class {record.actual}'s "
-            f"question set, not class {int(z)}'s"
-        )
     c = float(record.confidences[record.predicted])
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"{record.trial_id}: confidence {c} outside [0, 1]")
-    if record.predicted == int(z):
+    if record.predicted == record.actual:
         return c ** alpha
     return (1.0 - c) ** beta
 
 
 def trust_values(records, alpha=1.0, beta=1.0):
-    return np.array([qa_trust(r, r.actual, alpha, beta) for r in records])
+    """``qa_trust`` of each classification record, in record order."""
+    return np.array([qa_trust(r, alpha, beta) for r in records])
 
 
 def _percentile(s, q):
@@ -87,12 +75,10 @@ def _percentile(s, q):
 
 
 def silverman_bandwidth(values):
-    """0.9 * min(std, IQR/1.34) * n^(-1/5), with a positive fallback
-    when the spread collapses (all values equal)."""
+    """0.9 * min(std, IQR/1.34) * n^(-1/5) of one or more values, with a
+    positive fallback when the spread collapses (all values equal)."""
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    if n < 1:
-        raise ValueError("bandwidth needs at least one value")
     std = float(v.std(ddof=1)) if n > 1 else 0.0
     ordered = np.sort(v)
     iqr = float(_percentile(ordered, 0.75) - _percentile(ordered, 0.25))
@@ -102,23 +88,19 @@ def silverman_bandwidth(values):
 
 
 def trust_density(values, bandwidth=None):
-    """KDE over [0, 1] with reflection at both boundaries, on ``GRID_SIZE``
-    points; the bandwidth defaults to Silverman's rule.
+    """KDE of a non-empty 1-D array over [0, 1] with reflection at both
+    boundaries, on ``GRID_SIZE`` points; the bandwidth, if given, is
+    positive, and defaults to Silverman's rule.
 
     Returns (grid, density); the trapezoid integral of the density over
     the grid is 1 to within truncation error (< 1e-3 for any bandwidth
     below ~0.5, enforced by capping).
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or len(v) == 0:
-        raise ValueError("trust_density needs a non-empty 1-D array")
     if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):      # NaN fails too
         raise ValueError("trust values must lie in [0, 1]")
     v = np.clip(v, 0.0, 1.0)
-    h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {h}")
-    h = min(h, 0.5)
+    h = min(silverman_bandwidth(v) if bandwidth is None else float(bandwidth), 0.5)
     grid = np.linspace(0.0, 1.0, GRID_SIZE)
     # kernels at v, plus mirror images across 0 and across 1
     centers = np.concatenate([v, -v, 2.0 - v])
@@ -151,7 +133,8 @@ class TrustReport:
 
 
 def build_trust_report(records, alpha=1.0, beta=1.0, class_names=None):
-    """Trust report of the records that carry a prediction, in one pass.
+    """Trust report of the records that carry a prediction (at least
+    one), in one pass.
 
     Each record is trust-scored once; every mean and density is taken
     over a subset of those values, in record order.  Every class named
@@ -159,8 +142,6 @@ def build_trust_report(records, alpha=1.0, beta=1.0, class_names=None):
     class with no samples has no defined mean trust.
     """
     recs = [r for r in records if r.predicted is not None]
-    if not recs:
-        raise ValueError("no classification records to build a trust report from")
     qa = trust_values(recs, alpha, beta)
     actual = np.array([r.actual for r in recs])
     correct = np.array([r.predicted for r in recs]) == actual

@@ -172,6 +172,25 @@ def test_bad_records_row_is_a_runtime_error_naming_file_and_line(records_file, t
     assert last_error(capsys) == f"error: runtime: {records} {message}"
 
 
+@pytest.mark.parametrize("cells, column, value", [("0.5,0.6,-0.1", "conf_c", "-0.1"),
+                                                  ("0.5,1.5,-1.0", "conf_b", "1.5")])
+def test_a_confidence_outside_the_unit_interval_is_refused_in_any_column(tmp_path, capsys,
+                                                                         cells, column, value):
+    """Each confidence lies in [0, 1], not only the predicted class's: a
+    row whose confidences sum to 1 with one outside [0, 1] is refused,
+    naming the file, the line and the column."""
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "trial_id,subject,trial,actual,predicted,conf_a,conf_b,conf_c,true_score,pred_score\n"
+        f"S01:0,S01,0,0,0,{cells},,\n"
+        "S01:1,S01,1,1,1,0.25,0.5,0.25,,\n"
+        "S01:2,S01,2,2,2,0.25,0.25,0.5,,\n")
+    assert dispatch(trust_argv(str(records), tmp_path / "trust")) == 1
+    assert last_error(capsys) == (f"error: runtime: {records} line 2, column '{column}': "
+                                  f"expected a number in [0, 1], got '{value}'")
+    assert not (tmp_path / "trust").exists()
+
+
 def test_repeated_records_trial_is_a_runtime_error_naming_both_lines(records_file, tmp_path,
                                                                     capsys):
     records = tmp_path / "records.csv"

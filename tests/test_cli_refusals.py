@@ -11,6 +11,7 @@ import os
 import re
 import shutil
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,20 +23,17 @@ FAST = ("--dae-max-epochs", "1", "--clf-max-epochs", "1", "--arch-enc-width", "2
         "--arch-emb-channels", "2", "--arch-clf-width", "2")
 
 
-def synth(out, subjects, trials, pass_fraction="0.5"):
+def synth(out, subjects, trials):
     assert dispatch(["synth", "--out", str(out), "--seed", "5", "--n-subjects", str(subjects),
-                     "--trials-per-subject", str(trials),
-                     "--pass-fraction", pass_fraction]) == 0
+                     "--trials-per-subject", str(trials), "--pass-fraction", "0.5"]) == 0
     return out / "manifest.csv"
 
 
 def edited(manifest, out, first=None, every=None):
     """A copy of ``manifest``'s dataset under ``out``, with ``first``
     applied to the text of its first trial file and ``every`` to all."""
-    src = manifest.parent
-    shutil.copytree(src, out)
-    names = sorted((out / "trials").iterdir())
-    for k, path in enumerate(names):
+    shutil.copytree(manifest.parent, out)
+    for k, path in enumerate(sorted((out / "trials").iterdir())):
         text = path.read_text()
         if every:
             text = every(text)
@@ -52,7 +50,7 @@ def without_last_channel(text):
 
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
-    """A 2 x 4 synthetic dataset, two trials of each class per subject."""
+    """A synthetic dataset of 2 subjects x 4 trials."""
     return synth(tmp_path_factory.mktemp("refusals") / "data", 2, 4)
 
 
@@ -99,12 +97,15 @@ def train_classifier(first, mode="classification"):
     return build
 
 
-def trust_without_actual(ctx):
-    records = ctx.tmp / "records.csv"
-    records.write_text("trial_id,subject,trial,actual,predicted,conf_pass,conf_fail,"
-                       "true_score,pred_score\nS01:0,S01,0,,0,0.75,0.25,,\n"
-                       "S01:1,S01,1,1,0,0.75,0.25,,\n")
-    return ["trust", "--records", records, "--out", ctx.tmp / "trust"]
+def trust_on(first_row):
+    """``trust`` on a records file whose first row is ``first_row``."""
+    def build(ctx):
+        records = ctx.tmp / "records.csv"
+        records.write_text("trial_id,subject,trial,actual,predicted,conf_pass,conf_fail,"
+                           f"true_score,pred_score\n{first_row}\n"
+                           "S01:1,S01,1,1,0,0.75,0.25,,\n")
+        return ["trust", "--records", records, "--out", ctx.tmp / "trust"]
+    return build
 
 
 def cam_overlay_three_channels(ctx):
@@ -141,21 +142,51 @@ def config_directory(ctx):
     return ["evaluate", "--config", ctx.tmp, "--manifest", ctx.data, *FAST]
 
 
-def validate_cam(run, drop=None, edit=None):
+def validate_cam(run, drop=None, name="metrics.txt", edit=None):
+    """``validate-cam`` on a copy of a run without the file ``drop`` and
+    with ``edit`` applied to the text of ``name``; a changed ``folds.txt``
+    gets its new fingerprint recorded in ``metrics.txt``."""
     def build(ctx):
         copy = ctx.tmp / "run"
         shutil.copytree(ctx.runs / run, copy)
         if drop:
             os.remove(copy / drop)
         if edit:
-            path = copy / "metrics.txt"
-            path.write_text(edit(path.read_text()))
+            path = copy / name
+            path.write_text(edit(path.read_bytes().decode("utf-8")), newline="")
+        if name == "folds.txt":
+            digest = hashlib.sha256((copy / name).read_bytes()).hexdigest()
+            metrics = copy / "metrics.txt"
+            metrics.write_text(re.sub(r"(?m)^folds_sha256 = .*$", f"folds_sha256 = {digest}",
+                                      metrics.read_text()))
         return ["validate-cam", "--run", copy, "--out", ctx.tmp / "study"]
     return build
 
 
 def no_folds_line(text):
     return re.sub(r"(?m)^folds_sha256 = .*\n", "", text)
+
+
+def unknown_training_trial(text):
+    return re.sub(r"(?m)^(fold S01 train = .*)$", r"\1,S09:0", text)
+
+
+def first_test_trial_dropped(text):
+    return re.sub(r"(?m)^fold S01 test = [^,]*,", "fold S01 test = ", text)
+
+
+def mixed_class_indices(text):
+    """The second row of the first map names the other class."""
+    lines = text.split("\r\n")
+    cells = lines[2].split(",")
+    cells[1] = str(1 - int(cells[1]))
+    lines[2] = ",".join(cells)
+    return "\r\n".join(lines)
+
+
+def trust_on_scores(ctx):
+    return ["trust", "--records", ctx.runs / "regression" / "fold_S01" / "predictions.csv",
+            "--out", ctx.tmp / "trust"]
 
 
 META_ARRAY = b"[]"
@@ -177,8 +208,10 @@ CASES = {
     "unscored-trial": (train_classifier(lambda t: re.sub(r"# score=.*\n", "", t),
                                         "regression"), 1,
                        "S01:0: unscored trial in regression training"),
-    "trust-without-actual": (trust_without_actual, 1,
+    "trust-without-actual": (trust_on("S01:0,S01,0,,0,0.75,0.25,,"), 1,
                              "records.csv: S01:0: no ground-truth class"),
+    "trust-confidences-sum": (trust_on("S01:0,S01,0,0,0,0.5,0.6,,"), 1,
+                              "records.csv line 2: confidences must sum to 1, got 1.1"),
     "overlay-three-channels": (cam_overlay_three_channels, 1,
                                "need an even channel count to pair coordinates, got 3"),
     "bundle-bad-magic": (predict_with(BAD_MAGIC), 1, "b.skq: not a bundle file (bad magic)"),
@@ -205,22 +238,35 @@ CASES = {
                                 "is missing baseline artifact metrics.txt"),
     "validate-cam-no-folds-line": (validate_cam("classification", edit=no_folds_line), 1,
                                    "metrics.txt: no folds_sha256 line"),
+    "validate-cam-unknown-trial": (validate_cam("classification", name="folds.txt",
+                                                edit=unknown_training_trial), 1,
+                                   "fold S01 references unknown trial S09:0"),
+    "validate-cam-unmapped-trial": (validate_cam("classification",
+                                                 drop="fold_S01/predictions.csv",
+                                                 name="folds.txt",
+                                                 edit=first_test_trial_dropped), 1,
+                                    "no activation map for 1 trials, e.g. S01:0"),
+    "validate-cam-mixed-classes": (validate_cam("classification", name="fold_S01/cams.csv",
+                                                edit=mixed_class_indices), 1,
+                                   "cams.csv: S01:0 mixes class indices"),
+    "cam-unknown-target-class": (lambda ctx: ["cam", "--bundle",
+                                              ctx.runs / "classification" / "fold_S01"
+                                              / "bundle.skq", "--manifest", ctx.data,
+                                              "--out", ctx.tmp / "c.csv",
+                                              "--target-class", "good"], 2,
+                                 "--target-class 'good' is neither a class name nor an index"),
+    "trust-on-scores": (trust_on_scores, 2,
+                        "predictions.csv: no classification records with confidences"),
+    "train-dae-one-trial": (lambda ctx: ["train-dae", "--manifest", synth(ctx.tmp / "d", 1, 1),
+                                         "--out", ctx.tmp / "out", *FAST], 1,
+                            "training needs at least two trials"),
 }
 
 
-class Context:
-    def __init__(self, tmp, data, runs):
-        self.tmp, self.data, self._runs = tmp, data, runs
-
-    @property
-    def runs(self):
-        return self._runs()
-
-
 @pytest.mark.parametrize("case", list(CASES))
-def test_a_refusal_reached_from_outside_exits_by_name(case, data, request, tmp_path, capsys):
+def test_a_refusal_reached_from_outside_exits_by_name(case, data, runs, tmp_path, capsys):
     build, code, fragment = CASES[case]
-    ctx = Context(tmp_path, data, lambda: request.getfixturevalue("runs"))
+    ctx = SimpleNamespace(tmp=tmp_path, data=data, runs=runs)
     argv = [str(a) for a in build(ctx)]
     capsys.readouterr()
     assert dispatch(argv) == code

@@ -58,25 +58,25 @@ def oracle_spectrum(records, alpha, beta):
 
 def test_correct_prediction_trust_examples():
     r = rec(actual=0, predicted=0, confidence=0.9)
-    assert qa_trust(r, 0) == pytest.approx(0.9)
-    assert qa_trust(r, 0, alpha=2.0) == pytest.approx(0.81)
+    assert qa_trust(r) == pytest.approx(0.9)
+    assert qa_trust(r, alpha=2.0) == pytest.approx(0.81)
 
 
 def test_incorrect_prediction_forfeits_trust():
     r = rec(actual=0, predicted=1, confidence=0.9)
-    assert qa_trust(r, 0) == pytest.approx(1.0 - 0.9)
+    assert qa_trust(r) == pytest.approx(1.0 - 0.9)
 
 
 def test_beta_shapes_incorrect_branch():
     r = rec(actual=1, predicted=0, confidence=0.8)
-    assert qa_trust(r, 1, beta=2.0) == pytest.approx((1 - 0.8) ** 2)
+    assert qa_trust(r, beta=2.0) == pytest.approx((1 - 0.8) ** 2)
 
 
 def test_larger_beta_lowers_the_trust_of_a_wrong_answer():
     """beta is a penalty: at C = 0.8, (1 - C)**beta falls from 0.2 through
     0.04 to 0.008 as beta goes 1, 2, 3."""
     r = rec(actual=1, predicted=0, confidence=0.8)
-    trusts = [qa_trust(r, 1, beta=b) for b in (1.0, 2.0, 3.0)]
+    trusts = [qa_trust(r, beta=b) for b in (1.0, 2.0, 3.0)]
     assert trusts == pytest.approx([0.2, 0.04, 0.008])
     assert trusts[0] > trusts[1] > trusts[2]
 
@@ -84,8 +84,8 @@ def test_larger_beta_lowers_the_trust_of_a_wrong_answer():
 def test_alpha_only_touches_correct_branch():
     correct = rec(actual=0, predicted=0, confidence=0.7)
     wrong = rec(actual=0, predicted=1, confidence=0.7)
-    assert qa_trust(correct, 0, alpha=3.0) == pytest.approx(0.7 ** 3)
-    assert qa_trust(wrong, 0, alpha=3.0) == pytest.approx(qa_trust(wrong, 0))
+    assert qa_trust(correct, alpha=3.0) == pytest.approx(0.7 ** 3)
+    assert qa_trust(wrong, alpha=3.0) == pytest.approx(qa_trust(wrong))
 
 
 def test_trust_bounded_in_unit_interval():
@@ -94,17 +94,8 @@ def test_trust_bounded_in_unit_interval():
         c = rng.uniform(0.5, 1.0)
         r = rec(actual=int(rng.integers(2)), predicted=int(rng.integers(2)),
                 confidence=c)
-        v = qa_trust(r, r.actual, alpha=rng.uniform(0.2, 3),
-                     beta=rng.uniform(0.2, 3))
+        v = qa_trust(r, alpha=rng.uniform(0.2, 3), beta=rng.uniform(0.2, 3))
         assert 0.0 <= v <= 1.0
-
-
-def test_qa_trust_validates_z():
-    r = rec(actual=0, predicted=0, confidence=0.9)
-    with pytest.raises(ValueError):
-        qa_trust(r, 5)
-    with pytest.raises(ValueError):
-        qa_trust(r, 1)       # z must be the record's actual class
 
 
 def test_trust_values_order_follows_records():
