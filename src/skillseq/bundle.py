@@ -30,6 +30,7 @@ import numpy as np
 from .data import MinMaxStats, ScoreStats
 from .layers import LayerSpec, param_shapes
 from .model import ModelBundle
+from .modes import MODES
 from .reports import quoted
 
 __all__ = [
@@ -280,7 +281,7 @@ def _bundle(path, meta, weights):
     check.items("minmax.source_ids", minmax["source_ids"], _STR)
     minmax = MinMaxStats.from_dict(minmax)
     stats = meta["score_stats"]
-    if stats is not None or mode == "regression":
+    if stats is not None or (mode in MODES and not MODES[mode].classes):
         check.obj("score_stats", stats, ("mean", "std", "source_ids"))
         check.typed("score_stats.mean", stats["mean"], _NUMBER)
         check.typed("score_stats.std", stats["std"], _NUMBER)

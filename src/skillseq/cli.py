@@ -59,6 +59,7 @@ from .data import dataset_fingerprint, load_manifest
 from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
 from .model import actual_class, predict_many, prepare_dataset
+from .modes import MODES, fold_metrics
 from .overlay import render_cam_overlay
 from .records import read_records_csv, write_records_csv
 from .reports import fmt9, kv_line, quoted
@@ -127,6 +128,15 @@ def _training_set(args):
                                 run.manifest).trials
 
 
+def _trained(manifest, train, *args):
+    """``train(*args)`` over the trials of ``manifest``: a training set it
+    refuses (a ValueError) is a runtime error naming the manifest."""
+    try:
+        return train(*args)
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None
+
+
 def _check_channels(bundle, bundle_path, trials, manifest):
     """A trial of ``manifest`` whose channels are not the ones the bundle
     was fit on is a runtime error naming the manifest, the trial and the
@@ -190,7 +200,8 @@ def _cmd_ingest_check(args):
 def _cmd_train_dae(args):
     run, trials = _training_set(args)
     settings = run.settings
-    bundle, history = train_dae(trials, settings.dae, settings.seed, settings.arch)
+    bundle, history = _trained(run.manifest, train_dae, trials, settings.dae, settings.seed,
+                               settings.arch)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "dae.skq")
     save_bundle(bundle, path)
@@ -211,9 +222,10 @@ def _cmd_train_classifier(args):
             raise UsageError(f"--dae {args.dae} has mode '{dae_bundle.mode}', not autoencoder")
         _check_channels(dae_bundle, args.dae, trials, run.manifest)
     else:
-        dae_bundle, _ = train_dae(trials, settings.dae, settings.seed, settings.arch)
-    bundle, history = train_classifier(dae_bundle, trials, settings.clf, settings.seed,
-                                       settings.arch, settings.mode)
+        dae_bundle, _ = _trained(run.manifest, train_dae, trials, settings.dae, settings.seed,
+                                 settings.arch)
+    bundle, history = _trained(run.manifest, train_classifier, dae_bundle, trials, settings.clf,
+                               settings.seed, settings.arch, settings.mode)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "skill.skq")
     save_bundle(bundle, path)
@@ -244,14 +256,11 @@ def _cmd_predict(args):
     bundle = _load_skill_bundle(args, "predict")
     _, trials = _model_inputs(args, bundle)
     records = predict_many(bundle, trials)
-    write_records_csv(records, args.out,
-                      classes=bundle.class_names or ("score",))
+    write_records_csv(records, args.out, classes=MODES[bundle.mode].units)
     print(kv_line("records", args.out))
-    if bundle.mode == "classification":
-        known = [r for r in records if r.actual is not None]
-        if known:
-            acc = sum(1 for r in known if r.predicted == r.actual) / len(known)
-            print(kv_line("accuracy", acc))
+    accuracy = fold_metrics(bundle.mode, records).get("accuracy")
+    if accuracy is not None:
+        print(kv_line("accuracy", accuracy))
     return EXIT_OK
 
 
@@ -289,7 +298,10 @@ def _cmd_cam(args):
         for raw_trial, cam in zip(dataset.trials, cams):
             path = os.path.join(args.overlay_dir,
                                 f"{raw_trial.subject_id}_{raw_trial.trial_index:03d}.svg")
-            render_cam_overlay(raw_trial, cam, path)
+            try:
+                render_cam_overlay(raw_trial, cam, path)
+            except ValueError as exc:
+                raise ValueError(f"{args.manifest}: --overlay-dir: {exc}") from None
         print(kv_line("overlays", args.overlay_dir))
     return EXIT_OK
 

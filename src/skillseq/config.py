@@ -22,8 +22,8 @@ variable before its default.  Each value keeps its origin (``<file>
 line <n>``, ``flag --x``, ``environment SKILLSEQ_SEED`` or ``default``),
 and every settings error names the key and its origin, and the origin
 of each other key that a rule across fields read.  The head's loss is
-no key: ``HEAD_LOSS`` takes it from the mode, and an older file's
-``clf_loss`` line reads only if it names it.
+no key: the mode's entry of ``modes.MODES`` fixes it, and an older
+file's ``clf_loss`` line reads only if it names it.
 """
 
 from __future__ import annotations
@@ -34,19 +34,16 @@ import os
 from dataclasses import MISSING, dataclass, field, fields
 
 from .data import read_text
+from .modes import MODES
 from .reports import quoted
 
-__all__ = ["ConfigError", "SettingError", "Bound", "setting", "HEAD_LOSS", "DaeConfig",
+__all__ = ["ConfigError", "SettingError", "Bound", "setting", "DaeConfig",
            "HeadConfig", "ArchConfig", "RunSettings", "SynthSpec", "RunConfig", "Key",
            "RUN_KEYS", "SYNTH_KEYS", "parse_scheme", "add_key_flags", "flag_values",
            "read_config_file", "resolve_run_config", "resolve_synth_spec", "write_run_cfg",
            "read_run_cfg", "SEED_ENV_VAR"]
 
 SEED_ENV_VAR = "SKILLSEQ_SEED"
-
-# a skill head's mode fixes its loss: cosine to one-hot classes, mse to z-scores
-HEAD_LOSS = {"classification": "cosine", "regression": "mse"}
-
 
 class ConfigError(ValueError):
     """Bad configuration input; the message names the key and its origin."""
@@ -185,7 +182,7 @@ def _parse_mode(raw):
 class RunSettings(_Checked):
     """Everything that determines a run besides the dataset itself."""
 
-    mode: str = setting("classification", _parse_mode, among=("classification", "regression"))
+    mode: str = setting("classification", _parse_mode, among=tuple(MODES))
     scheme: str = setting("stratified10",
                           rule=(parse_scheme, "stratified<k> (k >= 2), loso or louo"))
     seed: int = setting(0, at_least=0)
@@ -401,7 +398,7 @@ def _run_config(sourced):
     """The RunConfig of ``{key: (value, origin)}``; an older file's
     ``clf_loss`` must name the mode's loss."""
     settings = _build(RunSettings, sourced)
-    head_loss, want = sourced.get("clf_loss", (None,))[0], HEAD_LOSS[settings.mode]
+    head_loss, want = sourced.get("clf_loss", (None,))[0], MODES[settings.mode].loss
     if head_loss not in (None, want):
         raise _refused(sourced, ["clf_loss", "mode"], f"a {settings.mode} head trains on "
                        f"{want} loss, not {quoted(head_loss)}")
@@ -414,7 +411,7 @@ def resolve_run_config(from_file=None, from_flags=None, env=None):
     ``flag_values``' typed flag values.
 
     Keys left unset take the defaults of the dataclasses they fill; the
-    head's loss is ``HEAD_LOSS`` of the mode, no key.
+    head's loss is the mode's, no key.
     """
     return _run_config(_layered(RUN_KEYS, from_file, from_flags, env))
 

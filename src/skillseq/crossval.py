@@ -14,6 +14,11 @@ them to every trial it trains on or scores through
 ``model.normalize_for_model``, the one place a bundle's statistics are
 applied.  The fold checks that the statistics name training trials only.
 
+The mode's ``modes.MODES`` entry gives the fold guard, whether a fold
+writes activation maps, and the metrics.  Fold, pooled and masking-study
+metrics count only test records whose target is known; the ``fold <k> n``
+and ``pooled n`` lines count every test trial.
+
 The masking study (validate_cams) reloads a finished run, attenuates
 every trial with the activation map computed when that trial was in the
 test fold, retrains under the identical roster and derived seeds, and
@@ -34,8 +39,9 @@ from .config import ConfigError, RunConfig, parse_scheme, read_run_cfg, write_ru
 from .data import dataset_fingerprint, load_manifest, read_text
 from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, write_cams_csv
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
-from .metrics import binary_metrics, roc_auc, spearman, wilcoxon_one_sided
+from .metrics import wilcoxon_one_sided
 from .model import actual_class, predict_many, prepare_dataset
+from .modes import MODES, fold_metrics
 from .records import read_records_csv, write_records_csv
 from .reports import kv_line
 from .training import train_classifier, train_dae
@@ -51,8 +57,6 @@ __all__ = [
     "metrics_report_text",
 ]
 
-CLASSIFICATION_METRICS = ("accuracy", "auc", "sensitivity", "specificity")
-REGRESSION_METRICS = ("spearman", "spearman_p")
 # the masking study's metrics, in report order
 MASKING_METRICS = ("accuracy", "sensitivity", "specificity", "auc")
 
@@ -101,73 +105,25 @@ class RunResult:
     metrics_text: str
 
 
-def _build_assignment(stage2, settings):
+def _build_assignment(stage2, settings, source):
+    """The fold roster of the settings' scheme; a dataset it cannot split
+    is a ValueError naming ``source``, the dataset's manifest, and the
+    scheme."""
     kind, k = parse_scheme(settings.scheme)
     trials = stage2.trials
-    if kind == "stratified":
-        return stratified_kfold([t.trial_id for t in trials], [t.class_label for t in trials],
-                                k, settings.seed)
-    if kind == "loso":
-        return loso_folds(trials)
-    return louo_folds(trials)
-
-
-def _classification_metrics(records):
-    actual = [r.actual for r in records]
-    predicted = [r.predicted for r in records]
-    bm = binary_metrics(actual, predicted)
     try:
-        auc = roc_auc(
-            np.array([r.confidences[0] for r in records]),
-            np.array([a == 0 for a in actual]),
-        )
-    except ValueError:
-        auc = None
-    return {"accuracy": bm.accuracy, "auc": auc,
-            "sensitivity": bm.sensitivity, "specificity": bm.specificity}
-
-
-def _regression_metrics(records):
-    true = [r.true_score for r in records]
-    pred = [r.pred_score for r in records]
-    try:
-        rho, p = spearman(true, pred)
-    except ValueError:
-        return {"spearman": None, "spearman_p": None}
-    return {"spearman": rho, "spearman_p": p}
-
-
-def fold_metrics(mode, records):
-    if not records:
-        return {m: None for m in metric_names(mode)}
-    if mode == "classification":
-        return _classification_metrics(records)
-    return _regression_metrics(records)
-
-
-def metric_names(mode):
-    return CLASSIFICATION_METRICS if mode == "classification" else REGRESSION_METRICS
-
-
-def _fold_guard(settings, train_trials):
-    if settings.mode == "classification":
-        labels = {t.class_label for t in train_trials}
-        if None in labels:
-            return "failed: training trial without class label"
-        if len(labels) < 2:
-            return f"failed: single-class training data ({labels.pop()})"
-    else:
-        scores = [t.score for t in train_trials]
-        if any(s is None for s in scores):
-            return "failed: training trial without score"
-        if len(set(scores)) < 2:
-            return "failed: constant training scores"
-    return None
+        if kind == "stratified":
+            return stratified_kfold([t.trial_id for t in trials],
+                                    [t.class_label for t in trials], k, settings.seed)
+        return loso_folds(trials) if kind == "loso" else louo_folds(trials)
+    except ValueError as exc:
+        raise ValueError(f"{source}: --scheme {settings.scheme}: {exc}") from None
 
 
 def _run_fold(args):
     settings, fold_index, fold, train_trials, test_trials = args
-    reason = _fold_guard(settings, train_trials)
+    mode = MODES[settings.mode]
+    reason = mode.fold_fault(train_trials)
     if reason is not None:
         return FoldOutcome(name=fold.name, status=reason, records=(),
                            metrics=None, bundle=None)
@@ -182,10 +138,10 @@ def _run_fold(args):
     except FloatingPointError as exc:
         raise FloatingPointError(f"fold {fold.name}: {exc}") from exc
     assert set(skill.minmax.source_ids) <= set(fold.train_ids)
-    # one packed forward gives the records and, for classification, each
-    # trial's map for its actual class (the predicted one when unknown)
+    # one packed forward gives the records and, where the mode writes maps,
+    # each trial's map for its actual class (the predicted one when unknown)
     cams = ()
-    if settings.mode == "classification":
+    if mode.cams:
         records, cams = predict_with_cams(skill, test_trials,
                                           [actual_class(skill, t) for t in test_trials])
     else:
@@ -206,7 +162,7 @@ def _run_fold(args):
 
 def _aggregate_lines(mode, outcomes):
     lines = []
-    for m in metric_names(mode):
+    for m in MODES[mode].metrics:
         vals = [o.metrics[m] for o in outcomes if o.ok and o.metrics[m] is not None]
         lines.append(kv_line(f"aggregate {m} mean", float(np.mean(vals)) if vals else None))
         lines.append(kv_line(f"aggregate {m} std", float(np.std(vals)) if vals else None))
@@ -242,7 +198,7 @@ def metrics_report_text(settings, dataset_sha, assignment, outcomes):
         lines.append(kv_line(f"fold {o.name} dae_epochs", o.dae_epochs))
         lines.append(kv_line(f"fold {o.name} clf_epochs", o.clf_epochs))
         lines.append(kv_line(f"fold {o.name} encoder_sha256", o.encoder_sha256))
-        for m in metric_names(settings.mode):
+        for m in MODES[settings.mode].metrics:
             lines.append(kv_line(f"fold {o.name} {m}", o.metrics[m]))
     lines.extend(_aggregate_lines(settings.mode, outcomes))
     return "\n".join(lines) + "\n"
@@ -255,7 +211,7 @@ def _persist_fold(out_dir, settings, fold, outcome):
         return
     save_bundle(outcome.bundle, os.path.join(fold_dir, "bundle.skq"))
     write_records_csv(outcome.records, os.path.join(fold_dir, "predictions.csv"))
-    if settings.mode == "classification":
+    if MODES[settings.mode].cams:
         write_cams_csv(outcome.cams, os.path.join(fold_dir, "cams.csv"))
 
 
@@ -273,7 +229,8 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
 
     ``fold_assignment`` replays a fixed roster that tests every trial (the
     masking study depends on this); otherwise the roster comes from the
-    settings' scheme and seed.  ``jobs`` > 1 trains folds in separate
+    settings' scheme and seed, and a dataset the scheme cannot split is
+    refused naming ``manifest_path``.  ``jobs`` > 1 trains folds in separate
     processes, at most one per fold, from the pool that ``_process_pool``
     makes; outputs are identical to the serial path.  A serial run (``jobs`` 1) trains in
     this process and never imports the process-pool machinery.
@@ -281,7 +238,7 @@ def run_cv(dataset, settings, out_dir=None, fold_assignment=None,
     stage2 = prepare_dataset(dataset, settings.target_hz, manifest_path)
     by_id = {t.trial_id: t for t in stage2.trials}
     dataset_sha = dataset_fingerprint(dataset)
-    assignment = fold_assignment or _build_assignment(stage2, settings)
+    assignment = fold_assignment or _build_assignment(stage2, settings, manifest_path)
 
     for f in assignment.folds:
         for tid in f.train_ids + f.test_ids:
@@ -355,7 +312,7 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     cfg_path = os.path.join(run_dir, SETTINGS_FILE)
     run = read_run_cfg(cfg_path)
     settings = run.settings
-    if settings.mode != "classification":
+    if not MODES[settings.mode].cams:
         raise ValueError(f"{cfg_path}: the masking study applies to classification runs, "
                          f"not {settings.mode}")
     if dataset is None:
@@ -404,7 +361,7 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
         if {r.trial_id for r in records} != set(fold.test_ids):
             raise ValueError(f"{pred_path}: predictions do not cover the test set "
                              f"of fold {fold.name}")
-        before[fold.name] = fold_metrics("classification", tuple(records))
+        before[fold.name] = fold_metrics(settings.mode, records)
         cams_path = os.path.join(fold_dir, "cams.csv")
         fold_cams = read_cams_csv(cams_path)
         if set(fold_cams) != set(fold.test_ids):

@@ -104,7 +104,7 @@ def predict_with_cams(bundle, trials, target_classes=None):
     cams = []
     for rec, pre_gap, target in zip(records, pre_gaps, target_classes):
         if target is None:
-            target = rec.predicted if bundle.mode == "classification" else 0
+            target = 0 if rec.predicted is None else rec.predicted
         cams.append(CamMap.from_raw(rec.trial_id, target, pre_gap @ w[:, target]))
     return records, cams
 

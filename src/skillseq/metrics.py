@@ -39,19 +39,15 @@ def average_ranks(x):
     return ranks
 
 
-def _pearson(a, b):
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
-    return float(np.dot(a, b)) / denom
-
-
 def spearman(x, y):
     """Spearman rho of two equal-length sequences, with a two-sided p-value.
 
     rho is the Pearson correlation of average ranks.  For n <= 8 the
-    p-value enumerates all permutations of y's ranks exactly; beyond
+    p-value counts, over all permutations of y's ranks at once (one
+    (n!, n) array), those whose |rho| reaches the observed one; beyond
     that it uses the t approximation with n - 2 degrees of freedom.
+    Average ranks are multiples of 1/2, so every sum of the exact count
+    is exact in float64 and independent of its order.
     Constant inputs are rejected (rank correlation undefined).
     """
     x = np.asarray(x, dtype=np.float64)
@@ -61,17 +57,13 @@ def spearman(x, y):
         raise ValueError(f"spearman needs n >= 3, got {n}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("spearman is undefined for constant input")
-    rx, ry = average_ranks(x), average_ranks(y)
-    rho = _pearson(rx, ry)
+    a, b = average_ranks(x), average_ranks(y)
+    a, b = a - a.mean(), b - b.mean()
+    denom = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+    rho = float(np.dot(a, b)) / denom
     if n <= 8:
-        target = abs(rho) - 1e-12
-        count = 0
-        total = 0
-        for perm in itertools.permutations(ry):
-            total += 1
-            if abs(_pearson(rx, np.array(perm))) >= target:
-                count += 1
-        p = count / total
+        perms = np.array(list(itertools.permutations(b)))
+        p = int(np.count_nonzero(np.abs(perms @ a / denom) >= abs(rho) - 1e-12)) / len(perms)
     else:
         t2 = rho * rho
         if t2 >= 1.0:

@@ -6,14 +6,13 @@ convolution produce a per-timestep embedding; the decoder mirrors the
 encoder (without attention) and ends in a sigmoid so reconstructions
 live in [0, 1].  Skill models reuse the frozen encoder and add a small
 dilated attention block over the embedding, global average pooling, and
-a dense head (2-way softmax for pass/fail, single linear unit for
-scores).
+a dense head over the units of its mode (``modes.MODES``).
 
 A ModelBundle carries everything needed to reproduce predictions:
 layer specs per group, named weights, the preprocessing statistics the
 weights were fitted against, and the mode.  The mode fixes the rest: a
-skill model trains only its head over a frozen encoder, and a
-classifier's classes are ``PASS_FAIL``.
+skill model trains only its head over a frozen encoder, and the mode's
+``MODES`` entry gives the head's units, tail and classes.
 
 The model functions (``embed``, ``predict``, ``predict_many``) take
 DOWNSAMPLED trials and normalize them themselves, so callers never
@@ -35,13 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import ArchConfig
-from .data import (PASS_FAIL, RAW, Dataset, MinMaxStats, ScoreStats,
-                   apply_minmax, invert_znorm, prepare_stage2)
+from .data import RAW, Dataset, MinMaxStats, ScoreStats, apply_minmax, prepare_stage2
 from .layers import (KINDS, SEQUENCE, VECTOR, LayerSpec, forward_packed, init_stack_params,
                      param_shapes)
+from .modes import MODES
 from .records import PredictionRecord
 from .seeding import make_rng, PURPOSE
 
@@ -61,9 +58,6 @@ __all__ = [
     "head_forward",
     "actual_class",
 ]
-
-MODES = ("autoencoder", "classification", "regression")
-
 
 def encoder_specs(arch, n_channels, noise_sigma=0.001):
     return (
@@ -90,10 +84,10 @@ def decoder_specs(out_channels, arch):
     )
 
 
-def head_specs(arch, classification=True):
-    """A skill head: a softmax over ``PASS_FAIL``, or one linear unit."""
-    n_out = len(PASS_FAIL) if classification else 1
-    specs = [
+def head_specs(arch, mode):
+    """A skill head of ``mode``: a dense layer over the mode's units, then its tail."""
+    skill = MODES[mode]
+    return (
         LayerSpec("conv1d", in_channels=arch.emb_channels, out_channels=arch.clf_width,
                   kernel_size=1),
         LayerSpec("selu"),
@@ -101,11 +95,9 @@ def head_specs(arch, classification=True):
                   kernel_size=arch.kernel_size, dilation=arch.clf_dilation,
                   reduction=arch.reduction),
         LayerSpec("gap"),
-        LayerSpec("dense", in_channels=arch.clf_width, out_channels=n_out),
-    ]
-    if classification:
-        specs.append(LayerSpec("softmax"))
-    return tuple(specs)
+        LayerSpec("dense", in_channels=arch.clf_width, out_channels=len(skill.units)),
+        *(LayerSpec(kind) for kind in skill.tail),
+    )
 
 
 @dataclass
@@ -120,8 +112,9 @@ class ModelBundle:
 
     @property
     def class_names(self):
-        """``PASS_FAIL`` for a classifier, else None."""
-        return PASS_FAIL if self.mode == "classification" else None
+        """The classes of a classifier's mode, else None."""
+        skill = MODES.get(self.mode)
+        return skill.classes if skill else None
 
     @property
     def head_kernel(self):
@@ -130,25 +123,23 @@ class ModelBundle:
         return self.weights[f"head/{i}.w"]
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode '{self.mode}'; expected one of {MODES}")
+        if self.mode != "autoencoder" and self.mode not in MODES:
+            raise ValueError(f"unknown mode '{self.mode}'; "
+                             f"expected one of {('autoencoder', *MODES)}")
         if "encoder" not in self.groups:
             raise ValueError("bundle must contain an encoder group")
         if self.mode == "autoencoder" and "decoder" not in self.groups:
             raise ValueError("autoencoder bundle needs a decoder group")
-        if self.mode in ("classification", "regression"):
-            head = self.groups.get("head")
+        if self.mode in MODES:
+            skill, head = MODES[self.mode], self.groups.get("head")
             if not head:
                 raise ValueError(f"{self.mode} bundle needs a head group")
-            dense = [s for s in head if s.kind == "dense"]
-            if len(dense) != 1:
+            kinds = [s.kind for s in head]
+            if kinds.count("dense") != 1:
                 raise ValueError("head must contain exactly one dense layer")
-            if self.mode == "classification":
-                if head[-1].kind != "softmax" or dense[0].out_channels != 2:
-                    raise ValueError("classification head must end in a 2-way softmax")
-            else:
-                if head[-1].kind == "softmax" or dense[0].out_channels != 1:
-                    raise ValueError("regression head must be a single linear unit")
+            i = kinds.index("dense")
+            if tuple(kinds[i + 1:]) != skill.tail or head[i].out_channels != len(skill.units):
+                raise ValueError(f"{self.mode} head must {skill.head}")
         encoded = _chain("encoder", self.groups["encoder"], len(self.minmax.channels))
         for g, specs in self.groups.items():
             if g != "encoder":
@@ -237,14 +228,13 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
     """Attach a fresh skill head to a trained autoencoder's encoder.
 
     The encoder group (specs and weights) is copied verbatim and stays
-    frozen; only the head will train.  A classifier's classes are
-    ``PASS_FAIL``.
+    frozen; only the head will train.
     """
     arch = arch or ArchConfig()
     emb = _chain("encoder", dae_bundle.groups["encoder"], len(dae_bundle.minmax.channels))
     if emb != arch.emb_channels:
         arch = replace(arch, emb_channels=emb)
-    head = head_specs(arch, mode == "classification")
+    head = head_specs(arch, mode)
     rng = make_rng(seed, PURPOSE["init"], 2)
     weights = {f"head/{k}": v for k, v in init_stack_params(head, rng).items()}
     for k, v in dae_bundle.weights.items():
@@ -259,11 +249,8 @@ def build_classifier(dae_bundle, mode, arch=None, seed=0):
 
 
 def predict(bundle, trial):
-    """PredictionRecord for one downsampled trial.
-
-    Classification: per-class confidences and the argmax class (lowest
-    index wins ties).  Regression: score mapped back to original units.
-    """
+    """PredictionRecord for one downsampled trial; its mode's ``read_out``
+    gives the prediction fields."""
     return predict_many(bundle, [trial])[0]
 
 
@@ -291,21 +278,8 @@ def actual_class(bundle, trial):
 
 def _record(bundle, trial, out):
     """PredictionRecord from a trial's head output."""
-    actual = actual_class(bundle, trial)
-    if bundle.mode == "classification":
-        conf = tuple(float(c) for c in out)
-        pred = int(np.argmax(out))  # np.argmax returns the first (lowest) maximum
-        return PredictionRecord(
-            trial_id=trial.trial_id, subject_id=trial.subject_id,
-            trial_index=trial.trial_index,
-            actual=actual, predicted=pred, confidences=conf,
-            true_score=trial.score, pred_score=None,
-        )
-    z = float(out[0])
     return PredictionRecord(
-        trial_id=trial.trial_id, subject_id=trial.subject_id,
-        trial_index=trial.trial_index,
-        actual=actual, predicted=None, confidences=None,
-        true_score=trial.score,
-        pred_score=invert_znorm(z, bundle.score_stats),
+        trial_id=trial.trial_id, subject_id=trial.subject_id, trial_index=trial.trial_index,
+        actual=actual_class(bundle, trial), true_score=trial.score,
+        **MODES[bundle.mode].read_out(out, bundle.score_stats),
     )

@@ -9,11 +9,12 @@ applied, so a caller never handles them.
 
 Both stages run one loop, ``_run_training``, over arrays: the stacks and
 initial parameters of the groups that train, one input, target and loss
-weight per trial, the loss kind (the autoencoder recipe's, or ``HEAD_LOSS``
-of the head's mode), and the strata of the validation split.
-``train_dae`` and ``train_supervised`` only prepare that data; the head
-trains on encoder features computed once, so the frozen encoder never
-enters the loop.  The recipe is shared: one sample per optimizer step,
+weight per trial, the loss kind (the autoencoder recipe's, or the head
+mode's), and the strata of the validation split.  ``train_dae`` and
+``train_supervised`` only prepare that data, the head's from its mode's
+entry of ``modes.MODES``, which also refuses trials it cannot train on.
+The head trains on encoder features computed once, so the frozen encoder
+never enters the loop.  The recipe is shared: one sample per optimizer step,
 Adam with kernel L2 decay, an activity penalty on every convolution
 output, per-epoch reshuffling, a stratified validation split, and early
 stopping on validation loss with best-weight restoration.  Training
@@ -41,16 +42,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as tz
-from .config import HEAD_LOSS, ArchConfig, DaeConfig, HeadConfig
-from .data import apply_minmax, fit_minmax, fit_znorm, apply_znorm, one_hot, class_weights
+from .config import ArchConfig, DaeConfig, HeadConfig
+from .data import apply_minmax, fit_minmax
 from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packed,
                      forward_stack)
 from .model import (ModelBundle, build_classifier, encoder_specs, decoder_specs, encode_many,
                     normalize_for_model)
+from .modes import MODES
 from .optim import AdamState, adam_step_masked
 from .seeding import make_rng, PURPOSE
 
-__all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "HEAD_LOSS", "train_dae",
+__all__ = ["DaeConfig", "HeadConfig", "TrainHistory", "train_dae",
            "train_supervised", "train_classifier"]
 
 
@@ -230,60 +232,31 @@ def train_dae(trials, config, seed, arch=None):
 
 def train_supervised(bundle, trials, config, seed):
     """Train the head of a built skill model over its frozen encoder, on
-    downsampled trials scaled by the bundle's min-max statistics.
-
-    Classification: one-hot targets of the trials' class labels, cosine
-    loss, inverse-frequency class weights.  Regression: the trials'
-    scores z-normalized with statistics fitted on these trials,
-    squared-error loss.  Encoder features are precomputed once, in
-    packed forwards, since the encoder never updates.  ``seed`` draws
-    the validation split and the epoch order.
+    downsampled trials scaled by the bundle's min-max statistics.  The
+    mode's ``MODES`` entry refuses a trial without a target and gives the
+    targets, loss weights, strata and loss.  Encoder features are computed
+    once, in packed forwards, since the encoder never updates.  ``seed``
+    draws the validation split and the epoch order.
     """
-    mode = bundle.mode
-    if mode not in ("classification", "regression"):
-        raise ValueError(f"train_supervised needs a skill bundle, got mode '{mode}'")
+    skill = MODES.get(bundle.mode)
+    if skill is None:
+        raise ValueError(f"train_supervised needs a skill bundle, got mode '{bundle.mode}'")
     _check_trials(trials)
-
+    skill.refuse(trials)
     # frozen encoder: features computed once
     feats = encode_many(bundle, [normalize_for_model(bundle, t).values for t in trials])
-
-    score_stats = None
-    if mode == "classification":
-        class_names = bundle.class_names
-        labels = [t.class_label for t in trials]
-        for t in trials:
-            if t.class_label is None:
-                raise ValueError(f"{t.trial_id}: unlabeled trial in classification training")
-            if t.class_label not in class_names:
-                raise ValueError(f"{t.trial_id}: unknown class '{t.class_label}'")
-        targets = [one_hot(lb, class_names) for lb in labels]
-        if config.class_weighting == "balanced":
-            by_class = class_weights(labels, class_names)
-            weights = [by_class[class_names.index(lb)] for lb in labels]
-        else:
-            weights = [1.0] * len(trials)
-        strata = labels
-    else:
-        scores = [t.score for t in trials]
-        for t in trials:
-            if t.score is None:
-                raise ValueError(f"{t.trial_id}: unscored trial in regression training")
-        score_stats = fit_znorm(scores, ids=[t.trial_id for t in trials])
-        targets = [np.array([apply_znorm(s, score_stats)]) for s in scores]
-        weights = [1.0] * len(trials)
-        strata = [""] * len(trials)
-
+    targets, weights, strata, score_stats = skill.targets(trials, config)
     head, history = _run_training(
         specs={"head": bundle.groups["head"]}, groups={"head": bundle.group_params("head")},
         inputs=feats, targets=targets, weights=weights, strata=strata,
-        loss=HEAD_LOSS[mode], config=config, seed=seed, stage="head",
+        loss=skill.loss, config=config, seed=seed, stage="head",
         trial_ids=[t.trial_id for t in trials],
     )
     return replace(bundle, weights={**bundle.weights, **head}, score_stats=score_stats), history
 
 
-def train_classifier(dae_bundle, trials, config, seed, arch=None, mode="classification"):
-    """Build a skill model over the frozen encoder and train its head;
-    ``seed`` also draws the head's initial weights."""
+def train_classifier(dae_bundle, trials, config, seed, arch, mode):
+    """Build a ``mode`` skill model over the frozen encoder and train its
+    head; ``seed`` also draws the head's initial weights."""
     bundle = build_classifier(dae_bundle, mode, arch=arch, seed=seed)
     return train_supervised(bundle, trials, config, seed)

@@ -59,7 +59,8 @@ def small_dae(small_downsampled):
 def small_classifier(small_dae, small_downsampled):
     dae_bundle, _ = small_dae
     cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20)
-    bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH)
+    bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH,
+                                       "classification")
     return bundle, history
 
 
@@ -68,5 +69,5 @@ def small_regressor(small_dae, small_downsampled):
     dae_bundle, _ = small_dae
     cfg = HeadConfig(learning_rate=0.0007, max_epochs=3, patience=20)
     bundle, history = train_classifier(dae_bundle, small_downsampled, cfg, 1, SMALL_ARCH,
-                                       mode="regression")
+                                       "regression")
     return bundle, history

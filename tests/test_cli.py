@@ -270,8 +270,9 @@ def test_stratified_folds_name_the_first_unlabeled_trial(tmp_path, capsys):
     out = tmp_path / "run"
     assert dispatch(["evaluate", "--manifest", str(manifest), "--scheme", "stratified3",
                      "--out", str(out)]) == 1
-    assert last_error(capsys) == ("error: runtime: stratified folds need a class label on "
-                                  f"every trial; {second.trial_id} has none")
+    assert last_error(capsys) == (f"error: runtime: {manifest}: --scheme stratified3: "
+                                  "stratified folds need a class label on every trial; "
+                                  f"{second.trial_id} has none")
     assert not out.exists()
 
 

@@ -3,7 +3,8 @@
 Every case asserts the exit code (2 usage, 1 runtime), that no traceback
 is printed, and what the one-line ``error:`` message names: the file,
 the flag or, where the message names neither, the fragment that says
-what was refused.
+what was refused.  A training set or fold roster a command refuses names
+the manifest, and the flag that chose the refused behaviour.
 """
 
 import hashlib
@@ -197,23 +198,28 @@ ARRAY_META = (b"SKSQ" + struct.pack("<IQ", 1, len(META_ARRAY)) + META_ARRAY
 # id -> (argv builder, exit code, a fragment of the message)
 CASES = {
     "rate-hz-zero": (rate_zero, 1, "S01_000.csv: sample_rate_hz must be finite and > 0"),
-    "louo-one-subject": (louo_one_subject, 1, "leave-one-user-out needs at least two subjects"),
-    "stratified5-2x3": (stratified5_two_by_three, 1, "fold 3 received no test trials"),
+    "louo-one-subject": (louo_one_subject, 1,
+                         "manifest.csv: --scheme louo: leave-one-user-out needs at least two "
+                         "subjects"),
+    "stratified5-2x3": (stratified5_two_by_three, 1,
+                        "manifest.csv: --scheme stratified5: fold 3 received no test trials"),
     "loso-one-index": (loso_one_index, 1,
-                       "leave-one-supertrial-out needs at least two distinct trial indices"),
+                       "manifest.csv: --scheme loso: leave-one-supertrial-out needs at least two "
+                       "distinct trial indices"),
     "unlabeled-trial": (train_classifier(lambda t: re.sub(r"# class=\w+\n", "", t)), 1,
-                        "S01:0: unlabeled trial in classification training"),
+                        "manifest.csv: S01:0: unlabeled trial in classification training"),
     "unknown-class": (train_classifier(lambda t: re.sub(r"# class=\w+", "# class=good", t)),
-                      1, "S01:0: unknown class 'good'"),
+                      1, "manifest.csv: S01:0: unknown class 'good'"),
     "unscored-trial": (train_classifier(lambda t: re.sub(r"# score=.*\n", "", t),
                                         "regression"), 1,
-                       "S01:0: unscored trial in regression training"),
+                       "manifest.csv: S01:0: unscored trial in regression training"),
     "trust-without-actual": (trust_on("S01:0,S01,0,,0,0.75,0.25,,"), 1,
                              "records.csv: S01:0: no ground-truth class"),
     "trust-confidences-sum": (trust_on("S01:0,S01,0,0,0,0.5,0.6,,"), 1,
                               "records.csv line 2: confidences must sum to 1, got 1.1"),
     "overlay-three-channels": (cam_overlay_three_channels, 1,
-                               "need an even channel count to pair coordinates, got 3"),
+                               "manifest.csv: --overlay-dir: need an even channel count to pair "
+                               "coordinates, got 3"),
     "bundle-bad-magic": (predict_with(BAD_MAGIC), 1, "b.skq: not a bundle file (bad magic)"),
     "bundle-too-short": (short_bundle, 1, "b.skq: too short to contain a bundle"),
     "bundle-meta-array": (predict_with(ARRAY_META), 1,
@@ -259,7 +265,7 @@ CASES = {
                         "predictions.csv: no classification records with confidences"),
     "train-dae-one-trial": (lambda ctx: ["train-dae", "--manifest", synth(ctx.tmp / "d", 1, 1),
                                          "--out", ctx.tmp / "out", *FAST], 1,
-                            "training needs at least two trials"),
+                            "manifest.csv: training needs at least two trials"),
 }
 
 

@@ -715,35 +715,39 @@ def test_pool_starts_no_more_workers_than_folds(tiny_manifest, tmp_path, monkeyp
     assert sizes == [3, 3, 3]
 
 
-def test_a_test_trial_reaches_nothing_of_its_fold_but_its_own_outputs(tiny_manifest, tiny_run,
+def test_a_test_trial_reaches_nothing_of_its_fold_but_its_own_outputs(request, tiny_manifest,
                                                                       tmp_path):
     """Fold isolation, the baseline half: perturbing one test trial of a
     fold leaves the fold's bundle and the other test trials' prediction
-    rows and maps byte-identical.  Each fold is retrained alone and its
-    files written as ``run_cv`` writes them."""
-    settings = read_run_cfg(os.path.join(tiny_run, "run.cfg")).settings
-    stage2 = prepare_dataset(load_manifest(tiny_manifest), settings.target_hz)
-    by_id = {t.trial_id: t for t in stage2.trials}
-    assignment = crossval._build_assignment(stage2, settings)
-    with open(os.path.join(tiny_run, "folds.txt"), encoding="utf-8") as fh:
-        assert assignment.canonical_text() == fh.read()
-    for k, fold in enumerate(assignment.folds):
-        victim = fold.test_ids[0]
-        values = by_id[victim].values.copy()
-        values[4:54] += 1000.0   # past every channel's maximum, so leaked stats would show
-        test = [replace(by_id[t], values=values) if t == victim else by_id[t]
-                for t in fold.test_ids]
-        outcome = crossval._run_fold((settings, k, fold, [by_id[t] for t in fold.train_ids],
-                                      test))
-        crossval._persist_fold(str(tmp_path), settings, fold, outcome)
-        was = tree_bytes(os.path.join(tiny_run, f"fold_{fold.name}"))
-        now = tree_bytes(tmp_path / f"fold_{fold.name}")
-        assert sorted(now) == ["bundle.skq", "cams.csv", "predictions.csv"]
-        assert now["bundle.skq"] == was["bundle.skq"], fold.name
-        for name in ("predictions.csv", "cams.csv"):
-            assert _rows_without(was[name], victim) == _rows_without(now[name], victim), \
-                (fold.name, name)
-            assert was[name] != now[name], (fold.name, name)
+    rows and maps byte-identical, in either mode.  Each fold is retrained
+    alone and its files written as ``run_cv`` writes them."""
+    for mode, fixture in MODE_RUNS.items():
+        run = request.getfixturevalue(fixture)
+        settings = read_run_cfg(os.path.join(run, "run.cfg")).settings
+        stage2 = prepare_dataset(load_manifest(tiny_manifest), settings.target_hz)
+        by_id = {t.trial_id: t for t in stage2.trials}
+        assignment = crossval._build_assignment(stage2, settings, tiny_manifest)
+        with open(os.path.join(run, "folds.txt"), encoding="utf-8") as fh:
+            assert assignment.canonical_text() == fh.read()
+        outputs = (["predictions.csv", "cams.csv"] if mode == "classification"
+                   else ["predictions.csv"])
+        for k, fold in enumerate(assignment.folds):
+            victim = fold.test_ids[0]
+            values = by_id[victim].values.copy()
+            values[4:54] += 1000.0   # past every channel's maximum, so leaked stats would show
+            test = [replace(by_id[t], values=values) if t == victim else by_id[t]
+                    for t in fold.test_ids]
+            outcome = crossval._run_fold((settings, k, fold,
+                                          [by_id[t] for t in fold.train_ids], test))
+            crossval._persist_fold(str(tmp_path / mode), settings, fold, outcome)
+            was = tree_bytes(os.path.join(run, f"fold_{fold.name}"))
+            now = tree_bytes(tmp_path / mode / f"fold_{fold.name}")
+            assert sorted(now) == sorted(["bundle.skq", *outputs])
+            assert now["bundle.skq"] == was["bundle.skq"], (mode, fold.name)
+            for name in outputs:
+                assert _rows_without(was[name], victim) == _rows_without(now[name], victim), \
+                    (mode, fold.name, name)
+                assert was[name] != now[name], (mode, fold.name, name)
 
 
 def _rows_without(blob, trial_id):

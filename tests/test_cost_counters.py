@@ -337,7 +337,8 @@ def _cases(workdir):
     return {
         "training.dae_step": _first_step(training.train_dae, trials, training.DaeConfig(), 0),
         "training.head_step": _first_step(training.train_classifier, dae, trials,
-                                          training.HeadConfig(), 0),
+                                          training.HeadConfig(), 0, ArchConfig(),
+                                          "classification"),
         "layers.forward_packed": lambda: forward_packed(stacks, batch, capture=True),
         "data.parse_trial_text": lambda: parse_trial_text(text, "long.csv"),
         "layers.forward_packed.one_trial": lambda: forward_packed(stacks, [long_input]),

@@ -5,6 +5,7 @@ naive O(n^2) rank counting, full permutation enumeration for p-values,
 and direct confusion-table arithmetic.
 """
 
+import math
 from itertools import permutations, product
 
 import numpy as np
@@ -50,6 +51,20 @@ def exact_spearman_p(x, y):
         hits += r >= observed - 1e-12
         total += 1
     return hits / total
+
+
+def loop_spearman_p(x, y):
+    """``spearman``'s exact p as one Python loop over every permutation of
+    y's average ranks, with its arithmetic: the reference its array pass
+    must equal exactly."""
+    def pearson(a, b):
+        a, b = a - a.mean(), b - b.mean()
+        return float(np.dot(a, b)) / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+
+    rx, ry = average_ranks(x), average_ranks(y)
+    target = abs(pearson(rx, ry)) - 1e-12
+    perms = list(permutations(ry))
+    return sum(abs(pearson(rx, np.array(perm))) >= target for perm in perms) / len(perms)
 
 
 def exact_wilcoxon_p(before, after):
@@ -115,6 +130,21 @@ def test_spearman_small_n_p_is_exact_permutation(seed):
     y = rng.normal(size=n)
     _, p = spearman(x, y)
     assert p == pytest.approx(exact_spearman_p(list(x), list(y)), abs=1e-12)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_spearman_exact_p_equals_the_permutation_loop(n, ties):
+    rng = np.random.default_rng(300 + n)
+    cases = 0
+    while cases < 2:
+        x, y = ((rng.integers(0, 3, n) if ties else rng.normal(size=n)).astype(float)
+                for _ in range(2))
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        _, p = spearman(x, y)
+        assert type(p) is float and p == loop_spearman_p(x, y), (x, y)
+        cases += 1
 
 
 def test_spearman_rejects_degenerate_input():

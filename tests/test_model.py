@@ -303,7 +303,7 @@ def test_head_dense_is_named_head_4(small_classifier):
 def test_encoder_head_spec_shapes():
     arch = SMALL_ARCH
     enc = encoder_specs(arch, n_channels=4)
-    head = head_specs(arch)
+    head = head_specs(arch, "classification")
     assert enc[0].kind == "gaussian-noise"
     assert head[-2].kind == "gap" or head[-1].kind in ("dense", "softmax")
 

@@ -43,10 +43,11 @@ def _bundles(rng, arch, n_channels, classification):
     channels = tuple(f"c{i}" for i in range(n_channels))
     minmax = MinMaxStats(channels, np.zeros(n_channels), np.ones(n_channels), ())
     enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
-    head = head_specs(arch, classification)
+    mode = "classification" if classification else "regression"
+    head = head_specs(arch, mode)
     enc_weights = _weights(rng, enc, "encoder")
     skill = ModelBundle(
-        mode="classification" if classification else "regression",
+        mode=mode,
         groups={"encoder": enc, "head": head},
         weights={**enc_weights, **_weights(rng, head, "head")},
         minmax=minmax, score_stats=None if classification else ScoreStats(50.0, 10.0, ()))
@@ -149,7 +150,7 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
                                                          classification):
     rng = np.random.default_rng(seed)
     enc, dec = encoder_specs(arch, n_channels), decoder_specs(n_channels, arch)
-    head = head_specs(arch, classification)
+    head = head_specs(arch, "classification" if classification else "regression")
     params = {name: {k.split("/", 1)[1]: v for k, v in _weights(rng, specs, name).items()}
               for name, specs in (("encoder", enc), ("decoder", dec), ("head", head))}
     values = [rng.random((T, n_channels)) for T in lengths]

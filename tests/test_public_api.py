@@ -4,8 +4,9 @@ the tape, one walker composes every kind of the one table of layer
 kinds for both modes, only that table and the model compare a kind, one
 training loop takes each stage's data, not callbacks, a bundle and
 Adam carry no field that the design fixes, only the model and training
-modules normalize trials for a model, and only the tensor, config and
-gradcheck modules spell a loss kind.
+modules normalize trials for a model, only the tensor, config, modes
+and gradcheck modules spell a loss kind, and only the modes table (and
+the mode setting of config) spells a skill mode.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -246,16 +247,41 @@ def test_only_the_model_and_training_normalize_trials():
     assert not named, f"min-max statistics handled outside the model: {sorted(named)}"
 
 
-def test_only_tensor_config_and_gradcheck_spell_a_loss_kind():
+def test_only_tensor_config_gradcheck_and_modes_spell_a_loss_kind():
     """The mode fixes the head's loss and the recipe the autoencoder's, so
     no module but ``tensor`` (which defines the losses), ``config`` (whose
-    settings schema chooses them) and ``gradcheck`` (which checks them)
-    spells a loss kind as a string constant."""
+    settings schema chooses the autoencoder's), ``modes`` (whose table
+    gives each head's) and ``gradcheck`` (which checks them) spells a loss
+    kind as a string constant."""
     kinds = {"bce", "mse", "cosine"}
     spelled = set()
     for module, tree in _trees().items():
-        if module in ("tensor", "config", "gradcheck"):
+        if module in ("tensor", "config", "gradcheck", "modes"):
             continue
         spelled |= {f"{module}: {node.value}" for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and node.value in kinds}
     assert not spelled, f"loss kinds spelled outside the schema: {sorted(spelled)}"
+
+
+def test_only_the_modes_table_spells_a_skill_mode():
+    """``modes.MODES`` is the one table of skill modes, so no module but
+    ``modes`` spells ``"classification"`` or ``"regression"`` as a string
+    constant.  The one exception is ``config``'s ``mode`` setting: its
+    default and the ``classify``/``regress`` spellings ``_parse_mode``
+    reads."""
+    names = {"classification", "regression"}
+    spelled = []
+    for module, tree in _trees().items():
+        if module == "modes":
+            continue
+        allowed = set()
+        if module == "config":
+            for node in ast.walk(tree):
+                if ((isinstance(node, ast.FunctionDef) and node.name == "_parse_mode")
+                        or (isinstance(node, ast.AnnAssign)
+                            and getattr(node.target, "id", None) == "mode")):
+                    allowed |= {id(n) for n in ast.walk(node)}
+        spelled += [f"{module}:{node.lineno} {node.value}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in names
+                    and id(node) not in allowed]
+    assert not spelled, f"skill modes spelled outside the modes table: {spelled}"

@@ -135,7 +135,7 @@ def bundles(draw):
     if mode == "autoencoder":
         groups["decoder"] = decoder_specs(n_channels, arch)
     else:
-        groups["head"] = head_specs(arch, mode == "classification")
+        groups["head"] = head_specs(arch, mode)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     weights = {}
     for group, specs in groups.items():
