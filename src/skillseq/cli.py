@@ -59,7 +59,7 @@ from .data import dataset_fingerprint, load_manifest
 from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
 from .model import actual_class, predict_many, prepare_dataset
-from .modes import MODES, fold_metrics
+from .modes import MODES, fold_metrics, training_fault
 from .overlay import render_cam_overlay
 from .records import read_records_csv, write_records_csv
 from .reports import fmt9, kv_line, quoted
@@ -128,13 +128,21 @@ def _training_set(args):
                                 run.manifest).trials
 
 
-def _trained(manifest, train, *args):
-    """``train(*args)`` over the trials of ``manifest``: a training set it
-    refuses (a ValueError) is a runtime error naming the manifest."""
-    try:
-        return train(*args)
-    except ValueError as exc:
-        raise ValueError(f"{manifest}: {exc}") from None
+def _trained(run, trials, head, dae_bundle=None):
+    """The last model trained on ``trials``, its manifest's, and its history:
+    the autoencoder unless ``dae_bundle`` is given, then, when ``head``,
+    the skill head.  A training set that ``modes.training_fault`` refuses
+    is a runtime error naming the manifest, before anything trains."""
+    settings = run.settings
+    fault = training_fault(trials, settings.mode if head else None, minmax=dae_bundle is None)
+    if fault is not None:
+        raise ValueError(f"{run.manifest}: {fault}")
+    if dae_bundle is None:
+        dae_bundle, history = train_dae(trials, settings.dae, settings.seed, settings.arch)
+    if not head:
+        return dae_bundle, history
+    return train_classifier(dae_bundle, trials, settings.clf, settings.seed, settings.arch,
+                            settings.mode)
 
 
 def _check_channels(bundle, bundle_path, trials, manifest):
@@ -199,9 +207,7 @@ def _cmd_ingest_check(args):
 
 def _cmd_train_dae(args):
     run, trials = _training_set(args)
-    settings = run.settings
-    bundle, history = _trained(run.manifest, train_dae, trials, settings.dae, settings.seed,
-                               settings.arch)
+    bundle, history = _trained(run, trials, head=False)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "dae.skq")
     save_bundle(bundle, path)
@@ -214,23 +220,19 @@ def _cmd_train_dae(args):
 
 def _cmd_train_classifier(args):
     run, trials = _training_set(args)
-    settings = run.settings
+    dae_bundle = None
     if args.dae:
         _require_file(args.dae, "bundle")
         dae_bundle = load_bundle(args.dae)
         if dae_bundle.mode != "autoencoder":
             raise UsageError(f"--dae {args.dae} has mode '{dae_bundle.mode}', not autoencoder")
         _check_channels(dae_bundle, args.dae, trials, run.manifest)
-    else:
-        dae_bundle, _ = _trained(run.manifest, train_dae, trials, settings.dae, settings.seed,
-                                 settings.arch)
-    bundle, history = _trained(run.manifest, train_classifier, dae_bundle, trials, settings.clf,
-                               settings.seed, settings.arch, settings.mode)
+    bundle, history = _trained(run, trials, head=True, dae_bundle=dae_bundle)
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "skill.skq")
     save_bundle(bundle, path)
     print(kv_line("bundle", path))
-    print(kv_line("mode", settings.mode))
+    print(kv_line("mode", run.settings.mode))
     print(kv_line("epochs", len(history.train_loss)))
     print(kv_line("best_epoch", history.best_epoch))
     print(kv_line("best_val_loss", min(history.val_loss)))

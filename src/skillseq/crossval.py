@@ -14,8 +14,10 @@ them to every trial it trains on or scores through
 ``model.normalize_for_model``, the one place a bundle's statistics are
 applied.  The fold checks that the statistics name training trials only.
 
-The mode's ``modes.MODES`` entry gives the fold guard, whether a fold
-writes activation maps, and the metrics.  Fold, pooled and masking-study
+A fold whose training trials ``modes.training_fault`` refuses records
+``failed: <fault>`` as its status before anything trains, and the study
+goes on.  The mode's ``modes.MODES`` entry gives whether a fold writes
+activation maps, and the metrics.  Fold, pooled and masking-study
 metrics count only test records whose target is known; the ``fold <k> n``
 and ``pooled n`` lines count every test trial.
 
@@ -41,7 +43,7 @@ from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, w
 from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
 from .metrics import wilcoxon_one_sided
 from .model import actual_class, predict_many, prepare_dataset
-from .modes import MODES, fold_metrics
+from .modes import MODES, fold_metrics, training_fault
 from .records import read_records_csv, write_records_csv
 from .reports import kv_line
 from .training import train_classifier, train_dae
@@ -122,10 +124,9 @@ def _build_assignment(stage2, settings, source):
 
 def _run_fold(args):
     settings, fold_index, fold, train_trials, test_trials = args
-    mode = MODES[settings.mode]
-    reason = mode.fold_fault(train_trials)
-    if reason is not None:
-        return FoldOutcome(name=fold.name, status=reason, records=(),
+    fault = training_fault(train_trials, settings.mode)
+    if fault is not None:
+        return FoldOutcome(name=fold.name, status=f"failed: {fault}", records=(),
                            metrics=None, bundle=None)
     try:
         dae_bundle, dae_hist = train_dae(train_trials, settings.dae,
@@ -141,7 +142,7 @@ def _run_fold(args):
     # one packed forward gives the records and, where the mode writes maps,
     # each trial's map for its actual class (the predicted one when unknown)
     cams = ()
-    if mode.cams:
+    if MODES[settings.mode].cams:
         records, cams = predict_with_cams(skill, test_trials,
                                           [actual_class(skill, t) for t in test_trials])
     else:
@@ -306,8 +307,8 @@ def validate_cams(run_dir, out_dir=None, dataset=None, jobs=1, progress=None):
     its fingerprint must match the snapshot before anything trains, and
     the fingerprint of ``folds.txt`` the ``folds_sha256`` of the baseline
     ``metrics.txt`` (ConfigError otherwise).  A fold without baseline
-    predictions (it failed its guard) has no maps: its test trials keep a
-    neutral all-ones mask, and the report marks the fold as skipped.
+    predictions (its training set failed) has no maps: its test trials
+    keep a neutral all-ones mask, and the report marks the fold as skipped.
     """
     cfg_path = os.path.join(run_dir, SETTINGS_FILE)
     run = read_run_cfg(cfg_path)

@@ -192,7 +192,8 @@ class MinMaxStats:
 
 
 def fit_minmax(trials):
-    """Per-channel extrema over downsampled trials of one channel layout."""
+    """Per-channel extrema over downsampled trials of one channel layout
+    (``modes.training_fault`` refuses a channel of zero range first)."""
     channels = trials[0].channels
     mins = np.full(len(channels), np.inf)
     maxs = np.full(len(channels), -np.inf)
@@ -202,9 +203,6 @@ def fit_minmax(trials):
         mins = np.minimum(mins, t.values.min(axis=0))
         maxs = np.maximum(maxs, t.values.max(axis=0))
         ids.append(t.trial_id)
-    for c, name in enumerate(channels):
-        if not maxs[c] > mins[c]:
-            raise ValueError(f"channel '{name}' is constant over the fit set (zero range)")
     return MinMaxStats(channels=channels, mins=mins, maxs=maxs, source_ids=tuple(ids))
 
 
@@ -239,12 +237,9 @@ class ScoreStats:
 
 
 def fit_znorm(scores, ids=()):
-    """Fit score statistics to two or more scores; ``ids`` names their trials."""
+    """Fit score statistics to two or more distinct scores; ``ids`` names their trials."""
     arr = np.array(scores, dtype=np.float64)
-    std = float(arr.std(ddof=0))
-    if std == 0.0:
-        raise ValueError("scores are constant over the fit set (zero spread)")
-    return ScoreStats(mean=float(arr.mean()), std=std, source_ids=tuple(ids))
+    return ScoreStats(mean=float(arr.mean()), std=float(arr.std(ddof=0)), source_ids=tuple(ids))
 
 
 def apply_znorm(score, stats):
@@ -265,12 +260,10 @@ def one_hot(label, classes=PASS_FAIL):
 
 
 def class_weights(labels, classes=PASS_FAIL):
-    """Inverse-frequency weights: N / (K * N_class), keyed by class index."""
+    """Inverse-frequency weights: N / (K * N_class), keyed by class index,
+    of labels that hold every class."""
     counts = [sum(1 for lb in labels if lb == c) for c in classes]
     n, k = len(labels), len(classes)
-    if any(cnt == 0 for cnt in counts):
-        missing = [c for c, cnt in zip(classes, counts) if cnt == 0]
-        raise ValueError(f"no samples for class(es) {missing}; cannot weight")
     return {i: n / (k * cnt) for i, cnt in enumerate(counts)}
 
 
@@ -286,9 +279,10 @@ def parse_trial_csv(path):
     """Parse one trial file.
 
     Format: ``# key=value`` comment headers (subject, trial, rate_hz,
-    optional score/class with NA for absent), then a ``t,<ch>,...``
-    header row, then one row per frame.  Empty cells mark missing
-    detections.  Errors carry the line number and column name.
+    optional score and class, ``pass`` or ``fail``, with NA for absent),
+    then a ``t,<ch>,...`` header row, then one row per frame.  Empty
+    cells mark missing detections.  Errors carry the line number and
+    column name.
 
     A data block without quotes is read in whole-block passes
     (``_parse_block``); anything that path does not accept as plain,
@@ -329,6 +323,9 @@ def parse_trial_text(text, origin="<string>"):
             raise TrialFormatError(f"{origin} line {i + 1}: unknown header key {quoted(key)}")
         if key in meta:
             raise TrialFormatError(f"{origin} line {i + 1}: duplicate header key '{key}'")
+        if key == "class" and value not in (*PASS_FAIL, "NA"):
+            raise TrialFormatError(f"{origin} line {i + 1}: class must be pass, fail or NA, "
+                                   f"got {quoted(value)}")
         meta[key] = value
     else:
         i = len(lines)
@@ -519,17 +516,15 @@ def write_trial_csv(trial, path):
     """Serialize a trial; exact inverse of parse_trial_csv for RAW trials.
 
     What the parser would not read back as written raises ValueError
-    naming the trial, and nothing is written: an infinite cell (naming
-    the frame), and a subject, class label or channel name that holds a
-    ',', a '"' or a line break, starts or ends with whitespace, or, for a
-    class label, is ``NA``, which marks a missing label.
+    naming the trial, and nothing is written: a class label other than
+    ``pass`` or ``fail``, an infinite cell (naming the frame), and a
+    subject or channel name that holds a ',', a '"' or a line break, or
+    starts or ends with whitespace.
     """
+    if trial.class_label not in (None, *PASS_FAIL):
+        raise ValueError(f"{trial.trial_id}: cannot write class {trial.class_label!r}, "
+                         "which is neither pass nor fail")
     names = [("subject", trial.subject_id)] + [("channel", ch) for ch in trial.channels]
-    if trial.class_label is not None:
-        if trial.class_label == "NA":
-            raise ValueError(f"{trial.trial_id}: cannot write class 'NA', which "
-                             f"reads back as no label")
-        names.append(("class", trial.class_label))
     for field, name in names:
         reason = _unwritable(name)
         if reason:

@@ -1,12 +1,14 @@
 """Skill modes: the one table of what a pass/fail class and a regressed
-score mean.
+score mean, and the one rule of which trials can train.
 
 Each entry of ``MODES`` gives the head's output units, tail and loss, how
-a trial's target is read and when it is unknown, the training-set
-refusals, the fold metrics and whether a fold writes activation maps.
+a trial's target is read and when it is unknown, its training-set
+faults, the fold metrics and whether a fold writes activation maps.
 The model, training, cross-validation, bundle and CLI modules read it;
 no other module compares a mode name.  Metrics count known targets only:
 an unlabeled or unscored test trial counts neither for nor against a model.
+``training_fault`` runs before anything trains: the CLI refuses a
+training set by its text, and a fold records it as its failed status.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import numpy as np
 
 from .data import PASS_FAIL, apply_znorm, class_weights, fit_znorm, invert_znorm, one_hot
 from .metrics import binary_metrics, roc_auc, spearman
+from .reports import quoted
 
-__all__ = ["Mode", "MODES", "fold_metrics"]
+__all__ = ["Mode", "MODES", "fold_metrics", "training_fault"]
 
 
 @dataclass(frozen=True)
 class Mode:
-    """One skill mode of ``MODES``: its head, targets, refusals and metrics."""
+    """One skill mode of ``MODES``: its head, targets, faults and metrics."""
 
     units: tuple            # the head's dense outputs: the classes, or one score unit
     classes: tuple | None   # the units of a classifier, None for a regressor
@@ -35,31 +38,10 @@ class Mode:
     known: Callable         # prediction record -> whether its target is known
     targets: Callable       # (trials, head config) -> targets, loss weights, strata, stats
     read_out: Callable      # (head output, score stats) -> a record's prediction fields
-    no_target: str          # the refusal of a training trial without a target
-    fold_statuses: tuple    # a fold that trains on such a trial; one with < 2 targets
+    faults: tuple           # a training trial without a target; one distinct target ({})
     metrics: tuple          # what ``measure`` computes over known records, in order
     measure: Callable
     cams: bool              # whether a fold writes activation maps
-
-    def refuse(self, trials):
-        """Raise ValueError at the first of ``trials`` without a target, or
-        with a class that is not one of ``classes``."""
-        for t in trials:
-            target = self.target(t)
-            if target is None:
-                raise ValueError(f"{t.trial_id}: {self.no_target}")
-            if self.classes and target not in self.classes:
-                raise ValueError(f"{t.trial_id}: unknown class '{target}'")
-
-    def fold_fault(self, trials):
-        """The failed status of a fold whose training trials are
-        ``trials``, or None when they can train a head."""
-        targets = {self.target(t) for t in trials}
-        if None in targets:
-            return self.fold_statuses[0]
-        if len(targets) < 2:
-            return self.fold_statuses[1].format(*targets)
-        return None
 
 
 def _class_targets(trials, config):
@@ -108,9 +90,7 @@ MODES = {
         # np.argmax returns the first (lowest) maximum
         read_out=lambda out, _: {"predicted": int(np.argmax(out)),
                                  "confidences": tuple(float(c) for c in out)},
-        no_target="unlabeled trial in classification training",
-        fold_statuses=("failed: training trial without class label",
-                       "failed: single-class training data ({})"),
+        faults=("training trial without class label", "single-class training data ({})"),
         metrics=("accuracy", "auc", "sensitivity", "specificity"), measure=_class_metrics,
         cams=True),
     "regression": Mode(
@@ -118,9 +98,7 @@ MODES = {
         target=lambda t: t.score, known=lambda r: r.true_score is not None,
         targets=_score_targets,
         read_out=lambda out, stats: {"pred_score": invert_znorm(float(out[0]), stats)},
-        no_target="unscored trial in regression training",
-        fold_statuses=("failed: training trial without score",
-                       "failed: constant training scores"),
+        faults=("training trial without score", "constant training scores"),
         metrics=("spearman", "spearman_p"), measure=_score_metrics, cams=False),
 }
 
@@ -131,3 +109,30 @@ def fold_metrics(mode, records):
     entry = MODES[mode]
     known = [r for r in records if entry.known(r)]
     return entry.measure(known) if known else dict.fromkeys(entry.metrics)
+
+
+def training_fault(trials, mode=None, minmax=True):
+    """The text of the first fault that keeps downsampled ``trials`` from
+    training, or None.  In order: fewer than two trials; a channel
+    constant over them, when ``minmax`` says the stage fits min-max
+    statistics on them; and, when a ``mode`` head trains on them, a trial
+    without a target or fewer than two distinct targets."""
+    if len(trials) < 2:
+        return "training needs at least two trials"
+    entry = MODES.get(mode)
+    first = trials[0].values[0]
+    varies = np.zeros(len(first), dtype=bool)
+    targets = set()
+    for t in trials:
+        if minmax:
+            varies |= (t.values != first).any(axis=0)
+        if entry:
+            targets.add(entry.target(t))
+    if minmax and not varies.all():
+        name = trials[0].channels[int(np.argmin(varies))]
+        return f"channel {quoted(name)} is constant over the training trials"
+    if None in targets:
+        return entry.faults[0]
+    if entry and len(targets) < 2:
+        return entry.faults[1].format(*targets)
+    return None

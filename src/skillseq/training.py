@@ -1,7 +1,8 @@
 """Training: the denoising autoencoder, then the skill head over its
 frozen encoder.
 
-Both stages take downsampled trials.  ``train_dae`` fits min-max
+Both stages take downsampled trials that ``modes.training_fault`` has
+passed; neither checks them again.  ``train_dae`` fits min-max
 statistics on its own trials and ships them in the autoencoder bundle;
 the head stage scales its trials by the bundle's statistics through
 ``model.normalize_for_model``, the one place a bundle's statistics are
@@ -12,13 +13,13 @@ initial parameters of the groups that train, one input, target and loss
 weight per trial, the loss kind (the autoencoder recipe's, or the head
 mode's), and the strata of the validation split.  ``train_dae`` and
 ``train_supervised`` only prepare that data, the head's from its mode's
-entry of ``modes.MODES``, which also refuses trials it cannot train on.
-The head trains on encoder features computed once, so the frozen encoder
-never enters the loop.  The recipe is shared: one sample per optimizer step,
-Adam with kernel L2 decay, an activity penalty on every convolution
-output, per-epoch reshuffling, a stratified validation split, and early
-stopping on validation loss with best-weight restoration.  Training
-stops after ``patience`` consecutive epochs without strict improvement.
+entry of ``modes.MODES``.  The head trains on encoder features computed
+once, so the frozen encoder never enters the loop.  The recipe is
+shared: one sample per optimizer step, Adam with kernel L2 decay, an
+activity penalty on every convolution output, per-epoch reshuffling, a
+stratified validation split, and early stopping on validation loss with
+best-weight restoration.  Training stops after ``patience`` consecutive
+epochs without strict improvement.
 
 All trained parameters live in one flat buffer, and each parameter is a
 view into it; each gradient is a view into a parallel flat gradient
@@ -137,6 +138,7 @@ def _val_losses(stacks, inputs, targets, kind, weights):
             for out, target, weight in zip(outs, targets, weights)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_training(specs, groups, inputs, targets, weights, strata, loss, config, seed,
                   stage, trial_ids, noise_rng=None):
     """Train ``groups`` (``{group: params}``) of the stacks ``specs``
@@ -145,8 +147,9 @@ def _run_training(specs, groups, inputs, targets, weights, strata, loss, config,
     weight in ``weights``, with the validation split stratified by
     ``strata``.  ``noise_rng`` draws the noise layers' noise.  A
     non-finite loss raises FloatingPointError naming ``stage``, the epoch
-    and the trial (``trial_ids[i]``).  Returns the trained parameters as
-    ``{"<group>/<name>": array}`` and the loss history."""
+    and the trial (``trial_ids[i]``), and numpy warns of no overflow on
+    the way.  Returns the trained parameters as ``{"<group>/<name>":
+    array}`` and the loss history."""
     flat = _FlatParams(groups)
     train_idx, val_idx = _val_split(range(len(inputs)), strata, config.val_fraction, seed)
     val_stacks = [(specs[g], flat.params[g]) for g in specs]
@@ -197,11 +200,6 @@ def _run_training(specs, groups, inputs, targets, weights, strata, loss, config,
     return flat.export(), history
 
 
-def _check_trials(trials):
-    if len(trials) < 2:
-        raise ValueError("training needs at least two trials")
-
-
 def train_dae(trials, config, seed, arch=None):
     """Train the denoising autoencoder on downsampled trials.
 
@@ -212,7 +210,6 @@ def train_dae(trials, config, seed, arch=None):
     epoch order.  Returns a frozen autoencoder bundle and the loss history.
     """
     arch = arch or ArchConfig()
-    _check_trials(trials)
     minmax = fit_minmax(trials)
     in_ch = len(trials[0].channels)
     specs = {"encoder": encoder_specs(arch, in_ch, config.noise_sigma),
@@ -233,16 +230,14 @@ def train_dae(trials, config, seed, arch=None):
 def train_supervised(bundle, trials, config, seed):
     """Train the head of a built skill model over its frozen encoder, on
     downsampled trials scaled by the bundle's min-max statistics.  The
-    mode's ``MODES`` entry refuses a trial without a target and gives the
-    targets, loss weights, strata and loss.  Encoder features are computed
-    once, in packed forwards, since the encoder never updates.  ``seed``
-    draws the validation split and the epoch order.
+    mode's ``MODES`` entry gives the targets, loss weights, strata and
+    loss.  Encoder features are computed once, in packed forwards, since
+    the encoder never updates.  ``seed`` draws the validation split and
+    the epoch order.
     """
     skill = MODES.get(bundle.mode)
     if skill is None:
         raise ValueError(f"train_supervised needs a skill bundle, got mode '{bundle.mode}'")
-    _check_trials(trials)
-    skill.refuse(trials)
     # frozen encoder: features computed once
     feats = encode_many(bundle, [normalize_for_model(bundle, t).values for t in trials])
     targets, weights, strata, score_stats = skill.targets(trials, config)

@@ -52,9 +52,9 @@ def test_missing_scoring_input_is_a_usage_error(scoring_inputs, tmp_path, capsys
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_cam_maps_the_predicted_class_of_a_label_the_bundle_lacks(scoring_inputs, tmp_path):
+def test_cam_maps_the_predicted_class_of_an_unlabeled_trial(scoring_inputs, tmp_path):
     trials = load_manifest(scoring_inputs["manifest"]).trials
-    trials[0] = replace(trials[0], class_label="expert")
+    trials[0] = replace(trials[0], class_label=None)
     paths = [tmp_path / f"trial{i}.csv" for i in range(len(trials))]
     for trial, path in zip(trials, paths):
         write_trial_csv(trial, path)

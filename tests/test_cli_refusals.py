@@ -90,11 +90,25 @@ def loso_one_index(ctx):
     return ["evaluate", "--manifest", synth(ctx.tmp / "d", 2, 1), "--scheme", "loso", *FAST]
 
 
-def train_classifier(first, mode="classification"):
+def train_classifier(first=None, mode="classification", every=None, flags=()):
     def build(ctx):
-        manifest = edited(ctx.data, ctx.tmp / "d", first=first)
+        manifest = edited(ctx.data, ctx.tmp / "d", first=first, every=every)
         return ["train-classifier", "--manifest", manifest, "--out", ctx.tmp / "out",
-                "--mode", mode, *FAST]
+                "--mode", mode, *FAST, *flags]
+    return build
+
+
+def good_class(text):
+    return re.sub(r"# class=\w+", "# class=good", text)
+
+
+def scoring_on_good_class(command):
+    """``command`` with the classification run's S01 bundle, over ``data``
+    with the class ``good`` in its first trial file."""
+    def build(ctx):
+        manifest = edited(ctx.data, ctx.tmp / "d", first=good_class)
+        return [command, "--bundle", ctx.runs / "classification" / "fold_S01" / "bundle.skq",
+                "--manifest", manifest, "--out", ctx.tmp / "out.csv"]
     return build
 
 
@@ -207,12 +221,25 @@ CASES = {
                        "manifest.csv: --scheme loso: leave-one-supertrial-out needs at least two "
                        "distinct trial indices"),
     "unlabeled-trial": (train_classifier(lambda t: re.sub(r"# class=\w+\n", "", t)), 1,
-                        "manifest.csv: S01:0: unlabeled trial in classification training"),
-    "unknown-class": (train_classifier(lambda t: re.sub(r"# class=\w+", "# class=good", t)),
-                      1, "manifest.csv: S01:0: unknown class 'good'"),
+                        "manifest.csv: training trial without class label"),
+    "unknown-class": (train_classifier(good_class), 1,
+                      "S01_000.csv line 5: class must be pass, fail or NA, got 'good'"),
+    "ingest-check-unknown-class": (lambda ctx: ["ingest-check", "--manifest",
+                                                edited(ctx.data, ctx.tmp / "d",
+                                                       first=good_class)], 1,
+                                   "S01_000.csv line 5: class must be pass, fail or NA, "
+                                   "got 'good'"),
+    "predict-unknown-class": (scoring_on_good_class("predict"), 1,
+                              "S01_000.csv line 5: class must be pass, fail or NA, got 'good'"),
+    "cam-unknown-class": (scoring_on_good_class("cam"), 1,
+                          "S01_000.csv line 5: class must be pass, fail or NA, got 'good'"),
+    "single-class-unweighted": (train_classifier(every=lambda t: re.sub(
+                                    r"# class=\w+", "# class=pass", t),
+                                    flags=("--clf-class-weighting", "none")), 1,
+                                "manifest.csv: single-class training data (pass)"),
     "unscored-trial": (train_classifier(lambda t: re.sub(r"# score=.*\n", "", t),
                                         "regression"), 1,
-                       "manifest.csv: S01:0: unscored trial in regression training"),
+                       "manifest.csv: training trial without score"),
     "trust-without-actual": (trust_on("S01:0,S01,0,,0,0.75,0.25,,"), 1,
                              "records.csv: S01:0: no ground-truth class"),
     "trust-confidences-sum": (trust_on("S01:0,S01,0,0,0,0.5,0.6,,"), 1,

@@ -14,7 +14,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skillseq.layers as layers
 import skillseq.tensor as tz
@@ -94,6 +94,14 @@ arch_strategy = st.builds(
        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
        n_channels=st.integers(1, 4), classification=st.booleans(),
        pack_rows=st.sampled_from([40, 90, 2048]))
+# a product of one row, which numpy runs through gemv, not gemm
+@example(seed=0, arch=ArchConfig(enc_width=2, emb_channels=1, kernel_size=1, reduction=2,
+                                 clf_width=4, clf_dilation=1),
+         lengths=[1, 1], n_channels=1, classification=True, pack_rows=2048)
+# a product of one column
+@example(seed=0, arch=ArchConfig(enc_width=4, emb_channels=1, kernel_size=3, reduction=2,
+                                 clf_width=2, clf_dilation=1),
+         lengths=[2, 2], n_channels=2, classification=True, pack_rows=2048)
 def test_packed_model_paths_match_one_trial_paths(seed, arch, lengths, n_channels,
                                                   classification, pack_rows):
     rng = np.random.default_rng(seed)

@@ -20,7 +20,8 @@ import skillseq.bundle as bundle_format
 from skillseq.bundle import (BUNDLE_VERSION, BundleFormatError, BundleTruncatedError,
                              BundleVersionError, load_bundle, save_bundle)
 from skillseq.cli import dispatch
-from skillseq.data import MinMaxStats, ScoreStats, Trial, parse_trial_csv, write_trial_csv
+from skillseq.data import (PASS_FAIL, MinMaxStats, ScoreStats, Trial, parse_trial_csv,
+                           write_trial_csv)
 from skillseq.folds import Fold, FoldAssignment
 from skillseq.layers import LayerSpec, init_stack_params
 from skillseq.model import ArchConfig, ModelBundle, decoder_specs, encoder_specs, head_specs
@@ -62,7 +63,8 @@ def raw_trial_fields(draw):
                   trial_index=draw(st.integers(0, 10 ** 6)),
                   sample_rate_hz=draw(st.floats(1e-3, 1e4)), channels=channels,
                   values=values, score=draw(st.one_of(st.none(), finite)),
-                  class_label=draw(st.one_of(st.none(), names, field_names)))
+                  class_label=draw(st.one_of(st.none(), st.sampled_from(PASS_FAIL), names,
+                                             field_names)))
     fault = draw(st.sampled_from([None] * 8 + ["score", "sample_rate_hz"]))
     if fault:
         fields[fault] = draw(non_finite)
@@ -73,7 +75,8 @@ def raw_trial_fields(draw):
 @given(fields=raw_trial_fields())
 def test_trial_csv_round_trips(fields, tmp_path_factory):
     """A trial is written and read back exactly, or refused before any
-    file exists when one of its names would not read back.  A trial with
+    file exists when one of its names, or a class label other than pass
+    or fail, would not read back.  A trial with
     a non-finite score or rate, which its file could not hold, cannot be
     built at all."""
     for name, message in (("sample_rate_hz", "sample_rate_hz must be finite and > 0"),
@@ -84,9 +87,8 @@ def test_trial_csv_round_trips(fields, tmp_path_factory):
             return
     trial = Trial(**fields)
     path = tmp_path_factory.mktemp("trial") / "trial.csv"
-    label = () if trial.class_label is None else (trial.class_label,)
-    writable = (all(map(readable, (trial.subject_id, *trial.channels, *label)))
-                and trial.class_label != "NA")
+    writable = (all(map(readable, (trial.subject_id, *trial.channels)))
+                and trial.class_label in (None, *PASS_FAIL))
     if not writable:
         with pytest.raises(ValueError, match=f"^{re.escape(trial.trial_id)}: cannot write "):
             write_trial_csv(trial, path)

@@ -81,7 +81,7 @@ def mutated_texts(draw):
     c = draw(st.integers(1, len(channels)))
     head = HEAD
     if kind == "quote-comment":
-        head = HEAD.replace("class=pass", 'class="pass"')
+        head = HEAD.replace("subject=S1", 'subject="S1"')
     elif kind == "quote-header":
         channels[c - 1] = f'"{channels[c - 1]}"'
     elif kind == "quote-cell":
