@@ -12,7 +12,8 @@ Layout (all integers little-endian):
     sha256       32-byte digest of everything above
 
 Loading verifies magic, version, structural completeness, and the
-digest, raising a distinct error for each failure mode.  Weights round
+digest, raising a distinct error for each failure mode, and refuses an
+array name that is not UTF-8 or an array that is not finite.  Weights round
 trip bit-identically.
 """
 
@@ -116,10 +117,11 @@ def _truncated(body, pos, n, what):
     )
 
 
-def _read_arrays(body, pos, n_arrays):
+def _read_arrays(path, body, pos, n_arrays):
     """``{name: array}`` of ``n_arrays`` arrays from ``pos``, and the offset
     after them.  Each field is bounds-checked before it is read, and the
-    first that does not fit raises ``_truncated`` naming it."""
+    first that does not fit raises ``_truncated`` naming it.  A name not in
+    UTF-8, or an array holding NaN or an infinity, raises BundleFormatError."""
     end = len(body)
     weights = {}
     for _ in range(n_arrays):
@@ -129,7 +131,12 @@ def _read_arrays(body, pos, n_arrays):
         pos += 2
         if pos + nlen > end:
             raise _truncated(body, pos, nlen, "array name")
-        name = body[pos:pos + nlen].decode("utf-8")
+        try:
+            name = body[pos:pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BundleFormatError(f"{path}: array name is not UTF-8 (byte 0x"
+                                    f"{body[pos + exc.start]:02x} at offset {pos + exc.start}: "
+                                    f"{exc.reason})") from None
         pos += nlen
         if pos + 1 > end:
             raise _truncated(body, pos, 1, "array ndim")
@@ -142,7 +149,10 @@ def _read_arrays(body, pos, n_arrays):
         count = math.prod(shape)
         if pos + 8 * count > end:
             raise _truncated(body, pos, 8 * count, f"array '{name}' data")
-        weights[name] = np.frombuffer(body, "<f8", count, pos).copy().reshape(shape)
+        values = np.frombuffer(body, "<f8", count, pos)
+        if not np.isfinite(values).all():
+            raise BundleFormatError(f"{path}: array {quoted(name)} holds a non-finite value")
+        weights[name] = values.copy().reshape(shape)
         pos += 8 * count
     return weights, pos
 
@@ -179,7 +189,7 @@ def load_bundle(path):
     pos = 16 + meta_len
     if pos + 4 > len(body):
         raise _truncated(body, pos, 4, "array count")
-    weights, pos = _read_arrays(body, pos + 4, _U32.unpack_from(body, pos)[0])
+    weights, pos = _read_arrays(path, body, pos + 4, _U32.unpack_from(body, pos)[0])
     if pos != len(body):
         raise BundleFormatError(f"{path}: {len(body) - pos} unexpected trailing bytes")
 

@@ -227,7 +227,11 @@ def _cmd_train_classifier(args):
         if dae_bundle.mode != "autoencoder":
             raise UsageError(f"--dae {args.dae} has mode '{dae_bundle.mode}', not autoencoder")
         _check_channels(dae_bundle, args.dae, trials, run.manifest)
-    bundle, history = _trained(run, trials, head=True, dae_bundle=dae_bundle)
+    over = f" over the encoder of {args.dae}" if args.dae else ""
+    try:
+        bundle, history = _trained(run, trials, head=True, dae_bundle=dae_bundle)
+    except FloatingPointError as exc:  # a head diverging over a given encoder names it
+        raise FloatingPointError(f"{exc}{over}") from None
     os.makedirs(run.out, exist_ok=True)
     path = os.path.join(run.out, "skill.skq")
     save_bundle(bundle, path)

@@ -28,12 +28,11 @@ file's ``clf_loss`` line reads only if it names it.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import read_text
+from .data import finite, integer, parser, read_text
 from .modes import MODES
 from .reports import quoted
 
@@ -220,37 +219,18 @@ class RunConfig:
     dataset_sha256: str | None = None
 
 
-def _parse_int(raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {quoted(raw)}") from None
-
-
-def _parse_float(raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {quoted(raw)}")
-    return value
-
-
-def _parse_sha256(raw):
-    if len(raw) != 64 or raw.strip("0123456789abcdef"):
-        raise ValueError(f"expected 64 lowercase hex digits, got {quoted(raw)}")
-    return raw
+_parse_sha256 = parser(str, (lambda raw: len(raw) == 64 and not raw.strip("0123456789abcdef"),
+                             "64 lowercase hex digits"))
 
 
 def _parse_pair(raw):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'low,high', got {quoted(raw)}")
-    return (_parse_float(parts[0]), _parse_float(parts[1]))
+    return (finite(parts[0]), finite(parts[1]))
 
 
-_PARSERS = {int: _parse_int, float: _parse_float, str: str, tuple: _parse_pair}
+_PARSERS = {int: integer, float: finite, str: str, tuple: _parse_pair}
 
 
 @dataclass(frozen=True)
@@ -277,7 +257,7 @@ class Key:
 
     def text(self, value):
         """Canonical text of a value; floats keep every digit."""
-        return repr(float(value)) if self.parse is _parse_float else str(value)
+        return repr(float(value)) if self.parse is finite else str(value)
 
     def value(self, raw, origin):
         try:

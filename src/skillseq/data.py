@@ -9,14 +9,19 @@ rate, min-max normalization maps each channel into [0, 1] using
 statistics fitted on training trials only.  Every stage transition is
 enforced so statistics can never leak across the fit/apply boundary.
 
+Every CSV reader (trials, manifests, prediction records, activation
+maps) reads its rows through one row reader, ``read_row``: a format is a
+table of ``Column``s, each a name and a parse with its checks, and a bad
+cell raises ``<file> line <n>, column '<c>': expected X, got '<cell>'``.
+
 Trial files are read and written a whole data block at a time.  The
 reader splits a block without quotes into cells in one pass, checks that
-every row has the header's width, and converts all cells at once.  Any
-other block, and every malformed one, goes to a row-by-row ``csv.reader``
-walk.  The walk is the reference reading and the only place that
-reports a malformed block: it converts each cell as it reaches it, so it
-reports the first fault in file order, and both readings give the same
-values or the same error.
+every row has the header's width, and converts all cells at once
+(``_parse_block``).  Any other block, and every malformed one, goes to a
+row-by-row ``csv.reader`` walk over ``read_row`` (``_walk_rows``), the
+reference reading and the only place that reports a malformed block: it
+reports the first faulty row in file order, and both readings give the
+same values or the same error.
 """
 
 from __future__ import annotations
@@ -283,11 +288,6 @@ def parse_trial_csv(path):
     then a ``t,<ch>,...`` header row, then one row per frame.  Empty
     cells mark missing detections.  Errors carry the line number and
     column name.
-
-    A data block without quotes is read in whole-block passes
-    (``_parse_block``); anything that path does not accept as plain,
-    including every malformed block, is read by the ``csv.reader`` row
-    walk (``_walk_rows``), which raises the error.
     """
     return parse_trial_text(read_text(path, TrialFormatError), origin=str(path))
 
@@ -401,45 +401,27 @@ def _walk_rows(lines, i, origin):
             raise TrialFormatError(f"{origin} line {i + 1}: duplicate channel name {quoted(name)}")
         seen.add(name)
 
-    # every cell of every row, in order: one array is built at the end
-    data = []
+    columns = _trial_columns(channels)
+    data = []  # every cell of every row, in order: one array is built at the end
     last_t = None
     for r, row in enumerate(rows[1:]):
-        lineno = i + 2 + r
+        where = f"{origin} line {i + 2 + r}"
         if _blank(row):
             continue
-        if len(row) != len(header):
-            raise TrialFormatError(
-                f"{origin} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            t_val = int(row[0])
-        except ValueError:
-            raise TrialFormatError(f"{origin} line {lineno}, column 't': "
-                                   f"non-integer value {quoted(row[0])}")
+        t_val, *cells = read_row(row, columns, where, TrialFormatError)
         if last_t is not None and t_val <= last_t:
-            raise TrialFormatError(
-                f"{origin} line {lineno}, column 't': timestamp {t_val} not increasing (previous {last_t})"
-            )
+            raise cell_fault(where, "t", f"timestamp {t_val} not increasing (previous {last_t})",
+                             TrialFormatError)
         last_t = t_val
-        for channel, cell in zip(channels, row[1:]):
-            # only an empty cell is missing; float() also reads "nan" and "inf"
-            cell = cell.strip()
-            if not cell:
-                data.append(math.nan)
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise TrialFormatError(f"{origin} line {lineno}, column '{channel}': "
-                                       f"non-numeric value {quoted(cell)}") from None
-            if not math.isfinite(value):
-                raise TrialFormatError(f"{origin} line {lineno}, column '{channel}': "
-                                       f"non-finite value {quoted(cell)}")
-            data.append(value)
+        data.extend(cells)
     if not data:
         raise TrialFormatError(f"{origin}: no data rows")
     return channels, np.array(data).reshape(-1, len(channels))
+
+
+def _trial_columns(channels):
+    """A trial's data-row table: only an empty cell is missing, not "nan"."""
+    return (Column("t", integer), *(Column(ch, finite, empty=math.nan) for ch in channels))
 
 
 def _parse_block(lines):
@@ -483,14 +465,75 @@ def _parse_block(lines):
     return channels, values.reshape(-1, ncol - 1)
 
 
-def csv_rows(reader, where, error=ValueError):
-    """The rows of ``reader``.  A csv.Error, such as a field longer than
-    ``csv.field_size_limit()``, raises ``error`` naming ``where`` and the
-    line."""
+def csv_rows(path, error=ValueError):
+    """``(line, row)`` of each row of the UTF-8 CSV file ``path``, ``line``
+    the row's last.  Text that is not UTF-8, or a csv.Error such as a field
+    longer than ``csv.field_size_limit()``, raises ``error`` naming the
+    file and the line."""
+    reader = csv.reader(io.StringIO(read_text(path, error), newline=""))
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
-        raise error(f"{where} line {reader.line_num}: {exc}") from None
+        raise error(f"{path} line {reader.line_num}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# the column schema: every CSV reader's cells, parsed and reported alike
+# ---------------------------------------------------------------------------
+
+def parser(convert, *checks):
+    """A cell parser: ``convert(cell)``, which must pass each ``(ok,
+    expected)`` check.  A cell that fails a check raises ValueError
+    ``expected <its expected>, got <cell>``; one that ``convert`` refuses
+    fails the first."""
+    def parse(cell):
+        try:
+            value = convert(cell)
+        except ValueError:
+            value = None
+        for ok, expected in checks:
+            if value is None or not ok(value):
+                raise ValueError(f"expected {expected}, got {quoted(cell)}")
+        return value
+    return parse
+
+
+integer = parser(int, (lambda v: True, "an integer"))
+number = parser(float, (lambda v: True, "a number"))  # reads "nan" and "inf" too
+finite = parser(float, (math.isfinite, "a finite number"))
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Column:
+    """One CSV column: its name, the ``parse`` of a cell, and what an empty
+    or all-whitespace cell reads as, unparsed, if not the parse of it."""
+
+    name: str
+    parse: object = str
+    empty: object = _REQUIRED
+
+
+def cell_fault(where, column, problem, error=ValueError):
+    """The error for one bad cell: ``<where>, column '<column>': <problem>``."""
+    return error(f"{where}, column '{column}': {problem}")
+
+
+def read_row(row, columns, where, error=ValueError):
+    """The parsed cells of ``row`` under ``columns``.  A row of another
+    width, or a cell its column refuses, raises ``error`` naming ``where``
+    (``<file> line <n>``), and the column."""
+    if len(row) != len(columns):
+        raise error(f"{where}: expected {len(columns)} fields, got {len(row)}")
+    values = []
+    for col, cell in zip(columns, row):
+        try:
+            values.append(col.empty if col.empty is not _REQUIRED and not cell.strip()
+                          else col.parse(cell))
+        except ValueError as exc:
+            raise cell_fault(where, col.name, exc, error) from None
+    return values
 
 
 def _blank(row):
@@ -583,42 +626,43 @@ class Dataset:
         self.channels = channels
 
 
+_MANIFEST_COLUMNS = (Column("path", str.strip), Column("subject", str.strip),
+                     Column("trial", integer))
+
+
 def load_manifest(path):
     """Read a ``path,subject,trial`` manifest and parse every trial file.
 
     Relative paths resolve against the manifest's directory.  The
-    subject/trial columns must agree with each file's own header.  A
-    trial file that cannot be read fails naming the manifest line, and a
-    trial listed twice fails naming both manifest lines.
+    subject/trial columns must agree with each file's own header.  A bad
+    cell, a trial file that cannot be read or one that disagrees fails
+    naming the manifest line and column (``read_row``), and a trial
+    listed twice fails naming both manifest lines.
     """
     base = os.path.dirname(os.path.abspath(path))
     trials = []
-    reader = csv.reader(io.StringIO(read_text(path, TrialFormatError), newline=""))
-    rows = list(csv_rows(reader, path, TrialFormatError))
-    if not rows or [h.strip() for h in rows[0]] != ["path", "subject", "trial"]:
+    rows = list(csv_rows(path, TrialFormatError))
+    if not rows or [h.strip() for h in rows[0][1]] != [col.name for col in _MANIFEST_COLUMNS]:
         raise TrialFormatError(f"{path}: manifest header must be 'path,subject,trial'")
     first_line = {}
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if _blank(row):
             continue
-        if len(row) != 3:
-            raise TrialFormatError(f"{path} line {line}: expected 3 fields, got {len(row)}")
-        tpath, subject, tindex = row[0].strip(), row[1].strip(), row[2].strip()
-        full = tpath if os.path.isabs(tpath) else os.path.join(base, tpath)
+        where = f"{path} line {line}"
+        cells = read_row(row, _MANIFEST_COLUMNS, where, TrialFormatError)
+        full = os.path.join(base, cells[0])  # an absolute path replaces base
         try:
             trial = parse_trial_csv(full)
         except OSError as exc:
-            raise TrialFormatError(
-                f"{path} line {line}: cannot read trial file {full}: {exc.strerror or exc}"
-            ) from None
-        if trial.subject_id != subject or str(trial.trial_index) != tindex:
-            raise TrialFormatError(
-                f"{path} line {line}: manifest says {subject}:{tindex}, "
-                f"{full} says {trial.trial_id}"
-            )
+            raise cell_fault(where, "path", f"cannot read trial file {full}: "
+                             f"{exc.strerror or exc}", TrialFormatError) from None
+        for k, want in ((1, trial.subject_id), (2, trial.trial_index)):
+            if cells[k] != want:
+                raise cell_fault(where, _MANIFEST_COLUMNS[k].name, f"expected {quoted(want)} "
+                                 f"from {full}, got {quoted(row[k].strip())}", TrialFormatError)
         if trial.trial_id in first_line:
             raise TrialFormatError(
-                f"{path} line {line}: duplicate trial {trial.trial_id} "
+                f"{where}: duplicate trial {trial.trial_id} "
                 f"(first on line {first_line[trial.trial_id]})"
             )
         first_line[trial.trial_id] = line

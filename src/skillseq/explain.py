@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, csv_rows, read_text
+from .data import Column, Dataset, csv_rows, integer, number, read_row
 from .model import predict_many
 from .reports import quoted
 
@@ -140,53 +140,38 @@ def write_cams_csv(cams, path):
                               in enumerate(zip(cam.raw.tolist(), cam.intensity.tolist()))]))
 
 
+_CAM_COLUMNS = (Column("trial_id"), Column("class_index", integer), Column("t", integer),
+                Column("raw", number), Column("intensity", number))
+
+
 def read_cams_csv(path):
-    """Inverse of write_cams_csv: mapping trial_id -> CamMap."""
-    rows = {}
-    r = csv.reader(io.StringIO(read_text(path), newline=""))
-    lines = csv_rows(r, path)
-    header = next(lines, None)
-    if header != ["trial_id", "class_index", "t", "raw", "intensity"]:
+    """Inverse of write_cams_csv: mapping trial_id -> CamMap.
+
+    Each row is converted in one tuple expression; only a row that fails
+    it goes to ``data.read_row`` under ``_CAM_COLUMNS``, whose same
+    conversions raise naming the file, line and column of the bad cell."""
+    rows, maps = csv_rows(path), {}
+    header = next(rows, (0, []))[1]
+    if header != [col.name for col in _CAM_COLUMNS]:
         raise ValueError(f"{path}: unrecognized activation-map header "
-                         f"{quoted(','.join(header or []))}")
-    for row in lines:
+                         f"{quoted(','.join(header))}")
+    for line, row in rows:
         try:
             tid, ci, t, raw, inten = row
-            entry = (int(t), int(ci), float(raw), float(inten))
+            ci, t, raw, inten = int(ci), int(t), float(raw), float(inten)
         except ValueError:
-            raise ValueError(f"{path} line {r.line_num}{_bad_cam_row(row)}") from None
-        rows.setdefault(tid, []).append(entry)
+            tid, ci, t, raw, inten = read_row(row, _CAM_COLUMNS, f"{path} line {line}")
+        maps.setdefault(tid, []).append((t, ci, raw, inten))
     cams = {}
-    for tid, entries in rows.items():
-        entries.sort()
-        ts = [e[0] for e in entries]
-        if ts != list(range(len(ts))):
+    for tid, entries in maps.items():
+        ts, classes, raw, intensity = zip(*sorted(entries))
+        if ts != tuple(range(len(ts))):
             raise ValueError(f"{path}: {tid} has non-contiguous timesteps")
-        classes = {e[1] for e in entries}
-        if len(classes) != 1:
+        if len(set(classes)) != 1:
             raise ValueError(f"{path}: {tid} mixes class indices")
         try:
-            cams[tid] = CamMap(
-                trial_id=tid,
-                class_index=entries[0][1],
-                raw=np.array([e[2] for e in entries]),
-                intensity=np.array([e[3] for e in entries]),
-            )
+            cams[tid] = CamMap(tid, classes[0], np.array(raw), np.array(intensity))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return cams
 
-
-def _bad_cam_row(row):
-    """What is wrong with a cams.csv row that failed to parse, as the tail
-    of a ``<path> line <n>`` message."""
-    if len(row) != 5:
-        return f": expected 5 fields, got {len(row)}"
-    for name, parse, cell in (("class_index", int, row[1]), ("t", int, row[2]),
-                              ("raw", float, row[3]), ("intensity", float, row[4])):
-        try:
-            parse(cell)
-        except ValueError:
-            break
-    kind = "an integer" if parse is int else "a number"
-    return f", column '{name}': expected {kind}, got {quoted(cell)}"

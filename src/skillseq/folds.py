@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .data import integer
 from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
@@ -78,10 +79,9 @@ class FoldAssignment:
                 scheme = value
             elif key == "seed":
                 try:
-                    seed = int(value)
-                except ValueError:
-                    raise ValueError(f"fold text line {ln}: seed must be an integer, "
-                                     f"got {quoted(value)}") from None
+                    seed = integer(value)
+                except ValueError as exc:
+                    raise ValueError(f"fold text line {ln}: key 'seed': {exc}") from None
             elif key.startswith("fold ") and key.endswith((" test", " train")):
                 name, role = key[len("fold "):].rsplit(" ", 1)
                 if name not in named:

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
-from .data import PASS_FAIL, csv_rows, read_text
+from .data import PASS_FAIL, Column, cell_fault, csv_rows, finite, integer, parser, read_row
 from .reports import quoted
 
 __all__ = ["PredictionRecord", "write_records_csv", "read_records_csv"]
@@ -84,73 +82,51 @@ def _header_classes(header, path):
 
 def read_records_csv(path):
     """``(class_names, records)`` of a records file; the class names come
-    from its header.
-
-    A malformed row, one with a confidence outside [0, 1] in any
-    ``conf_*`` column, or one whose ``trial_id`` is not its ``subject`` and
-    ``trial`` joined by a colon, raises ValueError naming the file, line
-    and column; a repeated ``trial_id`` names the file and both lines.
-    """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    rows = csv_rows(reader, path)
-    header = next(rows, None)
+    from its header.  Each row goes through ``data.read_row`` under the
+    file's column table (``_columns``): a malformed row, a confidence
+    outside [0, 1] in any ``conf_*`` column, or a ``trial_id`` other than
+    ``<subject>:<trial>`` raises ValueError naming the file, line and
+    column; a repeated ``trial_id`` names the file and both lines."""
+    rows = csv_rows(path)
+    _, header = next(rows, (0, None))
     if header is None:
         raise ValueError(f"{path}: empty records file")
     classes = _header_classes(header, path)
+    scored, unscored = _columns(header, confidences=True), _columns(header, confidences=False)
+    nc = len(classes)
     records, first_line = [], {}
-    for row in rows:
+    for line, row in rows:
         if not row:
             continue
-        line = reader.line_num
-        record = _row_record(row, header, f"{path} line {line}")
-        if record.trial_id in first_line:
-            raise ValueError(f"{path} line {line}: duplicate trial_id "
-                             f"{quoted(record.trial_id)} (first on line "
-                             f"{first_line[record.trial_id]})")
-        first_line[record.trial_id] = line
-        records.append(record)
+        where = f"{path} line {line}"
+        # the confidences are all given or all empty
+        cells = read_row(row, scored if any(row[5:5 + nc]) else unscored, where)
+        trial_id = f"{cells[1]}:{cells[2]}"
+        if cells[0] != trial_id:
+            raise cell_fault(where, "trial_id", f"expected {quoted(trial_id)} from columns "
+                             f"'subject' and 'trial', got {quoted(row[0])}")
+        if trial_id in first_line:
+            raise ValueError(f"{where}: duplicate trial_id {quoted(trial_id)} "
+                             f"(first on line {first_line[trial_id]})")
+        first_line[trial_id] = line
+        try:
+            records.append(PredictionRecord(
+                *cells[:5], confidences=None if cells[5] is None else tuple(cells[5:5 + nc]),
+                true_score=cells[5 + nc], pred_score=cells[6 + nc]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return classes, records
 
 
-def _row_record(row, header, where):
-    """PredictionRecord of one records row; errors start with ``where``."""
-    if len(row) != len(header):
-        raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+def _columns(header, confidences):
+    """The column table of a records file with this header; its ``conf_*``
+    columns read as empty unless ``confidences``."""
     nc = len(header) - 7
-
-    def cell(k, parse, *checks):
-        """``parse`` of cell k, which must pass each ``(ok, expected)`` check."""
-        try:
-            value = parse(row[k])
-        except ValueError:
-            value = None
-        for ok, expected in checks:
-            if value is None or not ok(value):
-                raise ValueError(f"{where}, column '{header[k]}': expected {expected}, "
-                                 f"got {quoted(row[k])}")
-        return value
-
-    def optional(k, *check):
-        return None if row[k] == "" else cell(k, *check)
-
-    trial_index = cell(2, int, (lambda v: True, "an integer"))
-    trial_id = f"{row[1]}:{trial_index}"
-    if row[0] != trial_id:
-        raise ValueError(f"{where}, column 'trial_id': expected {quoted(trial_id)} from "
-                         f"columns 'subject' and 'trial', got {quoted(row[0])}")
-    number = (float, (math.isfinite, "a finite number"))
-    confidence = (*number, (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
-    index = (int, (lambda v: 0 <= v < nc, f"a class index from 0 to {nc - 1}"))
-    fields = dict(
-        trial_index=trial_index,
-        actual=optional(3, *index),
-        predicted=optional(4, *index),
-        confidences=tuple(cell(5 + c, *confidence) for c in range(nc))
-        if any(row[5:5 + nc]) else None,
-        true_score=optional(5 + nc, *number),
-        pred_score=optional(6 + nc, *number),
-    )
-    try:
-        return PredictionRecord(trial_id=row[0], subject_id=row[1], **fields)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    index = parser(int, (lambda v: 0 <= v < nc, f"a class index from 0 to {nc - 1}"))
+    confidence = parser(float, (math.isfinite, "a finite number"),
+                        (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
+    return (Column("trial_id"), Column("subject"), Column("trial", integer),
+            Column("actual", index, None), Column("predicted", index, None),
+            *(Column(name, confidence) if confidences else Column(name, str, None)
+              for name in header[5:5 + nc]),
+            Column("true_score", finite, None), Column("pred_score", finite, None))

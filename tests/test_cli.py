@@ -3,7 +3,11 @@ error (exit 2); a malformed input file is a runtime error (exit 1) whose
 message names the file and line.  A head trained over a given
 autoencoder sees its inputs as the bundle it ships will scale them."""
 
+import hashlib
+import math
 import os
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +118,59 @@ def test_a_bundle_of_the_wrong_mode_is_a_usage_error_naming_it(scoring_inputs, s
                      "--out", str(tmp_path / "skill")]) == 2
     assert last_error(capsys) == (
         f"error: usage: --dae {skill} has mode 'classification', not autoencoder")
+
+
+def doctored_bundle(bundle, path, name, value):
+    """``bundle`` saved to ``path`` with the first entry of array ``name``
+    set to ``value``."""
+    array = bundle.weights[name].copy()
+    array.flat[0] = value
+    save_bundle(replace(bundle, weights={**bundle.weights, name: array}), path)
+
+
+@pytest.mark.parametrize("name, value", [("head/4.w", math.nan), ("encoder/1.w", math.inf),
+                                         ("encoder/1.w", -math.inf)])
+@pytest.mark.parametrize("command", ["predict", "cam"])
+def test_a_bundle_array_that_is_not_finite_is_refused_naming_the_file_and_array(
+        small_classifier, scoring_inputs, tmp_path, capsys, command, name, value):
+    """The refusal comes before any forward pass: the one error line is
+    all the run prints, and numpy warns of nothing."""
+    bundle = tmp_path / "bad.skq"
+    doctored_bundle(small_classifier[0], bundle, name, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = dispatch(scoring_argv(command, dict(scoring_inputs, bundle=str(bundle)),
+                                   tmp_path / "out.csv"))
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: runtime: {bundle}: array '{name}' holds a non-finite value"]
+    assert not caught
+
+
+@pytest.mark.parametrize("name", ["head/4.w", "encoder/1.w"])
+@pytest.mark.parametrize("value", [1e300, -1e300])
+@pytest.mark.parametrize("command", ["predict", "cam"])
+def test_a_bundle_array_of_huge_finite_entries_still_loads(small_classifier, scoring_inputs,
+                                                           tmp_path, command, name, value):
+    bundle, out = tmp_path / "huge.skq", tmp_path / "out.csv"
+    doctored_bundle(small_classifier[0], bundle, name, value)
+    assert dispatch(scoring_argv(command, dict(scoring_inputs, bundle=str(bundle)), out)) == 0
+    cells = [cell for line in out.read_text().splitlines()[1:] for cell in line.split(",")[3:]]
+    assert all(math.isfinite(float(cell)) for cell in cells if cell)
+
+
+@pytest.mark.parametrize("command", ["predict", "cam"])
+def test_an_array_name_that_is_not_utf8_is_refused_naming_the_file_and_offset(
+        scoring_inputs, tmp_path, capsys, command):
+    body = bytearray(open(scoring_inputs["bundle"], "rb").read()[:-32])
+    offset = 16 + struct.unpack_from("<Q", body, 8)[0] + 4 + 2  # the first array's name
+    body[offset] = 0xff
+    bundle = tmp_path / "bad.skq"
+    bundle.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    assert dispatch(scoring_argv(command, dict(scoring_inputs, bundle=str(bundle)),
+                                 tmp_path / "out.csv")) == 1
+    assert last_error(capsys) == (f"error: runtime: {bundle}: array name is not UTF-8 (byte "
+                                  f"0xff at offset {offset}: invalid start byte)")
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +354,7 @@ def test_a_checked_integer_flag_takes_an_integer_no_float_holds(capsys):
 
 
 @pytest.mark.parametrize("last_row, message", [
-    (b"1,3,inf\n", "line 6, column 'y': non-finite value 'inf'"),
+    (b"1,3,inf\n", "line 6, column 'y': expected a finite number, got 'inf'"),
     (b"1,\xff,2\n", "line 6: not UTF-8 text (byte 0xff at offset 49: invalid start byte)"),
 ])
 @pytest.mark.parametrize("command", ["ingest-check", "predict"])

@@ -9,19 +9,28 @@ Whatever the mutation, the exit code is 0, 1 or 2, no exception escapes
 ``dispatch``, and every failure's last line of output names the mutated
 file.
 
-The bundle slice changes one field of a bundle's metadata, or drops,
-repeats or swaps a layer of a group (with its weights), writes the
-bundle with a valid checksum, and runs ``predict`` and ``cam`` over a
-skill bundle or ``train-classifier --dae`` over an autoencoder bundle.
-Besides the two checks above, an exit 0 must come with finite outputs.
+The table slice walks the column tables of the four CSV formats (trial,
+manifest, records, ``cams.csv``): each column gets a bad cell in an
+otherwise valid file, and the failure's last line names the file, the
+line and the column.
+
+The bundle slice changes one field of a bundle's metadata, drops,
+repeats or swaps a layer of a group (with its weights), sets one array
+entry to NaN, an infinity or +-1e300, or sets the first byte of an array
+name to 0xff, writes the bundle with a valid checksum, and runs
+``predict`` and ``cam`` over a skill bundle or ``train-classifier
+--dae`` over an autoencoder bundle.  Besides the two checks above, an
+exit 0 must come with finite outputs.
 """
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import shutil
+import struct
 from types import SimpleNamespace
 from unittest import mock
 
@@ -29,9 +38,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skillseq import bundle as bundle_format
+from skillseq import bundle as bundle_format, data, explain, records as records_format
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.cli import dispatch
+from skillseq.data import read_row
 
 BAD_CELLS = ("", "nan", "inf", "abc", "-1")
 
@@ -168,17 +178,101 @@ def test_mutated_run_file_fails_cleanly_under_validate_cam(workdir, finished_run
     check()
 
 
+# --- the column tables ---
+
+# cells to try in each column; a column is walked with each cell that it
+# refuses on its own (``read_row`` over that one cell)
+CANDIDATE_CELLS = ("abc", "7", "inf", "")
+# text columns refuse no cell on their own: a bad cell there disagrees with
+# another column or with the trial file, and the message names both
+TEXT_CELLS = {("records", "trial_id"): "S9:9", ("records", "subject"): "S9",
+              ("manifest", "path"): "no_such_trial.csv", ("manifest", "subject"): "S9"}
+# a cams.csv trial id is any text: a changed one moves its row to another
+# map, which the contiguity check over all of a map's rows refuses
+FREE_TEXT = {("cams", "trial_id")}
+
+
+def refuses(column, cell):
+    try:
+        read_row([cell], (column,), "cell")
+    except ValueError:
+        return True
+    return False
+
+
+def walked_cells(fmt, columns, header):
+    """``(column index, column name, bad cell)`` of every walked case."""
+    assert [col.name for col in columns] == header
+    for k, col in enumerate(columns):
+        if (fmt, col.name) in TEXT_CELLS:
+            yield k, col.name, TEXT_CELLS[fmt, col.name]
+            continue
+        cells = [cell for cell in CANDIDATE_CELLS if refuses(col, cell)]
+        assert cells or (fmt, col.name) in FREE_TEXT, (fmt, col.name)
+        yield from ((k, col.name, cell) for cell in cells)
+
+
+def test_a_bad_cell_in_any_column_of_any_table_names_file_line_and_column(workdir,
+                                                                          finished_run):
+    """Each table's every column gets one bad cell in an otherwise valid
+    file, read by the subcommand that reads that format."""
+    root = workdir / "tables"
+    root.mkdir()
+    trial, manifest, records = root / "trial0.csv", root / "manifest.csv", root / "records.csv"
+    trial.write_text(TRIAL)
+    manifest.write_text("path,subject,trial\ntrial0.csv,S1,0\n")
+    records.write_text(RECORDS)
+    shutil.copytree(finished_run, workdir / "run_tables")
+    cams = workdir / "run_tables" / "fold_0" / "cams.csv"
+    ingest = ["ingest-check", "--manifest", manifest]
+    formats = {  # format: (file, its table, header line, the line to spoil, argv)
+        "trial": (trial, data._trial_columns(("x", "y")), 6, 8, ingest),
+        "manifest": (manifest, data._MANIFEST_COLUMNS, 1, 2, ingest),
+        "records": (records, records_format._columns(RECORDS.split("\n")[0].split(","), True),
+                    1, 3, ["trust", "--records", records, "--out", workdir / "tables_trust"]),
+        "cams": (cams, explain._CAM_COLUMNS, 1, 3,
+                 ["validate-cam", "--run", workdir / "run_tables", "--out",
+                  workdir / "tables_study"]),
+    }
+    walked, every = set(), set()
+    for fmt, (path, columns, head, line, argv) in formats.items():
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")
+        every.update((fmt, col.name) for col in columns)
+        for k, name, cell in walked_cells(fmt, columns, lines[head - 1].split(",")):
+            cells = lines[line - 1].split(",")
+            cells[k] = cell
+            path.write_text("\n".join(lines[:line - 1] + [",".join(cells)] + lines[line:]),
+                            encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = dispatch([str(a) for a in argv])
+            last = err.getvalue().strip().splitlines()[-1]
+            assert rc == 1, (fmt, name, cell, last)
+            assert last.startswith(f"error: runtime: {path} line {line}, column '"), (fmt, cell)
+            assert f"'{name}'" in last, (fmt, name, cell, last)
+            walked.add((fmt, name))
+        path.write_text(text, encoding="utf-8")
+    assert walked == every - FREE_TEXT
+
+
 # --- bundles ---
 
 BAD_VALUES = (None, True, 0, -1, 1, 2, 7, 0.5, 1e300, -1e300, math.nan, math.inf, "", "x",
               "conv1d", "selu", "dense", "softmax", "autoencoder", "regression", [], {}, [1])
 
 
-def write_bundle(path, meta, weights):
+def write_bundle(path, meta, weights, bad_name=None):
     """A bundle file, with a valid checksum, holding ``meta`` (any JSON
-    value) and ``weights`` as they are."""
+    value) and ``weights`` as they are; the name of array ``bad_name``, if
+    given, starts with the byte 0xff, which is not UTF-8."""
     with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
         save_bundle(SimpleNamespace(weights=weights), path)
+    if bad_name is not None:
+        body = bytearray(path.read_bytes()[:-32])
+        name = bad_name.encode("utf-8")
+        body[body.index(struct.pack("<H", len(name)) + name) + 2] = 0xff
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
 
 
 def bundle_parts(path):
@@ -247,9 +341,23 @@ def layer_mutations(draw, meta, weights):
     return meta, moved
 
 
+@st.composite
+def array_mutations(draw, meta, weights):
+    """``(meta, weights, bad_name)`` with one entry of one array set to
+    NaN, an infinity or a huge finite value, or with the first byte of
+    one array's name set to 0xff (``bad_name``)."""
+    name = draw(st.sampled_from(sorted(weights)))
+    if draw(st.booleans()):
+        return meta, weights, name
+    array = weights[name].copy()
+    array.flat[draw(st.integers(0, array.size - 1))] = draw(
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
+    return meta, {**weights, name: array}, None
+
+
 def bundle_mutations(meta, weights):
     return (field_mutations(meta).map(lambda m: (m, weights))
-            | layer_mutations(meta, weights))
+            | layer_mutations(meta, weights) | array_mutations(meta, weights))
 
 
 def assert_finite_outputs(paths):
@@ -311,7 +419,7 @@ def test_mutated_skill_bundle_fails_cleanly_under_predict_and_cam(workdir, bundl
                              workdir / "cams.csv")
     scoring = ["--bundle", bundle, "--manifest", bundles["manifest"]]
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(mutated=bundle_mutations(meta, weights))
     def check(mutated):
         write_bundle(bundle, *mutated)
@@ -325,7 +433,7 @@ def test_mutated_autoencoder_bundle_fails_cleanly_under_train_classifier(workdir
     meta, weights = bundle_parts(bundles["autoencoder"])
     bundle, out = workdir / "mutated_dae.skq", workdir / "skill"
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=180, deadline=None, derandomize=True, database=None)
     @given(mutated=bundle_mutations(meta, weights))
     def check(mutated):
         write_bundle(bundle, *mutated)
@@ -333,3 +441,21 @@ def test_mutated_autoencoder_bundle_fails_cleanly_under_train_classifier(workdir
                     "--out", out, "--clf-max-epochs", "1"], bundle, [out / "skill.skq"])
 
     check()
+
+
+def test_a_head_diverging_over_a_given_encoder_names_its_bundle(workdir, bundles):
+    """An encoder bias of 1e300 loads (it is finite) but saturates the head,
+    whose loss is then not finite: the error names the encoder's bundle."""
+    meta, weights = bundle_parts(bundles["autoencoder"])
+    bias = weights["encoder/1.b"].copy()
+    bias[0] = 1e300
+    bundle = workdir / "saturating_dae.skq"
+    write_bundle(bundle, meta, {**weights, "encoder/1.b": bias})
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = dispatch([str(a) for a in ["train-classifier", "--manifest", bundles["manifest"],
+                                        "--dae", bundle, "--out", workdir / "saturated"]])
+    assert rc == 1
+    [line] = err.getvalue().splitlines()
+    assert line.startswith("error: runtime: head: non-finite training loss at epoch 1 on trial ")
+    assert line.endswith(f" over the encoder of {bundle}")

@@ -887,8 +887,8 @@ def test_validate_cam_names_the_line_of_a_bad_fold_seed(tiny_run, tmp_path, caps
     rc = run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study")
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        f"error: runtime: {run_dir / 'folds.txt'}: fold text line 2: seed must be an "
-        "integer, got 'x'")
+        f"error: runtime: {run_dir / 'folds.txt'}: fold text line 2: key 'seed': "
+        "expected an integer, got 'x'")
     assert not (tmp_path / "study").exists()
 
 

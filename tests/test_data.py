@@ -92,32 +92,32 @@ def test_trial_text_optional_fields_absent():
                  + "\n0,1,2\n", re.escape(f"line 4: duplicate channel name {'a' * 40!r}... "
                                            "(100,000 characters)") + "$", id="long-channel-name"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,3,abc\n",
-     "line 6, column 'y': non-numeric value 'abc'"),
+     "line 6, column 'y': expected a finite number, got 'abc'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1, ,z \n",
-     "line 6, column 'y': non-numeric value 'z'"),
+     "line 6, column 'y': expected a finite number, got 'z '"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1.5,2\n",
-     "line 6, column 't': non-integer value '1.5'"),
+     "line 6, column 't': expected an integer, got '1.5'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n3,1\n3,2\n",
      "line 6, column 't': timestamp 3 not increasing"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n\n2,3\n",
      "line 7: expected 3 fields, got 2"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n\n1,3, -inf \n",
-     "line 7, column 'y': non-finite value '-inf'"),
+     "line 7, column 'y': expected a finite number, got ' -inf '"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1,nan\n",
-     "line 6, column 'x': non-finite value 'nan'"),
+     "line 6, column 'x': expected a finite number, got 'nan'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1,3, NaN \n",
-     "line 6, column 'y': non-finite value 'NaN'"),
+     "line 6, column 'y': expected a finite number, got ' NaN '"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,,-nan\n",
-     "line 6, column 'y': non-finite value '-nan'"),
+     "line 6, column 'y': expected a finite number, got '-nan'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,,2\n1,Infinity,\n",
-     "line 6, column 'x': non-finite value 'Infinity'"),
+     "line 6, column 'x': expected a finite number, got 'Infinity'"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,3,4\n2,nan,5\n3,6,7\n4,8\n",
-                 "line 7, column 'x': non-finite value 'nan'", id="two-faults"),
+                 "line 7, column 'x': expected a finite number, got 'nan'", id="two-faults"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=" + "f" * 100_000 + "\nt,x\n0,1\n",
                  re.escape(f"rate_hz must be numeric and finite, got {'f' * 40!r}... "
                            "(100,000 characters)") + "$", id="long-header-value"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1," + "z" * 100_000 + "\n",
-                 re.escape(f"line 6, column 'x': non-numeric value {'z' * 40!r}... "
+                 re.escape(f"line 6, column 'x': expected a finite number, got {'z' * 40!r}... "
                            "(100,000 characters)") + "$", id="long-cell"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1," + "0" * 131073 + "\n",
                  re.escape("line 6: field larger than field limit (131072)"),
