@@ -110,9 +110,9 @@ def save_bundle(bundle, path):
 _U16, _U32, _U64 = (struct.Struct(f) for f in ("<H", "<I", "<Q"))
 
 
-def _truncated(body, pos, n, what):
+def _truncated(path, body, pos, n, what):
     return BundleTruncatedError(
-        f"truncated bundle: needed {n} bytes for {what} at offset {pos}, "
+        f"{path}: truncated bundle: needed {n} bytes for {what} at offset {pos}, "
         f"file has {len(body) - pos} left"
     )
 
@@ -126,11 +126,11 @@ def _read_arrays(path, body, pos, n_arrays):
     weights = {}
     for _ in range(n_arrays):
         if pos + 2 > end:
-            raise _truncated(body, pos, 2, "array name length")
+            raise _truncated(path, body, pos, 2, "array name length")
         nlen = _U16.unpack_from(body, pos)[0]
         pos += 2
         if pos + nlen > end:
-            raise _truncated(body, pos, nlen, "array name")
+            raise _truncated(path, body, pos, nlen, "array name")
         try:
             name = body[pos:pos + nlen].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -139,16 +139,16 @@ def _read_arrays(path, body, pos, n_arrays):
                                     f"{exc.reason})") from None
         pos += nlen
         if pos + 1 > end:
-            raise _truncated(body, pos, 1, "array ndim")
+            raise _truncated(path, body, pos, 1, "array ndim")
         ndim = body[pos]
         pos += 1
         if pos + 8 * ndim > end:
-            raise _truncated(body, pos + 8 * ((end - pos) // 8), 8, "array dim")
+            raise _truncated(path, body, pos + 8 * ((end - pos) // 8), 8, "array dim")
         shape = struct.unpack_from(f"<{ndim}Q", body, pos)
         pos += 8 * ndim
         count = math.prod(shape)
         if pos + 8 * count > end:
-            raise _truncated(body, pos, 8 * count, f"array '{name}' data")
+            raise _truncated(path, body, pos, 8 * count, f"array '{name}' data")
         values = np.frombuffer(body, "<f8", count, pos)
         if not np.isfinite(values).all():
             raise BundleFormatError(f"{path}: array {quoted(name)} holds a non-finite value")
@@ -178,17 +178,17 @@ def load_bundle(path):
             f"{path}: format version {version} unsupported (expected {BUNDLE_VERSION})"
         )
     if len(body) < 16:
-        raise _truncated(body, 8, 8, "metadata length")
+        raise _truncated(path, body, 8, 8, "metadata length")
     meta_len = _U64.unpack_from(body, 8)[0]
     if 16 + meta_len > len(body):
-        raise _truncated(body, 16, meta_len, "metadata")
+        raise _truncated(path, body, 16, meta_len, "metadata")
     try:
         meta = json.loads(body[16:16 + meta_len].decode("utf-8"))
     except ValueError as e:  # bad UTF-8 or JSON, or an integer of too many digits
         raise BundleFormatError(f"{path}: bad metadata block ({e})")
     pos = 16 + meta_len
     if pos + 4 > len(body):
-        raise _truncated(body, pos, 4, "array count")
+        raise _truncated(path, body, pos, 4, "array count")
     weights, pos = _read_arrays(path, body, pos + 4, _U32.unpack_from(body, pos)[0])
     if pos != len(body):
         raise BundleFormatError(f"{path}: {len(body) - pos} unexpected trailing bytes")

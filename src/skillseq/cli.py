@@ -30,15 +30,16 @@ dataclass in ``config``, which gives its flag, its config-file key and
 its run.cfg line.  Settings resolve as flags > config file > defaults,
 with the SKILLSEQ_SEED environment variable as the weakest seed source;
 every settings error names the key and where its value came from (file
-and line, flag, environment variable or default).  The other checked
-flags state their bounds in the same words.  Run directories are
-self-contained: the snapshot plus manifest reproduce every report.
+and line, flag, environment variable or default).  The other numeric
+flags are ``data.parser``s under a ``config.Bound``, which ``_checked``
+adapts to argparse, so they state their bounds in the same words.  Run
+directories are self-contained: the snapshot plus manifest reproduce
+every report.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -55,14 +56,14 @@ from .config import (
     resolve_synth_spec,
 )
 from .crossval import run_cv, validate_cams
-from .data import dataset_fingerprint, load_manifest
+from .data import dataset_fingerprint, finite, integer, load_manifest, parser
 from .explain import predict_with_cams, write_cams_csv
 from .gradcheck import run_gradcheck
 from .model import actual_class, predict_many, prepare_dataset
 from .modes import MODES, fold_metrics, training_fault
 from .overlay import render_cam_overlay
 from .records import read_records_csv, write_records_csv
-from .reports import fmt9, kv_line, quoted
+from .reports import fmt9, kv_line
 from .synth import write_synth_dataset
 from .training import train_classifier, train_dae
 from .trust import build_trust_report
@@ -279,7 +280,7 @@ def _resolve_target_class(raw, bundle):
     if raw in names:
         return names.index(raw)
     try:
-        index = int(raw)
+        index = integer(raw)
     except ValueError:
         raise UsageError(
             f"--target-class '{raw}' is neither a class name nor an index"
@@ -390,24 +391,22 @@ def _cmd_gradcheck(args):
 
 
 def _checked(parse, what, **bound):
-    """An argparse ``type=``: ``parse`` the value, which must be finite and
-    keep the ``config.Bound``; anything else is a usage error."""
+    """An argparse ``type=``: a ``data.parser`` over ``parse`` whose value
+    must keep the ``config.Bound``; a value it refuses is a usage error."""
     bound = Bound(**bound)
+    parse = parser(parse, (bound.holds, f"{what} {bound.text}"))
 
     def check(raw):
         try:
-            value = parse(raw)
-        except ValueError:
-            value = None
-        if value is None or abs(value) == math.inf or not bound.holds(value):
-            raise argparse.ArgumentTypeError(f"expected {what} {bound.text}, got {quoted(raw)}")
-        return value
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return check
 
 
-_EXPONENT = _checked(float, "a finite number", above=0)
-_COUNT = _checked(int, "an integer", at_least=1)
-_SEED = _checked(int, "an integer", at_least=0)
+_EXPONENT = _checked(finite, "a finite number", above=0)
+_COUNT = _checked(integer, "an integer", at_least=1)
+_SEED = _checked(integer, "an integer", at_least=0)
 
 
 def _opt(*names, **kwargs):

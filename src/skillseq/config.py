@@ -16,14 +16,16 @@ typed reading of config files, and the writing and strict reading of a
 run's ``run.cfg``.
 
 Config files are UTF-8 text, one ``key = value`` per line; blank lines
-and lines starting with ``#`` are ignored.  Values resolve as flag >
-file > default; the seed falls back to the SKILLSEQ_SEED environment
-variable before its default.  Each value keeps its origin (``<file>
-line <n>``, ``flag --x``, ``environment SKILLSEQ_SEED`` or ``default``),
-and every settings error names the key and its origin, and the origin
-of each other key that a rule across fields read.  The head's loss is
-no key: the mode's entry of ``modes.MODES`` fixes it, and an older
-file's ``clf_loss`` line reads only if it names it.
+and lines starting with ``#`` are ignored, and the rest are read by the
+pair reader shared with trial-file headers, ``data.read_pairs``.  Values
+resolve as flag > file > default; the seed falls back to the
+SKILLSEQ_SEED environment variable before its default.  Each value
+keeps its origin (``<file> line <n>``, ``flag --x``, ``environment
+SKILLSEQ_SEED`` or ``default``), and every settings error names the key
+and its origin, and the origin of each other key that a rule across
+fields read.  The head's loss is no key: the mode's entry of
+``modes.MODES`` fixes it, and an older file's ``clf_loss`` line reads
+only if it names it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import finite, integer, parser, read_text
+from .data import finite, integer, parser, read_pairs, read_text
 from .modes import MODES
 from .reports import quoted
 
@@ -307,32 +309,15 @@ def flag_values(args, keys):
 
 def read_config_file(path, keys):
     """``{key: (typed value, origin)}`` of a config file over the given key
-    table, the origin ``<path> line <n>``; duplicates, unknown keys and
-    junk are rejected."""
+    table, the origin ``<path> line <n>``: its lines other than blank and
+    ``#`` ones, read by ``data.read_pairs``."""
     try:
         text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    pairs, lines = {}, {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        where = f"{path} line {ln}"
-        name, sep, raw = stripped.partition("=")
-        name = name.strip()
-        if not sep:
-            raise ConfigError(f"{where}: expected 'key = value', got {quoted(stripped)}")
-        if not name:
-            raise ConfigError(f"{where}: empty key")
-        if name in pairs:
-            raise ConfigError(
-                f"{where}: duplicate key '{name}' (first set on line {lines[name]})"
-            )
-        if name not in keys:
-            raise ConfigError(f"{where}: unknown key {quoted(name)}")
-        pairs[name], lines[name] = (keys[name].value(raw.strip(), where), where), ln
-    return pairs
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.strip().startswith("#")]
+    return read_pairs(lines, {name: key.parse for name, key in keys.items()}, path, ConfigError)
 
 
 def _layered(keys, from_file, from_flags, env):

@@ -13,6 +13,11 @@ Every CSV reader (trials, manifests, prediction records, activation
 maps) reads its rows through one row reader, ``read_row``: a format is a
 table of ``Column``s, each a name and a parse with its checks, and a bad
 cell raises ``<file> line <n>, column '<c>': expected X, got '<cell>'``.
+Every ``key = value`` text (config files, run.cfg, a trial file's
+``# key=value`` headers) goes through one pair reader, ``read_pairs``,
+over a ``{key: parse}`` table, and a bad value raises ``<file> line <n>:
+key '<k>': expected X, got '<value>'``.  The parses are the same
+``parser``s in both.
 
 Trial files are read and written a whole data block at a time.  The
 reader splits a block without quotes into cells in one pass, checks that
@@ -276,18 +281,14 @@ def class_weights(labels, classes=PASS_FAIL):
 # trial CSV format
 # ---------------------------------------------------------------------------
 
-_REQUIRED_HEADER_KEYS = ("subject", "trial", "rate_hz")
-_HEADER_KEYS = _REQUIRED_HEADER_KEYS + ("score", "class")
-
-
 def parse_trial_csv(path):
     """Parse one trial file.
 
     Format: ``# key=value`` comment headers (subject, trial, rate_hz,
     optional score and class, ``pass`` or ``fail``, with NA for absent),
-    then a ``t,<ch>,...`` header row, then one row per frame.  Empty
-    cells mark missing detections.  Errors carry the line number and
-    column name.
+    read by ``read_pairs`` under ``_HEADER``, then a ``t,<ch>,...``
+    header row, then one row per frame.  Empty cells mark missing
+    detections.  Errors carry the line number and the key or column name.
     """
     return parse_trial_text(read_text(path, TrialFormatError), origin=str(path))
 
@@ -308,68 +309,32 @@ def read_text(path, error=ValueError):
 
 
 def parse_trial_text(text, origin="<string>"):
-    meta = {}
     lines = text.splitlines()
-    i = 0
-    for i, line in enumerate(lines):
+    header = []  # (line number, text after the '#') of each leading '#' line
+    for line in lines:
         if not line.startswith("#"):
             break
-        body = line[1:].strip()
-        if "=" not in body:
-            raise TrialFormatError(f"{origin} line {i + 1}: header comment without '='")
-        key, _, value = body.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _HEADER_KEYS:
-            raise TrialFormatError(f"{origin} line {i + 1}: unknown header key {quoted(key)}")
-        if key in meta:
-            raise TrialFormatError(f"{origin} line {i + 1}: duplicate header key '{key}'")
-        if key == "class" and value not in (*PASS_FAIL, "NA"):
-            raise TrialFormatError(f"{origin} line {i + 1}: class must be pass, fail or NA, "
-                                   f"got {quoted(value)}")
-        meta[key] = value
-    else:
-        i = len(lines)
-    for key in _REQUIRED_HEADER_KEYS:
+        header.append((len(header) + 1, line[1:]))
+    i = len(header)
+    # {key: (value, where)}; score and class may be left out
+    meta = {"score": (None, None), "class": (None, None),
+            **read_pairs(header, _HEADER, origin, TrialFormatError)}
+    for key in _HEADER:
         if key not in meta:
             raise TrialFormatError(f"{origin}: missing required header '# {key}='")
-
-    try:
-        trial_index = int(meta["trial"])
-    except ValueError:
-        raise TrialFormatError(f"{origin}: trial must be an integer, got {quoted(meta['trial'])}")
-    try:
-        rate = float(meta["rate_hz"])
-    except ValueError:
-        rate = math.nan
-    if not math.isfinite(rate):
-        raise TrialFormatError(
-            f"{origin}: rate_hz must be numeric and finite, got {quoted(meta['rate_hz'])}")
-
-    score = None
-    if meta.get("score", "NA") != "NA":
-        try:
-            score = float(meta["score"])
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            raise TrialFormatError(
-                f"{origin}: score must be numeric and finite, or NA, got {quoted(meta['score'])}")
-    label = None
-    if meta.get("class", "NA") != "NA":
-        label = meta["class"]
 
     block = None if '"' in text else _parse_block(lines[i:])
     channels, values = block or _walk_rows(lines, i, origin)
 
     try:
         return Trial(
-            subject_id=meta["subject"],
-            trial_index=trial_index,
-            sample_rate_hz=rate,
+            subject_id=meta["subject"][0],
+            trial_index=meta["trial"][0],
+            sample_rate_hz=meta["rate_hz"][0],
             channels=channels,
             values=values,
-            score=score,
-            class_label=label,
+            score=meta["score"][0],
+            class_label=meta["class"][0],
             stage=RAW,
         )
     except ValueError as e:
@@ -536,12 +501,58 @@ def read_row(row, columns, where, error=ValueError):
     return values
 
 
+def read_pairs(lines, parses, origin, error=ValueError):
+    """``{key: (value, where)}`` of ``key = value`` texts, ``lines`` the
+    ``(line number, text)`` pairs to read, each value parsed by its key's
+    ``parses[key]`` and ``where`` ``<origin> line <n>``.  Text without
+    '=', an empty, repeated or unknown key, or a value its parse refuses
+    raises ``error`` naming ``where``."""
+    pairs, first = {}, {}
+    for ln, text in lines:
+        where = f"{origin} line {ln}"
+        text = text.strip()
+        name, sep, raw = text.partition("=")
+        name = name.strip()
+        if not sep:
+            raise error(f"{where}: expected 'key = value', got {quoted(text)}")
+        if not name:
+            raise error(f"{where}: empty key")
+        if name in first:
+            raise error(f"{where}: duplicate key '{name}' (first set on line {first[name]})")
+        if name not in parses:
+            raise error(f"{where}: unknown key {quoted(name)}")
+        try:
+            pairs[name] = (parses[name](raw.strip()), where)
+        except ValueError as exc:
+            raise error(f"{where}: key '{name}': {exc}") from None
+        first[name] = ln
+    return pairs
+
+
+def _or_na(parse):
+    """``parse``, with the text ``NA`` read as None."""
+    return lambda raw: None if raw == "NA" else parse(raw)
+
+
+# a trial file's headers; score and class may be left out, like NA
+_HEADER = {
+    "subject": parser(str, (lambda s: " = " not in s, "an id without ' = '")),
+    "trial": integer,
+    "rate_hz": finite,
+    "score": _or_na(parser(float, (math.isfinite, "a finite number or NA"))),
+    "class": _or_na(parser(str, (PASS_FAIL.__contains__, "pass, fail or NA"))),
+}
+
+
 def _blank(row):
     return len(row) == 0 or (len(row) == 1 and row[0].strip() == "")
 
 
-def _unwritable(name):
-    """Why the parser would not read ``name`` back as written, or None."""
+def _unwritable(name, subject=False):
+    """Why the parser would not read ``name``, a subject if ``subject``,
+    back as written, or None."""
+    if subject and " = " in name:
+        return "' = '"
     if name != name.strip():
         return "leading or trailing whitespace"
     if "," in name or '"' in name:
@@ -560,16 +571,16 @@ def write_trial_csv(trial, path):
 
     What the parser would not read back as written raises ValueError
     naming the trial, and nothing is written: a class label other than
-    ``pass`` or ``fail``, an infinite cell (naming the frame), and a
-    subject or channel name that holds a ',', a '"' or a line break, or
-    starts or ends with whitespace.
+    ``pass`` or ``fail``, an infinite cell (naming the frame), a subject
+    that holds ' = ', and a subject or channel name that holds a ',', a
+    '"' or a line break, or starts or ends with whitespace.
     """
     if trial.class_label not in (None, *PASS_FAIL):
         raise ValueError(f"{trial.trial_id}: cannot write class {trial.class_label!r}, "
                          "which is neither pass nor fail")
     names = [("subject", trial.subject_id)] + [("channel", ch) for ch in trial.channels]
     for field, name in names:
-        reason = _unwritable(name)
+        reason = _unwritable(name, field == "subject")
         if reason:
             raise ValueError(f"{trial.trial_id}: cannot write {field} {name!r}, "
                              f"which holds {reason}")

@@ -60,8 +60,6 @@ class CamMap:
             raise ValueError("empty activation map")
         if not (np.isfinite(raw).all() and np.isfinite(inten).all()):
             raise ValueError(f"{self.trial_id}: non-finite activation map")
-        if inten.min() < 0.0 or inten.max() > 1.0:
-            raise ValueError(f"{self.trial_id}: intensities must lie in [0, 1]")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "intensity", inten)
 
@@ -149,7 +147,10 @@ def read_cams_csv(path):
 
     Each row is converted in one tuple expression; only a row that fails
     it goes to ``data.read_row`` under ``_CAM_COLUMNS``, whose same
-    conversions raise naming the file, line and column of the bad cell."""
+    conversions raise naming the file, line and column of the bad cell.
+    A map whose rows break a rule together (timesteps 0, 1, ... once
+    each, one class index, finite values, intensities in [0, 1]) raises
+    naming the file, the trial and the line of its first bad row."""
     rows, maps = csv_rows(path), {}
     header = next(rows, (0, []))[1]
     if header != [col.name for col in _CAM_COLUMNS]:
@@ -161,17 +162,17 @@ def read_cams_csv(path):
             ci, t, raw, inten = int(ci), int(t), float(raw), float(inten)
         except ValueError:
             tid, ci, t, raw, inten = read_row(row, _CAM_COLUMNS, f"{path} line {line}")
-        maps.setdefault(tid, []).append((t, ci, raw, inten))
+        maps.setdefault(tid, []).append((t, line, ci, raw, inten))
     cams = {}
     for tid, entries in maps.items():
-        ts, classes, raw, intensity = zip(*sorted(entries))
-        if ts != tuple(range(len(ts))):
-            raise ValueError(f"{path}: {tid} has non-contiguous timesteps")
-        if len(set(classes)) != 1:
-            raise ValueError(f"{path}: {tid} mixes class indices")
-        try:
-            cams[tid] = CamMap(tid, classes[0], np.array(raw), np.array(intensity))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        ts, lines, classes, raw, intensity = map(np.array, zip(*sorted(entries)))
+        for bad, problem in ((ts != np.arange(ts.size), " has non-contiguous timesteps"),
+                             (classes != classes[0], " mixes class indices"),
+                             (~(np.isfinite(raw) & np.isfinite(intensity)),
+                              ": non-finite activation map"),
+                             ((intensity < 0) | (intensity > 1),
+                              ": intensities must lie in [0, 1]")):
+            if bad.any():
+                raise ValueError(f"{path}: {tid}{problem} (line {lines[bad].min()})")
+        cams[tid] = CamMap(tid, int(classes[0]), raw, intensity)
     return cams
-

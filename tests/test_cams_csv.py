@@ -67,7 +67,7 @@ HEADER = "trial_id,class_index,t,raw,intensity\r\n"
     ("S1:0,0,1.0,0.5,0.5", " line 3, column 't': expected an integer, got '1.0'"),
     ("S1:0,x,1,0.5,0.5", " line 3, column 'class_index': expected an integer, got 'x'"),
     ("S1:0,0,1,0.5,nope", " line 3, column 'intensity': expected a number, got 'nope'"),
-    ("S1:0,0,1,inf,0.5", ": S1:0: non-finite activation map"),
+    ("S1:0,0,1,inf,0.5", ": S1:0: non-finite activation map (line 3)"),
     pytest.param("S1:0,0,1," + "a" * 100_000 + ",0.5",
                  f" line 3, column 'raw': expected a number, got {'a' * 40!r}... "
                  "(100,000 characters)", id="long-cell"),
@@ -79,6 +79,25 @@ def test_bad_cams_csv_names_path_and_line(tmp_path, row, message):
     path = tmp_path / "cams.csv"
     path.write_text(HEADER + "S1:0,0,0,0.0,0.0\r\n" + row + "\r\n", newline="")
     with pytest.raises(ValueError, match=re.escape(f"{path}{message}") + "$"):
+        read_cams_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["S1:0,0,1,0.5,0.5", "S1:0,0,3,0.5,0.5"], "S1:0 has non-contiguous timesteps (line 4)"),
+    (["S1:0,0,1,0.5,0.5", "S1:0,0,1,0.5,0.5"], "S1:0 has non-contiguous timesteps (line 4)"),
+    (["S1:0,0,1,0.5,0.5", "S1:0,1,2,0.5,0.5"], "S1:0 mixes class indices (line 4)"),
+    (["S1:0,0,1,0.5,0.5", "S1:0,0,2,0.5,nan"], "S1:0: non-finite activation map (line 4)"),
+    (["S1:0,0,1,0.5,0.5", "S1:0,0,2,0.5,1.5"],
+     "S1:0: intensities must lie in [0, 1] (line 4)"),
+    (["S1:0,0,2,0.5,-0.5", "S1:0,0,1,0.5,0.5"],
+     "S1:0: intensities must lie in [0, 1] (line 3)"),
+], ids=["gap", "repeat", "mixed-classes", "non-finite", "intensity-above-one",
+        "intensity-below-zero-out-of-order"])
+def test_a_map_breaking_a_rule_across_rows_names_its_first_bad_row(tmp_path, rows, message):
+    path = tmp_path / "cams.csv"
+    path.write_text(HEADER + "S1:0,0,0,0.0,0.0\r\n" + "".join(r + "\r\n" for r in rows),
+                    newline="")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}") + "$"):
         read_cams_csv(path)
 
 

@@ -12,15 +12,21 @@ file.
 The table slice walks the column tables of the four CSV formats (trial,
 manifest, records, ``cams.csv``): each column gets a bad cell in an
 otherwise valid file, and the failure's last line names the file, the
-line and the column.
+line and the column.  Each header key of a trial file gets a bad value
+the same way, and the failure names the file, the line and the key.
+
+The flag slice gives each numeric flag (``--alpha``, ``--beta``,
+``--jobs``, ``--configs``, ``--seed``, ``--target-hz``,
+``--target-class``) an empty, NaN, infinite, overflowing, 400-digit and
+space-padded value: the run exits 0, or 2 naming the flag.
 
 The bundle slice changes one field of a bundle's metadata, drops,
 repeats or swaps a layer of a group (with its weights), sets one array
-entry to NaN, an infinity or +-1e300, or sets the first byte of an array
-name to 0xff, writes the bundle with a valid checksum, and runs
-``predict`` and ``cam`` over a skill bundle or ``train-classifier
---dae`` over an autoencoder bundle.  Besides the two checks above, an
-exit 0 must come with finite outputs.
+entry to NaN, an infinity or +-1e300, sets the first byte of an array
+name to 0xff, or cuts the body short, writes the bundle with a valid
+checksum, and runs ``predict`` and ``cam`` over a skill bundle or
+``train-classifier --dae`` over an autoencoder bundle.  Besides the two
+checks above, an exit 0 must come with finite outputs.
 """
 
 import contextlib
@@ -38,7 +44,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skillseq import bundle as bundle_format, data, explain, records as records_format
+from skillseq import (bundle as bundle_format, cli, data, explain, gradcheck,
+                      records as records_format)
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.cli import dispatch
 from skillseq.data import read_row
@@ -256,23 +263,102 @@ def test_a_bad_cell_in_any_column_of_any_table_names_file_line_and_column(workdi
     assert walked == every - FREE_TEXT
 
 
+# a header value to try where no candidate cell is refused on its own
+HEADER_TEXT = {"subject": "a = b"}
+
+
+def test_a_bad_header_of_a_trial_file_names_file_line_and_key(workdir):
+    """Each ``# key=value`` header of a trial file gets one bad value in an
+    otherwise valid file, read by ``ingest-check``."""
+    root = workdir / "headers"
+    root.mkdir()
+    trial, manifest = root / "trial0.csv", root / "manifest.csv"
+    manifest.write_text("path,subject,trial\ntrial0.csv,S1,0\n")
+    lines = TRIAL.split("\n")
+    walked = set()
+    for n, line in enumerate(lines[:5], start=1):
+        key, _, _ = line[2:].partition("=")
+        values = [v for v in CANDIDATE_CELLS if refuses(data.Column(key, data._HEADER[key]), v)]
+        for value in values or [HEADER_TEXT[key]]:
+            trial.write_text("\n".join(lines[:n - 1] + [f"# {key}={value}"] + lines[n:]))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = dispatch(["ingest-check", "--manifest", str(manifest)])
+            last = err.getvalue().strip().splitlines()[-1]
+            assert rc == 1, (key, value, last)
+            assert last.startswith(f"error: runtime: {trial} line {n}: key '{key}': "), last
+            walked.add(key)
+    assert walked == set(data._HEADER)
+
+
+# --- numeric flags ---
+
+FLAG_VALUES = ("", "nan", "-inf", "1e400", "1" * 400, " 2 ")
+
+
+def test_a_numeric_flag_parses_any_value_or_is_a_usage_error_naming_it(workdir, bundles):
+    """Each numeric flag gets each value, joined to it with '=' so that a
+    value starting with '-' reaches its parse.  The run exits 0, or 2
+    naming the flag; an exit 0 leaves finite outputs.  A count is not
+    bounded above, so gradcheck audits one config per op whatever
+    ``--configs`` asks for."""
+    records, trust_out = workdir / "flag_records.csv", workdir / "flag_trust"
+    records.write_text(RECORDS)
+    scoring = ["--bundle", bundles["classification"], "--manifest", bundles["manifest"]]
+    tiny = ["--dae-max-epochs", "1", "--clf-max-epochs", "1", "--arch-enc-width", "2",
+            "--arch-emb-channels", "2", "--arch-clf-width", "2"]
+    predicted, cams = workdir / "flag_predict.csv", workdir / "flag_cams.csv"
+    trust = (["trust", "--records", records, "--out", trust_out],
+             [trust_out / "trust.txt", trust_out / "density_correct.csv"])
+    commands = {  # flag: (argv without it, outputs)
+        "--alpha": trust,
+        "--beta": trust,
+        "--jobs": (["evaluate", "--manifest", bundles["manifest"], "--scheme", "stratified3",
+                    *tiny], []),
+        "--configs": (["gradcheck", "--seed", "0"], []),
+        "--seed": (["gradcheck", "--configs", "1"], []),
+        "--target-hz": (["predict", *scoring, "--out", predicted], [predicted]),
+        "--target-class": (["cam", *scoring, "--out", cams], [cams]),
+    }
+    audit = gradcheck.run_gradcheck
+    with mock.patch.object(cli, "run_gradcheck",
+                           lambda configs_per_op, base_seed: audit(1, base_seed)):
+        for flag, (argv, outputs) in commands.items():
+            for value in FLAG_VALUES:
+                for path in outputs:
+                    path.unlink(missing_ok=True)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = dispatch([str(a) for a in argv] + [f"{flag}={value}"])
+                assert rc in (0, 2), (flag, value, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if rc == 2:
+                    assert flag in err.getvalue().strip().splitlines()[-1], (flag, value)
+                else:
+                    assert_finite_outputs(outputs)
+
+
 # --- bundles ---
 
 BAD_VALUES = (None, True, 0, -1, 1, 2, 7, 0.5, 1e300, -1e300, math.nan, math.inf, "", "x",
               "conv1d", "selu", "dense", "softmax", "autoencoder", "regression", [], {}, [1])
 
 
-def write_bundle(path, meta, weights, bad_name=None):
+def write_bundle(path, meta, weights, bad_name=None, keep=None):
     """A bundle file, with a valid checksum, holding ``meta`` (any JSON
     value) and ``weights`` as they are; the name of array ``bad_name``, if
-    given, starts with the byte 0xff, which is not UTF-8."""
+    given, starts with the byte 0xff, which is not UTF-8, and the body, if
+    ``keep`` (a share in [0, 1)) is given, is cut to that share of its
+    bytes."""
     with mock.patch.object(bundle_format, "_meta_dict", return_value=meta):
         save_bundle(SimpleNamespace(weights=weights), path)
+    body = bytearray(path.read_bytes()[:-32])
     if bad_name is not None:
-        body = bytearray(path.read_bytes()[:-32])
         name = bad_name.encode("utf-8")
         body[body.index(struct.pack("<H", len(name)) + name) + 2] = 0xff
-        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    if keep is not None:
+        del body[int(keep * len(body)):]
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
 
 
 def bundle_parts(path):
@@ -342,22 +428,26 @@ def layer_mutations(draw, meta, weights):
 
 
 @st.composite
-def array_mutations(draw, meta, weights):
-    """``(meta, weights, bad_name)`` with one entry of one array set to
-    NaN, an infinity or a huge finite value, or with the first byte of
-    one array's name set to 0xff (``bad_name``)."""
+def body_mutations(draw, meta, weights):
+    """``(meta, weights, bad_name, keep)`` with one entry of one array set
+    to NaN, an infinity or a huge finite value, with the first byte of one
+    array's name set to 0xff (``bad_name``), or with the body cut short
+    (``keep``)."""
+    kind = draw(st.sampled_from(["entry", "name", "cut"]))
+    if kind == "cut":
+        return meta, weights, None, draw(st.floats(0, 1, exclude_max=True))
     name = draw(st.sampled_from(sorted(weights)))
-    if draw(st.booleans()):
-        return meta, weights, name
+    if kind == "name":
+        return meta, weights, name, None
     array = weights[name].copy()
     array.flat[draw(st.integers(0, array.size - 1))] = draw(
         st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
-    return meta, {**weights, name: array}, None
+    return meta, {**weights, name: array}, None, None
 
 
 def bundle_mutations(meta, weights):
     return (field_mutations(meta).map(lambda m: (m, weights))
-            | layer_mutations(meta, weights) | array_mutations(meta, weights))
+            | layer_mutations(meta, weights) | body_mutations(meta, weights))
 
 
 def assert_finite_outputs(paths):

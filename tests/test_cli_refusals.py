@@ -199,6 +199,16 @@ def mixed_class_indices(text):
     return "\r\n".join(lines)
 
 
+def subject_with_separator(ctx):
+    """Subject S01 renamed to 'a = b' in its trial files and the manifest:
+    a fold named after it would break the ``key = value`` lines of
+    folds.txt."""
+    manifest = edited(ctx.data, ctx.tmp / "d",
+                      every=lambda t: t.replace("# subject=S01\n", "# subject=a = b\n"))
+    manifest.write_text(manifest.read_text().replace(",S01,", ",a = b,"))
+    return ["ingest-check", "--manifest", manifest]
+
+
 def trust_on_scores(ctx):
     return ["trust", "--records", ctx.runs / "regression" / "fold_S01" / "predictions.csv",
             "--out", ctx.tmp / "trust"]
@@ -208,6 +218,8 @@ META_ARRAY = b"[]"
 BAD_MAGIC = b"SKSQ"[::-1] + bytes(64)
 ARRAY_META = (b"SKSQ" + struct.pack("<IQ", 1, len(META_ARRAY)) + META_ARRAY
               + struct.pack("<I", 0))
+
+GOOD_CLASS_REFUSED = "S01_000.csv line 5: key 'class': expected pass, fail or NA, got 'good'"
 
 # id -> (argv builder, exit code, a fragment of the message)
 CASES = {
@@ -223,16 +235,18 @@ CASES = {
     "unlabeled-trial": (train_classifier(lambda t: re.sub(r"# class=\w+\n", "", t)), 1,
                         "manifest.csv: training trial without class label"),
     "unknown-class": (train_classifier(good_class), 1,
-                      "S01_000.csv line 5: class must be pass, fail or NA, got 'good'"),
+                      GOOD_CLASS_REFUSED),
     "ingest-check-unknown-class": (lambda ctx: ["ingest-check", "--manifest",
                                                 edited(ctx.data, ctx.tmp / "d",
                                                        first=good_class)], 1,
-                                   "S01_000.csv line 5: class must be pass, fail or NA, "
-                                   "got 'good'"),
+                                   GOOD_CLASS_REFUSED),
     "predict-unknown-class": (scoring_on_good_class("predict"), 1,
-                              "S01_000.csv line 5: class must be pass, fail or NA, got 'good'"),
+                              GOOD_CLASS_REFUSED),
     "cam-unknown-class": (scoring_on_good_class("cam"), 1,
-                          "S01_000.csv line 5: class must be pass, fail or NA, got 'good'"),
+                          GOOD_CLASS_REFUSED),
+    "ingest-check-subject-with-separator": (subject_with_separator, 1,
+                                            "S01_000.csv line 1: key 'subject': expected an id "
+                                            "without ' = ', got 'a = b'"),
     "single-class-unweighted": (train_classifier(every=lambda t: re.sub(
                                     r"# class=\w+", "# class=pass", t),
                                     flags=("--clf-class-weighting", "none")), 1,

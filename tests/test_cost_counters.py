@@ -158,7 +158,12 @@ COUNTS = {
         # array path like every chunk (Segments and pack: +2 numpy_c)
         "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 59,
                                             "py": 126, "peak_kb": 1063},
-        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 8,
+        # py 8 -> 17 when the headers were read by data.read_pairs under the
+        # header table: the read_pairs call (+1) and the header parsers' own
+        # calls (+8): subject's parse and check, trial's integer and its
+        # check, rate_hz's finite, score's NA test, and class's NA test and
+        # parse.  numpy_c and peak_kb are unchanged.
+        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 17,
                                   "peak_kb": 463},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip

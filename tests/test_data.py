@@ -66,6 +66,15 @@ def test_write_trial_csv_rejects_an_infinite_cell(tmp_path, bad):
     assert not path.exists()
 
 
+def test_write_trial_csv_rejects_a_subject_holding_the_pair_separator(tmp_path):
+    trial = make_trial(np.ones((2, 1)), subject="a = b", index=3)
+    path = tmp_path / "trial.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            "a = b:3: cannot write subject 'a = b', which holds ' = '") + "$"):
+        write_trial_csv(trial, path)
+    assert not path.exists()
+
+
 def test_trial_text_optional_fields_absent():
     text = ("# subject=A\n# trial=0\n# rate_hz=2.0\n"
             "t,x\n0,1.0\n1,2.0\n")
@@ -76,14 +85,25 @@ def test_trial_text_optional_fields_absent():
 
 @pytest.mark.parametrize("text,fragment", [
     ("# subject=A\n# rate_hz=1\nt,x\n0,1\n", "missing required header"),
-    ("# subject=A\n# trial=zero\n# rate_hz=1\nt,x\n0,1\n", "trial must be an integer"),
-    ("# subject=A\n# trial=0\n# rate_hz=fast\nt,x\n0,1\n", "rate_hz must be numeric"),
+    ("# subject=A\n# trial=zero\n# rate_hz=1\nt,x\n0,1\n",
+     "trial': expected an integer, got 'zero'$"),
+    ("# subject=A\n# trial=0\n# rate_hz=fast\nt,x\n0,1\n",
+     "rate_hz': expected a finite number, got 'fast'$"),
     ("# subject=A\n# trial=0\n# rate_hz=inf\nt,x\n0,1\n",
-     "rate_hz must be numeric and finite, got 'inf'"),
+     "rate_hz': expected a finite number, got 'inf'$"),
     ("# subject=A\n# trial=0\n# rate_hz=1\n# score=nan\nt,x\n0,1\n",
-     "score must be numeric and finite, or NA, got 'nan'"),
-    ("# bogus=1\nt,x\n0,1\n", "unknown header key"),
-    ("# subject=A\n# subject=B\n# trial=0\n# rate_hz=1\nt,x\n0,1\n", "duplicate header"),
+     "line 4: key 'score': expected a finite number or NA, got 'nan'$"),
+    ("# bogus=1\nt,x\n0,1\n", "line 1: unknown key 'bogus'$"),
+    ("# subject=A\n# subject=B\n# trial=0\n# rate_hz=1\nt,x\n0,1\n",
+     "line 2: duplicate key 'subject' \\(first set on line 1\\)$"),
+    pytest.param("# subject=a = b\n# trial=0\n# rate_hz=1\nt,x\n0,1\n",
+                 "line 1: key 'subject': expected an id without ' = ', got 'a = b'$",
+                 id="subject-with-separator"),
+    pytest.param("# subject=A\n# trial=0\n# rate_hz=1\n# class=good\nt,x\n0,1\n",
+                 "line 4: key 'class': expected pass, fail or NA, got 'good'$", id="class"),
+    pytest.param("# subject=A\n# class\nt,x\n0,1\n",
+                 "line 2: expected 'key = value', got 'class'$", id="header-without-equals"),
+    pytest.param("# = pass\nt,x\n0,1\n", "line 1: empty key$", id="empty-header-key"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nx,y\n0,1\n", "first column must be 't'"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,x\n0,1,2\n", "duplicate channel"),
     ("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y,y,x\n0,1,2,3,4\n",
@@ -114,7 +134,7 @@ def test_trial_text_optional_fields_absent():
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x,y\n0,1,2\n1,3,4\n2,nan,5\n3,6,7\n4,8\n",
                  "line 7, column 'x': expected a finite number, got 'nan'", id="two-faults"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=" + "f" * 100_000 + "\nt,x\n0,1\n",
-                 re.escape(f"rate_hz must be numeric and finite, got {'f' * 40!r}... "
+                 re.escape(f"line 3: key 'rate_hz': expected a finite number, got {'f' * 40!r}... "
                            "(100,000 characters)") + "$", id="long-header-value"),
     pytest.param("# subject=A\n# trial=0\n# rate_hz=1\nt,x\n0,1\n1," + "z" * 100_000 + "\n",
                  re.escape(f"line 6, column 'x': expected a finite number, got {'z' * 40!r}... "

@@ -5,8 +5,9 @@ kinds for both modes, only that table and the model compare a kind, one
 training loop takes each stage's data, not callbacks, a bundle and
 Adam carry no field that the design fixes, only the model and training
 modules normalize trials for a model, only the tensor, config, modes
-and gradcheck modules spell a loss kind, and only the modes table (and
-the mode setting of config) spells a skill mode.
+and gradcheck modules spell a loss kind, only the modes table (and
+the mode setting of config) spells a skill mode, and only the cell
+vocabulary turns text into numbers under a ``ValueError`` handler.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -285,3 +286,32 @@ def test_only_the_modes_table_spells_a_skill_mode():
                     if isinstance(node, ast.Constant) and node.value in names
                     and id(node) not in allowed]
     assert not spelled, f"skill modes spelled outside the modes table: {spelled}"
+
+
+def _catches_value_error(handler):
+    caught = handler.type
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return caught is None or any(isinstance(n, ast.Name) and n.id in (
+        "ValueError", "Exception", "BaseException") for n in names)
+
+
+def test_only_the_cell_vocabulary_turns_text_into_numbers():
+    """``data.parser`` is the one place that converts text with ``int`` or
+    ``float`` and turns the ValueError into a message, so no other
+    function of src/skillseq calls ``int(`` or ``float(`` inside a
+    ``try`` that catches ValueError.  ``data._parse_block`` and
+    ``explain.read_cams_csv`` are fast paths that hand a fault to
+    ``data.read_row``."""
+    allowed = {"data.parser", "data._parse_block", "explain.read_cams_csv"}
+    found = []
+    for module, tree in _trees().items():
+        for top in tree.body:
+            name = f"{module}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if (name in allowed or not isinstance(node, ast.Try)
+                        or not any(map(_catches_value_error, node.handlers))):
+                    continue
+                found += [f"{name}:{call.lineno}" for stmt in node.body
+                          for call in ast.walk(stmt) if isinstance(call, ast.Call)
+                          and isinstance(call.func, ast.Name) and call.func.id in ("int", "float")]
+    assert not found, f"text converted outside data.parser: {found}"

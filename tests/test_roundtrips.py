@@ -75,8 +75,8 @@ def raw_trial_fields(draw):
 @given(fields=raw_trial_fields())
 def test_trial_csv_round_trips(fields, tmp_path_factory):
     """A trial is written and read back exactly, or refused before any
-    file exists when one of its names, or a class label other than pass
-    or fail, would not read back.  A trial with
+    file exists when one of its names, a subject holding ' = ', or a class
+    label other than pass or fail, would not read back.  A trial with
     a non-finite score or rate, which its file could not hold, cannot be
     built at all."""
     for name, message in (("sample_rate_hz", "sample_rate_hz must be finite and > 0"),
@@ -88,7 +88,7 @@ def test_trial_csv_round_trips(fields, tmp_path_factory):
     trial = Trial(**fields)
     path = tmp_path_factory.mktemp("trial") / "trial.csv"
     writable = (all(map(readable, (trial.subject_id, *trial.channels)))
-                and trial.class_label in (None, *PASS_FAIL))
+                and " = " not in trial.subject_id and trial.class_label in (None, *PASS_FAIL))
     if not writable:
         with pytest.raises(ValueError, match=f"^{re.escape(trial.trial_id)}: cannot write "):
             write_trial_csv(trial, path)
@@ -222,9 +222,9 @@ def test_crafted_body_has_the_documented_length():
 ], ids=["metadata-length", "metadata", "array-count", "name-length", "name", "ndim",
         "first-dim", "second-dim", "data", "first-array-dim", "first-array-data"])
 def test_truncated_body_names_the_field_and_offset(tmp_path, cut, message):
-    _, excinfo = _load_crafted(tmp_path, _crafted_body()[:cut])
+    path, excinfo = _load_crafted(tmp_path, _crafted_body()[:cut])
     assert excinfo.type is BundleTruncatedError
-    assert str(excinfo.value) == f"truncated bundle: {message}"
+    assert str(excinfo.value) == f"{path}: truncated bundle: {message}"
 
 
 def test_unsupported_version_is_refused(tmp_path):
@@ -290,6 +290,14 @@ def _channels_on_a_selu(meta):
     meta["groups"]["encoder"][2]["in_channels"] = 7
 
 
+def _even_kernel(meta):
+    meta["groups"]["encoder"][1]["kernel_size"] = 2
+
+
+def _reduction_not_dividing(meta):
+    meta["groups"]["encoder"][3]["reduction"] = 4
+
+
 @pytest.mark.parametrize("edit, message", [
     (_unknown_key, "bad metadata: 'groups.encoder[1].stride' is not a known key"),
     (_null_trainable, "bad metadata: 'trainable' must be {{\"encoder\":false,\"head\":true}} "
@@ -306,8 +314,13 @@ def _channels_on_a_selu(meta):
     (_null_minmax, "bad metadata: 'minmax' must be an object, got 'None'"),
     (_channels_on_a_selu, "bad metadata: 'groups.encoder[2]' is not a valid layer: selu does "
                           "not read in_channels, which must stay 0, got 7"),
+    (_even_kernel, "bad metadata: 'groups.encoder[1]' is not a valid layer: kernel_size must "
+                   "be odd, got 2"),
+    (_reduction_not_dividing, "bad metadata: 'groups.encoder[3]' is not a valid layer: "
+                              "reduction 4 must divide channel count 6"),
 ], ids=["unknown-spec-key", "null-trainable", "string-groups", "kernel-size", "short-mins",
-        "no-mode", "empty-range", "inverted-range", "null-minmax", "channels-on-a-selu"])
+        "no-mode", "empty-range", "inverted-range", "null-minmax", "channels-on-a-selu",
+        "even-kernel", "reduction-not-dividing"])
 def test_metadata_fault_is_a_runtime_error_naming_the_field(skill_inputs, tmp_path, capsys,
                                                             edit, message):
     bundle, manifest = skill_inputs
