@@ -63,7 +63,7 @@ from .model import actual_class, predict_many, prepare_dataset
 from .modes import MODES, fold_metrics, training_fault
 from .overlay import render_cam_overlay
 from .records import read_records_csv, write_records_csv
-from .reports import fmt9, kv_line
+from .reports import fmt9, kv_line, quoted
 from .synth import write_synth_dataset
 from .training import train_classifier, train_dae
 from .trust import build_trust_report
@@ -283,12 +283,13 @@ def _resolve_target_class(raw, bundle):
         index = integer(raw)
     except ValueError:
         raise UsageError(
-            f"--target-class '{raw}' is neither a class name nor an index"
+            f"--target-class {quoted(raw)} is neither a class name nor an index"
         ) from None
     n_out = len(names) or 1
     if not 0 <= index < n_out:
         choices = ", ".join([repr(n) for n in names] + [str(i) for i in range(n_out)])
-        raise UsageError(f"--target-class {raw} is out of range; choose one of: {choices}")
+        raise UsageError(f"--target-class {quoted(raw)} is out of range; "
+                         f"choose one of: {choices}")
     return index
 
 
@@ -448,7 +449,8 @@ _COMMANDS = {
         _opt("--run", required=True, help="baseline run directory"),
         _opt("--out")) + _JOBS_OPTS),
     "gradcheck": ("finite-difference gradient audit", _cmd_gradcheck, (
-        _opt("--configs", type=_COUNT, default=20),
+        _opt("--configs", type=_checked(integer, "an integer", at_least=1, at_most=1000),
+             default=20),
         _opt("--seed", type=_SEED, default=0))),
 }
 

@@ -197,8 +197,8 @@ class RunSettings(_Checked):
 class SynthSpec(_Checked):
     """Generator configuration; every field has a stable default."""
 
-    n_subjects: int = setting(20, at_least=1)
-    trials_per_subject: int = setting(100, at_least=1)
+    n_subjects: int = setting(20, at_least=1, at_most=1000)
+    trials_per_subject: int = setting(100, at_least=1, at_most=10_000)
     pass_fraction: float = setting(0.9, at_least=0, at_most=1)
     seed: int = setting(0, at_least=0)
     sample_rate_hz: float = setting(1.0, above=0)

@@ -17,7 +17,7 @@ difference never straddles a non-differentiable point.
 The analytic gradient is the one training uses: a layer's comes from
 the backward that ``layers.forward_stack`` records with a ``Recorder``
 as its mode, and a loss's or the activity penalty's from its array
-function's gradient (``tz._loss_raw``, ``tz._penalty_grad``).
+function's gradient (``layers._loss_raw``, ``layers._penalty_grad``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tz
-from .layers import KINDS, LayerSpec, Recorder, forward_stack, init_stack_params
+from .layers import (KINDS, LayerSpec, Recorder, _loss_raw, _penalty_grad, _penalty_raw,
+                     forward_stack, init_stack_params)
 from .seeding import make_rng
 
 __all__ = ["GradCheckResult", "check_operation", "run_gradcheck", "OPERATIONS"]
@@ -106,11 +106,11 @@ def check_operation(op, seed):
                 raw = rng.normal(0.0, 1.0, size=n)
         target = _random_target(rng, (n,), op)
         weight = float(rng.uniform(0.5, 2.0))
-        _, grad, args = tz._loss_raw(op, raw, target, weight)
+        _, grad, args = _loss_raw(op, raw, target, weight)
         analytic = [grad(1.0, *args)]
 
         def evaluate():
-            return float(tz._loss_raw(op, raw, target, weight)[0])
+            return float(_loss_raw(op, raw, target, weight)[0])
 
         numeric = _numeric_grad(evaluate, [raw])
         err = _compare(analytic, numeric)
@@ -119,10 +119,10 @@ def check_operation(op, seed):
     if op == "activity-penalty":
         raw = rng.normal(0.0, 1.0, size=(T, C))
         coeff = float(rng.uniform(0.5, 2.0))
-        analytic = [tz._penalty_grad(raw, coeff)]
+        analytic = [_penalty_grad(raw, coeff)]
 
         def evaluate():
-            return float(tz._penalty_raw(raw, coeff))
+            return float(_penalty_raw(raw, coeff))
 
         numeric = _numeric_grad(evaluate, [raw])
         return GradCheckResult(op, seed, raw.size, _compare(analytic, numeric))

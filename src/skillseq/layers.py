@@ -1,4 +1,4 @@
-"""Layer kinds: their table, declarative specs, initialization, and stack forward.
+"""Layer kinds: their table, declarative specs, initialization, ops and stack forward.
 
 A network is an ordered tuple of ``LayerSpec`` values plus a flat
 ``{name: ndarray}`` parameter mapping.  Parameter names are
@@ -8,41 +8,53 @@ group name (``"encoder/0.w"``).
 ``KINDS`` is the one catalog of layer kinds (see ``Kind``): whatever
 needs a kind's fields, flow, parameter shapes or forward step reads it.
 
-``forward_stack`` is the one walk over a stack's layers; its ``mode``
-computes each op.  ``forward_packed`` is the eval forward: it packs
-trials along time in chunks of at most ``PACK_ROWS`` rows and runs
-``forward_stack`` with a ``PackedEval`` on plain arrays in that layout
-(see ``tensor``).
+Each formula lives once, in a module-level function over float64 numpy
+arrays, grouped by op: ``_<op>_raw`` computes an op's one-trial forward
+(with what its backward reads), ``_<op>_grad``/``_<op>_grads`` its
+backward, and ``_<op>_packed`` its forward over packed trials where that
+differs.  The ops use ``np.add.reduce`` and ``np.minimum``/``np.maximum``
+where ``mean``, ``sum`` and ``clip`` would compute the same bits through
+more Python, since a training step runs one sample at a time and its
+cost is the number of numpy calls.  The reference tape (``tensor``)
+calls the same functions.
 
-Training runs each stack with a ``Recorder`` as its mode: it calls the
-tensor module's array functions (``tz._<op>_raw``) on plain arrays and
-records each op's backward (``tz._<op>_grad``) with the arrays it
-reads; ``Recorder.backward`` runs them in reverse, adding each
-parameter's gradient into the array that ``grads`` maps its name to.
-``gradcheck`` checks this same recorded backward against finite
-differences.
+``forward_stack`` is the one walk over a stack's layers; its ``mode``
+computes each op.  Training runs each stack with a ``Recorder`` as its
+mode: it calls the one-trial forwards on plain arrays and records each
+op's backward with the arrays it reads; ``Recorder.backward`` runs them
+in reverse, adding each parameter's gradient into the array that
+``grads`` maps its name to.  ``gradcheck`` checks this same recorded
+backward against finite differences.
+
+``forward_packed`` is the eval forward: it packs trials along time in
+chunks of at most ``PACK_ROWS`` rows and runs ``forward_stack`` with a
+``PackedEval`` on plain arrays in that layout.  ``Segments`` lays trials
+out along time with zero halo rows around each, and ``_conv_packed``,
+``_scse_packed``, ``Segments.means`` and ``_row_products`` run an op
+over every trial of such an array.  Each trial's result equals, byte for
+byte, that of the one-trial op: every BLAS call and every reduction runs
+once per trial on exactly the one-trial operands (their bits depend on
+the operand shapes); only elementwise arithmetic spans the packed array,
+and halo rows are zeroed after each convolution (and sigmoid).  At the
+890-2,048 rows of a long trial or a chunk, ``np.where`` and fresh arrays
+of 100 KB or more (new memory to fault in) cost more than the
+arithmetic, so SELU runs in place (``_selu_inplace``, the bits of
+``_selu_raw``), the sCSE combine makes two temporaries instead of four,
+and each ``forward_packed`` call builds every trial's taps in one
+``TapBuffer``, reading the halos as padding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import tensor as tz
-
-__all__ = [
-    "LayerSpec",
-    "KINDS",
-    "param_shapes",
-    "init_stack_params",
-    "forward_stack",
-    "Recorder",
-    "PackedEval",
-    "forward_packed",
-    "is_kernel_param",
-]
+__all__ = ["LayerSpec", "KINDS", "param_shapes", "init_stack_params", "forward_stack",
+           "Recorder", "PackedEval", "Segments", "TapBuffer", "forward_packed",
+           "is_kernel_param"]
 
 # what flows between layers: each trial's (T, C) sequence, or after a
 # pooling layer one vector per trial
@@ -105,6 +117,441 @@ class Kind:
     shapes: Callable | None = None
     pools: bool = False
 
+
+def _add_grads(views, grads):
+    """Add each gradient into its view; an op of a stack without gradient
+    arrays has no views (None)."""
+    if views is not None:
+        for view, d in zip(views, grads):
+            view += d
+
+
+# --- the packed layout ---
+
+class Segments:
+    """Row layout of trials packed along time.
+
+    Trial ``i`` occupies rows ``bounds[i] = (start, end)``; ``halo`` zero
+    rows come before each trial and after the last.  ``_conv_packed``
+    sees each trial padded with zeros exactly as a one-trial call does
+    when ``halo`` is at least the smaller of the convolution's reach
+    ``(K // 2) * dilation`` and the longest trial: a tap whose offset is
+    as large as its trial is long reads only padding, so it is written as
+    zeros and reads no halo.  The layout's convolutions build their taps
+    in ``taps``, a ``TapBuffer``.
+    """
+
+    def __init__(self, lengths, halo, taps):
+        self.taps = taps
+        self.bounds = []
+        start = halo
+        for n in lengths:
+            self.bounds.append((start, start + n))
+            start += n + halo
+        self.rows = start
+        self.longest = max(lengths)
+        self.lengths = np.array(lengths, dtype=np.float64)[:, None]
+        ends = [0] + [e for _, e in self.bounds]   # where each halo starts
+        self.halo_rows = np.array([r for e in ends for r in range(e, e + halo)], dtype=np.intp)
+        # row -> its trial; a halo row belongs to the trial before it, and
+        # the leading halo to the first trial
+        counts = [n + halo for n in lengths]
+        counts[0] += halo
+        self.owner = np.repeat(np.arange(len(lengths)), counts)
+
+    def pack(self, arrays):
+        """One (rows, C) array holding each (T_i, C) array at its bounds."""
+        out = np.zeros((self.rows, arrays[0].shape[1]))
+        for (s, e), a in zip(self.bounds, arrays):
+            out[s:e] = a
+        return out
+
+    def unpack(self, packed):
+        """Each trial's rows of a packed array (views)."""
+        return [packed[s:e] for s, e in self.bounds]
+
+    def means(self, xd):
+        """Per-trial means over time of a packed (rows, C) array: (n, C)."""
+        out = np.empty((len(self.bounds), xd.shape[1]))
+        for i, (s, e) in enumerate(self.bounds):
+            np.add.reduce(xd[s:e], 0, out=out[i])
+        out /= self.lengths
+        return out
+
+
+class TapBuffer:
+    """Storage that packed convolutions build each trial's taps in, one
+    after another.  It grows to the largest tap array asked of it; each
+    packed forward makes its own, so none outlives the forward."""
+
+    def __init__(self):
+        self.flat = np.empty(0)
+
+    def array(self, rows, cols):
+        """A C-contiguous (rows, cols) array over the storage; the caller
+        overwrites every element."""
+        n = rows * cols
+        if self.flat.size < n:
+            self.flat = np.empty(n)
+        return self.flat[:n].reshape(rows, cols)
+
+
+# --- conv1d: zero 'same' padding, centered odd kernel ---
+
+def _conv_matrix(wd):
+    """The (C_in * K, C_out) matrix of a (K, C_in, C_out) kernel that the
+    taps multiply: row ``c*K + k`` holds ``wd[k, c]``."""
+    K, cin = wd.shape[:2]
+    return wd[0] if K == 1 else wd.transpose(1, 0, 2).reshape(cin * K, -1)
+
+
+def _conv_raw(xd, wd, bd, dilation):
+    """The convolution of a (T, C_in) trial by a (K, C_in, C_out) kernel:
+    ``(out, taps, w2)``, where
+
+        out[t, o] = bd[o] + sum_{k, c} xd[t + (k - K//2) * dilation, c] * wd[k, c, o]
+
+    with out-of-range input read as zero; ``_conv_grads`` reads the taps
+    and the kernel matrix ``w2``, the operands of the matmul.
+
+    A tap whose offset ``(k - K//2) * dilation`` is at least T away reads
+    only zero padding, so its columns are written as zeros and the
+    padding is never wider than the trial."""
+    T, cin = xd.shape
+    K = wd.shape[0]
+    w2 = _conv_matrix(wd)
+    if K == 1:
+        taps2 = xd
+    else:
+        pad = min((K // 2) * dilation, T)
+        xp = np.zeros((T + 2 * pad, cin))
+        xp[pad:pad + T] = xd
+        # taps2[t, c*K + k] = xp[pad + t + o_k, c]; flattened this way the
+        # whole contraction is a single BLAS matmul
+        taps2 = np.empty((T, cin * K))
+        for k in range(K):
+            o = (k - K // 2) * dilation
+            taps2[:, k::K] = xp[pad + o:pad + o + T] if abs(o) < T else 0.0
+    out = taps2 @ w2
+    out += bd
+    return out, taps2, w2
+
+
+def _conv_grads(g, taps2, w2, K, dilation, need_x):
+    """Gradients of ``_conv_raw`` for the output gradient ``g``:
+    ``(dw, db, dx)``, with ``dx`` None unless ``need_x``."""
+    cin = w2.shape[0] // K
+    dw = (taps2.T @ g).reshape(cin, K, -1).transpose(1, 0, 2)
+    db = np.add.reduce(g, 0)
+    if not need_x:
+        return dw, db, None
+    if K == 1:
+        return dw, db, g @ w2.T
+    T = g.shape[0]
+    pad = min((K // 2) * dilation, T)
+    dtaps = (g @ w2.T).reshape(T, cin, K)
+    gxp = np.zeros((T + 2 * pad, cin))
+    for k in range(K):
+        o = (k - K // 2) * dilation
+        if abs(o) < T:  # a tap further out read only padding
+            gxp[pad + o:pad + o + T] += dtaps[:, :, k]
+    return dw, db, gxp[pad:pad + T]
+
+
+def _conv_back(g, taps, w2, K, dilation, views, need_x):
+    dw, db, dx = _conv_grads(g, taps, w2, K, dilation, need_x)
+    _add_grads(views, (dw, db))
+    return dx
+
+
+def _conv_packed(xd, wd, bd, dilation, segments):
+    """``_conv_raw``'s output over a packed array, one trial at a time: a
+    trial's taps read its halos as its zero padding, and a tap that
+    reaches as far as the trial is long is zero, as in the one-trial
+    call, so the taps and the matmul are that call's.  The halos must
+    be at least as wide as the reach or the longest trial, whichever is
+    shorter."""
+    K = wd.shape[0]
+    w2 = _conv_matrix(wd)
+    out = np.zeros((xd.shape[0], w2.shape[1]))
+    if K > 1:
+        buf = segments.taps.array(segments.longest, w2.shape[0])
+    for s, e in segments.bounds:
+        if K == 1:
+            taps = xd[s:e]
+        else:
+            # taps[t, c*K + k] = xd[s + t + o_k, c]
+            taps = buf[:e - s]
+            for k in range(K):
+                o = (k - K // 2) * dilation
+                taps[:, k::K] = xd[s + o:e + o] if abs(o) < e - s else 0.0
+        np.matmul(taps, w2, out=out[s:e])
+    out += bd
+    out[segments.halo_rows] = 0.0
+    return out
+
+
+# the activity penalty of a convolution output: coeff * mean(x ** 2)
+
+def _penalty_raw(xd, coeff):
+    return np.array(coeff * float(np.add.reduce(np.square(xd), None) / xd.size))
+
+
+def _penalty_grad(xd, coeff):
+    """Gradient of ``_penalty_raw(xd, coeff)``; the chain rule multiplies
+    it by the penalty's gradient, which is 1 for a term of the loss."""
+    return (2.0 * coeff / xd.size) * xd
+
+
+def _penalty_back(g, xd, l2):
+    """The gradient of a convolution's output: its consumer's plus its
+    activity penalty's, a term of the loss."""
+    return g + _penalty_grad(xd, l2)
+
+
+# --- dense: (C_in,) @ (C_in, C_out) + (C_out,) ---
+
+def _dense_raw(xd, wd, bd):
+    return xd @ wd + bd
+
+
+def _dense_grads(g, xd, wd, need_x):
+    """``(dw, db, dx)`` of ``_dense_raw``; ``dx`` is None unless ``need_x``."""
+    return xd[:, None] * g, g, (wd @ g if need_x else None)
+
+
+def _dense_back(g, xd, w, views, need_x):
+    dw, db, dx = _dense_grads(g, xd, w, need_x)
+    _add_grads(views, (dw, db))
+    return dx
+
+
+def _row_products(rows, w):
+    """``rows[i] @ w`` for each row, one vector-matrix product per row."""
+    out = np.empty((rows.shape[0], w.shape[1]))
+    for i, row in enumerate(rows):
+        np.matmul(row, w, out=out[i])
+    return out
+
+
+# --- activations and pooling ---
+
+# canonical scaled-exponential constants
+SELU_LAMBDA = 1.0507009873554805
+SELU_ALPHA = 1.6732632423543772
+
+
+def _selu_raw(xd):
+    """SELU of an array, plus what its derivative needs: (out, neg, ex)."""
+    neg = xd <= 0.0
+    ex = np.exp(np.minimum(xd, 0.0))
+    return np.where(neg, SELU_LAMBDA * SELU_ALPHA * (ex - 1.0), SELU_LAMBDA * xd), neg, ex
+
+
+def _selu_inplace(c):
+    """SELU of an array written over it, with the bits of
+    ``_selu_raw(c)[0]``: for x > 0 the sum is ``+0.0 + λx``, and for
+    x <= 0 it is ``λα(e^x - 1) + (±0.0)``, whose left term is never -0.0."""
+    pos = np.maximum(c, 0.0)
+    pos *= SELU_LAMBDA
+    np.minimum(c, 0.0, out=c)
+    np.exp(c, out=c)
+    c -= 1.0
+    c *= SELU_LAMBDA * SELU_ALPHA
+    c += pos
+    return c
+
+
+def _selu_grad(g, neg, ex):
+    return g * np.where(neg, SELU_LAMBDA * SELU_ALPHA * ex, SELU_LAMBDA)
+
+
+def _sigmoid_raw(xd):
+    # bounding keeps exp finite; exact for |x| < 500
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(xd, -500.0), 500.0)))
+
+
+def _sigmoid_grad(g, out):
+    return g * out * (1.0 - out)
+
+
+def _softmax_raw(v):
+    """Softmax over a 1-D vector."""
+    e = np.exp(v - np.maximum.reduce(v))
+    return e / np.add.reduce(e)
+
+
+def _softmax_grad(g, out):
+    return out * (g - np.dot(g, out))
+
+
+def _gap_raw(xd):
+    """Global average over time: (T, C) -> (C,)."""
+    return np.add.reduce(xd, 0) / xd.shape[0]
+
+
+def _gap_grad(g, xd):
+    """Gradient of ``_gap_raw(xd)``: ``g / T`` on every row."""
+    gx = np.empty_like(xd)
+    gx[:] = g / xd.shape[0]
+    return gx
+
+
+# --- sCSE: concurrent channel and spatial squeeze-excitation, summed ---
+
+_SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
+
+
+def _scse_params(p, pfx):
+    return [p[pfx + name] for name in _SCSE_FIELDS]
+
+
+def _scse_raw(xd, cw1, cb1, cw2, cb2, sw, sb):
+    """The sCSE block of a (T, C) trial: ``(out, saved)``;
+    ``_scse_grads`` reads ``saved``.
+
+    Channel branch: gate = sigmoid(W2 @ relu(W1 @ mean_t(x) + b1) + b2),
+    scales each channel.  Spatial branch: gate = sigmoid(x @ w + b),
+    scales each timestep.  Output is the elementwise sum of both scaled
+    copies; with all-zero parameters both gates are 0.5 and the block is
+    the identity."""
+    T = xd.shape[0]
+    z = np.add.reduce(xd, 0) / T
+    u1 = z @ cw1 + cb1
+    pos = u1 > 0.0
+    h = np.where(pos, u1, 0.0)
+    u2 = h @ cw2 + cb2
+    s = _sigmoid_raw(u2)
+    v = xd @ sw + sb
+    q = _sigmoid_raw(v)
+    out = xd * s
+    out += np.multiply(xd, q[:, None])
+    return out, (xd, z, pos, h, s, q)
+
+
+def _scse_grads(g, saved, cw1, cw2, sw, need_x):
+    """Gradients of ``_scse_raw`` for the output gradient ``g``: the
+    parameters' ``dcw1, dcb1, dcw2, dcb2, dsw, dsb``, then ``dx``, which
+    is None unless ``need_x``."""
+    xd, z, pos, h, s, q = saved
+    gxd = g * xd
+    du2 = np.add.reduce(gxd, 0) * s * (1.0 - s)
+    dh = cw2 @ du2
+    du1 = np.where(pos, dh, 0.0)
+    dv = np.add.reduce(gxd, 1) * q * (1.0 - q)
+    grads = (z[:, None] * du1, du1, h[:, None] * du2, du2, xd.T @ dv,
+             np.array(np.add.reduce(dv, None)))
+    if not need_x:
+        return (*grads, None)
+    gx = g * s + g * q[:, None]
+    gx += (cw1 @ du1) / xd.shape[0]
+    gx += dv[:, None] * sw
+    return (*grads, gx)
+
+
+def _scse_back(g, saved, p, views, need_x):
+    *grads, dx = _scse_grads(g, saved, p[0], p[2], p[4], need_x)
+    _add_grads(views, grads)
+    return dx
+
+
+def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
+    """``_scse_raw``'s output over a packed array; each trial gets its own
+    channel gate."""
+    u1 = _row_products(segments.means(xd), cw1)
+    u1 += cb1
+    h = np.where(u1 > 0.0, u1, 0.0)
+    u2 = _row_products(h, cw2)
+    u2 += cb2
+    s = _sigmoid_raw(u2)
+    v = np.zeros(xd.shape[0])
+    for a, e in segments.bounds:
+        np.matmul(xd[a:e], sw, out=v[a:e])
+    v += sb
+    q = _sigmoid_raw(v)
+    out = s[segments.owner]
+    out *= xd
+    out += np.multiply(xd, q[:, None])
+    return out
+
+
+# --- losses (scalar outputs) ---
+
+_BCE_EPS = 1e-7
+
+
+def _bce_raw(pd, t, weight):
+    """Mean binary cross-entropy; targets lie in [0, 1].
+
+    Predictions are clipped to [1e-7, 1 - 1e-7] before the logs; clipped
+    entries receive zero gradient.
+    """
+    p = np.minimum(np.maximum(pd, _BCE_EPS), 1.0 - _BCE_EPS)
+    inside = (pd > _BCE_EPS) & (pd < 1.0 - _BCE_EPS)
+    n = p.size
+    ll = t * np.log(p) + (1.0 - t) * np.log1p(-p)
+    return np.array(-weight * float(np.add.reduce(ll, None) / n)), (t, p, inside, weight / n)
+
+
+def _bce_grad(g, t, p, inside, scale):
+    d = scale * (-t / p + (1.0 - t) / (1.0 - p))
+    return g * d * inside
+
+
+def _mse_raw(pd, t, weight):
+    diff = pd - t
+    n = max(diff.size, 1)
+    value = np.array(weight * float(np.add.reduce(np.square(diff), None) / diff.size))
+    return value, (2.0 * weight / n, diff)
+
+
+def _mse_grad(g, scale, diff):
+    return g * scale * diff
+
+
+def _cosine_raw(pd, t, weight):
+    """1 - cosine similarity between non-zero 1-D vectors; 0 iff parallel."""
+    np_ = _norm(pd)
+    nt = _norm(t)
+    cos = float(np.dot(pd, t)) / (np_ * nt)
+    return np.array(weight * (1.0 - cos)), (pd, t, np_, nt, cos, weight)
+
+
+def _cosine_grad(g, pd, t, np_, nt, cos, weight):
+    d = -(t / (np_ * nt) - cos * pd / (np_ * np_))
+    return g * weight * d
+
+
+def _norm(v):
+    """Euclidean norm of a 1-D vector, computed as np.linalg.norm does."""
+    return math.sqrt(float(v.dot(v)))
+
+
+_LOSS_FNS = {"bce": (_bce_raw, _bce_grad), "mse": (_mse_raw, _mse_grad),
+             "cosine": (_cosine_raw, _cosine_grad)}
+
+
+def _loss_raw(kind, pd, target, weight):
+    """A named loss of a prediction array: ``(value, grad, args)``, where
+    ``grad(g, *args)`` is the prediction's gradient for the loss gradient
+    ``g``.  The target has the prediction's shape."""
+    if kind not in _LOSS_FNS:
+        raise ValueError(f"loss kind must be one of {sorted(_LOSS_FNS)}, got '{kind}'")
+    t = np.asarray(target, dtype=np.float64)
+    raw, grad = _LOSS_FNS[kind]
+    value, args = raw(pd, t, weight)
+    return value, grad, args
+
+
+def _sum_raw(arrays):
+    """Sum of same-shaped arrays, added left to right."""
+    out = arrays[0].copy()
+    for a in arrays[1:]:
+        out = out + a
+    return out
+
+
+# --- the kinds ---
 
 def _scse_shapes(spec, tag=""):
     c, mid = spec.in_channels, spec.in_channels // spec.reduction
@@ -186,13 +633,6 @@ def init_stack_params(specs, rng):
     return params
 
 
-_SCSE_FIELDS = ("cw1", "cb1", "cw2", "cb2", "sw", "sb")
-
-
-def _scse_params(p, pfx):
-    return [p[pfx + name] for name in _SCSE_FIELDS]
-
-
 def forward_stack(specs, params, x, mode, grads=None):
     """Run a stack of layers over the array ``x``: each layer's kind's
     step (``KINDS``).
@@ -245,8 +685,8 @@ class Recorder:
     def set_loss(self, kind, pred, target, weight):
         """Record the named loss of ``pred``; ``loss`` is it plus the
         activity penalties, added left to right."""
-        value, grad, args = tz._loss_raw(kind, pred, target, weight)
-        self.loss = tz._sum_raw([value] + self.penalties) if self.penalties else value
+        value, grad, args = _loss_raw(kind, pred, target, weight)
+        self.loss = _sum_raw([value] + self.penalties) if self.penalties else value
         self._loss_grad = grad, args
 
     def backward(self, g=None):
@@ -275,12 +715,12 @@ class Recorder:
         ``activity_l2 > 0`` the penalty of its output goes to the loss, and
         its gradient is recorded after the conv."""
         w = params[wn]
-        out, taps, w2 = tz._conv_raw(x, w, params[bn], dilation)
+        out, taps, w2 = _conv_raw(x, w, params[bn], dilation)
         views = None if grads is None else (grads[wn], grads[bn])
         self.add(_conv_back, taps, w2, w.shape[0], dilation, views, bool(self.ops))
         l2 = self.activity_l2
         if l2 > 0.0:
-            self.penalties.append(tz._penalty_raw(out, l2))
+            self.penalties.append(_penalty_raw(out, l2))
             self.add(_penalty_back, out, l2)
         return out
 
@@ -288,33 +728,33 @@ class Recorder:
         w = params[pfx + "w"]
         views = None if grads is None else (grads[pfx + "w"], grads[pfx + "b"])
         self.add(_dense_back, x, w, views, bool(self.ops))
-        return tz._dense_raw(x, w, params[pfx + "b"])
+        return _dense_raw(x, w, params[pfx + "b"])
 
     def scse(self, x, params, grads, pfx):
         p = _scse_params(params, pfx)
-        out, saved = tz._scse_raw(x, *p)
+        out, saved = _scse_raw(x, *p)
         views = None if grads is None else _scse_params(grads, pfx)
         self.add(_scse_back, saved, p, views, bool(self.ops))
         return out
 
     def selu(self, x):
-        out, neg, ex = tz._selu_raw(x)
-        self.add(tz._selu_grad, neg, ex)
+        out, neg, ex = _selu_raw(x)
+        self.add(_selu_grad, neg, ex)
         return out
 
     def sigmoid(self, x):
-        out = tz._sigmoid_raw(x)
-        self.add(tz._sigmoid_grad, out)
+        out = _sigmoid_raw(x)
+        self.add(_sigmoid_grad, out)
         return out
 
     def softmax(self, x):
-        out = tz._softmax_raw(x)
-        self.add(tz._softmax_grad, out)
+        out = _softmax_raw(x)
+        self.add(_softmax_grad, out)
         return out
 
     def gap(self, x):
-        self.add(tz._gap_grad, x)
-        return tz._gap_raw(x)
+        self.add(_gap_grad, x)
+        return _gap_raw(x)
 
     def noise(self, x, sigma):
         """Gaussian noise; its backward hands the gradient on unchanged,
@@ -344,38 +784,6 @@ class Recorder:
         return h + x
 
 
-def _add_grads(views, grads):
-    """Add each gradient into its view; an op of a stack without gradient
-    arrays has no views (None)."""
-    if views is not None:
-        for view, d in zip(views, grads):
-            view += d
-
-
-def _conv_back(g, taps, w2, K, dilation, views, need_x):
-    dw, db, dx = tz._conv_grads(g, taps, w2, K, dilation, need_x)
-    _add_grads(views, (dw, db))
-    return dx
-
-
-def _penalty_back(g, xd, l2):
-    """The gradient of a convolution's output: its consumer's plus its
-    activity penalty's, a term of the loss."""
-    return g + tz._penalty_grad(xd, l2)
-
-
-def _dense_back(g, xd, w, views, need_x):
-    dw, db, dx = tz._dense_grads(g, xd, w, need_x)
-    _add_grads(views, (dw, db))
-    return dx
-
-
-def _scse_back(g, saved, p, views, need_x):
-    grads, dx = tz._scse_grads(g, saved, p[0], p[2], p[4], need_x)
-    _add_grads(views, grads)
-    return dx
-
-
 def _split(g, skip):
     """The gradient of ``h + x``: kept for the skip path, handed to the branch."""
     skip.append(g)
@@ -391,7 +799,7 @@ def _join(g, skip, pen):
 
 class PackedEval:
     """The eval mode of ``forward_stack``, over a (rows, C) array packed
-    in ``segments`` (a ``tz.Segments``).  Each array passed on is this
+    in ``segments`` (a ``Segments``).  Each array passed on is this
     forward's own, so SELU and the residual add run in place.  ``gap``
     leaves one row per trial, which ``dense`` and ``softmax`` map row by
     row, and stores its input in ``captures["pre_gap"]``; noise passes
@@ -404,27 +812,27 @@ class PackedEval:
         self.captures = {}
 
     def conv(self, x, params, grads, wn, bn, dilation):
-        return tz._conv_packed(x, params[wn], params[bn], dilation, self.segments)
+        return _conv_packed(x, params[wn], params[bn], dilation, self.segments)
 
     def dense(self, x, params, grads, pfx):
-        x = tz._row_products(x, params[pfx + "w"])
+        x = _row_products(x, params[pfx + "w"])
         x += params[pfx + "b"]
         return x
 
     def scse(self, x, params, grads, pfx):
-        return tz._scse_packed(x, *_scse_params(params, pfx), self.segments)
+        return _scse_packed(x, *_scse_params(params, pfx), self.segments)
 
     def selu(self, x):
-        return tz._selu_inplace(x)
+        return _selu_inplace(x)
 
     def sigmoid(self, x):
-        x = tz._sigmoid_raw(x)
+        x = _sigmoid_raw(x)
         if "pre_gap" not in self.captures:  # sigmoid(0) is 0.5; a conv reads halos as 0
             x[self.segments.halo_rows] = 0.0
         return x
 
     def softmax(self, x):
-        return np.array([tz._softmax_raw(row) for row in x])
+        return np.array([_softmax_raw(row) for row in x])
 
     def gap(self, x):
         self.captures["pre_gap"] = x
@@ -460,14 +868,14 @@ def forward_packed(stacks, values, capture=False):
     Trials are packed along time in chunks of at most ``PACK_ROWS`` rows
     (a longer trial runs alone) between zero halos as wide as the widest
     convolution reach, but no wider than the longest trial: a tap that
-    reaches further reads only padding (see ``tz._conv_packed``).  A chunk
+    reaches further reads only padding (see ``_conv_packed``).  A chunk
     of one trial is laid out the same way.  Returns the per-trial outputs,
     equal byte for byte to those of each trial run alone; with
     ``capture``, also the per-trial ``"pre_gap"`` activations
     (``(outputs, pre_gaps)``).  Outputs may be views into a chunk's arrays.
     """
     halo = min(max(_reach(specs) for specs, _ in stacks), max(map(len, values), default=0))
-    taps = tz.TapBuffer()
+    taps = TapBuffer()
     outs, pre_gaps = [], []
     i = 0
     while i < len(values):
@@ -476,7 +884,7 @@ def forward_packed(stacks, values, capture=False):
             rows += halo + values[j].shape[0]
             j += 1
         chunk = values[i:j]
-        segments = tz.Segments([v.shape[0] for v in chunk], halo, taps)
+        segments = Segments([v.shape[0] for v in chunk], halo, taps)
         mode = PackedEval(segments)
         x = segments.pack(chunk)
         for specs, params in stacks:
@@ -487,4 +895,3 @@ def forward_packed(stacks, values, capture=False):
             pre_gaps.extend(segments.unpack(mode.captures["pre_gap"]))
         i = j
     return (outs, pre_gaps) if capture else outs
-

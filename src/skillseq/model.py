@@ -40,6 +40,7 @@ from .layers import (KINDS, SEQUENCE, VECTOR, LayerSpec, forward_packed, init_st
                      param_shapes)
 from .modes import MODES
 from .records import PredictionRecord
+from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
 __all__ = [
@@ -124,7 +125,7 @@ class ModelBundle:
 
     def __post_init__(self):
         if self.mode != "autoencoder" and self.mode not in MODES:
-            raise ValueError(f"unknown mode '{self.mode}'; "
+            raise ValueError(f"unknown mode {quoted(self.mode)}; "
                              f"expected one of {('autoencoder', *MODES)}")
         if "encoder" not in self.groups:
             raise ValueError("bundle must contain an encoder group")

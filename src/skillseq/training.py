@@ -33,7 +33,7 @@ the loss, runs the recorded backward, which adds every gradient into
 the gradient views, and ends in ``adam_step_masked``.  ``gradcheck``
 checks that recorded backward.  Each epoch's validation runs one packed
 forward on plain arrays (``layers.forward_packed``) and
-``tz._loss_raw``, with the bytes of one forward per trial.
+``layers._loss_raw``, with the bytes of one forward per trial.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tensor as tz
 from .config import ArchConfig, DaeConfig, HeadConfig
 from .data import apply_minmax, fit_minmax
-from .layers import (Recorder, init_stack_params, is_kernel_param, forward_packed,
+from .layers import (Recorder, _loss_raw, init_stack_params, is_kernel_param, forward_packed,
                      forward_stack)
 from .model import (ModelBundle, build_classifier, encoder_specs, decoder_specs, encode_many,
                     normalize_for_model)
@@ -134,7 +133,7 @@ def _step(specs, flat, x, target, weight, loss, l2, rng):
 def _val_losses(stacks, inputs, targets, kind, weights):
     """Loss of each validation trial, from one packed forward."""
     outs = forward_packed(stacks, inputs)
-    return [float(tz._loss_raw(kind, out, target, weight)[0])
+    return [float(_loss_raw(kind, out, target, weight)[0])
             for out, target, weight in zip(outs, targets, weights)]
 
 

@@ -334,12 +334,13 @@ def test_stratified_folds_name_the_first_unlabeled_trial(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag, value, expected", [
-    (["gradcheck", "--configs", "0"], "--configs", "0", "an integer >= 1"),
-    (["gradcheck", "--configs", "2.5"], "--configs", "2.5", "an integer >= 1"),
+    (["gradcheck", "--configs", "0"], "--configs", "0", "an integer >= 1 and <= 1000"),
+    (["gradcheck", "--configs", "2.5"], "--configs", "2.5", "an integer >= 1 and <= 1000"),
     (["gradcheck", "--seed", "-1"], "--seed", "-1", "an integer >= 0"),
     (["gradcheck", "--seed", "x"], "--seed", "x", "an integer >= 0"),
     (["evaluate", "--jobs", "0"], "--jobs", "0", "an integer >= 1"),
     (["validate-cam", "--run", "r", "--jobs=-3"], "--jobs", "-3", "an integer >= 1"),
+    (["gradcheck", "--configs", "1001"], "--configs", "1001", "an integer >= 1 and <= 1000"),
 ])
 def test_numeric_flags_are_usage_errors_naming_the_flag(capsys, argv, flag, value, expected):
     assert dispatch(argv) == 2
@@ -461,6 +462,7 @@ def test_train_classifier_takes_the_embedding_width_from_the_encoder_walk(
     ("classification", "7", "'pass', 'fail', 0, 1"),
     ("classification", "2", "'pass', 'fail', 0, 1"),
     ("classification", "-1", "'pass', 'fail', 0, 1"),
+    ("classification", " 2 ", "'pass', 'fail', 0, 1"),
     ("regression", "1", "0"),
     ("regression", "-1", "0"),
 ])
@@ -472,9 +474,17 @@ def test_out_of_range_target_class_is_a_usage_error(scoring_inputs, small_regres
         save_bundle(small_regressor[0], paths["bundle"])
     argv = scoring_argv("cam", paths, tmp_path / "cams.csv") + ["--target-class", value]
     assert dispatch(argv) == 2
-    assert last_error(capsys) == (f"error: usage: --target-class {value} is out of range; "
+    assert last_error(capsys) == (f"error: usage: --target-class {value!r} is out of range; "
                                   f"choose one of: {choices}")
     assert not (tmp_path / "cams.csv").exists()
+
+
+def test_a_huge_target_class_is_quoted_bounded(scoring_inputs, tmp_path, capsys):
+    argv = scoring_argv("cam", dict(scoring_inputs), tmp_path / "cams.csv")
+    assert dispatch(argv + ["--target-class", "1" * 400]) == 2
+    assert last_error(capsys) == (f"error: usage: --target-class {'1' * 40!r}... "
+                                  "(400 characters) is out of range; "
+                                  "choose one of: 'pass', 'fail', 0, 1")
 
 
 @pytest.mark.parametrize("value, index", [("fail", 1), ("1", 1), ("0", 0)])

@@ -17,8 +17,11 @@ the same way, and the failure names the file, the line and the key.
 
 The flag slice gives each numeric flag (``--alpha``, ``--beta``,
 ``--jobs``, ``--configs``, ``--seed``, ``--target-hz``,
-``--target-class``) an empty, NaN, infinite, overflowing, 400-digit and
-space-padded value: the run exits 0, or 2 naming the flag.
+``--target-class``, ``--n-subjects``, ``--trials-per-subject``) an
+empty, NaN, infinite, overflowing, 400-digit and space-padded value: the
+run exits 0, or 2 naming the flag.  The counts that size a run
+(``--configs``, ``--n-subjects``, ``--trials-per-subject``) are bounded
+above, so their 400-digit value exits 2.
 
 The bundle slice changes one field of a bundle's metadata, drops,
 repeats or swaps a layer of a group (with its weights), sets one array
@@ -44,8 +47,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skillseq import (bundle as bundle_format, cli, data, explain, gradcheck,
-                      records as records_format)
+from skillseq import bundle as bundle_format, data, explain, records as records_format
 from skillseq.bundle import load_bundle, save_bundle
 from skillseq.cli import dispatch
 from skillseq.data import read_row
@@ -299,9 +301,8 @@ FLAG_VALUES = ("", "nan", "-inf", "1e400", "1" * 400, " 2 ")
 def test_a_numeric_flag_parses_any_value_or_is_a_usage_error_naming_it(workdir, bundles):
     """Each numeric flag gets each value, joined to it with '=' so that a
     value starting with '-' reaches its parse.  The run exits 0, or 2
-    naming the flag; an exit 0 leaves finite outputs.  A count is not
-    bounded above, so gradcheck audits one config per op whatever
-    ``--configs`` asks for."""
+    naming the flag; an exit 0 leaves finite outputs.  A 400-digit count
+    of checks, subjects or trials is out of bounds."""
     records, trust_out = workdir / "flag_records.csv", workdir / "flag_trust"
     records.write_text(RECORDS)
     scoring = ["--bundle", bundles["classification"], "--manifest", bundles["manifest"]]
@@ -319,23 +320,27 @@ def test_a_numeric_flag_parses_any_value_or_is_a_usage_error_naming_it(workdir, 
         "--seed": (["gradcheck", "--configs", "1"], []),
         "--target-hz": (["predict", *scoring, "--out", predicted], [predicted]),
         "--target-class": (["cam", *scoring, "--out", cams], [cams]),
+        "--n-subjects": (["synth", "--out", workdir / "flag_subjects",
+                          "--trials-per-subject", "1"], []),
+        "--trials-per-subject": (["synth", "--out", workdir / "flag_trials",
+                                  "--n-subjects", "1"], []),
     }
-    audit = gradcheck.run_gradcheck
-    with mock.patch.object(cli, "run_gradcheck",
-                           lambda configs_per_op, base_seed: audit(1, base_seed)):
-        for flag, (argv, outputs) in commands.items():
-            for value in FLAG_VALUES:
-                for path in outputs:
-                    path.unlink(missing_ok=True)
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = dispatch([str(a) for a in argv] + [f"{flag}={value}"])
-                assert rc in (0, 2), (flag, value, err.getvalue())
-                assert "Traceback" not in err.getvalue()
-                if rc == 2:
-                    assert flag in err.getvalue().strip().splitlines()[-1], (flag, value)
-                else:
-                    assert_finite_outputs(outputs)
+    bounded = {"--configs", "--n-subjects", "--trials-per-subject"}
+    for flag, (argv, outputs) in commands.items():
+        for value in FLAG_VALUES:
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = dispatch([str(a) for a in argv] + [f"{flag}={value}"])
+            assert rc in (0, 2), (flag, value, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if rc == 2:
+                assert flag in err.getvalue().strip().splitlines()[-1], (flag, value)
+            else:
+                assert_finite_outputs(outputs)
+            if flag in bounded and value == "1" * 400:
+                assert rc == 2, flag
 
 
 # --- bundles ---

@@ -53,6 +53,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import skillseq.layers as layers
 import skillseq.tensor as tz
 import skillseq.training as training
 import tape
@@ -376,7 +377,7 @@ def test_counts_repeat_exactly(counted):
 def test_the_batch_runs_in_three_packed_chunks():
     rng = np.random.default_rng(0)
     batch = [rng.random((T, len(CHANNELS))) for T in BATCH_LENGTHS]
-    with mock.patch.object(tz, "Segments", side_effect=tz.Segments) as layouts:
+    with mock.patch.object(layers, "Segments", side_effect=layers.Segments) as layouts:
         skill = build_classifier(_autoencoder(rng), "classification", seed=0)
         forward_packed(_skill_stacks(skill), batch, capture=True)
     assert layouts.call_count == 3

@@ -1,12 +1,13 @@
 """Tape ordering, and the in-place SELU of packed eval forwards.
 
 ``tz.topo_order`` leaves leaves out of the backward walk, and
-``tz._selu_inplace`` must give the bytes of ``tz._selu_raw``.
+``layers._selu_inplace`` must give the bytes of ``layers._selu_raw``.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import skillseq.layers as layers
 import skillseq.tensor as tz
 
 
@@ -29,12 +30,12 @@ SELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-3
 
 
 def _selu_bits(x):
-    return tz._selu_raw(x)[0].view(np.uint64)
+    return layers._selu_raw(x)[0].view(np.uint64)
 
 
 def test_in_place_selu_matches_selu_raw_on_edge_values():
     x = np.array(SELU_EDGES)
-    got = tz._selu_inplace(x.copy())
+    got = layers._selu_inplace(x.copy())
     assert np.array_equal(got.view(np.uint64), _selu_bits(x))
 
 
@@ -45,7 +46,7 @@ def test_in_place_selu_matches_selu_raw(values):
     x = np.array(values, dtype=np.float64)
     c = x.copy()
     with np.errstate(over="ignore"):   # λx overflows near the largest doubles
-        got = tz._selu_inplace(c)
+        got = layers._selu_inplace(c)
         want = _selu_bits(x)
     assert got is c
     assert np.array_equal(got.view(np.uint64), want)

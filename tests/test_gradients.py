@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 import skillseq.layers as layers
-import skillseq.tensor as tz
 from skillseq.gradcheck import OPERATIONS, check_operation, run_gradcheck
 
 
@@ -53,7 +52,7 @@ def test_gradcheck_audits_the_backward_that_training_runs(monkeypatch):
     """A recorded convolution backward that drops its bias gradient is
     what a training step would run, so gradcheck must catch it."""
     def conv_back_without_db(g, taps, w2, K, dilation, views, need_x):
-        dw, db, dx = tz._conv_grads(g, taps, w2, K, dilation, need_x)
+        dw, db, dx = layers._conv_grads(g, taps, w2, K, dilation, need_x)
         layers._add_grads(views, (dw, np.zeros_like(db)))
         return dx
 

@@ -198,7 +198,7 @@ def test_reused_tap_buffer_never_leaks_into_results():
     first = [rng.random((T, 3)) for T in (20, 25, 18, 75, 30, 22, 15, 26, 11)]
     second = [rng.random((T, 3)) + 1.0 for T in (33, 12, 40, 9, 28, 17)]
     with mock.patch.object(layers, "PACK_ROWS", 60), \
-            mock.patch.object(tz, "Segments", side_effect=tz.Segments) as layouts:
+            mock.patch.object(layers, "Segments", side_effect=layers.Segments) as layouts:
         outs, pre_gaps = forward_packed(stacks, first, capture=True)
         assert layouts.call_count >= 3
         kept = [_bits(a) for a in outs + pre_gaps]
@@ -212,14 +212,14 @@ def test_reused_tap_buffer_never_leaks_into_results():
 
 def test_packed_forward_keeps_halo_rows_zero():
     rng = np.random.default_rng(0)
-    segments = tz.Segments([3, 1, 4], 2, tz.TapBuffer())
+    segments = layers.Segments([3, 1, 4], 2, layers.TapBuffer())
     assert segments.bounds == [(2, 5), (7, 8), (10, 14)]
     assert segments.rows == 16
     assert list(segments.halo_rows) == [0, 1, 5, 6, 8, 9, 14, 15]
     w = rng.normal(size=(5, 2, 3))
     b = rng.normal(size=3)
     x = segments.pack([rng.normal(size=(n, 2)) for n in (3, 1, 4)])
-    out = tz._conv_packed(x, w, b, 1, segments)
+    out = layers._conv_packed(x, w, b, 1, segments)
     assert not out[segments.halo_rows].any()
 
 
@@ -262,8 +262,8 @@ def test_a_reach_past_the_trial_costs_neither_bytes_nor_memory():
     g = rng.normal(size=(T, cout))
 
     def one_trial(dilation):
-        out, taps, w2 = tz._conv_raw(x, w, b, dilation)
-        return [out, taps, *tz._conv_grads(g, taps, w2, K, dilation, True)]
+        out, taps, w2 = layers._conv_raw(x, w, b, dilation)
+        return [out, taps, *layers._conv_grads(g, taps, w2, K, dilation, True)]
 
     def packed(dilation):
         specs = (LayerSpec("conv1d", in_channels=cin, out_channels=cout, kernel_size=K,

@@ -1,10 +1,10 @@
 """Every exported name exists, every benchmark span still has a target,
 every definition in the package is used, only the tensor module names
-the tape, one walker composes every kind of the one table of layer
-kinds for both modes, only that table and the model compare a kind, one
-training loop takes each stage's data, not callbacks, a bundle and
+or imports the tape, one walker composes every kind of the one table of
+layer kinds for both modes, only that table and the model compare a
+kind, one training loop takes each stage's data, not callbacks, a bundle and
 Adam carry no field that the design fixes, only the model and training
-modules normalize trials for a model, only the tensor, config, modes
+modules normalize trials for a model, only the layers, config, modes
 and gradcheck modules spell a loss kind, only the modes table (and
 the mode setting of config) spells a skill mode, and only the cell
 vocabulary turns text into numbers under a ``ValueError`` handler.
@@ -103,39 +103,34 @@ def test_every_definition_is_referenced(monkeypatch):
 
 
 def test_only_the_tensor_module_names_the_tape():
-    """The package trains and evaluates on plain arrays; the tape
-    (``Tensor`` and the public functions of ``tensor.py``: ``parameter``,
-    ``backward``, the op wrappers; and its private node builders ``_node``
-    and ``_accumulate``) is the benchmark's op table and the tests'
-    reference.  No other module may name ``Tensor`` or ``wrap_params``,
-    reach a tape function through the tensor module, or import one from
-    it.  ``test_cost_counters.py`` counts the nodes a step or a forward
-    builds at run time, which also sees indirect use."""
-    trees = _trees()
-    tape = {"Tensor", "_node", "_accumulate"} | {
-        node.name for node in trees["tensor"].body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    """The package trains and evaluates on plain arrays (``layers``); the
+    tape of ``tensor.py`` is the benchmark's op table and the tests'
+    reference.  No other module may import ``skillseq.tensor``, in any
+    spelling, or name ``Tensor`` or ``wrap_params``.
+    ``test_cost_counters.py`` counts the nodes a step or a forward builds
+    at run time, which also sees indirect use."""
     banned = {"Tensor", "wrap_params"}
     named = set()
-    for module, tree in trees.items():
+    for module, tree in _trees().items():
         if module == "tensor":
             continue
-        aliases = {a.asname or a.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) for a in node.names if a.name == "tensor"}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 found = {node.id} & banned
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 found = {node.name} & banned
             elif isinstance(node, ast.Attribute):
-                on_tensor = isinstance(node.value, ast.Name) and node.value.id in aliases
-                found = {node.attr} & (tape if on_tensor else banned)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tensor"):
-                found = {a.name for a in node.names} & (tape | banned)
+                found = {node.attr} & banned
+            elif isinstance(node, ast.Import):
+                found = {a.name for a in node.names} & {"skillseq.tensor"}
+            elif isinstance(node, ast.ImportFrom):
+                found = ({f"import of {node.module}"}
+                         if (node.module or "").rsplit(".", 1)[-1] == "tensor"
+                         else {a.name for a in node.names} & {"tensor"})
             else:
                 continue
             named |= {f"{module}: {name}" for name in found}
-    assert not named, f"the tape is named outside tensor.py: {sorted(named)}"
+    assert not named, f"the tape is named or imported outside tensor.py: {sorted(named)}"
 
 
 class _Ops:
@@ -248,16 +243,16 @@ def test_only_the_model_and_training_normalize_trials():
     assert not named, f"min-max statistics handled outside the model: {sorted(named)}"
 
 
-def test_only_tensor_config_gradcheck_and_modes_spell_a_loss_kind():
+def test_only_layers_config_gradcheck_and_modes_spell_a_loss_kind():
     """The mode fixes the head's loss and the recipe the autoencoder's, so
-    no module but ``tensor`` (which defines the losses), ``config`` (whose
+    no module but ``layers`` (which defines the losses), ``config`` (whose
     settings schema chooses the autoencoder's), ``modes`` (whose table
     gives each head's) and ``gradcheck`` (which checks them) spells a loss
     kind as a string constant."""
     kinds = {"bce", "mse", "cosine"}
     spelled = set()
     for module, tree in _trees().items():
-        if module in ("tensor", "config", "gradcheck", "modes"):
+        if module in ("layers", "config", "gradcheck", "modes"):
             continue
         spelled |= {f"{module}: {node.value}" for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and node.value in kinds}

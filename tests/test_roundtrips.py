@@ -482,8 +482,14 @@ def _append_softmax(meta, weights):
     ("regression", _append_softmax, "regression head must be a single linear unit"),
     ("classification", lambda meta, weights: weights.pop("head/4.b"),
      "missing weight array 'head/4.b'"),
+    ("classification", lambda meta, weights: meta.update(mode="bogus"),
+     "unknown mode 'bogus'; expected one of ('autoencoder', 'classification', 'regression')"),
+    ("classification", lambda meta, weights: meta.update(mode="m" * 400),
+     f"unknown mode {'m' * 40!r}... (400 characters); expected one of ('autoencoder', "
+     "'classification', 'regression')"),
 ], ids=["no-encoder", "autoencoder-without-decoder", "no-head", "two-dense-layers",
-        "classifier-without-softmax", "regressor-with-softmax", "missing-array"])
+        "classifier-without-softmax", "regressor-with-softmax", "missing-array", "unknown-mode",
+        "huge-unknown-mode"])
 def test_a_bundle_the_model_refuses_is_a_format_error_naming_the_file(
         small_classifier, small_regressor, small_dae, tmp_path, kind, edit, message):
     """Groups, heads and arrays that ``ModelBundle`` refuses, read from a

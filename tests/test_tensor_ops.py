@@ -209,9 +209,13 @@ def test_activity_penalty_value():
 
 
 def test_add_noise_is_plain_addition():
-    x = np.arange(8.0).reshape(4, 2)
+    """The noise is added, and the gradient passes through unchanged."""
+    x = tz.parameter(np.arange(8.0).reshape(4, 2))
     noise = np.random.default_rng(1).normal(size=(4, 2))
-    np.testing.assert_array_equal(tz.add_noise(const(x), noise).data, x + noise)
+    out = tz.add_noise(x, noise)
+    np.testing.assert_array_equal(out.data, x.data + noise)
+    tz.backward(tz.activity_penalty(out, 1.0))
+    np.testing.assert_array_equal(x.grad, (2.0 / out.data.size) * out.data)
 
 
 # --- graph mechanics ---
