@@ -100,10 +100,7 @@ def check_operation(op, seed):
 
     if op in ("bce", "mse", "cosine"):
         n = int(rng.integers(2, 7))
-        raw = rng.uniform(0.1, 0.9, size=n) if op == "bce" else rng.normal(0.0, 1.0, size=n)
-        if op == "cosine":
-            while float(np.linalg.norm(raw)) < 0.3:
-                raw = rng.normal(0.0, 1.0, size=n)
+        raw = rng.uniform(0.1, 0.9, size=n) if op == "bce" else _random_target(rng, (n,), op)
         target = _random_target(rng, (n,), op)
         weight = float(rng.uniform(0.5, 2.0))
         _, grad, args = _loss_raw(op, raw, target, weight)

@@ -26,28 +26,29 @@ in reverse, adding each parameter's gradient into the array that
 ``grads`` maps its name to.  ``gradcheck`` checks this same recorded
 backward against finite differences.
 
-``forward_packed`` is the eval forward: it packs trials along time in
-chunks of at most ``PACK_ROWS`` rows and runs ``forward_stack`` with a
-``PackedEval`` on plain arrays in that layout.  ``Segments`` lays trials
-out along time with zero halo rows around each, and ``_conv_packed``,
-``_scse_packed``, ``Segments.means`` and ``_row_products`` run an op
-over every trial of such an array.  Each trial's result equals, byte for
-byte, that of the one-trial op: every BLAS call and every reduction runs
-once per trial on exactly the one-trial operands (their bits depend on
-the operand shapes); only elementwise arithmetic spans the packed array,
-and halo rows are zeroed after each convolution (and sigmoid).  At the
-890-2,048 rows of a long trial or a chunk, ``np.where`` and fresh arrays
-of 100 KB or more (new memory to fault in) cost more than the
-arithmetic, so SELU runs in place (``_selu_inplace``, the bits of
-``_selu_raw``), the sCSE combine makes two temporaries instead of four,
-and each ``forward_packed`` call builds every trial's taps in one
-``TapBuffer``, reading the halos as padding.
+``forward_packed`` is the eval forward: it packs trials along time, one
+after another, in chunks of at most ``PACK_ROWS`` rows (``Segments``)
+and runs ``forward_stack`` with a ``PackedEval`` on plain arrays in that
+layout; ``_conv_packed``, ``_scse_packed``, ``Segments.means`` and
+``_row_products`` run an op over every trial of such an array.  Each
+trial's result equals, byte for byte, that of the one-trial op: every
+BLAS call and every reduction runs once per trial on exactly the
+one-trial operands (their bits depend on the operand shapes); only
+elementwise arithmetic spans the packed array.  One rule pads every
+convolution, packed or not: ``_taps`` writes 0 wherever a tap falls
+outside its trial.  At the 890-2,048 rows of a long trial or a chunk,
+``np.where`` and fresh arrays of 100 KB or more (new memory to fault in)
+cost more than the arithmetic, so SELU runs in place (``_selu_inplace``,
+the bits of ``_selu_raw``), the sCSE combine makes two temporaries
+instead of four, and each ``forward_packed`` call builds every trial's
+taps in one ``TapBuffer``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -129,42 +130,22 @@ def _add_grads(views, grads):
 # --- the packed layout ---
 
 class Segments:
-    """Row layout of trials packed along time.
+    """Row layout of trials packed along time, one after another: trial
+    ``i`` occupies rows ``bounds[i] = (start, end)`` and ``owner`` maps
+    each row to its trial.  The layout's convolutions build their taps in
+    ``taps``, a ``TapBuffer``, and read no row outside a trial (``_taps``)."""
 
-    Trial ``i`` occupies rows ``bounds[i] = (start, end)``; ``halo`` zero
-    rows come before each trial and after the last.  ``_conv_packed``
-    sees each trial padded with zeros exactly as a one-trial call does
-    when ``halo`` is at least the smaller of the convolution's reach
-    ``(K // 2) * dilation`` and the longest trial: a tap whose offset is
-    as large as its trial is long reads only padding, so it is written as
-    zeros and reads no halo.  The layout's convolutions build their taps
-    in ``taps``, a ``TapBuffer``.
-    """
-
-    def __init__(self, lengths, halo, taps):
+    def __init__(self, lengths, taps):
         self.taps = taps
-        self.bounds = []
-        start = halo
-        for n in lengths:
-            self.bounds.append((start, start + n))
-            start += n + halo
-        self.rows = start
+        starts = [0, *accumulate(lengths)]
+        self.bounds = list(zip(starts, starts[1:]))
         self.longest = max(lengths)
         self.lengths = np.array(lengths, dtype=np.float64)[:, None]
-        ends = [0] + [e for _, e in self.bounds]   # where each halo starts
-        self.halo_rows = np.array([r for e in ends for r in range(e, e + halo)], dtype=np.intp)
-        # row -> its trial; a halo row belongs to the trial before it, and
-        # the leading halo to the first trial
-        counts = [n + halo for n in lengths]
-        counts[0] += halo
-        self.owner = np.repeat(np.arange(len(lengths)), counts)
+        self.owner = np.repeat(np.arange(len(lengths)), lengths)
 
     def pack(self, arrays):
-        """One (rows, C) array holding each (T_i, C) array at its bounds."""
-        out = np.zeros((self.rows, arrays[0].shape[1]))
-        for (s, e), a in zip(self.bounds, arrays):
-            out[s:e] = a
-        return out
+        """One new (rows, C) array holding each (T_i, C) array at its bounds."""
+        return np.concatenate(arrays)
 
     def unpack(self, packed):
         """Each trial's rows of a packed array (views)."""
@@ -205,33 +186,40 @@ def _conv_matrix(wd):
     return wd[0] if K == 1 else wd.transpose(1, 0, 2).reshape(cin * K, -1)
 
 
+def _taps(x, s, e, K, dilation, out):
+    """Write the taps of the trial in rows ``s:e`` of ``x`` into the
+    (e - s, C_in * K) array ``out`` and return it: ``out[t, c*K + k] =
+    x[s + t + (k - K//2) * dilation, c]`` where that row lies in the
+    trial, else 0.  This is the one place a convolution's zero padding is
+    written: the first and last ``min((K // 2) * dilation, e - s)`` rows
+    are zeroed, then each tap writes its rows inside the trial."""
+    n = e - s
+    reach = (K // 2) * dilation
+    r = reach if reach < n else n
+    out[:r] = 0.0
+    out[n - r:] = 0.0
+    for k, o in enumerate(range(-reach, reach + 1, dilation)):
+        if o < 0:
+            if -o < n:
+                out[-o:, k::K] = x[s:e + o]
+        elif o < n:
+            out[:n - o, k::K] = x[s + o:e]
+    return out
+
+
 def _conv_raw(xd, wd, bd, dilation):
     """The convolution of a (T, C_in) trial by a (K, C_in, C_out) kernel:
     ``(out, taps, w2)``, where
 
         out[t, o] = bd[o] + sum_{k, c} xd[t + (k - K//2) * dilation, c] * wd[k, c, o]
 
-    with out-of-range input read as zero; ``_conv_grads`` reads the taps
-    and the kernel matrix ``w2``, the operands of the matmul.
-
-    A tap whose offset ``(k - K//2) * dilation`` is at least T away reads
-    only zero padding, so its columns are written as zeros and the
-    padding is never wider than the trial."""
+    with out-of-range input read as zero (``_taps``); ``_conv_grads``
+    reads the taps and the kernel matrix ``w2``, the operands of the one
+    BLAS matmul."""
     T, cin = xd.shape
     K = wd.shape[0]
     w2 = _conv_matrix(wd)
-    if K == 1:
-        taps2 = xd
-    else:
-        pad = min((K // 2) * dilation, T)
-        xp = np.zeros((T + 2 * pad, cin))
-        xp[pad:pad + T] = xd
-        # taps2[t, c*K + k] = xp[pad + t + o_k, c]; flattened this way the
-        # whole contraction is a single BLAS matmul
-        taps2 = np.empty((T, cin * K))
-        for k in range(K):
-            o = (k - K // 2) * dilation
-            taps2[:, k::K] = xp[pad + o:pad + o + T] if abs(o) < T else 0.0
+    taps2 = xd if K == 1 else _taps(xd, 0, T, K, dilation, np.empty((T, cin * K)))
     out = taps2 @ w2
     out += bd
     return out, taps2, w2
@@ -265,29 +253,18 @@ def _conv_back(g, taps, w2, K, dilation, views, need_x):
 
 
 def _conv_packed(xd, wd, bd, dilation, segments):
-    """``_conv_raw``'s output over a packed array, one trial at a time: a
-    trial's taps read its halos as its zero padding, and a tap that
-    reaches as far as the trial is long is zero, as in the one-trial
-    call, so the taps and the matmul are that call's.  The halos must
-    be at least as wide as the reach or the longest trial, whichever is
-    shorter."""
+    """``_conv_raw``'s output over a packed array, one trial at a time:
+    each trial's taps are built by ``_taps`` in the layout's
+    ``TapBuffer``, so the taps and the matmul are the one-trial call's."""
     K = wd.shape[0]
     w2 = _conv_matrix(wd)
-    out = np.zeros((xd.shape[0], w2.shape[1]))
+    out = np.empty((xd.shape[0], w2.shape[1]))
     if K > 1:
         buf = segments.taps.array(segments.longest, w2.shape[0])
     for s, e in segments.bounds:
-        if K == 1:
-            taps = xd[s:e]
-        else:
-            # taps[t, c*K + k] = xd[s + t + o_k, c]
-            taps = buf[:e - s]
-            for k in range(K):
-                o = (k - K // 2) * dilation
-                taps[:, k::K] = xd[s + o:e + o] if abs(o) < e - s else 0.0
+        taps = xd[s:e] if K == 1 else _taps(xd, s, e, K, dilation, buf[:e - s])
         np.matmul(taps, w2, out=out[s:e])
     out += bd
-    out[segments.halo_rows] = 0.0
     return out
 
 
@@ -464,7 +441,7 @@ def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
     u2 = _row_products(h, cw2)
     u2 += cb2
     s = _sigmoid_raw(u2)
-    v = np.zeros(xd.shape[0])
+    v = np.empty(xd.shape[0])
     for a, e in segments.bounds:
         np.matmul(xd[a:e], sw, out=v[a:e])
     v += sb
@@ -803,7 +780,9 @@ class PackedEval:
     forward's own, so SELU and the residual add run in place.  ``gap``
     leaves one row per trial, which ``dense`` and ``softmax`` map row by
     row, and stores its input in ``captures["pre_gap"]``; noise passes
-    its input on."""
+    its input on.  Every row belongs to a trial, and a convolution reads
+    0 outside its trial (``_taps``) whatever the rows around it hold, so
+    no op writes padding."""
 
     train = False
 
@@ -826,10 +805,7 @@ class PackedEval:
         return _selu_inplace(x)
 
     def sigmoid(self, x):
-        x = _sigmoid_raw(x)
-        if "pre_gap" not in self.captures:  # sigmoid(0) is 0.5; a conv reads halos as 0
-            x[self.segments.halo_rows] = 0.0
-        return x
+        return _sigmoid_raw(x)
 
     def softmax(self, x):
         return np.array([_softmax_raw(row) for row in x])
@@ -854,37 +830,29 @@ class PackedEval:
 PACK_ROWS = 2048
 
 
-def _reach(specs):
-    """Widest zero padding any convolution in ``specs`` reads.  A kind
-    that reads no ``kernel_size`` keeps it at 1, which reaches nothing."""
-    return max([s.kernel_size // 2 * s.dilation for s in specs], default=0)
-
-
 def forward_packed(stacks, values, capture=False):
     """Eval-mode forward of ``stacks``, a sequence of ``(specs, params)``
     run in order, over each (T_i, C) array in ``values``; ``params`` maps
     ``"<i>.<field>"`` to arrays.
 
-    Trials are packed along time in chunks of at most ``PACK_ROWS`` rows
-    (a longer trial runs alone) between zero halos as wide as the widest
-    convolution reach, but no wider than the longest trial: a tap that
-    reaches further reads only padding (see ``_conv_packed``).  A chunk
-    of one trial is laid out the same way.  Returns the per-trial outputs,
-    equal byte for byte to those of each trial run alone; with
-    ``capture``, also the per-trial ``"pre_gap"`` activations
-    (``(outputs, pre_gaps)``).  Outputs may be views into a chunk's arrays.
+    Trials are packed along time, one after another, in chunks of at
+    most ``PACK_ROWS`` rows (a longer trial runs alone, as a chunk of
+    one); a convolution's taps read zero wherever they fall outside their
+    trial (``_taps``).  Returns the per-trial outputs, equal byte for byte
+    to those of each trial run alone; with ``capture``, also the per-trial
+    ``"pre_gap"`` activations (``(outputs, pre_gaps)``).  Outputs may be
+    views into a chunk's arrays.
     """
-    halo = min(max(_reach(specs) for specs, _ in stacks), max(map(len, values), default=0))
     taps = TapBuffer()
     outs, pre_gaps = [], []
     i = 0
     while i < len(values):
         j, rows = i + 1, values[i].shape[0]
-        while j < len(values) and rows + halo + values[j].shape[0] <= PACK_ROWS:
-            rows += halo + values[j].shape[0]
+        while j < len(values) and rows + values[j].shape[0] <= PACK_ROWS:
+            rows += values[j].shape[0]
             j += 1
         chunk = values[i:j]
-        segments = Segments([v.shape[0] for v in chunk], halo, taps)
+        segments = Segments([v.shape[0] for v in chunk], taps)
         mode = PackedEval(segments)
         x = segments.pack(chunk)
         for specs, params in stacks:

@@ -8,7 +8,13 @@ Run by hand from the repository root; pytest does not collect this file
 
 It runs pytest in this process under a ``sys.settrace`` line recorder
 and prints, per module, the line of each statement that no test reached
-(an ``r`` marks a ``raise``), then the totals.  Python subprocesses that
+(an ``r`` marks a ``raise``) and of each lambda that no test called
+(marked ``L``), then the totals.  Lines are recorded per code object, so
+a statement counts as reached only when the function, class body or
+module that runs it reaches its line: the body of a one-line ``def`` or
+a lambda is reported on its own even when it shares its line with a
+statement that ran.  A code object is keyed on its name and first line,
+so two lambdas on one line share one entry.  Python subprocesses that
 the tests start (``python -m skillseq ...``) record too: the tool points
 ``PYTHONUSERBASE`` at a scratch directory whose ``usercustomize.py``
 starts the same recorder, which holds even for a child whose
@@ -34,20 +40,27 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skillseq"
 
 
+def _scope(code):
+    """The key of a code object: its name and first line (a decorated
+    function's or class's first decorator)."""
+    return code.co_name, code.co_firstlineno
+
+
 def install(package, out_dir):
     """Record every line run in files under ``package`` in this process
-    (and its forked children); each process appends its lines to
-    ``<out_dir>/<pid>.lines`` when it exits.  Returns the dump function."""
+    (and its forked children), with the code object that ran it; each
+    process appends its lines to ``<out_dir>/<pid>.lines`` when it exits.
+    Returns the dump function."""
     lines = set()
 
     def local(frame, event, arg):
         if event == "line":
-            lines.add((frame.f_code.co_filename, frame.f_lineno))
+            lines.add((frame.f_code.co_filename, *_scope(frame.f_code), frame.f_lineno))
         return local
 
     def trace(frame, event, arg):
         if frame.f_code.co_filename.startswith(package):
-            lines.add((frame.f_code.co_filename, frame.f_lineno))
+            lines.add((frame.f_code.co_filename, *_scope(frame.f_code), frame.f_lineno))
             return local
         return None
 
@@ -56,7 +69,7 @@ def install(package, out_dir):
             return
         with open(os.path.join(out_dir, f"{os.getpid()}.lines"), "a",
                   encoding="utf-8") as fh:
-            fh.writelines(f"{name}\t{line}\n" for name, line in lines)
+            fh.writelines("\t".join(map(str, row)) + "\n" for row in lines)
         lines.clear()
 
     def after_fork():
@@ -76,52 +89,82 @@ def install(package, out_dir):
     return dump
 
 
+def _first_line(node):
+    decorators = getattr(node, "decorator_list", None)
+    return min(d.lineno for d in decorators) if decorators else node.lineno
+
+
 def statements(path):
-    """``{line: is_raise}`` of the statements of one module that compile
-    to code: docstrings, ``global`` and the like have no line to reach."""
+    """What of one module a test can reach: ``{(scope, line): mark}`` of
+    each statement that compiles to code in the code object that runs it
+    (``scope``, see ``_scope``; docstrings, ``global`` and the like have no
+    line to reach), with ``mark`` ``"r"`` for a ``raise`` and ``""``
+    otherwise, and of each lambda, keyed on its own code object and first
+    line, with ``mark`` ``"L"``."""
     source = path.read_text(encoding="utf-8")
+    module = compile(source, str(path), "exec")
     code_lines = set()
-    todo = [compile(source, str(path), "exec")]
+    todo = [module]
     while todo:
         code = todo.pop()
-        code_lines.update(line for _, _, line in code.co_lines() if line)
+        code_lines.update((_scope(code), line) for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    scopes = {scope for scope, _ in code_lines}
     found = {}
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.stmt) or (
-                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)):
-            continue
-        decorators = getattr(node, "decorator_list", None)
-        line = min(d.lineno for d in decorators) if decorators else node.lineno
-        if line in code_lines:
-            found[line] = isinstance(node, ast.Raise)
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name, _first_line(child)
+            elif isinstance(child, ast.Lambda):
+                inner = "<lambda>", child.lineno
+                found[inner, child.lineno] = "L"
+            if inner not in scopes:
+                raise AssertionError(f"{path}: no code object {inner}")
+            if isinstance(child, ast.stmt) and not (
+                    isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
+                    and isinstance(child.value.value, str)):
+                line = _first_line(child)
+                if (scope, line) in code_lines:
+                    found[scope, line] = "r" if isinstance(child, ast.Raise) else ""
+            walk(child, inner)
+
+    walk(ast.parse(source), _scope(module))
     return found
 
 
 def read_lines(out_dir):
-    reached = set()
+    """The recorded ``(file, scope, line)`` rows, and the ``(file,
+    scope)`` of every code object entered."""
+    reached, entered = set(), set()
     for part in Path(out_dir).glob("*.lines"):
         for row in part.read_text(encoding="utf-8").splitlines():
-            name, line = row.rsplit("\t", 1)
-            reached.add((name, int(line)))
-    return reached
+            name, code, first, line = row.split("\t")
+            scope = code, int(first)
+            reached.add((name, scope, int(line)))
+            entered.add((name, scope))
+    return reached, entered
 
 
-def report(reached):
-    """Print the unreached statements of each module, then the totals."""
-    total = total_raise = 0
+def report(reached, entered):
+    """Print the unreached statements and lambdas of each module, then
+    the totals."""
+    totals = {"": 0, "r": 0, "L": 0}
     for path in sorted(PACKAGE.glob("*.py")):
-        missed = {line: is_raise for line, is_raise in statements(path).items()
-                  if (str(path), line) not in reached}
+        name = str(path)
+        missed = sorted((line, mark) for (scope, line), mark in statements(path).items()
+                        if ((name, scope) not in entered if mark == "L"
+                            else (name, scope, line) not in reached))
         if missed:
-            listed = ", ".join(f"{n}{'r' if missed[n] else ''}" for n in sorted(missed))
-            print(f"{path.name}: {len(missed)} unreached "
-                  f"({sum(missed.values())} raise): {listed}")
-        total += len(missed)
-        total_raise += sum(missed.values())
-    print(f"unreached statements: {total}")
-    print(f"unreached raise statements: {total_raise}")
+            count = {m: sum(mark == m for _, mark in missed) for m in totals}
+            print(f"{path.name}: {len(missed) - count['L']} unreached ({count['r']} raise), "
+                  f"{count['L']} lambda: " + ", ".join(f"{n}{m}" for n, m in missed))
+            for m in totals:
+                totals[m] += count[m]
+    print(f"unreached statements: {totals[''] + totals['r']}")
+    print(f"unreached raise statements: {totals['r']}")
+    print(f"unreached lambdas: {totals['L']}")
 
 
 def main(argv):
@@ -148,7 +191,7 @@ def main(argv):
         threading.settrace(None)
         dump()
         print(f"pytest exit code: {int(code)}")
-        report(read_lines(out_dir))
+        report(*read_lines(out_dir))
     return int(code)
 
 

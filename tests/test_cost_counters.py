@@ -114,9 +114,14 @@ COUNTS = {
         # binary cross-entropy stopped checking that its targets lie in
         # [0, 1] (min-max scaling clamps them there): two np.any calls of
         # four Python calls and one numpy C call each.
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 78, "py": 156,
+        # numpy_c 78 -> 72 and 45 -> 43, py 156 -> 162 and 120 -> 122 when
+        # one tap builder (_taps) wrote every convolution's zero padding:
+        # each convolution with K > 1 (6 in the DAE, 2 in the head) no
+        # longer makes a zero-padded copy of its input (-1 np.zeros) and
+        # calls _taps (+1 py).  peak_kb is unchanged.
+        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 72, "py": 162,
                               "peak_kb": 593},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 45, "py": 120,
+        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 43, "py": 122,
                                "peak_kb": 348},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
@@ -152,13 +157,26 @@ COUNTS = {
         # comprehension in place of a generator that resumed once per
         # convolution and once to end (7 -> 2 calls: -5).  numpy_c and
         # peak_kb are unchanged.
-        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 431, "py": 403,
-                                  "peak_kb": 1595},
+        # numpy_c 431 -> 425, py 403 -> 630 and peak_kb 1,595 -> 1,579 when
+        # the packed layout dropped its zero halo rows and _taps wrote every
+        # convolution's zero padding: py gains one _taps call per trial and
+        # convolution with K > 1 (40 x 6 = +240) and numpy's Python
+        # dispatcher of the np.concatenate that packs each chunk (+3), and
+        # loses _reach with its generator and list comprehensions (-7) and
+        # the three list comprehensions of each layout's halos (-9);
+        # numpy_c loses each chunk's np.zeros in pack and its halo-row
+        # np.array (-6); the chunks' arrays no longer hold halo rows.
+        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 425, "py": 630,
+                                  "peak_kb": 1579},
         # measured on the parent code, where a one-trial chunk ran on the
         # tape, as nodes 24, numpy_c 57, py 132; it now takes the packed
         # array path like every chunk (Segments and pack: +2 numpy_c)
-        "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 59,
-                                            "py": 126, "peak_kb": 1063},
+        # numpy_c 59 -> 57, py 126 -> 123 and peak_kb 1,063 -> 1,058 when
+        # the halos went: py +6 _taps, +1 the np.concatenate dispatcher, -7
+        # _reach and -3 the halo list comprehensions; numpy_c -1 np.zeros
+        # and -1 np.array; the 8 halo rows are no longer allocated.
+        "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 57,
+                                            "py": 123, "peak_kb": 1058},
         # py 8 -> 17 when the headers were read by data.read_pairs under the
         # header table: the read_pairs call (+1) and the header parsers' own
         # calls (+8): subject's parse and check, trial's integer and its

@@ -1,8 +1,9 @@
 """Packed forwards against one tape forward per trial, byte for byte.
 
-``layers.forward_packed`` concatenates trials along time with zero halos
-and runs each BLAS call and reduction once per trial, on plain arrays;
-a chunk of one trial takes the same path.  Every batch path built on it,
+``layers.forward_packed`` concatenates trials along time, one after
+another, and runs each BLAS call and reduction once per trial, on plain
+arrays; a convolution's taps read zero outside their trial
+(``layers._taps``), and a chunk of one trial takes the same path.  Every batch path built on it,
 and every one-trial function that calls a batch path on one trial, must
 give the bytes (``tobytes``) of a forward per trial on the tape
 (``tape.forward``): encoder features, head outputs, pre-GAP activations,
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import skillseq.layers as layers
 import skillseq.tensor as tz
 import tape
+from test_tensor_ops import naive_conv1d
 from skillseq.data import DOWNSAMPLED, MinMaxStats, ScoreStats, Trial, invert_znorm
 from skillseq.explain import CamMap, compute_cam, predict_with_cams
 from skillseq.layers import LayerSpec, forward_packed
@@ -210,22 +212,52 @@ def test_reused_tap_buffer_never_leaks_into_results():
         assert _bits(pre_gap) == _bits(want_pre_gap)
 
 
-def test_packed_forward_keeps_halo_rows_zero():
-    rng = np.random.default_rng(0)
-    segments = layers.Segments([3, 1, 4], 2, layers.TapBuffer())
-    assert segments.bounds == [(2, 5), (7, 8), (10, 14)]
-    assert segments.rows == 16
-    assert list(segments.halo_rows) == [0, 1, 5, 6, 8, 9, 14, 15]
-    w = rng.normal(size=(5, 2, 3))
-    b = rng.normal(size=3)
-    x = segments.pack([rng.normal(size=(n, 2)) for n in (3, 1, 4)])
-    out = layers._conv_packed(x, w, b, 1, segments)
-    assert not out[segments.halo_rows].any()
+def test_segments_lay_trials_end_to_end():
+    segments = layers.Segments([3, 1, 4], layers.TapBuffer())
+    assert segments.bounds == [(0, 3), (3, 4), (4, 8)]
+    assert list(segments.owner) == [0, 0, 0, 1, 2, 2, 2, 2]
+    arrays = [np.full((n, 2), float(n)) for n in (3, 1, 4)]
+    packed = segments.pack(arrays)
+    assert _bits(packed) == _bits(np.vstack(arrays))
+    for a in arrays:
+        assert not np.shares_memory(packed, a)
+    single = layers.Segments([3], layers.TapBuffer()).pack(arrays[:1])
+    assert not np.shares_memory(single, arrays[0])
 
 
-def test_packed_forward_restores_zero_halos_after_a_sigmoid():
-    """sigmoid(0) is 0.5, so a convolution after a sigmoid would read
-    non-zero padding from the halo rows unless they are zeroed again."""
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 12), K=st.sampled_from([1, 3, 5, 7]),
+       dilation=st.integers(1, 4), before=st.integers(1, 12), after=st.integers(1, 12),
+       cin=st.integers(1, 3), cout=st.integers(1, 3))
+# every tap but the centre one reaches past the trial
+@example(seed=0, T=2, K=7, dilation=4, before=1, after=12, cin=2, cout=1)
+def test_packed_taps_never_read_a_neighbouring_trial(seed, T, K, dilation, before, after,
+                                                     cin, cout):
+    """An oracle that shares no code with ``_taps``: a trial packed between
+    neighbours of 1e6 convolves as the direct loop does over the trial
+    alone, and its taps are those of a copy zero-padded by ``np.pad``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(T, cin))
+    w = rng.normal(size=(K, cin, cout))
+    b = rng.normal(size=cout)
+    segments = layers.Segments([before, T, after], layers.TapBuffer())
+    packed = segments.pack([np.full((before, cin), 1e6), x, np.full((after, cin), 1e6)])
+    s, e = segments.bounds[1]
+    out = layers._conv_packed(packed, w, b, dilation, segments)[s:e]
+    np.testing.assert_allclose(out, naive_conv1d(x, w, b, dilation), atol=1e-12)
+    reach = (K // 2) * dilation
+    padded = np.pad(x, ((reach, reach), (0, 0)))
+    want = np.empty((T, cin * K))
+    for k in range(K):
+        o = (k - K // 2) * dilation
+        want[:, k::K] = padded[reach + o:reach + o + T]
+    got = layers._taps(packed, s, e, K, dilation, np.full((T, cin * K), np.nan))
+    assert _bits(got) == _bits(want)
+
+
+def test_packed_forward_convolves_a_sigmoid_output():
+    """A convolution after a sigmoid reads zero outside each trial, not
+    sigmoid(0) = 0.5 or a neighbouring trial's rows."""
     rng = np.random.default_rng(5)
     specs = (LayerSpec("conv1d", in_channels=2, out_channels=3, kernel_size=3),
              LayerSpec("sigmoid"),
@@ -270,8 +302,9 @@ def test_a_reach_past_the_trial_costs_neither_bytes_nor_memory():
                            dilation=dilation),)
         return forward_packed([(specs, {"0.w": w, "0.b": b})], [x, x[:7], x[:19]])
 
-    # the packed forward's far dilation is smaller: its old halos held the
-    # whole reach, rows that a run of this test on such code would allocate
+    # the packed forward's far dilation is smaller: a layout that padded
+    # each trial by the whole reach would allocate those rows, and at 10 ** 5
+    # this test fails on such code in place of allocating hundreds of MB
     for run, far in ((one_trial, 10 ** 6), (packed, 10 ** 5)):
         want = run(T)
         got, peak = _peak_bytes(lambda: run(far))
