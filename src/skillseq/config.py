@@ -3,17 +3,17 @@
 Each setting is declared once, as a field of a settings dataclass
 (``RunSettings`` with its parts ``DaeConfig``, ``HeadConfig`` and
 ``ArchConfig``; the generator's ``SynthSpec``) that states its default
-and its bound: ``learning_rate: float = setting(0.001, above=0)``.  One
-check enforces every bound when a settings object is built, raising a
-``SettingError`` that names the field; only rules across fields are
-written out.  The key tables ``RUN_KEYS`` and ``SYNTH_KEYS`` come from
-the fields: key ``<part>_<field>`` (``dae_learning_rate``, or ``seed``
-for a field of the settings object itself), parsed as the default's type
-says.  Only ``manifest``, ``out``, ``dataset_sha256``, the
-``classify``/``regress`` spellings of ``mode`` and the dropped
-``clf_loss`` are written out.  The tables give the ``--key`` flags, the
-typed reading of config files, and the writing and strict reading of a
-run's ``run.cfg``.
+and its bound: ``learning_rate: float = setting(0.001, above=0)``; the
+``scheme`` bound is ``folds``'s grammar and its text.  One check enforces
+every bound when a settings object is built, raising a ``SettingError``
+that names the field; only rules across fields are written out.  The
+key tables ``RUN_KEYS`` and ``SYNTH_KEYS`` come from the fields: key
+``<part>_<field>`` (``dae_learning_rate``, or ``seed`` for a field of
+the settings object itself), parsed as the default's type says.  Only
+``manifest``, ``out``, ``dataset_sha256``, the ``classify``/``regress``
+spellings of ``mode`` and the dropped ``clf_loss`` are written out.  The
+tables give the ``--key`` flags, the typed reading of config files, and
+the writing and strict reading of a run's ``run.cfg``.
 
 Config files are UTF-8 text, one ``key = value`` per line; blank lines
 and lines starting with ``#`` are ignored, and the rest are read by the
@@ -35,12 +35,13 @@ import os
 from dataclasses import MISSING, dataclass, field, fields
 
 from .data import finite, integer, parser, read_pairs, read_text
+from .folds import SCHEME_RULE, parse_scheme
 from .modes import MODES
 from .reports import quoted
 
 __all__ = ["ConfigError", "SettingError", "Bound", "setting", "DaeConfig",
            "HeadConfig", "ArchConfig", "RunSettings", "SynthSpec", "RunConfig", "Key",
-           "RUN_KEYS", "SYNTH_KEYS", "parse_scheme", "add_key_flags", "flag_values",
+           "RUN_KEYS", "SYNTH_KEYS", "add_key_flags", "flag_values",
            "read_config_file", "resolve_run_config", "resolve_synth_spec", "write_run_cfg",
            "read_run_cfg", "SEED_ENV_VAR"]
 
@@ -57,17 +58,6 @@ class SettingError(ValueError):
     def __init__(self, names, problem):
         super().__init__(f"{names[0]} {problem}")
         self.names, self.problem = names, problem
-
-
-def parse_scheme(token):
-    """'stratified<k>' (k >= 2) | 'loso' | 'louo' -> (kind, k or None);
-    None for any other token."""
-    if token in ("loso", "louo"):
-        return token, None
-    tail = token[len("stratified"):]
-    if token.startswith("stratified") and tail.isdigit() and int(tail) >= 2:
-        return "stratified", int(tail)
-    return None
 
 
 # a limit's Bound field, its sign, and its test
@@ -135,8 +125,8 @@ class DaeConfig(_Checked):
     """The denoising autoencoder's recipe."""
 
     learning_rate: float = setting(0.001, above=0)
-    max_epochs: int = setting(100, at_least=1)
-    patience: int = setting(4, at_least=1)
+    max_epochs: int = setting(100, at_least=1, at_most=10_000)
+    patience: int = setting(4, at_least=1, at_most=10_000)
     loss: str = setting("bce", among=("bce", "mse"))
     l2: float = setting(1e-5, at_least=0)
     noise_sigma: float = setting(0.001, at_least=0)
@@ -148,8 +138,8 @@ class HeadConfig(_Checked):
     """The skill head's recipe over a frozen encoder; its mode fixes its loss."""
 
     learning_rate: float = setting(0.0002, above=0)
-    max_epochs: int = setting(300, at_least=1)
-    patience: int = setting(20, at_least=1)
+    max_epochs: int = setting(300, at_least=1, at_most=10_000)
+    patience: int = setting(20, at_least=1, at_most=10_000)
     l2: float = setting(1e-5, at_least=0)
     val_fraction: float = setting(0.1, above=0, below=0.5)
     class_weighting: str = setting("balanced", among=("balanced", "none"))
@@ -184,8 +174,7 @@ class RunSettings(_Checked):
     """Everything that determines a run besides the dataset itself."""
 
     mode: str = setting("classification", _parse_mode, among=tuple(MODES))
-    scheme: str = setting("stratified10",
-                          rule=(parse_scheme, "stratified<k> (k >= 2), loso or louo"))
+    scheme: str = setting("stratified10", rule=(parse_scheme, SCHEME_RULE))
     seed: int = setting(0, at_least=0)
     target_hz: float = setting(1.0, above=0)
     dae: DaeConfig = field(default_factory=DaeConfig)

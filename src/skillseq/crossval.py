@@ -4,9 +4,9 @@ A run takes a dataset plus RunSettings, trains one embedding + skill
 model per fold (training data only: normalization statistics, class
 weights, and validation splits never see the test side), and persists
 everything needed to replay it: the resolved settings, the dataset
-fingerprint, the fold roster, per-fold weights, predictions, and
-activation maps.  Reports are canonical text, so a replay from the same
-artifacts is byte-identical.
+fingerprint, the fold roster (``folds.assign``'s for the scheme),
+per-fold weights, predictions, and activation maps.  Reports are
+canonical text, so a replay from the same artifacts is byte-identical.
 
 A fold passes downsampled trials only: ``train_dae`` fits the min-max
 statistics on the fold's training trials, and the skill model applies
@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import save_bundle
-from .config import ConfigError, RunConfig, parse_scheme, read_run_cfg, write_run_cfg
+from .config import ConfigError, RunConfig, read_run_cfg, write_run_cfg
 from .data import dataset_fingerprint, load_manifest, read_text
 from .explain import CamMap, mask_with_cams, predict_with_cams, read_cams_csv, write_cams_csv
-from .folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
+from .folds import FoldAssignment, assign
 from .metrics import wilcoxon_one_sided
 from .model import actual_class, predict_many, prepare_dataset
 from .modes import MODES, fold_metrics, training_fault
@@ -108,16 +108,11 @@ class RunResult:
 
 
 def _build_assignment(stage2, settings, source):
-    """The fold roster of the settings' scheme; a dataset it cannot split
-    is a ValueError naming ``source``, the dataset's manifest, and the
-    scheme."""
-    kind, k = parse_scheme(settings.scheme)
-    trials = stage2.trials
+    """``folds.assign``'s roster of the settings' scheme; a dataset it
+    cannot split is a ValueError naming ``source``, the dataset's
+    manifest, and the scheme."""
     try:
-        if kind == "stratified":
-            return stratified_kfold([t.trial_id for t in trials],
-                                    [t.class_label for t in trials], k, settings.seed)
-        return loso_folds(trials) if kind == "loso" else louo_folds(trials)
+        return assign(settings.scheme, stage2.trials, settings.seed)
     except ValueError as exc:
         raise ValueError(f"{source}: --scheme {settings.scheme}: {exc}") from None
 

@@ -1,17 +1,21 @@
-"""Cross-validation fold construction.
+"""Cross-validation folds: the one reader of a scheme token.
 
-Three schemes:
+``parse_scheme`` is the scheme grammar, ``SCHEME_RULE`` its text in a
+settings error, and ``assign`` builds the roster of any valid token:
 
-* stratified k-fold: class proportions preserved within one sample per
+* ``stratified<k>``: class proportions preserved within one sample per
   fold; assignment shuffled per class under the run seed.
-* leave-one-supertrial-out: fold i holds out every subject's trial with
-  the i-th trial index, so repetitions of the same exercise never split
-  across train and test.
-* leave-one-user-out: one fold per subject; tests generalization to an
-  unseen operator.
+* ``loso``, leave-one-supertrial-out: fold ``trial<i>`` holds out every
+  subject's trial with index i, so repetitions of the same exercise
+  never split across train and test.
+* ``louo``, leave-one-user-out: one fold per subject, named by its id;
+  tests generalization to an unseen operator.
 
-A FoldAssignment is pure data (id lists), so a persisted assignment can
-be replayed exactly against the same dataset.
+The two leave-one-out schemes share one builder; each one's ``_GROUPS``
+entry gives a trial's group, a group's fold name, and the refusal of a
+dataset with fewer than two groups.  A FoldAssignment is pure data (id
+lists), so a persisted assignment can be replayed exactly against the
+same dataset.
 """
 
 from __future__ import annotations
@@ -23,7 +27,24 @@ from .data import integer
 from .reports import quoted
 from .seeding import make_rng, PURPOSE
 
-__all__ = ["FoldAssignment", "stratified_kfold", "loso_folds", "louo_folds"]
+__all__ = ["FoldAssignment", "SCHEME_RULE", "parse_scheme", "assign", "stratified_kfold"]
+
+SCHEME_RULE = "stratified<k> (k >= 2), loso or louo"
+
+_GROUPS = {
+    "loso": (lambda t: t.trial_index, lambda i: f"trial{i}",
+             "leave-one-supertrial-out needs at least two distinct trial indices"),
+    "louo": (lambda t: t.subject_id, str, "leave-one-user-out needs at least two subjects"),
+}
+
+
+def parse_scheme(token):
+    """'stratified<k>' (k >= 2) | 'loso' | 'louo' -> (kind, k or None);
+    None for any other token."""
+    tail = token[len("stratified"):]
+    if token.startswith("stratified") and tail.isdigit() and int(tail) >= 2:
+        return "stratified", int(tail)
+    return (token, None) if token in _GROUPS else None
 
 
 @dataclass(frozen=True)
@@ -146,31 +167,21 @@ def stratified_kfold(ids, labels, k, seed):
     return FoldAssignment(scheme=f"stratified{k}", seed=seed, folds=tuple(folds))
 
 
-def loso_folds(trials):
-    """One fold per trial index: fold i tests every subject's i-th trial.
-
-    Subjects with fewer trials simply skip the folds they lack; each
-    trial still appears in exactly one test set.
-    """
-    indices = sorted({t.trial_index for t in trials})
-    if len(indices) < 2:
-        raise ValueError("leave-one-supertrial-out needs at least two distinct trial indices")
-    folds = []
-    for idx in indices:
-        test = tuple(t.trial_id for t in trials if t.trial_index == idx)
-        train = tuple(t.trial_id for t in trials if t.trial_index != idx)
-        folds.append(Fold(name=f"trial{idx}", train_ids=train, test_ids=test))
-    return FoldAssignment(scheme="loso", seed=0, folds=tuple(folds))
-
-
-def louo_folds(trials):
-    """One fold per subject; requires at least two subjects."""
-    subjects = sorted({t.subject_id for t in trials})
-    if len(subjects) < 2:
-        raise ValueError("leave-one-user-out needs at least two subjects")
-    folds = []
-    for s in subjects:
-        test = tuple(t.trial_id for t in trials if t.subject_id == s)
-        train = tuple(t.trial_id for t in trials if t.subject_id != s)
-        folds.append(Fold(name=s, train_ids=train, test_ids=test))
-    return FoldAssignment(scheme="louo", seed=0, folds=tuple(folds))
+def assign(scheme, trials, seed):
+    """The fold roster of the valid scheme token ``scheme`` over
+    ``trials``: ``stratified_kfold`` of their ids and class labels under
+    ``seed``, or one fold per ``_GROUPS`` group, in sorted order, under
+    seed 0.  A dataset the scheme cannot split is a ValueError."""
+    kind, k = parse_scheme(scheme)
+    if kind == "stratified":
+        return stratified_kfold([t.trial_id for t in trials], [t.class_label for t in trials],
+                                k, seed)
+    group, fold_name, refusal = _GROUPS[kind]
+    groups = sorted({group(t) for t in trials})
+    if len(groups) < 2:
+        raise ValueError(refusal)
+    folds = tuple(Fold(name=fold_name(g),
+                       train_ids=tuple(t.trial_id for t in trials if group(t) != g),
+                       test_ids=tuple(t.trial_id for t in trials if group(t) == g))
+                  for g in groups)
+    return FoldAssignment(scheme=kind, seed=0, folds=folds)

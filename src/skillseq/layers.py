@@ -120,11 +120,9 @@ class Kind:
 
 
 def _add_grads(views, grads):
-    """Add each gradient into its view; an op of a stack without gradient
-    arrays has no views (None)."""
-    if views is not None:
-        for view, d in zip(views, grads):
-            view += d
+    """Add each gradient into its view."""
+    for view, d in zip(views, grads):
+        view += d
 
 
 # --- the packed layout ---
@@ -617,9 +615,9 @@ def forward_stack(specs, params, x, mode, grads=None):
     ``params`` maps ``"<i>.<field>"`` to arrays.  ``mode`` computes each
     op: a ``Recorder`` (training: ``x`` is one (T, C) trial, and each op's
     backward is recorded) or a ``PackedEval`` (eval: ``x`` is packed in its
-    layout).  ``grads`` maps the parameter names to the arrays the
-    recorded backward adds their gradients into, or is None when nothing
-    trains.
+    layout).  ``grads`` maps the parameter names to the arrays a
+    ``Recorder``'s backward adds their gradients into; a ``PackedEval``
+    reads none.
     """
     for i, spec in enumerate(specs):
         x = KINDS[spec.kind].step(mode, x, spec, params, grads, f"{i}.")
@@ -693,8 +691,8 @@ class Recorder:
         its gradient is recorded after the conv."""
         w = params[wn]
         out, taps, w2 = _conv_raw(x, w, params[bn], dilation)
-        views = None if grads is None else (grads[wn], grads[bn])
-        self.add(_conv_back, taps, w2, w.shape[0], dilation, views, bool(self.ops))
+        self.add(_conv_back, taps, w2, w.shape[0], dilation, (grads[wn], grads[bn]),
+                 bool(self.ops))
         l2 = self.activity_l2
         if l2 > 0.0:
             self.penalties.append(_penalty_raw(out, l2))
@@ -703,15 +701,13 @@ class Recorder:
 
     def dense(self, x, params, grads, pfx):
         w = params[pfx + "w"]
-        views = None if grads is None else (grads[pfx + "w"], grads[pfx + "b"])
-        self.add(_dense_back, x, w, views, bool(self.ops))
+        self.add(_dense_back, x, w, (grads[pfx + "w"], grads[pfx + "b"]), bool(self.ops))
         return _dense_raw(x, w, params[pfx + "b"])
 
     def scse(self, x, params, grads, pfx):
         p = _scse_params(params, pfx)
         out, saved = _scse_raw(x, *p)
-        views = None if grads is None else _scse_params(grads, pfx)
-        self.add(_scse_back, saved, p, views, bool(self.ops))
+        self.add(_scse_back, saved, p, _scse_params(grads, pfx), bool(self.ops))
         return out
 
     def selu(self, x):

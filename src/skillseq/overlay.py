@@ -8,10 +8,10 @@ its own 256-step color ramp; a vertex at intensity v gets ramp color
 ramp's two documented endpoints.
 
 Rendering is table-driven and takes one pass per column: every ramp's
-256 colors and the strip's 256 greys are built once, at import, from
-the integer step with ``ramp_color``'s arithmetic; per-vertex steps,
-frame-to-map indices and strip cells are computed as whole arrays
-(``np.rint`` rounds half to even, as ``round`` does); and each
+256 colors (``_step_color`` of the integer step) and the strip's 256
+greys are built once, at import; per-vertex steps, frame-to-map indices
+and strip cells are computed as whole arrays (``np.rint`` rounds half to
+even, as ``round`` does); and each
 coordinate is formatted once, a column at a time, and shared by the
 polyline and the vertex's circle.  The SVG bytes are those of the
 per-vertex formulas.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import RAW, fill_gaps
 
-__all__ = ["render_cam_overlay", "tool_pairs", "ramp_color", "RAMPS"]
+__all__ = ["render_cam_overlay", "tool_pairs", "RAMPS"]
 
 CANVAS_W = 640.0
 CANVAS_H = 480.0
@@ -56,12 +56,6 @@ RAMPS = (
 def _step_color(lo, hi, q):
     rgb = [int(round(a + (b - a) * q / 255.0)) for a, b in zip(lo, hi)]
     return "#%02x%02x%02x" % tuple(rgb)
-
-
-def ramp_color(tool_index, intensity):
-    """Hex color for one vertex: 256 linear steps between ramp endpoints."""
-    lo, hi = RAMPS[tool_index % len(RAMPS)]
-    return _step_color(lo, hi, int(round(float(np.clip(intensity, 0.0, 1.0)) * 255.0)))
 
 
 # color of step q on ramp k, and the strip's grey of level g

@@ -13,8 +13,11 @@ and prints, per module, the line of each statement that no test reached
 a statement counts as reached only when the function, class body or
 module that runs it reaches its line: the body of a one-line ``def`` or
 a lambda is reported on its own even when it shares its line with a
-statement that ran.  A code object is keyed on its name and first line,
-so two lambdas on one line share one entry.  Python subprocesses that
+statement that ran.  A code object is keyed on its name, its first line
+and its order among the code objects of its parent that share both, so
+each of two lambdas on one line is reported on its own; the recorder
+finds a running code object's key by compiling its module afresh and
+matching the code object there.  Python subprocesses that
 the tests start (``python -m skillseq ...``) record too: the tool points
 ``PYTHONUSERBASE`` at a scratch directory whose ``usercustomize.py``
 starts the same recorder, which holds even for a child whose
@@ -40,10 +43,32 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skillseq"
 
 
-def _scope(code):
-    """The key of a code object: its name and first line (a decorated
-    function's or class's first decorator)."""
-    return code.co_name, code.co_firstlineno
+def _scopes(module):
+    """``{code: key}`` for the compiled ``module`` and every code object
+    in it.  A key is the code's name, its first line (a decorated
+    function's or class's first decorator) and its order among the
+    constants of its parent code that share both: 0, but for the second
+    and later lambdas on one line."""
+    keys = {module: (module.co_name, module.co_firstlineno, 0)}
+    todo = [module]
+    while todo:
+        code = todo.pop()
+        count = {}
+        for const in code.co_consts:
+            if hasattr(const, "co_lines"):
+                name = const.co_name, const.co_firstlineno
+                count[name] = count.get(name, -1) + 1
+                keys[const] = (*name, count[name])
+                todo.append(const)
+    return keys
+
+
+def _compiled(path):
+    """The module at ``path`` compiled as an import compiles it (without
+    this file's ``__future__`` flags), so that its code objects compare
+    equal to the imported ones."""
+    return compile(Path(path).read_text(encoding="utf-8"), str(path), "exec",
+                   dont_inherit=True)
 
 
 def install(package, out_dir):
@@ -52,15 +77,27 @@ def install(package, out_dir):
     process appends its lines to ``<out_dir>/<pid>.lines`` when it exits.
     Returns the dump function."""
     lines = set()
+    modules = {}    # file -> its _scopes
+    known = {}      # id(code) -> (code, key); holding the code keeps its id its own
+
+    def scope(code):
+        entry = known.get(id(code))
+        if entry is None:
+            name = code.co_filename
+            if name not in modules:
+                modules[name] = _scopes(_compiled(name))
+            key = modules[name].get(code, (code.co_name, code.co_firstlineno, -1))
+            entry = known[id(code)] = code, key
+        return entry[1]
 
     def local(frame, event, arg):
         if event == "line":
-            lines.add((frame.f_code.co_filename, *_scope(frame.f_code), frame.f_lineno))
+            lines.add((frame.f_code.co_filename, *scope(frame.f_code), frame.f_lineno))
         return local
 
     def trace(frame, event, arg):
         if frame.f_code.co_filename.startswith(package):
-            lines.add((frame.f_code.co_filename, *_scope(frame.f_code), frame.f_lineno))
+            lines.add((frame.f_code.co_filename, *scope(frame.f_code), frame.f_lineno))
             return local
         return None
 
@@ -97,29 +134,30 @@ def _first_line(node):
 def statements(path):
     """What of one module a test can reach: ``{(scope, line): mark}`` of
     each statement that compiles to code in the code object that runs it
-    (``scope``, see ``_scope``; docstrings, ``global`` and the like have no
-    line to reach), with ``mark`` ``"r"`` for a ``raise`` and ``""``
+    (``scope``, see ``_scopes``; docstrings, ``global`` and the like have
+    no line to reach), with ``mark`` ``"r"`` for a ``raise`` and ``""``
     otherwise, and of each lambda, keyed on its own code object and first
-    line, with ``mark`` ``"L"``."""
-    source = path.read_text(encoding="utf-8")
-    module = compile(source, str(path), "exec")
-    code_lines = set()
-    todo = [module]
-    while todo:
-        code = todo.pop()
-        code_lines.update((_scope(code), line) for _, _, line in code.co_lines() if line)
-        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    scopes = {scope for scope, _ in code_lines}
+    line, with ``mark`` ``"L"``.  The AST gives a lambda its order among
+    the lambdas of its line in the same enclosing scope."""
+    module = _compiled(path)
+    keys = _scopes(module)
+    code_lines = {(key, line) for code, key in keys.items()
+                  for _, _, line in code.co_lines() if line}
+    scopes = set(keys.values())
     found = {}
+    count = {}
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name, _first_line(child)
-            elif isinstance(child, ast.Lambda):
-                inner = "<lambda>", child.lineno
-                found[inner, child.lineno] = "L"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                  ast.Lambda)):
+                name = (("<lambda>", child.lineno) if isinstance(child, ast.Lambda)
+                        else (child.name, _first_line(child)))
+                count[scope, name] = count.get((scope, name), -1) + 1
+                inner = (*name, count[scope, name])
+                if isinstance(child, ast.Lambda):
+                    found[inner, child.lineno] = "L"
             if inner not in scopes:
                 raise AssertionError(f"{path}: no code object {inner}")
             if isinstance(child, ast.stmt) and not (
@@ -130,7 +168,7 @@ def statements(path):
                     found[scope, line] = "r" if isinstance(child, ast.Raise) else ""
             walk(child, inner)
 
-    walk(ast.parse(source), _scope(module))
+    walk(ast.parse(path.read_text(encoding="utf-8")), keys[module])
     return found
 
 
@@ -140,8 +178,8 @@ def read_lines(out_dir):
     reached, entered = set(), set()
     for part in Path(out_dir).glob("*.lines"):
         for row in part.read_text(encoding="utf-8").splitlines():
-            name, code, first, line = row.split("\t")
-            scope = code, int(first)
+            name, code, first, order, line = row.split("\t")
+            scope = code, int(first), int(order)
             reached.add((name, scope, int(line)))
             entered.add((name, scope))
     return reached, entered

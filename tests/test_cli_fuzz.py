@@ -17,11 +17,14 @@ the same way, and the failure names the file, the line and the key.
 
 The flag slice gives each numeric flag (``--alpha``, ``--beta``,
 ``--jobs``, ``--configs``, ``--seed``, ``--target-hz``,
-``--target-class``, ``--n-subjects``, ``--trials-per-subject``) an
-empty, NaN, infinite, overflowing, 400-digit and space-padded value: the
-run exits 0, or 2 naming the flag.  The counts that size a run
-(``--configs``, ``--n-subjects``, ``--trials-per-subject``) are bounded
-above, so their 400-digit value exits 2.
+``--target-class``, ``--n-subjects``, ``--trials-per-subject``, and the
+epoch and patience counts ``--dae-max-epochs``, ``--clf-max-epochs``,
+``--dae-patience``, ``--clf-patience``) an empty, NaN, infinite,
+overflowing, 400-digit and space-padded value: the run exits 0, or 2
+naming the flag.  The counts that size a run (``--configs``,
+``--n-subjects``, ``--trials-per-subject`` and the four epoch and
+patience counts) are bounded above, so their 400-digit value exits 2,
+and so does such a count in a config file, naming its line.
 
 The bundle slice changes one field of a bundle's metadata, drops,
 repeats or swaps a layer of a group (with its weights), sets one array
@@ -302,20 +305,26 @@ def test_a_numeric_flag_parses_any_value_or_is_a_usage_error_naming_it(workdir, 
     """Each numeric flag gets each value, joined to it with '=' so that a
     value starting with '-' reaches its parse.  The run exits 0, or 2
     naming the flag; an exit 0 leaves finite outputs.  A 400-digit count
-    of checks, subjects or trials is out of bounds."""
+    of checks, subjects, trials, epochs or patience is out of bounds."""
     records, trust_out = workdir / "flag_records.csv", workdir / "flag_trust"
     records.write_text(RECORDS)
     scoring = ["--bundle", bundles["classification"], "--manifest", bundles["manifest"]]
-    tiny = ["--dae-max-epochs", "1", "--clf-max-epochs", "1", "--arch-enc-width", "2",
-            "--arch-emb-channels", "2", "--arch-clf-width", "2"]
+    tiny = {"--dae-max-epochs": "1", "--clf-max-epochs": "1", "--arch-enc-width": "2",
+            "--arch-emb-channels": "2", "--arch-clf-width": "2"}
+
+    def evaluate(flag):
+        """A tiny evaluate run, without ``flag``'s value in ``tiny``."""
+        return (["evaluate", "--manifest", bundles["manifest"], "--scheme", "stratified3",
+                 *(a for key, value in tiny.items() if key != flag for a in (key, value))], [])
+
     predicted, cams = workdir / "flag_predict.csv", workdir / "flag_cams.csv"
     trust = (["trust", "--records", records, "--out", trust_out],
              [trust_out / "trust.txt", trust_out / "density_correct.csv"])
     commands = {  # flag: (argv without it, outputs)
         "--alpha": trust,
         "--beta": trust,
-        "--jobs": (["evaluate", "--manifest", bundles["manifest"], "--scheme", "stratified3",
-                    *tiny], []),
+        **{flag: evaluate(flag) for flag in ("--jobs", "--dae-max-epochs", "--clf-max-epochs",
+                                             "--dae-patience", "--clf-patience")},
         "--configs": (["gradcheck", "--seed", "0"], []),
         "--seed": (["gradcheck", "--configs", "1"], []),
         "--target-hz": (["predict", *scoring, "--out", predicted], [predicted]),
@@ -325,7 +334,8 @@ def test_a_numeric_flag_parses_any_value_or_is_a_usage_error_naming_it(workdir, 
         "--trials-per-subject": (["synth", "--out", workdir / "flag_trials",
                                   "--n-subjects", "1"], []),
     }
-    bounded = {"--configs", "--n-subjects", "--trials-per-subject"}
+    bounded = {"--configs", "--n-subjects", "--trials-per-subject", "--dae-max-epochs",
+               "--clf-max-epochs", "--dae-patience", "--clf-patience"}
     for flag, (argv, outputs) in commands.items():
         for value in FLAG_VALUES:
             for path in outputs:
@@ -341,6 +351,23 @@ def test_a_numeric_flag_parses_any_value_or_is_a_usage_error_naming_it(workdir, 
                 assert_finite_outputs(outputs)
             if flag in bounded and value == "1" * 400:
                 assert rc == 2, flag
+
+
+@pytest.mark.parametrize("key", ["dae_max_epochs", "clf_max_epochs", "dae_patience",
+                                 "clf_patience"])
+def test_a_400_digit_count_in_a_config_file_names_its_line(workdir, bundles, key):
+    """An epoch or patience count from a config file is bounded above as
+    its flag is: exit 2, naming the file, the line and the key."""
+    cfg = workdir / "counts.cfg"
+    cfg.write_text(f"seed = 1\n{key} = {'1' * 400}\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = dispatch(["evaluate", "--manifest", str(bundles["manifest"]), "--config", str(cfg),
+                       "--out", str(workdir / "counts_run")])
+    assert rc == 2
+    assert err.getvalue().strip().splitlines()[-1].startswith(
+        f"error: usage: {cfg} line 2: key '{key}': must be >= 1 and <= 10000, got '111"), key
+    assert not (workdir / "counts_run").exists()
 
 
 # --- bundles ---

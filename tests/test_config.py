@@ -308,8 +308,8 @@ def test_bad_config_file_is_a_usage_error(tiny_manifest, tmp_path, capsys, body,
 
 # --- one bad value per bounded setting: exit 2, naming the setting ---
 
-RECIPE_BOUNDS = [("learning_rate", "0"), ("max_epochs", "0"), ("patience", "0"),
-                 ("val_fraction", "0.5"), ("l2", "-1")]
+RECIPE_BOUNDS = [("learning_rate", "0"), ("max_epochs", "0"), ("max_epochs", "10001"),
+                 ("patience", "0"), ("patience", "10001"), ("val_fraction", "0.5"), ("l2", "-1")]
 RUN_BOUNDS = (
     [(f"{stage}_{name}", value) for stage in ("dae", "clf") for name, value in RECIPE_BOUNDS]
     + [("dae_loss", "hinge"), ("dae_noise_sigma", "-1"), ("clf_class_weighting", "auto")]
@@ -423,7 +423,8 @@ def test_a_bad_value_in_a_run_cfg_names_its_line(tiny_run, tmp_path, capsys):
                            "run.cfg")
     assert run_cli("validate-cam", "--run", run_dir, "--out", tmp_path / "study") == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        f"error: usage: {run_dir / 'run.cfg'} line 18: key 'dae_patience': must be >= 1, got 0")
+        f"error: usage: {run_dir / 'run.cfg'} line 18: key 'dae_patience': "
+        "must be >= 1 and <= 10000, got 0")
     assert not (tmp_path / "study").exists()
 
 

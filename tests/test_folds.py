@@ -1,4 +1,5 @@
-"""Fold construction: coverage, disjointness, stratification, grouping."""
+"""Fold construction: coverage, disjointness, stratification, grouping,
+and ``assign``'s dispatch from the scheme token."""
 
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_trial
-from skillseq.folds import FoldAssignment, loso_folds, louo_folds, stratified_kfold
+from skillseq.folds import FoldAssignment, assign, stratified_kfold
 
 
 def roster(n, pass_fraction=0.9, seed=0):
@@ -78,27 +79,46 @@ def trials_grid(n_subjects, per_subject):
 
 
 def test_loso_holds_out_one_trial_index_per_fold():
-    trials = trials_grid(4, 5)
-    a = loso_folds(trials)
-    assert len(a.folds) == 5
+    trials = trials_grid(4, 12)
+    a = assign("loso", trials, seed=7)
+    assert (a.scheme, a.seed) == ("loso", 0)
+    # folds in numeric order of the trial index: trial9 before trial10
+    assert [f.name for f in a.folds] == [f"trial{i}" for i in range(12)]
     check_partition(a, [t.trial_id for t in trials])
-    for fold in a.folds:
-        indices = {int(tid.split(":")[1]) for tid in fold.test_ids}
-        assert len(indices) == 1
+    for i, fold in enumerate(a.folds):
+        assert {int(tid.split(":")[1]) for tid in fold.test_ids} == {i}
         subjects = {tid.split(":")[0] for tid in fold.test_ids}
         assert len(subjects) == 4
 
 
 def test_louo_holds_out_one_subject_per_fold():
     trials = trials_grid(6, 4)
-    a = louo_folds(trials)
-    assert len(a.folds) == 6
+    a = assign("louo", trials, seed=7)
+    assert (a.scheme, a.seed) == ("louo", 0)
+    assert [f.name for f in a.folds] == [f"U{s}" for s in range(6)]
     check_partition(a, [t.trial_id for t in trials])
     for fold in a.folds:
         test_subjects = {tid.split(":")[0] for tid in fold.test_ids}
         train_subjects = {tid.split(":")[0] for tid in fold.train_ids}
-        assert len(test_subjects) == 1
+        assert test_subjects == {fold.name}
         assert not test_subjects & train_subjects
+
+
+@pytest.mark.parametrize("scheme, n_subjects, per_subject, refusal", [
+    ("loso", 3, 1, "leave-one-supertrial-out needs at least two distinct trial indices"),
+    ("louo", 1, 3, "leave-one-user-out needs at least two subjects"),
+])
+def test_leave_one_out_refuses_a_single_group(scheme, n_subjects, per_subject, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        assign(scheme, trials_grid(n_subjects, per_subject), seed=0)
+
+
+def test_assign_stratified_is_stratified_kfold_of_ids_and_labels():
+    trials = trials_grid(5, 4)
+    a = assign("stratified3", trials, seed=4)
+    b = stratified_kfold([t.trial_id for t in trials], [t.class_label for t in trials], 3, 4)
+    assert a.scheme == "stratified3" and a.seed == 4
+    assert a.canonical_text() == b.canonical_text()
 
 
 def test_canonical_text_round_trip():

@@ -6,8 +6,9 @@ kind, one training loop takes each stage's data, not callbacks, a bundle and
 Adam carry no field that the design fixes, only the model and training
 modules normalize trials for a model, only the layers, config, modes
 and gradcheck modules spell a loss kind, only the modes table (and
-the mode setting of config) spells a skill mode, and only the cell
-vocabulary turns text into numbers under a ``ValueError`` handler.
+the mode setting of config) spells a skill mode, only the cell
+vocabulary turns text into numbers under a ``ValueError`` handler, and
+only the folds module reads a scheme token.
 
 The benchmark wraps functions by name from outside the package; a
 deleted or renamed target would only show up there as a missing span.
@@ -52,7 +53,6 @@ def test_every_benchmark_span_target_is_callable(monkeypatch):
 # definitions that nothing in src/skillseq names, each kept for a reason
 UNREFERENCED_ALLOWED = {
     ("cli", "_Parser.error"): "argparse calls it on a parse error",
-    ("overlay", "ramp_color"): "oracle for the colour tables in tests/test_overlay.py",
     ("tensor", "parameter"): "perfbench/optable.py builds the op table's inputs with it",
 }
 
@@ -281,6 +281,25 @@ def test_only_the_modes_table_spells_a_skill_mode():
                     if isinstance(node, ast.Constant) and node.value in names
                     and id(node) not in allowed]
     assert not spelled, f"skill modes spelled outside the modes table: {spelled}"
+
+
+def test_only_the_folds_module_reads_a_scheme_token():
+    """``folds`` holds the scheme grammar and picks each scheme's roster,
+    so no other module spells ``"loso"``, ``"louo"`` or a string starting
+    with ``"stratified"`` as a constant.  The one exception is the default
+    of ``config``'s ``scheme`` setting."""
+    spelled = []
+    for module, tree in _trees().items():
+        if module == "folds":
+            continue
+        allowed = {id(n) for node in ast.walk(tree) if module == "config"
+                   and isinstance(node, ast.AnnAssign)
+                   and getattr(node.target, "id", None) == "scheme" for n in ast.walk(node)}
+        spelled += [f"{module}:{node.lineno} {node.value}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and (node.value in ("loso", "louo") or node.value.startswith("stratified"))
+                    and id(node) not in allowed]
+    assert not spelled, f"scheme tokens read outside folds: {spelled}"
 
 
 def _catches_value_error(handler):
