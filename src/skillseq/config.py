@@ -193,7 +193,8 @@ class SynthSpec(_Checked):
     sample_rate_hz: float = setting(1.0, above=0)
     missing_fraction: float = setting(0.01, at_least=0, below=1)
     distractor_prob: float = setting(0.40, at_least=0, at_most=1)
-    subject_bias: float = setting(1.0, at_least=0)
+    # < 20/3 keeps each 1 + b * U(lo, hi) of synth._subject_bias above 0
+    subject_bias: float = setting(1.0, at_least=0, below=20 / 3)
     pass_duration: tuple = setting((40.0, 95.0), above=0)
     fail_duration: tuple = setting((150.0, 210.0), above=0)
     pass_jitter: float = setting(2.5, at_least=0)

@@ -27,21 +27,21 @@ in reverse, adding each parameter's gradient into the array that
 backward against finite differences.
 
 ``forward_packed`` is the eval forward: it packs trials along time, one
-after another, in chunks of at most ``PACK_ROWS`` rows (``Segments``)
-and runs ``forward_stack`` with a ``PackedEval`` on plain arrays in that
-layout; ``_conv_packed``, ``_scse_packed``, ``Segments.means`` and
-``_row_products`` run an op over every trial of such an array.  Each
-trial's result equals, byte for byte, that of the one-trial op: every
-BLAS call and every reduction runs once per trial on exactly the
-one-trial operands (their bits depend on the operand shapes); only
-elementwise arithmetic spans the packed array.  One rule pads every
+after another, in chunks of at most ``PACK_ROWS`` rows and runs
+``forward_stack`` with a ``PackedEval``, the mode that holds the chunk's
+row layout, on plain arrays in that layout; ``_conv_packed``,
+``_scse_packed``, ``PackedEval.means`` and ``_row_products`` run an op
+over every trial of such an array.  Each trial's result equals, byte for
+byte, that of the one-trial op: every BLAS call and every reduction runs
+once per trial on exactly the one-trial operands (their bits depend on
+the operand shapes); only elementwise arithmetic spans the packed array.  One rule pads every
 convolution, packed or not: ``_taps`` writes 0 wherever a tap falls
 outside its trial.  At the 890-2,048 rows of a long trial or a chunk,
 ``np.where`` and fresh arrays of 100 KB or more (new memory to fault in)
 cost more than the arithmetic, so SELU runs in place (``_selu_inplace``,
 the bits of ``_selu_raw``), the sCSE combine makes two temporaries
 instead of four, and each ``forward_packed`` call builds every trial's
-taps in one ``TapBuffer``.
+taps in one flat array, sized up front for its longest trial.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["LayerSpec", "KINDS", "param_shapes", "init_stack_params", "forward_stack",
-           "Recorder", "PackedEval", "Segments", "TapBuffer", "forward_packed",
-           "is_kernel_param"]
+           "Recorder", "PackedEval", "forward_packed", "is_kernel_param"]
 
 # what flows between layers: each trial's (T, C) sequence, or after a
 # pooling layer one vector per trial
@@ -123,56 +122,6 @@ def _add_grads(views, grads):
     """Add each gradient into its view."""
     for view, d in zip(views, grads):
         view += d
-
-
-# --- the packed layout ---
-
-class Segments:
-    """Row layout of trials packed along time, one after another: trial
-    ``i`` occupies rows ``bounds[i] = (start, end)`` and ``owner`` maps
-    each row to its trial.  The layout's convolutions build their taps in
-    ``taps``, a ``TapBuffer``, and read no row outside a trial (``_taps``)."""
-
-    def __init__(self, lengths, taps):
-        self.taps = taps
-        starts = [0, *accumulate(lengths)]
-        self.bounds = list(zip(starts, starts[1:]))
-        self.longest = max(lengths)
-        self.lengths = np.array(lengths, dtype=np.float64)[:, None]
-        self.owner = np.repeat(np.arange(len(lengths)), lengths)
-
-    def pack(self, arrays):
-        """One new (rows, C) array holding each (T_i, C) array at its bounds."""
-        return np.concatenate(arrays)
-
-    def unpack(self, packed):
-        """Each trial's rows of a packed array (views)."""
-        return [packed[s:e] for s, e in self.bounds]
-
-    def means(self, xd):
-        """Per-trial means over time of a packed (rows, C) array: (n, C)."""
-        out = np.empty((len(self.bounds), xd.shape[1]))
-        for i, (s, e) in enumerate(self.bounds):
-            np.add.reduce(xd[s:e], 0, out=out[i])
-        out /= self.lengths
-        return out
-
-
-class TapBuffer:
-    """Storage that packed convolutions build each trial's taps in, one
-    after another.  It grows to the largest tap array asked of it; each
-    packed forward makes its own, so none outlives the forward."""
-
-    def __init__(self):
-        self.flat = np.empty(0)
-
-    def array(self, rows, cols):
-        """A C-contiguous (rows, cols) array over the storage; the caller
-        overwrites every element."""
-        n = rows * cols
-        if self.flat.size < n:
-            self.flat = np.empty(n)
-        return self.flat[:n].reshape(rows, cols)
 
 
 # --- conv1d: zero 'same' padding, centered odd kernel ---
@@ -250,16 +199,17 @@ def _conv_back(g, taps, w2, K, dilation, views, need_x):
     return dx
 
 
-def _conv_packed(xd, wd, bd, dilation, segments):
-    """``_conv_raw``'s output over a packed array, one trial at a time:
-    each trial's taps are built by ``_taps`` in the layout's
-    ``TapBuffer``, so the taps and the matmul are the one-trial call's."""
+def _conv_packed(xd, wd, bd, dilation, layout):
+    """``_conv_raw``'s output over an array packed in ``layout`` (a
+    ``PackedEval``), one trial at a time: each trial's taps are built by
+    ``_taps`` in the layout's tap storage, so the taps and the matmul are
+    the one-trial call's."""
     K = wd.shape[0]
     w2 = _conv_matrix(wd)
     out = np.empty((xd.shape[0], w2.shape[1]))
     if K > 1:
-        buf = segments.taps.array(segments.longest, w2.shape[0])
-    for s, e in segments.bounds:
+        buf = layout.taps[:layout.longest * w2.shape[0]].reshape(layout.longest, -1)
+    for s, e in layout.bounds:
         taps = xd[s:e] if K == 1 else _taps(xd, s, e, K, dilation, buf[:e - s])
         np.matmul(taps, w2, out=out[s:e])
     out += bd
@@ -430,21 +380,21 @@ def _scse_back(g, saved, p, views, need_x):
     return dx
 
 
-def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, segments):
-    """``_scse_raw``'s output over a packed array; each trial gets its own
-    channel gate."""
-    u1 = _row_products(segments.means(xd), cw1)
+def _scse_packed(xd, cw1, cb1, cw2, cb2, sw, sb, layout):
+    """``_scse_raw``'s output over an array packed in ``layout``; each
+    trial gets its own channel gate."""
+    u1 = _row_products(layout.means(xd), cw1)
     u1 += cb1
     h = np.where(u1 > 0.0, u1, 0.0)
     u2 = _row_products(h, cw2)
     u2 += cb2
     s = _sigmoid_raw(u2)
     v = np.empty(xd.shape[0])
-    for a, e in segments.bounds:
+    for a, e in layout.bounds:
         np.matmul(xd[a:e], sw, out=v[a:e])
     v += sb
     q = _sigmoid_raw(v)
-    out = s[segments.owner]
+    out = s[layout.owner]
     out *= xd
     out += np.multiply(xd, q[:, None])
     return out
@@ -771,23 +721,40 @@ def _join(g, skip, pen):
 
 
 class PackedEval:
-    """The eval mode of ``forward_stack``, over a (rows, C) array packed
-    in ``segments`` (a ``Segments``).  Each array passed on is this
-    forward's own, so SELU and the residual add run in place.  ``gap``
-    leaves one row per trial, which ``dense`` and ``softmax`` map row by
-    row, and stores its input in ``captures["pre_gap"]``; noise passes
-    its input on.  Every row belongs to a trial, and a convolution reads
-    0 outside its trial (``_taps``) whatever the rows around it hold, so
-    no op writes padding."""
+    """The eval mode of ``forward_stack``, and the row layout of its
+    (rows, C) array: trials packed along time, one after another, where
+    trial ``i`` occupies rows ``bounds[i] = (start, end)`` and ``owner``
+    maps each row to its trial.  Convolutions build each trial's taps in
+    ``taps``, flat storage that holds ``longest`` rows of the widest tap
+    row.  Each array passed on is this forward's own, so SELU and the
+    residual add run in place.  ``gap`` leaves one row per trial, which
+    ``dense`` and ``softmax`` map row by row, and stores its input in
+    ``captures["pre_gap"]``; noise passes its input on.  Every row
+    belongs to a trial, and a convolution reads 0 outside its trial
+    (``_taps``) whatever the rows around it hold, so no op writes
+    padding."""
 
     train = False
 
-    def __init__(self, segments):
-        self.segments = segments
+    def __init__(self, lengths, taps):
+        starts = [0, *accumulate(lengths)]
+        self.bounds = list(zip(starts, starts[1:]))
+        self.longest = max(lengths)
+        self.lengths = np.array(lengths, dtype=np.float64)[:, None]
+        self.owner = np.repeat(np.arange(len(lengths)), lengths)
+        self.taps = taps
         self.captures = {}
 
+    def means(self, xd):
+        """Per-trial means over time of a packed (rows, C) array: (n, C)."""
+        out = np.empty((len(self.bounds), xd.shape[1]))
+        for i, (s, e) in enumerate(self.bounds):
+            np.add.reduce(xd[s:e], 0, out=out[i])
+        out /= self.lengths
+        return out
+
     def conv(self, x, params, grads, wn, bn, dilation):
-        return _conv_packed(x, params[wn], params[bn], dilation, self.segments)
+        return _conv_packed(x, params[wn], params[bn], dilation, self)
 
     def dense(self, x, params, grads, pfx):
         x = _row_products(x, params[pfx + "w"])
@@ -795,7 +762,7 @@ class PackedEval:
         return x
 
     def scse(self, x, params, grads, pfx):
-        return _scse_packed(x, *_scse_params(params, pfx), self.segments)
+        return _scse_packed(x, *_scse_params(params, pfx), self)
 
     def selu(self, x):
         return _selu_inplace(x)
@@ -808,7 +775,7 @@ class PackedEval:
 
     def gap(self, x):
         self.captures["pre_gap"] = x
-        return self.segments.means(x)
+        return self.means(x)
 
     def noise(self, x, sigma):
         return x
@@ -839,7 +806,10 @@ def forward_packed(stacks, values, capture=False):
     ``"pre_gap"`` activations (``(outputs, pre_gaps)``).  Outputs may be
     views into a chunk's arrays.
     """
-    taps = TapBuffer()
+    longest = max(map(len, values), default=0)
+    widest = max([spec.in_channels * spec.kernel_size for specs, _ in stacks
+                  for spec in specs if spec.kernel_size > 1], default=0)
+    taps = np.empty(longest * widest)
     outs, pre_gaps = [], []
     i = 0
     while i < len(values):
@@ -847,15 +817,13 @@ def forward_packed(stacks, values, capture=False):
         while j < len(values) and rows + values[j].shape[0] <= PACK_ROWS:
             rows += values[j].shape[0]
             j += 1
-        chunk = values[i:j]
-        segments = Segments([v.shape[0] for v in chunk], taps)
-        mode = PackedEval(segments)
-        x = segments.pack(chunk)
+        mode = PackedEval(list(map(len, values[i:j])), taps)
+        x = np.concatenate(values[i:j])
         for specs, params in stacks:
             x = forward_stack(specs, params, x, mode)
-        gapped = "pre_gap" in mode.captures
-        outs.extend(list(x) if gapped else segments.unpack(x))
+        outs.extend(list(x) if "pre_gap" in mode.captures else [x[s:e] for s, e in mode.bounds])
         if capture:
-            pre_gaps.extend(segments.unpack(mode.captures["pre_gap"]))
+            pre_gap = mode.captures["pre_gap"]
+            pre_gaps.extend([pre_gap[s:e] for s, e in mode.bounds])
         i = j
     return (outs, pre_gaps) if capture else outs

@@ -19,8 +19,6 @@ def fmt9(x):
 def fmt_value(v):
     if v is None:
         return "NA"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return fmt9(v)
     return str(v)

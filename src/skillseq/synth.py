@@ -235,8 +235,9 @@ def synth_subjects(spec):
     the pass regime.  Every emitted label is recomputed from the
     trajectory score; at moderate subject_bias (<= 2) the regimes' score
     ranges stay disjoint around CLASS_THRESHOLD, so label counts equal
-    regime counts.  Extreme bias values trade that guarantee for larger
-    subject effects.
+    regime counts.  Larger bias values trade that guarantee for larger
+    subject effects; ``SynthSpec`` refuses a bias of 20/3 or more, which
+    could make a subject's jitter multiplier negative.
     """
     n_total = spec.n_subjects * spec.trials_per_subject
     n_pass = int(round(spec.pass_fraction * n_total))

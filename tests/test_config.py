@@ -319,8 +319,9 @@ RUN_BOUNDS = (
        ("scheme", "stratified1"), ("mode", "pairs")])
 SYNTH_BOUNDS = [("n_subjects", "0"), ("trials_per_subject", "0"), ("pass_fraction", "1.5"),
                 ("sample_rate_hz", "0"), ("missing_fraction", "1"), ("subject_bias", "-1"),
-                ("seed", "-1"), ("pass_duration", "10,5"), ("fail_duration", "0,5"),
-                ("distractor_prob", "5"), ("pass_jitter", "-3"), ("fail_jitter", "-1")]
+                ("subject_bias", "7"), ("seed", "-1"), ("pass_duration", "10,5"),
+                ("fail_duration", "0,5"), ("distractor_prob", "5"), ("pass_jitter", "-3"),
+                ("fail_jitter", "-1")]
 
 
 def refused(capsys, command, argv, file_flag, source, key, value):

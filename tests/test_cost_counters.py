@@ -9,11 +9,6 @@ specialization) and is then counted with the interpreter's profiler hook
 and the garbage collector off, so a collection cannot run finalizers
 inside the count:
 
-- ``nodes``: ``Tensor`` objects created (one per op result, leaves made
-  in the step included; a training step, which builds no tape, makes
-  none);
-- ``accumulate``: ``Tensor.accumulate`` calls (gradient additions on the
-  tape);
 - ``numpy_c``: calls of numpy's C functions and methods that the profiler
   sees (``np.zeros``, ``np.add.reduce``, ``ndarray`` methods, generator
   draws).  Ufunc calls such as ``np.exp`` or ``np.matmul`` and array
@@ -54,7 +49,6 @@ import numpy as np
 import pytest
 
 import skillseq.layers as layers
-import skillseq.tensor as tz
 import skillseq.training as training
 import tape
 from skillseq.bundle import load_bundle, save_bundle
@@ -71,6 +65,9 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 COUNTS = {
     "numpy 2.4.6; scipy 1.17.1; openblas SkylakeX; simd X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
+        # The nodes and accumulate columns (Tensor objects made and
+        # Tensor.accumulate calls) went when they read 0 on every case: no
+        # training step or eval forward builds a Tensor any more.
         # nodes 25 -> 0 and 18 -> 0, accumulate 44 -> 0 and 35 -> 0, numpy_c
         # 125 -> 80 and 79 -> 45, py 216 -> 149 and 152 -> 108 when a
         # training step stopped building a tape and runs each stack's
@@ -119,10 +116,8 @@ COUNTS = {
         # each convolution with K > 1 (6 in the DAE, 2 in the head) no
         # longer makes a zero-padded copy of its input (-1 np.zeros) and
         # calls _taps (+1 py).  peak_kb is unchanged.
-        "training.dae_step": {"nodes": 0, "accumulate": 0, "numpy_c": 72, "py": 162,
-                              "peak_kb": 593},
-        "training.head_step": {"nodes": 0, "accumulate": 0, "numpy_c": 43, "py": 122,
-                               "peak_kb": 348},
+        "training.dae_step": {"numpy_c": 72, "py": 162, "peak_kb": 593},
+        "training.head_step": {"numpy_c": 43, "py": 122, "peak_kb": 348},
         # numpy_c 520 -> 506 and py 452 -> 474 when eval forwards stopped
         # making throwaway large arrays: the 21 SELUs run in place and no
         # longer call np.where (-21 py); the 21 packed convolutions run in
@@ -166,8 +161,16 @@ COUNTS = {
         # the three list comprehensions of each layout's halos (-9);
         # numpy_c loses each chunk's np.zeros in pack and its halo-row
         # np.array (-6); the chunks' arrays no longer hold halo rows.
-        "layers.forward_packed": {"nodes": 0, "accumulate": 0, "numpy_c": 425, "py": 630,
-                                  "peak_kb": 1579},
+        # numpy_c 425 -> 422 and py 630 -> 600 when PackedEval took over the
+        # row layout and the tap storage: the call makes one flat tap array,
+        # sized up front, where the buffer was made empty and grown three
+        # times (-3 np.empty); each of the 18 convolutions with K > 1 slices
+        # it inline, not through a method (-18); the call lists the widest
+        # tap row in place of making the buffer (0); and each of the 3
+        # chunks loses Segments.__init__, its list comprehension of lengths,
+        # pack and unpack with its list comprehension, and keeps one list
+        # comprehension for the pre-GAP rows (-4 each).
+        "layers.forward_packed": {"numpy_c": 422, "py": 600, "peak_kb": 1579},
         # measured on the parent code, where a one-trial chunk ran on the
         # tape, as nodes 24, numpy_c 57, py 132; it now takes the packed
         # array path like every chunk (Segments and pack: +2 numpy_c)
@@ -175,15 +178,18 @@ COUNTS = {
         # the halos went: py +6 _taps, +1 the np.concatenate dispatcher, -7
         # _reach and -3 the halo list comprehensions; numpy_c -1 np.zeros
         # and -1 np.array; the 8 halo rows are no longer allocated.
-        "layers.forward_packed.one_trial": {"nodes": 0, "accumulate": 0, "numpy_c": 57,
-                                            "py": 123, "peak_kb": 1058},
+        # numpy_c 57 -> 55 and py 123 -> 114 with the merged layout: one
+        # np.empty for the taps where the buffer was made and grown twice
+        # (-2); the 6 convolutions with K > 1 slice it inline (-6 py); the
+        # call's TapBuffer, Segments, their length list comprehension and
+        # pack go, and the widest tap row's list comprehension comes (-3).
+        "layers.forward_packed.one_trial": {"numpy_c": 55, "py": 114, "peak_kb": 1058},
         # py 8 -> 17 when the headers were read by data.read_pairs under the
         # header table: the read_pairs call (+1) and the header parsers' own
         # calls (+8): subject's parse and check, trial's integer and its
         # check, rate_hz's finite, score's NA test, and class's NA test and
         # parse.  numpy_c and peak_kb are unchanged.
-        "data.parse_trial_text": {"nodes": 0, "accumulate": 0, "numpy_c": 4, "py": 17,
-                                  "peak_kb": 463},
+        "data.parse_trial_text": {"numpy_c": 4, "py": 17, "peak_kb": 463},
         # numpy_c 55 -> 65 and py 4,204 -> 120 when coordinates were written
         # from integer hundredths: _fmt ran once per coordinate and strip
         # cell (4,095 calls: 2 x 818 per tool, 818 strip cells and 5
@@ -195,8 +201,7 @@ COUNTS = {
         # checking a gap-filled trial for missing samples (a trial holds
         # NaN only while raw): one ndarray.any call, its Python _any and
         # the C reduction it runs.
-        "overlay.render_cam_overlay": {"nodes": 0, "accumulate": 0, "numpy_c": 63, "py": 119,
-                                       "peak_kb": 793},
+        "overlay.render_cam_overlay": {"numpy_c": 63, "py": 119, "peak_kb": 793},
         # py 570 (measured on the parent code) -> 93 when the array loop
         # stopped calling a reader's take/u per field (477 calls: about a
         # dozen per array) and bounds-checks and unpacks each field inline
@@ -227,8 +232,7 @@ COUNTS = {
         # refusing an array that holds NaN or an infinity: per array (40
         # of them) one ndarray.all and its reduction (+80 numpy_c) and
         # numpy's Python _all wrapper (+40 py).
-        "bundle.load_bundle": {"nodes": 0, "accumulate": 0, "numpy_c": 206, "py": 179,
-                               "peak_kb": 202},
+        "bundle.load_bundle": {"numpy_c": 206, "py": 179, "peak_kb": 202},
     },
 }
 
@@ -252,16 +256,11 @@ def _numpy_owned(fn):
 def count_calls(fn):
     """The counts of one ``fn()`` call, and the ``peak_kb`` of another
     (see the module docstring)."""
-    init, accumulate = tz.Tensor.__init__.__code__, tz.Tensor.accumulate.__code__
-    counts = {"nodes": 0, "accumulate": 0, "numpy_c": 0, "py": 0}
+    counts = {"numpy_c": 0, "py": 0}
 
     def hook(frame, event, arg):
         if event == "call":
             counts["py"] += 1
-            if frame.f_code is init:
-                counts["nodes"] += 1
-            elif frame.f_code is accumulate:
-                counts["accumulate"] += 1
         elif event == "c_call" and _numpy_owned(arg):
             counts["numpy_c"] += 1
 
@@ -395,7 +394,7 @@ def test_counts_repeat_exactly(counted):
 def test_the_batch_runs_in_three_packed_chunks():
     rng = np.random.default_rng(0)
     batch = [rng.random((T, len(CHANNELS))) for T in BATCH_LENGTHS]
-    with mock.patch.object(layers, "Segments", side_effect=layers.Segments) as layouts:
+    with mock.patch.object(layers, "PackedEval", side_effect=layers.PackedEval) as layouts:
         skill = build_classifier(_autoencoder(rng), "classification", seed=0)
         forward_packed(_skill_stacks(skill), batch, capture=True)
     assert layouts.call_count == 3

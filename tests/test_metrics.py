@@ -110,6 +110,12 @@ def test_spearman_perfect_and_reversed():
     assert rho == pytest.approx(1.0)
     rho, _ = spearman([1, 2, 3, 4, 5], [5, 4, 3, 2, 1])
     assert rho == pytest.approx(-1.0)
+    # past n = 8 the p-value is the t-tail's, which is 0 at |rho| = 1
+    x = np.arange(12.0)
+    for y, sign in ((3.0 * x + 1.0, 1.0), (-x, -1.0)):
+        rho, p = spearman(x, y)
+        assert rho == pytest.approx(sign)
+        assert p == 0.0
 
 
 @pytest.mark.parametrize("seed", range(25))

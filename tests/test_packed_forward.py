@@ -188,9 +188,9 @@ def test_packed_validation_losses_match_one_trial_losses(seed, arch, lengths, n_
 
 
 def test_reused_tap_buffer_never_leaks_into_results():
-    """Packed convolutions build their taps in one buffer per call, reused
-    across chunks: a later chunk or a later call must not change results
-    already returned."""
+    """Packed convolutions build their taps in one flat array per call,
+    reused across chunks: a later chunk or a later call must not change
+    results already returned."""
     rng = np.random.default_rng(4)
     arch = ArchConfig(enc_width=6, emb_channels=3, kernel_size=5, reduction=2,
                       clf_width=4, clf_dilation=2)
@@ -200,7 +200,7 @@ def test_reused_tap_buffer_never_leaks_into_results():
     first = [rng.random((T, 3)) for T in (20, 25, 18, 75, 30, 22, 15, 26, 11)]
     second = [rng.random((T, 3)) + 1.0 for T in (33, 12, 40, 9, 28, 17)]
     with mock.patch.object(layers, "PACK_ROWS", 60), \
-            mock.patch.object(layers, "Segments", side_effect=layers.Segments) as layouts:
+            mock.patch.object(layers, "PackedEval", side_effect=layers.PackedEval) as layouts:
         outs, pre_gaps = forward_packed(stacks, first, capture=True)
         assert layouts.call_count >= 3
         kept = [_bits(a) for a in outs + pre_gaps]
@@ -213,16 +213,22 @@ def test_reused_tap_buffer_never_leaks_into_results():
 
 
 def test_segments_lay_trials_end_to_end():
-    segments = layers.Segments([3, 1, 4], layers.TapBuffer())
-    assert segments.bounds == [(0, 3), (3, 4), (4, 8)]
-    assert list(segments.owner) == [0, 0, 0, 1, 2, 2, 2, 2]
-    arrays = [np.full((n, 2), float(n)) for n in (3, 1, 4)]
-    packed = segments.pack(arrays)
-    assert _bits(packed) == _bits(np.vstack(arrays))
-    for a in arrays:
-        assert not np.shares_memory(packed, a)
-    single = layers.Segments([3], layers.TapBuffer()).pack(arrays[:1])
-    assert not np.shares_memory(single, arrays[0])
+    """``PackedEval`` lays trials one after another and takes their means
+    by its bounds; ``forward_packed`` packs a copy, so SELU, which runs in
+    place, never writes the caller's trials, in a chunk of three or one."""
+    layout = layers.PackedEval([3, 1, 4], np.empty(0))
+    assert layout.bounds == [(0, 3), (3, 4), (4, 8)]
+    assert list(layout.owner) == [0, 0, 0, 1, 2, 2, 2, 2]
+    assert layout.longest == 4
+    arrays = [np.full((n, 2), -float(n)) for n in (3, 1, 4)]
+    assert _bits(layout.means(np.vstack(arrays))) == _bits([a[0] for a in arrays])
+    kept = [_bits(a) for a in arrays]
+    for batch in (arrays, arrays[:1]):
+        outs = forward_packed([((LayerSpec("selu"),), {})], batch)
+        assert [_bits(a) for a in arrays] == kept
+        for a, out in zip(batch, outs):
+            assert not np.shares_memory(out, a)
+            assert _bits(out) == _bits(layers._selu_raw(a)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,10 +246,10 @@ def test_packed_taps_never_read_a_neighbouring_trial(seed, T, K, dilation, befor
     x = rng.normal(size=(T, cin))
     w = rng.normal(size=(K, cin, cout))
     b = rng.normal(size=cout)
-    segments = layers.Segments([before, T, after], layers.TapBuffer())
-    packed = segments.pack([np.full((before, cin), 1e6), x, np.full((after, cin), 1e6)])
-    s, e = segments.bounds[1]
-    out = layers._conv_packed(packed, w, b, dilation, segments)[s:e]
+    layout = layers.PackedEval([before, T, after], np.empty(max(before, T, after) * cin * K))
+    packed = np.concatenate([np.full((before, cin), 1e6), x, np.full((after, cin), 1e6)])
+    s, e = layout.bounds[1]
+    out = layers._conv_packed(packed, w, b, dilation, layout)[s:e]
     np.testing.assert_allclose(out, naive_conv1d(x, w, b, dilation), atol=1e-12)
     reach = (K // 2) * dilation
     padded = np.pad(x, ((reach, reach), (0, 0)))

@@ -74,6 +74,31 @@ def test_missing_samples_present_but_sparse(corpus):
     assert 0 < missing < 0.05 * total
 
 
+def test_a_zero_missing_fraction_writes_no_empty_cell(tmp_path):
+    spec = SynthSpec(n_subjects=2, trials_per_subject=3, seed=1, missing_fraction=0.0)
+    write_synth_dataset(spec, str(tmp_path))
+    paths = sorted((tmp_path / "trials").iterdir())
+    assert len(paths) == 6
+    for path in paths:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            assert line.startswith("#") or "" not in line.split(","), (path, line)
+
+
+def test_a_high_missing_fraction_never_blanks_a_whole_tool():
+    """Each tool's x and y go missing together, and every trial keeps at
+    least one frame of each tool, however high the fraction."""
+    spec = SynthSpec(n_subjects=3, trials_per_subject=10, seed=2, missing_fraction=0.99)
+    untouched = []
+    for trial in (t for trials in synth.synth_subjects(spec) for t in trials):
+        missing = np.isnan(trial.values)
+        for col in (0, 2):
+            np.testing.assert_array_equal(missing[:, col], missing[:, col + 1])
+            assert not missing[:, col].all()
+            untouched.append(not missing[:, col].any())
+    # a draw that would blank a whole tool leaves it whole; the others blank most frames
+    assert any(untouched) and not all(untouched)
+
+
 def test_coordinates_fit_camera_frame(corpus):
     for t in corpus.trials:
         v = t.values
